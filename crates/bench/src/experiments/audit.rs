@@ -10,12 +10,13 @@
 //! snapshot's invariant block records the verdict.
 //!
 //! The second half is the chaos proof: a registered cycle on the
-//! audited fleet is rigged ([`toppriv_service::PrivacyAuditor::rig_cycle`]) with a mask
+//! audited fleet is rigged (re-registered through
+//! [`toppriv_service::PrivacyAuditor::register_cycle`]) with a mask
 //! schedule that violates the fleet invariant, and the experiment
 //! **asserts** the ε2 breach is journaled within the very next drain —
 //! the audit plane's end-to-end detection-latency guarantee. Alongside,
 //! the invariant block checks the p99 service-latency exemplar links to
-//! a real `drain_shard` span, the per-tenant gauges are live, the
+//! a real `drain_worker` span, the per-tenant gauges are live, the
 //! online adversary estimator publishes its drift gauges, and the audit
 //! journal survives a seal/unseal round trip.
 //!
@@ -154,7 +155,20 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     // --- Chaos: rig one registered cycle, catch it within one drain. ---
     let plans = plan_wave(ctx, &manager_on, PASSES);
     let rigged = plans[0][0].clone();
-    auditor.rig_cycle(&rigged.session, rigged.scheduled.cycle_id, 0.5, 0.0);
+    let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
+    let unmasked = toppriv_core::PrivacyMetrics {
+        exposure: 0.5,
+        mask_level: 0.0,
+        ..Default::default()
+    };
+    auditor.register_cycle(
+        &rigged.session,
+        rigged.scheduled.cycle_id,
+        &unmasked,
+        eps2,
+        0.5,
+        0.5,
+    );
     // Clean slate for the exemplar check: this drain's spans and
     // service-latency samples only.
     let registry = manager_on.metrics_registry().registry().clone();
@@ -220,7 +234,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     );
 
     // --- Exemplar: the p99 service-latency bucket links to a real
-    // `drain_shard` span of the last drain. ------------------------------
+    // `drain_worker` span of the last drain. ------------------------------
     let exemplar = registry
         .merged_histogram(toppriv_service::scheduler::M_SERVICE_US)
         .and_then(|h| h.exemplar(0.99));
@@ -228,10 +242,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         toppriv_obs::tracer()
             .events()
             .iter()
-            .any(|e| e.name == "drain_shard" && e.id == id)
+            .any(|e| e.name == "drain_worker" && e.id == id)
     });
     inv.check(
-        "p99_exemplar_links_drain_shard_span",
+        "p99_exemplar_links_drain_worker_span",
         format!(
             "p99 exemplar span id {exemplar:?} resolved against the trace journal \
              ({n} submissions in the exemplar drain)"

@@ -13,8 +13,8 @@
 //!   submission reaches the engine (the cache would otherwise absorb the
 //!   cross-tenant duplicates that sharding is meant to spread). Each
 //!   cell plans paced cycles through a fresh `SessionManager`, merges
-//!   them, and drains the merged queue on the scheduler's per-shard
-//!   worker queues. qps is submissions per wall-clock second.
+//!   them, and drains the merged queue on the scheduler's worker
+//!   pool. qps is submissions per wall-clock second.
 
 use crate::context::ExperimentContext;
 use crate::obsbench;
@@ -174,10 +174,10 @@ fn scaling_table(ctx: &ExperimentContext) -> ResultTable {
         "ext6_shard_scaling",
         format!(
             "Drain throughput (submissions/s) and p99 submit latency of \
-             the per-shard scheduler queues at 1/2/4/8 shards x 1/8/64 \
+             the shared scheduler queue at 1/2/4/8 shards x 1/8/64 \
              sessions (8 workers over {} core(s), cache off, uncached \
              engine evaluations). Sharding removes the engine-wide log \
-             mutex and queue cursor from the hot path; the parallel qps \
+             mutex from the hot path; the parallel qps \
              speedup it unlocks is bounded by the host's core count.",
             available_cores()
         ),

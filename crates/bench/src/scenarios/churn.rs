@@ -1,7 +1,7 @@
 //! Scenario `churn`: tenant join/leave storms.
 //!
 //! Waves of tenants join, plan paced cycles that drain on the shared
-//! per-shard scheduler queues, then half of them leave — while the
+//! scheduler queue, then half of them leave — while the
 //! fleet keeps serving. The invariants are the paper's per-cycle and
 //! per-trace privacy guarantees, asserted **throughout** the storm, not
 //! just at steady state:

@@ -11,7 +11,7 @@ use crate::score::ScoringModel;
 use crate::topk::{SearchHit, TopK};
 use std::sync::Mutex;
 use std::time::Instant;
-use toppriv_obs::HistogramHandle;
+use toppriv_obs::{recover_lock, HistogramHandle};
 use tsearch_index::{DocumentStore, InvertedIndex};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
@@ -284,7 +284,7 @@ impl SearchEngine {
     }
 
     fn log_query(&self, text: String, query: &Query) {
-        self.log.lock().expect("query log poisoned").push(
+        recover_lock(&self.log).push(
             text,
             query
                 .terms()
@@ -295,12 +295,12 @@ impl SearchEngine {
 
     /// Snapshot of the server-side query log — the adversary's view.
     pub fn query_log(&self) -> Vec<LoggedQuery> {
-        self.log.lock().expect("query log poisoned").snapshot()
+        recover_lock(&self.log).snapshot()
     }
 
     /// Clears the query log (between experiments). Ordinals restart.
     pub fn clear_query_log(&self) {
-        self.log.lock().expect("query log poisoned").clear();
+        recover_lock(&self.log).clear();
     }
 
     /// Bounds the query log to the most recent `capacity` entries.
@@ -308,10 +308,7 @@ impl SearchEngine {
     /// demo-oriented adversary log cannot grow without limit; ordinals
     /// keep counting across dropped entries.
     pub fn set_query_log_capacity(&self, capacity: usize) {
-        self.log
-            .lock()
-            .expect("query log poisoned")
-            .set_capacity(capacity);
+        recover_lock(&self.log).set_capacity(capacity);
     }
 
     /// Fetches a result document's text (Step 7 of the search process).

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use toppriv_obs::HistogramHandle;
+use toppriv_obs::{recover_lock, HistogramHandle};
 use tsearch_index::{DocumentStore, ShardRouter, ShardedIndex};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
@@ -247,19 +247,13 @@ impl ShardedEngine {
                 .map(|&t| self.vocab.term(t))
                 .collect::<Vec<_>>()
                 .join(" ");
-            self.logs[s]
-                .lock()
-                .expect("shard log poisoned")
-                .push_at(ordinal, text, tokens);
+            recover_lock(&self.logs[s]).push_at(ordinal, text, tokens);
         }
     }
 
     /// Snapshot of one shard's query log.
     pub fn query_log(&self, shard_id: usize) -> Vec<LoggedQuery> {
-        self.logs[shard_id]
-            .lock()
-            .expect("shard log poisoned")
-            .snapshot()
+        recover_lock(&self.logs[shard_id]).snapshot()
     }
 
     /// Snapshots of every shard's log, in shard-id order — the input to
@@ -271,7 +265,7 @@ impl ShardedEngine {
     /// Clears every shard log and restarts the global ordinal counter.
     pub fn clear_query_logs(&self) {
         for log in &self.logs {
-            log.lock().expect("shard log poisoned").clear();
+            recover_lock(log).clear();
         }
         self.next_ordinal.store(0, Ordering::Relaxed);
     }
@@ -280,9 +274,7 @@ impl ShardedEngine {
     /// is `capacity × num_shards` across the engine).
     pub fn set_query_log_capacity(&self, capacity: usize) {
         for log in &self.logs {
-            log.lock()
-                .expect("shard log poisoned")
-                .set_capacity(capacity);
+            recover_lock(log).set_capacity(capacity);
         }
     }
 

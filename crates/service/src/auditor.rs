@@ -28,12 +28,12 @@
 //!   scenario's closing invariant consumes; [`PrivacyAuditor::tail`]
 //!   serves `AuditTail`.
 //!
-//! The injection hook [`PrivacyAuditor::rig_cycle`] overwrites a
-//! registered cycle's facts with a rigged mask schedule — the
-//! chaos-testing counterpart of
-//! [`crate::CycleScheduler::with_worker_fault`] — so tests and the
-//! `audit` bench experiment can prove an ε2 breach is surfaced within
-//! one drain without building a deliberately broken ghost generator.
+//! Chaos tests and the `audit` bench experiment rig a breach by calling
+//! [`PrivacyAuditor::register_cycle`] again for an already-planned cycle
+//! with hand-made [`PrivacyMetrics`] (a mask schedule that cannot cover
+//! the exposure): re-registration overwrites the pending fact, so an ε2
+//! breach is provably surfaced within one drain without building a
+//! deliberately broken ghost generator.
 
 use crate::fault::{FaultKind, FaultPlane};
 use std::collections::HashMap;
@@ -221,7 +221,8 @@ impl PrivacyAuditor {
     /// Registers one formulated cycle's privacy facts and refreshes the
     /// tenant's gauges. Called by the session manager at plan/search
     /// time (while it still holds the ground truth); the facts wait in
-    /// the pending set until a drain worker audits them.
+    /// the pending set until a drain worker audits them. Registering a
+    /// cycle id again overwrites its pending fact.
     pub fn register_cycle(
         &self,
         session: &str,
@@ -306,30 +307,6 @@ impl PrivacyAuditor {
                 pending.remove(session);
             }
         }
-    }
-
-    /// Chaos hook: overwrites (or inserts) a registered cycle's facts
-    /// with a rigged mask schedule, so the next drain must surface an
-    /// ε2 breach. Counterpart of
-    /// [`crate::CycleScheduler::with_worker_fault`].
-    pub fn rig_cycle(&self, session: &str, cycle_id: usize, exposure: f64, mask_level: f64) {
-        let eps2 = recover_lock(&self.tenants)
-            .get(session)
-            .map(|t| t.eps2)
-            .unwrap_or_else(|| toppriv_core::PrivacyRequirement::paper_default().eps2);
-        recover_lock(&self.pending)
-            .entry(session.to_string())
-            .or_default()
-            .insert(
-                cycle_id,
-                CycleFact {
-                    exposure,
-                    mask_level,
-                    eps2,
-                    trace_exposure: exposure,
-                    audited: false,
-                },
-            );
     }
 
     /// Releases a rolled-back cycle's pending fact and rebinds the
@@ -666,7 +643,7 @@ mod tests {
     fn rigged_cycle_breaches_within_one_audit() {
         let a = auditor();
         a.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
-        a.rig_cycle("t", 0, 0.5, 0.0);
+        a.register_cycle("t", 0, &metrics(0.5, 0.0), 0.01, 0.5, 0.5);
         a.on_outcome("t", 0);
         assert_eq!(a.log().breaches(), 1);
     }

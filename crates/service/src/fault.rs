@@ -1,12 +1,9 @@
 //! The fleet fault plane: seeded, deterministic fault injection.
 //!
-//! PR 7/8 grew ad-hoc chaos hooks one at a time —
-//! [`crate::CycleScheduler::with_worker_fault`] panicked drain workers,
-//! [`crate::PrivacyAuditor::rig_cycle`] forged audit facts — each with
-//! its own wiring and its own notion of "when". [`FaultPlane`] subsumes
-//! them behind one API: a set of [`FaultSpec`]s, each naming a
-//! [`FaultKind`], a firing rate, and optional scoping (one shard, a
-//! fire budget, a stall duration, a legacy submission predicate). The
+//! One API for every injected fault: a set of [`FaultSpec`]s, each
+//! naming a [`FaultKind`], a firing rate, and optional scoping (one
+//! failure domain — a submission's primary shard — a fire budget, a
+//! stall duration, a submission predicate). The
 //! plane is threaded through the scheduler (worker panics, shard
 //! stalls, cache poisoning), the auditor and persist layer (store
 //! write/read errors on journal and session spills), and the session
@@ -109,9 +106,8 @@ pub const ALL_FAULT_KINDS: [FaultKind; 6] = [
     FaultKind::ModelSwapFail,
 ];
 
-/// Legacy submission predicate (the old
-/// [`crate::CycleScheduler::with_worker_fault`] hook): a submission it
-/// selects fires the spec unconditionally, on every attempt.
+/// Submission predicate: a submission it selects fires the spec
+/// unconditionally, on every attempt.
 pub type SubmissionPredicate = Arc<dyn Fn(&PlannedQuery) -> bool + Send + Sync>;
 
 /// One scheduled fault: what fires, how often, and where.
@@ -122,14 +118,15 @@ pub struct FaultSpec {
     /// Per-decision firing probability in `[0, 1]` (deterministic: the
     /// seeded key hash is compared against this rate).
     pub rate: f64,
-    /// Restrict to one shard (`None` = any shard / not shard-scoped).
+    /// Restrict to submissions whose primary shard is this one
+    /// (`None` = any / not shard-scoped).
     pub shard: Option<usize>,
     /// Stop firing after this many fires (0 = unlimited).
     pub max_fires: u64,
     /// [`FaultKind::ShardStall`] duration in milliseconds.
     pub stall_ms: u64,
-    /// Legacy predicate: when set, the spec fires exactly for the
-    /// submissions it selects (rate/key hashing is bypassed).
+    /// When set, the spec fires exactly for the submissions it selects
+    /// (rate/key hashing is bypassed).
     pub predicate: Option<SubmissionPredicate>,
 }
 
@@ -168,8 +165,8 @@ impl FaultSpec {
         }
     }
 
-    /// A predicate spec (the legacy `with_worker_fault` semantics):
-    /// fires exactly for the submissions `predicate` selects.
+    /// A predicate spec: fires exactly for the submissions `predicate`
+    /// selects.
     pub fn predicate(kind: FaultKind, predicate: SubmissionPredicate) -> Self {
         FaultSpec {
             predicate: Some(predicate),
@@ -177,7 +174,8 @@ impl FaultSpec {
         }
     }
 
-    /// Scopes the spec to one shard.
+    /// Scopes the spec to one failure domain: submissions whose primary
+    /// shard is `shard`.
     pub fn on_shard(mut self, shard: usize) -> Self {
         self.shard = Some(shard);
         self

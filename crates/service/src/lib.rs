@@ -18,21 +18,22 @@
 //!   postings are split across N term-hash shards, each with its own
 //!   bounded query log — no engine-wide mutex on the submission path;
 //! - **a global cycle scheduler** ([`CycleScheduler`]): per-session
-//!   pacing schedules are merged into one time-ordered queue, then
-//!   partitioned into per-shard queues drained independently by a
-//!   `std::thread` worker pool;
+//!   pacing schedules are merged into one time-ordered queue that a
+//!   `std::thread` worker pool drains from one shared cursor; every
+//!   drain settles the cycles it delivers, sealing them against
+//!   rollback;
 //! - **a sharded LRU result cache** ([`ResultCache`]): ghost generation
 //!   is deterministic per query content (under the fleet's secret seed),
 //!   so duplicate decoys across tenants are served from cache instead of
 //!   the engine.
 //!
-//! [`ServiceMetrics`] tracks cache hit rate, global and per-shard queue
-//! depth, p50/p99 submit latency, and per-session privacy metrics
+//! [`ServiceMetrics`] tracks cache hit rate, queue depth, p50/p99
+//! submit latency, and per-session privacy metrics
 //! (exposure, mask level, satisfied rate, trace exposure). Since PR 6
 //! all of it lives in a `toppriv_obs::MetricsRegistry` — lock-free
 //! counters/gauges plus log-linear HDR histograms — and the request
 //! lifecycle is traced (`plan_cycle`/`search` spans, scheduler `drain`
-//! with per-shard children). The `toppriv-serve` binary exposes
+//! with per-worker children). The `toppriv-serve` binary exposes
 //! everything over newline-delimited JSON (stdin or TCP; `MetricsNdjson`
 //! and `MetricsProm` dump the registry) and ships a synthetic
 //! multi-tenant demo (`--demo`, sharded with `--shards N`).

@@ -21,7 +21,6 @@
 //! gather, pacing) and service metrics expose through one endpoint.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use toppriv_obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
@@ -35,10 +34,10 @@ pub const M_CACHE_MISSES: &str = "service_cache_misses_total";
 pub const M_GENUINE: &str = "service_genuine_total";
 /// Metric name: ghost queries processed.
 pub const M_GHOSTS: &str = "service_ghosts_total";
-/// Metric name: scheduler queue depth (global gauge; with a `shard`
-/// label, the per-shard queue of the current drain).
+/// Metric name: scheduler queue depth (entries of the current drain not
+/// yet claimed).
 pub const M_QUEUE_DEPTH: &str = "scheduler_queue_depth";
-/// Metric name: high-water mark of the global queue depth.
+/// Metric name: high-water mark of the queue depth.
 pub const M_QUEUE_DEPTH_MAX: &str = "scheduler_queue_depth_max";
 /// Metric name: submit resolution latency histogram (µs).
 pub const M_SUBMIT_US: &str = "service_submit_us";
@@ -76,9 +75,6 @@ pub struct ServiceMetrics {
     fleet_cost_ratio: Gauge,
     planner_reuse: Counter,
     planner_coalesced: Counter,
-    /// High-water count of per-shard depth gauges handed out, so
-    /// snapshots know how many `shard=` gauges to read back.
-    shards_seen: AtomicUsize,
 }
 
 impl Default for ServiceMetrics {
@@ -111,7 +107,6 @@ impl ServiceMetrics {
             fleet_cost_ratio: registry.gauge(M_FLEET_COST_RATIO, &[]),
             planner_reuse: registry.counter(M_PLANNER_REUSE, &[]),
             planner_coalesced: registry.counter(M_PLANNER_COALESCED, &[]),
-            shards_seen: AtomicUsize::new(0),
             registry,
         }
     }
@@ -185,35 +180,6 @@ impl ServiceMetrics {
         self.queue_depth.get().max(0) as usize
     }
 
-    /// Hands out the per-shard queue-depth gauges for shards
-    /// `0..num_shards`. The scheduler fetches these once per drain and
-    /// then publishes depths with plain atomic stores — no allocation,
-    /// no mutex on the drain path (the old API replaced a whole
-    /// `Mutex<Vec<usize>>` per tick).
-    pub fn shard_depth_gauges(&self, num_shards: usize) -> Vec<Gauge> {
-        self.shards_seen.fetch_max(num_shards, Ordering::Relaxed);
-        (0..num_shards)
-            .map(|s| {
-                self.registry
-                    .gauge(M_QUEUE_DEPTH, &[("shard", &s.to_string())])
-            })
-            .collect()
-    }
-
-    /// Per-shard queue depths as last published by the scheduler (empty
-    /// before any sharded drain ran).
-    pub fn shard_queue_depths(&self) -> Vec<usize> {
-        let n = self.shards_seen.load(Ordering::Relaxed);
-        (0..n)
-            .map(|s| {
-                self.registry
-                    .gauge(M_QUEUE_DEPTH, &[("shard", &s.to_string())])
-                    .get()
-                    .max(0) as usize
-            })
-            .collect()
-    }
-
     /// Cache hit rate over all recorded submits.
     pub fn cache_hit_rate(&self) -> f64 {
         let h = self.cache_hits.get() as f64;
@@ -237,7 +203,6 @@ impl ServiceMetrics {
             ghosts_processed: self.ghosts_processed.get(),
             queue_depth: self.queue_depth(),
             max_queue_depth: self.max_queue_depth.get().max(0) as usize,
-            shard_queue_depths: self.shard_queue_depths(),
             p50_submit_us: self.submit_us.percentile(0.50),
             p99_submit_us: self.submit_us.percentile(0.99),
             engine_submits: self.engine_submits.get(),
@@ -267,9 +232,6 @@ pub struct GlobalMetrics {
     pub queue_depth: usize,
     /// Highest queue depth observed.
     pub max_queue_depth: usize,
-    /// Per-shard queue depths as last published by the scheduler (empty
-    /// until a drain has run; all zeros after one completes).
-    pub shard_queue_depths: Vec<usize>,
     /// Median submit latency (µs).
     pub p50_submit_us: u64,
     /// 99th-percentile submit latency (µs).
@@ -377,20 +339,6 @@ mod tests {
         assert_eq!(snap.p50_submit_us, 0);
         assert_eq!(snap.p99_submit_us, 0);
         assert_eq!(snap.cache_hit_rate, 0.0);
-    }
-
-    #[test]
-    fn shard_gauges_publish_depths() {
-        let m = ServiceMetrics::new();
-        assert!(m.shard_queue_depths().is_empty());
-        let gauges = m.shard_depth_gauges(3);
-        gauges[0].set(4);
-        gauges[2].set(9);
-        assert_eq!(m.shard_queue_depths(), vec![4, 0, 9]);
-        for g in &gauges {
-            g.set(0);
-        }
-        assert_eq!(m.snapshot().shard_queue_depths, vec![0, 0, 0]);
     }
 
     #[test]

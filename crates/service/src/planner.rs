@@ -50,6 +50,7 @@ use crate::session::{FormulatedCycle, ServiceError, SessionManager};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use toppriv_core::{substitute_in_cycle_boosts, CycleResult, PrivacyMetrics};
+use toppriv_obs::recover_lock;
 use tsearch_text::TermId;
 
 /// Tuning knobs for the cross-session planner.
@@ -143,16 +144,12 @@ impl GhostPlanner {
 
     /// Submissions currently held in the planner queue.
     pub fn queue_len(&self) -> usize {
-        self.state.lock().expect("planner poisoned").queue.len()
+        recover_lock(&self.state).queue.len()
     }
 
     /// A snapshot of the decayed cross-tenant topic-importance index.
     pub fn topic_weights(&self) -> Vec<f64> {
-        self.state
-            .lock()
-            .expect("planner poisoned")
-            .topic_weight
-            .clone()
+        recover_lock(&self.state).topic_weight.clone()
     }
 
     /// Plans one cycle through the cross-session pipeline: formulate →
@@ -175,7 +172,7 @@ impl GhostPlanner {
         // and tagging its queue entry. Lock order is planner → session
         // table → session (commit_cycle); `take_queue` takes only the
         // planner lock, so the order is acyclic.
-        let mut state = self.state.lock().expect("planner poisoned");
+        let mut state = recover_lock(&self.state);
         let epoch = self.manager.model_epoch();
         if state.model_epoch != epoch {
             // Posteriors in the index were inferred under an older model;
@@ -270,7 +267,7 @@ impl GhostPlanner {
     /// the topic-importance weights persist, and the returned
     /// submissions are in global time order.
     pub fn take_queue(&self) -> Vec<PlannedQuery> {
-        let mut state = self.state.lock().expect("planner poisoned");
+        let mut state = recover_lock(&self.state);
         state.offers.clear();
         state.by_key.clear();
         state.by_topic.clear();

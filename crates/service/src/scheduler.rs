@@ -5,45 +5,57 @@
 //! submit the union of all tenants' schedules. [`CycleScheduler`] merges
 //! the per-session plans into one time-ordered queue — the service-level
 //! counterpart of [`toppriv_core::merge_schedules`], keeping its exact
-//! ordering semantics — then **partitions it by shard**: every planned
-//! submission carries the shard set its terms route to (tagged by
-//! [`crate::SessionManager::plan_cycle`]), and the drain assigns it to
-//! the queue of its primary (lowest) shard. Each shard's queue is
-//! drained by its own workers with its own cursor, so shards proceed
-//! independently: no global claim lock, no head-of-line blocking across
-//! shards, and — together with the sharded engine's per-shard query
-//! logs — no engine-wide mutex anywhere on the submission hot path.
+//! ordering semantics — and drains it with **one shared cursor claimed
+//! by every worker**: a worker takes the next entry, evaluates the whole
+//! query through the tier (a sharded tier scatters and gathers inside
+//! `ShardedEngine`), and moves on. Shards are not a scheduling unit:
+//! nearly every multi-term query touches shard 0, so queues keyed by
+//! shard would collapse into one queue served by one worker.
 //!
-//! Draining consumes each queue in time order but does not sleep between
+//! A submission's *primary shard* (the lowest id of the shard set
+//! [`crate::SessionManager::plan_cycle`] tags it with) survives as a
+//! **label**: the failure domain that quarantine and
+//! [`crate::FaultSpec::on_shard`] key on, and the `shard=` label of
+//! [`M_SHARD_SUBMITS`] / [`M_SERVICE_US`] / [`M_SHARD_RETRIES`].
+//!
+//! A drain is four steps, each its own function: **claim** (deadline
+//! watchdog and quarantine gate), **resolve with retry**, **fan-out**
+//! (one outcome and one audit fact per subscribing tenant), and — after
+//! the workers join — **settle**: every delivered member is counted
+//! against its cycle in the owning session, and a cycle whose members
+//! were all delivered leaves the rollback window. That is the only way a
+//! planned cycle is sealed, on every drain path.
+//!
+//! Draining consumes the queue in time order but does not sleep between
 //! submissions: simulated time orders the trace the engine sees, while
-//! wall-clock throughput is bounded only by the worker pool. Global and
-//! per-shard queue depths and per-submit latency are reported to
-//! [`ServiceMetrics`]; each drain additionally records per-shard **queue
-//! wait** (drain start → claim) and **service time** (resolution) into
-//! [`M_QUEUE_WAIT_US`] / [`M_SERVICE_US`] histograms, counts per-shard
-//! submissions in [`M_SHARD_SUBMITS`], and journals a `drain` span with
-//! one `drain_shard` child per worker into the global tracer.
+//! wall-clock throughput is bounded only by the worker pool. Queue depth
+//! and per-submit latency are reported to [`ServiceMetrics`]; each drain
+//! additionally records **queue wait** (drain start → claim) into
+//! [`M_QUEUE_WAIT_US`] and **service time** (resolution) into
+//! [`M_SERVICE_US`], and journals a `drain` span with one `drain_worker`
+//! child per worker into the global tracer.
 
 use crate::cache::ResultCache;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::ServiceMetrics;
-use crate::session::{RolledBackCycle, SessionManager};
+use crate::session::{self, RolledBackCycle, SessionManager, SessionTable};
 use crate::tier::SearchTier;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use toppriv_core::ScheduledQuery;
-use toppriv_obs::{recover_lock, AuditSeverity};
+use toppriv_obs::{recover_lock, AuditSeverity, Counter, HistogramHandle, Span};
 use tsearch_search::SearchHit;
 
-/// Metric name: per-shard queue wait (claim time − drain start, µs).
+/// Metric name: queue wait (claim time − drain start, µs).
 pub const M_QUEUE_WAIT_US: &str = "scheduler_queue_wait_us";
-/// Metric name: per-shard service time (resolution latency, µs).
+/// Metric name: service time (resolution latency, µs), labelled by the
+/// submission's primary shard.
 pub const M_SERVICE_US: &str = "scheduler_service_us";
-/// Metric name: per-shard drained submission counter.
+/// Metric name: drained submission counter, labelled by primary shard.
 pub const M_SHARD_SUBMITS: &str = "scheduler_submits_total";
-/// Metric name: per-shard submission retry counter.
+/// Metric name: submission retry counter, labelled by primary shard.
 pub const M_SHARD_RETRIES: &str = "scheduler_retries_total";
 
 /// Retry, watchdog, and quarantine knobs for a drain.
@@ -67,8 +79,9 @@ pub struct DrainPolicy {
     /// forever. Unclaimed entries come back in
     /// [`DrainError::unresolved`].
     pub deadline: Duration,
-    /// Terminal failures on one shard within a single drain at (or
-    /// past) which the shard is quarantined for the next drains.
+    /// Terminal failures on one primary shard (the failure domain)
+    /// within a single drain at (or past) which that shard's entries
+    /// are quarantined for the next drains.
     pub quarantine_threshold: usize,
     /// How many subsequent drains a quarantined shard sits out before
     /// its re-admission probe (the first drain at or past the expiry
@@ -117,8 +130,8 @@ pub struct PlannedQuery {
     /// Results to fetch.
     pub k: usize,
     /// Sorted shard set the submission's terms route to (`[0]` on a
-    /// single-engine tier). The scheduler queues the submission on its
-    /// primary — lowest — shard.
+    /// single-engine tier). The lowest id is the submission's primary
+    /// shard: its failure domain and metric label, not a queue.
     pub shards: Vec<usize>,
     /// All subscribing tenants when the planner coalesced this entry
     /// (owner included). Empty for the common unshared case — the owner
@@ -127,7 +140,8 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    /// The shard whose queue carries this submission.
+    /// The failure domain (and `shard=` metric label) of this
+    /// submission: the lowest shard its terms route to.
     pub fn primary_shard(&self) -> usize {
         self.shards.first().copied().unwrap_or(0)
     }
@@ -175,7 +189,7 @@ pub struct SubmitOutcome {
 /// terminal, i.e. the submission exhausted its retry budget.
 #[derive(Debug, Clone)]
 pub struct ShardFailure {
-    /// Shard whose worker panicked.
+    /// Primary shard of the submission whose resolution panicked.
     pub shard: usize,
     /// Session owning the submission that triggered the panic.
     pub session: String,
@@ -195,10 +209,10 @@ pub struct ShardFailure {
 /// silently dropped.
 #[derive(Debug)]
 pub struct DrainError {
-    /// Per-submission terminal failures, in claim order per shard.
+    /// Per-submission terminal failures, in queue order.
     pub failures: Vec<ShardFailure>,
-    /// The failed entries themselves (aligned with no particular order;
-    /// each produced exactly one entry in `failures`). Re-draining them
+    /// The failed entries themselves, in queue order (each produced
+    /// exactly one entry in `failures`). Re-draining them
     /// verbatim replays the same deterministic fault decisions — these
     /// are rollback candidates, not retry candidates.
     pub failed: Vec<PlannedQuery>,
@@ -263,30 +277,45 @@ pub struct ResilientReport {
     pub rounds: usize,
 }
 
-/// Fault-injection predicate: a submission it returns `true` for makes
-/// its worker panic (test/chaos harness hook, see
-/// [`CycleScheduler::with_worker_fault`]).
-pub type WorkerFault = Arc<dyn Fn(&PlannedQuery) -> bool + Send + Sync>;
+/// The instruments carrying one primary-shard label, fetched once at
+/// construction so workers publish with plain atomic ops.
+struct ShardLabel {
+    service_us: HistogramHandle,
+    submits: Counter,
+    retries: Counter,
+}
 
-/// Merges per-session plans and drains them on per-shard worker queues.
+/// What every worker of one drain shares.
+struct DrainRun<'a> {
+    queue: &'a [PlannedQuery],
+    /// Failure domains sitting this drain out.
+    quarantined: HashSet<usize>,
+    /// Next unclaimed position in the merged, time-ordered queue.
+    cursor: AtomicUsize,
+    started: Instant,
+}
+
+/// What became of one claimed entry, keyed by its queue position: its
+/// fanned-out outcomes, or its terminal failure. Workers collect these
+/// locally and hand them back when they join.
+type Claimed = (usize, Result<Vec<SubmitOutcome>, ShardFailure>);
+
+/// Merges per-session plans and drains them on one shared worker queue.
 pub struct CycleScheduler {
     tier: SearchTier,
     cache: Option<Arc<ResultCache>>,
     metrics: Arc<ServiceMetrics>,
     workers: usize,
-    /// Chaos hook: submissions this predicate selects panic their
-    /// worker mid-resolve, exercising the failure-surfacing path.
-    worker_fault: Option<WorkerFault>,
     /// The deterministic fault plane, when attached: worker panics and
     /// shard stalls are drawn from its seeded schedule per (submission,
     /// attempt), so retries flip fresh coins and rate faults heal.
     fault: Option<Arc<FaultPlane>>,
     /// Retry / watchdog / quarantine knobs.
     policy: DrainPolicy,
-    /// Quarantined shards: shard → first drain epoch that readmits it.
-    /// Quarantine spans *across* drains, never within one — a shard's
-    /// failures in one drain surface in that drain's [`DrainError`] and
-    /// only then gate the next drains.
+    /// Quarantined failure domains: primary shard → first drain epoch
+    /// that readmits it. Quarantine spans *across* drains, never within
+    /// one — a domain's failures in one drain surface in that drain's
+    /// [`DrainError`] and only then gate the next drains.
     quarantine: Mutex<HashMap<usize, u64>>,
     /// Monotone drain counter (the quarantine epoch clock).
     drain_epoch: AtomicU64,
@@ -294,29 +323,48 @@ pub struct CycleScheduler {
     /// drained submission is audited via
     /// [`crate::PrivacyAuditor::on_outcome`].
     auditor: Option<Arc<crate::auditor::PrivacyAuditor>>,
+    /// The owning manager's session table, when built by
+    /// [`CycleScheduler::for_manager`]: where delivered members settle.
+    sessions: Option<SessionTable>,
+    queue_wait_us: HistogramHandle,
+    /// One entry per shard of the tier, indexed by primary shard.
+    labels: Vec<ShardLabel>,
 }
 
 impl CycleScheduler {
-    /// A scheduler over explicit parts. `workers` is the total pool size,
-    /// spread across the tier's shards at drain time (each active shard
-    /// always gets at least one worker).
+    /// A scheduler over explicit parts. `workers` is the pool size: all
+    /// of them claim from the one merged queue.
     pub fn new(
         tier: SearchTier,
         cache: Option<Arc<ResultCache>>,
         metrics: Arc<ServiceMetrics>,
         workers: usize,
     ) -> Self {
+        let registry = metrics.registry();
+        let labels = (0..tier.num_shards())
+            .map(|s| {
+                let shard = s.to_string();
+                let label = [("shard", shard.as_str())];
+                ShardLabel {
+                    service_us: registry.histogram(M_SERVICE_US, &label),
+                    submits: registry.counter(M_SHARD_SUBMITS, &label),
+                    retries: registry.counter(M_SHARD_RETRIES, &label),
+                }
+            })
+            .collect();
         CycleScheduler {
+            queue_wait_us: registry.histogram(M_QUEUE_WAIT_US, &[]),
+            labels,
             tier,
             cache,
             metrics,
             workers: workers.max(1),
-            worker_fault: None,
             fault: None,
             policy: DrainPolicy::default(),
             quarantine: Mutex::new(HashMap::new()),
             drain_epoch: AtomicU64::new(0),
             auditor: None,
+            sessions: None,
         }
     }
 
@@ -361,18 +409,9 @@ impl CycleScheduler {
         self
     }
 
-    /// Installs a fault-injection predicate: any submission it selects
-    /// makes its worker panic mid-resolve. This is the chaos-testing
-    /// hook the scenario harness and the drain-failure tests use to
-    /// prove panics surface as [`DrainError`]s instead of silently
-    /// dropping a shard's outcomes.
-    pub fn with_worker_fault(mut self, fault: WorkerFault) -> Self {
-        self.worker_fault = Some(fault);
-        self
-    }
-
     /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
-    /// metrics registry, auditor, and fault plane.
+    /// metrics registry, auditor, and fault plane — and its session
+    /// table, so every drain settles the cycles it delivers.
     pub fn for_manager(manager: &SessionManager, workers: usize) -> Self {
         let mut scheduler = Self::new(
             manager.tier(),
@@ -380,6 +419,7 @@ impl CycleScheduler {
             manager.metrics_registry().clone(),
             workers,
         );
+        scheduler.sessions = Some(manager.session_table());
         if let Some(auditor) = manager.auditor() {
             scheduler = scheduler.with_auditor(auditor.clone());
         }
@@ -403,20 +443,17 @@ impl CycleScheduler {
         all
     }
 
-    /// Drains a merged queue. The queue is split into per-shard queues by
-    /// primary shard (each inherits the global time order); every shard's
-    /// workers claim from their own cursor and resolve through the shared
-    /// cache/tier, so shards drain independently. Returns outcomes sorted
-    /// by simulated time (ties broken by merged-queue position).
+    /// Drains a merged queue: every worker claims the next entry from
+    /// the one shared cursor and resolves it through the shared
+    /// cache/tier. Returns outcomes sorted by simulated time (ties
+    /// broken by merged-queue position); every cycle whose members were
+    /// all delivered is sealed against rollback.
     ///
     /// A worker panic aborts the whole drain **loudly**: this wrapper
     /// panics with the shard/session of the first failure. Scenario
     /// harnesses that need to keep running use
     /// [`CycleScheduler::try_drain`], which returns the failure as a
-    /// structured [`DrainError`] instead. (Before this existed, a panic
-    /// in a shard's worker silently dropped that shard's collected
-    /// outcomes while `std::thread::scope` re-raised on join — the
-    /// partial trace was lost and the failure site was anonymous.)
+    /// structured [`DrainError`] instead.
     pub fn drain(&self, queue: Vec<PlannedQuery>) -> Vec<SubmitOutcome> {
         match self.try_drain(queue) {
             Ok(outcomes) => outcomes,
@@ -431,332 +468,67 @@ impl CycleScheduler {
     /// keeps draining under the per-drain deadline watchdog, and the
     /// error carries every terminal failure (shard, session, panic
     /// message) plus the outcomes that did complete and the entries that
-    /// were never attempted.
+    /// were never attempted. Completed outcomes are settled either way:
+    /// a cycle with a failed or unresolved member stays rollbackable.
     pub fn try_drain(&self, queue: Vec<PlannedQuery>) -> Result<Vec<SubmitOutcome>, DrainError> {
-        let total = queue.len();
         // Shared (planner-coalesced) entries resolve once but produce one
         // outcome per subscribing tenant; a drain succeeds when every
         // expected per-tenant outcome materialized.
         let expected: usize = queue.iter().map(|p| p.fanout()).sum();
-        self.metrics.set_queue_depth(total);
-        let num_shards = self.tier.num_shards();
+        self.metrics.set_queue_depth(queue.len());
         let drain_span = toppriv_obs::tracer().span("drain");
         let epoch = self.drain_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        // Quarantine gate: expired entries are readmitted *before* the
-        // partition (their first drain back is the re-admission probe);
-        // still-quarantined shards have their entries skipped into the
-        // unresolved remainder instead of queued.
-        let quarantined: HashSet<usize> = {
-            let mut map = recover_lock(&self.quarantine);
-            map.retain(|_, &mut until| epoch < until);
-            map.keys().copied().collect()
+        let run = DrainRun {
+            queue: &queue,
+            quarantined: self.admit(epoch),
+            cursor: AtomicUsize::new(0),
+            started: Instant::now(),
         };
-        // Partition by primary shard; each per-shard queue stays in the
-        // merged (time) order.
-        let mut shard_queues: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        let mut skipped_idx: Vec<usize> = Vec::new();
-        for (i, plan) in queue.iter().enumerate() {
-            let shard = plan.primary_shard().min(num_shards - 1);
-            if quarantined.contains(&shard) {
-                skipped_idx.push(i);
-            } else {
-                shard_queues[shard].push(i);
-            }
-        }
-        // Per-shard handles, fetched once up front: depth gauges, wait /
-        // service histograms, and submit counters. Workers then publish
-        // with plain atomic ops — nothing on the drain hot path locks.
-        let registry = self.metrics.registry();
-        let depth_gauges = self.metrics.shard_depth_gauges(num_shards);
-        let wait_hists: Vec<_> = (0..num_shards)
-            .map(|s| registry.histogram(M_QUEUE_WAIT_US, &[("shard", &s.to_string())]))
-            .collect();
-        let service_hists: Vec<_> = (0..num_shards)
-            .map(|s| registry.histogram(M_SERVICE_US, &[("shard", &s.to_string())]))
-            .collect();
-        let submit_counters: Vec<_> = (0..num_shards)
-            .map(|s| registry.counter(M_SHARD_SUBMITS, &[("shard", &s.to_string())]))
-            .collect();
-        let retry_counters: Vec<_> = (0..num_shards)
-            .map(|s| registry.counter(M_SHARD_RETRIES, &[("shard", &s.to_string())]))
-            .collect();
-        for (s, gauge) in depth_gauges.iter().enumerate() {
-            gauge.set(shard_queues[s].len() as i64);
-        }
-        let active: Vec<usize> = (0..num_shards)
-            .filter(|&s| !shard_queues[s].is_empty())
-            .collect();
-        // Spread the pool over the active shards: every active shard
-        // gets at least one worker, and the remainder (workers not
-        // evenly divisible) goes one-per-shard to the first shards so
-        // the whole configured pool is used.
-        let base = self.workers / active.len().max(1);
-        let extra = self.workers % active.len().max(1);
-        let remaining = AtomicUsize::new(total);
-        let cursors: Vec<AtomicUsize> = (0..num_shards).map(|_| AtomicUsize::new(0)).collect();
-        let collectors: Vec<Mutex<Vec<(usize, SubmitOutcome)>>> = (0..num_shards)
-            .map(|s| Mutex::new(Vec::with_capacity(shard_queues[s].len())))
-            .collect();
-        let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
-        let failed_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let deadline = self.policy.deadline;
-        let queue = &queue;
-        let drain_start = Instant::now();
-        std::thread::scope(|scope| {
-            for (rank, &s) in active.iter().enumerate() {
-                let per_shard = (base + usize::from(rank < extra)).max(1);
-                for _ in 0..per_shard.min(shard_queues[s].len()) {
-                    let shard_queue = &shard_queues[s];
-                    let cursor = &cursors[s];
-                    let collector = &collectors[s];
-                    let failures = &failures;
-                    let failed_idx = &failed_idx;
-                    let remaining = &remaining;
-                    let depth_gauge = &depth_gauges[s];
-                    let wait_hist = &wait_hists[s];
-                    let service_hist = &service_hists[s];
-                    let submit_counter = &submit_counters[s];
-                    let retry_counter = &retry_counters[s];
-                    let drain_span = &drain_span;
-                    scope.spawn(move || {
-                        let shard_span = drain_span.child("drain_shard");
-                        loop {
-                            // Cooperative deadline watchdog: a worker
-                            // past the drain deadline stops claiming —
-                            // the unclaimed remainder comes back as
-                            // `unresolved` instead of blocking forever.
-                            if drain_start.elapsed() > deadline {
-                                break;
-                            }
-                            let at = cursor.fetch_add(1, Ordering::Relaxed);
-                            if at >= shard_queue.len() {
-                                break;
-                            }
-                            wait_hist.record(drain_start.elapsed().as_micros() as u64);
-                            let i = shard_queue[at];
-                            let plan = &queue[i];
-                            let tags = plan.subscriber_tags();
-                            let t0 = Instant::now();
-                            // Resolution runs under catch_unwind so one
-                            // poisoned submission cannot anonymously take
-                            // the whole shard's collected outcomes with
-                            // it: a panic is retried with bounded
-                            // exponential backoff (a fresh fault coin per
-                            // attempt), recorded once per submission when
-                            // terminal, and the worker moves on.
-                            let mut attempt = 0u32;
-                            let resolved = loop {
-                                let once =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        if let Some(fault) = &self.worker_fault {
-                                            assert!(
-                                                !fault(plan),
-                                                "injected worker fault (session '{}')",
-                                                plan.session
-                                            );
-                                        }
-                                        if let Some(plane) = &self.fault {
-                                            if let Some(stall) = plane.stall_for(s, plan, attempt) {
-                                                // An injected stall sleeps in
-                                                // small slices so the deadline
-                                                // can preempt it: a stall that
-                                                // outlives the drain deadline
-                                                // panics into the failure path
-                                                // instead of hanging the shard.
-                                                let mut left = stall;
-                                                while !left.is_zero() {
-                                                    let slice = left.min(Duration::from_millis(1));
-                                                    std::thread::sleep(slice);
-                                                    left -= slice;
-                                                    assert!(
-                                                        drain_start.elapsed() <= deadline,
-                                                        "injected shard stall exceeded the \
-                                                         drain deadline (session '{}')",
-                                                        plan.session
-                                                    );
-                                                }
-                                            }
-                                            assert!(
-                                                !plane.fires_submission(
-                                                    FaultKind::WorkerPanic,
-                                                    s,
-                                                    plan,
-                                                    attempt
-                                                ),
-                                                "injected worker_panic fault (session '{}')",
-                                                plan.session
-                                            );
-                                        }
-                                        SessionManager::resolve_shared(
-                                            &self.tier,
-                                            self.cache.as_deref(),
-                                            &self.metrics,
-                                            &plan.scheduled.tokens,
-                                            plan.k,
-                                            &tags,
-                                        )
-                                    }));
-                                match once {
-                                    Ok(r) => break Ok(r),
-                                    Err(payload) => {
-                                        attempt += 1;
-                                        if attempt >= self.policy.max_attempts
-                                            || drain_start.elapsed() > deadline
-                                        {
-                                            break Err(payload);
-                                        }
-                                        retry_counter.inc();
-                                        let backoff = self
-                                            .policy
-                                            .backoff_base
-                                            .saturating_mul(1u32 << (attempt - 1).min(16))
-                                            .min(self.policy.backoff_cap);
-                                        std::thread::sleep(backoff);
-                                    }
-                                }
-                            };
-                            // Depth accounting covers failed submissions
-                            // too — they left the queue either way.
-                            depth_gauge.add(-1);
-                            let left = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                            self.metrics.set_queue_depth(left);
-                            let (hits, cache_hit) = match resolved {
-                                Ok(r) => r,
-                                Err(payload) => {
-                                    let message = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".into());
-                                    recover_lock(failures).push(ShardFailure {
-                                        shard: s,
-                                        session: plan.session.clone(),
-                                        cycle_id: plan.scheduled.cycle_id,
-                                        attempts: attempt,
-                                        message,
-                                    });
-                                    recover_lock(failed_idx).push(i);
-                                    continue;
-                                }
-                            };
-                            // The service-time histogram keeps this
-                            // worker's span id as the bucket's trace
-                            // exemplar, so a p99 outlier links straight
-                            // to its `drain_shard` span.
-                            service_hist.record_with_exemplar(
-                                t0.elapsed().as_micros() as u64,
-                                shard_span.id(),
-                            );
-                            submit_counter.inc();
-                            // One resolution fans out into one outcome —
-                            // and one audit fact — per subscribing tenant.
-                            // Subscribers beyond the first were served
-                            // from the shared resolution, which is a
-                            // cache hit from their point of view.
-                            for (j, tag) in tags.iter().enumerate() {
-                                if let Some(auditor) = &self.auditor {
-                                    auditor.on_outcome(&tag.session, tag.cycle_id);
-                                }
-                                let outcome = SubmitOutcome {
-                                    session: tag.session.clone(),
-                                    cycle_id: tag.cycle_id,
-                                    time_secs: plan.scheduled.time_secs,
-                                    is_genuine: tag.is_genuine,
-                                    cache_hit: cache_hit || j > 0,
-                                    // Ghost results are discarded inside the
-                                    // trusted boundary; only genuine hits leave
-                                    // the scheduler.
-                                    hits: if tag.is_genuine {
-                                        hits.clone()
-                                    } else {
-                                        Vec::new()
-                                    },
-                                };
-                                recover_lock(collector).push((i, outcome));
-                            }
-                        }
-                    });
-                }
-            }
+        let mut claimed: Vec<Claimed> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.workers.min(queue.len()))
+                .map(|_| scope.spawn(|| self.work(&run, &drain_span)))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         self.metrics.set_queue_depth(0);
-        for gauge in &depth_gauges {
-            gauge.set(0);
-        }
         if let Some(auditor) = &self.auditor {
             auditor.finish_drain();
         }
-        let mut outcomes: Vec<(usize, SubmitOutcome)> = collectors
-            .into_iter()
-            .flat_map(|c| recover_lock(&c).drain(..).collect::<Vec<_>>())
-            .collect();
-        outcomes.sort_by_key(|&(i, _)| i);
-        let completed: Vec<SubmitOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Entries past a shard cursor's final position were never
-        // claimed (the deadline watchdog cut the drain short): together
-        // with the quarantine-skipped entries they form the unresolved
-        // remainder handed back for a later drain.
-        let mut unresolved_idx: HashSet<usize> = skipped_idx.iter().copied().collect();
-        for (s, shard_queue) in shard_queues.iter().enumerate() {
-            let claimed = cursors[s].load(Ordering::Relaxed).min(shard_queue.len());
-            unresolved_idx.extend(shard_queue[claimed..].iter().copied());
-        }
-        let failed_idx: HashSet<usize> = failed_idx
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .into_iter()
-            .collect();
-        let mut failed = Vec::with_capacity(failed_idx.len());
-        let mut unresolved = Vec::with_capacity(unresolved_idx.len());
-        for (i, plan) in queue.iter().enumerate() {
-            if failed_idx.contains(&i) {
-                failed.push(plan.clone());
-            } else if unresolved_idx.contains(&i) {
-                unresolved.push(plan.clone());
-            }
-        }
-        // Quarantine bookkeeping happens strictly *after* the drain so a
-        // shard's failures never change this drain's own outcome — they
-        // gate the next drains (and are probed back in epoch-style).
-        let mut shard_fail_counts: HashMap<usize, usize> = HashMap::new();
-        for f in &failures {
-            *shard_fail_counts.entry(f.shard).or_insert(0) += 1;
-        }
-        for (&shard, &count) in &shard_fail_counts {
-            if count >= self.policy.quarantine_threshold {
-                let until = epoch + self.policy.quarantine_drains;
-                recover_lock(&self.quarantine).insert(shard, until);
-                if let Some(auditor) = &self.auditor {
-                    auditor.note(
-                        AuditSeverity::Warning,
-                        "shard_quarantined",
-                        "fleet",
-                        shard,
-                        format!(
-                            "shard {shard} quarantined after {count} terminal failures in \
-                             drain {epoch}; re-admission probe at drain {until}"
-                        ),
-                    );
+        claimed.sort_by_key(|&(at, _)| at);
+        let mut completed = Vec::new();
+        let mut failures = Vec::new();
+        let mut failed_at = HashSet::new();
+        for (at, resolved) in claimed {
+            match resolved {
+                Ok(outcomes) => completed.extend(outcomes),
+                Err(failure) => {
+                    failed_at.insert(at);
+                    failures.push(failure);
                 }
             }
         }
-        if !unresolved.is_empty() {
-            if let Some(auditor) = &self.auditor {
-                auditor.note(
-                    AuditSeverity::Warning,
-                    "degraded_drain",
-                    "fleet",
-                    epoch as usize,
-                    format!(
-                        "drain {epoch} degraded: {} entries unresolved ({} quarantine-skipped), \
-                         surviving shards kept serving",
-                        unresolved.len(),
-                        skipped_idx.len()
-                    ),
-                );
+        // Every position below the cursor was resolved, failed, or
+        // passed over by the quarantine gate; the rest went unclaimed
+        // when the deadline watchdog cut the drain short.
+        let cursor = run.cursor.into_inner();
+        let quarantined = run.quarantined;
+        let mut failed = Vec::with_capacity(failures.len());
+        let mut unresolved = Vec::new();
+        let mut skipped = 0usize;
+        for (at, plan) in queue.into_iter().enumerate() {
+            let sits_out = quarantined.contains(&self.failure_domain(&plan));
+            if failed_at.contains(&at) {
+                failed.push(plan);
+            } else if sits_out || at >= cursor {
+                skipped += usize::from(sits_out);
+                unresolved.push(plan);
             }
         }
+        self.settle(&completed);
+        self.close_epoch(epoch, &failures, unresolved.len(), skipped);
         if failures.is_empty() && unresolved.is_empty() && completed.len() == expected {
             Ok(completed)
         } else {
@@ -770,14 +542,248 @@ impl CycleScheduler {
         }
     }
 
+    /// The failure domain of a submission: its primary shard, clamped
+    /// to the tier (plans made against a wider tier still land on a
+    /// label this scheduler carries).
+    fn failure_domain(&self, plan: &PlannedQuery) -> usize {
+        plan.primary_shard().min(self.labels.len() - 1)
+    }
+
+    /// Opens drain `epoch`'s quarantine gate: expired entries are
+    /// readmitted (their first drain back is the re-admission probe);
+    /// the domains still sitting out are returned.
+    fn admit(&self, epoch: u64) -> HashSet<usize> {
+        let mut map = recover_lock(&self.quarantine);
+        map.retain(|_, &mut until| epoch < until);
+        map.keys().copied().collect()
+    }
+
+    /// **Claim**: the next queue position this worker should resolve.
+    /// `None` once the queue is exhausted or the drain deadline passed
+    /// (the cooperative watchdog: the unclaimed remainder comes back as
+    /// `unresolved` instead of blocking forever). Entries of a
+    /// quarantined failure domain are passed over.
+    fn claim(&self, run: &DrainRun) -> Option<usize> {
+        loop {
+            if run.started.elapsed() > self.policy.deadline {
+                return None;
+            }
+            let at = run.cursor.fetch_add(1, Ordering::Relaxed);
+            let plan = run.queue.get(at)?;
+            if !run.quarantined.contains(&self.failure_domain(plan)) {
+                return Some(at);
+            }
+        }
+    }
+
+    /// One worker's loop: claim, resolve, fan out, until the claim gate
+    /// closes.
+    fn work(&self, run: &DrainRun, drain_span: &Span<'_>) -> Vec<Claimed> {
+        let span = drain_span.child("drain_worker");
+        let mut claimed = Vec::new();
+        while let Some(at) = self.claim(run) {
+            self.queue_wait_us
+                .record(run.started.elapsed().as_micros() as u64);
+            self.metrics
+                .set_queue_depth(run.queue.len().saturating_sub(at + 1));
+            let plan = &run.queue[at];
+            let label = &self.labels[self.failure_domain(plan)];
+            let tags = plan.subscriber_tags();
+            let t0 = Instant::now();
+            let resolved = self.resolve_with_retry(run, plan, &tags);
+            claimed.push((
+                at,
+                resolved.map(|(hits, cache_hit)| {
+                    // The service-time histogram keeps this worker's
+                    // span id as the bucket's trace exemplar, so a p99
+                    // outlier links straight to its `drain_worker` span.
+                    label
+                        .service_us
+                        .record_with_exemplar(t0.elapsed().as_micros() as u64, span.id());
+                    label.submits.inc();
+                    self.fan_out(plan, &tags, &hits, cache_hit)
+                }),
+            ));
+        }
+        claimed
+    }
+
+    /// **Resolve with retry**: one claimed entry through the cache/tier
+    /// under `catch_unwind`, so one poisoned submission cannot take the
+    /// worker's collected outcomes with it. A panic is retried with
+    /// bounded exponential backoff (a fresh fault coin per attempt);
+    /// a terminal one comes back as the entry's [`ShardFailure`].
+    fn resolve_with_retry(
+        &self,
+        run: &DrainRun,
+        plan: &PlannedQuery,
+        tags: &[SubmissionTag],
+    ) -> Result<(Vec<SearchHit>, bool), ShardFailure> {
+        let shard = self.failure_domain(plan);
+        let mut attempt = 0u32;
+        loop {
+            let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.inject_faults(run, shard, plan, attempt);
+                SessionManager::resolve_shared(
+                    &self.tier,
+                    self.cache.as_deref(),
+                    &self.metrics,
+                    &plan.scheduled.tokens,
+                    plan.k,
+                    tags,
+                )
+            }));
+            let payload = match once {
+                Ok(resolved) => return Ok(resolved),
+                Err(payload) => payload,
+            };
+            attempt += 1;
+            if attempt >= self.policy.max_attempts || run.started.elapsed() > self.policy.deadline {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                return Err(ShardFailure {
+                    shard,
+                    session: plan.session.clone(),
+                    cycle_id: plan.scheduled.cycle_id,
+                    attempts: attempt,
+                    message,
+                });
+            }
+            self.labels[shard].retries.inc();
+            let backoff = self
+                .policy
+                .backoff_base
+                .saturating_mul(1u32 << (attempt - 1).min(16))
+                .min(self.policy.backoff_cap);
+            std::thread::sleep(backoff);
+        }
+    }
+
+    /// Panics when the attached fault plane schedules a stall that
+    /// outlives the drain deadline, or a worker panic, for this attempt.
+    fn inject_faults(&self, run: &DrainRun, shard: usize, plan: &PlannedQuery, attempt: u32) {
+        let Some(plane) = &self.fault else { return };
+        if let Some(stall) = plane.stall_for(shard, plan, attempt) {
+            // An injected stall sleeps in small slices so the deadline
+            // can preempt it: a stall that outlives the drain deadline
+            // panics into the failure path instead of hanging the worker.
+            let mut left = stall;
+            while !left.is_zero() {
+                let slice = left.min(Duration::from_millis(1));
+                std::thread::sleep(slice);
+                left -= slice;
+                assert!(
+                    run.started.elapsed() <= self.policy.deadline,
+                    "injected shard stall exceeded the drain deadline (session '{}')",
+                    plan.session
+                );
+            }
+        }
+        assert!(
+            !plane.fires_submission(FaultKind::WorkerPanic, shard, plan, attempt),
+            "injected worker_panic fault (session '{}')",
+            plan.session
+        );
+    }
+
+    /// **Fan-out**: one resolution becomes one outcome — and one audit
+    /// fact — per subscribing tenant. Subscribers beyond the first were
+    /// served from the shared resolution, which is a cache hit from
+    /// their point of view. Ghost results are discarded inside the
+    /// trusted boundary; only genuine hits leave the scheduler.
+    fn fan_out(
+        &self,
+        plan: &PlannedQuery,
+        tags: &[SubmissionTag],
+        hits: &[SearchHit],
+        cache_hit: bool,
+    ) -> Vec<SubmitOutcome> {
+        tags.iter()
+            .enumerate()
+            .map(|(j, tag)| {
+                if let Some(auditor) = &self.auditor {
+                    auditor.on_outcome(&tag.session, tag.cycle_id);
+                }
+                SubmitOutcome {
+                    session: tag.session.clone(),
+                    cycle_id: tag.cycle_id,
+                    time_secs: plan.scheduled.time_secs,
+                    is_genuine: tag.is_genuine,
+                    cache_hit: cache_hit || j > 0,
+                    hits: if tag.is_genuine {
+                        hits.to_vec()
+                    } else {
+                        Vec::new()
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// **Settle**: counts every delivered member against its cycle in
+    /// the owning session; a cycle with none left outstanding leaves the
+    /// rollback window. Runs once per drain, after the workers joined.
+    fn settle(&self, completed: &[SubmitOutcome]) {
+        if let Some(sessions) = &self.sessions {
+            session::settle_delivered(sessions, &delivered_members(completed));
+        }
+    }
+
+    /// Quarantine bookkeeping, strictly *after* the drain so a failure
+    /// domain's failures never change this drain's own outcome — they
+    /// gate the next drains (and are probed back in epoch-style).
+    fn close_epoch(
+        &self,
+        epoch: u64,
+        failures: &[ShardFailure],
+        unresolved: usize,
+        skipped: usize,
+    ) {
+        let mut per_shard: HashMap<usize, usize> = HashMap::new();
+        for f in failures {
+            *per_shard.entry(f.shard).or_insert(0) += 1;
+        }
+        for (shard, count) in per_shard {
+            if count < self.policy.quarantine_threshold {
+                continue;
+            }
+            let until = epoch + self.policy.quarantine_drains;
+            recover_lock(&self.quarantine).insert(shard, until);
+            if let Some(auditor) = &self.auditor {
+                auditor.note(
+                    AuditSeverity::Warning,
+                    "shard_quarantined",
+                    "fleet",
+                    shard,
+                    format!(
+                        "shard {shard} quarantined after {count} terminal failures in \
+                         drain {epoch}; re-admission probe at drain {until}"
+                    ),
+                );
+            }
+        }
+        if unresolved > 0 {
+            if let Some(auditor) = &self.auditor {
+                auditor.note(
+                    AuditSeverity::Warning,
+                    "degraded_drain",
+                    "fleet",
+                    epoch as usize,
+                    format!(
+                        "drain {epoch} degraded: {unresolved} entries unresolved \
+                         ({skipped} quarantine-skipped), the rest of the queue kept draining"
+                    ),
+                );
+            }
+        }
+    }
+
     /// Convenience: merge then drain.
     pub fn run(&self, plans: Vec<Vec<PlannedQuery>>) -> Vec<SubmitOutcome> {
         self.drain(Self::merge(plans))
-    }
-
-    /// Convenience: merge then [`CycleScheduler::try_drain`].
-    pub fn try_run(&self, plans: Vec<Vec<PlannedQuery>>) -> Result<Vec<SubmitOutcome>, DrainError> {
-        self.try_drain(Self::merge(plans))
     }
 
     /// Self-healing drain: [`CycleScheduler::try_drain`] in rounds, with
@@ -788,8 +794,9 @@ impl CycleScheduler {
     /// facts released, their already-resolved outcomes discarded (kept
     /// in [`ResilientReport::discarded`] for engine-side accounting) —
     /// and replanned once as fresh cycles. A replanned cycle that fails
-    /// again is rolled back for good. Fully delivered cycles are
-    /// confirmed, sealing their accounting against rollback.
+    /// again is rolled back for good. Fully delivered cycles were
+    /// already sealed by the round that delivered their last member
+    /// (every [`CycleScheduler::try_drain`] settles what it delivers).
     ///
     /// `manager` must be the manager the queue was planned on (cycle
     /// ids are resolved against its sessions).
@@ -851,8 +858,8 @@ impl CycleScheduler {
                     continue;
                 }
                 let Ok(rb) = manager.rollback_cycle(&session, cycle_id) else {
-                    // Already confirmed or unknown (e.g. rolled back via
-                    // another scheduler): nothing to reverse.
+                    // Unknown (e.g. rolled back via another scheduler):
+                    // nothing to reverse.
                     continue;
                 };
                 if !no_replan.contains(&(session.clone(), cycle_id)) {
@@ -891,15 +898,6 @@ impl CycleScheduler {
             .partition(|o| !victims.contains(&(o.session.clone(), o.cycle_id)));
         let mut outcomes = delivered;
         outcomes.sort_by(|a, b| a.time_secs.partial_cmp(&b.time_secs).expect("finite time"));
-        // Everything delivered is fully delivered: confirm it, sealing
-        // the accounting against any later rollback attempt.
-        let confirmed: HashSet<(String, usize)> = outcomes
-            .iter()
-            .map(|o| (o.session.clone(), o.cycle_id))
-            .collect();
-        for (session, cycle_id) in &confirmed {
-            let _ = manager.confirm_cycle(session, *cycle_id);
-        }
         ResilientReport {
             outcomes,
             discarded,
@@ -908,6 +906,17 @@ impl CycleScheduler {
             rounds: rounds.max(1),
         }
     }
+}
+
+/// Delivered members per session and cycle id — what the settle step
+/// counts against each cycle's outstanding members.
+fn delivered_members(completed: &[SubmitOutcome]) -> HashMap<&str, HashMap<usize, usize>> {
+    let mut delivered: HashMap<&str, HashMap<usize, usize>> = HashMap::new();
+    for o in completed {
+        let cycles = delivered.entry(&o.session).or_default();
+        *cycles.entry(o.cycle_id).or_insert(0) += 1;
+    }
+    delivered
 }
 
 #[cfg(test)]
@@ -1001,6 +1010,181 @@ mod tests {
             assert_eq!(m.scheduled.time_secs, e.time_secs);
             assert_eq!(m.scheduled.tokens, e.tokens);
         }
+    }
+
+    /// A tiny corpus behind a sharded tier — enough for the drain steps
+    /// to run against.
+    fn tiny_tier(shards: usize) -> (tsearch_corpus::SyntheticCorpus, SearchTier) {
+        let corpus = tsearch_corpus::SyntheticCorpus::generate(tsearch_corpus::CorpusConfig {
+            num_docs: 160,
+            num_topics: 8,
+            terms_per_topic: 40,
+            ..Default::default()
+        });
+        let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
+        let engine = tsearch_search::ShardedEngine::build(
+            &corpus.token_docs(),
+            &texts,
+            tsearch_text::Analyzer::new(),
+            corpus.vocab.clone(),
+            tsearch_search::ScoringModel::TfIdfCosine,
+            shards,
+        );
+        (corpus, SearchTier::Sharded(Arc::new(engine)))
+    }
+
+    fn run_over<'a>(queue: &'a [PlannedQuery], quarantined: &[usize]) -> DrainRun<'a> {
+        DrainRun {
+            queue,
+            quarantined: quarantined.iter().copied().collect(),
+            cursor: AtomicUsize::new(0),
+            started: Instant::now(),
+        }
+    }
+
+    /// Entries whose primary shards are `primaries`, in queue order.
+    fn queue_on(primaries: &[usize]) -> Vec<PlannedQuery> {
+        let mut queue = plan("a", &vec![0.0; primaries.len()]);
+        for (p, &shard) in queue.iter_mut().zip(primaries) {
+            p.shards = vec![shard, shard + 1];
+        }
+        queue
+    }
+
+    #[test]
+    fn claim_hands_out_the_queue_in_order_then_closes() {
+        let (_, tier) = tiny_tier(4);
+        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 2);
+        let queue = queue_on(&[0, 1, 0]);
+        let run = run_over(&queue, &[]);
+        assert_eq!(scheduler.claim(&run), Some(0));
+        assert_eq!(scheduler.claim(&run), Some(1));
+        assert_eq!(scheduler.claim(&run), Some(2));
+        assert_eq!(scheduler.claim(&run), None);
+        assert_eq!(scheduler.claim(&run), None, "the gate stays closed");
+    }
+
+    #[test]
+    fn claim_passes_over_quarantined_failure_domains() {
+        let (_, tier) = tiny_tier(4);
+        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 2);
+        // The gate keys on the primary (lowest) shard only: the last
+        // entry also touches shard 2 but its domain is shard 1.
+        let queue = queue_on(&[2, 1, 2, 0, 1]);
+        let run = run_over(&queue, &[2]);
+        assert_eq!(scheduler.claim(&run), Some(1));
+        assert_eq!(scheduler.claim(&run), Some(3));
+        assert_eq!(scheduler.claim(&run), Some(4));
+        assert_eq!(scheduler.claim(&run), None);
+        // A primary shard beyond the tier clamps onto its last label.
+        let wide = queue_on(&[9]);
+        assert_eq!(scheduler.failure_domain(&wide[0]), 3);
+        assert_eq!(scheduler.claim(&run_over(&wide, &[3])), None);
+    }
+
+    #[test]
+    fn claim_closes_at_the_deadline_and_leaves_the_rest_unclaimed() {
+        let (_, tier) = tiny_tier(2);
+        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 1)
+            .with_policy(DrainPolicy {
+                deadline: Duration::from_millis(1),
+                ..DrainPolicy::default()
+            });
+        let queue = queue_on(&[0, 1, 0]);
+        let mut run = run_over(&queue, &[]);
+        assert_eq!(scheduler.claim(&run), Some(0));
+        run.started = Instant::now() - Duration::from_millis(50);
+        assert_eq!(scheduler.claim(&run), None);
+        assert_eq!(run.cursor.into_inner(), 1, "nothing past the deadline");
+    }
+
+    #[test]
+    fn quarantine_gate_readmits_at_the_expiry_epoch() {
+        let (_, tier) = tiny_tier(4);
+        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 1)
+            .with_policy(DrainPolicy {
+                quarantine_threshold: 2,
+                quarantine_drains: 2,
+                ..DrainPolicy::default()
+            });
+        let failure = |shard| ShardFailure {
+            shard,
+            session: "a".into(),
+            cycle_id: 0,
+            attempts: 3,
+            message: "boom".into(),
+        };
+        // Drain 1: two failures on shard 1 reach the threshold, one on
+        // shard 3 does not.
+        scheduler.close_epoch(1, &[failure(1), failure(3), failure(1)], 0, 0);
+        assert_eq!(scheduler.quarantined_shards(), vec![(1, 3)]);
+        assert_eq!(scheduler.admit(2), HashSet::from([1]), "sits drain 2 out");
+        assert!(scheduler.admit(3).is_empty(), "drain 3 is the probe");
+        assert!(scheduler.quarantined_shards().is_empty());
+    }
+
+    #[test]
+    fn settle_seals_fully_delivered_cycles_only() {
+        let (corpus, tier) = tiny_tier(2);
+        let model = tsearch_lda::LdaTrainer::train(
+            &corpus.token_docs(),
+            corpus.vocab.len(),
+            tsearch_lda::LdaConfig {
+                iterations: 15,
+                ..tsearch_lda::LdaConfig::with_topics(8)
+            },
+        );
+        let manager = SessionManager::with_tier(tier, Arc::new(model));
+        manager.open_session("a").unwrap();
+        let query = tsearch_corpus::generate_workload(
+            &corpus,
+            &tsearch_corpus::WorkloadConfig {
+                num_queries: 1,
+                ..Default::default()
+            },
+        )
+        .remove(0);
+        let tokens = &query.tokens;
+        let first = manager.plan_cycle("a", tokens, 5).unwrap();
+        let second = manager.plan_cycle("a", tokens, 5).unwrap();
+        assert!(first.len() > 1, "a cycle has ghosts");
+        let outcome = |p: &PlannedQuery| SubmitOutcome {
+            session: p.session.clone(),
+            cycle_id: p.scheduled.cycle_id,
+            time_secs: p.scheduled.time_secs,
+            is_genuine: p.scheduled.is_genuine,
+            cache_hit: false,
+            hits: Vec::new(),
+        };
+        // All of the second cycle, all but one member of the first.
+        let delivered: Vec<SubmitOutcome> = first[1..].iter().chain(&second).map(outcome).collect();
+        let counts = delivered_members(&delivered);
+        assert_eq!(counts["a"][&first[0].scheduled.cycle_id], first.len() - 1);
+        assert_eq!(counts["a"][&second[0].scheduled.cycle_id], second.len());
+
+        // A scheduler without a session table settles nothing.
+        CycleScheduler::new(manager.tier(), None, manager.metrics_registry().clone(), 1)
+            .settle(&delivered);
+        let scheduler = CycleScheduler::for_manager(&manager, 1);
+        scheduler.settle(&delivered);
+        assert!(
+            manager
+                .rollback_cycle("a", second[0].scheduled.cycle_id)
+                .is_err(),
+            "fully delivered: sealed"
+        );
+        // Settling the last member seals the first cycle too.
+        scheduler.settle(&[outcome(&first[0])]);
+        assert!(manager
+            .rollback_cycle("a", first[0].scheduled.cycle_id)
+            .is_err());
+        // A cycle with a member outstanding still rolls back.
+        let third = manager.plan_cycle("a", tokens, 5).unwrap();
+        let partial: Vec<SubmitOutcome> = third[1..].iter().map(outcome).collect();
+        scheduler.settle(&partial);
+        manager
+            .rollback_cycle("a", third[0].scheduled.cycle_id)
+            .expect("one member outstanding");
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   the submission schedule the [`crate::CycleScheduler`] merges.
 //!
 //! Two submission paths exist: [`SessionManager::search`] resolves a
-//! cycle synchronously (through the shared [`ResultCache`]), while
-//! [`SessionManager::plan_cycle`] emits a paced schedule — each planned
-//! submission tagged with the shard set its terms route to — for the
-//! global cycle scheduler to drain on its per-shard worker queues.
+//! cycle synchronously (through the shared [`ResultCache`]) and is born
+//! settled, while [`SessionManager::plan_cycle`] emits a paced schedule
+//! — each planned submission tagged with the shard set its terms route
+//! to — for the global cycle scheduler to drain on its shared worker
+//! queue. A planned cycle stays rollbackable until a drain has delivered
+//! every one of its members; delivery is the only thing that seals it.
 //!
 //! ## The fleet secret ghost seed
 //!
@@ -61,6 +63,7 @@ use toppriv_core::{
     BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PacingConfig, PacingScheduler,
     PrivacyRequirement, SessionTracker,
 };
+use toppriv_obs::{recover_lock, recover_read, recover_write};
 use tsearch_lda::LdaModel;
 use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
 use tsearch_text::TermId;
@@ -203,7 +206,7 @@ pub struct RolledBackCycle {
 /// `f64` accumulation is not associative, so a rolled-back cycle cannot
 /// be subtracted back out of running sums without leaving rounding
 /// residue. Instead the session keeps *two* copies plus a journal: a
-/// `base` accounting holding only confirmed-delivered cycles, and the
+/// `base` accounting holding only fully delivered cycles, and the
 /// live accounting, which equals `base` folded with every in-flight
 /// cycle **in commitment order**. Rolling a cycle back removes its
 /// journal record and replays `base ⊕ remaining in-flight` — the exact
@@ -279,7 +282,7 @@ impl TraceAccounting {
     }
 }
 
-/// One journaled in-flight (or sync-confirmed) cycle: everything needed
+/// One journaled cycle not yet compacted into `base`: everything needed
 /// to replay its accounting fold, plus what a rollback caller needs to
 /// replan it.
 #[derive(Debug, Clone)]
@@ -293,19 +296,23 @@ struct CycleRecord {
     report: CycleResult,
     posteriors: Vec<Vec<f64>>,
     k: usize,
-    confirmed: bool,
+    /// Members a drain has not delivered yet. The cycle is rollbackable
+    /// while this is non-zero and compacts into `base` once it is zero
+    /// (the synchronous path resolves inline and is born at zero).
+    undelivered: usize,
 }
 
-/// In-flight journal cap: past this many unconfirmed cycles the oldest
-/// is force-confirmed (callers that never confirm — every pre-fault-
-/// plane call site — must not leak memory; those cycles simply stop
-/// being rollbackable, which is the pre-rollback status quo).
+/// In-flight journal cap: past this many journaled cycles the oldest is
+/// force-settled. Every drain settles what it delivers, so this only
+/// bounds plans that are never drained (or never fully delivered and
+/// never rolled back): those cycles stop being rollbackable instead of
+/// leaking memory.
 const MAX_INFLIGHT_CYCLES: usize = 256;
 
 /// One tenant's state. All fields live behind the manager's per-session
 /// mutex; the heavyweight model/engine state is shared through `Arc`s
 /// inside `client`.
-struct Session {
+pub(crate) struct Session {
     generator: GhostGenerator,
     /// The manager model epoch this session's generator was built
     /// against; lazily rebound when the manager's epoch moves on.
@@ -316,7 +323,7 @@ struct Session {
     clock_secs: f64,
     /// Live accounting: `base ⊕ inflight` in journal order.
     acc: TraceAccounting,
-    /// Accounting of confirmed-delivered cycles only.
+    /// Accounting of fully delivered cycles only.
     base: TraceAccounting,
     /// Commitment-ordered journal of cycles not yet compacted into
     /// `base` (see [`TraceAccounting`]).
@@ -385,24 +392,28 @@ impl Session {
         self.model_epoch = epoch;
     }
 
-    /// Folds the confirmed prefix of the in-flight journal into `base`.
+    /// Folds the delivered prefix of the in-flight journal into `base`.
     /// Only a *prefix* may compact: `acc` must stay reproducible as
-    /// `base ⊕ inflight` in order, so an unconfirmed record blocks every
-    /// record behind it.
+    /// `base ⊕ inflight` in order, so a record with members outstanding
+    /// blocks every record behind it.
     fn compact(&mut self) {
-        let confirmed_prefix = self.inflight.iter().take_while(|r| r.confirmed).count();
+        let delivered_prefix = self
+            .inflight
+            .iter()
+            .take_while(|r| r.undelivered == 0)
+            .count();
         let num_topics = self.generator.belief().num_topics();
-        for record in self.inflight.drain(..confirmed_prefix) {
+        for record in self.inflight.drain(..delivered_prefix) {
             self.base
                 .fold(&record, self.config.history_aware, num_topics);
         }
     }
 
-    /// Force-confirms and compacts the whole journal (model rebind with
-    /// a K change, or journal overflow past [`MAX_INFLIGHT_CYCLES`]).
+    /// Force-settles and compacts the whole journal (model rebind with
+    /// a K change).
     fn compact_all(&mut self) {
         for record in &mut self.inflight {
-            record.confirmed = true;
+            record.undelivered = 0;
         }
         self.compact();
     }
@@ -438,9 +449,10 @@ impl Session {
     /// session's trace exactly as an owned decoy would.
     ///
     /// `cycle_id` ties the record to its paced submissions so a drain
-    /// failure can [`Session::rollback`] it; `confirmed` cycles (the
-    /// synchronous path, which can never be half-delivered) skip the
-    /// rollback window entirely.
+    /// can [`Session::deliver`] them and a drain failure can
+    /// [`Session::rollback`] the cycle; `undelivered` is how many paced
+    /// members a drain still owes (zero for the synchronous path, which
+    /// can never be half-delivered and skips the rollback window).
     fn account(
         &mut self,
         result: &CycleResult,
@@ -448,7 +460,7 @@ impl Session {
         cycle_id: Option<usize>,
         user_tokens: &[TermId],
         k: usize,
-        confirmed: bool,
+        undelivered: usize,
     ) {
         let record = CycleRecord {
             cycle_id,
@@ -456,29 +468,31 @@ impl Session {
             report: result.clone(),
             posteriors: posteriors.to_vec(),
             k,
-            confirmed,
+            undelivered,
         };
         let num_topics = self.generator.belief().num_topics();
         self.acc
             .fold(&record, self.config.history_aware, num_topics);
         self.inflight.push(record);
         if self.inflight.len() > MAX_INFLIGHT_CYCLES {
-            self.inflight[0].confirmed = true;
+            self.inflight[0].undelivered = 0;
         }
         self.compact();
     }
 
-    /// Marks an in-flight cycle fully delivered; it leaves the rollback
-    /// window (and is compacted into `base` once every cycle committed
-    /// before it is confirmed too).
-    fn confirm(&mut self, cycle_id: usize) {
-        for record in &mut self.inflight {
-            if record.cycle_id == Some(cycle_id) {
-                record.confirmed = true;
-                break;
-            }
+    /// Counts `members` delivered submissions against an in-flight
+    /// cycle. At zero outstanding the cycle leaves the rollback window
+    /// (the caller's next [`Session::compact`] folds it into `base` once
+    /// every cycle committed before it is fully delivered too). Unknown
+    /// or already settled cycles are ignored.
+    fn deliver(&mut self, cycle_id: usize, members: usize) {
+        if let Some(record) = self
+            .inflight
+            .iter_mut()
+            .find(|r| r.cycle_id == Some(cycle_id))
+        {
+            record.undelivered = record.undelivered.saturating_sub(members);
         }
-        self.compact();
     }
 
     /// Reverses one in-flight cycle's trace debits **bit-exactly** by
@@ -486,12 +500,12 @@ impl Session {
     /// sequence a session that never formulated the cycle would have
     /// run. Returns the removed record (its `user_tokens` are what the
     /// caller replans from), or `None` when the cycle is unknown or
-    /// already confirmed (delivered work is never rolled back).
+    /// fully delivered (delivered work is never rolled back).
     fn rollback(&mut self, cycle_id: usize) -> Option<CycleRecord> {
         let pos = self
             .inflight
             .iter()
-            .position(|r| r.cycle_id == Some(cycle_id) && !r.confirmed)?;
+            .position(|r| r.cycle_id == Some(cycle_id) && r.undelivered > 0)?;
         let record = self.inflight.remove(pos);
         let num_topics = self.generator.belief().num_topics();
         let mut acc = self.base.clone();
@@ -503,10 +517,10 @@ impl Session {
     }
 
     /// Formulates (and records) one cycle for `tokens` (synchronous
-    /// path: resolved inline, so it is born confirmed).
+    /// path: resolved inline, so it is born settled).
     fn formulate(&mut self, tokens: &[TermId]) -> CycleResult {
         let (result, posteriors) = self.generate(tokens);
-        self.account(&result, &posteriors, None, tokens, 0, true);
+        self.account(&result, &posteriors, None, tokens, 0, 0);
         result
     }
 
@@ -541,6 +555,30 @@ impl Session {
             satisfied_rate: acc.satisfied as f64 / n,
             trace_exposure,
         }
+    }
+}
+
+/// The session table: shared between the manager and the schedulers
+/// built by [`crate::CycleScheduler::for_manager`], which settle the
+/// cycles their drains deliver.
+pub(crate) type SessionTable = Arc<RwLock<HashMap<String, Arc<Mutex<Session>>>>>;
+
+/// Counts delivered members (`session → cycle id → how many`) against
+/// their cycles: the one place a planned cycle leaves the rollback
+/// window. A session closed since planning is skipped.
+pub(crate) fn settle_delivered(
+    sessions: &SessionTable,
+    delivered: &HashMap<&str, HashMap<usize, usize>>,
+) {
+    for (&id, cycles) in delivered {
+        let Some(session) = recover_read(sessions).get(id).cloned() else {
+            continue;
+        };
+        let mut session = recover_lock(&session);
+        for (&cycle_id, &members) in cycles {
+            session.deliver(cycle_id, members);
+        }
+        session.compact();
     }
 }
 
@@ -581,7 +619,7 @@ pub struct SessionManager {
     defaults: SessionConfig,
     /// Service-wide secret mixed into every session's ghost seed.
     fleet_seed: u64,
-    sessions: RwLock<HashMap<String, Arc<Mutex<Session>>>>,
+    sessions: SessionTable,
 }
 
 impl SessionManager {
@@ -592,7 +630,7 @@ impl SessionManager {
     }
 
     /// A manager over a term-sharded engine (queries fan out to their
-    /// shard sets; the scheduler drains shards independently).
+    /// shard sets inside the engine).
     pub fn new_sharded(engine: Arc<ShardedEngine>, model: Arc<LdaModel>) -> Self {
         Self::with_tier(SearchTier::Sharded(engine), model)
     }
@@ -609,7 +647,7 @@ impl SessionManager {
             fault: None,
             defaults: SessionConfig::default(),
             fleet_seed: random_fleet_seed(),
-            sessions: RwLock::new(HashMap::new()),
+            sessions: SessionTable::default(),
         }
     }
 
@@ -694,12 +732,12 @@ impl SessionManager {
     /// returned handle is a cheap clone (`Arc`s inside); it keeps
     /// serving even if the manager swaps tiers afterwards.
     pub fn tier(&self) -> SearchTier {
-        self.tier.read().expect("tier lock poisoned").clone()
+        recover_read(&self.tier).clone()
     }
 
     /// The shared model at this instant (a cheap `Arc` clone).
     pub fn model(&self) -> Arc<LdaModel> {
-        self.model.read().expect("model lock poisoned").clone()
+        recover_read(&self.model).clone()
     }
 
     /// The current model epoch: 0 at construction, bumped by every
@@ -716,7 +754,7 @@ impl SessionManager {
     /// the swap when the topic count is unchanged and restarts when it
     /// is not (see [`Self::swap_tier`] for the index-side counterpart).
     pub fn swap_model(&self, model: Arc<LdaModel>) -> u64 {
-        let mut slot = self.model.write().expect("model lock poisoned");
+        let mut slot = recover_write(&self.model);
         *slot = model;
         // Bump while still holding the slot so (model, epoch) move
         // together: a session can never observe the new epoch paired
@@ -748,7 +786,7 @@ impl SessionManager {
     /// draining against the tier they were built with, so build a fresh
     /// [`crate::CycleScheduler::for_manager`] after swapping.
     pub fn swap_tier(&self, tier: SearchTier) {
-        *self.tier.write().expect("tier lock poisoned") = tier;
+        *recover_write(&self.tier) = tier;
     }
 
     /// The result cache, if one is attached.
@@ -761,6 +799,11 @@ impl SessionManager {
         &self.metrics
     }
 
+    /// A handle to the session table (for the scheduler's settle step).
+    pub(crate) fn session_table(&self) -> SessionTable {
+        self.sessions.clone()
+    }
+
     /// Opens a session with the manager's default configuration.
     pub fn open_session(&self, id: &str) -> Result<(), ServiceError> {
         self.open_session_with(id, self.defaults.clone())
@@ -771,7 +814,7 @@ impl SessionManager {
         if id.is_empty() {
             return Err(ServiceError::BadRequest("empty session id".into()));
         }
-        let mut sessions = self.sessions.write().expect("session table poisoned");
+        let mut sessions = recover_write(&self.sessions);
         if sessions.contains_key(id) {
             return Err(ServiceError::DuplicateSession(id.to_string()));
         }
@@ -788,13 +831,10 @@ impl SessionManager {
 
     /// Closes a session, returning its final metrics.
     pub fn close_session(&self, id: &str) -> Result<SessionMetrics, ServiceError> {
-        let session = self
-            .sessions
-            .write()
-            .expect("session table poisoned")
+        let session = recover_write(&self.sessions)
             .remove(id)
             .ok_or_else(|| ServiceError::UnknownSession(id.to_string()))?;
-        let session = session.lock().expect("session poisoned");
+        let session = recover_lock(&session);
         if let Some(auditor) = &self.auditor {
             auditor.forget_session(id);
         }
@@ -803,26 +843,18 @@ impl SessionManager {
 
     /// Open session count.
     pub fn session_count(&self) -> usize {
-        self.sessions.read().expect("session table poisoned").len()
+        recover_read(&self.sessions).len()
     }
 
     /// Sorted ids of the open sessions.
     pub fn session_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .sessions
-            .read()
-            .expect("session table poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut ids: Vec<String> = recover_read(&self.sessions).keys().cloned().collect();
         ids.sort();
         ids
     }
 
     fn session(&self, id: &str) -> Result<Arc<Mutex<Session>>, ServiceError> {
-        self.sessions
-            .read()
-            .expect("session table poisoned")
+        recover_read(&self.sessions)
             .get(id)
             .cloned()
             .ok_or_else(|| ServiceError::UnknownSession(id.to_string()))
@@ -925,7 +957,7 @@ impl SessionManager {
         }
         let span = toppriv_obs::tracer().span("search");
         let tier = self.tier();
-        let mut session = session.lock().expect("session poisoned");
+        let mut session = recover_lock(&session);
         self.refresh_session(&mut session);
         let k = if k == 0 { session.config.top_k } else { k };
         let report = {
@@ -977,8 +1009,9 @@ impl SessionManager {
     /// Plans one paced cycle: formulates it, schedules it on the session's
     /// simulated clock, and returns the per-submission plan for the
     /// [`crate::CycleScheduler`] — each submission tagged with the shard
-    /// set its terms route to, so the scheduler can queue it per shard.
-    /// The session clock advances by its configured think time.
+    /// set its terms route to (the lowest is its failure-domain label).
+    /// The session clock advances by its configured think time. The
+    /// cycle stays rollbackable until a drain delivered all of it.
     pub fn plan_cycle(
         &self,
         id: &str,
@@ -993,90 +1026,15 @@ impl SessionManager {
     /// ground-truth [`CycleResult`] — what scenario harnesses and
     /// adversary evaluations need to audit the trace the engine later
     /// observes (which planned submission was genuine, what the
-    /// certified intention was) without re-deriving it.
+    /// certified intention was) without re-deriving it. It is
+    /// [`SessionManager::formulate_cycle`] committed unrewritten.
     pub fn plan_cycle_with_report(
         &self,
         id: &str,
         tokens: &[TermId],
         k: usize,
     ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
-        let session = self.session(id)?;
-        if tokens.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "query analyzed to zero tokens".into(),
-            ));
-        }
-        let span = toppriv_obs::tracer().span("plan_cycle");
-        let tier = self.tier();
-        let mut session = session.lock().expect("session poisoned");
-        self.refresh_session(&mut session);
-        let k = if k == 0 { session.config.top_k } else { k };
-        let (report, posteriors) = {
-            let _formulate = span.child("formulate");
-            session.generate(tokens)
-        };
-        Ok(self.plan_locked(id, &mut session, &tier, report, &posteriors, tokens, k))
-    }
-
-    /// Accounts a formulated cycle and turns it into a paced plan — the
-    /// shared tail of [`SessionManager::plan_cycle_with_report`] and
-    /// [`SessionManager::commit_cycle`]. Runs under the session lock.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_locked(
-        &self,
-        id: &str,
-        session: &mut Session,
-        tier: &SearchTier,
-        report: CycleResult,
-        posteriors: &[Vec<f64>],
-        user_tokens: &[TermId],
-        k: usize,
-    ) -> (CycleResult, Vec<PlannedQuery>) {
-        let start = session.clock_secs;
-        session.clock_secs += session.config.think_time_secs;
-        // Schedule first so the pacer's cycle id is known when the
-        // cycle's accounting record is journaled — that id is the handle
-        // [`SessionManager::rollback_cycle`] reverses the debits by.
-        let schedule = session.pacer.schedule(&report, start);
-        let cycle_id = schedule.first().map(|s| s.cycle_id);
-        session.account(
-            &report,
-            posteriors,
-            cycle_id,
-            user_tokens,
-            k,
-            cycle_id.is_none(),
-        );
-        if let Some(auditor) = &self.auditor {
-            if let Some(cycle_id) = cycle_id {
-                // Register the cycle's privacy facts while the ground
-                // truth is in hand; the scheduler's drain workers audit
-                // them via `PrivacyAuditor::on_outcome`.
-                let m = session.metrics(id);
-                auditor.register_cycle(
-                    id,
-                    cycle_id,
-                    &report.metrics,
-                    session.config.requirement.eps2,
-                    m.trace_exposure,
-                    m.worst_exposure,
-                );
-            }
-        }
-        let plan = schedule
-            .into_iter()
-            .map(|scheduled| {
-                let shards = tier.shard_set(&scheduled.tokens);
-                PlannedQuery {
-                    session: id.to_string(),
-                    scheduled,
-                    k,
-                    shards,
-                    subscribers: Vec::new(),
-                }
-            })
-            .collect();
-        (report, plan)
+        self.commit_cycle(self.formulate_cycle(id, tokens, k)?)
     }
 
     /// Formulates one cycle **without** committing it: the cycle is
@@ -1101,7 +1059,7 @@ impl SessionManager {
             ));
         }
         let span = toppriv_obs::tracer().span("plan_cycle");
-        let mut session = session.lock().expect("session poisoned");
+        let mut session = recover_lock(&session);
         self.refresh_session(&mut session);
         let k = if k == 0 { session.config.top_k } else { k };
         let (report, posteriors) = {
@@ -1143,35 +1101,57 @@ impl SessionManager {
         &self,
         fc: FormulatedCycle,
     ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
-        let session = self.session(&fc.session)?;
+        let id = fc.session.as_str();
+        let session = self.session(id)?;
         let tier = self.tier();
-        let mut session = session.lock().expect("session poisoned");
+        let mut session = recover_lock(&session);
         self.refresh_session(&mut session);
         let (report, posteriors) = if session.model_epoch != fc.model_epoch {
             session.generate(&fc.user_tokens)
         } else {
             (fc.report, fc.posteriors)
         };
-        Ok(self.plan_locked(
-            &fc.session,
-            &mut session,
-            &tier,
-            report,
+        let start = session.clock_secs;
+        session.clock_secs += session.config.think_time_secs;
+        // Schedule first so the pacer's cycle id is known when the
+        // cycle's accounting record is journaled — that id is the handle
+        // drains deliver against and
+        // [`SessionManager::rollback_cycle`] reverses the debits by.
+        let schedule = session.pacer.schedule(&report, start);
+        let cycle_id = schedule.first().map(|s| s.cycle_id);
+        session.account(
+            &report,
             &posteriors,
+            cycle_id,
             &fc.user_tokens,
             fc.k,
-        ))
-    }
-
-    /// Marks a planned cycle fully delivered: it leaves the rollback
-    /// window, and its accounting record is compacted away once every
-    /// cycle planned before it is confirmed too. Schedulers call this
-    /// for every cycle whose submissions all resolved.
-    pub fn confirm_cycle(&self, id: &str, cycle_id: usize) -> Result<(), ServiceError> {
-        let session = self.session(id)?;
-        let mut session = session.lock().expect("session poisoned");
-        session.confirm(cycle_id);
-        Ok(())
+            schedule.len(),
+        );
+        if let (Some(auditor), Some(cycle_id)) = (&self.auditor, cycle_id) {
+            // Register the cycle's privacy facts while the ground truth
+            // is in hand; the scheduler's drain workers audit them via
+            // `PrivacyAuditor::on_outcome`.
+            let m = session.metrics(id);
+            auditor.register_cycle(
+                id,
+                cycle_id,
+                &report.metrics,
+                session.config.requirement.eps2,
+                m.trace_exposure,
+                m.worst_exposure,
+            );
+        }
+        let plan = schedule
+            .into_iter()
+            .map(|scheduled| PlannedQuery {
+                session: id.to_string(),
+                shards: tier.shard_set(&scheduled.tokens),
+                scheduled,
+                k: fc.k,
+                subscribers: Vec::new(),
+            })
+            .collect();
+        Ok((report, plan))
     }
 
     /// **Cycle atomicity**: reverses a planned cycle whose submissions
@@ -1182,8 +1162,8 @@ impl SessionManager {
     /// never float subtraction) — the audit plane's pending fact for the
     /// cycle is released (its exactly-once breach flag is preserved),
     /// and the original user tokens come back so the caller can replan
-    /// the search as a fresh cycle. Rolling back an unknown or already
-    /// confirmed cycle fails with `BadRequest`: delivered work is never
+    /// the search as a fresh cycle. Rolling back an unknown or fully
+    /// delivered cycle fails with `BadRequest`: delivered work is never
     /// reversed.
     pub fn rollback_cycle(
         &self,
@@ -1191,7 +1171,7 @@ impl SessionManager {
         cycle_id: usize,
     ) -> Result<RolledBackCycle, ServiceError> {
         let session = self.session(id)?;
-        let mut session = session.lock().expect("session poisoned");
+        let mut session = recover_lock(&session);
         let record = session.rollback(cycle_id).ok_or_else(|| {
             ServiceError::BadRequest(format!(
                 "cycle {cycle_id} of '{id}' is not in the rollback window"
@@ -1215,9 +1195,9 @@ impl SessionManager {
     /// CRC-checked container via [`crate::persist::seal_session_state`].
     pub fn export_session(&self, id: &str) -> Result<crate::persist::SessionState, ServiceError> {
         let session = self.session(id)?;
-        let s = session.lock().expect("session poisoned");
+        let s = recover_lock(&session);
         // The *live* accounting spills: a restore treats everything
-        // spilled as confirmed (the rollback window does not survive a
+        // spilled as delivered (the rollback window does not survive a
         // crash — in-flight cycles at spill time are either audited by a
         // later drain or lost with the process, never half-restored).
         Ok(crate::persist::SessionState {
@@ -1260,7 +1240,7 @@ impl SessionManager {
             .ok_or_else(|| {
             ServiceError::BadRequest("corrupt session state: genuine index beyond history".into())
         })?;
-        let mut sessions = self.sessions.write().expect("session table poisoned");
+        let mut sessions = recover_write(&self.sessions);
         if sessions.contains_key(&state.id) {
             return Err(ServiceError::DuplicateSession(state.id.clone()));
         }
@@ -1273,7 +1253,7 @@ impl SessionManager {
         );
         session.pacer.resume_from(state.next_cycle_id as usize);
         session.clock_secs = state.clock_secs;
-        // Everything restored is confirmed state: base == acc, journal
+        // Everything restored is settled state: base == acc, journal
         // empty (see the export-side note).
         session.base = TraceAccounting {
             tracker,
@@ -1353,7 +1333,7 @@ impl SessionManager {
     /// Metrics for one session.
     pub fn session_metrics(&self, id: &str) -> Result<SessionMetrics, ServiceError> {
         let session = self.session(id)?;
-        let session = session.lock().expect("session poisoned");
+        let session = recover_lock(&session);
         Ok(session.metrics(id))
     }
 

@@ -5,8 +5,8 @@
 //! goes through [`SearchTier`], so the same service stack runs unchanged
 //! over a single [`SearchEngine`] or a term-sharded [`ShardedEngine`].
 //! The tier is also where submissions learn their *shard set* — the
-//! sorted list of shards a query's terms route to — which the
-//! [`crate::CycleScheduler`] uses to drain shards independently.
+//! sorted list of shards a query's terms route to — whose lowest id the
+//! [`crate::CycleScheduler`] uses as the submission's failure domain.
 
 use std::sync::Arc;
 use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};

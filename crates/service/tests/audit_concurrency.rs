@@ -115,7 +115,20 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     // Rig one planned cycle with an unmasked exposure far above both its
     // decoys and ε2: the very next drain must surface the breach.
     let rigged = plans[0][0].clone();
-    auditor.rig_cycle(&rigged.session, rigged.scheduled.cycle_id, 0.5, 0.0);
+    let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
+    let unmasked = toppriv_core::PrivacyMetrics {
+        exposure: 0.5,
+        mask_level: 0.0,
+        ..Default::default()
+    };
+    auditor.register_cycle(
+        &rigged.session,
+        rigged.scheduled.cycle_id,
+        &unmasked,
+        eps2,
+        0.5,
+        0.5,
+    );
 
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let outcomes = scheduler.run(plans);

@@ -6,7 +6,7 @@
 //! satisfied cycle keeps `exposure ≤ ε2`.
 
 use std::sync::Arc;
-use toppriv_service::{CycleScheduler, ResultCache, SessionManager};
+use toppriv_service::{CycleScheduler, GhostPlanner, ResultCache, SessionManager, SubmitOutcome};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
 use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
@@ -248,7 +248,8 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
             assert!((x.score - y.score).abs() < 1e-9);
         }
     }
-    // Paced path: plans carry real shard sets and drain per shard.
+    // Paced path: plans carry real shard sets (the primary shard is the
+    // submission's failure-domain label) and drain on the shared queue.
     let mut plans = Vec::new();
     for (s, id) in sharded.session_ids().iter().enumerate() {
         plans.push(
@@ -273,7 +274,7 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
         .windows(2)
         .all(|w| w[0].time_secs <= w[1].time_secs));
     let snapshot = sharded.metrics();
-    assert_eq!(snapshot.global.shard_queue_depths, vec![0; 4]);
+    assert_eq!(snapshot.global.queue_depth, 0, "the queue drained empty");
     // Each touched shard logged only its slice of the trace.
     let tier = sharded.tier();
     let engine = tier.as_sharded().unwrap();
@@ -355,4 +356,163 @@ fn shared_model_is_not_duplicated() {
     // model itself is never cloned.
     assert_eq!(Arc::strong_count(&stack.model), baseline + 1 + 16);
     let _ = ResultCache::new(16); // (exercise the re-export)
+}
+
+#[test]
+fn drained_cycles_never_roll_back() {
+    // Delivery seals a cycle on the plain drain path too: once every
+    // member of a planned cycle has been drained, its trace debits are
+    // final (invariant 6), whichever drain entry point delivered them.
+    let stack = stack();
+    let manager = SessionManager::new_sharded(sharded_engine(&stack, 4), stack.model.clone());
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 6,
+            ..WorkloadConfig::default()
+        },
+    );
+    let mut plans = Vec::new();
+    for s in 0..3 {
+        let id = format!("t{s}");
+        manager.open_session(&id).unwrap();
+        for q in 0..2 {
+            plans.push(
+                manager
+                    .plan_cycle(&id, &queries[s * 2 + q].tokens, 10)
+                    .unwrap(),
+            );
+        }
+    }
+    let cycles: Vec<(String, usize)> = plans
+        .iter()
+        .map(|p| (p[0].session.clone(), p[0].scheduled.cycle_id))
+        .collect();
+    let held_back = plans.pop().expect("six plans");
+    CycleScheduler::for_manager(&manager, 2).run(plans);
+    let (last, drained) = cycles.split_last().expect("six cycles");
+    for (session, cycle_id) in drained {
+        assert!(
+            manager.rollback_cycle(session, *cycle_id).is_err(),
+            "{session} cycle {cycle_id} was delivered and must not reverse"
+        );
+    }
+    // The one cycle no drain has seen is still in its rollback window.
+    assert_eq!(held_back[0].scheduled.cycle_id, last.1);
+    manager
+        .rollback_cycle(&last.0, last.1)
+        .expect("an undrained cycle still rolls back");
+}
+
+/// One outcome minus its cache-hit flag (which of two racing workers
+/// computes a shared decoy is not deterministic): session, cycle id,
+/// time bits, genuine flag, hits with scores compared bitwise.
+type OutcomeKey = (String, usize, u64, bool, Vec<(u32, u64)>);
+
+fn outcome_trace(outcomes: &[SubmitOutcome]) -> Vec<OutcomeKey> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let hits = o.hits.iter().map(|h| (h.doc_id, h.score.to_bits()));
+            (
+                o.session.clone(),
+                o.cycle_id,
+                o.time_secs.to_bits(),
+                o.is_genuine,
+                hits.collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn drain_is_equivalent_across_worker_counts() {
+    let stack = stack();
+    let engine = sharded_engine(&stack, 4);
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 8,
+            ..WorkloadConfig::default()
+        },
+    );
+    let mut reference = None;
+    for workers in [1, 2, 4] {
+        // Same fleet seed per manager: identical cycles, identical queue.
+        let manager = SessionManager::new_sharded(engine.clone(), stack.model.clone())
+            .with_cache(2048)
+            .with_fleet_seed(7);
+        let mut plans = Vec::new();
+        for s in 0..4 {
+            let id = format!("t{s}");
+            manager.open_session(&id).unwrap();
+            for q in 0..2 {
+                plans.push(
+                    manager
+                        .plan_cycle(&id, &queries[(s + q * 3) % 8].tokens, 10)
+                        .unwrap(),
+                );
+            }
+        }
+        let outcomes = CycleScheduler::for_manager(&manager, workers).run(plans);
+        let g = manager.metrics().global;
+        assert_eq!(
+            g.cache_misses + g.cache_hits,
+            outcomes.len() as u64,
+            "{workers} workers: submits + cache hits == outcomes"
+        );
+        let trace = outcome_trace(&outcomes);
+        assert!(trace.iter().any(|t| t.3 && !t.4.is_empty()), "genuine hits");
+        match &reference {
+            None => reference = Some(trace),
+            Some(expected) => assert_eq!(
+                expected, &trace,
+                "{workers} workers: same outcomes, same order, genuine rankings bit-identical"
+            ),
+        }
+    }
+}
+
+#[test]
+fn planner_drain_settles_every_coalesced_cycle() {
+    let stack = stack();
+    let manager = Arc::new(
+        SessionManager::new_sharded(sharded_engine(&stack, 4), stack.model.clone())
+            .with_cache(2048)
+            .with_fleet_seed(7),
+    );
+    let planner = GhostPlanner::new(manager.clone());
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 2,
+            ..WorkloadConfig::default()
+        },
+    );
+    // Every tenant asks the same two queries, so their content-seeded
+    // cycles coincide and the planner coalesces them.
+    for s in 0..4 {
+        let id = format!("t{s}");
+        manager.open_session(&id).unwrap();
+        for q in &queries {
+            planner.plan_cycle(&id, &q.tokens, 10).unwrap();
+        }
+    }
+    let queue = planner.take_queue();
+    assert!(queue.iter().any(|p| p.fanout() > 1), "entries coalesced");
+    let cycles: std::collections::HashSet<(String, usize)> = queue
+        .iter()
+        .flat_map(|p| p.subscriber_tags())
+        .map(|t| (t.session, t.cycle_id))
+        .collect();
+    assert_eq!(cycles.len(), 8);
+    let expected: usize = queue.iter().map(|p| p.fanout()).sum();
+    let outcomes = CycleScheduler::for_manager(&manager, 2).drain(queue);
+    assert_eq!(outcomes.len(), expected);
+    for (session, cycle_id) in cycles {
+        assert!(
+            manager.rollback_cycle(&session, cycle_id).is_err(),
+            "{session} cycle {cycle_id}: a fault-free drain leaves nothing rollbackable"
+        );
+    }
 }

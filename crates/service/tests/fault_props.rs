@@ -10,7 +10,8 @@
 //!   holds under retries and replans.
 //! - **Bit-exact rollback**: rolling a cycle back leaves the session's
 //!   trace accounting `to_bits`-identical to the snapshot taken before
-//!   the cycle was formulated (the never-formulated state).
+//!   the cycle was formulated (the never-formulated state) — also when a
+//!   drain had already delivered part of the cycle.
 //!
 //! Corpus + LDA builds are the expensive part, so the sampled corpus
 //! dimension selects from a small pool of lazily-built random stacks
@@ -21,8 +22,8 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use toppriv_service::{
-    CycleScheduler, DrainPolicy, FaultKind, FaultPlane, FaultSpec, SessionManager, SessionMetrics,
-    SubmitOutcome,
+    CycleScheduler, DrainPolicy, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager,
+    SessionMetrics, SubmitOutcome,
 };
 use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
@@ -232,37 +233,69 @@ proptest! {
     /// Bit-exact rollback: unwinding planned cycles newest-first steps
     /// the session's accounting back through the exact snapshots taken
     /// before each plan — including refolds over a non-empty in-flight
-    /// journal — and a confirmed cycle refuses to unwind.
+    /// journal, and for cycles a drain delivered only in part (some
+    /// members never drained, or one member terminally failed) — and a
+    /// fully delivered cycle refuses to unwind.
     #[test]
     fn rollback_restores_never_formulated_accounting(
         stack_idx in 0usize..2,
         fleet_seed: u64,
         n in 2usize..=5,
         query_salt in 0usize..64,
-        confirm_salt in 0usize..2,
+        deliver_salt in 0usize..2,
+        // What happens to each cycle before its rollback: 0 = never
+        // drained, 1 = all but its last member drained, 2 = drained with
+        // its genuine member failing every attempt.
+        partial_modes in collection::vec(0usize..3, 5..6),
     ) {
         let stack = &stacks()[stack_idx];
         let manager = SessionManager::new(stack.engine.clone(), stack.model.clone())
             .with_fleet_seed(fleet_seed);
         manager.open_session("t0").unwrap();
         let mut pre: Vec<SessionMetrics> = Vec::new();
-        let mut ids: Vec<usize> = Vec::new();
+        let mut plans = Vec::new();
         for i in 0..n {
             pre.push(manager.session_metrics("t0").unwrap());
             let q = &stack.queries[(query_salt + i) % stack.queries.len()];
-            let plan = manager.plan_cycle("t0", &q.tokens, 10).unwrap();
-            ids.push(plan[0].scheduled.cycle_id);
+            plans.push(manager.plan_cycle("t0", &q.tokens, 10).unwrap());
         }
-        let confirm_first = confirm_salt == 1;
-        let confirmed = if confirm_first {
-            // Confirming the oldest cycle seals it: it must survive the
-            // unwind below, and rolling it back must fail.
-            manager.confirm_cycle("t0", ids[0]).unwrap();
+        let ids: Vec<usize> = plans.iter().map(|p| p[0].scheduled.cycle_id).collect();
+        let clean = CycleScheduler::for_manager(&manager, 2);
+        let genuine_fails = CycleScheduler::for_manager(&manager, 2)
+            .with_policy(DrainPolicy {
+                max_attempts: 2,
+                backoff_base: std::time::Duration::ZERO,
+                ..DrainPolicy::default()
+            })
+            .with_fault_plane(Arc::new(FaultPlane::new(0).with_spec(FaultSpec::predicate(
+                FaultKind::WorkerPanic,
+                Arc::new(|p: &PlannedQuery| p.scheduled.is_genuine),
+            ))));
+        let deliver_first = deliver_salt == 1;
+        let delivered = if deliver_first {
+            // Draining the oldest cycle in full seals it: it must
+            // survive the unwind below, and rolling it back must fail.
+            let drained = clean.drain(plans[0].clone());
+            prop_assert_eq!(drained.len(), plans[0].len());
             1
         } else {
             0
         };
-        for i in (confirmed..n).rev() {
+        for i in delivered..n {
+            let plan = plans[i].clone();
+            match partial_modes[i] {
+                1 if plan.len() > 1 => {
+                    let some = plan[..plan.len() - 1].to_vec();
+                    prop_assert_eq!(clean.drain(some).len(), plan.len() - 1);
+                }
+                2 => {
+                    let err = genuine_fails.try_drain(plan).expect_err("genuine member fails");
+                    prop_assert_eq!(err.failures.len(), 1);
+                }
+                _ => {}
+            }
+        }
+        for i in (delivered..n).rev() {
             let rb = manager.rollback_cycle("t0", ids[i]).unwrap();
             prop_assert_eq!(rb.cycle_id, ids[i]);
             let now = manager.session_metrics("t0").unwrap();
@@ -274,10 +307,10 @@ proptest! {
             // Double rollback of the same cycle is rejected.
             prop_assert!(manager.rollback_cycle("t0", ids[i]).is_err());
         }
-        if confirm_first {
+        if deliver_first {
             prop_assert!(
                 manager.rollback_cycle("t0", ids[0]).is_err(),
-                "confirmed (delivered) work must never reverse"
+                "delivered work must never reverse"
             );
             let now = manager.session_metrics("t0").unwrap();
             prop_assert_eq!(now.cycles, pre[1].cycles);

@@ -8,12 +8,14 @@
 //! - Same-K swaps keep per-session accounting continuous; K-changing
 //!   swaps reset the trace accounting (the old posteriors are
 //!   meaningless in the new topic space).
-//! - `CycleScheduler` drains surface per-shard worker panics as
+//! - `CycleScheduler` drains surface worker panics as
 //!   [`DrainError`]s (and `drain` aborts loudly) instead of silently
 //!   dropping outcomes.
 
 use std::sync::Arc;
-use toppriv_service::{CycleScheduler, SearchTier, SessionManager};
+use toppriv_service::{
+    CycleScheduler, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SearchTier, SessionManager,
+};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_search::{ScoringModel, ShardedEngine};
@@ -159,8 +161,11 @@ fn drain_surfaces_worker_panics_instead_of_dropping_outcomes() {
     let poisoned: usize = queue.iter().filter(|p| p.session == "poisoned").count();
     assert!(poisoned > 0);
 
-    let scheduler = CycleScheduler::for_manager(manager, 4)
-        .with_worker_fault(Arc::new(|plan| plan.session == "poisoned"));
+    let plane = FaultPlane::new(0).with_spec(FaultSpec::predicate(
+        FaultKind::WorkerPanic,
+        Arc::new(|plan: &PlannedQuery| plan.session == "poisoned"),
+    ));
+    let scheduler = CycleScheduler::for_manager(manager, 4).with_fault_plane(Arc::new(plane));
     let err = scheduler
         .try_drain(queue.clone())
         .expect_err("poisoned submissions must surface as a drain error");

@@ -11,7 +11,7 @@
 //!   when no mode flag is given).
 //!
 //! All modes accept `--shards N` to term-shard the search tier: postings
-//! split across N shards, per-shard scheduler queues and adversary logs.
+//! split across N shards, each with its own adversary log.
 //! The demo additionally accepts `--planner` to route cycles through the
 //! cross-session ghost planner (decoy reuse + coalesced shared
 //! submissions) and prints the resulting fleet cost ratio.
@@ -451,7 +451,7 @@ fn run_demo(args: &Args) {
     if let Some(engine) = tier.as_sharded() {
         let log_sizes: Vec<usize> = engine.shard_logs().iter().map(|l| l.len()).collect();
         println!(
-            "    {} shards drained independently; per-shard adversary log entries: {:?}",
+            "    {} shards behind one drain queue; per-shard adversary log entries: {:?}",
             engine.num_shards(),
             log_sizes,
         );
