@@ -4,11 +4,24 @@
 //! the plaintext corpus and inverted index, evaluates similarity queries,
 //! and — being a curious adversary — keeps a log of every query it
 //! processes for after-the-fact analysis.
+//!
+//! Scoring is term-at-a-time into one dense [`Accumulator`]: a score
+//! slot per document id, a seen-marker, and the list of documents
+//! touched. It lives in a thread-local scratch that is sized on first
+//! use and cleared by walking the touched list, so a submission costs
+//! neither an allocation nor a hash per posting. The result is the same,
+//! bit for bit, as summing into a fresh map: terms are visited in the
+//! same ascending order, every document's first contribution is added to
+//! `0.0`, and a document is ranked because it *had a posting*, not
+//! because its score is non-zero. [`TopK`]'s order is total (score, then
+//! doc id), so the order in which documents are offered to it — here,
+//! first-touch order — cannot change a ranking.
 
 use crate::log::QueryLog;
 use crate::query::Query;
 use crate::score::ScoringModel;
 use crate::topk::{SearchHit, TopK};
+use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::Instant;
 use toppriv_obs::{recover_lock, HistogramHandle};
@@ -99,35 +112,18 @@ impl SearchEngine {
     /// Scores a query without logging it — used by evaluation code that
     /// must not contaminate the adversary-visible trace.
     pub fn evaluate(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        let t0 = Instant::now();
-        let mut accumulators: std::collections::HashMap<u32, f64> =
-            std::collections::HashMap::new();
-        let avg_len = self.index.avg_doc_len();
-        for (term, qtf) in query.terms() {
-            accumulate_term(
-                &self.index,
-                self.model,
-                avg_len,
-                term,
-                qtf,
-                &mut accumulators,
-            );
-        }
-        self.eval_us.record(t0.elapsed().as_micros() as u64);
-        let t1 = Instant::now();
-        let mut topk = TopK::new(k);
-        for (doc_id, mut score) in accumulators {
-            if self.model.needs_cosine_norm() {
-                let norm = self.doc_norms[doc_id as usize];
-                if norm > 0.0 {
-                    score /= norm;
-                }
+        with_accumulator(self.index.num_docs(), |acc| {
+            let t0 = Instant::now();
+            let avg_len = self.index.avg_doc_len();
+            for (term, qtf) in query.terms() {
+                accumulate_term(&self.index, self.model, avg_len, term, qtf, acc);
             }
-            topk.push(SearchHit { doc_id, score });
-        }
-        let hits = topk.into_sorted();
-        self.gather_us.record(t1.elapsed().as_micros() as u64);
-        hits
+            self.eval_us.record(t0.elapsed().as_micros() as u64);
+            let t1 = Instant::now();
+            let hits = acc.rank(self.model, &self.doc_norms, k);
+            self.gather_us.record(t1.elapsed().as_micros() as u64);
+            hits
+        })
     }
 
     /// Top-k evaluation with the MaxScore (quit/continue) optimization.
@@ -337,18 +333,94 @@ impl SearchEngine {
     }
 }
 
+/// Dense score accumulators for one submission: `scores[d]` is document
+/// `d`'s running (unnormalized) sum, `seen[d]` whether any posting has
+/// touched it, `touched` the seen documents in first-touch order.
+/// Unseen slots always hold `0.0` / `false`, so [`Accumulator::reset`]
+/// only has to walk `touched`.
+#[derive(Default)]
+pub(crate) struct Accumulator {
+    scores: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<u32>,
+}
+
+impl Accumulator {
+    /// Adds one contribution to `doc_id`'s score (`doc_id` must be below
+    /// the `num_docs` given to [`with_accumulator`]).
+    #[inline]
+    pub(crate) fn add(&mut self, doc_id: u32, contribution: f64) {
+        let d = doc_id as usize;
+        if !self.seen[d] {
+            self.seen[d] = true;
+            self.touched.push(doc_id);
+        }
+        self.scores[d] += contribution;
+    }
+
+    /// The touched documents and their unnormalized sums.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.touched.iter().map(|&d| (d, self.scores[d as usize]))
+    }
+
+    /// Cosine-normalizes (when the model asks for it) and ranks the best
+    /// `k` touched documents — the one rank step of both engines.
+    pub(crate) fn rank(&self, model: ScoringModel, doc_norms: &[f64], k: usize) -> Vec<SearchHit> {
+        let mut topk = TopK::new(k);
+        for (doc_id, mut score) in self.iter() {
+            if model.needs_cosine_norm() {
+                let norm = doc_norms[doc_id as usize];
+                if norm > 0.0 {
+                    score /= norm;
+                }
+            }
+            topk.push(SearchHit { doc_id, score });
+        }
+        topk.into_sorted()
+    }
+
+    fn reset(&mut self) {
+        for &d in &self.touched {
+            self.scores[d as usize] = 0.0;
+            self.seen[d as usize] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+thread_local! {
+    /// This thread's accumulator, reused by every evaluation on it.
+    static SCRATCH: RefCell<Accumulator> = RefCell::default();
+}
+
+/// Runs `f` with this thread's accumulator, empty and with room for
+/// `num_docs` documents, and clears it afterwards. The accumulator is
+/// taken out of its slot for the call: if `f` panics it is dropped, not
+/// left dirty, and the next evaluation starts from a fresh one.
+pub(crate) fn with_accumulator<R>(num_docs: usize, f: impl FnOnce(&mut Accumulator) -> R) -> R {
+    let mut acc = SCRATCH.with(RefCell::take);
+    if acc.scores.len() < num_docs {
+        acc.scores.resize(num_docs, 0.0);
+        acc.seen.resize(num_docs, false);
+    }
+    let result = f(&mut acc);
+    acc.reset();
+    SCRATCH.with(|slot| slot.replace(acc));
+    result
+}
+
 /// Accumulates one query term's (unnormalized) score contributions from
-/// `index` into `accumulators`. This is the inner loop of accumulator
-/// evaluation, shared by [`SearchEngine::evaluate`] and the sharded
-/// engine's per-shard scatter step — the two MUST score identically
-/// (the shard-equivalence contract), so there is exactly one copy.
+/// `index` into `acc`. This is the inner loop of accumulator evaluation,
+/// shared by [`SearchEngine::evaluate`] and the sharded engine's
+/// per-shard scatter step — the two MUST score identically (the
+/// shard-equivalence contract), so there is exactly one copy.
 pub(crate) fn accumulate_term(
     index: &InvertedIndex,
     model: ScoringModel,
     avg_len: f64,
     term: TermId,
     qtf: u32,
-    accumulators: &mut std::collections::HashMap<u32, f64>,
+    acc: &mut Accumulator,
 ) {
     let idf = index.idf(term);
     if idf <= 0.0 && index.doc_freq(term) == 0 {
@@ -360,7 +432,7 @@ pub(crate) fn accumulate_term(
     }
     for posting in index.postings(term).iter() {
         let dw = model.doc_weight(posting.tf, index.doc_len(posting.doc_id), avg_len);
-        *accumulators.entry(posting.doc_id).or_insert(0.0) += qw * dw;
+        acc.add(posting.doc_id, qw * dw);
     }
 }
 
@@ -436,12 +508,71 @@ mod tests {
                 let fast = engine.evaluate(&q, 10);
                 let slow = engine.evaluate_bruteforce(&q, 10);
                 assert_eq!(fast.len(), slow.len(), "model {model:?} query {text}");
+                // Both sum a document's contributions in ascending term
+                // order, so the scores agree to the bit.
                 for (f, s) in fast.iter().zip(&slow) {
                     assert_eq!(f.doc_id, s.doc_id);
-                    assert!((f.score - s.score).abs() < 1e-9);
+                    assert_eq!(f.score.to_bits(), s.score.to_bits());
                 }
             }
         }
+    }
+
+    fn bits(hits: &[SearchHit]) -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn scratch_reuse_leaves_nothing_behind() {
+        for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
+            let engine = toy_engine(model);
+            let analyzer = Analyzer::new();
+            // A touches docs {0, 1, 3}; B touches only doc 2.
+            let a = Query::parse("apache helicopter", &analyzer, engine.vocab());
+            let b = Query::parse("stock shares", &analyzer, engine.vocab());
+            let first = engine.evaluate(&a, 10);
+            assert_eq!(bits(&first), bits(&engine.evaluate_bruteforce(&a, 10)));
+            let disjoint = engine.evaluate(&b, 10);
+            assert_eq!(
+                bits(&disjoint),
+                bits(&engine.evaluate_bruteforce(&b, 10)),
+                "B must not see a document or a score A left behind"
+            );
+            assert_eq!(disjoint.len(), 1);
+            assert_eq!(bits(&engine.evaluate(&a, 10)), bits(&first));
+
+            // Same thread, same scratch, a larger corpus: the scratch
+            // grows, and the new slots start clean.
+            let mut vocab = Vocabulary::new();
+            let docs: Vec<Vec<TermId>> = (0..9)
+                .map(|i| analyzer.analyze_into(&format!("apache filler{i}"), &mut vocab))
+                .collect();
+            for d in &docs {
+                vocab.observe_document(d);
+            }
+            let texts = vec![String::new(); docs.len()];
+            let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
+            let larger = SearchEngine::build(&refs, &texts, Analyzer::new(), vocab, model);
+            let q = Query::parse("filler7 filler8", &analyzer, larger.vocab());
+            let hits = larger.evaluate(&q, 10);
+            assert_eq!(bits(&hits), bits(&larger.evaluate_bruteforce(&q, 10)));
+            assert_eq!(hits.len(), 2);
+            // And back on the smaller engine.
+            assert_eq!(bits(&engine.evaluate(&a, 10)), bits(&first));
+        }
+    }
+
+    #[test]
+    fn membership_is_having_a_posting_not_a_nonzero_score() {
+        let hits = with_accumulator(4, |acc| {
+            acc.add(2, 1.5);
+            acc.add(2, -1.5);
+            acc.add(0, 0.25);
+            acc.rank(ScoringModel::bm25_default(), &[], 10)
+        });
+        assert_eq!(bits(&hits), vec![(0, 0.25f64.to_bits()), (2, 0)]);
+        // The scratch was cleared: nothing of that evaluation is left.
+        assert!(with_accumulator(4, |acc| acc.iter().next().is_none()));
     }
 
     #[test]

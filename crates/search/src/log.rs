@@ -8,8 +8,13 @@
 //! shard (each shard sees only the sub-query routed to it) with ordinals
 //! drawn from one atomic counter, so a global arrival order can be
 //! reconstructed without any engine-wide lock.
+//!
+//! The log is a ring: once `capacity` entries are retained, each push
+//! drops the oldest in O(1). Every submission pushes under the engine's
+//! log mutex, so the trim must not cost O(capacity).
 
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use tsearch_text::TermId;
 
 /// One entry of the server-side query log (what the adversary sees).
@@ -35,7 +40,7 @@ pub struct LoggedQuery {
 /// monotone for the life of the engine.
 #[derive(Debug)]
 pub struct QueryLog {
-    entries: Vec<LoggedQuery>,
+    entries: VecDeque<LoggedQuery>,
     next_ordinal: u64,
     capacity: usize,
 }
@@ -50,7 +55,7 @@ impl QueryLog {
     /// An unbounded log.
     pub fn new() -> Self {
         QueryLog {
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             next_ordinal: 0,
             capacity: usize::MAX,
         }
@@ -70,20 +75,24 @@ impl QueryLog {
     /// mixing both push styles cannot duplicate ordinals.
     pub fn push_at(&mut self, ordinal: u64, text: String, tokens: Vec<TermId>) {
         self.next_ordinal = self.next_ordinal.max(ordinal + 1);
-        self.entries.push(LoggedQuery {
+        self.entries.push_back(LoggedQuery {
             ordinal,
             text,
             tokens,
         });
-        if self.entries.len() > self.capacity {
-            let excess = self.entries.len() - self.capacity;
-            self.entries.drain(..excess);
+        self.trim();
+    }
+
+    /// Drops the oldest entries until at most `capacity` remain.
+    fn trim(&mut self) {
+        while self.entries.len() > self.capacity {
+            self.entries.pop_front();
         }
     }
 
     /// Snapshot of the retained entries, oldest first.
     pub fn snapshot(&self) -> Vec<LoggedQuery> {
-        self.entries.clone()
+        self.entries.iter().cloned().collect()
     }
 
     /// Retained entry count.
@@ -106,10 +115,7 @@ impl QueryLog {
     /// immediately if already over).
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        if self.entries.len() > capacity {
-            let excess = self.entries.len() - capacity;
-            self.entries.drain(..excess);
-        }
+        self.trim();
     }
 }
 
@@ -129,6 +135,24 @@ mod tests {
         assert_eq!(entries[0].ordinal, 3);
         assert_eq!(entries[1].ordinal, 4);
         assert_eq!(log.push("next".into(), vec![]), 5);
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_capacity_entries_oldest_first() {
+        let capacity = 8;
+        let mut log = QueryLog::new();
+        log.set_capacity(capacity);
+        for i in 0..10 * capacity {
+            log.push(format!("q{i}"), vec![i as TermId]);
+            assert!(log.len() <= capacity);
+        }
+        let entries = log.snapshot();
+        assert_eq!(entries.len(), capacity);
+        for (entry, i) in entries.iter().zip(9 * capacity..) {
+            assert_eq!(entry.ordinal, i as u64);
+            assert_eq!(entry.text, format!("q{i}"));
+            assert_eq!(entry.tokens, vec![i as TermId]);
+        }
     }
 
     #[test]

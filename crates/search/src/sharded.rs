@@ -29,10 +29,11 @@
 //! `toppriv_adversary::merge_shard_logs` can reconstruct the global
 //! trace for after-the-fact analysis.
 
+use crate::engine::{accumulate_term, with_accumulator, Accumulator};
 use crate::log::{LoggedQuery, QueryLog};
 use crate::query::Query;
 use crate::score::ScoringModel;
-use crate::topk::{SearchHit, TopK};
+use crate::topk::SearchHit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -153,24 +154,27 @@ impl ShardedEngine {
     /// would produce over the unsharded index.
     pub fn evaluate(&self, query: &Query, k: usize) -> Vec<SearchHit> {
         let shards = self.index.shard_set(query.terms().map(|(t, _)| t));
-        let mut accumulators: HashMap<u32, f64> = HashMap::new();
-        for &s in &shards {
+        with_accumulator(self.index.num_docs(), |acc| {
+            for &s in &shards {
+                let t0 = Instant::now();
+                self.accumulate_shard(s, query, acc);
+                self.shard_eval_us[s].record(t0.elapsed().as_micros() as u64);
+            }
             let t0 = Instant::now();
-            self.accumulate_shard(s, query, &mut accumulators);
-            self.shard_eval_us[s].record(t0.elapsed().as_micros() as u64);
-        }
-        let t0 = Instant::now();
-        let hits = self.rank(accumulators, k);
-        self.gather_us.record(t0.elapsed().as_micros() as u64);
-        hits
+            let hits = acc.rank(self.model, &self.doc_norms, k);
+            self.gather_us.record(t0.elapsed().as_micros() as u64);
+            hits
+        })
     }
 
     /// Scatter step: the partial (unnormalized) score contributions of
     /// shard `shard_id`'s terms, as its worker pool would compute them.
     pub fn shard_partials(&self, shard_id: usize, query: &Query) -> HashMap<u32, f64> {
         let t0 = Instant::now();
-        let mut partials = HashMap::new();
-        self.accumulate_shard(shard_id, query, &mut partials);
+        let partials = with_accumulator(self.index.num_docs(), |acc| {
+            self.accumulate_shard(shard_id, query, acc);
+            acc.iter().collect()
+        });
         self.shard_eval_us[shard_id].record(t0.elapsed().as_micros() as u64);
         partials
     }
@@ -184,51 +188,32 @@ impl ShardedEngine {
         k: usize,
     ) -> Vec<SearchHit> {
         let t0 = Instant::now();
-        let mut accumulators: HashMap<u32, f64> = HashMap::new();
-        for partial in partials {
-            for (doc_id, score) in partial {
-                *accumulators.entry(doc_id).or_insert(0.0) += score;
+        let hits = with_accumulator(self.index.num_docs(), |acc| {
+            for partial in partials {
+                for (doc_id, score) in partial {
+                    acc.add(doc_id, score);
+                }
             }
-        }
-        let hits = self.rank(accumulators, k);
+            acc.rank(self.model, &self.doc_norms, k)
+        });
         self.gather_us.record(t0.elapsed().as_micros() as u64);
         hits
     }
 
     /// Accumulates shard `shard_id`'s contribution for `query` into
-    /// `accumulators`, iterating the shard's terms in ascending term
-    /// order through the same [`crate::engine::accumulate_term`] inner
-    /// loop the single engine uses (one copy of the scoring code = the
+    /// `acc`, iterating the shard's terms in ascending term order
+    /// through the same [`crate::engine::accumulate_term`] inner loop the
+    /// single engine uses (one copy of the scoring code = the
     /// shard-equivalence contract cannot silently drift).
-    fn accumulate_shard(
-        &self,
-        shard_id: usize,
-        query: &Query,
-        accumulators: &mut HashMap<u32, f64>,
-    ) {
+    fn accumulate_shard(&self, shard_id: usize, query: &Query, acc: &mut Accumulator) {
         let shard = self.index.shard(shard_id);
         let avg_len = self.index.avg_doc_len();
         for (term, qtf) in query.terms() {
             if self.index.router().shard_of(term) != shard_id {
                 continue;
             }
-            crate::engine::accumulate_term(shard, self.model, avg_len, term, qtf, accumulators);
+            accumulate_term(shard, self.model, avg_len, term, qtf, acc);
         }
-    }
-
-    /// Normalizes and top-k ranks a merged accumulator map.
-    fn rank(&self, accumulators: HashMap<u32, f64>, k: usize) -> Vec<SearchHit> {
-        let mut topk = TopK::new(k);
-        for (doc_id, mut score) in accumulators {
-            if self.model.needs_cosine_norm() {
-                let norm = self.doc_norms[doc_id as usize];
-                if norm > 0.0 {
-                    score /= norm;
-                }
-            }
-            topk.push(SearchHit { doc_id, score });
-        }
-        topk.into_sorted()
     }
 
     /// Records one submission: a single global ordinal is drawn, then

@@ -80,7 +80,7 @@ pub use scheduler::{
     CycleScheduler, DrainError, DrainPolicy, PlannedQuery, ResilientReport, ShardFailure,
     SubmissionTag, SubmitOutcome,
 };
-pub use server::{handle, serve_lines, serve_tcp};
+pub use server::{handle, serve_lines, serve_listener, serve_tcp};
 pub use session::{
     FormulatedCycle, RolledBackCycle, SearchOutcome, ServiceError, SessionConfig, SessionManager,
 };
