@@ -4,6 +4,15 @@
 //! doc-id sorted, stored as delta + varint encoded bytes. This matches the
 //! `<p_ij, d_j>` pairs of the paper's inverted lists, and the encoded byte
 //! size is what Figure 6 accounts as "inverted index size".
+//!
+//! Decoding is the inner loop of every evaluation, and nearly every pair
+//! is two single-byte varints (a gap under 128 to the previous document,
+//! a term frequency under 129). [`PostingsIter`] reads such a pair
+//! straight off the slice and hands everything else — continuation
+//! bytes, truncation, overflow — to [`crate::varint::decode_u32`], the
+//! one decoder that understands them. The shortcut sits inside `next()`
+//! so every reader gets it; [`PostingsList::from_raw_parts`] still walks
+//! untrusted bytes through that same `next()` before a list exists.
 
 use crate::varint::{decode_u32, encode_u32};
 use serde::{Deserialize, Serialize};
@@ -116,6 +125,13 @@ pub struct PostingsIter<'a> {
     prev: Option<u32>,
 }
 
+impl PostingsIter<'_> {
+    /// The general `(gap, tf − 1)` pair: two full varints.
+    fn decode_pair(&mut self) -> Option<(u32, u32)> {
+        Some((decode_u32(&mut self.cursor)?, decode_u32(&mut self.cursor)?))
+    }
+}
+
 impl Iterator for PostingsIter<'_> {
     type Item = Posting;
 
@@ -123,8 +139,22 @@ impl Iterator for PostingsIter<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let gap = decode_u32(&mut self.cursor)?;
-        let tf = decode_u32(&mut self.cursor)? + 1;
+        let (gap, tf_minus_one) = match *self.cursor {
+            // Both high bits clear: each byte is a whole varint.
+            [gap, tf, ref rest @ ..] if (gap | tf) & 0x80 == 0 => {
+                self.cursor = rest;
+                (u32::from(gap), u32::from(tf))
+            }
+            _ => match self.decode_pair() {
+                Some(pair) => pair,
+                None => {
+                    // Malformed tail: stop promising postings.
+                    self.remaining = 0;
+                    return None;
+                }
+            },
+        };
+        let tf = tf_minus_one + 1;
         let doc_id = match self.prev {
             None => gap,
             Some(prev) => prev + gap + 1,
@@ -250,6 +280,24 @@ mod tests {
             list.to_vec(),
             vec![Posting { doc_id: 2, tf: 5 }, Posting { doc_id: 9, tf: 1 }]
         );
+    }
+
+    #[test]
+    fn truncated_varint_ends_the_iterator() {
+        // Two postings promised; the second pair's gap varint is cut
+        // after its continuation byte. `from_raw_parts` refuses such
+        // bytes, so build the list directly.
+        let list = PostingsList {
+            len: 2,
+            bytes: vec![3, 0, 0x80],
+        };
+        let mut it = list.iter();
+        assert_eq!(it.next(), Some(Posting { doc_id: 3, tf: 1 }));
+        assert_eq!(it.len(), 1);
+        assert_eq!(it.next(), None);
+        assert_eq!(it.len(), 0, "a failed decode must not keep promising");
+        assert_eq!(it.next(), None);
+        assert!(PostingsList::from_raw_parts(2, vec![3, 0, 0x80]).is_none());
     }
 
     #[test]

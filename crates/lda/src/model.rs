@@ -3,12 +3,22 @@
 //! Holds the two conditional-probability families the paper uses
 //! (Section IV-B): `Pr(w|t)` for all words and topics, and `Pr(t|d)` for
 //! all topics and documents, plus the corpus prior `Pr(t)` of Equation (1).
+//!
+//! The model also keeps, per topic, the descending ranking of word ids
+//! that [`LdaModel::top_words`] answers from. A ghost query is drawn from
+//! the best words of its masking topic, so a serving fleet asks for the
+//! same few rankings thousands of times a second; each one is sorted once,
+//! on first use, and shared by everyone holding the `Arc<LdaModel>`. The
+//! rankings are derived state: [`crate::serialize`] never writes them (it
+//! rebuilds a model through [`LdaModel::from_parts`]), and a hot-swapped
+//! model is a new value whose rankings start empty.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tsearch_text::TermId;
 
 /// A trained Latent Dirichlet Allocation model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaModel {
     /// Number of topics K.
     num_topics: usize,
@@ -26,6 +36,10 @@ pub struct LdaModel {
     theta_dk: Vec<f64>,
     /// Corpus prior `Pr(t)` per Equation (1).
     prior: Vec<f64>,
+    /// Per topic, every word id in descending `Pr(w|t)` order — filled on
+    /// the first [`LdaModel::top_words`] of that topic. Ids only: the
+    /// probabilities are read back from `phi_wk`.
+    rankings: Vec<OnceLock<Box<[TermId]>>>,
 }
 
 impl LdaModel {
@@ -60,6 +74,7 @@ impl LdaModel {
             phi_wk,
             theta_dk,
             prior,
+            rankings: vec![OnceLock::new(); num_topics],
         }
     }
 
@@ -127,14 +142,27 @@ impl LdaModel {
     }
 
     /// The `n` highest-probability words of `topic` as `(word, Pr(w|t))`,
-    /// descending.
+    /// descending; words of equal probability keep ascending id order.
     pub fn top_words(&self, topic: usize, n: usize) -> Vec<(TermId, f64)> {
-        let mut pairs: Vec<(TermId, f64)> = (0..self.vocab_size)
-            .map(|w| (w as TermId, self.phi_wk[w * self.num_topics + topic]))
-            .collect();
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite phi"));
-        pairs.truncate(n);
-        pairs
+        self.ranking(topic)
+            .iter()
+            .take(n)
+            .map(|&w| (w, self.phi(topic, w)))
+            .collect()
+    }
+
+    /// Every word id in descending `Pr(w|topic)` order, sorted on the
+    /// first call for that topic. The sort is stable over ascending ids,
+    /// so ties — and with them every ghost query drawn from a pool — do
+    /// not depend on who asked first.
+    fn ranking(&self, topic: usize) -> &[TermId] {
+        self.rankings[topic].get_or_init(|| {
+            let mut pairs: Vec<(TermId, f64)> = (0..self.vocab_size)
+                .map(|w| (w as TermId, self.phi_wk[w * self.num_topics + topic]))
+                .collect();
+            pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite phi"));
+            pairs.into_iter().map(|(w, _)| w).collect()
+        })
     }
 
     /// Size accounting for Figure 6: the serialized footprint of the model
@@ -238,6 +266,100 @@ mod tests {
         assert_eq!(top[1].0, 1);
         let dist = m.topic_word_dist(1);
         assert_eq!(dist, vec![0.1, 0.3, 0.6]);
+    }
+
+    /// `top_words` as it was before the rankings were kept: gather the
+    /// topic's column, stable-sort the whole vocabulary, truncate.
+    fn full_sort_top_words(m: &LdaModel, topic: usize, n: usize) -> Vec<(TermId, f64)> {
+        let mut pairs: Vec<(TermId, f64)> = (0..m.vocab_size())
+            .map(|w| (w as TermId, m.phi(topic, w as TermId)))
+            .collect();
+        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite phi"));
+        pairs.truncate(n);
+        pairs
+    }
+
+    /// 3 topics over 211 words whose `Pr(w|t)` take only a handful of
+    /// distinct values per topic, so every pool boundary falls inside a
+    /// run of ties.
+    fn tied() -> LdaModel {
+        let (k, v) = (3usize, 211usize);
+        let mut phi = vec![0.0f64; v * k];
+        for t in 0..k {
+            let levels = 3 + 2 * t;
+            let raw: Vec<f64> = (0..v)
+                .map(|w| (1 + (w * 7 + t * 13) % levels) as f64)
+                .collect();
+            let sum: f64 = raw.iter().sum();
+            for w in 0..v {
+                phi[w * k + t] = raw[w] / sum;
+            }
+        }
+        LdaModel::from_parts(k, v, 1.0, 0.1, phi, vec![0.2, 0.3, 0.5])
+    }
+
+    fn assert_same(a: &[(TermId, f64)], b: &[(TermId, f64)]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.0, x.1.to_bits()), (y.0, y.1.to_bits()));
+        }
+    }
+
+    #[test]
+    fn top_words_equals_the_full_sort_including_ties() {
+        let m = tied();
+        let v = m.vocab_size();
+        // Twice: the first pass builds each ranking, the second reads it.
+        for _ in 0..2 {
+            for t in 0..m.num_topics() {
+                for n in [0, 1, 40, 160, v, v + 7] {
+                    let got = m.top_words(t, n);
+                    assert_eq!(got.len(), n.min(v));
+                    assert_same(&got, &full_sort_top_words(&m, t, n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_calls_all_get_the_same_ranking() {
+        let m = tied();
+        let expected = full_sort_top_words(&m, 1, 160);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        m.top_words(1, 160)
+                    })
+                })
+                .collect();
+            for racer in racers {
+                assert_same(&racer.join().expect("racer panicked"), &expected);
+            }
+        });
+    }
+
+    #[test]
+    fn built_rankings_survive_clone_and_never_reach_the_codec() {
+        let cold = tied();
+        let warm = tied();
+        for t in 0..warm.num_topics() {
+            warm.top_words(t, 40);
+        }
+        let copy = warm.clone();
+        for t in 0..warm.num_topics() {
+            assert_same(&copy.top_words(t, 160), &full_sort_top_words(&cold, t, 160));
+        }
+        let bytes = crate::serialize::encode(&warm);
+        assert_eq!(bytes, crate::serialize::encode(&cold));
+        // The codec stores single precision, so the reference is the
+        // decoded model's own full sort.
+        let back = crate::serialize::decode(&bytes).expect("decodes");
+        for t in 0..back.num_topics() {
+            assert_same(&back.top_words(t, 160), &full_sort_top_words(&back, t, 160));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! and — being a curious adversary — keeps a log of every query it
 //! processes for after-the-fact analysis.
 //!
-//! Scoring is term-at-a-time into one dense [`Accumulator`]: a score
+//! Scoring is term-at-a-time into one dense `Accumulator`: a score
 //! slot per document id, a seen-marker, and the list of documents
 //! touched. It lives in a thread-local scratch that is sized on first
 //! use and cleared by walking the touched list, so a submission costs
@@ -93,20 +93,20 @@ impl SearchEngine {
     /// is recorded in the server-side log.
     pub fn search(&self, text: &str, k: usize) -> Vec<SearchHit> {
         let query = Query::parse(text, &self.analyzer, &self.vocab);
-        self.log_query(text.to_string(), &query);
+        let tokens = query
+            .terms()
+            .flat_map(|(t, tf)| std::iter::repeat_n(t, tf as usize))
+            .collect();
+        recover_lock(&self.log).push(text.to_string(), tokens);
         self.evaluate(&query, k)
     }
 
-    /// Executes a pre-analyzed token query (logged as its canonical text).
+    /// Executes a pre-analyzed token query. The log keeps the tokens as
+    /// submitted; the entry's canonical text is rendered from them when
+    /// [`SearchEngine::query_log`] is read.
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
-        let query = Query::from_tokens(tokens);
-        let text = tokens
-            .iter()
-            .map(|&t| self.vocab.term(t))
-            .collect::<Vec<_>>()
-            .join(" ");
-        self.log_query(text, &query);
-        self.evaluate(&query, k)
+        recover_lock(&self.log).push_tokens(tokens.iter().copied());
+        self.evaluate(&Query::from_tokens(tokens), k)
     }
 
     /// Scores a query without logging it — used by evaluation code that
@@ -279,19 +279,16 @@ impl SearchEngine {
         topk.into_sorted()
     }
 
-    fn log_query(&self, text: String, query: &Query) {
-        recover_lock(&self.log).push(
-            text,
-            query
-                .terms()
-                .flat_map(|(t, tf)| std::iter::repeat_n(t, tf as usize))
-                .collect(),
-        );
-    }
-
     /// Snapshot of the server-side query log — the adversary's view.
+    /// An entry logged by [`SearchEngine::search_tokens`] was stored in
+    /// submission order, which is the order of its text; its `tokens` are
+    /// the sorted bag the engine evaluated, as every entry's are.
     pub fn query_log(&self) -> Vec<LoggedQuery> {
-        recover_lock(&self.log).snapshot()
+        let mut entries = recover_lock(&self.log).snapshot_with(|t| self.vocab.term(t));
+        for entry in &mut entries {
+            entry.tokens.sort_unstable();
+        }
+        entries
     }
 
     /// Clears the query log (between experiments). Ordinals restart.
@@ -366,7 +363,7 @@ impl Accumulator {
     /// Cosine-normalizes (when the model asks for it) and ranks the best
     /// `k` touched documents — the one rank step of both engines.
     pub(crate) fn rank(&self, model: ScoringModel, doc_norms: &[f64], k: usize) -> Vec<SearchHit> {
-        let mut topk = TopK::new(k);
+        let mut topk = TopK::new(k.min(self.touched.len()));
         for (doc_id, mut score) in self.iter() {
             if model.needs_cosine_norm() {
                 let norm = doc_norms[doc_id as usize];
@@ -634,6 +631,39 @@ mod tests {
         assert_eq!(log[1].tokens.len(), 2);
         engine.clear_query_log();
         assert!(engine.query_log().is_empty());
+    }
+
+    #[test]
+    fn token_submissions_are_logged_as_their_canonical_text() {
+        let engine = toy_engine(ScoringModel::TfIdfCosine);
+        let canonical = |tokens: &[TermId]| {
+            let words: Vec<&str> = tokens.iter().map(|&t| engine.vocab().term(t)).collect();
+            words.join(" ")
+        };
+        let submissions: [&[TermId]; 3] = [&[3, 0, 3, 1], &[], &[2]];
+        for tokens in submissions {
+            engine.search_tokens(tokens, 5);
+        }
+        engine.search("Apache  helicopters!", 5);
+        let log = engine.query_log();
+        assert_eq!(log.len(), 4);
+        for (entry, tokens) in log.iter().zip(submissions) {
+            // Text in submission order, tokens as the sorted bag.
+            assert_eq!(entry.text, canonical(tokens));
+            let mut bag = tokens.to_vec();
+            bag.sort_unstable();
+            assert_eq!(entry.tokens, bag);
+        }
+        assert_eq!(log[0].text, "army apache army helicopter");
+        assert_eq!(log[1].text, "");
+        // Raw text is kept exactly as received; "helicopters" is not a
+        // vocabulary word, so only "apache" reaches the token list.
+        assert_eq!(log[3].text, "Apache  helicopters!");
+        assert_eq!(log[3].tokens, vec![0]);
+        assert_eq!(
+            log.iter().map(|e| e.ordinal).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]

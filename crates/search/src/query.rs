@@ -26,15 +26,16 @@ impl Query {
 
     /// Builds a query from an analyzed token sequence.
     pub fn from_tokens(tokens: &[TermId]) -> Self {
-        let mut sorted = tokens.to_vec();
-        sorted.sort_unstable();
-        let mut terms: Vec<(TermId, u32)> = Vec::new();
-        for &t in &sorted {
-            match terms.last_mut() {
-                Some((last, tf)) if *last == t => *tf += 1,
-                _ => terms.push((t, 1)),
+        let mut terms: Vec<(TermId, u32)> = tokens.iter().map(|&t| (t, 1)).collect();
+        terms.sort_unstable_by_key(|&(t, _)| t);
+        // Fold each run of one term into its first pair.
+        terms.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
             }
-        }
+            same
+        });
         Query {
             terms,
             raw_len: tokens.len(),

@@ -136,29 +136,63 @@ impl ShardedEngine {
     /// Executes a text query, returning the best `k` documents. Each
     /// touched shard records the sub-query routed to it.
     pub fn search(&self, text: &str, k: usize) -> Vec<SearchHit> {
-        let query = Query::parse(text, &self.analyzer, &self.vocab);
-        self.log_query(&query);
-        self.evaluate(&query, k)
+        self.submit(&Query::parse(text, &self.analyzer, &self.vocab), k)
     }
 
-    /// Executes a pre-analyzed token query (each shard logs its slice as
-    /// the canonical text of the terms it owns).
+    /// Executes a pre-analyzed token query (each shard logs the slice of
+    /// terms it owns; the slice's canonical text is rendered when the
+    /// shard's log is read).
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
-        let query = Query::from_tokens(tokens);
-        self.log_query(&query);
-        self.evaluate(&query, k)
+        self.submit(&Query::from_tokens(tokens), k)
+    }
+
+    /// One submission: routed once, and the same shard slices go to the
+    /// shard logs — under a single global ordinal — and to the scatter.
+    fn submit(&self, query: &Query, k: usize) -> Vec<SearchHit> {
+        let routed = self.route(query);
+        let ordinal = self.next_ordinal.fetch_add(1, Ordering::Relaxed);
+        for slice in shard_slices(&routed) {
+            recover_lock(&self.logs[slice[0].shard]).push_tokens_at(
+                ordinal,
+                slice
+                    .iter()
+                    .flat_map(|r| std::iter::repeat_n(r.term, r.qtf as usize)),
+            );
+        }
+        self.evaluate_routed(&routed, k)
     }
 
     /// Scores a query without logging it, returning exactly the ranked
     /// list [`SearchEngine::evaluate`](crate::SearchEngine::evaluate)
     /// would produce over the unsharded index.
     pub fn evaluate(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        let shards = self.index.shard_set(query.terms().map(|(t, _)| t));
+        self.evaluate_routed(&self.route(query), k)
+    }
+
+    /// The query's terms with their owning shards, ordered by shard and,
+    /// within a shard, by term — the order the scatter visits them in.
+    fn route(&self, query: &Query) -> Vec<RoutedTerm> {
+        let router = self.index.router();
+        let mut routed: Vec<RoutedTerm> = query
+            .terms()
+            .map(|(term, qtf)| RoutedTerm {
+                shard: router.shard_of(term),
+                term,
+                qtf,
+            })
+            .collect();
+        // Stable: `terms()` is term-ascending and stays so within a shard.
+        routed.sort_by_key(|r| r.shard);
+        routed
+    }
+
+    fn evaluate_routed(&self, routed: &[RoutedTerm], k: usize) -> Vec<SearchHit> {
         with_accumulator(self.index.num_docs(), |acc| {
-            for &s in &shards {
+            for slice in shard_slices(routed) {
+                let shard_id = slice[0].shard;
                 let t0 = Instant::now();
-                self.accumulate_shard(s, query, acc);
-                self.shard_eval_us[s].record(t0.elapsed().as_micros() as u64);
+                self.accumulate_shard(shard_id, slice.iter().map(|r| (r.term, r.qtf)), acc);
+                self.shard_eval_us[shard_id].record(t0.elapsed().as_micros() as u64);
             }
             let t0 = Instant::now();
             let hits = acc.rank(self.model, &self.doc_norms, k);
@@ -171,8 +205,12 @@ impl ShardedEngine {
     /// shard `shard_id`'s terms, as its worker pool would compute them.
     pub fn shard_partials(&self, shard_id: usize, query: &Query) -> HashMap<u32, f64> {
         let t0 = Instant::now();
+        let router = self.index.router();
+        let owned = query
+            .terms()
+            .filter(|&(term, _)| router.shard_of(term) == shard_id);
         let partials = with_accumulator(self.index.num_docs(), |acc| {
-            self.accumulate_shard(shard_id, query, acc);
+            self.accumulate_shard(shard_id, owned, acc);
             acc.iter().collect()
         });
         self.shard_eval_us[shard_id].record(t0.elapsed().as_micros() as u64);
@@ -200,45 +238,28 @@ impl ShardedEngine {
         hits
     }
 
-    /// Accumulates shard `shard_id`'s contribution for `query` into
-    /// `acc`, iterating the shard's terms in ascending term order
-    /// through the same [`crate::engine::accumulate_term`] inner loop the
-    /// single engine uses (one copy of the scoring code = the
-    /// shard-equivalence contract cannot silently drift).
-    fn accumulate_shard(&self, shard_id: usize, query: &Query, acc: &mut Accumulator) {
+    /// Accumulates the contribution of `terms` — terms shard `shard_id`
+    /// owns, in ascending order — into `acc` through the same
+    /// [`crate::engine::accumulate_term`] inner loop the single engine
+    /// uses (one copy of the scoring code = the shard-equivalence
+    /// contract cannot silently drift).
+    fn accumulate_shard(
+        &self,
+        shard_id: usize,
+        terms: impl Iterator<Item = (TermId, u32)>,
+        acc: &mut Accumulator,
+    ) {
         let shard = self.index.shard(shard_id);
         let avg_len = self.index.avg_doc_len();
-        for (term, qtf) in query.terms() {
-            if self.index.router().shard_of(term) != shard_id {
-                continue;
-            }
+        for (term, qtf) in terms {
             accumulate_term(shard, self.model, avg_len, term, qtf, acc);
         }
     }
 
-    /// Records one submission: a single global ordinal is drawn, then
-    /// every touched shard logs the sub-query it owns under that ordinal.
-    fn log_query(&self, query: &Query) {
-        let ordinal = self.next_ordinal.fetch_add(1, Ordering::Relaxed);
-        let shards = self.index.shard_set(query.terms().map(|(t, _)| t));
-        for s in shards {
-            let tokens: Vec<TermId> = query
-                .terms()
-                .filter(|&(t, _)| self.index.router().shard_of(t) == s)
-                .flat_map(|(t, tf)| std::iter::repeat_n(t, tf as usize))
-                .collect();
-            let text = tokens
-                .iter()
-                .map(|&t| self.vocab.term(t))
-                .collect::<Vec<_>>()
-                .join(" ");
-            recover_lock(&self.logs[s]).push_at(ordinal, text, tokens);
-        }
-    }
-
-    /// Snapshot of one shard's query log.
+    /// Snapshot of one shard's query log (each entry's text rendered
+    /// from its token slice).
     pub fn query_log(&self, shard_id: usize) -> Vec<LoggedQuery> {
-        recover_lock(&self.logs[shard_id]).snapshot()
+        recover_lock(&self.logs[shard_id]).snapshot_with(|t| self.vocab.term(t))
     }
 
     /// Snapshots of every shard's log, in shard-id order — the input to
@@ -287,6 +308,21 @@ impl ShardedEngine {
     pub fn model(&self) -> ScoringModel {
         self.model
     }
+}
+
+/// One term of a routed query.
+#[derive(Debug, Clone, Copy)]
+struct RoutedTerm {
+    /// The shard owning the term's postings.
+    shard: usize,
+    term: TermId,
+    /// Query-side term frequency.
+    qtf: u32,
+}
+
+/// The per-shard slices of a routed query, in ascending shard order.
+fn shard_slices(routed: &[RoutedTerm]) -> impl Iterator<Item = &[RoutedTerm]> {
+    routed.chunk_by(|a, b| a.shard == b.shard)
 }
 
 /// Global cosine norms over a sharded index: shards partition the term
@@ -415,6 +451,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shard_entries_carry_the_canonical_text_of_their_slice() {
+        let (_, sharded) = engines(ScoringModel::TfIdfCosine, 4);
+        sharded.search_tokens(&[5, 0, 5, 9, 2], 5);
+        sharded.search_tokens(&[], 5);
+        sharded.search("Apache  helicopters!", 5);
+        let logs = sharded.shard_logs();
+        let mut slices = 0;
+        for entries in &logs {
+            for e in entries {
+                let words: Vec<&str> = e.tokens.iter().map(|&t| sharded.vocab().term(t)).collect();
+                assert_eq!(e.text, words.join(" "));
+                assert!(e.tokens.windows(2).all(|w| w[0] <= w[1]));
+                assert!(!e.tokens.is_empty(), "an untouched shard logs nothing");
+                slices += 1;
+            }
+        }
+        assert!(slices >= 2);
+        // A shard never sees raw text: the third submission is logged as
+        // the one vocabulary term it analyzed to, under ordinal 2 (the
+        // empty second submission drew ordinal 1 and touched no shard).
+        let last: Vec<&LoggedQuery> = logs.iter().flatten().filter(|e| e.ordinal == 2).collect();
+        assert_eq!(last.len(), 1);
+        assert_eq!(last[0].text, "apache");
+        assert!(logs.iter().flatten().all(|e| e.ordinal != 1));
+        let mut first: Vec<TermId> = logs
+            .iter()
+            .flatten()
+            .filter(|e| e.ordinal == 0)
+            .flat_map(|e| e.tokens.iter().copied())
+            .collect();
+        first.sort_unstable();
+        assert_eq!(first, vec![0, 2, 5, 5, 9]);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Bounded top-k selection for scored documents.
+//!
+//! `k` is whatever the client asked for — on the wire, any `u64` — so it
+//! bounds how many hits are *kept*, never how much memory is reserved up
+//! front: a collector starts with room for at most `EAGER_RESERVE` hits
+//! and grows only as hits actually arrive.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -33,6 +38,9 @@ impl PartialOrd for SearchHit {
     }
 }
 
+/// The most heap slots [`TopK::new`] reserves before any hit is offered.
+const EAGER_RESERVE: usize = 1024;
+
 /// Collects the k best hits seen, in O(log k) per insertion.
 #[derive(Debug)]
 pub struct TopK {
@@ -42,11 +50,12 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates a collector for the best `k` hits.
+    /// Creates a collector for the best `k` hits. Any `k` is accepted;
+    /// one beyond the number of hits offered simply keeps them all.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.saturating_add(1).min(EAGER_RESERVE)),
         }
     }
 
@@ -117,6 +126,20 @@ mod tests {
         });
         assert!(topk.is_empty());
         assert!(topk.into_sorted().is_empty());
+    }
+
+    #[test]
+    fn any_k_is_accepted_without_reserving_for_it() {
+        let mut topk = TopK::new(usize::MAX);
+        for doc_id in 0..3 * EAGER_RESERVE as u32 {
+            topk.push(SearchHit {
+                doc_id,
+                score: f64::from(doc_id % 7),
+            });
+        }
+        let hits = topk.into_sorted();
+        assert_eq!(hits.len(), 3 * EAGER_RESERVE, "a huge k keeps every hit");
+        assert!(hits.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub const CONNECTION_REQUEST_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Serves NDJSON requests from `reader`, writing one JSON response per
 /// line to `writer`. Returns when the reader is exhausted, or after
-/// answering a line longer than [`MAX_REQUEST_LINE`] with a typed error
+/// answering a line longer than `MAX_REQUEST_LINE` with a typed error
 /// (the rest of that stream cannot be framed, so the caller closes it).
 ///
 /// Each response and its newline reach `writer` in one `write_all`,

@@ -176,6 +176,49 @@ fn back_to_back_searches_do_not_wait_for_a_delayed_ack() {
 }
 
 #[test]
+fn a_k_beyond_the_corpus_returns_every_match_and_the_server_lives() {
+    const NUM_DOCS: usize = 200;
+    let (manager, queries) = stack();
+    let addr = serve(manager);
+    let mut stream = connect(addr);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(open("big").as_bytes()).expect("send");
+    assert!(matches!(
+        read_response(&mut reader),
+        Some(Response::Opened { .. })
+    ));
+    let mut ask = |k: usize| -> Vec<(u32, u64)> {
+        let request = line(Op::Search {
+            session: "big".into(),
+            query: queries[0].clone(),
+            k: Some(k),
+        });
+        stream.write_all(request.as_bytes()).expect("send");
+        match read_response(&mut reader) {
+            Some(Response::Results { hits, .. }) => {
+                hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+            }
+            other => panic!("k = {k}: expected Results, got {other:?}"),
+        }
+    };
+    let every_match = ask(NUM_DOCS);
+    assert!(!every_match.is_empty() && every_match.len() <= NUM_DOCS);
+    // `k` comes off the wire; it must bound what is kept, not what is
+    // reserved (10^12 hits would be 16 TB, and `u64::MAX + 1` overflows).
+    assert_eq!(ask(1_000_000_000_000), every_match);
+    assert_eq!(ask(usize::MAX), every_match);
+
+    // The process — here, the accept loop — is still there for others.
+    let mut second = connect(addr);
+    second.write_all(open("after").as_bytes()).expect("send");
+    let mut reader = BufReader::new(second);
+    assert!(matches!(
+        read_response(&mut reader),
+        Some(Response::Opened { .. })
+    ));
+}
+
+#[test]
 fn requests_sent_in_one_segment_are_answered_in_order() {
     let (manager, _) = stack();
     let addr = serve(manager);
