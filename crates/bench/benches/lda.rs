@@ -47,15 +47,22 @@ fn bench_inference(c: &mut Criterion) {
                 ..LdaConfig::with_topics(k)
             },
         );
-        let query: Vec<u32> = corpus.docs[0].tokens[..12.min(corpus.docs[0].tokens.len())].to_vec();
-        group.bench_with_input(BenchmarkId::from_parameter(k), &model, |b, m| {
-            let inf = Inferencer::new(m);
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(inf.infer_with_seed(&query, seed))
-            })
-        });
+        // Bag length matters as much as K: a cycle member is 4–24 tokens
+        // (the genuine query, ghosts at 1–2× its length), and the number
+        // of topics a bag occupies is bounded by its length.
+        let lens: &[usize] = if k == 40 { &[4, 12, 24] } else { &[12] };
+        for &len in lens {
+            let query: Vec<u32> = corpus.docs[0].tokens.iter().copied().take(len).collect();
+            let id = BenchmarkId::new(format!("k{k}"), format!("len{}", query.len()));
+            group.bench_with_input(id, &model, |b, m| {
+                let inf = Inferencer::new(m);
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    black_box(inf.infer_with_seed(&query, seed))
+                })
+            });
+        }
     }
     group.finish();
 }

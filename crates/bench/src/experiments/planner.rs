@@ -13,9 +13,12 @@
 //! against ~υ× off, with the audit plane green throughout.
 //!
 //! The privacy half replays the colluding-shards naive-Bayes attack on
-//! the merged shard logs of the 64-session planner-on run: sharing
-//! decoys across tenants must leave every single session inside the
-//! paper's `(ε1, ε2)` bounds.
+//! the merged shard logs of a second 64-session planner-on fleet that
+//! asks several hundred distinct queries: sharing decoys across tenants
+//! must leave every single session inside the paper's `(ε1, ε2)` bounds.
+//! (Generation is content-seeded, so the cost fleet's ten-odd distinct
+//! queries are ten-odd trials however many tenants repeat them — too few
+//! to hold an identification *rate* to `chance + ε1`.)
 //!
 //! Output: `BENCH_planner.json` (via `$TOPPRIV_BENCH_DIR`) plus one
 //! result table.
@@ -30,11 +33,22 @@ use toppriv_adversary::{merge_shard_logs, run_classifier_attack, NaiveBayes};
 use toppriv_core::{CycleResult, PrivacyRequirement};
 use toppriv_obs::InvariantBlock;
 use toppriv_service::{AuditConfig, CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
+use tsearch_corpus::{generate_workload, BenchmarkQuery, WorkloadConfig};
 
 /// Fleet sizes swept (sessions sharing one tier).
 pub const SESSIONS: [usize; 3] = [8, 64, 256];
-/// Cycles each tenant plans.
+/// Cycles each tenant of a cost fleet plans.
 const CYCLES_PER_TENANT: usize = 2;
+/// Sessions of the privacy fleet (the size the cost target is set at).
+const PRIVACY_SESSIONS: usize = 64;
+/// Cycles each tenant of the privacy fleet plans, and how far apart two
+/// consecutive ones sit in the query pool: tenant `s` asks query
+/// `s + 16·c`, so every query is asked by up to four tenants (sharing
+/// still happens) and the fleet covers 64 + 16·31 = 560 of them —
+/// a standard error of ≈ 0.02 on the identification rate against the
+/// ε1 = 0.05 it is held to.
+const PRIVACY_CYCLES: usize = 32;
+const PRIVACY_STRIDE: usize = 16;
 /// Acceptance bar for the 64-session planner-on fleet cost ratio.
 const TARGET_RATIO: f64 = 3.0;
 
@@ -54,12 +68,20 @@ struct RunStats {
     audit_healthy: bool,
 }
 
-/// Ground truth kept from the 64-session planner-on run for the
-/// adversary evaluation.
+/// What a planner-on fleet leaves behind: its manager (metrics, shard
+/// logs) and every planned cycle with its ground-truth topic.
 struct Artifacts {
     manager: Arc<SessionManager>,
     cycles: Vec<CycleResult>,
     truths: Vec<usize>,
+}
+
+/// What a fleet's tenants ask: in cycle `c`, tenant `s` plans
+/// `queries[(s + c * stride) % queries.len()]`.
+struct Workload<'a> {
+    queries: &'a [BenchmarkQuery],
+    cycles_per_tenant: usize,
+    stride: usize,
 }
 
 /// Runs one fleet: plan everything (through the planner when on), one
@@ -68,8 +90,8 @@ fn run_fleet(
     ctx: &ExperimentContext,
     sessions: usize,
     planner_on: bool,
-    keep: bool,
-) -> (RunStats, Option<Artifacts>) {
+    workload: &Workload,
+) -> (RunStats, Artifacts) {
     let manager = Arc::new(
         SessionManager::with_tier(sharded_tier(ctx, SHARDS), ctx.default_model().clone())
             .with_cache(4096)
@@ -81,21 +103,17 @@ fn run_fleet(
             .open_session(&format!("plan-{s}"))
             .expect("fresh id");
     }
-    // A shared query pool about a quarter the fleet size: several
-    // tenants researching the same things concurrently — the overlap a
-    // cross-session planner exists to exploit.
-    let queries = ctx.sweep_queries();
-    let pool = (sessions / 4).clamp(2, queries.len());
+    let queries = workload.queries;
     let planner = planner_on.then(|| GhostPlanner::new(manager.clone()));
     let eps2 = PrivacyRequirement::paper_default().eps2;
     let mut worst_violation = f64::NEG_INFINITY;
     let mut cycles = Vec::new();
     let mut truths = Vec::new();
     let mut plans: Vec<Vec<PlannedQuery>> = Vec::new();
-    for c in 0..CYCLES_PER_TENANT {
+    for c in 0..workload.cycles_per_tenant {
         for s in 0..sessions {
             let id = format!("plan-{s}");
-            let q = &queries[(s + c * 3) % pool];
+            let q = &queries[(s + c * workload.stride) % queries.len()];
             let report = match &planner {
                 Some(p) => p.plan_cycle(&id, &q.tokens, TOP_K).expect("open"),
                 None => {
@@ -107,10 +125,8 @@ fn run_fleet(
                 }
             };
             worst_violation = worst_violation.max(masking_violation(&report.metrics, eps2));
-            if keep {
-                cycles.push(report);
-                truths.push(q.target_topics[0]);
-            }
+            cycles.push(report);
+            truths.push(q.target_topics[0]);
         }
     }
     let queue = match &planner {
@@ -145,11 +161,11 @@ fn run_fleet(
             .auditor()
             .is_some_and(|a| a.health().healthy && a.cycles_audited() > 0),
     };
-    let artifacts = keep.then(|| Artifacts {
+    let artifacts = Artifacts {
         manager,
         cycles,
         truths,
-    });
+    };
     (stats, artifacts)
 }
 
@@ -157,13 +173,21 @@ fn run_fleet(
 pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     obsbench::reset_engine_stages();
     let mut runs: Vec<RunStats> = Vec::new();
-    let mut artifacts: Option<Artifacts> = None;
+    let mut manager64: Option<Arc<SessionManager>> = None;
     for &sessions in &SESSIONS {
-        let (off, _) = run_fleet(ctx, sessions, false, false);
-        let keep = sessions == 64;
-        let (on, art) = run_fleet(ctx, sessions, true, keep);
-        if keep {
-            artifacts = art;
+        // A shared query pool about a quarter the fleet size: several
+        // tenants researching the same things concurrently — the overlap a
+        // cross-session planner exists to exploit.
+        let queries = ctx.sweep_queries();
+        let cost = Workload {
+            queries: &queries[..(sessions / 4).clamp(2, queries.len())],
+            cycles_per_tenant: CYCLES_PER_TENANT,
+            stride: 3,
+        };
+        let (off, _) = run_fleet(ctx, sessions, false, &cost);
+        let (on, art) = run_fleet(ctx, sessions, true, &cost);
+        if sessions == 64 {
+            manager64 = Some(art.manager);
         }
         runs.push(off);
         runs.push(on);
@@ -245,8 +269,31 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             .all(|r| r.audit_healthy),
     );
 
-    // --- Adversary: colluding shards attack the 64-on merged logs. -----
-    let art = artifacts.expect("64-session planner-on artifacts kept");
+    // --- Adversary: colluding shards attack a planner-on fleet's merged
+    // logs. Generation is content-seeded, so a fleet's cycles are as many
+    // independent trials as it asks distinct queries, however many
+    // tenants repeat them; the privacy fleet asks several hundred (a
+    // fresh workload over the same corpus) so that the identification
+    // rate is held to chance + ε1 and not to which ten cycles the
+    // sampler drew.
+    let wide = generate_workload(
+        &ctx.corpus,
+        &WorkloadConfig {
+            num_queries: PRIVACY_SESSIONS + PRIVACY_STRIDE * (PRIVACY_CYCLES - 1),
+            seed: ctx.scale.workload.seed ^ FLEET_SEED,
+            ..ctx.scale.workload.clone()
+        },
+    );
+    let (privacy, art) = run_fleet(
+        ctx,
+        PRIVACY_SESSIONS,
+        true,
+        &Workload {
+            queries: &wide,
+            cycles_per_tenant: PRIVACY_CYCLES,
+            stride: PRIVACY_STRIDE,
+        },
+    );
     let tier = art.manager.tier();
     let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
     let merged = merge_shard_logs(&shard_logs);
@@ -275,24 +322,32 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     inv.check(
         "per_session_privacy_holds_on_merged_logs",
         format!(
-            "{} merged submissions, {} cycles: genuine id {:.3} (chance {:.3} + ε1 {eps1}), \
+            "{} sessions x {PRIVACY_CYCLES} cycles over {} generated queries ({} coalesced, \
+             {} reused), {} merged submissions: genuine id {:.3} (chance {:.3} + ε1 {eps1}), \
              cycle recovery {:.3} vs unprotected {:.3}",
+            privacy.sessions,
+            wide.len(),
+            privacy.coalesced,
+            privacy.reused,
             merged.len(),
-            report.cycles,
             report.genuine_identification,
             report.genuine_chance,
             report.cycle_recovery,
             report.unprotected_recovery
         ),
         !merged.is_empty()
+            && privacy.coalesced > 0
+            && privacy.worst_violation <= 1e-9
+            && privacy.audit_healthy
             && report.genuine_identification <= report.genuine_chance + eps1
             && report.cycle_recovery < report.unprotected_recovery,
     );
 
     // --- Emit the bench trail from the 64-on fleet. --------------------
+    let manager64 = manager64.expect("64-session planner-on fleet ran");
     let mut snap = obsbench::service_bench_snapshot(
         "planner",
-        art.manager.metrics_registry().registry(),
+        manager64.metrics_registry().registry(),
         on64.qps,
         format!(
             "{:?} sessions x {CYCLES_PER_TENANT} cycles, {SHARDS} shards, {WORKERS} workers, \
@@ -306,7 +361,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     for c in snap.invariants.checks.iter().filter(|c| !c.pass) {
         eprintln!("  planner invariant FAILED {}: {}", c.name, c.detail);
     }
-    art.manager.tier().clear_query_logs();
+    manager64.tier().clear_query_logs();
 
     let mut table = ResultTable::new(
         "ext9_cross_session_planner",

@@ -73,18 +73,19 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
                 match policy {
                     "unprotected" => tracker.record_plain(&belief, &q.tokens),
                     "per_cycle" => {
-                        let r = generator.generate(&q.tokens);
+                        let (r, posteriors) = generator.generate_with_posteriors(&q.tokens);
                         if intention.is_empty() {
                             intention = r.intention.clone();
                         }
-                        tracker.record_cycle(&belief, &r);
+                        tracker.record_cycle_posteriors(&r, &posteriors);
                     }
                     _ => {
-                        let r = generator.generate_with_history(&q.tokens, tracker.posteriors());
+                        let (r, posteriors) =
+                            generator.generate_with_history(&q.tokens, tracker.posteriors());
                         if intention.is_empty() {
                             intention = r.intention.clone();
                         }
-                        tracker.record_cycle(&belief, &r);
+                        tracker.record_cycle_posteriors(&r, &posteriors);
                     }
                 }
             }

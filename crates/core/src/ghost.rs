@@ -11,6 +11,15 @@
 //! 4. stops when every `t ∈ U` has `B(t|C) ≤ ε2`, or when masking topics
 //!    are exhausted;
 //! 5. shuffles the cycle before submission.
+//!
+//! **One member, one inference.** Every bag is sorted *before* it is
+//! inferred — fold-in inference is seeded from and swept in token order,
+//! and the sorted bag is what the cycle stores and the engine sees — so
+//! the certificate is about exactly what is submitted. Each accepted
+//! member's posterior stays beside the member through the shuffle and is
+//! handed back by [`GhostGenerator::generate_with_posteriors`]; callers
+//! that account the cycle (the service's sessions) never infer a member
+//! a second time.
 
 use crate::belief::BeliefEngine;
 use crate::metrics::{exposure, PrivacyMetrics};
@@ -18,7 +27,6 @@ use crate::privacy::PrivacyRequirement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::time::Instant;
 use tsearch_text::TermId;
 
@@ -197,6 +205,14 @@ impl GhostGenerator {
 
     /// Runs the algorithm of Section IV-C on `user_tokens`.
     pub fn generate(&self, user_tokens: &[TermId]) -> CycleResult {
+        self.generate_with_posteriors(user_tokens).0
+    }
+
+    /// [`GhostGenerator::generate`] that also hands back every member's
+    /// posterior `Pr(t|q)`, aligned with the shuffled `cycle` — the very
+    /// vectors `cycle_boosts` and `satisfied` were computed from, and
+    /// bit-equal to `belief.posterior(&q.tokens)` of each member.
+    pub fn generate_with_posteriors(&self, user_tokens: &[TermId]) -> (CycleResult, Vec<Vec<f64>>) {
         self.run(user_tokens, None)
     }
 
@@ -206,17 +222,25 @@ impl GhostGenerator {
     /// effectiveness check still applies, and masking topics may repeat
     /// once `T\U` is exhausted).
     pub fn generate_with_target(&self, user_tokens: &[TermId], target: usize) -> CycleResult {
-        self.run(user_tokens, Some(target.max(1)))
+        self.run(user_tokens, Some(target.max(1))).0
     }
 
-    fn run(&self, user_tokens: &[TermId], target_cycle_len: Option<usize>) -> CycleResult {
+    /// The algorithm itself: the cycle, and each member's posterior
+    /// aligned with it.
+    pub(crate) fn run(
+        &self,
+        user_tokens: &[TermId],
+        target_cycle_len: Option<usize>,
+    ) -> (CycleResult, Vec<Vec<f64>>) {
         let start = Instant::now();
         let num_topics = self.belief.num_topics();
+        let prior = self.belief.prior();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ token_hash(user_tokens));
 
         // Step 1: intention.
-        let user_posterior = self.belief.posterior(user_tokens);
-        let solo_boosts = BeliefEngine::boost_from_posterior(&user_posterior, self.belief.prior());
+        let genuine = sorted(user_tokens.to_vec());
+        let user_posterior = self.belief.posterior(&genuine);
+        let solo_boosts = BeliefEngine::boost_from_posterior(&user_posterior, prior);
         let intention = self.requirement.user_intention(&solo_boosts);
         // SpecificityMatched: ghosts should be as rare/common as the
         // genuine query's own words.
@@ -228,22 +252,34 @@ impl GhostGenerator {
             Some(sum / user_tokens.len() as f64)
         });
 
-        // Step 2: initialization.
-        let mut posteriors: Vec<Vec<f64>> = vec![user_posterior];
-        let mut cycle: Vec<CycleQuery> = vec![CycleQuery {
-            tokens: sorted(user_tokens),
-            is_genuine: true,
-            masking_topic: None,
-        }];
+        // Step 2: initialization. `posterior_sum` is Equation (2)'s
+        // numerator over the accepted members, summed in generation order
+        // and divided once per evaluation — the float operations of
+        // `BeliefEngine::cycle_boost` over the same posteriors.
+        let mut posterior_sum = vec![0.0f64; num_topics];
+        add_into(&mut posterior_sum, &user_posterior);
+        let mut cycle: Vec<(CycleQuery, Vec<f64>)> = vec![(
+            CycleQuery {
+                tokens: genuine,
+                is_genuine: true,
+                masking_topic: None,
+            },
+            user_posterior,
+        )];
         let mut masking: Vec<usize> = Vec::new(); // Tm
         let mut ineffective: Vec<usize> = Vec::new(); // X
-        let in_intention: HashSet<usize> = intention.iter().copied().collect();
+        let mut eligible = vec![true; num_topics]; // T \ U \ Tm \ X
+        for &t in &intention {
+            eligible[t] = false;
+        }
 
         // Step 3: the repeat loop.
         let cap = target_cycle_len
             .map(|t| t.min(self.config.max_cycle_len))
             .unwrap_or(self.config.max_cycle_len);
-        let mut cycle_boosts = self.belief.cycle_boost(&posteriors);
+        let mut cycle_boosts = solo_boosts.clone();
+        let mut cycle_exposure = exposure(&cycle_boosts, &intention);
+        let mut candidates: Vec<usize> = Vec::with_capacity(num_topics);
         let mut attempts = 0usize;
         let max_attempts = (cap * 8).max(num_topics * 2);
         loop {
@@ -260,12 +296,8 @@ impl GhostGenerator {
             if done || cycle.len() >= cap {
                 break;
             }
-            // Candidate masking topics: T \ U \ Tm \ X.
-            let mut candidates: Vec<usize> = (0..num_topics)
-                .filter(|t| {
-                    !in_intention.contains(t) && !masking.contains(t) && !ineffective.contains(t)
-                })
-                .collect();
+            candidates.clear();
+            candidates.extend((0..num_topics).filter(|&t| eligible[t]));
             let mut reuse_phase = false;
             if candidates.is_empty() {
                 if target_cycle_len.is_some() {
@@ -274,9 +306,7 @@ impl GhostGenerator {
                     // filtering on effectiveness — the word budget must be
                     // spent even when exposure cannot drop further.
                     reuse_phase = true;
-                    candidates = (0..num_topics)
-                        .filter(|t| !in_intention.contains(t))
-                        .collect();
+                    candidates.extend((0..num_topics).filter(|t| !intention.contains(t)));
                     if candidates.is_empty() {
                         break;
                     }
@@ -287,36 +317,46 @@ impl GhostGenerator {
             // Step 3(b): random masking topic, coherent ghost terms.
             let tm = candidates[rng.gen_range(0..candidates.len())];
             let ghost_len = self.sample_ghost_len(user_tokens.len().max(1), &mut rng);
-            let ghost_tokens = self.sample_ghost_terms(tm, ghost_len, target_spec, &mut rng);
+            let ghost_tokens =
+                sorted(self.sample_ghost_terms(tm, ghost_len, target_spec, &mut rng));
             if ghost_tokens.is_empty() {
                 ineffective.push(tm);
+                eligible[tm] = false;
                 continue;
             }
             // Step 3(c): effectiveness check.
             let ghost_posterior = self.belief.posterior(&ghost_tokens);
-            posteriors.push(ghost_posterior);
-            let new_boosts = self.belief.cycle_boost(&posteriors);
-            let old_exposure = exposure(&cycle_boosts, &intention);
+            let members = (cycle.len() + 1) as f64;
+            let new_boosts: Vec<f64> = (0..num_topics)
+                .map(|t| (posterior_sum[t] + ghost_posterior[t]) / members - prior[t])
+                .collect();
             let new_exposure = exposure(&new_boosts, &intention);
-            if self.effectiveness_check && !reuse_phase && new_exposure >= old_exposure {
+            if self.effectiveness_check && !reuse_phase && new_exposure >= cycle_exposure {
                 // Ghost increases (or fails to reduce) exposure: discard it
                 // and mark the topic ineffective.
-                posteriors.pop();
                 ineffective.push(tm);
+                eligible[tm] = false;
                 continue;
             }
             // Step 3(d): accept.
             masking.push(tm);
-            cycle.push(CycleQuery {
-                tokens: sorted(&ghost_tokens),
-                is_genuine: false,
-                masking_topic: Some(tm),
-            });
+            eligible[tm] = false;
+            add_into(&mut posterior_sum, &ghost_posterior);
+            cycle.push((
+                CycleQuery {
+                    tokens: ghost_tokens,
+                    is_genuine: false,
+                    masking_topic: Some(tm),
+                },
+                ghost_posterior,
+            ));
             cycle_boosts = new_boosts;
+            cycle_exposure = new_exposure;
         }
 
-        // Step 4: shuffle.
+        // Step 4: shuffle — members and their posteriors together.
         shuffle(&mut cycle, &mut rng);
+        let (cycle, posteriors): (Vec<CycleQuery>, Vec<Vec<f64>>) = cycle.into_iter().unzip();
         let genuine_index = cycle
             .iter()
             .position(|q| q.is_genuine)
@@ -326,7 +366,7 @@ impl GhostGenerator {
         let mut metrics = PrivacyMetrics::from_boosts(&cycle_boosts, &intention);
         metrics.cycle_len = cycle.len();
         metrics.generation_secs = start.elapsed().as_secs_f64();
-        CycleResult {
+        let result = CycleResult {
             cycle,
             genuine_index,
             intention,
@@ -336,7 +376,8 @@ impl GhostGenerator {
             ineffective_topics: ineffective,
             satisfied,
             metrics,
-        }
+        };
+        (result, posteriors)
     }
 
     /// Step 3(a): ghost length as a random multiple of `|qu|`.
@@ -399,8 +440,8 @@ impl GhostGenerator {
             acc += p;
             cumulative.push(acc);
         }
+        // A ghost is a handful of words: a linear `contains` beats hashing.
         let mut chosen: Vec<TermId> = Vec::with_capacity(len);
-        let mut used: HashSet<TermId> = HashSet::with_capacity(len * 2);
         let mut attempts = 0usize;
         let max_attempts = len * 50 + 100;
         while chosen.len() < len.min(pool.len()) && attempts < max_attempts {
@@ -413,7 +454,7 @@ impl GhostGenerator {
                 }
                 .min(cumulative.len() - 1);
             let term = pool[idx].0;
-            if used.insert(term) {
+            if !chosen.contains(&term) {
                 chosen.push(term);
             }
         }
@@ -421,10 +462,16 @@ impl GhostGenerator {
     }
 }
 
-fn sorted(tokens: &[TermId]) -> Vec<TermId> {
-    let mut v = tokens.to_vec();
-    v.sort_unstable();
-    v
+fn sorted(mut tokens: Vec<TermId>) -> Vec<TermId> {
+    tokens.sort_unstable();
+    tokens
+}
+
+/// `sum[t] += posterior[t]` — one step of Equation (2)'s numerator.
+pub(crate) fn add_into(sum: &mut [f64], posterior: &[f64]) {
+    for (s, &p) in sum.iter_mut().zip(posterior) {
+        *s += p;
+    }
 }
 
 fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
@@ -540,6 +587,64 @@ mod tests {
                 assert_eq!(qa.masking_topic, qb.masking_topic);
             }
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn certificate_is_computed_from_the_submitted_bags() {
+        let model = trained_model();
+        let belief = BeliefEngine::new(model.clone());
+        let gen = generator(&model);
+        let mut rng = StdRng::seed_from_u64(0xCE27);
+        let mut ghosts = 0usize;
+        for _ in 0..300 {
+            // Unsorted on purpose, duplicates allowed: inference is seeded
+            // from and swept in token order, so order is what must not leak
+            // into the certificate.
+            let base = rng.gen_range(0..4u32) * 8;
+            let user: Vec<TermId> = (0..rng.gen_range(2..=8))
+                .map(|_| base + rng.gen_range(0..8u32))
+                .collect();
+            let (result, posteriors) = gen.generate_with_posteriors(&user);
+            assert_eq!(posteriors.len(), result.cycle_len());
+            ghosts += result.cycle_len() - 1;
+            for (q, posterior) in result.cycle.iter().zip(&posteriors) {
+                assert!(q.tokens.windows(2).all(|w| w[0] <= w[1]), "stored sorted");
+                assert_eq!(
+                    bits(posterior),
+                    bits(&belief.posterior(&q.tokens)),
+                    "a member's posterior is that of the bag as submitted"
+                );
+            }
+            // Equation (2) over the members as shuffled: the same sum in
+            // another order.
+            let shuffled = belief.cycle_boost(&posteriors);
+            for (reported, recomputed) in result.cycle_boosts.iter().zip(&shuffled) {
+                assert!((reported - recomputed).abs() < 1e-12);
+            }
+            // In generation order — genuine first, then one ghost per
+            // masking topic — it is the same sum, bit for bit.
+            let mut generated = vec![posteriors[result.genuine_index].clone()];
+            for &tm in &result.masking_topics {
+                let at = result
+                    .cycle
+                    .iter()
+                    .position(|q| q.masking_topic == Some(tm))
+                    .expect("every masking topic has its ghost");
+                generated.push(posteriors[at].clone());
+            }
+            let recomputed = belief.cycle_boost(&generated);
+            assert_eq!(bits(&result.cycle_boosts), bits(&recomputed));
+            assert_eq!(
+                result.satisfied,
+                gen.requirement()
+                    .is_satisfied(&recomputed, &result.intention)
+            );
+        }
+        assert!(ghosts > 300, "the cycles under test carry ghosts: {ghosts}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! entire trace rather than per cycle.
 
 use crate::belief::BeliefEngine;
-use crate::ghost::{CycleResult, GhostGenerator};
+use crate::ghost::{add_into, CycleResult, GhostGenerator};
 use crate::metrics::exposure;
 use serde::{Deserialize, Serialize};
 use tsearch_text::TermId;
@@ -67,7 +67,9 @@ impl SessionTracker {
         &self.genuine
     }
 
-    /// Records one protected cycle (in its shuffled submission order).
+    /// Records one protected cycle (in its shuffled submission order),
+    /// inferring each member — for evaluation code that holds only a
+    /// [`CycleResult`].
     pub fn record_cycle(&mut self, belief: &BeliefEngine, result: &CycleResult) {
         for (i, q) in result.cycle.iter().enumerate() {
             if q.is_genuine {
@@ -80,12 +82,14 @@ impl SessionTracker {
     }
 
     /// Records one protected cycle from **already-inferred** per-member
-    /// posteriors (aligned with `result.cycle`). Equivalent to
+    /// posteriors (aligned with `result.cycle`) — what
+    /// [`GhostGenerator::generate_with_posteriors`] and
+    /// [`GhostGenerator::generate_with_history`] hand back. Equivalent to
     /// [`SessionTracker::record_cycle`] when the posteriors came from the
-    /// same belief engine — inference is deterministic — but lets callers
-    /// that already hold the posteriors (the service's plan/commit split,
-    /// or a planner that substituted members with cross-tenant donors)
-    /// account the cycle without inferring every member a second time.
+    /// same belief engine — inference is deterministic — but callers that
+    /// already hold them (the service's sessions, or a planner that
+    /// substituted members with cross-tenant donors) account the cycle
+    /// without inferring any member a second time.
     pub fn record_cycle_posteriors(&mut self, result: &CycleResult, posteriors: &[Vec<f64>]) {
         assert_eq!(
             result.cycle.len(),
@@ -143,62 +147,67 @@ impl SessionTracker {
 }
 
 impl GhostGenerator {
-    /// Session-aware variant of [`GhostGenerator::generate`]: the
-    /// stopping rule certifies `B(t | history ∪ C) ≤ ε2` for all
+    /// Session-aware variant of [`GhostGenerator::generate_with_posteriors`]:
+    /// the stopping rule certifies `B(t | history ∪ C) ≤ ε2` for all
     /// `t ∈ U`, so the *whole trace* (as aggregated by Equation 2) stays
-    /// innocuous, not just the current cycle.
+    /// innocuous, not just the current cycle. Returns the cycle and its
+    /// members' posteriors (aligned with `cycle`), which is what the
+    /// caller appends to the history it passes next time.
     ///
     /// Implementation note: the trace posterior is the mean over
     /// `history ∪ C`; the loop re-evaluates it after each candidate ghost
-    /// exactly like the per-cycle algorithm.
+    /// exactly like the per-cycle algorithm, from the posteriors the
+    /// generator already inferred: the history is summed once and no
+    /// member is inferred twice.
     pub fn generate_with_history(
         &self,
         user_tokens: &[TermId],
         history: &[Vec<f64>],
-    ) -> CycleResult {
+    ) -> (CycleResult, Vec<Vec<f64>>) {
         // Reuse the per-cycle machinery, then extend with history-aware
         // ghosts if the trace condition is still violated.
-        let mut result = self.generate(user_tokens);
+        let (mut result, mut posteriors) = self.generate_with_posteriors(user_tokens);
         if history.is_empty() {
-            return result;
+            return (result, posteriors);
         }
-        let belief = self.belief();
+        let prior = self.belief().prior();
         let requirement = self.requirement();
-        // Posteriors of the current cycle.
-        let mut combined: Vec<Vec<f64>> = history.to_vec();
-        for q in &result.cycle {
-            combined.push(belief.posterior(&q.tokens));
+        // Equation (2) over history ∪ C, summed history-first in order.
+        let mut history_sum = vec![0.0f64; prior.len()];
+        for posterior in history {
+            add_into(&mut history_sum, posterior);
         }
-        let mut trace_boosts = belief.cycle_boost(&combined);
-        if requirement.is_satisfied(&trace_boosts, &result.intention) {
-            result.cycle_boosts = trace_boosts;
-            result.metrics.exposure = exposure(&result.cycle_boosts, &result.intention);
-            return result;
-        }
+        let trace_boosts_with = |cycle: &[Vec<f64>]| -> Vec<f64> {
+            let mut sum = history_sum.clone();
+            for posterior in cycle {
+                add_into(&mut sum, posterior);
+            }
+            let support = (history.len() + cycle.len()) as f64;
+            sum.iter()
+                .zip(prior)
+                .map(|(&s, &pri)| s / support - pri)
+                .collect()
+        };
+        let mut trace_boosts = trace_boosts_with(&posteriors);
         // Keep adding ghosts (fixed-target mode, one at a time) until the
         // trace condition holds or the cycle cap is reached.
         let cap = 64usize;
-        while result.cycle_len() < cap {
+        while !requirement.is_satisfied(&trace_boosts, &result.intention)
+            && result.cycle_len() < cap
+        {
             let target = result.cycle_len() + 1;
-            let extended = self.generate_with_target(user_tokens, target);
+            let (extended, extended_posteriors) = self.run(user_tokens, Some(target));
             if extended.cycle_len() <= result.cycle_len() {
                 break; // cannot grow further
             }
-            result = extended;
-            combined = history.to_vec();
-            for q in &result.cycle {
-                combined.push(belief.posterior(&q.tokens));
-            }
-            trace_boosts = belief.cycle_boost(&combined);
-            if requirement.is_satisfied(&trace_boosts, &result.intention) {
-                break;
-            }
+            (result, posteriors) = (extended, extended_posteriors);
+            trace_boosts = trace_boosts_with(&posteriors);
         }
         result.satisfied = requirement.is_satisfied(&trace_boosts, &result.intention);
         result.cycle_boosts = trace_boosts;
         result.metrics.exposure = exposure(&result.cycle_boosts, &result.intention);
         result.metrics.cycle_len = result.cycle_len();
-        result
+        (result, posteriors)
     }
 }
 
@@ -300,9 +309,24 @@ mod tests {
         let mut all_satisfied = true;
         for i in 0..5 {
             let q: Vec<TermId> = vec![i % 8, (i + 1) % 8, (i + 2) % 8];
-            let result = generator.generate_with_history(&q, tracker.posteriors());
+            let (result, posteriors) = generator.generate_with_history(&q, tracker.posteriors());
             all_satisfied &= result.satisfied;
-            tracker.record_cycle(&belief, &result);
+            // The posteriors handed back are those of the submitted bags,
+            // so recording them is recording the cycle ...
+            for (member, posterior) in result.cycle.iter().zip(&posteriors) {
+                assert_eq!(posterior, &belief.posterior(&member.tokens));
+            }
+            tracker.record_cycle_posteriors(&result, &posteriors);
+            // ... and past the first cycle (which is certified alone, in
+            // generation order) the certificate is the tracker's own
+            // aggregation of history ∪ cycle, bit for bit.
+            if i > 0 {
+                assert_eq!(result.cycle_boosts, tracker.trace_boosts(&belief));
+            }
+            assert_eq!(
+                result.satisfied,
+                requirement.is_satisfied(&result.cycle_boosts, &result.intention)
+            );
             if result.satisfied && !result.intention.is_empty() {
                 // The reported boosts ARE the trace boosts; check against
                 // the tracker's own aggregation.
@@ -318,6 +342,51 @@ mod tests {
     }
 
     #[test]
+    fn satisfied_is_the_verdict_on_the_trace_it_reports() {
+        // A one-ghost cap under a tight ε2: the cycle alone cannot be
+        // certified and cannot grow.
+        let model = trained_model();
+        let requirement = PrivacyRequirement::new(0.10, 0.01).unwrap();
+        let generator = GhostGenerator::new(
+            BeliefEngine::new(model.clone()),
+            requirement,
+            GhostConfig {
+                max_cycle_len: 2,
+                ..GhostConfig::default()
+            },
+        );
+        let q: Vec<TermId> = vec![0, 1, 2, 3];
+        let (alone, _) = generator.generate_with_posteriors(&q);
+        assert!(!alone.satisfied, "premise: the per-cycle certificate fails");
+        assert!(!alone.intention.is_empty());
+
+        // Behind a long innocuous history (every past query sat at the
+        // prior) the same two members leave the *trace* within ε2, and
+        // that is what `satisfied` and `cycle_boosts` report.
+        let flat = vec![generator.belief().prior().to_vec(); 400];
+        let (diluted, posteriors) = generator.generate_with_history(&q, &flat);
+        assert_eq!(diluted.cycle_len(), alone.cycle_len());
+        for (a, b) in alone.cycle.iter().zip(&diluted.cycle) {
+            assert_eq!(a.tokens, b.tokens);
+        }
+        assert!(diluted.satisfied, "the trace is within ε2");
+        assert!(diluted.metrics.exposure <= requirement.eps2);
+        let mut tracker = SessionTracker::from_parts(flat, Vec::new()).unwrap();
+        tracker.record_cycle_posteriors(&diluted, &posteriors);
+        assert_eq!(
+            diluted.cycle_boosts,
+            tracker.trace_boosts(generator.belief())
+        );
+
+        // And the other way round: a history of the genuine query itself
+        // keeps the trace above ε2 whatever two members are added.
+        let own = vec![generator.belief().posterior(&q); 50];
+        let (exposed, _) = generator.generate_with_history(&q, &own);
+        assert!(!exposed.satisfied);
+        assert!(exposed.metrics.exposure > requirement.eps2);
+    }
+
+    #[test]
     fn empty_history_is_equivalent_to_plain_generate() {
         let model = trained_model();
         let generator = GhostGenerator::new(
@@ -326,7 +395,7 @@ mod tests {
             GhostConfig::default(),
         );
         let a = generator.generate(&[0, 1, 2]);
-        let b = generator.generate_with_history(&[0, 1, 2], &[]);
+        let (b, _) = generator.generate_with_history(&[0, 1, 2], &[]);
         assert_eq!(a.cycle_len(), b.cycle_len());
         for (qa, qb) in a.cycle.iter().zip(&b.cycle) {
             assert_eq!(qa.tokens, qb.tokens);

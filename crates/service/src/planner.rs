@@ -465,6 +465,71 @@ mod tests {
     }
 
     #[test]
+    fn formulated_posteriors_are_those_of_the_submitted_members() {
+        // One layer above `GhostGenerator`: what a session hands the
+        // planner, the journal and the auditor is what the certificate was
+        // computed from — on the per-cycle path and on the history-aware
+        // one, where the certificate covers history ∪ cycle.
+        use crate::session::SessionConfig;
+        use toppriv_core::BeliefEngine;
+        let stack = stack();
+        let manager = manager(&stack);
+        let belief = BeliefEngine::new(stack.model.clone());
+        let queries = generate_workload(
+            &stack.corpus,
+            &WorkloadConfig {
+                num_queries: 40,
+                ..WorkloadConfig::default()
+            },
+        );
+        manager.open_session("per-cycle").unwrap();
+        let history_aware = SessionConfig {
+            history_aware: true,
+            ..SessionConfig::default()
+        };
+        manager.open_session_with("trace", history_aware).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut history: Vec<Vec<f64>> = Vec::new();
+        for q in &queries {
+            for session in ["per-cycle", "trace"] {
+                let fc = manager.formulate_cycle(session, &q.tokens, 10).unwrap();
+                assert_eq!(fc.posteriors.len(), fc.report.cycle_len());
+                for (member, posterior) in fc.report.cycle.iter().zip(&fc.posteriors) {
+                    assert_eq!(bits(posterior), bits(&belief.posterior(&member.tokens)));
+                }
+                let over_history = session == "trace" && !history.is_empty();
+                let certified = if over_history {
+                    let mut all = history.clone();
+                    all.extend(fc.posteriors.iter().cloned());
+                    assert_eq!(fc.boost_support, all.len());
+                    let boosts = belief.cycle_boost(&all);
+                    assert_eq!(bits(&fc.report.cycle_boosts), bits(&boosts));
+                    boosts
+                } else {
+                    // Certified alone, summed in generation order: the
+                    // shuffle reorders the sum, nothing else.
+                    assert_eq!(fc.boost_support, fc.report.cycle_len());
+                    let boosts = belief.cycle_boost(&fc.posteriors);
+                    for (reported, recomputed) in fc.report.cycle_boosts.iter().zip(&boosts) {
+                        assert!((reported - recomputed).abs() < 1e-12);
+                    }
+                    fc.report.cycle_boosts.clone()
+                };
+                assert_eq!(
+                    fc.report.satisfied,
+                    fc.requirement
+                        .is_satisfied(&certified, &fc.report.intention)
+                );
+                if session == "trace" {
+                    history.extend(fc.posteriors.iter().cloned());
+                }
+                manager.commit_cycle(fc).unwrap();
+            }
+        }
+        assert!(history.len() > queries.len(), "cycles carried ghosts");
+    }
+
+    #[test]
     fn identical_queries_coalesce_across_tenants() {
         let stack = stack();
         let manager = manager(&stack);

@@ -243,9 +243,13 @@ impl TraceAccounting {
     /// Folds one cycle's debits in — the single accounting primitive
     /// both the live fold and rollback replay go through, so the float
     /// operation sequence is identical on every path.
-    fn fold(&mut self, record: &CycleRecord, history_aware: bool, num_topics: usize) {
-        let result = &record.report;
-        let posteriors = &record.posteriors;
+    fn fold(
+        &mut self,
+        result: &CycleResult,
+        posteriors: &[Vec<f64>],
+        history_aware: bool,
+        num_topics: usize,
+    ) {
         debug_assert_eq!(result.cycle_len(), posteriors.len());
         if self.posterior_sum.is_empty() {
             self.posterior_sum = vec![0.0; num_topics];
@@ -288,8 +292,9 @@ impl TraceAccounting {
 #[derive(Debug, Clone)]
 struct CycleRecord {
     /// The pacer cycle id its planned submissions carry (`None` for the
-    /// synchronous search path, which resolves inline and can never be
-    /// half-delivered).
+    /// synchronous search path, which resolves inline, can never be
+    /// half-delivered, and is journaled only while a paced cycle
+    /// committed before it is still pending).
     cycle_id: Option<usize>,
     /// The genuine user tokens, for replanning after a rollback.
     user_tokens: Vec<TermId>,
@@ -404,8 +409,12 @@ impl Session {
             .count();
         let num_topics = self.generator.belief().num_topics();
         for record in self.inflight.drain(..delivered_prefix) {
-            self.base
-                .fold(&record, self.config.history_aware, num_topics);
+            self.base.fold(
+                &record.report,
+                &record.posteriors,
+                self.config.history_aware,
+                num_topics,
+            );
         }
     }
 
@@ -418,28 +427,22 @@ impl Session {
         self.compact();
     }
 
-    /// Formulates one cycle for `tokens` **without** recording it, and
-    /// infers each member's posterior (aligned with `result.cycle`).
-    /// Accounting happens separately in [`Session::account`] so a
-    /// cross-session planner can substitute cycle members between
+    /// Formulates one cycle for `tokens` **without** recording it, with
+    /// each member's posterior (aligned with `result.cycle`) as the
+    /// generator inferred it — once, on the sorted bag that is submitted.
+    /// These are the vectors the certificate was computed from, and
+    /// exactly what any later re-inference of the same members would
+    /// produce. Accounting happens separately in [`Session::account`] so
+    /// a cross-session planner can substitute cycle members between
     /// generation and accounting — the session then debits exactly what
     /// was actually planned for submission.
     fn generate(&self, tokens: &[TermId]) -> (CycleResult, Vec<Vec<f64>>) {
-        let result = if self.config.history_aware && !self.acc.tracker.is_empty() {
+        if self.config.history_aware && !self.acc.tracker.is_empty() {
             self.generator
                 .generate_with_history(tokens, self.acc.tracker.posteriors())
         } else {
-            self.generator.generate(tokens)
-        };
-        // Inference is deterministic, so these posteriors are exactly
-        // what any later re-inference of the same members would produce.
-        let belief = self.generator.belief();
-        let posteriors = result
-            .cycle
-            .iter()
-            .map(|q| belief.posterior(&q.tokens))
-            .collect();
-        (result, posteriors)
+            self.generator.generate_with_posteriors(tokens)
+        }
     }
 
     /// Records one formulated cycle into the session's trace accounting.
@@ -456,24 +459,42 @@ impl Session {
     fn account(
         &mut self,
         result: &CycleResult,
-        posteriors: &[Vec<f64>],
+        posteriors: Vec<Vec<f64>>,
         cycle_id: Option<usize>,
         user_tokens: &[TermId],
         k: usize,
         undelivered: usize,
     ) {
-        let record = CycleRecord {
+        let num_topics = self.generator.belief().num_topics();
+        let history_aware = self.config.history_aware;
+        self.acc
+            .fold(result, &posteriors, history_aware, num_topics);
+        if undelivered == 0 && self.inflight.is_empty() {
+            // Born settled with nothing pending ahead of it: a journal
+            // record would compact straight back out, so fold into `base`
+            // too and copy nothing. Behind a pending cycle it must be
+            // journaled, or `acc == base ⊕ inflight` in commitment order
+            // would no longer hold.
+            self.base
+                .fold(result, &posteriors, history_aware, num_topics);
+            // With nothing in flight the two accountings are the same
+            // fold sequence; a journal change that let them drift would
+            // show here first.
+            debug_assert_eq!(
+                (self.acc.cycles, self.acc.posterior_count),
+                (self.base.cycles, self.base.posterior_count),
+                "acc == base while the journal is empty"
+            );
+            return;
+        }
+        self.inflight.push(CycleRecord {
             cycle_id,
             user_tokens: user_tokens.to_vec(),
             report: result.clone(),
-            posteriors: posteriors.to_vec(),
+            posteriors,
             k,
             undelivered,
-        };
-        let num_topics = self.generator.belief().num_topics();
-        self.acc
-            .fold(&record, self.config.history_aware, num_topics);
-        self.inflight.push(record);
+        });
         if self.inflight.len() > MAX_INFLIGHT_CYCLES {
             self.inflight[0].undelivered = 0;
         }
@@ -510,7 +531,12 @@ impl Session {
         let num_topics = self.generator.belief().num_topics();
         let mut acc = self.base.clone();
         for r in &self.inflight {
-            acc.fold(r, self.config.history_aware, num_topics);
+            acc.fold(
+                &r.report,
+                &r.posteriors,
+                self.config.history_aware,
+                num_topics,
+            );
         }
         self.acc = acc;
         Some(record)
@@ -520,7 +546,7 @@ impl Session {
     /// path: resolved inline, so it is born settled).
     fn formulate(&mut self, tokens: &[TermId]) -> CycleResult {
         let (result, posteriors) = self.generate(tokens);
-        self.account(&result, &posteriors, None, tokens, 0, 0);
+        self.account(&result, posteriors, None, tokens, 0, 0);
         result
     }
 
@@ -1121,7 +1147,7 @@ impl SessionManager {
         let cycle_id = schedule.first().map(|s| s.cycle_id);
         session.account(
             &report,
-            &posteriors,
+            posteriors,
             cycle_id,
             &fc.user_tokens,
             fc.k,

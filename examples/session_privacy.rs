@@ -59,15 +59,15 @@ fn main() {
         let mut intention = Vec::new();
         println!("--- {name}");
         for (i, q) in session.iter().enumerate() {
-            let result = if session_aware {
+            let (result, posteriors) = if session_aware {
                 generator.generate_with_history(&q.tokens, tracker.posteriors())
             } else {
-                generator.generate(&q.tokens)
+                generator.generate_with_posteriors(&q.tokens)
             };
             if intention.is_empty() {
                 intention = result.intention.clone();
             }
-            tracker.record_cycle(&belief, &result);
+            tracker.record_cycle_posteriors(&result, &posteriors);
             let report = tracker.report(&belief, &intention);
             println!(
                 "  after query {}: cycle v={}, cycle exposure {:.2}%, TRACE exposure {:.2}% ({} queries logged)",

@@ -28,9 +28,6 @@ use toppriv::service::{
 };
 use toppriv::{CorpusConfig, LdaModel, SearchTier};
 
-/// Entries of (each shard's) adversary query log kept in server modes.
-const SERVER_QUERY_LOG_TAIL: usize = 4_096;
-
 struct Args {
     sessions: usize,
     demo: bool,
@@ -510,12 +507,6 @@ fn main() {
         return;
     }
     let (_corpus, tier, model) = build_stack(&args);
-    // Long-running server modes: nothing reads the adversary log(s)
-    // here (experiments, scenarios and tests do, with their own
-    // capacity), so keep only a short tail — of each shard's log, when
-    // sharded. At ≈ 290 B an entry a long log is the server's RSS growth
-    // once the wire is fast enough to fill it.
-    tier.set_query_log_capacity(SERVER_QUERY_LOG_TAIL);
     let manager = Arc::new(build_manager(&args, tier, model));
     // Server modes keep stdout for the NDJSON protocol; the periodic
     // registry dump goes to stderr.

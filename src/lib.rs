@@ -42,6 +42,10 @@ use std::sync::Arc;
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_text::Analyzer;
 
+/// Entries of the adversary query log (of each shard's, when sharded) the
+/// demo stack's engines keep.
+pub const DEMO_QUERY_LOG_TAIL: usize = 4_096;
+
 /// Builds the demo stack: a synthetic corpus, a search engine hosting it,
 /// and an LDA model trained on it (wrapped in an [`Arc`] so any number of
 /// belief engines, clients, and service sessions can share it).
@@ -64,6 +68,13 @@ pub fn build_demo_stack(
 /// returns a [`SearchTier::Sharded`] over `shards` index shards when
 /// `shards > 1`, else a [`SearchTier::Single`] (the two are
 /// result-identical; sharding only changes how the service scales).
+///
+/// The engines keep only the last [`DEMO_QUERY_LOG_TAIL`] entries of
+/// their adversary query log: the stack backs long-running servers and
+/// load drivers, where an unbounded log (≈ 290 B an entry) is RSS that
+/// grows with how fast the caller submits. The examples that read
+/// `query_log()` submit far fewer queries than the tail holds;
+/// experiments and scenarios build their own engines.
 pub fn build_demo_stack_sharded(
     config: CorpusConfig,
     topics: usize,
@@ -91,6 +102,7 @@ pub fn build_demo_stack_sharded(
             ScoringModel::TfIdfCosine,
         )))
     };
+    tier.set_query_log_capacity(DEMO_QUERY_LOG_TAIL);
     let model = Arc::new(LdaTrainer::train(
         &docs,
         corpus.vocab.len(),
