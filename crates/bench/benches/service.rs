@@ -1,6 +1,7 @@
 //! Microbenchmarks of the multi-tenant service layer: synchronous
 //! private-search throughput vs session count, with and without the
-//! shared result cache, plus the cache and scheduler in isolation.
+//! shared result cache, plus the cache, the cycle memo and the scheduler
+//! in isolation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
@@ -17,7 +18,7 @@ struct Stack {
     queries: Vec<BenchmarkQuery>,
 }
 
-fn stack() -> Stack {
+fn stack(topics: usize) -> Stack {
     let corpus = SyntheticCorpus::generate(Scale::quick().corpus);
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
@@ -33,7 +34,7 @@ fn stack() -> Stack {
         corpus.vocab.len(),
         LdaConfig {
             iterations: 15,
-            ..LdaConfig::with_topics(20)
+            ..LdaConfig::with_topics(topics)
         },
     ));
     let queries = generate_workload(
@@ -54,7 +55,7 @@ fn stack() -> Stack {
 /// search drawn from the shared pool. Measures end-to-end service
 /// throughput (ghost generation + cache/engine resolution).
 fn bench_search_vs_sessions(c: &mut Criterion) {
-    let stack = stack();
+    let stack = stack(20);
     let mut group = c.benchmark_group("service_search");
     group.sample_size(10);
     for &sessions in &[1usize, 8, 64] {
@@ -91,7 +92,7 @@ fn bench_search_vs_sessions(c: &mut Criterion) {
 /// the scheduler's worker pool (isolates submission cost from ghost
 /// generation).
 fn bench_scheduler_drain(c: &mut Criterion) {
-    let stack = stack();
+    let stack = stack(20);
     let mut group = c.benchmark_group("service_scheduler_drain");
     group.sample_size(10);
     for cached in [false, true] {
@@ -117,6 +118,37 @@ fn bench_scheduler_drain(c: &mut Criterion) {
             BenchmarkId::from_parameter(if cached { "cached" } else { "uncached" }),
             |b| b.iter(|| black_box(scheduler.drain(queue.clone()))),
         );
+    }
+    group.finish();
+}
+
+/// What formulating one cycle costs a session at K = 40, the benchmark's
+/// model size: with no cache plane (`none`), as the first asker of a query
+/// (`first`: a memo lookup that misses, the formulation, a copy and an
+/// insert — the memo holds 8 cycles and 32 queries go round, so none is
+/// still there when it comes back), and as any later asker (`repeat`: the
+/// stored cycle, copied out).
+fn bench_formulate_cycle(c: &mut Criterion) {
+    let stack = stack(40);
+    let mut group = c.benchmark_group("formulate_cycle");
+    group.sample_size(20);
+    for (name, cache) in [("none", None), ("first", Some(64)), ("repeat", Some(8192))] {
+        let mut manager = SessionManager::new(stack.engine.clone(), stack.model.clone());
+        if let Some(capacity) = cache {
+            manager = manager.with_cache(capacity);
+        }
+        manager.open_session("s").unwrap();
+        let mut next = 0usize;
+        let mut formulate = || {
+            next = (next + 1) % stack.queries.len();
+            manager
+                .formulate_cycle("s", &stack.queries[next].tokens, 10)
+                .unwrap()
+        };
+        for _ in &stack.queries {
+            black_box(formulate());
+        }
+        group.bench_function(name, |b| b.iter(|| black_box(formulate())));
     }
     group.finish();
 }
@@ -154,6 +186,7 @@ criterion_group!(
     benches,
     bench_search_vs_sessions,
     bench_scheduler_drain,
+    bench_formulate_cycle,
     bench_cache_ops
 );
 criterion_main!(benches);

@@ -202,6 +202,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// Drops the series `name{labels}` from the registry; returns whether
+    /// it was registered. Handles already handed out stay usable but are
+    /// detached — nothing exports them any more — and asking for the
+    /// same key again creates a fresh series. This is what keeps series
+    /// labelled by something a client chose (a tenant id) bounded by what
+    /// is live, not by what was ever seen.
+    pub fn remove(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        let key = MetricKey {
+            name: name.to_string(),
+            labels: sorted_labels(labels),
+        };
+        recover_write(&self.metrics).remove(&key).is_some()
+    }
+
     /// Snapshots every metric, sorted by name then labels.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let map = crate::recover_read(&self.metrics);
@@ -308,6 +322,20 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn remove_detaches_the_series_and_a_new_one_starts_fresh() {
+        let reg = MetricsRegistry::new();
+        let old = reg.gauge("tenant_x", &[("tenant", "a")]);
+        old.set(7);
+        reg.gauge("tenant_x", &[("tenant", "b")]).set(9);
+        assert!(reg.remove("tenant_x", &[("tenant", "a")]));
+        assert!(!reg.remove("tenant_x", &[("tenant", "a")]), "already gone");
+        assert_eq!(reg.len(), 1, "the other label set is untouched");
+        old.set(8); // detached: still usable, exported nowhere
+        assert_eq!(reg.gauge("tenant_x", &[("tenant", "a")]).get(), 0);
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]

@@ -126,127 +126,6 @@ impl SearchEngine {
         })
     }
 
-    /// Top-k evaluation with the MaxScore (quit/continue) optimization.
-    ///
-    /// Query terms are processed in descending score-upper-bound order;
-    /// once the sum of the remaining terms' upper bounds cannot lift an
-    /// unseen document above the current k-th best score, no *new*
-    /// accumulators are created (existing ones are still completed, so
-    /// returned scores are exact). Returns exactly the same hits as
-    /// [`SearchEngine::evaluate`].
-    ///
-    /// The upper bound for cosine-normalized TF-IDF divides by the minimum
-    /// document norm, which is loose; BM25's bound (`qw · (k1+1)`) is
-    /// tight, so the speedup is largest there.
-    pub fn evaluate_maxscore(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        let avg_len = self.index.avg_doc_len();
-        // Per-term upper bound on the *normalized* per-document
-        // contribution.
-        let min_norm = self
-            .doc_norms
-            .iter()
-            .copied()
-            .filter(|&n| n > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        let mut terms: Vec<(tsearch_text::TermId, u32, f64)> = query
-            .terms()
-            .filter(|&(t, _)| self.index.doc_freq(t) > 0)
-            .map(|(t, qtf)| {
-                let qw = self.model.query_weight(qtf, self.index.idf(t));
-                let max_tf = self.index.max_tf(t);
-                // Shortest doc containing the term is unknown; bound the
-                // doc weight by the best case over plausible lengths.
-                let dw_ub = match self.model {
-                    ScoringModel::TfIdfCosine => {
-                        let raw = self.model.doc_weight(max_tf.max(1), 1, avg_len);
-                        if min_norm.is_finite() && min_norm > 0.0 {
-                            raw / min_norm
-                        } else {
-                            raw
-                        }
-                    }
-                    ScoringModel::Bm25 { k1, .. } => k1 + 1.0,
-                };
-                (t, qtf, (qw * dw_ub).max(0.0))
-            })
-            .collect();
-        terms.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite bounds"));
-        let suffix_bounds: Vec<f64> = {
-            let mut acc = 0.0;
-            let mut v: Vec<f64> = terms
-                .iter()
-                .rev()
-                .map(|&(_, _, ub)| {
-                    acc += ub;
-                    acc
-                })
-                .collect();
-            v.reverse();
-            v
-        };
-
-        let mut accumulators: std::collections::HashMap<u32, f64> =
-            std::collections::HashMap::new();
-        // k-th best *partial* (normalized) score so far — a lower bound on
-        // the true k-th best final score.
-        let mut threshold = f64::NEG_INFINITY;
-        for (i, &(term, qtf, _)) in terms.iter().enumerate() {
-            let qw = self.model.query_weight(qtf, self.index.idf(term));
-            // A document first seen now can reach at most suffix_bounds[i];
-            // prune only when that is STRICTLY below the k-th best partial,
-            // so exact ties are never lost.
-            let allow_new = accumulators.len() < k
-                || threshold == f64::NEG_INFINITY
-                || suffix_bounds[i] >= threshold;
-            for posting in self.index.postings(term).iter() {
-                let dw =
-                    self.model
-                        .doc_weight(posting.tf, self.index.doc_len(posting.doc_id), avg_len);
-                match accumulators.entry(posting.doc_id) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        *e.get_mut() += qw * dw;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        if allow_new {
-                            e.insert(qw * dw);
-                        }
-                    }
-                }
-            }
-            // Refresh the threshold from current partial scores.
-            if k > 0 && accumulators.len() >= k {
-                let mut partials: Vec<f64> = accumulators
-                    .iter()
-                    .map(|(&d, &s)| {
-                        if self.model.needs_cosine_norm() {
-                            let n = self.doc_norms[d as usize];
-                            if n > 0.0 {
-                                s / n
-                            } else {
-                                s
-                            }
-                        } else {
-                            s
-                        }
-                    })
-                    .collect();
-                partials.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-                threshold = partials[k - 1];
-            }
-        }
-        let mut topk = TopK::new(k);
-        for (doc_id, mut score) in accumulators {
-            if self.model.needs_cosine_norm() {
-                let norm = self.doc_norms[doc_id as usize];
-                if norm > 0.0 {
-                    score /= norm;
-                }
-            }
-            topk.push(SearchHit { doc_id, score });
-        }
-        topk.into_sorted()
-    }
-
     /// Brute-force scoring of every document (reference implementation for
     /// property tests; O(docs × query terms)).
     pub fn evaluate_bruteforce(&self, query: &Query, k: usize) -> Vec<SearchHit> {
@@ -570,53 +449,6 @@ mod tests {
         assert_eq!(bits(&hits), vec![(0, 0.25f64.to_bits()), (2, 0)]);
         // The scratch was cleared: nothing of that evaluation is left.
         assert!(with_accumulator(4, |acc| acc.iter().next().is_none()));
-    }
-
-    #[test]
-    fn maxscore_matches_exhaustive() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
-        for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
-            // Randomized corpus with repeated docs to exercise ties.
-            let vocab_size = 30usize;
-            let mut vocab = Vocabulary::new();
-            for i in 0..vocab_size {
-                vocab.intern(&format!("v{i:02}"));
-            }
-            let mut docs: Vec<Vec<TermId>> = (0..60)
-                .map(|_| {
-                    let len = rng.gen_range(2..25);
-                    (0..len)
-                        .map(|_| rng.gen_range(0..vocab_size) as u32)
-                        .collect()
-                })
-                .collect();
-            let dup = docs[0].clone();
-            docs.push(dup); // guaranteed score tie
-            for d in &docs {
-                vocab.observe_document(d);
-            }
-            let texts: Vec<String> = docs.iter().map(|_| String::new()).collect();
-            let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
-            let engine = SearchEngine::build(&refs, &texts, Analyzer::new(), vocab, model);
-            for _ in 0..30 {
-                let qlen = rng.gen_range(1..7);
-                let tokens: Vec<u32> = (0..qlen)
-                    .map(|_| rng.gen_range(0..vocab_size) as u32)
-                    .collect();
-                let q = Query::from_tokens(&tokens);
-                for k in [1usize, 5, 10] {
-                    let fast = engine.evaluate_maxscore(&q, k);
-                    let slow = engine.evaluate(&q, k);
-                    assert_eq!(fast.len(), slow.len(), "{model:?} k={k}");
-                    for (f, s) in fast.iter().zip(&slow) {
-                        assert_eq!(f.doc_id, s.doc_id, "{model:?} k={k}");
-                        assert!((f.score - s.score).abs() < 1e-9);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -510,14 +510,23 @@ impl PrivacyAuditor {
     }
 
     /// Drops a departing tenant from the live accounting (its journal
-    /// events remain) and zeroes its gauges.
+    /// events remain) and removes its four `tenant_*` gauges from the
+    /// registry: a tenant id is chosen by the client, so a series that
+    /// outlived its session would grow the registry, and every scrape,
+    /// by one tenant's worth per id ever seen. A tenant that opens the
+    /// same id again starts fresh gauges.
     pub fn forget_session(&self, session: &str) {
         recover_lock(&self.pending).remove(session);
-        if let Some(t) = recover_lock(&self.tenants).remove(session) {
-            t.gauge_worst.set(0);
-            t.gauge_trace.set(0);
-            t.gauge_headroom.set(0);
-            t.gauge_burn.set(-1);
+        if recover_lock(&self.tenants).remove(session).is_some() {
+            let labels = [("tenant", session)];
+            for name in [
+                M_TENANT_WORST_EXPOSURE,
+                M_TENANT_TRACE_EXPOSURE,
+                M_TENANT_HEADROOM,
+                M_TENANT_BURN_CYCLES,
+            ] {
+                self.registry.remove(name, &labels);
+            }
         }
     }
 
@@ -660,9 +669,24 @@ mod tests {
                 .get(),
             to_micro(0.004)
         );
+        let series = a.registry.len();
         a.forget_session("alice");
-        assert_eq!(g.get(), 0, "departing tenants zero their gauges");
+        assert_eq!(
+            a.registry.len(),
+            series - 4,
+            "a departing tenant takes its four gauges with it"
+        );
         assert_eq!(a.health().tenants, 0);
+        // The same id again starts from fresh series, not the old readings.
+        a.register_cycle("alice", 0, &metrics(0.001, 0.05), 0.01, 0.0005, 0.001);
+        assert_eq!(a.registry.len(), series);
+        assert_eq!(
+            a.registry
+                .gauge(M_TENANT_WORST_EXPOSURE, &[("tenant", "alice")])
+                .get(),
+            to_micro(0.001),
+            "worst exposure restarts; the old 0.004 is gone"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Sharded LRU result cache.
+//! The cache plane: a sharded LRU result cache, and a memo of whole
+//! cycles beside it.
 //!
 //! Multi-tenant decoy traffic is highly redundant: the ghost generator is
 //! deterministic per query content (the RNG is seeded from the token
@@ -31,12 +32,37 @@
 //! [`SessionManager::with_fleet_seed`](crate::SessionManager::with_fleet_seed)
 //! to pin the secret across service replicas (replicas with different
 //! secrets still work — they just stop sharing decoy cache entries).
+//!
+//! ## The cycle memo
+//!
+//! The same determinism makes the *formulation* repeatable, not only its
+//! members' results: the paper prices a protected query at υ engine
+//! submissions plus one cycle formulation, the result cache removes the
+//! submissions of a query the fleet has seen, and `CycleMemo` removes
+//! the formulation. [`SessionManager::with_cache`](crate::SessionManager::with_cache)
+//! attaches both or neither, and the memo's size follows the result
+//! cache's (an eighth as many cycles as results) instead of being set.
+//! Its key, `CycleKey`, is everything the generator reads — model
+//! epoch, `(ε1, ε2)`, every `GhostConfig` field with the fleet secret
+//! mixed into the seed, and the token sequence in the order it was
+//! analyzed — held and compared exactly. The value is what the generator
+//! returned, handed back verbatim; per-session accounting still runs on
+//! every request, so the certificates and Equation-2 sums are what they
+//! would be without it. History-aware sessions never use it, and a model
+//! swap empties it. Both stores sit on one LRU implementation, `Shard`.
+//!
+//! Timing note: a memo hit answers faster than a formulation, but only
+//! where a result-cache hit already answers faster than an evaluation —
+//! a query some tenant of the fleet asked before. It tells a client
+//! nothing the result cache did not, and the engine, which sees neither,
+//! nothing at all.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use toppriv_core::{CycleResult, GhostConfig, PrivacyRequirement};
 use toppriv_obs::{recover_lock, Counter, HistogramHandle, MetricsRegistry};
 use tsearch_search::SearchHit;
 use tsearch_text::TermId;
@@ -51,6 +77,12 @@ pub const M_CACHE_EVICTIONS: &str = "cache_evictions_total";
 pub const M_CACHE_LOOKUP_US: &str = "cache_lookup_us";
 /// Metric name: poisoned entries detected and healed (dropped) on lookup.
 pub const M_CACHE_POISON_HEALS: &str = "cache_poison_heals_total";
+/// Metric name: cycles handed back from the cycle memo.
+pub const M_CYCLE_MEMO_HITS: &str = "cycle_memo_hits_total";
+/// Metric name: cycles the memo did not hold and the generator formulated.
+pub const M_CYCLE_MEMO_MISSES: &str = "cycle_memo_misses_total";
+/// Metric name: stored cycles dropped to make room for newer ones.
+pub const M_CYCLE_MEMO_EVICTIONS: &str = "cycle_memo_evictions_total";
 
 /// Registry handles the cache publishes into when bound via
 /// [`ResultCache::with_registry`]: per-shard hit/miss/eviction counters
@@ -105,17 +137,19 @@ impl CacheKey {
 
 const NO_SLOT: usize = usize::MAX;
 
-struct Entry {
-    key: CacheKey,
-    hits: Vec<SearchHit>,
+struct Entry<K, V> {
+    key: K,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-/// One LRU shard: slot arena + hash index + intrusive recency list.
-struct Shard {
-    slots: Vec<Entry>,
-    index: HashMap<CacheKey, usize>,
+/// One LRU shard: slot arena + hash index + intrusive recency list. The
+/// one LRU in this crate — [`ResultCache`] keeps sixteen of them over
+/// member results, [`CycleMemo`] one over whole cycles.
+struct Shard<K, V> {
+    slots: Vec<Entry<K, V>>,
+    index: HashMap<K, usize>,
     free: Vec<usize>,
     /// Most recently used slot.
     head: usize,
@@ -124,7 +158,7 @@ struct Shard {
     capacity: usize,
 }
 
-impl Shard {
+impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     fn new(capacity: usize) -> Self {
         Shard {
             slots: Vec::with_capacity(capacity.min(64)),
@@ -160,21 +194,21 @@ impl Shard {
         self.head = slot;
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<Vec<SearchHit>> {
+    fn get(&mut self, key: &K) -> Option<V> {
         let slot = *self.index.get(key)?;
         self.unlink(slot);
         self.link_front(slot);
-        Some(self.slots[slot].hits.clone())
+        Some(self.slots[slot].value.clone())
     }
 
     /// Inserts (or refreshes) an entry; returns whether an existing
     /// entry had to be evicted to make room.
-    fn insert(&mut self, key: CacheKey, hits: Vec<SearchHit>) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         if self.capacity == 0 {
             return false;
         }
         if let Some(&slot) = self.index.get(&key) {
-            self.slots[slot].hits = hits;
+            self.slots[slot].value = value;
             self.unlink(slot);
             self.link_front(slot);
             return false;
@@ -189,23 +223,19 @@ impl Shard {
             self.free.push(victim);
             evicted = true;
         }
+        let entry = Entry {
+            key: key.clone(),
+            value,
+            prev: NO_SLOT,
+            next: NO_SLOT,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s] = Entry {
-                    key: key.clone(),
-                    hits,
-                    prev: NO_SLOT,
-                    next: NO_SLOT,
-                };
+                self.slots[s] = entry;
                 s
             }
             None => {
-                self.slots.push(Entry {
-                    key: key.clone(),
-                    hits,
-                    prev: NO_SLOT,
-                    next: NO_SLOT,
-                });
+                self.slots.push(entry);
                 self.slots.len() - 1
             }
         };
@@ -214,22 +244,32 @@ impl Shard {
         evicted
     }
 
-    /// Removes an entry outright; returns whether it was present. The
-    /// slot is recycled through the free list like an eviction.
-    fn remove(&mut self, key: &CacheKey) -> bool {
-        let Some(slot) = self.index.remove(key) else {
-            return false;
-        };
-        self.unlink(slot);
-        self.slots[slot].hits = Vec::new();
-        self.free.push(slot);
-        true
+    /// Drops every entry; the capacity stays.
+    fn clear(&mut self) {
+        *self = Shard::new(self.capacity);
     }
 
     fn len(&self) -> usize {
         self.index.len()
     }
 }
+
+impl<K: Hash + Eq + Clone, V: Clone + Default> Shard<K, V> {
+    /// Removes an entry outright; returns whether it was present. The
+    /// slot is recycled through the free list like an eviction, and gives
+    /// its value up now rather than when it is reused.
+    fn remove(&mut self, key: &K) -> bool {
+        let Some(slot) = self.index.remove(key) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.slots[slot].value = V::default();
+        self.free.push(slot);
+        true
+    }
+}
+
+type ResultShard = Shard<CacheKey, Vec<SearchHit>>;
 
 /// Thread-safe sharded LRU cache of search results.
 ///
@@ -250,7 +290,7 @@ impl Shard {
 /// assert!(was_hit && cached[0].doc_id == 7);
 /// ```
 pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<ResultShard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     capacity: usize,
@@ -307,7 +347,7 @@ impl ResultCache {
         self.capacity
     }
 
-    fn shard(&self, key: &CacheKey) -> (usize, &Mutex<Shard>) {
+    fn shard(&self, key: &CacheKey) -> (usize, &Mutex<ResultShard>) {
         let s = key.shard_of(self.shards.len());
         (s, &self.shards[s])
     }
@@ -470,6 +510,132 @@ impl ResultCache {
     /// Poisoned entries detected and dropped by [`ResultCache::get`].
     pub fn poison_heals(&self) -> u64 {
         self.heals.load(Ordering::Relaxed)
+    }
+}
+
+/// The identity of one formulation: everything `GhostGenerator::run`
+/// reads, held as it is and compared field by field — never as a digest,
+/// because two tenants whose keys collided would be handed each other's
+/// cycle, certified for a different query or requirement. (What no
+/// session can vary is not in it: sessions build their generators with
+/// the default inference parameters and the effectiveness check on.)
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct CycleKey {
+    /// Stands for the model: a session's generator is bound to the model
+    /// of the epoch it carries.
+    model_epoch: u64,
+    eps1: u64,
+    eps2: u64,
+    min_len_mult: u64,
+    max_len_mult: u64,
+    max_cycle_len: usize,
+    term_pool: usize,
+    term_selection: u8,
+    /// The seed the generator runs with (fleet secret mixed in).
+    seed: u64,
+    /// As analyzed, not sorted: the generator seeds its RNG from this
+    /// sequence, so the same bag in another order is another cycle.
+    tokens: Vec<TermId>,
+}
+
+impl CycleKey {
+    /// Both structs are taken apart without `..`: a field added to either
+    /// stops this compiling until the key holds it too.
+    pub(crate) fn new(
+        model_epoch: u64,
+        requirement: PrivacyRequirement,
+        ghost: &GhostConfig,
+        tokens: &[TermId],
+    ) -> Self {
+        let PrivacyRequirement { eps1, eps2 } = requirement;
+        let GhostConfig {
+            min_len_mult,
+            max_len_mult,
+            max_cycle_len,
+            term_pool,
+            term_selection,
+            seed,
+        } = *ghost;
+        CycleKey {
+            model_epoch,
+            eps1: eps1.to_bits(),
+            eps2: eps2.to_bits(),
+            min_len_mult: min_len_mult.to_bits(),
+            max_len_mult: max_len_mult.to_bits(),
+            max_cycle_len,
+            term_pool,
+            term_selection: term_selection as u8,
+            seed,
+            tokens: tokens.to_vec(),
+        }
+    }
+}
+
+/// What the generator returns for one query: the cycle, and each
+/// member's posterior aligned with it.
+pub(crate) type GeneratedCycle = (CycleResult, Vec<Vec<f64>>);
+
+/// A bounded memo of whole cycles beside the [`ResultCache`]: the result
+/// cache spares a repeated query its υ engine submissions, this spares it
+/// the formulation. Generation is deterministic in what a [`CycleKey`]
+/// holds, so a stored cycle is the cycle the generator would certify
+/// again; it is handed back verbatim, posteriors and `generation_secs`
+/// included, and the session accounts it like any other.
+///
+/// One shard behind one mutex — the LRU order is total — held for a hash
+/// lookup and an `Arc` clone; the copy a caller owns is made outside it.
+pub(crate) struct CycleMemo {
+    cycles: Mutex<Shard<CycleKey, Arc<GeneratedCycle>>>,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+}
+
+impl CycleMemo {
+    /// A memo of at most `capacity` cycles (none at 0), counting into
+    /// `registry`.
+    pub(crate) fn new(capacity: usize, registry: &MetricsRegistry) -> Self {
+        CycleMemo {
+            cycles: Mutex::new(Shard::new(capacity)),
+            hits: registry.counter(M_CYCLE_MEMO_HITS, &[]),
+            misses: registry.counter(M_CYCLE_MEMO_MISSES, &[]),
+            evictions: registry.counter(M_CYCLE_MEMO_EVICTIONS, &[]),
+        }
+    }
+
+    /// The stored cycle for `key`, or `generate`'s, stored for the next
+    /// caller. The lock is not held while `generate` runs: two callers
+    /// missing on one key both formulate — the same cycle — and the later
+    /// insert replaces the earlier.
+    pub(crate) fn get_or_generate(
+        &self,
+        key: CycleKey,
+        generate: impl FnOnce() -> GeneratedCycle,
+    ) -> GeneratedCycle {
+        let stored = recover_lock(&self.cycles).get(&key);
+        if let Some(stored) = stored {
+            self.hits.inc();
+            return GeneratedCycle::clone(&stored);
+        }
+        self.misses.inc();
+        let generated = generate();
+        let evicted = recover_lock(&self.cycles).insert(key, Arc::new(generated.clone()));
+        if evicted {
+            self.evictions.inc();
+        }
+        generated
+    }
+
+    /// Forgets every stored cycle (the model they were certified under is
+    /// being replaced).
+    pub(crate) fn clear(&self) {
+        recover_lock(&self.cycles).clear();
+    }
+
+    /// Cycles currently stored.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        recover_lock(&self.cycles).len()
     }
 }
 

@@ -25,7 +25,9 @@
 //! - **a sharded LRU result cache** ([`ResultCache`]): ghost generation
 //!   is deterministic per query content (under the fleet's secret seed),
 //!   so duplicate decoys across tenants are served from cache instead of
-//!   the engine.
+//!   the engine — and, beside it, a bounded memo of whole cycles, so a
+//!   query the fleet has protected before is not formulated again either
+//!   (see the [`cache`] module).
 //!
 //! [`ServiceMetrics`] tracks cache hit rate, queue depth, p50/p99
 //! submit latency, and per-session privacy metrics

@@ -15,9 +15,14 @@
 //! every response at once keeps a service thread busy without pause, and
 //! there is a thread per connection and no cap on connections: as many
 //! such clients as there are cores set every other tenant's latency. So
-//! a TCP connection is paced on purpose instead: it starts at most one
-//! request per [`CONNECTION_REQUEST_INTERVAL`], and a request that comes
-//! sooner stays unread until it is due. The stdin mode is not paced.
+//! a TCP connection is paced on purpose instead, by a token bucket: it
+//! earns one request start per [`CONNECTION_REQUEST_INTERVAL`], keeps at
+//! most [`CONNECTION_BURST`] of them, and a request that finds none
+//! stays unread until the next is earned. The sustained rate is the
+//! interval's; what the bucket adds is that a connection which rested
+//! may send a follow-up straight after an answer without being held. A
+//! new connection starts with one start, not a full bucket, so opening
+//! connections buys no burst. The stdin mode is not paced.
 
 use crate::protocol::{HitDto, Op, Request, Response, SearchReportDto};
 use crate::session::{ServiceError, SessionConfig, SessionManager};
@@ -118,13 +123,18 @@ fn error(e: ServiceError) -> Response {
 /// buffer until the process dies.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Shortest time between the starts of two requests on one TCP
-/// connection: 50 requests a second, whatever the requests cost. A
-/// client that leaves this long between its requests never waits; one
-/// that does not is held to it by backpressure, never by an error. It is
-/// a constant, not an option, until there is admission control to
-/// replace it.
+/// The time in which one TCP connection earns one request start: 50
+/// requests a second sustained, whatever the requests cost. A client
+/// that leaves this long between its requests never waits; one that
+/// does not is held to it by backpressure, never by an error. It is a
+/// constant, not an option, until there is admission control to replace
+/// it.
 pub const CONNECTION_REQUEST_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Most request starts a connection can have saved: after resting this
+/// many intervals it may start this many requests at once, then is back
+/// to one per interval.
+pub const CONNECTION_BURST: u32 = 4;
 
 /// Serves NDJSON requests from `reader`, writing one JSON response per
 /// line to `writer`. Returns when the reader is exhausted, or after
@@ -141,9 +151,9 @@ pub fn serve_lines<R: BufRead, W: Write>(
     serve_paced(manager, reader, writer, Duration::ZERO)
 }
 
-/// [`serve_lines`] with at least `interval` between the starts of two
-/// requests. A request that arrives sooner waits, and nothing further
-/// is read from the stream meanwhile.
+/// [`serve_lines`] with request starts earned one per `interval` and at
+/// most [`CONNECTION_BURST`] saved. A request that arrives with none
+/// saved waits, and nothing further is read from the stream meanwhile.
 fn serve_paced<R: BufRead, W: Write>(
     manager: &SessionManager,
     mut reader: R,
@@ -153,8 +163,10 @@ fn serve_paced<R: BufRead, W: Write>(
     let mut line = Vec::new();
     // When the next request may start. It advances from the due time,
     // not from the wake-up, so a late timer does not stretch the next
-    // interval as well.
+    // interval as well. Each interval it lies in the past is one saved
+    // start, and it is never left further back than the bucket holds.
     let mut due = Instant::now();
+    let saved = interval * (CONNECTION_BURST - 1);
     loop {
         line.clear();
         let limit = MAX_REQUEST_LINE as u64 + 1;
@@ -171,7 +183,7 @@ fn serve_paced<R: BufRead, W: Write>(
         }
         let now = Instant::now();
         std::thread::sleep(due.saturating_duration_since(now));
-        due = due.max(now) + interval;
+        due = now.checked_sub(saved).map_or(due, |oldest| due.max(oldest)) + interval;
         let response = match serde_json::from_slice::<Request>(&line) {
             Ok(request) => handle(manager, request),
             Err(e) => Response::Error {

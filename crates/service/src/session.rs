@@ -47,9 +47,12 @@
 //! meaningless). Ghost decoys stay deterministic across a swap to an
 //! identical model because generation is content-seeded — the fleet
 //! seed survives the rebind, so cross-tenant cache identity is
-//! preserved.
+//! preserved. A session's `(model, epoch)` pair is read under the model
+//! slot's lock, so the epoch a session carries names the model its
+//! generator holds — which is what lets the cycle memo (see
+//! [`crate::cache`]) key stored cycles by epoch; a swap empties the memo.
 
-use crate::cache::ResultCache;
+use crate::cache::{CycleKey, CycleMemo, GeneratedCycle, ResultCache};
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics, SessionMetrics};
 use crate::scheduler::{PlannedQuery, SubmissionTag};
@@ -319,6 +322,9 @@ const MAX_INFLIGHT_CYCLES: usize = 256;
 /// inside `client`.
 pub(crate) struct Session {
     generator: GhostGenerator,
+    /// The configuration `generator` runs with: the tenant's, with the
+    /// fleet secret mixed into its seed.
+    ghost: GhostConfig,
     /// The manager model epoch this session's generator was built
     /// against; lazily rebound when the manager's epoch moves on.
     model_epoch: u64,
@@ -357,9 +363,11 @@ impl Session {
             seed: config.pacing.seed ^ seed,
             ..config.pacing
         };
-        let generator = GhostGenerator::new(BeliefEngine::new(model), config.requirement, ghost);
+        let generator =
+            GhostGenerator::new(BeliefEngine::new(model), config.requirement, ghost.clone());
         Session {
             generator,
+            ghost,
             model_epoch,
             pacer: PacingScheduler::new(pacing),
             config,
@@ -371,20 +379,19 @@ impl Session {
     }
 
     /// Rebinds this session's generator to the manager's current model
-    /// (epoch-style swap). The fleet-mixed ghost seed is recomputed from
-    /// the session's own base config, so decoy determinism and cache
-    /// identity survive a swap to an identical model. When the topic
+    /// (epoch-style swap). The fleet-mixed ghost config is the one the
+    /// session was opened with, so decoy determinism and cache identity
+    /// survive a swap to an identical model. When the topic
     /// count changes, trace accounting restarts — topic ids no longer
     /// mean the same thing, so the old posterior sums are dropped rather
     /// than silently mixed across incompatible topic spaces.
-    fn rebind_model(&mut self, model: Arc<LdaModel>, epoch: u64, fleet_seed: u64) {
+    fn rebind_model(&mut self, model: Arc<LdaModel>, epoch: u64) {
         let old_topics = self.generator.belief().num_topics();
-        let ghost = GhostConfig {
-            seed: self.config.ghost.seed ^ fleet_seed,
-            ..self.config.ghost.clone()
-        };
-        self.generator =
-            GhostGenerator::new(BeliefEngine::new(model), self.config.requirement, ghost);
+        self.generator = GhostGenerator::new(
+            BeliefEngine::new(model),
+            self.config.requirement,
+            self.ghost.clone(),
+        );
         if self.generator.belief().num_topics() != old_topics {
             // The old topic space is gone, so every in-flight cycle's
             // posteriors are meaningless for rollback replay: fold them
@@ -436,12 +443,29 @@ impl Session {
     /// a cross-session planner can substitute cycle members between
     /// generation and accounting — the session then debits exactly what
     /// was actually planned for submission.
-    fn generate(&self, tokens: &[TermId]) -> (CycleResult, Vec<Vec<f64>>) {
-        if self.config.history_aware && !self.acc.tracker.is_empty() {
-            self.generator
-                .generate_with_history(tokens, self.acc.tracker.posteriors())
-        } else {
-            self.generator.generate_with_posteriors(tokens)
+    ///
+    /// This is the one place that asks the manager's [`CycleMemo`], when
+    /// there is one: a cycle another request already formulated under the
+    /// same [`CycleKey`] is handed back as it was certified. A
+    /// history-aware session never asks — its cycles depend on its own
+    /// trace, which no key holds.
+    fn generate(&self, tokens: &[TermId], memo: Option<&CycleMemo>) -> GeneratedCycle {
+        let generate = || self.generator.generate_with_posteriors(tokens);
+        if self.config.history_aware {
+            let history = self.acc.tracker.posteriors();
+            return if history.is_empty() {
+                generate()
+            } else {
+                self.generator.generate_with_history(tokens, history)
+            };
+        }
+        match memo {
+            Some(memo) => {
+                let requirement = self.config.requirement;
+                let key = CycleKey::new(self.model_epoch, requirement, &self.ghost, tokens);
+                memo.get_or_generate(key, generate)
+            }
+            None => generate(),
         }
     }
 
@@ -544,8 +568,8 @@ impl Session {
 
     /// Formulates (and records) one cycle for `tokens` (synchronous
     /// path: resolved inline, so it is born settled).
-    fn formulate(&mut self, tokens: &[TermId]) -> CycleResult {
-        let (result, posteriors) = self.generate(tokens);
+    fn formulate(&mut self, tokens: &[TermId], memo: Option<&CycleMemo>) -> CycleResult {
+        let (result, posteriors) = self.generate(tokens, memo);
         self.account(&result, posteriors, None, tokens, 0, 0);
         result
     }
@@ -608,6 +632,28 @@ pub(crate) fn settle_delivered(
     }
 }
 
+/// What [`SessionManager::with_cache`] attaches. The two stores are one
+/// plane: a stored cycle spares the formulation of a query whose members
+/// the result cache already spares the engine.
+struct CachePlane {
+    results: Arc<ResultCache>,
+    cycles: CycleMemo,
+}
+
+/// Stored cycles per result-cache entry: a cycle is υ ≈ 6.3 members and
+/// members repeat across cycles, so a result cache of `capacity` entries
+/// backs about an eighth as many cycles.
+const RESULTS_PER_STORED_CYCLE: usize = 8;
+
+impl CachePlane {
+    fn new(capacity: usize, registry: &Arc<toppriv_obs::MetricsRegistry>) -> Self {
+        CachePlane {
+            results: Arc::new(ResultCache::new(capacity).with_registry(registry.clone())),
+            cycles: CycleMemo::new(capacity / RESULTS_PER_STORED_CYCLE, registry),
+        }
+    }
+}
+
 /// The multi-tenant service core.
 ///
 /// ## Example
@@ -633,7 +679,9 @@ pub struct SessionManager {
     /// Monotone model-swap counter; sessions compare against it to
     /// lazily rebind their generators after [`SessionManager::swap_model`].
     model_epoch: AtomicU64,
-    cache: Option<Arc<ResultCache>>,
+    /// The cache plane [`SessionManager::with_cache`] attaches: member
+    /// results and whole cycles, both or neither.
+    cache: Option<CachePlane>,
     metrics: Arc<ServiceMetrics>,
     /// The online privacy auditor, when the audit plane is attached
     /// (see [`SessionManager::with_auditor`]).
@@ -677,13 +725,14 @@ impl SessionManager {
         }
     }
 
-    /// Attaches a sharded LRU result cache of `capacity` entries. The
-    /// cache publishes per-shard hit/miss/eviction counters and lookup
-    /// latency into this manager's metrics registry.
+    /// Attaches a sharded LRU result cache of `capacity` entries and,
+    /// beside it, a memo of `capacity / 8` whole cycles, so a query the
+    /// fleet has already protected is neither evaluated nor formulated
+    /// again. Both publish their hit/miss/eviction counters (and the
+    /// result cache its lookup latency) into this manager's metrics
+    /// registry.
     pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(Arc::new(
-            ResultCache::new(capacity).with_registry(self.metrics.registry().clone()),
-        ));
+        self.cache = Some(CachePlane::new(capacity, self.metrics.registry()));
         self
     }
 
@@ -693,10 +742,8 @@ impl SessionManager {
     /// already-attached cache is re-bound to the same registry.
     pub fn with_metrics_registry(mut self, registry: Arc<toppriv_obs::MetricsRegistry>) -> Self {
         self.metrics = Arc::new(ServiceMetrics::with_registry(registry.clone()));
-        if let Some(cache) = &self.cache {
-            self.cache = Some(Arc::new(
-                ResultCache::new(cache.capacity()).with_registry(registry),
-            ));
+        if let Some(plane) = &self.cache {
+            self.cache = Some(CachePlane::new(plane.results.capacity(), &registry));
         }
         self
     }
@@ -783,9 +830,22 @@ impl SessionManager {
         let mut slot = recover_write(&self.model);
         *slot = model;
         // Bump while still holding the slot so (model, epoch) move
-        // together: a session can never observe the new epoch paired
-        // with the old model.
-        self.model_epoch.fetch_add(1, Ordering::SeqCst) + 1
+        // together: see [`Self::model_and_epoch`].
+        let epoch = self.model_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        if let Some(plane) = &self.cache {
+            // No session will ask under the old epoch again.
+            plane.cycles.clear();
+        }
+        epoch
+    }
+
+    /// The shared model and its epoch, read as one pair: under the slot's
+    /// read lock, which [`Self::swap_model`] holds for writing while it
+    /// moves both. A session bound from this pair can key the cycle memo
+    /// by the epoch and mean the model.
+    fn model_and_epoch(&self) -> (Arc<LdaModel>, u64) {
+        let slot = recover_read(&self.model);
+        (slot.clone(), self.model_epoch())
     }
 
     /// Fallible variant of [`SessionManager::swap_model`] for fleet
@@ -817,7 +877,12 @@ impl SessionManager {
 
     /// The result cache, if one is attached.
     pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
+        self.cache.as_ref().map(|plane| &plane.results)
+    }
+
+    /// The cycle memo, if a cache is attached.
+    fn memo(&self) -> Option<&CycleMemo> {
+        self.cache.as_ref().map(|plane| &plane.cycles)
     }
 
     /// The shared metrics registry.
@@ -844,13 +909,8 @@ impl SessionManager {
         if sessions.contains_key(id) {
             return Err(ServiceError::DuplicateSession(id.to_string()));
         }
-        let session = Session::new(
-            self.model(),
-            config,
-            session_seed(id),
-            self.fleet_seed,
-            self.model_epoch(),
-        );
+        let (model, epoch) = self.model_and_epoch();
+        let session = Session::new(model, config, session_seed(id), self.fleet_seed, epoch);
         sessions.insert(id.to_string(), Arc::new(Mutex::new(session)));
         Ok(())
     }
@@ -889,9 +949,9 @@ impl SessionManager {
     /// Epoch check on the search hot path: if the manager's model moved
     /// on since this session last generated, rebind its generator now.
     fn refresh_session(&self, session: &mut Session) {
-        let epoch = self.model_epoch();
-        if session.model_epoch != epoch {
-            session.rebind_model(self.model(), epoch, self.fleet_seed);
+        if session.model_epoch != self.model_epoch() {
+            let (model, epoch) = self.model_and_epoch();
+            session.rebind_model(model, epoch);
         }
     }
 
@@ -988,7 +1048,7 @@ impl SessionManager {
         let k = if k == 0 { session.config.top_k } else { k };
         let report = {
             let _formulate = span.child("formulate");
-            session.formulate(tokens)
+            session.formulate(tokens, self.memo())
         };
         if let Some(auditor) = &self.auditor {
             // The synchronous path has no drain to audit it later:
@@ -1010,7 +1070,7 @@ impl SessionManager {
         for query in &report.cycle {
             let (hits, was_hit) = Self::resolve(
                 &tier,
-                self.cache.as_deref(),
+                self.cache.as_ref().map(|plane| &*plane.results),
                 &self.metrics,
                 &query.tokens,
                 k,
@@ -1090,7 +1150,7 @@ impl SessionManager {
         let k = if k == 0 { session.config.top_k } else { k };
         let (report, posteriors) = {
             let _formulate = span.child("formulate");
-            session.generate(tokens)
+            session.generate(tokens, self.memo())
         };
         // Mirror `Session::generate`'s branch: history-aware cycles carry
         // trace boosts averaged over history ∪ cycle, so that is the
@@ -1133,7 +1193,7 @@ impl SessionManager {
         let mut session = recover_lock(&session);
         self.refresh_session(&mut session);
         let (report, posteriors) = if session.model_epoch != fc.model_epoch {
-            session.generate(&fc.user_tokens)
+            session.generate(&fc.user_tokens, self.memo())
         } else {
             (fc.report, fc.posteriors)
         };
@@ -1270,12 +1330,13 @@ impl SessionManager {
         if sessions.contains_key(&state.id) {
             return Err(ServiceError::DuplicateSession(state.id.clone()));
         }
+        let (model, epoch) = self.model_and_epoch();
         let mut session = Session::new(
-            self.model(),
+            model,
             state.config.clone(),
             session_seed(&state.id),
             self.fleet_seed,
-            self.model_epoch(),
+            epoch,
         );
         session.pacer.resume_from(state.next_cycle_id as usize);
         session.clock_secs = state.clock_secs;
@@ -1395,4 +1456,401 @@ fn random_fleet_seed() -> u64 {
     std::collections::hash_map::RandomState::new()
         .build_hasher()
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::auditor::AuditConfig;
+    use crate::cache::{M_CYCLE_MEMO_EVICTIONS, M_CYCLE_MEMO_HITS, M_CYCLE_MEMO_MISSES};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Barrier;
+    use toppriv_core::TermSelection;
+    use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
+    use tsearch_lda::{LdaConfig, LdaTrainer};
+    use tsearch_search::ScoringModel;
+    use tsearch_text::Analyzer;
+
+    const FLEET_SEED: u64 = 0xF1EE7;
+
+    struct Stack {
+        engine: Arc<SearchEngine>,
+        model: Arc<LdaModel>,
+        /// Distinct analyzed queries the vocabulary knows.
+        queries: Vec<Vec<TermId>>,
+    }
+
+    fn stack(num_queries: usize) -> Stack {
+        let corpus = SyntheticCorpus::generate(CorpusConfig {
+            num_docs: 240,
+            num_topics: 8,
+            terms_per_topic: 50,
+            ..CorpusConfig::default()
+        });
+        let docs = corpus.token_docs();
+        let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
+        let engine = Arc::new(SearchEngine::build(
+            &docs,
+            &texts,
+            Analyzer::new(),
+            corpus.vocab.clone(),
+            ScoringModel::TfIdfCosine,
+        ));
+        let model = Arc::new(LdaTrainer::train(
+            &docs,
+            corpus.vocab.len(),
+            LdaConfig {
+                iterations: 20,
+                ..LdaConfig::with_topics(8)
+            },
+        ));
+        let config = WorkloadConfig {
+            num_queries,
+            ..WorkloadConfig::default()
+        };
+        let mut queries: Vec<Vec<TermId>> = generate_workload(&corpus, &config)
+            .into_iter()
+            .map(|q| q.tokens)
+            .collect();
+        queries.sort();
+        queries.dedup();
+        Stack {
+            engine,
+            model,
+            queries,
+        }
+    }
+
+    fn manager(stack: &Stack) -> SessionManager {
+        SessionManager::new(stack.engine.clone(), stack.model.clone()).with_fleet_seed(FLEET_SEED)
+    }
+
+    fn memo_counts(manager: &SessionManager) -> (u64, u64) {
+        let registry = manager.metrics_registry().registry();
+        (
+            registry.counter_total(M_CYCLE_MEMO_HITS),
+            registry.counter_total(M_CYCLE_MEMO_MISSES),
+        )
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn hit_bits(hits: &[SearchHit]) -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+    }
+
+    /// Everything a formulation determines — all of a cycle but the wall
+    /// time it took — with every float as its bit pattern.
+    fn identity(report: &CycleResult, posteriors: &[Vec<f64>]) -> (String, Vec<Vec<u64>>) {
+        let m = &report.metrics;
+        let discrete = format!(
+            "{:?}",
+            (
+                &report.cycle,
+                report.genuine_index,
+                &report.intention,
+                &report.masking_topics,
+                &report.ineffective_topics,
+                report.satisfied,
+                (m.num_relevant, m.best_intention_rank, m.cycle_len),
+            )
+        );
+        let mut floats = vec![
+            bits(&report.solo_boosts),
+            bits(&report.cycle_boosts),
+            vec![m.exposure.to_bits(), m.mask_level.to_bits()],
+        ];
+        floats.extend(posteriors.iter().map(|p| bits(p)));
+        (discrete, floats)
+    }
+
+    fn formulated(manager: &SessionManager, id: &str, tokens: &[TermId]) -> FormulatedCycle {
+        manager.formulate_cycle(id, tokens, 10).expect("formulates")
+    }
+
+    fn session_bits(m: &SessionMetrics) -> (u64, u64, Vec<u64>) {
+        let floats = [
+            m.mean_cycle_len,
+            m.mean_exposure,
+            m.worst_exposure,
+            m.mean_mask_level,
+            m.satisfied_rate,
+            m.trace_exposure,
+        ];
+        (m.cycles, m.queries_emitted, bits(&floats))
+    }
+
+    #[test]
+    fn a_manager_with_the_memo_answers_as_one_without() {
+        let stack = stack(300);
+        assert!(stack.queries.len() >= 200, "{}", stack.queries.len());
+        let plain = manager(&stack);
+        let cached = manager(&stack).with_cache(4096);
+        let sessions = ["s0", "s1", "s2"];
+        // Every session asks every query once, all in one shuffled order:
+        // the first asker of a query misses, the other two are handed the
+        // stored cycle.
+        let mut asks: Vec<(&str, &Vec<TermId>)> = sessions
+            .iter()
+            .flat_map(|&s| stack.queries.iter().map(move |q| (s, q)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        for i in (1..asks.len()).rev() {
+            asks.swap(i, rng.gen_range(0..=i));
+        }
+        for id in sessions {
+            plain.open_session(id).unwrap();
+            cached.open_session(id).unwrap();
+        }
+        for (id, tokens) in asks {
+            let (a, b) = (
+                formulated(&plain, id, tokens),
+                formulated(&cached, id, tokens),
+            );
+            assert_eq!(
+                identity(&a.report, &a.posteriors),
+                identity(&b.report, &b.posteriors)
+            );
+            assert_eq!(
+                (a.boost_support, a.k, a.model_epoch),
+                (b.boost_support, b.k, b.model_epoch)
+            );
+            let a = plain.search_tokens(id, tokens, 10).unwrap();
+            let b = cached.search_tokens(id, tokens, 10).unwrap();
+            assert_eq!(hit_bits(&a.hits), hit_bits(&b.hits));
+            assert_eq!(identity(&a.report, &[]), identity(&b.report, &[]));
+        }
+        for id in sessions {
+            assert_eq!(
+                session_bits(&plain.session_metrics(id).unwrap()),
+                session_bits(&cached.session_metrics(id).unwrap()),
+                "{id}"
+            );
+        }
+        // Each ask formulated twice (once uncommitted, once searched): the
+        // first of a query's six formulations missed.
+        let queries = stack.queries.len() as u64;
+        assert_eq!(memo_counts(&cached), (5 * queries, queries));
+        assert_eq!(memo_counts(&plain), (0, 0), "no cache, no memo");
+    }
+
+    #[test]
+    fn a_stored_cycle_is_only_handed_to_an_identical_formulation() {
+        let stack = stack(4);
+        let manager = manager(&stack).with_cache(4096);
+        let q = stack
+            .queries
+            .iter()
+            .find(|q| q.windows(2).any(|w| w[0] != w[1]))
+            .expect("a query of two different terms");
+        manager.open_session("a").unwrap();
+        manager.open_session("b").unwrap();
+        let first = formulated(&manager, "a", q);
+        assert_eq!(memo_counts(&manager), (0, 1));
+        let again = formulated(&manager, "b", q);
+        assert_eq!(memo_counts(&manager), (1, 1), "same key: handed back");
+        assert_eq!(
+            first.report.metrics.generation_secs.to_bits(),
+            again.report.metrics.generation_secs.to_bits(),
+            "verbatim, the first measurement included"
+        );
+
+        // Anything the generator reads that differs is another key.
+        type Change = fn(&mut SessionConfig);
+        let others: [(&str, Change); 7] = [
+            ("eps", |c| {
+                c.requirement = PrivacyRequirement::new(0.08, 0.02).unwrap()
+            }),
+            ("min", |c| c.ghost.min_len_mult = 1.5),
+            ("max", |c| c.ghost.max_len_mult = 3.0),
+            ("cap", |c| c.ghost.max_cycle_len = 32),
+            ("pool", |c| c.ghost.term_pool = 30),
+            ("seed", |c| c.ghost.seed = 1),
+            ("selection", |c| {
+                c.ghost.term_selection = TermSelection::SpecificityMatched
+            }),
+        ];
+        for (misses, (id, change)) in others.into_iter().enumerate() {
+            let mut config = SessionConfig::default();
+            change(&mut config);
+            manager.open_session_with(id, config).unwrap();
+            formulated(&manager, id, q);
+            assert_eq!(memo_counts(&manager), (1, 2 + misses as u64), "{id}");
+        }
+        let (_, misses) = memo_counts(&manager);
+
+        // The same bag in another order seeds another cycle.
+        let mut reordered = q.clone();
+        reordered.reverse();
+        assert_ne!(&reordered, q);
+        formulated(&manager, "b", &reordered);
+        assert_eq!(memo_counts(&manager), (1, misses + 1));
+
+        // A history-aware session's cycles depend on its own trace: it
+        // neither reads nor feeds the memo, before its first cycle or after.
+        let history_aware = SessionConfig {
+            history_aware: true,
+            ..SessionConfig::default()
+        };
+        manager.open_session_with("trace", history_aware).unwrap();
+        manager.search_tokens("trace", q, 10).unwrap();
+        manager.search_tokens("trace", q, 10).unwrap();
+        assert_eq!(memo_counts(&manager), (1, misses + 1));
+
+        // A swapped model is another epoch, even when it is the same model.
+        manager.swap_model(stack.model.clone());
+        assert_eq!(manager.memo().unwrap().len(), 0, "a swap empties the memo");
+        let after = formulated(&manager, "a", q);
+        assert_eq!(memo_counts(&manager), (1, misses + 2));
+        assert_eq!(
+            identity(&after.report, &after.posteriors),
+            identity(&first.report, &first.posteriors),
+            "same model, same cycle — formulated again, not remembered"
+        );
+    }
+
+    #[test]
+    fn the_memo_is_bounded_and_evicts_the_least_recently_asked() {
+        let stack = stack(60);
+        let capacity = 4;
+        let manager = manager(&stack).with_cache(capacity * RESULTS_PER_STORED_CYCLE);
+        manager.open_session("a").unwrap();
+        let queries = &stack.queries[..10 * capacity];
+        for q in queries {
+            formulated(&manager, "a", q);
+        }
+        let memo = manager.memo().unwrap();
+        assert_eq!(memo.len(), capacity);
+        let registry = manager.metrics_registry().registry();
+        assert_eq!(
+            registry.counter_total(M_CYCLE_MEMO_EVICTIONS),
+            9 * capacity as u64
+        );
+        // Stored, oldest first: 36 37 38 39. Asking 36 makes 37 the oldest,
+        // so a new query evicts 37 and 36 stays.
+        formulated(&manager, "a", &queries[36]);
+        assert_eq!(memo_counts(&manager), (1, 40));
+        formulated(&manager, "a", &queries[0]);
+        formulated(&manager, "a", &queries[36]);
+        assert_eq!(
+            memo_counts(&manager),
+            (2, 41),
+            "the refreshed cycle survived"
+        );
+        formulated(&manager, "a", &queries[37]);
+        assert_eq!(memo_counts(&manager), (2, 42), "the oldest did not");
+        assert_eq!(memo.len(), capacity);
+
+        // Too small a cache to back one cycle: a memo that stores nothing.
+        for capacity in [0, RESULTS_PER_STORED_CYCLE - 1] {
+            let manager = self::manager(&stack).with_cache(capacity);
+            manager.open_session("a").unwrap();
+            formulated(&manager, "a", &queries[0]);
+            formulated(&manager, "a", &queries[0]);
+            assert_eq!(memo_counts(&manager), (0, 2));
+            assert_eq!(manager.memo().unwrap().len(), 0);
+        }
+    }
+
+    #[test]
+    fn threads_asking_one_query_at_once_get_one_cycle() {
+        let stack = stack(1);
+        let q = &stack.queries[0];
+        let plain = manager(&stack);
+        plain.open_session("a").unwrap();
+        let expected = formulated(&plain, "a", q);
+        let expected = identity(&expected.report, &expected.posteriors);
+
+        let manager = manager(&stack).with_cache(4096);
+        let threads = 8;
+        let barrier = Barrier::new(threads);
+        let cycles: Vec<FormulatedCycle> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (manager, barrier) = (&manager, &barrier);
+                    scope.spawn(move || {
+                        let id = format!("t{t}");
+                        manager.open_session(&id).unwrap();
+                        barrier.wait();
+                        formulated(manager, &id, q)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for fc in &cycles {
+            assert_eq!(identity(&fc.report, &fc.posteriors), expected);
+        }
+        let (hits, misses) = memo_counts(&manager);
+        assert_eq!(hits + misses, threads as u64);
+        assert!(misses >= 1);
+        assert_eq!(manager.memo().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rewriting_a_formulated_cycle_leaves_the_stored_one_alone() {
+        let stack = stack(1);
+        let q = &stack.queries[0];
+        let manager = manager(&stack).with_cache(4096);
+        manager.open_session("a").unwrap();
+        manager.open_session("b").unwrap();
+        let mut fc = formulated(&manager, "a", q);
+        let certified = identity(&fc.report, &fc.posteriors);
+        // What `GhostPlanner::substitute_members` does to a member it
+        // replaces with another tenant's submission.
+        let ghost = (0..fc.report.cycle_len())
+            .find(|&i| i != fc.report.genuine_index)
+            .expect("a cycle with a ghost");
+        fc.report.cycle[ghost].tokens = vec![0, 1, 2];
+        fc.report.cycle[ghost].masking_topic = None;
+        fc.posteriors[ghost].fill(0.125);
+        fc.report.cycle_boosts.fill(0.0);
+        fc.report.satisfied = !fc.report.satisfied;
+        assert_ne!(identity(&fc.report, &fc.posteriors), certified);
+        manager.commit_cycle(fc).unwrap();
+
+        let next = formulated(&manager, "b", q);
+        assert_eq!(memo_counts(&manager), (1, 1));
+        assert_eq!(identity(&next.report, &next.posteriors), certified);
+    }
+
+    #[test]
+    fn a_closed_tenant_leaves_no_series_behind() {
+        let stack = stack(1);
+        let q = &stack.queries[0];
+        let manager = manager(&stack)
+            .with_cache(64)
+            .with_auditor(AuditConfig::default());
+        let registry = manager.metrics_registry().registry().clone();
+        // One tenant through the whole path first, so every series that is
+        // not a tenant's own exists before the count is taken.
+        manager.open_session("warm-up").unwrap();
+        manager.search_tokens("warm-up", q, 10).unwrap();
+        manager.close_session("warm-up").unwrap();
+        let series = registry.len();
+        for tenant in 0..1000 {
+            let id = format!("tenant-{tenant}");
+            manager.open_session(&id).unwrap();
+            manager.search_tokens(&id, q, 10).unwrap();
+            assert_eq!(registry.len(), series + 4, "{id}: its four gauges, live");
+            manager.close_session(&id).unwrap();
+        }
+        assert_eq!(registry.len(), series);
+        assert_eq!(manager.auditor().unwrap().health().tenants, 0);
+
+        // The same id again: new gauges that start from this session, not
+        // readings left by the last one.
+        manager.open_session("tenant-7").unwrap();
+        let labels = [("tenant", "tenant-7")];
+        let gauge = |name| registry.gauge(name, &labels).get();
+        manager.search_tokens("tenant-7", q, 10).unwrap();
+        let after_one = gauge(crate::auditor::M_TENANT_TRACE_EXPOSURE);
+        let metrics = manager.session_metrics("tenant-7").unwrap();
+        assert_eq!(after_one, crate::auditor::to_micro(metrics.trace_exposure));
+        assert_eq!(metrics.cycles, 1);
+        assert_eq!(registry.len(), series + 4);
+    }
 }

@@ -1,13 +1,13 @@
 //! The wire rules of `serve_lines` / `serve_listener`: one write per
 //! response, no Nagle/delayed-ACK stall between back-to-back requests,
 //! pipelined requests answered in order, a capped request line, and a
-//! paced TCP connection.
+//! TCP connection paced by a token bucket.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use toppriv_service::server::CONNECTION_REQUEST_INTERVAL;
+use toppriv_service::server::{CONNECTION_BURST, CONNECTION_REQUEST_INTERVAL};
 use toppriv_service::{serve_lines, serve_listener, Op, Request, Response, SessionManager};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
@@ -241,9 +241,11 @@ fn a_tcp_connection_is_paced_and_a_line_stream_is_not() {
     let batch: String = sessions.iter().map(|s| open(s)).collect();
     let gaps = sessions.len() as u32 - 1;
 
+    // A new connection holds one request start, not a full bucket: the
+    // clock starts before the connection exists, as its bucket's does not.
     let addr = serve(manager.clone());
-    let mut stream = connect(addr);
     let started = Instant::now();
+    let mut stream = connect(addr);
     stream.write_all(batch.as_bytes()).expect("send");
     let mut reader = BufReader::new(stream);
     for _ in sessions {
@@ -255,7 +257,7 @@ fn a_tcp_connection_is_paced_and_a_line_stream_is_not() {
     let paced = started.elapsed();
     assert!(
         paced >= CONNECTION_REQUEST_INTERVAL * gaps,
-        "six requests at once were answered in {paced:?}"
+        "six requests at once on a new connection were answered in {paced:?}"
     );
 
     // The same lines from a plain reader (the `--stdin` mode): the
@@ -265,6 +267,62 @@ fn a_tcp_connection_is_paced_and_a_line_stream_is_not() {
     serve_lines(&manager, batch.as_bytes(), &mut out).expect("serve");
     assert_eq!(out.writes.len(), sessions.len());
     assert!(started.elapsed() < CONNECTION_REQUEST_INTERVAL * gaps);
+}
+
+#[test]
+fn a_rested_connection_may_burst() {
+    let (manager, _) = stack();
+    let addr = serve(manager);
+    let mut stream = connect(addr);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let interval = CONNECTION_REQUEST_INTERVAL;
+    let burst = CONNECTION_BURST as usize;
+
+    // Sends `lines` `Metrics` requests at once; when each answer arrived,
+    // counted from the send.
+    let mut ask_at_once = |lines: usize| -> Vec<Duration> {
+        let batch = line(Op::Metrics).repeat(lines);
+        let sent = Instant::now();
+        stream.write_all(batch.as_bytes()).expect("send");
+        (0..lines)
+            .map(|_| {
+                read_response(&mut reader).expect("an answer per line");
+                sent.elapsed()
+            })
+            .collect()
+    };
+
+    // The lower bounds hold on every attempt; "inside one interval" is an
+    // upper bound on a shared machine, so it gets three.
+    let mut burst_seen = false;
+    for _ in 0..3 {
+        std::thread::sleep(interval * (CONNECTION_BURST + 1));
+        let answered = ask_at_once(burst + 2);
+        assert!(
+            answered[burst] >= interval && answered[burst + 1] >= interval * 2,
+            "the bucket holds {burst} starts, yet {} lines were answered at {answered:?}",
+            burst + 2
+        );
+        burst_seen |= answered[burst - 1] < interval;
+    }
+    assert!(
+        burst_seen,
+        "a connection that rested {burst} intervals was still held to one line per interval"
+    );
+
+    // A closed loop earns what it spends: 50 starts a second, as before.
+    std::thread::sleep(interval * (CONNECTION_BURST + 1));
+    ask_at_once(burst);
+    let started = Instant::now();
+    let mut requests = 0;
+    while started.elapsed() < Duration::from_secs(1) {
+        ask_at_once(1);
+        requests += 1;
+    }
+    assert!(
+        (48..=52).contains(&requests),
+        "one second of closed loop was {requests} requests"
+    );
 }
 
 #[test]

@@ -139,8 +139,9 @@ fn parse_args() -> Result<Args, String> {
                      --stdin            serve NDJSON over stdin/stdout (default)\n\
                      --sessions N       tenants in the demo (default 8)\n\
                      --queries N        queries per tenant in the demo (default 4)\n\
-                     --cache-capacity N result cache entries (default 4096)\n\
-                     --no-cache         disable the result cache\n\
+                     --cache-capacity N result cache entries (default 4096); N/8 whole\n\
+                     \u{20}                  cycles are remembered beside them\n\
+                     --no-cache         no result cache and no cycle memo\n\
                      --planner          route demo cycles through the cross-session ghost\n\
                      \u{20}                  planner (decoy reuse + coalesced shared submissions)\n\
                      --workers N        scheduler worker threads (default 4)\n\
