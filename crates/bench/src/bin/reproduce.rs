@@ -1,124 +1,39 @@
-//! Reproduction driver: regenerates every table and figure of the paper.
+//! Reproduction driver: regenerates every table and figure of the paper
+//! and runs the fleet's invariant gates.
 //!
 //! Usage:
 //! ```text
-//! reproduce [EXPERIMENT ...]
-//!           [--exp all|fig2|fig3|fig4|fig5|fig6|tables|stats|ablations|adversary|
-//!                  classifier|mc|session|reduced|pacing|quality|load|service|sharding|
-//!                  staleness|scenarios|audit|planner|appendix]
-//!           [diff [--baseline-dir D] [--bench-dir D] [--threshold PCT]]
-//!           [--scale quick|standard] [--out results] [--no-cache] [--quiet]
+//! reproduce [EXPERIMENT ...] [--scale quick|standard] [--out results]
+//!           [--no-cache] [--quiet]
 //! ```
 //!
-//! Bare positional names select experiments (`reproduce -- service
-//! sharding`); the `service`, `sharding`, `staleness`, `scenarios`,
-//! `audit`, and `planner` experiments additionally write machine-readable
-//! `BENCH_<name>.json` snapshots (per-stage p50/p99 from the
-//! toppriv-obs histograms) to the current directory or
-//! `$TOPPRIV_BENCH_DIR`.
-//!
-//! `reproduce -- diff [--baseline-dir D] [--bench-dir D] [--threshold PCT]`
-//! compares fresh `BENCH_*.json` snapshots against the recorded
-//! baselines (default `results/baselines/`) and exits non-zero when any
-//! stage p99 or run qps regressed beyond the threshold.
+//! Bare names select experiments from `toppriv_bench::experiments::ALL`
+//! (`reproduce fig2 tables`); with none, every experiment runs. Each
+//! writes its tables as CSV under `--out`. `audit`, `planner` and
+//! `scenarios` also check named invariants, and those checks are the
+//! process exit status: 0 when every one passed, 1 after printing each
+//! failed `name: detail` (2 is a usage error). `reproduce` asserts and
+//! tabulates; throughput and latency are `benchmark/`'s to measure.
 
 use std::path::PathBuf;
 use std::time::Instant;
-use toppriv_bench::diff::{diff_dirs, DiffConfig};
-use toppriv_bench::experiments;
-use toppriv_bench::{ExperimentContext, ResultTable, Scale};
+use toppriv_bench::experiments::{self, Run, ALL};
+use toppriv_bench::{verdict, ExperimentContext, Scale};
 
 struct Args {
-    exps: Vec<String>,
+    exps: Vec<&'static (&'static str, Run)>,
     scale: Scale,
     out: PathBuf,
     cache: bool,
     quiet: bool,
 }
 
-const ALL_EXPS: &[&str] = &[
-    "stats",
-    "tables",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "ablations",
-    "adversary",
-    "classifier",
-    "mc",
-    "session",
-    "reduced",
-    "pacing",
-    "quality",
-    "load",
-    "service",
-    "sharding",
-    "staleness",
-    "scenarios",
-    "audit",
-    "planner",
-    "appendix",
-];
-
-/// Handles `reproduce -- diff ...` without building a context: parses
-/// the diff flags, runs the comparison, prints the report, and exits —
-/// non-zero iff regressions were flagged (missing snapshots and parse
-/// errors are reported but do not fail the diff).
-fn run_diff(argv: &[String]) -> ! {
-    let mut baseline_dir = PathBuf::from("results/baselines");
-    let mut bench_dir = toppriv_obs::bench_dir();
-    let mut cfg = DiffConfig::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--baseline-dir" => {
-                i += 1;
-                baseline_dir = PathBuf::from(argv.get(i).unwrap_or_else(|| {
-                    eprintln!("error: --baseline-dir needs a value");
-                    std::process::exit(2);
-                }));
-            }
-            "--bench-dir" => {
-                i += 1;
-                bench_dir = PathBuf::from(argv.get(i).unwrap_or_else(|| {
-                    eprintln!("error: --bench-dir needs a value");
-                    std::process::exit(2);
-                }));
-            }
-            "--threshold" => {
-                i += 1;
-                cfg.threshold_pct = argv
-                    .get(i)
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --threshold needs a percentage");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("error: unknown diff argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    println!(
-        "[diff] baselines {} vs fresh {} (threshold {:.0}%, min p99 {} us)",
-        baseline_dir.display(),
-        bench_dir.display(),
-        cfg.threshold_pct,
-        cfg.min_p99_us
-    );
-    let report = diff_dirs(&baseline_dir, &bench_dir, &cfg);
-    print!("{}", report.render());
-    std::process::exit(if report.regressions() > 0 { 1 } else { 0 });
+fn names() -> Vec<&'static str> {
+    ALL.iter().map(|(name, _)| *name).collect()
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut exps = vec!["all".to_string()];
-    let mut positional: Vec<String> = Vec::new();
+    let mut exps = Vec::new();
     let mut scale = Scale::standard();
     let mut out = PathBuf::from("results");
     let mut cache = true;
@@ -127,11 +42,6 @@ fn parse_args() -> Result<Args, String> {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--exp" => {
-                i += 1;
-                let value = argv.get(i).ok_or("--exp needs a value")?;
-                exps = value.split(',').map(|s| s.trim().to_string()).collect();
-            }
             "--scale" => {
                 i += 1;
                 let value = argv.get(i).ok_or("--scale needs a value")?;
@@ -147,35 +57,27 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "reproduce [EXPERIMENT ...] — regenerate the paper's tables and figures\n\
-                     Bare names select experiments, e.g. `reproduce service sharding`\n\
-                     (these also write BENCH_<name>.json machine-readable snapshots).\n\
-                     --exp   comma list of {ALL_EXPS:?} or 'all' (default all)\n\
+                     Bare names select experiments from {:?} (default: all).\n\
+                     audit, planner and scenarios check invariants: exit status 1 if any failed.\n\
                      --scale quick|standard (default standard)\n\
                      --out   output directory (default results/)\n\
                      --no-cache  retrain LDA models instead of loading cached ones\n\
-                     --quiet     suppress table rendering"
+                     --quiet     suppress table rendering",
+                    names()
                 );
                 std::process::exit(0);
             }
-            other if !other.starts_with('-') => positional.push(other.to_string()),
+            other if !other.starts_with('-') => {
+                exps.push(ALL.iter().find(|(name, _)| *name == other).ok_or_else(|| {
+                    format!("unknown experiment '{other}' (choose from {:?})", names())
+                })?);
+            }
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
     }
-    // Bare experiment names (`reproduce -- service sharding`) select just
-    // those experiments, same as `--exp service,sharding`.
-    if !positional.is_empty() {
-        exps = positional;
-    }
-    if exps.iter().any(|e| e == "all") {
-        exps = ALL_EXPS.iter().map(|s| s.to_string()).collect();
-    }
-    for e in &exps {
-        if !ALL_EXPS.contains(&e.as_str()) {
-            return Err(format!(
-                "unknown experiment '{e}' (choose from {ALL_EXPS:?})"
-            ));
-        }
+    if exps.is_empty() {
+        exps = ALL.iter().collect();
     }
     Ok(Args {
         exps,
@@ -187,11 +89,6 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    // `diff` is a subcommand, not an experiment: it needs no context.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("diff") {
-        run_diff(&argv[1..]);
-    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
@@ -202,7 +99,8 @@ fn main() {
     let cache_dir = args.cache.then(|| args.out.join("cache"));
     println!(
         "[reproduce] scale={} experiments={:?}",
-        args.scale.name, args.exps
+        args.scale.name,
+        args.exps.iter().map(|(name, _)| *name).collect::<Vec<_>>()
     );
     let t0 = Instant::now();
     let ctx = ExperimentContext::build(args.scale.clone(), cache_dir.as_deref());
@@ -215,33 +113,16 @@ fn main() {
         ctx.models.iter().map(|(k, _)| *k).collect::<Vec<_>>()
     );
 
-    for exp in &args.exps {
+    let mut reports = Vec::new();
+    for (exp, run) in &args.exps {
         let t = Instant::now();
-        let tables: Vec<ResultTable> = match exp.as_str() {
-            "fig2" => experiments::fig2::run(&ctx),
-            "fig3" => experiments::fig3::run(&ctx),
-            "fig4" => experiments::fig4::run(&ctx),
-            "fig5" => experiments::fig5::run(&ctx),
-            "fig6" => experiments::fig6::run(&ctx),
-            "tables" => experiments::tables::run(&ctx),
-            "stats" => experiments::stats::run(&ctx),
-            "ablations" => experiments::ablations::run(&ctx),
-            "adversary" => experiments::adversary::run(&ctx),
-            "classifier" => experiments::classifier::run(&ctx),
-            "mc" => experiments::mc::run(&ctx),
-            "session" => experiments::session::run(&ctx),
-            "reduced" => experiments::reduced::run(&ctx),
-            "pacing" => experiments::pacing::run(&ctx),
-            "quality" => experiments::quality::run(&ctx),
-            "load" => experiments::load::run(&ctx),
-            "service" => experiments::service::run(&ctx),
-            "sharding" => experiments::sharding::run(&ctx),
-            "staleness" => experiments::staleness::run(&ctx),
-            "scenarios" => experiments::scenarios::run(&ctx),
-            "audit" => experiments::audit::run(&ctx),
-            "planner" => experiments::planner::run(&ctx),
-            "appendix" => experiments::appendix::run(&ctx),
-            _ => unreachable!("validated in parse_args"),
+        let tables = match run {
+            Run::Tables(f) => f(&ctx),
+            Run::Gate(f) => {
+                let (tables, checked) = f(&ctx);
+                reports.extend(checked);
+                tables
+            }
         };
         experiments::emit(&tables, &args.out, args.quiet);
         println!(
@@ -251,4 +132,7 @@ fn main() {
         );
     }
     println!("[reproduce] done in {:.1}s", t0.elapsed().as_secs_f64());
+    let (status, failed) = verdict::exit_status(&reports);
+    eprint!("{failed}");
+    std::process::exit(status);
 }

@@ -1,4 +1,4 @@
-//! Ablation studies called out in DESIGN.md:
+//! Ablation studies:
 //!
 //! - `abl1`: the Step 3(c) effectiveness check — what happens if every
 //!   candidate ghost is kept regardless of whether it lowers exposure.

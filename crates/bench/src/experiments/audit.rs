@@ -6,31 +6,30 @@
 //! attached, one without — and the drains are timed head-to-head in
 //! interleaved passes (median-of, robust to scheduler warm-up and OS
 //! noise). The auditor's per-submission work is two hash lookups and an
-//! atomic, so its throughput tax must stay within a small budget; the
-//! snapshot's invariant block records the verdict.
+//! atomic, so its throughput tax must stay within a small budget
+//! (`auditor_overhead_within_budget`).
 //!
 //! The second half is the chaos proof: a registered cycle on the
 //! audited fleet is rigged (re-registered through
 //! [`toppriv_service::PrivacyAuditor::register_cycle`]) with a mask
 //! schedule that violates the fleet invariant, and the experiment
-//! **asserts** the ε2 breach is journaled within the very next drain —
+//! checks the ε2 breach is journaled within the very next drain —
 //! the audit plane's end-to-end detection-latency guarantee. Alongside,
 //! the invariant block checks the p99 service-latency exemplar links to
 //! a real `drain_worker` span, the per-tenant gauges are live, the
 //! online adversary estimator publishes its drift gauges, and the audit
 //! journal survives a seal/unseal round trip.
 //!
-//! Output: `BENCH_audit.json` (via `$TOPPRIV_BENCH_DIR`) plus one
-//! result table.
+//! Output: one result table and the invariant block `reproduce` gates
+//! its exit status on.
 
 use crate::context::ExperimentContext;
-use crate::obsbench;
 use crate::scenarios::{fleet_manager, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::table::{f3, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
 use std::time::Instant;
 use toppriv_adversary::{OnlineEstimatorConfig, OnlineLogEstimator};
-use toppriv_obs::InvariantBlock;
 use toppriv_service::auditor::{M_TENANT_HEADROOM, M_TENANT_TRACE_EXPOSURE};
 use toppriv_service::{CycleScheduler, PlannedQuery, SessionManager};
 
@@ -83,7 +82,7 @@ fn timed_drain(scheduler: &CycleScheduler, plans: Vec<Vec<PlannedQuery>>) -> (us
 }
 
 /// Runs the audit-plane experiment.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
     // Two identical fleets; only the audit plane differs.
     let manager_off = Arc::new(
         SessionManager::with_tier(sharded_tier(ctx, SHARDS), ctx.default_model().clone())
@@ -101,7 +100,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     }
     let scheduler_off = CycleScheduler::for_manager(&manager_off, WORKERS);
     let scheduler_on = CycleScheduler::for_manager(&manager_on, WORKERS);
-    obsbench::reset_engine_stages();
 
     // --- Throughput: interleaved median-of passes. ---------------------
     // One untimed warm-up drain per fleet first: it pays the worker
@@ -198,10 +196,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             rigged.scheduled.cycle_id, rigged.session
         ),
         caught,
-    );
-    assert!(
-        caught,
-        "audit plane missed the injected ε2 breach: {breaches_before} -> {breaches_after}"
     );
     let breach_event = auditor
         .log()
@@ -302,24 +296,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         roundtrip.is_ok_and(|events| events == auditor.log().events()),
     );
 
-    // --- Emit the bench trail. ------------------------------------------
-    let mut snap = obsbench::service_bench_snapshot(
-        "audit",
-        &registry,
-        med_on_qps,
-        format!(
-            "{TENANTS} tenants, {SHARDS} shards, {WORKERS} workers, scale {}; \
-             auditor off {med_off_qps:.0} qps vs on {med_on_qps:.0} qps \
-             ({overhead_pct:+.1}% overhead); 1 rigged breach injected",
-            ctx.scale.name
-        ),
-    );
-    snap.invariants = inv;
-    obsbench::emit_bench(&snap);
-    for c in snap.invariants.checks.iter().filter(|c| !c.pass) {
-        eprintln!("  audit invariant FAILED {}: {}", c.name, c.detail);
-    }
-
     manager_off.tier().clear_query_logs();
     manager_on.tier().clear_query_logs();
 
@@ -355,5 +331,5 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         auditor.log().breaches().to_string(),
         auditor.log().warnings().to_string(),
     ]);
-    vec![table]
+    (vec![table], vec![ScenarioReport::close("audit", inv)])
 }

@@ -2,7 +2,9 @@
 //!
 //! Every experiment consumes the shared [`ExperimentContext`] and returns
 //! [`ResultTable`]s; the `reproduce` binary writes them as CSV under
-//! `results/` and renders them to stdout.
+//! `results/` and renders them to stdout. Which experiments exist is
+//! decided in one place, [`ALL`]: `reproduce` selects from it by name and
+//! the smoke test walks it.
 
 pub mod ablations;
 pub mod adversary;
@@ -14,26 +16,58 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod load;
 pub mod mc;
 pub mod pacing;
 pub mod planner;
 pub mod quality;
 pub mod reduced;
 pub mod scenarios;
-pub mod service;
 pub mod session;
-pub mod sharding;
 pub mod staleness;
 pub mod stats;
 pub mod tables;
 
 use crate::context::ExperimentContext;
 use crate::table::ResultTable;
+use crate::verdict::ScenarioReport;
 use std::sync::Arc;
 use toppriv_core::{BeliefEngine, GhostConfig, GhostGenerator, PrivacyMetrics, PrivacyRequirement};
 use tsearch_corpus::BenchmarkQuery;
 use tsearch_lda::LdaModel;
+
+/// How one experiment runs.
+pub enum Run {
+    /// Tables only.
+    Tables(fn(&ExperimentContext) -> Vec<ResultTable>),
+    /// Tables plus invariant reports: `reproduce` exits non-zero when a
+    /// check in one of them failed, and CI gates on that.
+    Gate(fn(&ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>)),
+}
+
+/// Every experiment, by the name `reproduce` selects it with, in the
+/// order a bare `reproduce` runs them.
+pub const ALL: &[(&str, Run)] = &[
+    ("stats", Run::Tables(stats::run)),
+    ("tables", Run::Tables(tables::run)),
+    ("fig2", Run::Tables(fig2::run)),
+    ("fig3", Run::Tables(fig3::run)),
+    ("fig4", Run::Tables(fig4::run)),
+    ("fig5", Run::Tables(fig5::run)),
+    ("fig6", Run::Tables(fig6::run)),
+    ("ablations", Run::Tables(ablations::run)),
+    ("adversary", Run::Tables(adversary::run)),
+    ("classifier", Run::Tables(classifier::run)),
+    ("mc", Run::Tables(mc::run)),
+    ("session", Run::Tables(session::run)),
+    ("reduced", Run::Tables(reduced::run)),
+    ("pacing", Run::Tables(pacing::run)),
+    ("quality", Run::Tables(quality::run)),
+    ("staleness", Run::Tables(staleness::run)),
+    ("scenarios", Run::Gate(scenarios::run)),
+    ("audit", Run::Gate(audit::run)),
+    ("planner", Run::Gate(planner::run)),
+    ("appendix", Run::Tables(appendix::run)),
+];
 
 /// Mean aggregation of per-query privacy metrics at one sweep point.
 #[derive(Debug, Clone, Copy, Default)]

@@ -20,18 +20,16 @@
 //! queries are ten-odd trials however many tenants repeat them — too few
 //! to hold an identification *rate* to `chance + ε1`.)
 //!
-//! Output: `BENCH_planner.json` (via `$TOPPRIV_BENCH_DIR`) plus one
-//! result table.
+//! Output: one result table and the invariant block `reproduce` gates
+//! its exit status on.
 
 use crate::context::ExperimentContext;
-use crate::obsbench;
 use crate::scenarios::{masking_violation, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::table::{f3, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
-use std::time::Instant;
 use toppriv_adversary::{merge_shard_logs, run_classifier_attack, NaiveBayes};
 use toppriv_core::{CycleResult, PrivacyRequirement};
-use toppriv_obs::InvariantBlock;
 use toppriv_service::{AuditConfig, CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, WorkloadConfig};
 
@@ -63,7 +61,6 @@ struct RunStats {
     reused: u64,
     coalesced: u64,
     drained: usize,
-    qps: f64,
     worst_violation: f64,
     audit_healthy: bool,
 }
@@ -85,7 +82,7 @@ struct Workload<'a> {
 }
 
 /// Runs one fleet: plan everything (through the planner when on), one
-/// timed drain, then read the ratio off the live metrics.
+/// drain, then read the ratio off the live metrics.
 fn run_fleet(
     ctx: &ExperimentContext,
     sessions: usize,
@@ -135,9 +132,7 @@ fn run_fleet(
     };
     let expected: usize = queue.iter().map(|p| p.fanout()).sum();
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let t0 = Instant::now();
     let outcomes = scheduler.drain(queue);
-    let secs = t0.elapsed().as_secs_f64();
     assert_eq!(outcomes.len(), expected, "every subscriber outcome drains");
 
     let metrics = manager.metrics_registry();
@@ -155,7 +150,6 @@ fn run_fleet(
         reused: global.planner_reuse,
         coalesced: global.planner_coalesced,
         drained: outcomes.len(),
-        qps: outcomes.len() as f64 / secs.max(1e-9),
         worst_violation,
         audit_healthy: manager
             .auditor()
@@ -170,10 +164,8 @@ fn run_fleet(
 }
 
 /// Runs the cross-session planner experiment.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
-    obsbench::reset_engine_stages();
+pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
     let mut runs: Vec<RunStats> = Vec::new();
-    let mut manager64: Option<Arc<SessionManager>> = None;
     for &sessions in &SESSIONS {
         // A shared query pool about a quarter the fleet size: several
         // tenants researching the same things concurrently — the overlap a
@@ -185,10 +177,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             stride: 3,
         };
         let (off, _) = run_fleet(ctx, sessions, false, &cost);
-        let (on, art) = run_fleet(ctx, sessions, true, &cost);
-        if sessions == 64 {
-            manager64 = Some(art.manager);
-        }
+        let (on, _) = run_fleet(ctx, sessions, true, &cost);
         runs.push(off);
         runs.push(on);
     }
@@ -343,30 +332,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             && report.cycle_recovery < report.unprotected_recovery,
     );
 
-    // --- Emit the bench trail from the 64-on fleet. --------------------
-    let manager64 = manager64.expect("64-session planner-on fleet ran");
-    let mut snap = obsbench::service_bench_snapshot(
-        "planner",
-        manager64.metrics_registry().registry(),
-        on64.qps,
-        format!(
-            "{:?} sessions x {CYCLES_PER_TENANT} cycles, {SHARDS} shards, {WORKERS} workers, \
-             scale {}; fleet cost ratio off {:.2}x -> on {:.2}x at 64 sessions \
-             ({} coalesced, {} reused)",
-            SESSIONS, ctx.scale.name, off64.ratio, on64.ratio, on64.coalesced, on64.reused
-        ),
-    );
-    snap.invariants = inv;
-    obsbench::emit_bench(&snap);
-    for c in snap.invariants.checks.iter().filter(|c| !c.pass) {
-        eprintln!("  planner invariant FAILED {}: {}", c.name, c.detail);
-    }
-    manager64.tier().clear_query_logs();
-
     let mut table = ResultTable::new(
         "ext9_cross_session_planner",
         "Cross-session ghost planner: engine submissions per genuine query (fleet cost \
-         ratio), ghost reuse, and drain throughput at 8/64/256 sessions, planner off vs on",
+         ratio) and ghost reuse at 8/64/256 sessions, planner off vs on",
         vec![
             "sessions".into(),
             "planner".into(),
@@ -376,7 +345,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             "coalesced".into(),
             "reused".into(),
             "drained".into(),
-            "drain_qps".into(),
         ],
     );
     for r in &runs {
@@ -389,8 +357,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             r.coalesced.to_string(),
             r.reused.to_string(),
             r.drained.to_string(),
-            f3(r.qps),
         ]);
     }
-    vec![table]
+    (vec![table], vec![ScenarioReport::close("planner", inv)])
 }

@@ -1,32 +1,28 @@
 //! Driver wrapper for the fleet scenario matrix (`reproduce --
 //! scenarios`): runs every scenario in [`crate::scenarios::SCENARIOS`]
-//! order, summarizes the verdicts as a result table, and **aborts the
-//! process** if any invariant failed — the nightly CI job relies on the
-//! non-zero exit, so a red scenario can never look like a green run.
+//! order, summarizes the verdicts as a result table, and hands the
+//! reports back for `reproduce`'s exit status.
 
 use crate::context::ExperimentContext;
 use crate::scenarios;
 use crate::table::ResultTable;
+use crate::verdict::ScenarioReport;
 
-/// Runs the scenario matrix and panics if any invariant failed.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+/// Runs the scenario matrix.
+pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
     let reports = scenarios::run_all(ctx);
     let mut table = ResultTable::new(
         "scenarios",
-        "Fleet scenario matrix: invariant verdicts and sustained throughput",
+        "Fleet scenario matrix: invariant verdicts",
         vec![
             "scenario".into(),
             "pass".into(),
             "checks".into(),
             "failed".into(),
-            "qps".into(),
-            "cache_hit_rate".into(),
-            "shard_imbalance".into(),
         ],
     );
     for r in &reports {
-        let snap = &r.snapshot;
-        let failed: Vec<&str> = snap
+        let failed: Vec<&str> = r
             .invariants
             .checks
             .iter()
@@ -34,27 +30,15 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             .map(|c| c.name.as_str())
             .collect();
         table.push_row(vec![
-            r.name().to_string(),
-            r.pass().to_string(),
-            snap.invariants.checks.len().to_string(),
+            r.name.clone(),
+            r.invariants.pass.to_string(),
+            r.invariants.checks.len().to_string(),
             if failed.is_empty() {
                 "-".to_string()
             } else {
                 failed.join(" ")
             },
-            format!("{:.0}", snap.qps),
-            format!("{:.3}", snap.cache_hit_rate),
-            format!("{:.3}", snap.shard_imbalance),
         ]);
     }
-    let failing: Vec<String> = reports
-        .iter()
-        .filter(|r| !r.pass())
-        .map(|r| r.name().to_string())
-        .collect();
-    assert!(
-        failing.is_empty(),
-        "scenario invariant failures: {failing:?} (see BENCH_scenario_<name>.json)"
-    );
-    vec![table]
+    (vec![table], reports)
 }

@@ -18,11 +18,8 @@
 //!   bound, at full retraining cost).
 
 use crate::context::ExperimentContext;
-use crate::obsbench;
 use crate::table::{f3, pct, ResultTable};
-use std::time::Instant;
 use toppriv_core::{exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement};
-use toppriv_obs::{BenchSnapshot, Histogram, StageStats};
 use tsearch_corpus::{generate_workload, EvolutionConfig, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 
@@ -103,15 +100,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ],
     );
 
-    // Bench trail: client-side cycle-formulation latency per policy
-    // (this experiment has no service stages — the cost being priced is
-    // ghost generation under a stale vs retrained model).
-    let mut bench = BenchSnapshot::new("staleness");
-    let mut generated = 0u64;
-    let mut gen_secs = 0.0f64;
-
     for policy in ["stale", "stale_forced", "retrained"] {
-        let gen_us = Histogram::new();
         for (class, queries) in [("old_topics", &old_queries), ("new_topics", &new_queries)] {
             let mut seen_intention = 0.0f64;
             let mut oov = 0.0f64;
@@ -129,16 +118,11 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
                     .filter(|&w| w < old_vocab)
                     .collect();
                 oov += 1.0 - projected.len() as f64 / q.tokens.len().max(1) as f64;
-                let t_gen = Instant::now();
                 let r = match policy {
                     "stale" => stale_gen.generate(&projected),
                     "stale_forced" => stale_gen.generate_with_target(&projected, FORCED_UPSILON),
                     _ => fresh_gen.generate(&q.tokens),
                 };
-                let gen_elapsed = t_gen.elapsed();
-                gen_us.record(gen_elapsed.as_micros() as u64);
-                gen_secs += gen_elapsed.as_secs_f64();
-                generated += 1;
                 seen_intention += r.intention.len() as f64;
                 cycle_len += r.cycle_len() as f64;
                 // The cycle as the server sees it: the genuine query goes
@@ -183,17 +167,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
                 f3(satisfied as f64 / j),
             ]);
         }
-        bench.stages.push(StageStats::from_histogram(
-            format!("generate_{policy}"),
-            &gen_us,
-        ));
     }
-    bench.qps = generated as f64 / gen_secs.max(1e-9);
-    bench.notes = format!(
-        "client-side cycle formulation, {} queries/class, {} new topic(s)",
-        per_class,
-        evolved.num_topics() - base_topics
-    );
-    obsbench::emit_bench(&bench);
     vec![table]
 }

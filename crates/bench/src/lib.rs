@@ -1,27 +1,30 @@
 //! # toppriv-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index). The
-//! `reproduce` binary drives everything:
+//! The reproduction harness. It does two things and measures nothing:
+//!
+//! - it **tabulates**: every table and figure of the paper's evaluation,
+//!   plus the extensions, as CSV ([`experiments::ALL`] is the index);
+//! - it **asserts**: the `audit` and `planner` experiments and the six
+//!   fleet [`scenarios`] check named invariants ([`verdict`]), and the
+//!   `reproduce` binary's exit status is their verdict.
 //!
 //! ```text
-//! cargo run -p toppriv-bench --release --bin reproduce -- --exp all --scale standard
+//! cargo run --release --bin reproduce -- --scale standard
+//! cargo run --release --bin reproduce -- audit planner scenarios --scale quick
 //! ```
 //!
-//! Criterion microbenchmarks for the hot paths (ghost generation, LDA
-//! training/inference, search, postings codec, baselines) live under
-//! `benches/`.
+//! Throughput and latency are read by `benchmark/` (socket to socket,
+//! oracle-checked) and, per hot path, by the criterion microbenchmarks
+//! under `benches/` (ghost generation, LDA training/inference, search,
+//! postings codec, baselines, service).
 
 pub mod context;
-pub mod diff;
 pub mod experiments;
-pub mod obsbench;
 pub mod scale;
 pub mod scenarios;
 pub mod table;
+pub mod verdict;
 
 pub use context::ExperimentContext;
-pub use diff::{diff_dirs, diff_snapshot, DiffConfig, DiffReport};
-pub use obsbench::{emit_bench, service_bench_snapshot, service_stage_stats};
 pub use scale::Scale;
 pub use table::ResultTable;

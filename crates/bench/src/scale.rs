@@ -3,7 +3,7 @@
 //! The paper's setup (172,890 WSJ articles, LDA up to K=300, 150 TREC
 //! queries) is scaled to laptop-sized synthetic equivalents. Two presets:
 //! `quick` for smoke tests and CI, `standard` for the full reproduction
-//! runs recorded in EXPERIMENTS.md.
+//! runs.
 
 use serde::{Deserialize, Serialize};
 use tsearch_corpus::{CorpusConfig, WorkloadConfig};

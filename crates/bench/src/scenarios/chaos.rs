@@ -1,14 +1,13 @@
 //! Scenario `chaos`: the fleet under deterministic fault injection.
 //!
-//! Three probes, one snapshot:
+//! Three probes, one verdict:
 //!
-//! - **Throughput under faults**: the identical workload (same fleet
+//! - **Delivery under faults**: the identical workload (same fleet
 //!   seed, fresh manager per phase) is drained fault-free, then with 1%
 //!   and 5% injected worker panics plus short shard stalls, through
-//!   [`toppriv_service::CycleScheduler::drain_resilient`]. The snapshot
-//!   records qps and a p50/p99 submit-latency stage row per phase, and
-//!   asserts every *delivered* cycle — replans included — has genuine
-//!   rankings bit-identical to the fault-free run.
+//!   [`toppriv_service::CycleScheduler::drain_resilient`]. Every
+//!   *delivered* cycle — replans included — must have genuine rankings
+//!   bit-identical to the fault-free run.
 //! - **Cycle atomicity**: a predicate fault dooms every submission one
 //!   tenant owns, on every attempt. Its cycle (and the one replanned
 //!   incarnation) must roll back so cleanly that the tenant's trace
@@ -18,16 +17,14 @@
 //!   outlives a 200 ms drain deadline. The watchdog bounds the degraded
 //!   drain (instead of hanging the full stall), the shard is
 //!   quarantined and sits out the next drain, and the re-admission
-//!   probe restores full service — the time from first failure to the
-//!   probe succeeding is the recovery time the snapshot reports.
+//!   probe restores full service.
 
-use super::{finish_with, sharded_tier, ScenarioReport, FLEET_SEED, SHARDS, TOP_K, WORKERS};
+use super::{finish, sharded_tier, ScenarioReport, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
+use crate::verdict::InvariantBlock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use toppriv_obs::{InvariantBlock, StageStats};
-use toppriv_service::metrics::M_SUBMIT_US;
 use toppriv_service::{
     AuditConfig, CycleScheduler, DrainPolicy, FaultKind, FaultPlane, FaultSpec, PlannedQuery,
     SessionManager, SessionMetrics, SubmitOutcome,
@@ -42,7 +39,7 @@ const CYCLES_PER_SESSION: usize = 3;
 /// Fault-plane seed: the whole schedule is a pure function of this.
 const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
-/// Injected panic rates for the throughput phases (fault-free first).
+/// Injected panic rates for the delivery phases (fault-free first).
 const RATES: [f64; 3] = [0.0, 0.01, 0.05];
 
 /// Watchdog deadline for the degraded-drain probe.
@@ -94,7 +91,7 @@ fn bit_identical(a: &SessionMetrics, b: &SessionMetrics) -> bool {
         && a.trace_exposure.to_bits() == b.trace_exposure.to_bits()
 }
 
-/// One throughput phase: the canonical workload on a fresh fleet.
+/// One delivery phase: the canonical workload on a fresh fleet.
 struct Phase {
     manager: Arc<SessionManager>,
     plane: Option<Arc<FaultPlane>>,
@@ -106,7 +103,6 @@ struct Phase {
     /// Replanned-cycle translation: (session, new id) → original id.
     new_to_old: HashMap<(String, usize), usize>,
     rounds: usize,
-    qps: f64,
     worst_violation: f64,
     satisfied: usize,
     cycles: usize,
@@ -145,9 +141,7 @@ fn run_phase(ctx: &ExperimentContext, panic_rate: f64) -> Phase {
         }
     }
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let t0 = Instant::now();
     let report = scheduler.drain_resilient(&manager, CycleScheduler::merge(plans));
-    let secs = t0.elapsed().as_secs_f64();
     Phase {
         delivered: genuine_hits(&report.outcomes),
         delivered_keys: report
@@ -166,7 +160,6 @@ fn run_phase(ctx: &ExperimentContext, panic_rate: f64) -> Phase {
             .map(|(s, old, new)| ((s.clone(), *new), *old))
             .collect(),
         rounds: report.rounds,
-        qps: report.outcomes.len() as f64 / secs.max(1e-9),
         manager,
         plane,
         planned,
@@ -197,7 +190,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     quiet_injected_panics();
     let mut inv = InvariantBlock::default();
 
-    // ── Throughput phases: the same fleet at 0% / 1% / 5% faults. ──
+    // ── Delivery phases: the same fleet at 0% / 1% / 5% faults. ──
     let phases: Vec<Phase> = RATES.iter().map(|&r| run_phase(ctx, r)).collect();
     let baseline = &phases[0].delivered;
     let mut mismatched = 0usize;
@@ -431,33 +424,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             && doomed_codes.contains("cycle_rolled_back"),
     );
 
-    // Snapshot: per-phase submit-latency stage rows + the faulty-fleet
-    // registry (the 5% phase manager carries the auto audit verdict).
-    let mut extra_stages = Vec::new();
-    for (phase, label) in phases.iter().zip(["fault_free", "1pct", "5pct"]) {
-        let h = phase
-            .manager
-            .metrics_registry()
-            .registry()
-            .histogram(M_SUBMIT_US, &[]);
-        if h.count() > 0 {
-            extra_stages.push(StageStats::from_histogram(format!("submit_{label}"), &h));
-        }
-    }
-    let notes = format!(
-        "{SESSIONS} tenants x {CYCLES_PER_SESSION} cycles per phase, {SHARDS} shards, \
-         {WORKERS} workers; qps fault-free/1%/5% = {:.0}/{:.0}/{:.0} \
-         ({}/{}/{} rounds, {fired_total} faults fired); quarantine recovery {recovery_ms} ms \
-         after a {degraded_ms} ms degraded drain ({STALL_MS} ms stall, {DEADLINE_MS} ms deadline)",
-        phases[0].qps,
-        phases[1].qps,
-        phases[2].qps,
-        phases[0].rounds,
-        phases[1].rounds,
-        phases[2].rounds,
-    );
-    let qps = phases[2].qps;
-    let report = finish_with("chaos", &phases[2].manager, qps, notes, inv, extra_stages);
+    // The 5% phase's manager carries the faulty fleet's audit verdict.
+    let report = finish("chaos", &phases[2].manager, inv);
     for phase in &phases {
         phase.manager.tier().clear_query_logs();
     }

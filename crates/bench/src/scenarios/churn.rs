@@ -23,11 +23,9 @@
 
 use super::{finish, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
-use crate::obsbench;
+use crate::verdict::InvariantBlock;
 use std::sync::Arc;
-use std::time::Instant;
 use toppriv_core::CycleResult;
-use toppriv_obs::InvariantBlock;
 use toppriv_service::{CycleScheduler, GhostPlanner, PlannedQuery, PlannerConfig, SessionManager};
 use tsearch_corpus::BenchmarkQuery;
 
@@ -65,8 +63,6 @@ pub struct ChurnArtifacts {
     pub truths: Vec<usize>,
     /// Invariant verdicts accumulated through the storm.
     pub invariants: InvariantBlock,
-    /// Drained submissions per wall-clock second.
-    pub qps: f64,
     /// Total submissions drained.
     pub drained: usize,
     /// Tenants that joined over the whole storm.
@@ -117,7 +113,6 @@ fn run_fleet_with(
     let mut joined = 0usize;
     let mut left = 0usize;
     let mut drained = 0usize;
-    let mut drain_secs = 0.0f64;
     let mut worst_violation = f64::NEG_INFINITY;
     let mut worst_satisfied = 0.0f64;
     let mut satisfied_cycles = 0usize;
@@ -171,7 +166,6 @@ fn run_fleet_with(
         // With the planner on, a coalesced entry drains one outcome per
         // subscribing tenant; without it every fanout is 1.
         let expected: usize = queue.iter().map(|p| p.fanout()).sum();
-        let t0 = Instant::now();
         match scheduler.try_drain(queue) {
             Ok(outcomes) => {
                 drained += outcomes.len();
@@ -184,7 +178,6 @@ fn run_fleet_with(
             }
             Err(e) => lost.push(format!("wave {wave}: {e}")),
         }
-        drain_secs += t0.elapsed().as_secs_f64();
         // Leave storm: the older half of the open tenants departs;
         // their closing accounting must be complete and consistent.
         let ids = manager.session_ids();
@@ -240,7 +233,6 @@ fn run_fleet_with(
         cycles,
         truths,
         invariants: inv,
-        qps: drained as f64 / drain_secs.max(1e-9),
         drained,
         joined,
         left,
@@ -250,27 +242,8 @@ fn run_fleet_with(
 /// Runs the churn scenario on the experiment context.
 pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let manager = fleet_manager(ctx, sharded_tier(ctx, SHARDS));
-    obsbench::reset_engine_stages();
-    let cfg = ChurnConfig::default();
-    let art = run_fleet(manager, ctx.sweep_queries(), &cfg);
-    let notes = format!(
-        "{} waves x {} joins, {} cycles/session/wave, {SHARDS} shards, {WORKERS} workers; \
-         {} joined / {} left / {} survived; {} submissions",
-        cfg.waves,
-        cfg.join_per_wave,
-        cfg.cycles_per_session,
-        art.joined,
-        art.left,
-        art.manager.session_count(),
-        art.drained
-    );
-    let report = finish(
-        "churn",
-        &art.manager,
-        art.qps,
-        notes,
-        art.invariants.clone(),
-    );
+    let art = run_fleet(manager, ctx.sweep_queries(), &ChurnConfig::default());
+    let report = finish("churn", &art.manager, art.invariants);
     art.manager.tier().clear_query_logs();
     report
 }

@@ -22,10 +22,8 @@
 
 use super::{finish, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
-use crate::obsbench;
+use crate::verdict::InvariantBlock;
 use std::sync::Arc;
-use std::time::Instant;
-use toppriv_obs::InvariantBlock;
 use toppriv_service::{CycleScheduler, PlannedQuery, SearchTier, SessionManager};
 use tsearch_corpus::{generate_workload, EvolutionConfig, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
@@ -42,7 +40,7 @@ fn serve_round(
     scheduler: &CycleScheduler,
     queries: &[&tsearch_corpus::BenchmarkQuery],
     rounds: usize,
-) -> (Vec<toppriv_core::CycleResult>, usize, usize, f64) {
+) -> (Vec<toppriv_core::CycleResult>, usize, usize) {
     let mut reports = Vec::new();
     let mut plans: Vec<Vec<PlannedQuery>> = Vec::new();
     for r in 0..rounds {
@@ -57,29 +55,25 @@ fn serve_round(
     }
     let queue = CycleScheduler::merge(plans);
     let expected = queue.len();
-    let t0 = Instant::now();
     let drained = match scheduler.try_drain(queue) {
         Ok(outcomes) => outcomes.len(),
         Err(e) => e.completed.len(),
     };
-    (reports, drained, expected, t0.elapsed().as_secs_f64())
+    (reports, drained, expected)
 }
 
 /// Runs the corpus-evolution scenario.
 pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let manager = fleet_manager(ctx, sharded_tier(ctx, SHARDS));
-    obsbench::reset_engine_stages();
     super::open_tenants(&manager, SESSIONS);
     let mut inv = InvariantBlock::default();
     let mut drained = 0usize;
-    let mut drain_secs = 0.0f64;
 
     // --- Round 1: steady state on the base corpus. ---------------------
     let base_queries: Vec<_> = ctx.sweep_queries().iter().collect();
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let (_, got, expected, secs) = serve_round(&manager, &scheduler, &base_queries, 2);
+    let (_, got, expected) = serve_round(&manager, &scheduler, &base_queries, 2);
     drained += got;
-    drain_secs += secs;
     let mut lost = expected - got;
     let pre_cycles: Vec<u64> = manager
         .session_ids()
@@ -146,9 +140,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         !new_topic.is_empty(),
         "evolved workload has new-topic queries"
     );
-    let (reports, got, expected, secs) = serve_round(&manager, &scheduler, &new_topic, 2);
+    let (reports, got, expected) = serve_round(&manager, &scheduler, &new_topic, 2);
     drained += got;
-    drain_secs += secs;
     lost += expected - got;
 
     // Sessions survive the reindex with accounting intact.
@@ -227,18 +220,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         lost == 0,
     );
 
-    let qps = drained as f64 / drain_secs.max(1e-9);
-    let notes = format!(
-        "{SESSIONS} sessions, {SHARDS} shards; {}→{} topics, {}→{} docs, vocab {}→{}; \
-         live tier+model swap, scheduler rebuilt",
-        base_topics,
-        evolved.num_topics(),
-        ctx.corpus.num_docs(),
-        evolved.num_docs(),
-        ctx.corpus.vocab.len(),
-        evolved.vocab.len()
-    );
-    let report = finish("evolution", &manager, qps, notes, inv);
+    let report = finish("evolution", &manager, inv);
     manager.tier().clear_query_logs();
     report
 }

@@ -6,9 +6,7 @@
 //! per-shard instrumentation from the observability layer exists for:
 //!
 //! - the skew is *visible*: per-shard submit counters diverge and every
-//!   loaded shard has a populated `scheduler_service_us` histogram, so
-//!   the snapshot carries a real per-shard p50/p99 breakdown
-//!   (`shard_service_<s>` stage rows);
+//!   loaded shard has a populated `scheduler_service_us` histogram;
 //! - the shared result cache absorbs the crowd: identical hot cycles
 //!   across tenants are cache-served instead of re-resolved;
 //! - the privacy invariant survives the stampede: every cycle
@@ -16,11 +14,9 @@
 //!   decoy topic or negligibly boosted (≤ ε2), satisfied cycles keep
 //!   occurring, and no submission is lost on the loaded shards.
 
-use super::{finish_with, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
+use super::{finish, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
-use crate::obsbench;
-use std::time::Instant;
-use toppriv_obs::{InvariantBlock, StageStats};
+use crate::verdict::InvariantBlock;
 use toppriv_service::scheduler::{M_SERVICE_US, M_SHARD_SUBMITS};
 use toppriv_service::{CycleScheduler, PlannedQuery};
 
@@ -41,14 +37,12 @@ const CYCLES_PER_ROUND: usize = 2;
 /// Runs the flash-crowd scenario.
 pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let manager = fleet_manager(ctx, sharded_tier(ctx, SHARDS));
-    obsbench::reset_engine_stages();
     super::open_tenants(&manager, SESSIONS);
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let queries = ctx.sweep_queries();
     let mut inv = InvariantBlock::default();
     let mut drained = 0usize;
     let mut lost = 0usize;
-    let mut drain_secs = 0.0f64;
     let mut worst_violation = f64::NEG_INFINITY;
     let mut cycles = 0usize;
     let mut satisfied = 0usize;
@@ -79,7 +73,6 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         }
         let queue = CycleScheduler::merge(plans);
         let expected = queue.len();
-        let t0 = Instant::now();
         match scheduler.try_drain(queue) {
             Ok(outcomes) => drained += outcomes.len(),
             Err(e) => {
@@ -87,7 +80,6 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
                 lost += expected - e.completed.len();
             }
         }
-        drain_secs += t0.elapsed().as_secs_f64();
     }
 
     let registry = manager.metrics_registry().registry();
@@ -104,17 +96,16 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             }
         }
     }
-    let mut extra_stages = Vec::new();
-    let mut unmeasured = Vec::new();
-    for (s, &n) in submits.iter().enumerate() {
-        let h = registry.histogram(M_SERVICE_US, &[("shard", &s.to_string())]);
-        if n > 0 && h.count() == 0 {
-            unmeasured.push(s);
-        }
-        if h.count() > 0 {
-            extra_stages.push(StageStats::from_histogram(format!("shard_service_{s}"), &h));
-        }
-    }
+    let samples: Vec<u64> = (0..SHARDS)
+        .map(|s| {
+            registry
+                .histogram(M_SERVICE_US, &[("shard", &s.to_string())])
+                .count()
+        })
+        .collect();
+    let unmeasured: Vec<usize> = (0..SHARDS)
+        .filter(|&s| submits[s] > 0 && samples[s] == 0)
+        .collect();
     let hot = *submits.iter().max().expect("shards > 0");
     let cold = *submits.iter().min().expect("shards > 0");
     inv.check(
@@ -125,14 +116,11 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     inv.check(
         "hot_shards_measured",
         if unmeasured.is_empty() {
-            format!(
-                "every loaded shard has a populated service histogram ({} per-shard stage rows)",
-                extra_stages.len()
-            )
+            format!("per-shard service-time samples {samples:?}: every loaded shard measured")
         } else {
             format!("shards {unmeasured:?} submitted but recorded no service samples")
         },
-        unmeasured.is_empty() && !extra_stages.is_empty(),
+        unmeasured.is_empty() && samples.iter().any(|&n| n > 0),
     );
     let hits = registry.counter_total(toppriv_service::metrics::M_CACHE_HITS);
     inv.check(
@@ -154,12 +142,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         lost == 0,
     );
 
-    let qps = drained as f64 / drain_secs.max(1e-9);
-    let notes = format!(
-        "{SESSIONS} sessions ({HOT_SHARE_PCT}% on {HOT_QUERIES} hot queries), {SHARDS} shards, \
-         {WORKERS} workers, {ROUNDS}x{CYCLES_PER_ROUND} cycles/session; per-shard submits {submits:?}"
-    );
-    let report = finish_with("flashcrowd", &manager, qps, notes, inv, extra_stages);
+    let report = finish("flashcrowd", &manager, inv);
     manager.tier().clear_query_logs();
     report
 }

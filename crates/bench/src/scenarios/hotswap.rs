@@ -23,10 +23,8 @@
 
 use super::{finish, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
-use crate::obsbench;
+use crate::verdict::InvariantBlock;
 use std::sync::Arc;
-use std::time::Instant;
-use toppriv_obs::InvariantBlock;
 use toppriv_service::{CycleScheduler, PlannedQuery};
 use tsearch_corpus::{generate_workload, EvolutionConfig, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
@@ -38,13 +36,10 @@ const SESSIONS: usize = 8;
 pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let tier = sharded_tier(ctx, SHARDS);
     let manager = fleet_manager(ctx, tier.clone());
-    obsbench::reset_engine_stages();
     super::open_tenants(&manager, SESSIONS);
     let mut inv = InvariantBlock::default();
     let queries = ctx.sweep_queries();
     let probe = &queries[0];
-    let mut drained = 0usize;
-    let mut drain_secs = 0.0f64;
 
     // --- 1. Identical reload: serialize → decode → swap. -------------
     let before = manager
@@ -115,7 +110,6 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let queue = CycleScheduler::merge(plans);
     let expected = queue.len();
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let t0 = Instant::now();
     let (drain_result, mid_epoch) = std::thread::scope(|scope| {
         let handle = scope.spawn(|| scheduler.try_drain(queue));
         // Swap while the pool is (very likely) mid-drain; correctness
@@ -127,12 +121,10 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         let mid_epoch = manager.swap_model(reloaded);
         (handle.join().expect("drain thread"), mid_epoch)
     });
-    drain_secs += t0.elapsed().as_secs_f64();
     let (ok, got) = match &drain_result {
         Ok(outcomes) => (outcomes.len() == expected, outcomes.len()),
         Err(e) => (false, e.completed.len()),
     };
-    drained += got;
     inv.check(
         "no_submissions_lost_to_swap",
         format!("{got}/{expected} submissions drained while swapping to epoch {mid_epoch}"),
@@ -240,13 +232,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         manager.model_epoch() == 3 && fresh_epoch == 3,
     );
 
-    let qps = drained as f64 / drain_secs.max(1e-9);
-    let notes = format!(
-        "{SESSIONS} sessions, {SHARDS} shards, {WORKERS} workers; identical reload swap + \
-         swap-under-drain + evolved-corpus retrain swap (K={})",
-        ctx.scale.default_k
-    );
-    let report = finish("hotswap", &manager, qps, notes, inv);
+    let report = finish("hotswap", &manager, inv);
     manager.tier().clear_query_logs();
     report
 }

@@ -1,25 +1,20 @@
 //! `toppriv-scenarios`: named end-to-end fleet scenarios.
 //!
-//! The experiments under [`crate::experiments`] measure one mechanism
-//! each; a scenario exercises the **whole fleet** — a live
+//! The experiments under [`crate::experiments`] exercise one mechanism
+//! each; a scenario drives the **whole fleet** — a live
 //! [`SessionManager`] / [`toppriv_service::CycleScheduler`] / sharded
-//! search tier — through an operational event, and is simultaneously a
-//! test and a benchmark:
-//!
-//! - as a test, it asserts the privacy and correctness invariants that
-//!   must hold *across* the event (exposure ≤ mask level through a
-//!   churn storm, accounting continuity through a model hot-swap,
-//!   bit-identical restored accounting after a crash);
-//! - as a benchmark, it records per-stage p50/p99 and sustained qps
-//!   into one `BENCH_scenario_<name>.json` snapshot per scenario via
-//!   `toppriv-obs`, each carrying a structured
-//!   [`toppriv_obs::InvariantBlock`] verdict.
+//! search tier — through an operational event and asserts the privacy
+//! and correctness invariants that must hold *across* it (exposure ≤
+//! mask level through a churn storm, accounting continuity through a
+//! model hot-swap, bit-identical restored accounting after a crash).
+//! Each hands back a [`ScenarioReport`]: its named checks, pass or
+//! fail. A scenario measures nothing — throughput and stage latencies
+//! are `benchmark/`'s to read.
 //!
 //! The matrix ([`SCENARIOS`]): `churn`, `hotswap`, `evolution`,
 //! `flashcrowd`, `recovery`, `chaos`. `cargo run --bin reproduce --
-//! scenarios` runs all six; the driver exits non-zero if any invariant
-//! fails, so CI's nightly `scenarios` job is a fleet regression gate,
-//! not just a perf recorder.
+//! scenarios` runs all six and exits non-zero if any invariant fails,
+//! which is what CI's `invariants` job gates on.
 
 pub mod chaos;
 pub mod churn;
@@ -29,9 +24,8 @@ pub mod hotswap;
 pub mod recovery;
 
 use crate::context::ExperimentContext;
-use crate::obsbench;
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
-use toppriv_obs::BenchSnapshot;
 use toppriv_service::{SearchTier, SessionManager};
 use tsearch_search::ShardedEngine;
 use tsearch_text::Analyzer;
@@ -47,7 +41,7 @@ pub const SCENARIOS: [&str; 6] = [
 ];
 
 /// Fixed fleet secret: every scenario plans the identical ghost
-/// workload run to run, so snapshots are comparable across commits.
+/// workload run to run.
 pub const FLEET_SEED: u64 = 0x5CE7A210;
 
 /// Shards the scenario tiers run on.
@@ -58,31 +52,6 @@ pub const WORKERS: usize = 4;
 
 /// Results fetched per query.
 pub const TOP_K: usize = 10;
-
-/// The outcome of one scenario: its bench snapshot (already written as
-/// `BENCH_scenario_<name>.json`) with the invariant verdicts inside.
-#[derive(Debug, Clone)]
-pub struct ScenarioReport {
-    /// The emitted snapshot; `snapshot.experiment` is
-    /// `scenario_<name>` and `snapshot.invariants.pass` the verdict.
-    pub snapshot: BenchSnapshot,
-}
-
-impl ScenarioReport {
-    /// The bare scenario name (snapshot experiment minus the
-    /// `scenario_` prefix).
-    pub fn name(&self) -> &str {
-        self.snapshot
-            .experiment
-            .strip_prefix("scenario_")
-            .unwrap_or(&self.snapshot.experiment)
-    }
-
-    /// Whether every invariant held.
-    pub fn pass(&self) -> bool {
-        self.snapshot.invariants.pass
-    }
-}
 
 /// Builds a term-sharded engine over the context's corpus (the
 /// context's own engine stays untouched — its query log belongs to
@@ -104,7 +73,7 @@ pub(crate) fn sharded_tier(ctx: &ExperimentContext, shards: usize) -> SearchTier
 /// result cache (decoys are content-deterministic, so cross-tenant
 /// cache identity is part of what scenarios exercise), and the privacy
 /// audit plane attached — every scenario run is continuously audited,
-/// and [`finish_with`] folds the auditor's verdict into the scenario's
+/// and [`finish`] folds the auditor's verdict into the scenario's
 /// invariant block.
 pub(crate) fn fleet_manager(ctx: &ExperimentContext, tier: SearchTier) -> Arc<SessionManager> {
     Arc::new(
@@ -137,37 +106,13 @@ pub(crate) fn open_tenants(manager: &SessionManager, n: usize) {
     }
 }
 
-/// Finalizes one scenario: stamps qps and stage stats from the
-/// manager's registry into the snapshot, emits
-/// `BENCH_scenario_<name>.json`, and prints the verdict line.
+/// Closes one scenario: appends the audit plane's own verdict to the
+/// scenario's checks and prints the PASS/FAIL line.
 pub(crate) fn finish(
     name: &str,
     manager: &SessionManager,
-    qps: f64,
-    notes: String,
-    invariants: toppriv_obs::InvariantBlock,
+    mut invariants: InvariantBlock,
 ) -> ScenarioReport {
-    finish_with(name, manager, qps, notes, invariants, Vec::new())
-}
-
-/// [`finish`] with extra per-scenario stage rows (e.g. the flash-crowd
-/// per-shard service breakdown) appended to the snapshot.
-pub(crate) fn finish_with(
-    name: &str,
-    manager: &SessionManager,
-    qps: f64,
-    notes: String,
-    invariants: toppriv_obs::InvariantBlock,
-    extra_stages: Vec<toppriv_obs::StageStats>,
-) -> ScenarioReport {
-    let mut snap = obsbench::service_bench_snapshot(
-        &format!("scenario_{name}"),
-        manager.metrics_registry().registry(),
-        qps,
-        notes,
-    );
-    snap.stages.extend(extra_stages);
-    let mut invariants = invariants;
     if let Some(auditor) = manager.auditor() {
         let health = auditor.health();
         invariants.check(
@@ -181,18 +126,7 @@ pub(crate) fn finish_with(
             health.healthy,
         );
     }
-    snap.invariants = invariants;
-    obsbench::emit_bench(&snap);
-    let verdict = if snap.invariants.pass { "PASS" } else { "FAIL" };
-    println!(
-        "  scenario {name}: {verdict} ({} invariant check(s), {:.0} qps)",
-        snap.invariants.checks.len(),
-        snap.qps
-    );
-    for c in snap.invariants.checks.iter().filter(|c| !c.pass) {
-        println!("    FAILED {}: {}", c.name, c.detail);
-    }
-    ScenarioReport { snapshot: snap }
+    ScenarioReport::close(name, invariants)
 }
 
 /// Runs the full scenario matrix in [`SCENARIOS`] order.

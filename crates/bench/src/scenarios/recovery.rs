@@ -25,11 +25,9 @@
 
 use super::{finish, fleet_manager, sharded_tier, ScenarioReport, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
-use crate::obsbench;
+use crate::verdict::InvariantBlock;
 use std::path::PathBuf;
-use std::time::Instant;
 use toppriv_adversary::merge_shard_logs;
-use toppriv_obs::InvariantBlock;
 use toppriv_service::{
     seal_query_log, seal_session_state, unseal_query_log, unseal_session_state, CycleScheduler,
     PlannedQuery, SessionMetrics,
@@ -86,7 +84,6 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let queries = ctx.sweep_queries();
 
     // --- Phase 1: serve, then spill everything. ------------------------
-    obsbench::reset_engine_stages();
     let manager = fleet_manager(ctx, sharded_tier(ctx, SHARDS));
     super::open_tenants(&manager, SESSIONS);
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
@@ -97,14 +94,9 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             plans.push(manager.plan_cycle(id, &q.tokens, TOP_K).expect("open"));
         }
     }
-    let queue = CycleScheduler::merge(plans);
-    let expected = queue.len();
-    let t0 = Instant::now();
-    let drained = match scheduler.try_drain(queue) {
-        Ok(outcomes) => outcomes.len(),
-        Err(e) => e.completed.len(),
-    };
-    let drain_secs = t0.elapsed().as_secs_f64();
+    // Whatever this drain delivered is the state that spills; the
+    // restore is checked against it, not against a count.
+    let _ = scheduler.try_drain(CycleScheduler::merge(plans));
 
     let ids = manager.session_ids();
     let pre_crash: Vec<SessionMetrics> = ids
@@ -236,10 +228,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         .search_tokens(probe_id, &queries[0].tokens, TOP_K)
         .expect("post-restore search");
     let after = manager.session_metrics(probe_id).expect("restored").cycles;
-    // ... and sustains a full scheduled round on the restored sessions
-    // (this also populates the restored fleet's scheduler stage
-    // histograms, so the snapshot's p50/p99 describe post-recovery
-    // serving, not the dead fleet's).
+    // ... and sustains a full scheduled round on the restored sessions.
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let mut plans: Vec<Vec<PlannedQuery>> = Vec::new();
     for (s, id) in manager.session_ids().iter().enumerate() {
@@ -248,12 +237,10 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     }
     let queue = CycleScheduler::merge(plans);
     let round_expected = queue.len();
-    let t1 = Instant::now();
     let round_drained = match scheduler.try_drain(queue) {
         Ok(outcomes) => outcomes.len(),
         Err(e) => e.completed.len(),
     };
-    let round_secs = t1.elapsed().as_secs_f64();
     inv.check(
         "fleet_resumes_serving",
         format!(
@@ -271,13 +258,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             && round_drained == round_expected,
     );
 
-    let qps = (drained + round_drained) as f64 / (drain_secs + round_secs).max(1e-9);
-    let notes = format!(
-        "{SESSIONS} sessions x {CYCLES_PER_SESSION} cycles ({expected} submissions, {drained} \
-         drained) spilled to {} containers, fleet dropped and restored from disk",
-        SESSIONS + shard_count
-    );
-    let report = finish("recovery", &manager, qps, notes, inv);
+    let report = finish("recovery", &manager, inv);
     manager.tier().clear_query_logs();
     let _ = std::fs::remove_dir_all(&spill_dir);
     report

@@ -1,10 +1,9 @@
 //! The generative corpus model.
 //!
-//! Substitutes for the Wall Street Journal corpus of the paper (see
-//! DESIGN.md §2). Documents are drawn from an LDA-style generative process
-//! over ground-truth topics with Zipfian term distributions, so the fitted
-//! LDA models downstream recover topical structure the same way they do on
-//! real news text.
+//! Substitutes for the Wall Street Journal corpus of the paper. Documents
+//! are drawn from an LDA-style generative process over ground-truth topics
+//! with Zipfian term distributions, so the fitted LDA models downstream
+//! recover topical structure the same way they do on real news text.
 
 use crate::dist::{sample_dirichlet, sample_log_normal, Categorical};
 use crate::spec::{CorpusConfig, GeneratedDoc, TopicGroundTruth};

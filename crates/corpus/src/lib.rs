@@ -2,7 +2,7 @@
 //!
 //! Synthetic corpus and workload substrate — the reproduction's substitute
 //! for the Wall Street Journal corpus and the TREC-1/2 ad-hoc queries used
-//! in the paper (see DESIGN.md §2 for the substitution argument).
+//! in the paper.
 //!
 //! The corpus is drawn from an LDA-style generative model over ground-truth
 //! topics, giving every document a known topic mixture and every query a

@@ -1,4 +1,4 @@
-//! Exposition: Prometheus text, NDJSON, and `BENCH_*.json` snapshots.
+//! Exposition: Prometheus text and NDJSON.
 //!
 //! Two live renderings of a [`MetricsRegistry`]:
 //!
@@ -9,17 +9,9 @@
 //!   the same payload `toppriv-serve`'s NDJSON `metrics` command and
 //!   `--metrics-interval` emitter use.
 //!
-//! Plus the benchmark trail: [`BenchSnapshot`] is the machine-readable
-//! record an experiment writes via [`write_bench_snapshot`], landing as
-//! `BENCH_<experiment>.json` in the current directory (or
-//! `$TOPPRIV_BENCH_DIR` when set, which the test suites use to keep the
-//! tree clean).
+//! Plus [`imbalance`], the max-over-mean summary of per-shard counts.
 
-use crate::hist::Histogram;
 use crate::registry::{Label, MetricSnapshot, MetricValue, MetricsRegistry};
-use serde::{Deserialize, Serialize};
-use std::io::Write as _;
-use std::path::PathBuf;
 
 fn escape_label_value(v: &str) -> String {
     v.replace('\\', "\\\\")
@@ -117,125 +109,6 @@ pub fn parse_ndjson_line(line: &str) -> Result<MetricSnapshot, String> {
     serde_json::from_str(line).map_err(|e| format!("{e:?}"))
 }
 
-/// Per-stage latency statistics inside a [`BenchSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageStats {
-    /// Stage name (`queue_wait`, `shard_service`, `gather`,
-    /// `cache_lookup`, ...).
-    pub stage: String,
-    /// Samples recorded for this stage.
-    pub count: u64,
-    /// Median latency in microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: u64,
-    /// Mean latency in microseconds.
-    pub mean_us: f64,
-}
-
-impl StageStats {
-    /// Summarizes a stage from its histogram.
-    pub fn from_histogram(stage: impl Into<String>, h: &Histogram) -> Self {
-        StageStats {
-            stage: stage.into(),
-            count: h.count(),
-            p50_us: h.percentile(0.50),
-            p99_us: h.percentile(0.99),
-            mean_us: h.mean(),
-        }
-    }
-}
-
-/// One named invariant a scenario asserted during its run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InvariantCheck {
-    /// Short invariant name (`exposure_le_mask`, `accounting_bit_identical`, ...).
-    pub name: String,
-    /// Human-readable evidence: what was compared and what was observed.
-    pub detail: String,
-    /// Whether the invariant held.
-    pub pass: bool,
-}
-
-/// The invariant verdicts of one scenario run: `pass` is the
-/// conjunction of every [`InvariantCheck`] (vacuously `true` for plain
-/// benchmark runs that assert nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InvariantBlock {
-    /// `true` iff every check passed.
-    pub pass: bool,
-    /// The individual checks, in assertion order.
-    pub checks: Vec<InvariantCheck>,
-}
-
-impl Default for InvariantBlock {
-    fn default() -> Self {
-        InvariantBlock {
-            pass: true,
-            checks: Vec::new(),
-        }
-    }
-}
-
-impl InvariantBlock {
-    /// Records one check outcome and folds it into the block verdict.
-    pub fn check(&mut self, name: impl Into<String>, detail: impl Into<String>, pass: bool) {
-        self.pass &= pass;
-        self.checks.push(InvariantCheck {
-            name: name.into(),
-            detail: detail.into(),
-            pass,
-        });
-    }
-}
-
-/// The machine-readable record of one benchmark run, written as
-/// `BENCH_<experiment>.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSnapshot {
-    /// Experiment name (`service`, `sharding`, `staleness`, ...).
-    pub experiment: String,
-    /// Host logical core count at run time.
-    pub host_cores: usize,
-    /// Sustained submissions per second over the measured run.
-    pub qps: f64,
-    /// Result-cache hit rate over the run (0 when the cache is off).
-    pub cache_hit_rate: f64,
-    /// Per-shard load imbalance: max over mean of per-shard submit
-    /// counts (1.0 = perfectly balanced; 0 when unsharded/unknown).
-    pub shard_imbalance: f64,
-    /// Per-stage latency breakdown.
-    pub stages: Vec<StageStats>,
-    /// Scenario invariant verdicts (vacuously passing for plain
-    /// benchmark runs).
-    pub invariants: InvariantBlock,
-    /// Free-form run description (scale, cell parameters).
-    pub notes: String,
-}
-
-impl BenchSnapshot {
-    /// A snapshot skeleton with host cores pre-filled.
-    pub fn new(experiment: impl Into<String>) -> Self {
-        BenchSnapshot {
-            experiment: experiment.into(),
-            host_cores: host_cores(),
-            qps: 0.0,
-            cache_hit_rate: 0.0,
-            shard_imbalance: 0.0,
-            stages: Vec::new(),
-            invariants: InvariantBlock::default(),
-            notes: String::new(),
-        }
-    }
-}
-
-/// Logical cores available to this process.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Max-over-mean imbalance of per-shard counts. Structurally total: 0.0
 /// for empty or all-zero input (no observed load means no imbalance, and
 /// in particular no panic and no division by a zero mean).
@@ -248,26 +121,6 @@ pub fn imbalance(per_shard: &[u64]) -> f64 {
     let total: f64 = per_shard.iter().map(|&c| c as f64).sum();
     let mean = total / per_shard.len() as f64;
     max as f64 / mean
-}
-
-/// Directory `BENCH_*.json` files land in: `$TOPPRIV_BENCH_DIR` when
-/// set, else the current directory.
-pub fn bench_dir() -> PathBuf {
-    std::env::var_os("TOPPRIV_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Serializes `snapshot` to `BENCH_<experiment>.json` in [`bench_dir`]
-/// and returns the path written.
-pub fn write_bench_snapshot(snapshot: &BenchSnapshot) -> std::io::Result<PathBuf> {
-    let path = bench_dir().join(format!("BENCH_{}.json", snapshot.experiment));
-    let json = serde_json::to_string(snapshot)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -299,32 +152,6 @@ mod tests {
             let snap = parse_ndjson_line(line).unwrap();
             assert!(!snap.name.is_empty());
         }
-    }
-
-    #[test]
-    fn bench_snapshot_writes_and_parses() {
-        let dir = std::env::temp_dir().join(format!("toppriv-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("TOPPRIV_BENCH_DIR", &dir);
-        let h = Histogram::new();
-        for v in [100u64, 200, 300] {
-            h.record(v);
-        }
-        let mut snap = BenchSnapshot::new("unit");
-        snap.qps = 123.0;
-        snap.stages.push(StageStats::from_histogram("gather", &h));
-        snap.invariants.check("sane", "3 samples recorded", true);
-        snap.invariants
-            .check("balanced", "imbalance 2.0 > 1.5", false);
-        let path = write_bench_snapshot(&snap).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let back: BenchSnapshot = serde_json::from_str(body.trim()).unwrap();
-        assert_eq!(back, snap);
-        assert!(back.host_cores >= 1);
-        assert!(!back.invariants.pass);
-        assert_eq!(back.invariants.checks.len(), 2);
-        std::env::remove_var("TOPPRIV_BENCH_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   parent links, journaled into a fixed ring buffer;
 //! - [`AuditLog`] / [`HealthReport`] — the bounded audit-event journal
 //!   and aggregated verdict behind the service-layer privacy auditor;
-//! - exposition — [`render_prometheus`], [`render_ndjson`], and the
-//!   [`BenchSnapshot`] writer behind the repo's `BENCH_*.json` files.
+//! - exposition — [`render_prometheus`] and [`render_ndjson`].
 //!
 //! Process-wide instrumentation (the search engines, index build,
 //! pacing) records into [`global()`]; service-level components keep
@@ -41,10 +40,7 @@ mod registry;
 mod span;
 
 pub use audit::{AuditEvent, AuditLog, AuditSeverity, HealthReport};
-pub use expo::{
-    bench_dir, host_cores, imbalance, parse_ndjson_line, render_ndjson, render_prometheus,
-    write_bench_snapshot, BenchSnapshot, InvariantBlock, InvariantCheck, StageStats,
-};
+pub use expo::{imbalance, parse_ndjson_line, render_ndjson, render_prometheus};
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS, RELATIVE_ERROR, SUBBUCKETS};
 pub use registry::{
     Counter, Gauge, HistogramHandle, Label, MetricSnapshot, MetricValue, MetricsRegistry,
@@ -78,7 +74,7 @@ static GLOBAL_TRACER: OnceLock<Arc<Tracer>> = OnceLock::new();
 
 /// The process-global metrics registry. Engine-layer instrumentation
 /// (scatter/gather latency, index shard sizes, pacing jitter) records
-/// here; `toppriv-serve` and the bench snapshot writers read it.
+/// here; `toppriv-serve` reads it.
 pub fn global() -> &'static Arc<MetricsRegistry> {
     GLOBAL_REGISTRY.get_or_init(|| Arc::new(MetricsRegistry::new()))
 }

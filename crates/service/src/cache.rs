@@ -5,9 +5,9 @@
 //! deterministic per query content (the RNG is seeded from the token
 //! hash), so two tenants protecting the same query emit the *same* ghost
 //! cycle, and popular masking topics repeat their top words across
-//! tenants. The seed's `load` experiment prices each ghost at a full
-//! engine evaluation (~7× a genuine query per cycle); this cache absorbs
-//! the duplicates before they reach the engine.
+//! tenants. Uncached, each ghost is a full engine evaluation (~7× a
+//! genuine query per cycle; `engine_evals_per_genuine` in `benchmark/`);
+//! this cache absorbs the duplicates before they reach the engine.
 //!
 //! Keys are normalized term multisets (sorted token ids) plus the result
 //! count `k` — the engine treats queries as bags of words, so token order

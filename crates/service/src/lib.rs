@@ -7,8 +7,9 @@
 //! The paper's TopPriv (Figure 1) is a single-user client module; the
 //! production question it leaves open is the server-side cost of decoy
 //! traffic at fleet scale — each protected query multiplies engine load
-//! by the cycle length υ (the seed's `load` experiment measures ~7× at
-//! the paper's defaults). This crate amortizes that cost three ways:
+//! by the cycle length υ (~7× at the paper's defaults;
+//! `engine_evals_per_genuine` in `benchmark/` reads it). This crate
+//! amortizes that cost three ways:
 //!
 //! - **shared models** ([`SessionManager`]): the ~140 MB LDA model and
 //!   the search tier exist once, behind `Arc`s; per-tenant state is just

@@ -7,7 +7,7 @@
 //! — named counters/gauges/histograms over lock-free atomics — so the
 //! hot paths never take a lock that a panicked worker could poison, and
 //! the same registry feeds the NDJSON/Prometheus exposition in
-//! `toppriv-serve` and the `BENCH_*.json` writers in `toppriv-bench`.
+//! `toppriv-serve`.
 //!
 //! Submit latency lives in a log-linear HDR-style histogram
 //! ([`toppriv_obs::Histogram`]): bounded memory like the old

@@ -60,7 +60,7 @@ use crate::tier::SearchTier;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 use toppriv_core::{
     BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PacingConfig, PacingScheduler,
@@ -339,6 +339,10 @@ pub(crate) struct Session {
     /// Commitment-ordered journal of cycles not yet compacted into
     /// `base` (see [`TraceAccounting`]).
     inflight: Vec<CycleRecord>,
+    /// Set by [`SessionManager::close_session`] under this session's
+    /// lock, for the request that cloned the handle out of the table
+    /// before the close removed it (see [`SessionManager::lock_open`]).
+    closed: bool,
 }
 
 impl Session {
@@ -375,6 +379,7 @@ impl Session {
             acc: TraceAccounting::default(),
             base: TraceAccounting::default(),
             inflight: Vec::new(),
+            closed: false,
         }
     }
 
@@ -920,7 +925,8 @@ impl SessionManager {
         let session = recover_write(&self.sessions)
             .remove(id)
             .ok_or_else(|| ServiceError::UnknownSession(id.to_string()))?;
-        let session = recover_lock(&session);
+        let mut session = recover_lock(&session);
+        session.closed = true;
         if let Some(auditor) = &self.auditor {
             auditor.forget_session(id);
         }
@@ -944,6 +950,24 @@ impl SessionManager {
             .get(id)
             .cloned()
             .ok_or_else(|| ServiceError::UnknownSession(id.to_string()))
+    }
+
+    /// Locks a looked-up session for a path that debits it or registers
+    /// it with the audit plane. Between the lookup and this lock
+    /// [`SessionManager::close_session`] can have removed the session and
+    /// had the auditor forget the tenant; a cycle registered after that
+    /// would bring the tenant's entry and gauges back with no close left
+    /// to retire them, so the late request is answered as one that
+    /// arrived after the close.
+    fn lock_open<'a>(
+        id: &str,
+        session: &'a Mutex<Session>,
+    ) -> Result<MutexGuard<'a, Session>, ServiceError> {
+        let session = recover_lock(session);
+        if session.closed {
+            return Err(ServiceError::UnknownSession(id.to_string()));
+        }
+        Ok(session)
     }
 
     /// Epoch check on the search hot path: if the manager's model moved
@@ -1036,6 +1060,17 @@ impl SessionManager {
         // Session existence first: an unknown tenant should hear that, not
         // a complaint about its query text.
         let session = self.session(id)?;
+        self.search_in(id, &session, tokens, k)
+    }
+
+    /// [`SessionManager::search_tokens`] from the session lookup on.
+    fn search_in(
+        &self,
+        id: &str,
+        session: &Mutex<Session>,
+        tokens: &[TermId],
+        k: usize,
+    ) -> Result<SearchOutcome, ServiceError> {
         if tokens.is_empty() {
             return Err(ServiceError::BadRequest(
                 "query analyzed to zero tokens".into(),
@@ -1043,7 +1078,7 @@ impl SessionManager {
         }
         let span = toppriv_obs::tracer().span("search");
         let tier = self.tier();
-        let mut session = recover_lock(&session);
+        let mut session = Self::lock_open(id, session)?;
         self.refresh_session(&mut session);
         let k = if k == 0 { session.config.top_k } else { k };
         let report = {
@@ -1145,7 +1180,7 @@ impl SessionManager {
             ));
         }
         let span = toppriv_obs::tracer().span("plan_cycle");
-        let mut session = recover_lock(&session);
+        let mut session = Self::lock_open(id, &session)?;
         self.refresh_session(&mut session);
         let k = if k == 0 { session.config.top_k } else { k };
         let (report, posteriors) = {
@@ -1187,10 +1222,19 @@ impl SessionManager {
         &self,
         fc: FormulatedCycle,
     ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
+        let session = self.session(&fc.session)?;
+        self.commit_in(&session, fc)
+    }
+
+    /// [`SessionManager::commit_cycle`] from the session lookup on.
+    fn commit_in(
+        &self,
+        session: &Mutex<Session>,
+        fc: FormulatedCycle,
+    ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
         let id = fc.session.as_str();
-        let session = self.session(id)?;
         let tier = self.tier();
-        let mut session = recover_lock(&session);
+        let mut session = Self::lock_open(id, session)?;
         self.refresh_session(&mut session);
         let (report, posteriors) = if session.model_epoch != fc.model_epoch {
             session.generate(&fc.user_tokens, self.memo())
@@ -1257,7 +1301,7 @@ impl SessionManager {
         cycle_id: usize,
     ) -> Result<RolledBackCycle, ServiceError> {
         let session = self.session(id)?;
-        let mut session = recover_lock(&session);
+        let mut session = Self::lock_open(id, &session)?;
         let record = session.rollback(cycle_id).ok_or_else(|| {
             ServiceError::BadRequest(format!(
                 "cycle {cycle_id} of '{id}' is not in the rollback window"
@@ -1852,5 +1896,41 @@ mod tests {
         assert_eq!(after_one, crate::auditor::to_micro(metrics.trace_exposure));
         assert_eq!(metrics.cycles, 1);
         assert_eq!(registry.len(), series + 4);
+    }
+
+    #[test]
+    fn a_request_that_loses_the_race_with_close_is_unknown_session() {
+        let stack = stack(1);
+        let q = &stack.queries[0];
+        let manager = manager(&stack)
+            .with_cache(64)
+            .with_auditor(AuditConfig::default());
+        let registry = manager.metrics_registry().registry().clone();
+        manager.open_session("warm-up").unwrap();
+        manager.search_tokens("warm-up", q, 10).unwrap();
+        manager.close_session("warm-up").unwrap();
+        let series = registry.len();
+
+        // The interleaving, forced: each request has looked its session
+        // up, as `search_tokens` and `commit_cycle` do first, when the
+        // close runs to completion; then the requests carry on.
+        manager.open_session("late").unwrap();
+        let fc = formulated(&manager, "late", q);
+        let handle = manager.session("late").unwrap();
+        manager.close_session("late").unwrap();
+        let unknown = Err(ServiceError::UnknownSession("late".to_string()));
+        assert_eq!(
+            manager.search_in("late", &handle, q, 10).map(|_| ()),
+            unknown
+        );
+        assert_eq!(manager.commit_in(&handle, fc).map(|_| ()), unknown);
+        assert_eq!(
+            SessionManager::lock_open("late", &handle).map(|_| ()),
+            unknown,
+            "what formulate_cycle and rollback_cycle lock through"
+        );
+
+        assert_eq!(registry.len(), series);
+        assert_eq!(manager.auditor().unwrap().health().tenants, 0);
     }
 }

@@ -13,12 +13,13 @@
 //! - the paper's client module: [`core`] (with [`baselines`] and
 //!   [`adversary`] for the evaluation);
 //! - the multi-tenant service layer: [`service`];
-//! - cross-cutting observability (registry, histograms, spans): [`obs`];
-//! - the reproduction harness: [`bench`](mod@bench).
+//! - cross-cutting observability (registry, histograms, spans): [`obs`].
+//!
+//! The reproduction harness (`crates/bench`, the `reproduce` binary)
+//! depends on this stack, not the other way round.
 
 pub use toppriv_adversary as adversary;
 pub use toppriv_baselines as baselines;
-pub use toppriv_bench as bench;
 pub use toppriv_core as core;
 pub use toppriv_obs as obs;
 pub use toppriv_service as service;
