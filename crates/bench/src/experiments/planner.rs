@@ -115,7 +115,8 @@ fn run_fleet(
                 Some(p) => p.plan_cycle(&id, &q.tokens, TOP_K).expect("open"),
                 None => {
                     let (report, plan) = manager
-                        .plan_cycle_with_report(&id, &q.tokens, TOP_K)
+                        .formulate_cycle(&id, &q.tokens, TOP_K)
+                        .and_then(|fc| manager.commit_cycle(fc))
                         .expect("open");
                     plans.push(plan);
                     report

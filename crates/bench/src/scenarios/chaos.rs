@@ -129,7 +129,8 @@ fn run_phase(ctx: &ExperimentContext, panic_rate: f64) -> Phase {
         for (s, id) in manager.session_ids().iter().enumerate() {
             let q = &queries[(r * 7 + s * 3) % queries.len()];
             let (report, plan) = manager
-                .plan_cycle_with_report(id, &q.tokens, TOP_K)
+                .formulate_cycle(id, &q.tokens, TOP_K)
+                .and_then(|fc| manager.commit_cycle(fc))
                 .expect("session is open");
             worst_violation = worst_violation.max(super::masking_violation(&report.metrics, eps2));
             if report.satisfied && !report.intention.is_empty() {

@@ -26,7 +26,7 @@ use crate::context::ExperimentContext;
 use crate::verdict::InvariantBlock;
 use std::sync::Arc;
 use toppriv_core::CycleResult;
-use toppriv_service::{CycleScheduler, GhostPlanner, PlannedQuery, PlannerConfig, SessionManager};
+use toppriv_service::{CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
 use tsearch_corpus::BenchmarkQuery;
 
 /// Churn storm shape.
@@ -79,7 +79,7 @@ pub fn run_fleet(
     queries: &[BenchmarkQuery],
     cfg: &ChurnConfig,
 ) -> ChurnArtifacts {
-    run_fleet_with(manager, queries, cfg, None)
+    run_fleet_with(manager, queries, cfg, false)
 }
 
 /// [`run_fleet`] with the cross-session [`GhostPlanner`] enabled: every
@@ -92,18 +92,17 @@ pub fn run_fleet_planned(
     manager: Arc<SessionManager>,
     queries: &[BenchmarkQuery],
     cfg: &ChurnConfig,
-    planner_cfg: PlannerConfig,
 ) -> ChurnArtifacts {
-    run_fleet_with(manager, queries, cfg, Some(planner_cfg))
+    run_fleet_with(manager, queries, cfg, true)
 }
 
 fn run_fleet_with(
     manager: Arc<SessionManager>,
     queries: &[BenchmarkQuery],
     cfg: &ChurnConfig,
-    planner_cfg: Option<PlannerConfig>,
+    planned: bool,
 ) -> ChurnArtifacts {
-    let planner = planner_cfg.map(|pc| GhostPlanner::with_config(manager.clone(), pc));
+    let planner = planned.then(|| GhostPlanner::new(manager.clone()));
     assert!(!queries.is_empty(), "churn needs a workload");
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let mut inv = InvariantBlock::default();
@@ -143,7 +142,8 @@ fn run_fleet_with(
                         .expect("session is open"),
                     None => {
                         let (report, plan) = manager
-                            .plan_cycle_with_report(id, &q.tokens, TOP_K)
+                            .formulate_cycle(id, &q.tokens, TOP_K)
+                            .and_then(|fc| manager.commit_cycle(fc))
                             .expect("session is open");
                         plans.push(plan);
                         report

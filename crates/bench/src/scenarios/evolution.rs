@@ -47,7 +47,8 @@ fn serve_round(
         for (s, id) in manager.session_ids().iter().enumerate() {
             let q = queries[(r * 5 + s) % queries.len()];
             let (report, plan) = manager
-                .plan_cycle_with_report(id, &q.tokens, TOP_K)
+                .formulate_cycle(id, &q.tokens, TOP_K)
+                .and_then(|fc| manager.commit_cycle(fc))
                 .expect("session is open");
             reports.push(report);
             plans.push(plan);

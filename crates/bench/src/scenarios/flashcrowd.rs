@@ -60,7 +60,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
                     &queries[(round * 11 + s * 3 + c) % queries.len()]
                 };
                 let (report, plan) = manager
-                    .plan_cycle_with_report(id, &q.tokens, TOP_K)
+                    .formulate_cycle(id, &q.tokens, TOP_K)
+                    .and_then(|fc| manager.commit_cycle(fc))
                     .expect("session is open");
                 worst_violation =
                     worst_violation.max(super::masking_violation(&report.metrics, eps2));

@@ -196,7 +196,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     let mut fresh_protected = 0usize;
     for q in &new_topic_queries {
         let (report, _plan) = manager
-            .plan_cycle_with_report("tenant-2", &q.tokens, TOP_K)
+            .formulate_cycle("tenant-2", &q.tokens, TOP_K)
+            .and_then(|fc| manager.commit_cycle(fc))
             .expect("fresh plan");
         if !report.intention.is_empty() && report.cycle.len() > 1 {
             fresh_protected += 1;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use toppriv_adversary::{merge_shard_logs, run_classifier_attack, NaiveBayes};
 use toppriv_bench::scenarios::churn::{run_fleet_planned, ChurnConfig};
 use toppriv_core::PrivacyRequirement;
-use toppriv_service::{AuditConfig, PlannerConfig, SearchTier, SessionManager};
+use toppriv_service::{AuditConfig, SearchTier, SessionManager};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_search::{ScoringModel, ShardedEngine};
@@ -71,7 +71,7 @@ fn planner_sharing_preserves_per_session_privacy_at_scale() {
         waves: 3,
         cycles_per_session: 1,
     };
-    let art = run_fleet_planned(manager, &queries, &cfg, PlannerConfig::default());
+    let art = run_fleet_planned(manager, &queries, &cfg);
     assert!(art.joined >= 64, "storm opened {} sessions", art.joined);
     assert!(
         art.invariants.pass,

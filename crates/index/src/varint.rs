@@ -15,19 +15,6 @@ pub fn encode_u32<B: BufMut>(out: &mut B, mut value: u32) {
     }
 }
 
-/// Encodes a u64 varint into `out`.
-pub fn encode_u64<B: BufMut>(out: &mut B, mut value: u64) {
-    loop {
-        let byte = (value & 0x7F) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.put_u8(byte);
-            return;
-        }
-        out.put_u8(byte | 0x80);
-    }
-}
-
 /// Decodes a u32 varint from `buf`. Returns `None` on truncation or
 /// overflow.
 pub fn decode_u32<B: Buf>(buf: &mut B) -> Option<u32> {
@@ -50,38 +37,6 @@ pub fn decode_u32<B: Buf>(buf: &mut B) -> Option<u32> {
     }
 }
 
-/// Decodes a u64 varint from `buf`.
-pub fn decode_u64<B: Buf>(buf: &mut B) -> Option<u64> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return None;
-        }
-        let byte = buf.get_u8();
-        let payload = (byte & 0x7F) as u64;
-        if shift >= 64 || (shift == 63 && payload > 1) {
-            return None;
-        }
-        value |= payload << shift;
-        if byte & 0x80 == 0 {
-            return Some(value);
-        }
-        shift += 7;
-    }
-}
-
-/// Number of bytes `value` occupies as a varint.
-pub fn encoded_len_u32(value: u32) -> usize {
-    match value {
-        0..=0x7F => 1,
-        0x80..=0x3FFF => 2,
-        0x4000..=0x1F_FFFF => 3,
-        0x20_0000..=0xFFF_FFFF => 4,
-        _ => 5,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +44,6 @@ mod tests {
     fn roundtrip32(v: u32) -> u32 {
         let mut buf = Vec::new();
         encode_u32(&mut buf, v);
-        assert_eq!(buf.len(), encoded_len_u32(v));
         let mut slice = buf.as_slice();
         decode_u32(&mut slice).expect("decodes")
     }
@@ -110,16 +64,6 @@ mod tests {
             u32::MAX,
         ] {
             assert_eq!(roundtrip32(v), v);
-        }
-    }
-
-    #[test]
-    fn u64_roundtrip_boundaries() {
-        for v in [0u64, 127, 128, 1 << 20, 1 << 40, u64::MAX] {
-            let mut buf = Vec::new();
-            encode_u64(&mut buf, v);
-            let mut slice = buf.as_slice();
-            assert_eq!(decode_u64(&mut slice), Some(v));
         }
     }
 

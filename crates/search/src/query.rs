@@ -12,8 +12,6 @@ use tsearch_text::{Analyzer, TermId, Vocabulary};
 pub struct Query {
     /// Distinct `(term, query_tf)` pairs, term-sorted.
     terms: Vec<(TermId, u32)>,
-    /// Total token count of the raw query (before deduplication).
-    raw_len: usize,
 }
 
 impl Query {
@@ -36,20 +34,12 @@ impl Query {
             }
             same
         });
-        Query {
-            terms,
-            raw_len: tokens.len(),
-        }
+        Query { terms }
     }
 
     /// Distinct term count.
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Total token count (with duplicates).
-    pub fn raw_len(&self) -> usize {
-        self.raw_len
     }
 
     /// Whether the query matched no vocabulary terms.
@@ -77,7 +67,6 @@ mod tests {
     fn from_tokens_deduplicates() {
         let q = Query::from_tokens(&[5, 2, 5, 5, 9]);
         assert_eq!(q.num_terms(), 3);
-        assert_eq!(q.raw_len(), 5);
         let terms: Vec<_> = q.terms().collect();
         assert_eq!(terms, vec![(2, 1), (5, 3), (9, 1)]);
     }
@@ -89,7 +78,6 @@ mod tests {
         let apache = vocab.intern("apache");
         let q = Query::parse("the apache submarine", &analyzer, &vocab);
         assert_eq!(q.term_ids(), vec![apache]);
-        assert_eq!(q.raw_len(), 1);
     }
 
     #[test]

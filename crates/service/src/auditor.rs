@@ -6,20 +6,23 @@
 //! runtime check that runs alongside serving, the privacy-system
 //! analogue of continuous SLO monitoring:
 //!
-//! - **register** — [`crate::SessionManager::plan_cycle_with_report`] (and the
-//!   synchronous search path) registers every formulated cycle's
-//!   privacy facts (exposure, mask level, ε2, trace exposure) while the
-//!   session lock is held, and updates the per-tenant gauges
+//! - **register** — [`crate::SessionManager::commit_cycle`] registers
+//!   every committed cycle's privacy facts (exposure, mask level, ε2,
+//!   trace exposure) as a pending fact while the session lock is held,
+//!   and credits the tenant: the per-tenant gauges
 //!   (`tenant_worst_exposure`, `tenant_trace_exposure`,
 //!   `tenant_budget_headroom = ε2 − trace_exposure`) plus the budget
 //!   **burn-rate** estimate (`tenant_burn_cycles`: cycles until ε2
 //!   exhaustion at the current trace-exposure slope);
 //! - **audit** — the [`crate::CycleScheduler`] drain workers call
 //!   [`PrivacyAuditor::on_outcome`] for every drained submission; the
-//!   registered fact's fleet invariant is evaluated on each call, and a
-//!   breach (or a near-breach, when headroom drops under the configured
-//!   threshold) is journaled as an [`AuditEvent`] **exactly once** per
-//!   cycle, no matter how many workers race on its submissions;
+//!   first call for a pending fact evaluates its fleet invariant, and a
+//!   breach (or a near-breach, when headroom drops under a quarter of
+//!   ε2) is journaled as an [`AuditEvent`] **exactly once** per cycle, no
+//!   matter how many workers race on its submissions. The synchronous
+//!   search path has no drain to wait for: [`PrivacyAuditor::observe_cycle`]
+//!   credits the tenant and runs the same evaluation in place, and never
+//!   holds a pending fact;
 //! - **spill** — once per drain the journal is optionally spilled to a
 //!   CRC-sealed `tsearch-store` container (the PR-7 persist codec, kind
 //!   [`tsearch_store::kind::AUDIT_JOURNAL`]) so audits survive restarts;
@@ -42,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use toppriv_core::PrivacyMetrics;
 use toppriv_obs::{
-    recover_lock, AuditEvent, AuditLog, AuditSeverity, HealthReport, MetricsRegistry,
+    recover_lock, AuditEvent, AuditLog, AuditSeverity, Counter, HealthReport, MetricsRegistry,
 };
 
 /// Metric name: per-tenant worst single-cycle exposure (micro-units).
@@ -62,6 +65,15 @@ pub const M_AUDIT_CYCLES: &str = "audit_cycles_total";
 /// Metric name: journal spills sealed to disk.
 pub const M_AUDIT_SPILLS: &str = "audit_spills_total";
 
+/// Events the ring journal retains.
+const JOURNAL_CAPACITY: usize = 1024;
+/// Near-breach threshold as a fraction of ε2: a `low_headroom` warning
+/// is journaled when `0 ≤ headroom < fraction × ε2`.
+const NEAR_BREACH_FRACTION: f64 = 0.25;
+/// Float tolerance on the fleet-invariant evaluation (matches the
+/// scenario harness).
+const TOLERANCE: f64 = 1e-9;
+
 /// Fixed-point scale for float-valued gauges: the registry's [`toppriv_obs::Gauge`]
 /// is an `i64`, so exposures and headrooms are published in micro-units
 /// (`value × 1e6`, rounded).
@@ -73,17 +85,9 @@ pub fn to_micro(v: f64) -> i64 {
     (v * GAUGE_MICRO).round() as i64
 }
 
-/// Auditor tuning.
+/// Where and how often the auditor spills its journal.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
-    /// Events the ring journal retains.
-    pub journal_capacity: usize,
-    /// Near-breach threshold as a fraction of ε2: a `low_headroom`
-    /// warning is journaled when `0 ≤ headroom < fraction × ε2`.
-    pub near_breach_fraction: f64,
-    /// Float tolerance on the fleet-invariant evaluation (matches the
-    /// scenario harness).
-    pub tolerance: f64,
     /// Spill the journal after this many audited cycles (0 disables
     /// periodic spills; explicit [`PrivacyAuditor::spill_now`] always
     /// works).
@@ -96,9 +100,6 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            journal_capacity: 1024,
-            near_breach_fraction: 0.25,
-            tolerance: 1e-9,
             spill_every_cycles: 256,
             spill_path: None,
         }
@@ -140,16 +141,28 @@ impl TenantAudit {
     }
 }
 
-/// Privacy facts of one formulated-but-not-yet-audited cycle.
+/// Privacy facts of one committed cycle.
 #[derive(Debug, Clone)]
 struct CycleFact {
     exposure: f64,
     mask_level: f64,
     eps2: f64,
     trace_exposure: f64,
-    /// Set by the first drain worker that evaluates the fact, so the
-    /// breach / near-breach event is emitted exactly once per cycle.
+    /// Set by the first drain worker that evaluates a pending fact, so
+    /// the breach / near-breach event is emitted exactly once per cycle.
     audited: bool,
+}
+
+impl CycleFact {
+    fn new(metrics: &PrivacyMetrics, eps2: f64, trace_exposure: f64) -> Self {
+        CycleFact {
+            exposure: metrics.exposure,
+            mask_level: metrics.mask_level,
+            eps2,
+            trace_exposure,
+            audited: false,
+        }
+    }
 }
 
 /// Burn-slope EMA smoothing factor.
@@ -168,6 +181,9 @@ pub struct PrivacyAuditor {
     /// without allocating a composite key.
     pending: Mutex<HashMap<String, HashMap<usize, CycleFact>>>,
     cycles_audited: AtomicU64,
+    /// [`M_AUDIT_CYCLES`], fetched once: it is bumped on every audited
+    /// cycle, one per wire `Search`.
+    audit_cycles: Counter,
     cycles_at_last_spill: AtomicU64,
     /// The deterministic fault plane, when attached: journal spills
     /// consult its `StoreWrite` schedule before touching disk.
@@ -177,11 +193,11 @@ pub struct PrivacyAuditor {
 impl PrivacyAuditor {
     /// An auditor publishing into `registry`.
     pub fn new(registry: Arc<MetricsRegistry>, config: AuditConfig) -> Self {
-        let log = AuditLog::new(config.journal_capacity);
         PrivacyAuditor {
+            audit_cycles: registry.counter(M_AUDIT_CYCLES, &[]),
             registry,
             config,
-            log,
+            log: AuditLog::new(JOURNAL_CAPACITY),
             tenants: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             cycles_audited: AtomicU64::new(0),
@@ -196,11 +212,6 @@ impl PrivacyAuditor {
     /// [`crate::SessionManager::with_fault_plane`].
     pub fn attach_fault_plane(&self, plane: Arc<FaultPlane>) {
         *recover_lock(&self.fault) = Some(plane);
-    }
-
-    /// The auditor's configuration.
-    pub fn config(&self) -> &AuditConfig {
-        &self.config
     }
 
     /// The ring journal (for `AuditTail` and the spill codec).
@@ -218,11 +229,11 @@ impl PrivacyAuditor {
         self.cycles_audited.load(Ordering::Relaxed)
     }
 
-    /// Registers one formulated cycle's privacy facts and refreshes the
-    /// tenant's gauges. Called by the session manager at plan/search
-    /// time (while it still holds the ground truth); the facts wait in
-    /// the pending set until a drain worker audits them. Registering a
-    /// cycle id again overwrites its pending fact.
+    /// Registers one committed cycle's privacy facts and credits the
+    /// tenant. Called by the session manager at commit time (while it
+    /// still holds the ground truth); the facts wait in the pending set
+    /// until a drain worker audits them. Registering a cycle id again
+    /// overwrites its pending fact.
     pub fn register_cycle(
         &self,
         session: &str,
@@ -232,19 +243,38 @@ impl PrivacyAuditor {
         trace_exposure: f64,
         worst_exposure: f64,
     ) {
-        {
-            let mut pending = recover_lock(&self.pending);
-            pending.entry(session.to_string()).or_default().insert(
-                cycle_id,
-                CycleFact {
-                    exposure: metrics.exposure,
-                    mask_level: metrics.mask_level,
-                    eps2,
-                    trace_exposure,
-                    audited: false,
-                },
-            );
-        }
+        recover_lock(&self.pending)
+            .entry(session.to_string())
+            .or_default()
+            .insert(cycle_id, CycleFact::new(metrics, eps2, trace_exposure));
+        self.credit(session, eps2, trace_exposure, worst_exposure);
+    }
+
+    /// Credits **and immediately audits** one cycle — the synchronous
+    /// search path resolves its cycle inline, so there is no later drain
+    /// to call [`PrivacyAuditor::on_outcome`]. Nothing is registered:
+    /// the fact is evaluated in place, and `cycle_id` only labels the
+    /// events it journals.
+    pub fn observe_cycle(
+        &self,
+        session: &str,
+        cycle_id: usize,
+        metrics: &PrivacyMetrics,
+        eps2: f64,
+        trace_exposure: f64,
+        worst_exposure: f64,
+    ) {
+        self.credit(session, eps2, trace_exposure, worst_exposure);
+        self.audit(
+            session,
+            cycle_id,
+            &CycleFact::new(metrics, eps2, trace_exposure),
+        );
+    }
+
+    /// Counts one cycle against the tenant's accounting and refreshes its
+    /// gauges and burn estimate.
+    fn credit(&self, session: &str, eps2: f64, trace_exposure: f64, worst_exposure: f64) {
         let mut tenants = recover_lock(&self.tenants);
         let tenant = tenants.entry(session.to_string()).or_insert_with(|| {
             let labels = [("tenant", session)];
@@ -275,38 +305,6 @@ impl PrivacyAuditor {
         tenant.gauge_trace.set(to_micro(tenant.trace_exposure));
         tenant.gauge_headroom.set(to_micro(tenant.headroom()));
         tenant.gauge_burn.set(tenant.burn_cycles());
-    }
-
-    /// Registers **and immediately audits** one cycle — the synchronous
-    /// search path resolves its cycle inline, so there is no later drain
-    /// to call [`PrivacyAuditor::on_outcome`]; the fact is pruned right
-    /// away.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_cycle(
-        &self,
-        session: &str,
-        cycle_id: usize,
-        metrics: &PrivacyMetrics,
-        eps2: f64,
-        trace_exposure: f64,
-        worst_exposure: f64,
-    ) {
-        self.register_cycle(
-            session,
-            cycle_id,
-            metrics,
-            eps2,
-            trace_exposure,
-            worst_exposure,
-        );
-        self.on_outcome(session, cycle_id);
-        let mut pending = recover_lock(&self.pending);
-        if let Some(by_cycle) = pending.get_mut(session) {
-            by_cycle.remove(&cycle_id);
-            if by_cycle.is_empty() {
-                pending.remove(session);
-            }
-        }
     }
 
     /// Releases a rolled-back cycle's pending fact and rebinds the
@@ -371,34 +369,36 @@ impl PrivacyAuditor {
         self.emit(severity, code, tenant, cycle as u64, detail);
     }
 
-    /// Audits one drained submission: evaluates the registered cycle
-    /// fact's fleet invariant `min(exposure − mask_level, exposure − ε2)
-    /// ≤ 0` and, on the **first** evaluation of that cycle, journals a
-    /// breach or near-breach event and bumps the per-tenant accounting.
-    /// A submission with no registered fact (already pruned, or planned
-    /// before the auditor was attached) is a cheap no-op.
+    /// Audits one drained submission: the **first** submission of a
+    /// registered cycle to arrive has the cycle's fact evaluated (see
+    /// `audit`); later ones, and a submission with no registered fact
+    /// (already pruned, or planned before the auditor was attached), are
+    /// a cheap no-op.
     pub fn on_outcome(&self, session: &str, cycle_id: usize) {
-        let first = {
+        let fact = {
             let mut pending = recover_lock(&self.pending);
             let Some(fact) = pending.get_mut(session).and_then(|m| m.get_mut(&cycle_id)) else {
                 return;
             };
-            // The invariant is evaluated on every drained submission;
-            // only the first evaluator proceeds to emit.
-            let violation = (fact.exposure - fact.mask_level).min(fact.exposure - fact.eps2);
-            debug_assert!(violation.is_finite());
             if fact.audited {
-                None
-            } else {
-                fact.audited = true;
-                Some(fact.clone())
+                return;
             }
+            fact.audited = true;
+            fact.clone()
         };
-        let Some(fact) = first else { return };
+        self.audit(session, cycle_id, &fact);
+    }
+
+    /// The one evaluation of the fleet invariant `min(exposure −
+    /// mask_level, exposure − ε2) ≤ 0` for one cycle: counts the cycle
+    /// audited and journals a breach (bumping the tenant's breaches) or a
+    /// near-breach event.
+    fn audit(&self, session: &str, cycle_id: usize, fact: &CycleFact) {
         self.cycles_audited.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter(M_AUDIT_CYCLES, &[]).inc();
+        self.audit_cycles.inc();
         let violation = (fact.exposure - fact.mask_level).min(fact.exposure - fact.eps2);
-        if violation > self.config.tolerance {
+        debug_assert!(violation.is_finite());
+        if violation > TOLERANCE {
             if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
                 t.breaches += 1;
             }
@@ -416,7 +416,7 @@ impl PrivacyAuditor {
             return;
         }
         let headroom = fact.eps2 - fact.trace_exposure;
-        if headroom < self.config.near_breach_fraction * fact.eps2 {
+        if headroom < NEAR_BREACH_FRACTION * fact.eps2 {
             self.emit(
                 AuditSeverity::Warning,
                 "low_headroom",
@@ -425,7 +425,7 @@ impl PrivacyAuditor {
                 format!(
                     "budget headroom {headroom:.3e} below {:.0}% of ε2 {:.4} \
                      (trace exposure {:.4})",
-                    self.config.near_breach_fraction * 100.0,
+                    NEAR_BREACH_FRACTION * 100.0,
                     fact.eps2,
                     fact.trace_exposure
                 ),

@@ -11,10 +11,11 @@
 //!
 //! Keys are normalized term multisets (sorted token ids) plus the result
 //! count `k` — the engine treats queries as bags of words, so token order
-//! never matters. Entries live in N independently locked shards selected
-//! by key hash; each shard is a classic intrusive-list LRU, so a get
-//! refreshes recency in O(1) and eviction removes the least-recently-used
-//! entry of that shard.
+//! never matters. Entries live in [`DEFAULT_SHARDS`] independently locked
+//! shards selected by key hash; each shard is a classic intrusive-list
+//! LRU, so a get refreshes recency in O(1) and eviction removes the
+//! least-recently-used entry of that shard; eviction is the only way an
+//! entry leaves.
 //!
 //! Privacy note: the cache sits *inside* the trusted service boundary,
 //! and per-session privacy accounting covers every cycle member whether
@@ -57,7 +58,7 @@
 //! nothing the result cache did not, and the engine, which sees neither,
 //! nothing at all.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,8 +76,6 @@ pub const M_CACHE_SHARD_MISSES: &str = "cache_misses_total";
 pub const M_CACHE_EVICTIONS: &str = "cache_evictions_total";
 /// Metric name: cache lookup latency histogram (µs).
 pub const M_CACHE_LOOKUP_US: &str = "cache_lookup_us";
-/// Metric name: poisoned entries detected and healed (dropped) on lookup.
-pub const M_CACHE_POISON_HEALS: &str = "cache_poison_heals_total";
 /// Metric name: cycles handed back from the cycle memo.
 pub const M_CYCLE_MEMO_HITS: &str = "cycle_memo_hits_total";
 /// Metric name: cycles the memo did not hold and the generator formulated.
@@ -91,7 +90,6 @@ struct CacheObs {
     hits: Vec<Counter>,
     misses: Vec<Counter>,
     evictions: Vec<Counter>,
-    heals: Counter,
     lookup_us: HistogramHandle,
 }
 
@@ -106,7 +104,6 @@ impl CacheObs {
             hits: per_shard(M_CACHE_SHARD_HITS),
             misses: per_shard(M_CACHE_SHARD_MISSES),
             evictions: per_shard(M_CACHE_EVICTIONS),
-            heals: registry.counter(M_CACHE_POISON_HEALS, &[]),
             lookup_us: registry.histogram(M_CACHE_LOOKUP_US, &[]),
         }
     }
@@ -254,21 +251,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone + Default> Shard<K, V> {
-    /// Removes an entry outright; returns whether it was present. The
-    /// slot is recycled through the free list like an eviction, and gives
-    /// its value up now rather than when it is reused.
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(slot) = self.index.remove(key) else {
-            return false;
-        };
-        self.unlink(slot);
-        self.slots[slot].value = V::default();
-        self.free.push(slot);
-        true
-    }
-}
-
 type ResultShard = Shard<CacheKey, Vec<SearchHit>>;
 
 /// Thread-safe sharded LRU cache of search results.
@@ -295,14 +277,6 @@ pub struct ResultCache {
     misses: AtomicU64,
     capacity: usize,
     obs: Option<CacheObs>,
-    /// Keys flagged as corrupted by fault injection
-    /// ([`crate::FaultKind::CachePoison`]): lookups self-heal by dropping
-    /// the entry and reporting a miss, forcing a fresh engine evaluation.
-    poisoned: Mutex<HashSet<CacheKey>>,
-    /// Cheap hot-path gate: `get` only consults the poisoned set when
-    /// this is non-zero, so fault-free lookups pay one relaxed load.
-    poisoned_count: AtomicU64,
-    heals: AtomicU64,
 }
 
 /// Default shard count (capacity permitting).
@@ -316,7 +290,7 @@ impl ResultCache {
     }
 
     /// Explicit shard count; total capacity is split evenly (rounded up).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity.div_ceil(shards);
         ResultCache {
@@ -327,9 +301,6 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             capacity,
             obs: None,
-            poisoned: Mutex::new(HashSet::new()),
-            poisoned_count: AtomicU64::new(0),
-            heals: AtomicU64::new(0),
         }
     }
 
@@ -353,28 +324,10 @@ impl ResultCache {
     }
 
     /// Looks up a normalized query, refreshing its recency.
-    ///
-    /// A key flagged via [`ResultCache::poison`] self-heals here: the
-    /// corrupted entry is dropped, the flag cleared, and the lookup
-    /// reports a miss so the caller recomputes from the engine.
     pub fn get(&self, tokens: &[TermId], k: usize) -> Option<Vec<SearchHit>> {
         let t0 = Instant::now();
         let key = CacheKey::new(tokens, k);
         let (s, shard) = self.shard(&key);
-        if self.poisoned_count.load(Ordering::Relaxed) > 0
-            && recover_lock(&self.poisoned).remove(&key)
-        {
-            self.poisoned_count.fetch_sub(1, Ordering::Relaxed);
-            recover_lock(shard).remove(&key);
-            self.heals.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.heals.inc();
-                obs.misses[s].inc();
-                obs.lookup_us.record(t0.elapsed().as_micros() as u64);
-            }
-            return None;
-        }
         let found = recover_lock(shard).get(&key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -480,36 +433,6 @@ impl ResultCache {
         } else {
             h / (h + m)
         }
-    }
-
-    /// Flags a cached entry as corrupted ([`crate::FaultKind::CachePoison`]
-    /// injection point). Returns whether the entry was present. The next
-    /// [`ResultCache::get`] of the key drops it and reports a miss — the
-    /// cache never serves a poisoned result, and the flag clears itself.
-    pub fn poison(&self, tokens: &[TermId], k: usize) -> bool {
-        let key = CacheKey::new(tokens, k);
-        let (_, shard) = self.shard(&key);
-        let present = recover_lock(shard).index.contains_key(&key);
-        if present && recover_lock(&self.poisoned).insert(key) {
-            self.poisoned_count.fetch_add(1, Ordering::Relaxed);
-        }
-        present
-    }
-
-    /// Removes an entry (and any poison flag on it) outright. Returns
-    /// whether a cached entry was dropped.
-    pub fn invalidate(&self, tokens: &[TermId], k: usize) -> bool {
-        let key = CacheKey::new(tokens, k);
-        if recover_lock(&self.poisoned).remove(&key) {
-            self.poisoned_count.fetch_sub(1, Ordering::Relaxed);
-        }
-        let (_, shard) = self.shard(&key);
-        recover_lock(shard).remove(&key)
-    }
-
-    /// Poisoned entries detected and dropped by [`ResultCache::get`].
-    pub fn poison_heals(&self) -> u64 {
-        self.heals.load(Ordering::Relaxed)
     }
 }
 
@@ -791,43 +714,6 @@ mod tests {
         assert_eq!(registry.counter_total(M_CACHE_EVICTIONS), 1);
         let lookups = registry.merged_histogram(M_CACHE_LOOKUP_US).unwrap();
         assert_eq!(lookups.count(), 2);
-    }
-
-    #[test]
-    fn poisoned_entry_self_heals_as_miss() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let cache = ResultCache::with_shards(8, 1).with_registry(registry.clone());
-        cache.insert(&[1, 2], 10, vec![hit(7)]);
-        assert!(cache.poison(&[2, 1], 10), "entry present, flag set");
-        assert!(!cache.poison(&[9], 10), "absent key cannot be poisoned");
-        // The poisoned result is never served: first get heals (miss),
-        // and the entry is gone afterwards.
-        assert!(cache.get(&[1, 2], 10).is_none());
-        assert_eq!(cache.poison_heals(), 1);
-        assert_eq!(cache.misses(), 1, "a heal counts as a plain miss");
-        assert!(cache.get(&[1, 2], 10).is_none(), "entry dropped for good");
-        assert_eq!(cache.poison_heals(), 1, "flag cleared after one heal");
-        // Re-inserting the key serves cleanly again.
-        cache.insert(&[1, 2], 10, vec![hit(8)]);
-        assert_eq!(cache.get(&[1, 2], 10).unwrap()[0].doc_id, 8);
-        assert_eq!(registry.counter_total(M_CACHE_POISON_HEALS), 1);
-    }
-
-    #[test]
-    fn invalidate_removes_entry_and_flag() {
-        let cache = ResultCache::with_shards(4, 1);
-        cache.insert(&[1], 10, vec![hit(1)]);
-        cache.insert(&[2], 10, vec![hit(2)]);
-        assert!(cache.poison(&[1], 10));
-        assert!(cache.invalidate(&[1], 10));
-        assert!(!cache.invalidate(&[1], 10), "already gone");
-        assert!(cache.get(&[1], 10).is_none());
-        assert_eq!(cache.poison_heals(), 0, "invalidate is not a heal");
-        assert_eq!(cache.len(), 1);
-        // Freed slot is recycled.
-        cache.insert(&[3], 10, vec![hit(3)]);
-        let shard = cache.shards[0].lock().unwrap();
-        assert!(shard.slots.len() <= 2, "used {}", shard.slots.len());
     }
 
     #[test]

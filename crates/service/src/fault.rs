@@ -5,11 +5,9 @@
 //! failure domain — a submission's primary shard — a fire budget, a
 //! stall duration, a submission predicate). The
 //! plane is threaded through the scheduler (worker panics, shard
-//! stalls, cache poisoning), the auditor and persist layer (store
-//! write/read errors on journal and session spills), and the session
-//! manager (transient model-swap failure) — the same object, consulted
-//! at every layer, so one seed reproduces one fleet-wide fault
-//! schedule.
+//! stalls) and the auditor and session spill paths (store write/read
+//! errors) — the same object, consulted at every layer, so one seed
+//! reproduces one fleet-wide fault schedule.
 //!
 //! ## Determinism
 //!
@@ -60,13 +58,6 @@ pub enum FaultKind {
     /// A store read (spill load) fails with an injected I/O error
     /// (store layer).
     StoreRead,
-    /// A cached result entry is corrupted before a submission resolves;
-    /// the cache's validation path must detect and heal it (cache
-    /// layer).
-    CachePoison,
-    /// A model swap transiently fails (session-manager layer); the
-    /// caller retries the swap.
-    ModelSwapFail,
 }
 
 impl FaultKind {
@@ -78,8 +69,6 @@ impl FaultKind {
             FaultKind::ShardStall => 0x9E6C_0002,
             FaultKind::StoreWrite => 0x9E6C_0003,
             FaultKind::StoreRead => 0x9E6C_0004,
-            FaultKind::CachePoison => 0x9E6C_0005,
-            FaultKind::ModelSwapFail => 0x9E6C_0006,
         }
     }
 
@@ -90,20 +79,16 @@ impl FaultKind {
             FaultKind::ShardStall => "shard_stall",
             FaultKind::StoreWrite => "store_write",
             FaultKind::StoreRead => "store_read",
-            FaultKind::CachePoison => "cache_poison",
-            FaultKind::ModelSwapFail => "model_swap_fail",
         }
     }
 }
 
 /// Every kind, in taxonomy order (for reporting sweeps).
-pub const ALL_FAULT_KINDS: [FaultKind; 6] = [
+pub const ALL_FAULT_KINDS: [FaultKind; 4] = [
     FaultKind::WorkerPanic,
     FaultKind::ShardStall,
     FaultKind::StoreWrite,
     FaultKind::StoreRead,
-    FaultKind::CachePoison,
-    FaultKind::ModelSwapFail,
 ];
 
 /// Submission predicate: a submission it selects fires the spec
@@ -247,11 +232,6 @@ impl FaultPlane {
         self
     }
 
-    /// The plane's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The deterministic decision key of arbitrary content bytes — what
     /// store-layer injection keys on (a spill path, a container name),
     /// so the same path fails the same way on every run.
@@ -350,8 +330,8 @@ impl FaultPlane {
         None
     }
 
-    /// Whether `kind` fires for a bare decision key (store / model-swap
-    /// layers, which have no submission in hand).
+    /// Whether `kind` fires for a bare decision key (the store layer,
+    /// which has no submission in hand).
     pub fn fires_key(&self, kind: FaultKind, key: u64, attempt: u32) -> bool {
         self.decide(kind, None, key, attempt, None).is_some()
     }

@@ -77,7 +77,7 @@ pub use persist::{
     seal_audit_journal, seal_query_log, seal_session_state, unseal_audit_journal, unseal_query_log,
     unseal_session_state, PersistError, SessionState,
 };
-pub use planner::{GhostPlanner, PlannerConfig};
+pub use planner::GhostPlanner;
 pub use protocol::{Op, Request, Response};
 pub use scheduler::{
     CycleScheduler, DrainError, DrainPolicy, PlannedQuery, ResilientReport, ShardFailure,

@@ -21,7 +21,8 @@
 //! 2. **Coalescing.** Planned submissions with an identical normalized
 //!    token bag and result depth ([`crate::CacheKey`]) across different
 //!    tenants are merged into **one** queue entry tagged with every
-//!    subscribing tenant ([`crate::SubmissionTag`]). The scheduler
+//!    subscribing tenant ([`crate::SubmissionTag`]), at most eight per
+//!    entry (a ninth opens a fresh entry others join). The scheduler
 //!    resolves it once — one engine submission — and fans the outcome
 //!    out to all subscribers; each subscriber's trace accounting was
 //!    already debited at commit time with the posteriors *as submitted*,
@@ -53,34 +54,16 @@ use toppriv_core::{substitute_in_cycle_boosts, CycleResult, PrivacyMetrics};
 use toppriv_obs::recover_lock;
 use tsearch_text::TermId;
 
-/// Tuning knobs for the cross-session planner.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Maximum tenants sharing one queue entry (bounds fan-out work per
-    /// submission and keeps any single entry from becoming a hot spot).
-    pub max_subscribers: usize,
-    /// Maximum live offers in the match index (bounds planner memory).
-    pub max_offers: usize,
-    /// When false, only exact coalescing runs — no member substitution.
-    pub reuse: bool,
-    /// Per-cycle multiplicative decay of the topic-importance index.
-    pub topic_decay: f64,
-    /// Slack for the certification comparisons (floating-point headroom,
-    /// not a privacy relaxation).
-    pub exposure_tolerance: f64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            max_subscribers: 8,
-            max_offers: 4096,
-            reuse: true,
-            topic_decay: 0.98,
-            exposure_tolerance: 1e-9,
-        }
-    }
-}
+/// Maximum tenants sharing one queue entry (bounds fan-out work per
+/// submission and keeps any single entry from becoming a hot spot).
+const MAX_SUBSCRIBERS: usize = 8;
+/// Maximum live offers in the match index (bounds planner memory).
+const MAX_OFFERS: usize = 4096;
+/// Per-cycle multiplicative decay of the topic-importance index.
+const TOPIC_DECAY: f64 = 0.98;
+/// Slack for the certification comparisons (floating-point headroom,
+/// not a privacy relaxation).
+const EXPOSURE_TOLERANCE: f64 = 1e-9;
 
 /// One still-queued submission another tenant may reuse or coalesce onto.
 struct Offer {
@@ -118,38 +101,16 @@ struct PlannerState {
 /// see [`GhostPlanner::plan_cycle`] for the per-cycle pipeline.
 pub struct GhostPlanner {
     manager: Arc<SessionManager>,
-    config: PlannerConfig,
     state: Mutex<PlannerState>,
 }
 
 impl GhostPlanner {
-    /// A planner over `manager` with default tuning.
+    /// A planner over `manager`.
     pub fn new(manager: Arc<SessionManager>) -> Self {
-        Self::with_config(manager, PlannerConfig::default())
-    }
-
-    /// A planner over `manager` with explicit tuning.
-    pub fn with_config(manager: Arc<SessionManager>, config: PlannerConfig) -> Self {
         GhostPlanner {
             manager,
-            config,
             state: Mutex::new(PlannerState::default()),
         }
-    }
-
-    /// The managed session fleet.
-    pub fn manager(&self) -> &Arc<SessionManager> {
-        &self.manager
-    }
-
-    /// Submissions currently held in the planner queue.
-    pub fn queue_len(&self) -> usize {
-        recover_lock(&self.state).queue.len()
-    }
-
-    /// A snapshot of the decayed cross-tenant topic-importance index.
-    pub fn topic_weights(&self) -> Vec<f64> {
-        recover_lock(&self.state).topic_weight.clone()
     }
 
     /// Plans one cycle through the cross-session pipeline: formulate →
@@ -184,12 +145,9 @@ impl GhostPlanner {
             state.topic_weight.clear();
             state.model_epoch = epoch;
         }
-        Self::update_topic_index(&mut state, &fc, self.config.topic_decay);
-        if self.config.reuse {
-            let reused = self.substitute_members(&mut state, &mut fc);
-            for _ in 0..reused {
-                metrics.record_planner_reuse();
-            }
+        Self::update_topic_index(&mut state, &fc);
+        for _ in 0..Self::substitute_members(&mut state, &mut fc) {
+            metrics.record_planner_reuse();
         }
         // Posteriors keyed by submission identity, captured before commit
         // consumes `fc` (the pacer shuffles member order, so plan entries
@@ -208,8 +166,7 @@ impl GhostPlanner {
                 let donor_queue = state.offers[oi].queue_index;
                 let donor_session = state.offers[oi].session.clone();
                 let entry = &mut state.queue[donor_queue];
-                if donor_session != planned.session && entry.fanout() < self.config.max_subscribers
-                {
+                if donor_session != planned.session && entry.fanout() < MAX_SUBSCRIBERS {
                     // Coalesce: the donor's entry is submitted once; this
                     // tenant subscribes to its outcome.
                     if entry.subscribers.is_empty() {
@@ -236,13 +193,13 @@ impl GhostPlanner {
             // the key already has an offer (its entry was full, or owned
             // by this same session), re-point it at the fresh entry so
             // the next group of tenants coalesces here instead of each
-            // queueing solo — sharing stays open past `max_subscribers`.
+            // queueing solo — sharing stays open past `MAX_SUBSCRIBERS`.
             if let Some(posterior) = member_posteriors.get(&key) {
                 if let Some(&oi) = state.by_key.get(&key) {
                     state.offers[oi].queue_index = queue_index;
                     state.offers[oi].session = session;
                     state.offers[oi].intention = intention.clone();
-                } else if state.offers.len() < self.config.max_offers {
+                } else if state.offers.len() < MAX_OFFERS {
                     if let Some(topic) = argmax(posterior) {
                         let oi = state.offers.len();
                         state.offers.push(Offer {
@@ -282,13 +239,13 @@ impl GhostPlanner {
     }
 
     /// Decays the topic index and credits each member's dominant topic.
-    fn update_topic_index(state: &mut PlannerState, fc: &FormulatedCycle, decay: f64) {
+    fn update_topic_index(state: &mut PlannerState, fc: &FormulatedCycle) {
         let num_topics = fc.posteriors.first().map_or(0, Vec::len);
         if state.topic_weight.len() != num_topics {
             state.topic_weight = vec![0.0; num_topics];
         }
         for w in &mut state.topic_weight {
-            *w *= decay;
+            *w *= TOPIC_DECAY;
         }
         for posterior in &fc.posteriors {
             if let Some(topic) = argmax(posterior) {
@@ -300,7 +257,7 @@ impl GhostPlanner {
     /// Rewrites ghost members of `fc` in place with donors from the
     /// match index, keeping the cycle certified. Returns how many
     /// members were substituted.
-    fn substitute_members(&self, state: &mut PlannerState, fc: &mut FormulatedCycle) -> usize {
+    fn substitute_members(state: &mut PlannerState, fc: &mut FormulatedCycle) -> usize {
         if state.offers.is_empty() || fc.report.cycle_boosts.is_empty() {
             return 0;
         }
@@ -327,7 +284,6 @@ impl GhostPlanner {
             let wb = state.topic_weight.get(b.1).copied().unwrap_or(0.0);
             wb.partial_cmp(&wa).expect("weights are finite")
         });
-        let tol = self.config.exposure_tolerance;
         let mut reused = 0;
         for (i, topic) in candidates {
             let Some(offer_ids) = state.by_topic.get(&topic) else {
@@ -338,7 +294,7 @@ impl GhostPlanner {
                 let offer = &state.offers[oi];
                 if offer.session == fc.session
                     || offer.k != fc.k
-                    || state.queue[offer.queue_index].fanout() >= self.config.max_subscribers
+                    || state.queue[offer.queue_index].fanout() >= MAX_SUBSCRIBERS
                 {
                     continue;
                 }
@@ -373,8 +329,8 @@ impl GhostPlanner {
                 // ε2), exposure must not rise, and a certified cycle
                 // must stay certified. A rejected donor just means the
                 // member keeps its generated decoy.
-                if m.exposure > m.mask_level + tol
-                    || m.exposure > fc.report.metrics.exposure + tol
+                if m.exposure > m.mask_level + EXPOSURE_TOLERANCE
+                    || m.exposure > fc.report.metrics.exposure + EXPOSURE_TOLERANCE
                     || (fc.report.satisfied && !satisfied)
                 {
                     continue;
@@ -571,7 +527,10 @@ mod tests {
                 .all(|w| w[0].scheduled.time_secs <= w[1].scheduled.time_secs),
             "take_queue returns global time order"
         );
-        assert_eq!(planner.queue_len(), 0, "take_queue drains the queue");
+        assert!(
+            recover_lock(&planner.state).queue.is_empty(),
+            "take_queue drains the queue"
+        );
     }
 
     #[test]
@@ -655,13 +614,7 @@ mod tests {
     fn substitutions_keep_cycles_certified() {
         let stack = stack();
         let manager = manager(&stack);
-        let planner = GhostPlanner::with_config(
-            manager.clone(),
-            PlannerConfig {
-                max_subscribers: 16,
-                ..PlannerConfig::default()
-            },
-        );
+        let planner = GhostPlanner::new(manager.clone());
         let queries = generate_workload(
             &stack.corpus,
             &WorkloadConfig {
@@ -687,7 +640,7 @@ mod tests {
                 );
             }
         }
-        assert!(!planner.topic_weights().is_empty());
+        assert!(!recover_lock(&planner.state).topic_weight.is_empty());
         let outcomes = CycleScheduler::for_manager(&manager, 4).run(vec![planner.take_queue()]);
         assert!(!outcomes.is_empty());
         // Per-tenant accounting saw every member of every cycle.

@@ -18,6 +18,10 @@
 //! [`crate::FaultSpec::on_shard`] key on, and the `shard=` label of
 //! [`M_SHARD_SUBMITS`] / [`M_SERVICE_US`] / [`M_SHARD_RETRIES`].
 //!
+//! A scheduler is built from the manager whose cycles it drains
+//! ([`CycleScheduler::for_manager`]) and shares that manager's tier,
+//! cache, metrics, auditor, fault plane and session table.
+//!
 //! A drain is four steps, each its own function: **claim** (deadline
 //! watchdog and quarantine gate), **resolve with retry**, **fan-out**
 //! (one outcome and one audit fact per subscribing tenant), and — after
@@ -334,7 +338,7 @@ pub struct CycleScheduler {
 impl CycleScheduler {
     /// A scheduler over explicit parts. `workers` is the pool size: all
     /// of them claim from the one merged queue.
-    pub fn new(
+    fn new(
         tier: SearchTier,
         cache: Option<Arc<ResultCache>>,
         metrics: Arc<ServiceMetrics>,
@@ -399,19 +403,12 @@ impl CycleScheduler {
         out
     }
 
-    /// Attaches a privacy auditor: drain workers audit every drained
-    /// submission against its registered cycle facts, and each drain
-    /// ends with the auditor's epilogue (fact pruning, periodic journal
-    /// spill). [`CycleScheduler::for_manager`] inherits the manager's
-    /// auditor automatically.
-    pub fn with_auditor(mut self, auditor: Arc<crate::auditor::PrivacyAuditor>) -> Self {
-        self.auditor = Some(auditor);
-        self
-    }
-
     /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
     /// metrics registry, auditor, and fault plane — and its session
-    /// table, so every drain settles the cycles it delivers.
+    /// table, so every drain settles the cycles it delivers. With the
+    /// manager's auditor, drain workers audit every drained submission
+    /// against its registered cycle facts, and each drain ends with the
+    /// auditor's epilogue (fact pruning, periodic journal spill).
     pub fn for_manager(manager: &SessionManager, workers: usize) -> Self {
         let mut scheduler = Self::new(
             manager.tier(),
@@ -420,9 +417,7 @@ impl CycleScheduler {
             workers,
         );
         scheduler.sessions = Some(manager.session_table());
-        if let Some(auditor) = manager.auditor() {
-            scheduler = scheduler.with_auditor(auditor.clone());
-        }
+        scheduler.auditor = manager.auditor().cloned();
         if let Some(plane) = manager.fault_plane() {
             scheduler = scheduler.with_fault_plane(plane.clone());
         }
@@ -624,13 +619,13 @@ impl CycleScheduler {
         loop {
             let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.inject_faults(run, shard, plan, attempt);
-                SessionManager::resolve_shared(
+                SessionManager::resolve(
                     &self.tier,
                     self.cache.as_deref(),
                     &self.metrics,
                     &plan.scheduled.tokens,
                     plan.k,
-                    tags,
+                    tags.iter().map(|tag| tag.is_genuine),
                 )
             }));
             let payload = match once {

@@ -15,11 +15,16 @@
 //!
 //! Two submission paths exist: [`SessionManager::search`] resolves a
 //! cycle synchronously (through the shared [`ResultCache`]) and is born
-//! settled, while [`SessionManager::plan_cycle`] emits a paced schedule
-//! — each planned submission tagged with the shard set its terms route
-//! to — for the global cycle scheduler to drain on its shared worker
-//! queue. A planned cycle stays rollbackable until a drain has delivered
-//! every one of its members; delivery is the only thing that seals it.
+//! settled, while [`SessionManager::plan_cycle`] —
+//! [`SessionManager::formulate_cycle`] then
+//! [`SessionManager::commit_cycle`] — emits a paced schedule, each
+//! planned submission tagged with the shard set its terms route to, for
+//! the global cycle scheduler to drain on its shared worker queue. A
+//! planned cycle stays rollbackable until a drain has delivered every
+//! one of its members; delivery is the only thing that seals it. Both
+//! paths formulate through one locked step, resolve a member through one
+//! function (the synchronous path is a one-subscriber resolution), and
+//! reach one evaluation of the fleet invariant in the auditor.
 //!
 //! ## The fleet secret ghost seed
 //!
@@ -55,7 +60,7 @@
 use crate::cache::{CycleKey, CycleMemo, GeneratedCycle, ResultCache};
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics, SessionMetrics};
-use crate::scheduler::{PlannedQuery, SubmissionTag};
+use crate::scheduler::PlannedQuery;
 use crate::tier::SearchTier;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
@@ -66,7 +71,7 @@ use toppriv_core::{
     BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PacingConfig, PacingScheduler,
     PrivacyRequirement, SessionTracker,
 };
-use toppriv_obs::{recover_lock, recover_read, recover_write};
+use toppriv_obs::{recover_lock, recover_read, recover_write, Span};
 use tsearch_lda::LdaModel;
 use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
 use tsearch_text::TermId;
@@ -112,8 +117,8 @@ pub enum ServiceError {
     DuplicateSession(String),
     /// Malformed request (empty query, bad thresholds, ...).
     BadRequest(String),
-    /// A transient infrastructure failure (injected or real I/O error,
-    /// failed swap); the operation is safe to retry.
+    /// A transient infrastructure failure (an injected or real I/O
+    /// error); the operation is safe to retry.
     Unavailable(String),
 }
 
@@ -168,24 +173,9 @@ pub struct FormulatedCycle {
 }
 
 impl FormulatedCycle {
-    /// The owning session id.
-    pub fn session(&self) -> &str {
-        &self.session
-    }
-
     /// The formulated cycle (after any planner rewrites).
     pub fn report(&self) -> &CycleResult {
         &self.report
-    }
-
-    /// The `(ε1, ε2)` requirement the cycle was certified against.
-    pub fn requirement(&self) -> PrivacyRequirement {
-        self.requirement
-    }
-
-    /// Result depth the cycle will fetch.
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 
@@ -571,14 +561,6 @@ impl Session {
         Some(record)
     }
 
-    /// Formulates (and records) one cycle for `tokens` (synchronous
-    /// path: resolved inline, so it is born settled).
-    fn formulate(&mut self, tokens: &[TermId], memo: Option<&CycleMemo>) -> CycleResult {
-        let (result, posteriors) = self.generate(tokens, memo);
-        self.account(&result, posteriors, None, tokens, 0, 0);
-        result
-    }
-
     fn metrics(&self, id: &str) -> SessionMetrics {
         let acc = &self.acc;
         let n = acc.cycles.max(1) as f64;
@@ -773,11 +755,10 @@ impl SessionManager {
         self.auditor.as_ref()
     }
 
-    /// Attaches a deterministic [`FaultPlane`]: the scheduler, the
-    /// session/audit spill paths, and [`SessionManager::try_swap_model`]
-    /// consult it before touching real state. Attach **after**
-    /// [`SessionManager::with_auditor`] so the auditor's own spill path
-    /// sees the plane too.
+    /// Attaches a deterministic [`FaultPlane`]: the scheduler and the
+    /// session/audit spill paths consult it before touching real state.
+    /// Attach **after** [`SessionManager::with_auditor`] so the auditor's
+    /// own spill path sees the plane too.
     pub fn with_fault_plane(mut self, plane: Arc<FaultPlane>) -> Self {
         if let Some(auditor) = &self.auditor {
             auditor.attach_fault_plane(plane.clone());
@@ -851,24 +832,6 @@ impl SessionManager {
     fn model_and_epoch(&self) -> (Arc<LdaModel>, u64) {
         let slot = recover_read(&self.model);
         (slot.clone(), self.model_epoch())
-    }
-
-    /// Fallible variant of [`SessionManager::swap_model`] for fleet
-    /// rollout loops: when the attached [`FaultPlane`] schedules a
-    /// transient [`FaultKind::ModelSwapFail`], the swap is rejected
-    /// *before* any state moves — the old `(model, epoch)` pair stays
-    /// fully intact and the caller retries. Without a fault plane this
-    /// is exactly `swap_model`.
-    pub fn try_swap_model(&self, model: Arc<LdaModel>) -> Result<u64, ServiceError> {
-        if let Some(plane) = &self.fault {
-            let key = FaultPlane::key_of(&self.model_epoch().to_le_bytes());
-            if plane.fires_key(FaultKind::ModelSwapFail, key, 0) {
-                return Err(ServiceError::Unavailable(
-                    "injected model_swap_fail fault: swap rejected".into(),
-                ));
-            }
-        }
-        Ok(self.swap_model(model))
     }
 
     /// Swaps the search tier without closing sessions (zero-downtime
@@ -979,61 +942,37 @@ impl SessionManager {
         }
     }
 
-    /// Resolves one cycle member through the cache (when attached) or the
-    /// search tier, recording submit metrics. Returns `(hits, cache_hit)`.
+    /// Resolves one queue entry through the cache (when attached) or the
+    /// search tier — one engine submission, however many tenants
+    /// subscribe to it — and records one submit per subscriber, each
+    /// given by its genuine flag. Subscribers beyond the first are served
+    /// from the shared resolution, which is a cache hit from their point
+    /// of view (see [`ResultCache::get_or_compute_shared`]); a
+    /// synchronous search's member is a one-subscriber entry. Returns the
+    /// first subscriber's `(hits, cache_hit)`.
     pub(crate) fn resolve(
         tier: &SearchTier,
         cache: Option<&ResultCache>,
         metrics: &ServiceMetrics,
         tokens: &[TermId],
         k: usize,
-        is_genuine: bool,
+        genuine: impl ExactSizeIterator<Item = bool>,
     ) -> (Vec<SearchHit>, bool) {
         let t0 = Instant::now();
         let (hits, cache_hit) = match cache {
-            Some(cache) => cache.get_or_compute(tokens, k, || tier.search_tokens(tokens, k)),
-            None => (tier.search_tokens(tokens, k), false),
-        };
-        metrics.record_engine_submission();
-        metrics.record_submit(t0.elapsed().as_micros() as u64, cache_hit, is_genuine);
-        (hits, cache_hit)
-    }
-
-    /// Fan-out variant of [`SessionManager::resolve`] for a submission
-    /// shared by several subscribing tenants (a planner-coalesced queue
-    /// entry): the cache/tier is consulted **once** — one engine
-    /// submission — and per-tenant submit metrics are recorded for every
-    /// tag. Subscribers beyond the first are served from the shared
-    /// resolution, which is a cache hit from their point of view (see
-    /// [`ResultCache::get_or_compute_shared`]).
-    pub(crate) fn resolve_shared(
-        tier: &SearchTier,
-        cache: Option<&ResultCache>,
-        metrics: &ServiceMetrics,
-        tokens: &[TermId],
-        k: usize,
-        tags: &[SubmissionTag],
-    ) -> (Vec<SearchHit>, bool) {
-        if tags.len() <= 1 {
-            let is_genuine = tags.first().is_some_and(|t| t.is_genuine);
-            return Self::resolve(tier, cache, metrics, tokens, k, is_genuine);
-        }
-        let t0 = Instant::now();
-        let (hits, cache_hit) = match cache {
-            Some(cache) => {
-                cache.get_or_compute_shared(tokens, k, tags.len(), || tier.search_tokens(tokens, k))
-            }
+            Some(cache) => cache
+                .get_or_compute_shared(tokens, k, genuine.len(), || tier.search_tokens(tokens, k)),
             None => (tier.search_tokens(tokens, k), false),
         };
         metrics.record_engine_submission();
         let latency_us = t0.elapsed().as_micros() as u64;
-        for (j, tag) in tags.iter().enumerate() {
+        for (j, is_genuine) in genuine.enumerate() {
             let (lat, hit) = if j == 0 {
                 (latency_us, cache_hit)
             } else {
                 (0, true)
             };
-            metrics.record_submit(lat, hit, tag.is_genuine);
+            metrics.record_submit(lat, hit, is_genuine);
         }
         (hits, cache_hit)
     }
@@ -1071,24 +1010,13 @@ impl SessionManager {
         tokens: &[TermId],
         k: usize,
     ) -> Result<SearchOutcome, ServiceError> {
-        if tokens.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "query analyzed to zero tokens".into(),
-            ));
-        }
-        let span = toppriv_obs::tracer().span("search");
-        let tier = self.tier();
-        let mut session = Self::lock_open(id, session)?;
-        self.refresh_session(&mut session);
-        let k = if k == 0 { session.config.top_k } else { k };
-        let report = {
-            let _formulate = span.child("formulate");
-            session.formulate(tokens, self.memo())
-        };
+        let (span, mut session, fc) = self.formulate_in(id, session, tokens, k, "search")?;
+        let report = fc.report;
+        session.account(&report, fc.posteriors, None, tokens, 0, 0);
         if let Some(auditor) = &self.auditor {
-            // The synchronous path has no drain to audit it later:
-            // register and audit the cycle right here, under the
-            // session lock, keyed by the session's own cycle counter.
+            // The synchronous path has no drain to audit it later: audit
+            // the cycle right here, under the session lock. The session's
+            // own cycle counter only labels the events.
             let m = session.metrics(id);
             auditor.observe_cycle(
                 id,
@@ -1099,6 +1027,7 @@ impl SessionManager {
                 m.worst_exposure,
             );
         }
+        let tier = self.tier();
         let mut genuine_hits = Vec::new();
         let mut cache_hits = 0usize;
         let resolve_span = span.child("resolve");
@@ -1108,8 +1037,8 @@ impl SessionManager {
                 self.cache.as_ref().map(|plane| &*plane.results),
                 &self.metrics,
                 &query.tokens,
-                k,
-                query.is_genuine,
+                fc.k,
+                std::iter::once(query.is_genuine),
             );
             if was_hit {
                 cache_hits += 1;
@@ -1127,60 +1056,27 @@ impl SessionManager {
         })
     }
 
-    /// Plans one paced cycle: formulates it, schedules it on the session's
-    /// simulated clock, and returns the per-submission plan for the
-    /// [`crate::CycleScheduler`] — each submission tagged with the shard
-    /// set its terms route to (the lowest is its failure-domain label).
-    /// The session clock advances by its configured think time. The
-    /// cycle stays rollbackable until a drain delivered all of it.
-    pub fn plan_cycle(
+    /// The locked prelude of both cycle paths: rejects an empty query,
+    /// opens the root span `span`, locks the session (refusing one closed
+    /// since its lookup), rebinds it to the current model, resolves the
+    /// `k == 0` default, and formulates the cycle without recording it.
+    /// The session stays locked in the returned guard, so the caller's
+    /// accounting sees the state the cycle was formulated against.
+    fn formulate_in<'a>(
         &self,
         id: &str,
+        session: &'a Mutex<Session>,
         tokens: &[TermId],
         k: usize,
-    ) -> Result<Vec<PlannedQuery>, ServiceError> {
-        self.plan_cycle_with_report(id, tokens, k)
-            .map(|(_, plan)| plan)
-    }
-
-    /// [`SessionManager::plan_cycle`] that also returns the cycle's
-    /// ground-truth [`CycleResult`] — what scenario harnesses and
-    /// adversary evaluations need to audit the trace the engine later
-    /// observes (which planned submission was genuine, what the
-    /// certified intention was) without re-deriving it. It is
-    /// [`SessionManager::formulate_cycle`] committed unrewritten.
-    pub fn plan_cycle_with_report(
-        &self,
-        id: &str,
-        tokens: &[TermId],
-        k: usize,
-    ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
-        self.commit_cycle(self.formulate_cycle(id, tokens, k)?)
-    }
-
-    /// Formulates one cycle **without** committing it: the cycle is
-    /// generated and certified, but nothing is recorded in the session's
-    /// trace accounting, pacing clock, or audit plane yet. The returned
-    /// [`FormulatedCycle`] is what the cross-session
-    /// [`crate::planner::GhostPlanner`] rewrites (substituting ghost
-    /// members with other tenants' already-planned submissions) before
-    /// handing it back to [`SessionManager::commit_cycle`]. Callers that
-    /// don't rewrite anything should just use
-    /// [`SessionManager::plan_cycle`].
-    pub fn formulate_cycle(
-        &self,
-        id: &str,
-        tokens: &[TermId],
-        k: usize,
-    ) -> Result<FormulatedCycle, ServiceError> {
-        let session = self.session(id)?;
+        span: &'static str,
+    ) -> Result<(Span<'static>, MutexGuard<'a, Session>, FormulatedCycle), ServiceError> {
         if tokens.is_empty() {
             return Err(ServiceError::BadRequest(
                 "query analyzed to zero tokens".into(),
             ));
         }
-        let span = toppriv_obs::tracer().span("plan_cycle");
-        let mut session = Self::lock_open(id, &session)?;
+        let span = toppriv_obs::tracer().span(span);
+        let mut session = Self::lock_open(id, session)?;
         self.refresh_session(&mut session);
         let k = if k == 0 { session.config.top_k } else { k };
         let (report, posteriors) = {
@@ -1195,7 +1091,7 @@ impl SessionManager {
         } else {
             report.cycle_len()
         };
-        Ok(FormulatedCycle {
+        let fc = FormulatedCycle {
             session: id.to_string(),
             user_tokens: tokens.to_vec(),
             report,
@@ -1204,7 +1100,45 @@ impl SessionManager {
             boost_support,
             k,
             model_epoch: session.model_epoch,
-        })
+        };
+        Ok((span, session, fc))
+    }
+
+    /// Plans one paced cycle: formulates it, schedules it on the session's
+    /// simulated clock, and returns the per-submission plan for the
+    /// [`crate::CycleScheduler`] — each submission tagged with the shard
+    /// set its terms route to (the lowest is its failure-domain label).
+    /// The session clock advances by its configured think time. The
+    /// cycle stays rollbackable until a drain delivered all of it.
+    pub fn plan_cycle(
+        &self,
+        id: &str,
+        tokens: &[TermId],
+        k: usize,
+    ) -> Result<Vec<PlannedQuery>, ServiceError> {
+        self.commit_cycle(self.formulate_cycle(id, tokens, k)?)
+            .map(|(_, plan)| plan)
+    }
+
+    /// Formulates one cycle **without** committing it: the cycle is
+    /// generated and certified, but nothing is recorded in the session's
+    /// trace accounting, pacing clock, or audit plane yet. The returned
+    /// [`FormulatedCycle`] is what the cross-session
+    /// [`crate::planner::GhostPlanner`] rewrites (substituting ghost
+    /// members with other tenants' already-planned submissions) before
+    /// handing it back to [`SessionManager::commit_cycle`]. Callers that
+    /// don't rewrite anything should just use
+    /// [`SessionManager::plan_cycle`], or commit it straight away when
+    /// they need the returned ground-truth [`CycleResult`] too.
+    pub fn formulate_cycle(
+        &self,
+        id: &str,
+        tokens: &[TermId],
+        k: usize,
+    ) -> Result<FormulatedCycle, ServiceError> {
+        let session = self.session(id)?;
+        let (_span, _session, fc) = self.formulate_in(id, &session, tokens, k, "plan_cycle")?;
+        Ok(fc)
     }
 
     /// Commits a formulated (and possibly planner-rewritten) cycle: the

@@ -88,14 +88,6 @@ impl SearchTier {
         }
     }
 
-    /// The single engine, if this tier is unsharded.
-    pub fn as_single(&self) -> Option<&Arc<SearchEngine>> {
-        match self {
-            SearchTier::Single(e) => Some(e),
-            SearchTier::Sharded(_) => None,
-        }
-    }
-
     /// The sharded engine, if this tier is sharded.
     pub fn as_sharded(&self) -> Option<&Arc<ShardedEngine>> {
         match self {

@@ -3,14 +3,20 @@
 //! A rigged ε2 breach must surface as **exactly one** journal event no
 //! matter how many drain workers race on the cycle's submissions, the
 //! per-tenant gauges must reflect the manager's exposure accounting in
-//! micro-units, and a later drain must not re-emit the breach.
+//! micro-units, and a later drain must not re-emit the breach. The
+//! synchronous search path audits in place, so it can neither erase a
+//! pending paced fact nor debit or audit a session differently from the
+//! paced path.
 
 use std::sync::Arc;
 use toppriv_service::auditor::{
     to_micro, M_AUDIT_CYCLES, M_AUDIT_EVENTS, M_TENANT_BURN_CYCLES, M_TENANT_HEADROOM,
     M_TENANT_TRACE_EXPOSURE, M_TENANT_WORST_EXPOSURE,
 };
-use toppriv_service::{AuditConfig, CycleScheduler, PlannedQuery, SessionManager};
+use toppriv_service::obs::AuditEvent;
+use toppriv_service::{
+    AuditConfig, CycleScheduler, PlannedQuery, PrivacyAuditor, SessionManager, SessionMetrics,
+};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
 use tsearch_search::{ScoringModel, ShardedEngine};
@@ -103,6 +109,23 @@ fn plan_wave(
     plans
 }
 
+/// Rigs a registered cycle's fact with an unmasked exposure far above
+/// both its decoys and ε2: the drain that audits it must surface a breach.
+fn rig_breach(auditor: &PrivacyAuditor, session: &str, cycle_id: usize) {
+    let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
+    let unmasked = toppriv_core::PrivacyMetrics {
+        exposure: 0.5,
+        mask_level: 0.0,
+        ..Default::default()
+    };
+    auditor.register_cycle(session, cycle_id, &unmasked, eps2, 0.5, 0.5);
+}
+
+fn breaches(auditor: &PrivacyAuditor) -> Vec<AuditEvent> {
+    let events = auditor.log().events().into_iter();
+    events.filter(|e| e.code == "eps2_breach").collect()
+}
+
 #[test]
 fn rigged_breach_emits_exactly_once_across_drain_workers() {
     let stack = stack();
@@ -112,23 +135,9 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
 
     let plans = plan_wave(&manager, &stack, 2, 0);
     let expected: usize = plans.iter().map(|p| p.len()).sum();
-    // Rig one planned cycle with an unmasked exposure far above both its
-    // decoys and ε2: the very next drain must surface the breach.
+    // Rig one planned cycle: the very next drain must surface the breach.
     let rigged = plans[0][0].clone();
-    let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
-    let unmasked = toppriv_core::PrivacyMetrics {
-        exposure: 0.5,
-        mask_level: 0.0,
-        ..Default::default()
-    };
-    auditor.register_cycle(
-        &rigged.session,
-        rigged.scheduled.cycle_id,
-        &unmasked,
-        eps2,
-        0.5,
-        0.5,
-    );
+    rig_breach(&auditor, &rigged.session, rigged.scheduled.cycle_id);
 
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let outcomes = scheduler.run(plans);
@@ -136,12 +145,7 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
 
     // Exactly one breach in the journal, attributed to the rigged cycle.
     assert_eq!(auditor.log().breaches(), 1, "exactly-once breach emission");
-    let breaches: Vec<_> = auditor
-        .log()
-        .events()
-        .into_iter()
-        .filter(|e| e.code == "eps2_breach")
-        .collect();
+    let breaches = breaches(&auditor);
     assert_eq!(breaches.len(), 1);
     assert_eq!(breaches[0].tenant, rigged.session);
     assert_eq!(breaches[0].cycle, rigged.scheduled.cycle_id as u64);
@@ -181,6 +185,94 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
             .get(),
         1
     );
+}
+
+#[test]
+fn a_search_after_a_rollback_leaves_a_pending_paced_fact_alone() {
+    let stack = stack();
+    let manager = audited_manager(&stack);
+    let auditor = manager.auditor().expect("auditor attached").clone();
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 3,
+            ..WorkloadConfig::default()
+        },
+    );
+    let id = "t0";
+    let a = manager.plan_cycle(id, &queries[0].tokens, 10).unwrap();
+    let b = manager.plan_cycle(id, &queries[1].tokens, 10).unwrap();
+    let b_id = b[0].scheduled.cycle_id;
+    assert_eq!((a[0].scheduled.cycle_id, b_id), (0, 1));
+    rig_breach(&auditor, id, b_id);
+    // Rolling A back takes the session's cycle count from 2 to 1, so the
+    // next synchronous cycle is the session's second again — B's id.
+    manager.rollback_cycle(id, a[0].scheduled.cycle_id).unwrap();
+    manager.search_tokens(id, &queries[2].tokens, 10).unwrap();
+    assert_eq!(manager.session_metrics(id).unwrap().cycles, 2);
+
+    CycleScheduler::for_manager(&manager, WORKERS).drain(b);
+    let breaches = breaches(&auditor);
+    assert_eq!(breaches.len(), 1, "B's breach is journaled");
+    assert_eq!(
+        (breaches[0].tenant.as_str(), breaches[0].cycle),
+        (id, b_id as u64)
+    );
+    assert!(!auditor.health().healthy);
+}
+
+/// Every field of one session's metrics, floats as bit patterns.
+fn metric_bits(m: &SessionMetrics) -> (String, u64, u64, Vec<u64>) {
+    let floats = [
+        m.mean_cycle_len,
+        m.mean_exposure,
+        m.worst_exposure,
+        m.mean_mask_level,
+        m.satisfied_rate,
+        m.trace_exposure,
+    ];
+    (
+        m.session.clone(),
+        m.cycles,
+        m.queries_emitted,
+        floats.iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+#[test]
+fn the_synchronous_and_paced_paths_debit_a_session_alike() {
+    let stack = stack();
+    let manager = || {
+        let manager = SessionManager::new_sharded(stack.engine.clone(), stack.model.clone())
+            .with_fleet_seed(7)
+            .with_auditor(AuditConfig::default());
+        manager.open_session("t").unwrap();
+        manager
+    };
+    let (searched, paced) = (manager(), manager());
+    let scheduler = CycleScheduler::for_manager(&paced, WORKERS);
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 60,
+            ..WorkloadConfig::default()
+        },
+    );
+    assert!(queries.len() >= 50);
+    for q in &queries {
+        searched.search_tokens("t", &q.tokens, 10).unwrap();
+        let fc = paced.formulate_cycle("t", &q.tokens, 10).unwrap();
+        let (_, plan) = paced.commit_cycle(fc).unwrap();
+        scheduler.drain(plan);
+        assert_eq!(
+            metric_bits(&searched.session_metrics("t").unwrap()),
+            metric_bits(&paced.session_metrics("t").unwrap())
+        );
+    }
+    let (searched, paced) = (searched.auditor().unwrap(), paced.auditor().unwrap());
+    assert_eq!(searched.cycles_audited(), queries.len() as u64);
+    assert_eq!(searched.cycles_audited(), paced.cycles_audited());
+    assert_eq!(searched.log().events(), paced.log().events());
 }
 
 #[test]

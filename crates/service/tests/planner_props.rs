@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use toppriv_service::{CycleScheduler, GhostPlanner, PlannerConfig, SessionManager, SubmitOutcome};
+use toppriv_service::{CycleScheduler, GhostPlanner, SessionManager, SubmitOutcome};
 use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
 };
@@ -133,7 +133,7 @@ proptest! {
         let base = CycleScheduler::for_manager(&baseline, 2).run(plans);
 
         // Planner: identical workload, decoys shared across tenants.
-        let planner = GhostPlanner::with_config(planned.clone(), PlannerConfig::default());
+        let planner = GhostPlanner::new(planned.clone());
         for r in 0..rounds {
             for s in 0..tenants {
                 let q = &stack.queries[(query_salt + s + r * 3) % stack.queries.len()];

@@ -195,7 +195,6 @@ fn failed_journal_spill_leaves_no_gap() {
         AuditConfig {
             spill_every_cycles: 1,
             spill_path: Some(path.clone()),
-            ..AuditConfig::default()
         },
     );
     auditor.attach_fault_plane(Arc::new(
