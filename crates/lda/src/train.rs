@@ -115,7 +115,78 @@ impl LdaTrainer {
     }
 
     /// Runs one full Gibbs sweep over all tokens.
+    ///
+    /// Each token draws from the conditional of the module docs by inverse
+    /// CDF, with one uniform from the trainer's RNG, as the dense reference
+    /// loop does; only the float evaluation order differs. The factors come
+    /// from `f64` mirrors of the counts, built at the start of the sweep —
+    /// `n_wk + β`, `1/(n_k + Vβ)` and the current document's `n_dk + α` —
+    /// and each recomputed from its integer count whenever that count
+    /// changes (never incremented in float), so the weight pass has no
+    /// division and no conversion; a token refreshes only the topics it
+    /// leaves and joins. The draw walks block sums of about √K topics, then
+    /// one block, instead of one K-long running sum.
     pub fn sweep(&mut self) {
+        let k = self.config.num_topics;
+        let alpha = self.config.resolved_alpha();
+        let beta = self.config.beta;
+        let vbeta = self.vocab_size as f64 * beta;
+        let mut word_f: Vec<f64> = self.nwk.iter().map(|&c| c as f64 + beta).collect();
+        let mut inv_denom: Vec<f64> = self.nk.iter().map(|&c| 1.0 / (c as f64 + vbeta)).collect();
+        let mut doc_f = vec![0.0f64; k];
+        let mut weights = vec![0.0f64; k];
+        let block = sweep_block_len(k);
+        let mut block_sums = vec![0.0f64; k.div_ceil(block)];
+        let num_docs = self.doc_offsets.len() - 1;
+        for d in 0..num_docs {
+            let (start, end) = (self.doc_offsets[d], self.doc_offsets[d + 1]);
+            let ndk = &mut self.ndk[d * k..d * k + k];
+            for (f, &c) in doc_f.iter_mut().zip(ndk.iter()) {
+                *f = c as f64 + alpha;
+            }
+            for i in start..end {
+                let row = self.tokens[i] as usize * k;
+                let old = self.assignments[i] as usize;
+                // Exclude the token's own assignment.
+                self.nwk[row + old] -= 1;
+                self.nk[old] -= 1;
+                ndk[old] -= 1;
+                word_f[row + old] = self.nwk[row + old] as f64 + beta;
+                inv_denom[old] = 1.0 / (self.nk[old] as f64 + vbeta);
+                doc_f[old] = ndk[old] as f64 + alpha;
+                // Unnormalized conditional and its block sums. Indexing
+                // slices of length k lets the compiler drop bounds checks.
+                let (a, r, c) = (&word_f[row..row + k], &inv_denom[..k], &doc_f[..k]);
+                let p = &mut weights[..k];
+                let mut total = 0.0;
+                for (b, sum) in block_sums.iter_mut().enumerate() {
+                    let lo = b * block;
+                    let hi = (lo + block).min(k);
+                    let mut s = 0.0;
+                    for t in lo..hi {
+                        p[t] = a[t] * r[t] * c[t];
+                        s += p[t];
+                    }
+                    *sum = s;
+                    total += s;
+                }
+                let u = self.rng.gen::<f64>() * total;
+                let new = draw_two_level(u, &weights, &block_sums, block);
+                self.assignments[i] = new as u32;
+                self.nwk[row + new] += 1;
+                self.nk[new] += 1;
+                ndk[new] += 1;
+                word_f[row + new] = self.nwk[row + new] as f64 + beta;
+                inv_denom[new] = 1.0 / (self.nk[new] as f64 + vbeta);
+                doc_f[new] = ndk[new] as f64 + alpha;
+            }
+        }
+    }
+
+    /// The dense sweep [`LdaTrainer::sweep`] replaced, kept verbatim as the
+    /// reference its chain is tested against.
+    #[cfg(test)]
+    fn reference_sweep(&mut self) {
         let k = self.config.num_topics;
         let alpha = self.config.resolved_alpha();
         let beta = self.config.beta;
@@ -263,6 +334,35 @@ impl LdaTrainer {
     }
 }
 
+/// Topics per block of the sweep's two-level draw: ⌈√K⌉, which keeps both
+/// levels about √K long at any K.
+fn sweep_block_len(k: usize) -> usize {
+    (k - 1).isqrt() + 1
+}
+
+/// The first topic whose running sum of `weights` exceeds `u`, found block
+/// by block: `block_sums[b]` is the sum of the `b`-th run of `block`
+/// topics. A `u` past every sum (rounding) falls to the last topic, within
+/// its block or overall, as the dense scan does.
+fn draw_two_level(u: f64, weights: &[f64], block_sums: &[f64], block: usize) -> usize {
+    let mut cum = 0.0;
+    for (b, &sum) in block_sums.iter().enumerate() {
+        if u < cum + sum {
+            let lo = b * block;
+            let hi = (lo + block).min(weights.len());
+            for (t, &p) in (lo..hi).zip(&weights[lo..hi]) {
+                cum += p;
+                if u < cum {
+                    return t;
+                }
+            }
+            return hi - 1;
+        }
+        cum += sum;
+    }
+    weights.len() - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +485,106 @@ mod tests {
         let mut seen = Vec::new();
         trainer.run(2, |p| seen.push(p.iteration));
         assert_eq!(seen, vec![2, 4]);
+    }
+
+    /// Runs one sampler with [`LdaTrainer::sweep`] and a twin with the
+    /// reference sweep, asserting after every sweep that both hold the same
+    /// chain, and that the finished models are bit-identical.
+    fn assert_same_chain(docs: &[&[TermId]], vocab_size: usize, config: LdaConfig) {
+        let k = config.num_topics;
+        let mut fast = LdaTrainer::new(docs, vocab_size, config.clone());
+        let mut reference = LdaTrainer::new(docs, vocab_size, config.clone());
+        for it in 1..=config.iterations {
+            fast.sweep();
+            reference.reference_sweep();
+            assert!(
+                fast.assignments == reference.assignments,
+                "K={k}: assignments diverge at sweep {it}"
+            );
+            assert!(fast.nwk == reference.nwk, "K={k}: n_wk at sweep {it}");
+            assert_eq!(fast.nk, reference.nk, "K={k}: n_k at sweep {it}");
+            assert!(fast.ndk == reference.ndk, "K={k}: n_dk at sweep {it}");
+            fast.check_invariants().unwrap();
+        }
+        let (fast, reference) = (fast.into_model(), reference.into_model());
+        for w in 0..vocab_size as TermId {
+            let (a, b) = (fast.word_topics(w), reference.word_topics(w));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "K={k}: phi of word {w}"
+            );
+        }
+        for d in 0..docs.len() {
+            let (a, b) = (fast.doc_topics(d), reference.doc_topics(d));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "K={k}: theta of doc {d}"
+            );
+        }
+    }
+
+    const SWEEP_TOPIC_COUNTS: [usize; 6] = [1, 2, 10, 24, 40, 100];
+
+    proptest::proptest! {
+        #[test]
+        fn sweep_draws_the_reference_chain(
+            k_index in 0..SWEEP_TOPIC_COUNTS.len(),
+            mut docs in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..40), 0..20),
+            seed: u64,
+        ) {
+            // An empty document, a one-token one, and word 30, which occurs
+            // in this document only.
+            docs.push(vec![]);
+            docs.push(vec![7]);
+            docs.push(vec![30, 4, 30]);
+            assert_same_chain(
+                &refs(&docs),
+                31,
+                LdaConfig {
+                    iterations: 4,
+                    seed,
+                    ..LdaConfig::with_topics(SWEEP_TOPIC_COUNTS[k_index])
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_draws_the_reference_chain_on_a_topical_corpus() {
+        let corpus =
+            tsearch_corpus::SyntheticCorpus::generate(tsearch_corpus::CorpusConfig::tiny());
+        for k in SWEEP_TOPIC_COUNTS {
+            assert_same_chain(
+                &corpus.token_docs(),
+                corpus.vocab.len(),
+                LdaConfig {
+                    iterations: 6,
+                    ..LdaConfig::with_topics(k)
+                },
+            );
+        }
+    }
+
+    /// The benchmark stack's corpus and training configuration, draw for
+    /// draw (about 2 s in a release build):
+    /// `cargo test --release -p tsearch-lda -- --ignored`.
+    #[test]
+    #[ignore]
+    fn sweep_draws_the_reference_chain_on_the_benchmark_stack() {
+        let corpus = tsearch_corpus::SyntheticCorpus::generate(tsearch_corpus::CorpusConfig {
+            num_docs: 4000,
+            num_topics: 20,
+            terms_per_topic: 80,
+            ..tsearch_corpus::CorpusConfig::default()
+        });
+        assert_same_chain(
+            &corpus.token_docs(),
+            corpus.vocab.len(),
+            LdaConfig {
+                iterations: 20,
+                ..LdaConfig::with_topics(40)
+            },
+        );
     }
 
     #[test]

@@ -186,8 +186,15 @@ fn build_stack(args: &Args) -> (SyntheticCorpus, SearchTier, Arc<LdaModel>) {
         args.lda_iterations,
         args.shards,
     );
+    // The stack build journals its training as the `lda_train` span.
+    let train_s = toppriv::obs::tracer()
+        .events()
+        .iter()
+        .rfind(|e| e.name == "lda_train")
+        .map_or(0.0, |e| e.dur_us as f64 / 1e6);
     eprintln!(
-        "[toppriv-serve] stack ready in {:.1}s: {} docs, {} vocab, LDA K={}, {} shard(s)",
+        "[toppriv-serve] stack ready in {:.1}s (LDA training {train_s:.1}s): {} docs, {} vocab, \
+         LDA K={}, {} shard(s)",
         t0.elapsed().as_secs_f64(),
         corpus.num_docs(),
         corpus.vocab.len(),
@@ -507,7 +514,8 @@ fn main() {
         run_demo(&args);
         return;
     }
-    let (_corpus, tier, model) = build_stack(&args);
+    // The server answers from the tier and the model; the corpus goes now.
+    let (_, tier, model) = build_stack(&args);
     let manager = Arc::new(build_manager(&args, tier, model));
     // Server modes keep stdout for the NDJSON protocol; the periodic
     // registry dump goes to stderr.

@@ -40,6 +40,7 @@ pub use tsearch_lda::LdaModel;
 pub use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
 
 use std::sync::Arc;
+use tsearch_index::{DocumentStore, InvertedIndex};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_text::Analyzer;
 
@@ -76,6 +77,9 @@ pub fn build_demo_stack(
 /// grows with how fast the caller submits. The examples that read
 /// `query_log()` submit far fewer queries than the tail holds;
 /// experiments and scenarios build their own engines.
+///
+/// Training is journaled as an `lda_train` span of the global tracer
+/// ([`obs::tracer`]).
 pub fn build_demo_stack_sharded(
     config: CorpusConfig,
     topics: usize,
@@ -84,33 +88,39 @@ pub fn build_demo_stack_sharded(
 ) -> (SyntheticCorpus, SearchTier, Arc<LdaModel>) {
     let corpus = SyntheticCorpus::generate(config);
     let docs = corpus.token_docs();
-    let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let tier = if shards > 1 {
-        SearchTier::Sharded(Arc::new(ShardedEngine::build(
+    // Train before the engine exists, so that the store's copy of the
+    // texts is not live beside the sampler's state; the store holds the
+    // only copy beyond the corpus's own.
+    let model = {
+        let _span = toppriv_obs::tracer().span("lda_train");
+        Arc::new(LdaTrainer::train(
             &docs,
-            &texts,
+            corpus.vocab.len(),
+            LdaConfig {
+                iterations,
+                ..LdaConfig::with_topics(topics)
+            },
+        ))
+    };
+    let store = DocumentStore::from_texts(corpus.docs.iter().map(|d| d.text.clone()));
+    let vocab = corpus.vocab.clone();
+    let tier = if shards > 1 {
+        SearchTier::Sharded(Arc::new(ShardedEngine::new(
+            ShardedIndex::build(&docs, vocab.len(), shards),
+            store,
             Analyzer::new(),
-            corpus.vocab.clone(),
+            vocab,
             ScoringModel::TfIdfCosine,
-            shards,
         )))
     } else {
-        SearchTier::Single(Arc::new(SearchEngine::build(
-            &docs,
-            &texts,
+        SearchTier::Single(Arc::new(SearchEngine::new(
+            InvertedIndex::build(&docs, vocab.len()),
+            store,
             Analyzer::new(),
-            corpus.vocab.clone(),
+            vocab,
             ScoringModel::TfIdfCosine,
         )))
     };
     tier.set_query_log_capacity(DEMO_QUERY_LOG_TAIL);
-    let model = Arc::new(LdaTrainer::train(
-        &docs,
-        corpus.vocab.len(),
-        LdaConfig {
-            iterations,
-            ..LdaConfig::with_topics(topics)
-        },
-    ));
     (corpus, tier, model)
 }
