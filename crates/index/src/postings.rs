@@ -10,7 +10,8 @@
 //! a term frequency under 129). [`PostingsIter`] reads such a pair
 //! straight off the slice and hands everything else — continuation
 //! bytes, truncation, overflow — to [`crate::varint::decode_u32`], the
-//! one decoder that understands them. The shortcut sits inside `next()`
+//! one decoder that understands them; a pair whose doc id or tf would
+//! leave `u32` ends the list like any other malformed tail. The shortcut sits inside `next()`
 //! so every reader gets it; [`PostingsList::from_raw_parts`] still walks
 //! untrusted bytes through that same `next()` before a list exists.
 
@@ -101,8 +102,8 @@ impl PostingsList {
 
     /// Rebuilds a list from its raw representation, validating that the
     /// bytes decode to exactly `len` postings and are fully consumed.
-    /// Returns `None` for malformed input (truncated varints, wrong
-    /// count, trailing bytes).
+    /// Returns `None` for malformed input (truncated varints, a doc id or
+    /// tf past `u32`, wrong count, trailing bytes).
     pub fn from_raw_parts(len: u32, bytes: Vec<u8>) -> Option<Self> {
         let candidate = PostingsList { len, bytes };
         let mut iter = candidate.iter();
@@ -130,6 +131,21 @@ impl PostingsIter<'_> {
     fn decode_pair(&mut self) -> Option<(u32, u32)> {
         Some((decode_u32(&mut self.cursor)?, decode_u32(&mut self.cursor)?))
     }
+
+    /// The posting a `(gap, tf − 1)` pair names, or `None` when its doc id
+    /// or tf would leave `u32` — bytes no [`PostingsList::from_postings`]
+    /// writes.
+    #[inline]
+    fn posting(&self, gap: u32, tf_minus_one: u32) -> Option<Posting> {
+        let doc_id = match self.prev {
+            None => gap,
+            Some(prev) => prev.checked_add(gap)?.checked_add(1)?,
+        };
+        Some(Posting {
+            doc_id,
+            tf: tf_minus_one.checked_add(1)?,
+        })
+    }
 }
 
 impl Iterator for PostingsIter<'_> {
@@ -139,29 +155,26 @@ impl Iterator for PostingsIter<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let (gap, tf_minus_one) = match *self.cursor {
+        let decoded = match *self.cursor {
             // Both high bits clear: each byte is a whole varint.
             [gap, tf, ref rest @ ..] if (gap | tf) & 0x80 == 0 => {
                 self.cursor = rest;
-                (u32::from(gap), u32::from(tf))
+                Some((u32::from(gap), u32::from(tf)))
             }
-            _ => match self.decode_pair() {
-                Some(pair) => pair,
-                None => {
-                    // Malformed tail: stop promising postings.
-                    self.remaining = 0;
-                    return None;
-                }
-            },
+            _ => self.decode_pair(),
         };
-        let tf = tf_minus_one + 1;
-        let doc_id = match self.prev {
-            None => gap,
-            Some(prev) => prev + gap + 1,
-        };
-        self.prev = Some(doc_id);
-        self.remaining -= 1;
-        Some(Posting { doc_id, tf })
+        match decoded.and_then(|(gap, tf_minus_one)| self.posting(gap, tf_minus_one)) {
+            Some(posting) => {
+                self.prev = Some(posting.doc_id);
+                self.remaining -= 1;
+                Some(posting)
+            }
+            None => {
+                // Malformed tail: stop promising postings.
+                self.remaining = 0;
+                None
+            }
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -298,6 +311,26 @@ mod tests {
         assert_eq!(it.len(), 0, "a failed decode must not keep promising");
         assert_eq!(it.next(), None);
         assert!(PostingsList::from_raw_parts(2, vec![3, 0, 0x80]).is_none());
+    }
+
+    #[test]
+    fn a_pair_past_u32_ends_the_iterator() {
+        // Doc u32::MAX, then a zero gap (doc u32::MAX + 1); then a tf − 1
+        // of u32::MAX (tf u32::MAX + 1).
+        let max = vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let doc_overflow = [max.clone(), vec![0, 0, 0]].concat();
+        let tf_overflow = [vec![4], max].concat();
+        for (bytes, good) in [(doc_overflow, 1), (tf_overflow, 0)] {
+            let list = PostingsList {
+                len: good + 1,
+                bytes: bytes.clone(),
+            };
+            let mut it = list.iter();
+            assert_eq!(it.by_ref().take(good as usize + 1).count(), good as usize);
+            assert_eq!(it.len(), 0);
+            assert_eq!(it.next(), None);
+            assert!(PostingsList::from_raw_parts(good + 1, bytes).is_none());
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Layout: magic, version, counts, doc lengths, max-tf table, then one
 //! `(len, byte_len, bytes)` record per term. Integrity (checksums, torn
 //! writes) is layered above by `tsearch-store`; this codec only concerns
-//! itself with structure.
+//! itself with structure: a blob decodes only if every posting names a
+//! document the index has, so scoring one never indexes past its tables.
 
 use crate::index::InvertedIndex;
 use crate::postings::PostingsList;
@@ -28,6 +29,15 @@ pub enum IndexCodecError {
     BadVersion(u32),
     /// Input ended early or sizes are inconsistent.
     Truncated,
+    /// A term's postings name a document the index does not have.
+    DocOutOfRange {
+        /// The term whose list holds the posting.
+        term: u32,
+        /// The posting's document id.
+        doc_id: u32,
+        /// The index's document count.
+        num_docs: u32,
+    },
 }
 
 impl std::fmt::Display for IndexCodecError {
@@ -36,6 +46,14 @@ impl std::fmt::Display for IndexCodecError {
             IndexCodecError::BadMagic => write!(f, "not a TIDX index blob"),
             IndexCodecError::BadVersion(v) => write!(f, "unsupported TIDX version {v}"),
             IndexCodecError::Truncated => write!(f, "TIDX blob truncated"),
+            IndexCodecError::DocOutOfRange {
+                term,
+                doc_id,
+                num_docs,
+            } => write!(
+                f,
+                "TIDX term {term} has a posting for document {doc_id} of {num_docs}"
+            ),
         }
     }
 }
@@ -95,7 +113,7 @@ pub fn decode_index(mut bytes: &[u8]) -> Result<InvertedIndex, IndexCodecError> 
     }
     let max_tfs: Vec<u32> = (0..num_terms).map(|_| bytes.get_u32_le()).collect();
     let mut postings = Vec::with_capacity(num_terms);
-    for _ in 0..num_terms {
+    for term in 0..num_terms as u32 {
         if bytes.remaining() < 8 {
             return Err(IndexCodecError::Truncated);
         }
@@ -106,7 +124,18 @@ pub fn decode_index(mut bytes: &[u8]) -> Result<InvertedIndex, IndexCodecError> 
         }
         let raw = bytes[..byte_len].to_vec();
         bytes.advance(byte_len);
-        postings.push(PostingsList::from_raw_parts(len, raw).ok_or(IndexCodecError::Truncated)?);
+        let list = PostingsList::from_raw_parts(len, raw).ok_or(IndexCodecError::Truncated)?;
+        // Doc ids in a valid list strictly increase: the last is the largest.
+        if let Some(last) = list.iter().last() {
+            if last.doc_id as usize >= num_docs {
+                return Err(IndexCodecError::DocOutOfRange {
+                    term,
+                    doc_id: last.doc_id,
+                    num_docs: num_docs as u32,
+                });
+            }
+        }
+        postings.push(list);
     }
     Ok(InvertedIndex::from_parts(
         postings,

@@ -1,10 +1,87 @@
 //! Property tests for the index codec: any corpus round-trips to an
 //! index answering every query identically, truncated blobs are always
-//! rejected, and a postings list decodes to what was encoded on both
-//! sides of every varint width boundary.
+//! rejected, a postings list decodes to what was encoded on both sides of
+//! every varint width boundary, and a blob whose postings name a document
+//! the index lacks — directly or by a doc id past `u32` — never decodes.
 
 use proptest::prelude::*;
-use tsearch_index::{decode_index, encode_index, InvertedIndex, Posting, PostingsList};
+use tsearch_index::{
+    decode_index, encode_index, IndexCodecError, InvertedIndex, Posting, PostingsList,
+};
+
+/// A TIDX blob of `doc_lens.len()` documents, one term per `(len, bytes)`
+/// postings record, written field by field so its postings can say
+/// anything.
+fn raw_blob(doc_lens: &[u32], lists: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = b"TIDX".to_vec();
+    for word in [1, doc_lens.len() as u32, lists.len() as u32] {
+        out.extend(word.to_le_bytes());
+    }
+    out.extend(
+        doc_lens
+            .iter()
+            .map(|&l| u64::from(l))
+            .sum::<u64>()
+            .to_le_bytes(),
+    );
+    for &len in doc_lens {
+        out.extend(len.to_le_bytes());
+    }
+    for _ in lists {
+        out.extend(1u32.to_le_bytes());
+    }
+    for (len, bytes) in lists {
+        out.extend(len.to_le_bytes());
+        out.extend((bytes.len() as u32).to_le_bytes());
+        out.extend(bytes);
+    }
+    out
+}
+
+#[test]
+fn a_posting_past_the_last_document_is_rejected() {
+    // Two documents; term 0 in doc 0, term 1 in both.
+    let docs: Vec<Vec<u32>> = vec![vec![0, 1], vec![1]];
+    let refs: Vec<&[u32]> = docs.iter().map(|d| d.as_slice()).collect();
+    let blob = encode_index(&InvertedIndex::build(&refs, 2));
+    assert_eq!(
+        blob,
+        raw_blob(&[2, 1], &[(1, vec![0, 0]), (2, vec![0, 0, 0, 0])])
+    );
+    assert!(decode_index(&blob).is_ok());
+
+    // Term 0's first gap byte: header, doc lengths, max tfs, (len, byte_len).
+    let mut patched = blob.clone();
+    patched[24 + 2 * 4 + 2 * 4 + 8] = 9;
+    assert_eq!(
+        decode_index(&patched).unwrap_err(),
+        IndexCodecError::DocOutOfRange {
+            term: 0,
+            doc_id: 9,
+            num_docs: 2
+        }
+    );
+    // The last posting of a longer list, one past the end.
+    let blob = raw_blob(&[2, 1], &[(1, vec![0, 0]), (2, vec![0, 0, 1, 0])]);
+    assert_eq!(
+        decode_index(&blob).unwrap_err(),
+        IndexCodecError::DocOutOfRange {
+            term: 1,
+            doc_id: 2,
+            num_docs: 2
+        }
+    );
+}
+
+#[test]
+fn a_doc_id_past_u32_is_rejected_not_wrapped() {
+    // Doc u32::MAX, then a zero gap: the next doc id would be
+    // u32::MAX + 1, which wraps to 0 — inside a 2-doc index.
+    let max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    let list = [&max[..], &[0, 0, 0]].concat();
+    let blob = raw_blob(&[1, 1], &[(2, list)]);
+    assert_eq!(decode_index(&blob).unwrap_err(), IndexCodecError::Truncated);
+}
 
 /// Strategy: a small corpus of token documents over a bounded vocab.
 fn corpus_strategy() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {

@@ -16,6 +16,12 @@
 //! because its score is non-zero. [`TopK`]'s order is total (score, then
 //! doc id), so the order in which documents are offered to it — here,
 //! first-touch order — cannot change a ranking.
+//!
+//! A posting's contribution depends on its document's length only under
+//! BM25. Under TF-IDF it is a function of `tf` alone, so each query term
+//! prices the `tf`s nearly every posting carries once, into a `TfTable`
+//! filled by [`ScoringModel::doc_weight`] itself; the loop reads the
+//! table and falls back to the call for anything the table lacks.
 
 use crate::log::QueryLog;
 use crate::query::Query;
@@ -25,7 +31,7 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::Instant;
 use toppriv_obs::{recover_lock, HistogramHandle};
-use tsearch_index::{DocumentStore, InvertedIndex};
+use tsearch_index::{DocumentStore, InvertedIndex, Posting};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 pub use crate::log::LoggedQuery;
@@ -306,23 +312,76 @@ pub(crate) fn accumulate_term(
     if qw == 0.0 {
         return;
     }
+    let table = TfTable::new(model, qw, avg_len);
     for posting in index.postings(term).iter() {
-        let dw = model.doc_weight(posting.tf, index.doc_len(posting.doc_id), avg_len);
-        acc.add(posting.doc_id, qw * dw);
+        acc.add(posting.doc_id, table.price(index, posting));
+    }
+}
+
+/// Term frequencies below this are priced from a [`TfTable`]; on the
+/// corpora this system serves nearly every posting's is.
+const TF_TABLE_LEN: usize = 16;
+
+/// One query term's contributions `qw * doc_weight(tf, …)`, computed once
+/// per term for every `tf` below [`TF_TABLE_LEN`] instead of once per
+/// posting. Each entry is filled by [`ScoringModel::doc_weight`] itself, so
+/// it is bit for bit the value the per-posting call returns. A model whose
+/// doc weight reads the document's length (BM25) gets an empty table and
+/// every posting falls through to that call; so does any `tf` past the
+/// table, whatever the index claims its largest `tf` is.
+pub(crate) struct TfTable {
+    model: ScoringModel,
+    qw: f64,
+    avg_len: f64,
+    weights: [f64; TF_TABLE_LEN],
+    len: usize,
+}
+
+impl TfTable {
+    pub(crate) fn new(model: ScoringModel, qw: f64, avg_len: f64) -> Self {
+        let mut weights = [0.0; TF_TABLE_LEN];
+        let len = if model.doc_weight_reads_doc_len() {
+            0
+        } else {
+            for (tf, w) in weights.iter_mut().enumerate().skip(1) {
+                *w = qw * model.doc_weight(tf as u32, 0, avg_len);
+            }
+            TF_TABLE_LEN
+        };
+        TfTable {
+            model,
+            qw,
+            avg_len,
+            weights,
+            len,
+        }
+    }
+
+    /// `posting`'s contribution: `qw * doc_weight(tf, doc_len, avg_len)`.
+    #[inline]
+    pub(crate) fn price(&self, index: &InvertedIndex, posting: Posting) -> f64 {
+        match self.weights[..self.len].get(posting.tf as usize) {
+            Some(&w) => w,
+            None => {
+                let doc_len = index.doc_len(posting.doc_id);
+                self.qw * self.model.doc_weight(posting.tf, doc_len, self.avg_len)
+            }
+        }
     }
 }
 
 /// Precomputes cosine norms: the L2 norm of each document's weighted term
-/// vector under the given model.
+/// vector under the given model. The weights come from a [`TfTable`] with
+/// `qw = 1.0`, and `1.0 * w == w` exactly.
 fn compute_doc_norms(index: &InvertedIndex, model: ScoringModel) -> Vec<f64> {
     let mut sums = vec![0.0f64; index.num_docs()];
     if !model.needs_cosine_norm() {
         return sums;
     }
-    let avg_len = index.avg_doc_len();
+    let table = TfTable::new(model, 1.0, index.avg_doc_len());
     for term in 0..index.num_terms() as u32 {
         for posting in index.postings(term).iter() {
-            let w = model.doc_weight(posting.tf, index.doc_len(posting.doc_id), avg_len);
+            let w = table.price(index, posting);
             sums[posting.doc_id as usize] += w * w;
         }
     }
@@ -389,6 +448,30 @@ mod tests {
                 for (f, s) in fast.iter().zip(&slow) {
                     assert_eq!(f.doc_id, s.doc_id);
                     assert_eq!(f.score.to_bits(), s.score.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tf_table_prices_every_tf_as_doc_weight_does() {
+        // One 7-token document among docs of other lengths, so BM25's
+        // fallback reads a length unequal to the average.
+        let docs: Vec<Vec<TermId>> = vec![vec![0; 7], vec![1; 2], vec![0, 1, 1]];
+        let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
+        let index = InvertedIndex::build(&refs, 2);
+        let avg_len = index.avg_doc_len();
+        for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
+            for qw in [1.0, 0.3, 2.593_741_3, 1e-9, 7.5e3] {
+                let table = TfTable::new(model, qw, avg_len);
+                for tf in 1..=40 {
+                    let expected = qw * model.doc_weight(tf, index.doc_len(0), avg_len);
+                    let priced = table.price(&index, Posting { doc_id: 0, tf });
+                    assert_eq!(
+                        priced.to_bits(),
+                        expected.to_bits(),
+                        "model {model:?} qw {qw} tf {tf}"
+                    );
                 }
             }
         }

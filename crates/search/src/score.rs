@@ -40,6 +40,12 @@ impl ScoringModel {
         }
     }
 
+    /// Whether [`ScoringModel::doc_weight`] reads the document's length
+    /// (BM25) or depends on `tf` alone (TF-IDF).
+    pub fn doc_weight_reads_doc_len(&self) -> bool {
+        matches!(self, ScoringModel::Bm25 { .. })
+    }
+
     /// Query-side term weight.
     pub fn query_weight(&self, query_tf: u32, idf: f64) -> f64 {
         match *self {

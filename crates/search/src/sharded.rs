@@ -29,7 +29,7 @@
 //! `toppriv_adversary::merge_shard_logs` can reconstruct the global
 //! trace for after-the-fact analysis.
 
-use crate::engine::{accumulate_term, with_accumulator, Accumulator};
+use crate::engine::{accumulate_term, with_accumulator, Accumulator, TfTable};
 use crate::log::{LoggedQuery, QueryLog};
 use crate::query::Query;
 use crate::score::ScoringModel;
@@ -333,14 +333,14 @@ fn compute_global_doc_norms(index: &ShardedIndex, model: ScoringModel) -> Vec<f6
     if !model.needs_cosine_norm() {
         return sums;
     }
-    let avg_len = index.avg_doc_len();
+    let table = TfTable::new(model, 1.0, index.avg_doc_len());
     // Iterate in ascending term order (not shard-by-shard) so the
     // floating-point accumulation order matches the single engine's and
     // the norms are bit-identical.
     for term in 0..index.num_terms() as TermId {
         let shard = index.owner(term);
         for posting in shard.postings(term).iter() {
-            let w = model.doc_weight(posting.tf, shard.doc_len(posting.doc_id), avg_len);
+            let w = table.price(shard, posting);
             sums[posting.doc_id as usize] += w * w;
         }
     }

@@ -9,16 +9,28 @@ use proptest::prelude::*;
 use tsearch_search::{Query, ScoringModel, SearchEngine, ShardedEngine};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
+/// Strategy: one document of up to 24 random tokens, about half of them
+/// followed by a single term repeated 14–39 times — so term frequencies
+/// fall on both sides of the 16 where the engine's per-term table ends.
+fn doc_strategy(vocab_size: u32) -> impl Strategy<Value = Vec<u32>> {
+    (
+        proptest::collection::vec(0u32..vocab_size, 0..25),
+        0u32..vocab_size,
+        prop_oneof![Just(0usize), 14usize..40],
+    )
+        .prop_map(|(mut doc, term, repeats)| {
+            doc.extend(std::iter::repeat_n(term, repeats));
+            doc
+        })
+}
+
 /// Strategy: a random corpus, a few random queries over the same
 /// vocabulary, a shard count in 1..=8, and a scoring-model selector.
 #[allow(clippy::type_complexity)]
 fn case_strategy() -> impl Strategy<Value = (Vec<Vec<u32>>, Vec<Vec<u32>>, usize, bool, usize)> {
     (2usize..40).prop_flat_map(|vocab_size| {
         (
-            proptest::collection::vec(
-                proptest::collection::vec(0u32..vocab_size as u32, 0..25),
-                1..30,
-            ),
+            proptest::collection::vec(doc_strategy(vocab_size as u32), 1..30),
             proptest::collection::vec(
                 proptest::collection::vec(0u32..vocab_size as u32, 1..8),
                 1..5,
