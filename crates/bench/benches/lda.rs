@@ -67,45 +67,5 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation for the Section V-A reduced-training extension: full-data
-/// training versus document-sampled + vocabulary-pruned training at the
-/// same K and iteration count.
-fn bench_reduced_training(c: &mut Criterion) {
-    use tsearch_lda::{ReducedModel, ReductionConfig};
-    let corpus = corpus();
-    let docs = corpus.token_docs();
-    let mut group = c.benchmark_group("lda_reduced_training");
-    group.sample_size(10);
-    for &(doc_rate, vocab_rate) in &[(1.0f64, 1.0f64), (0.5, 0.5), (0.25, 0.25)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("d{doc_rate}_v{vocab_rate}")),
-            &(doc_rate, vocab_rate),
-            |b, &(doc_rate, vocab_rate)| {
-                b.iter(|| {
-                    black_box(ReducedModel::train(
-                        &docs,
-                        corpus.vocab.len(),
-                        LdaConfig {
-                            iterations: 5,
-                            ..LdaConfig::with_topics(20)
-                        },
-                        ReductionConfig {
-                            doc_rate,
-                            vocab_rate,
-                            ..Default::default()
-                        },
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_training_sweep,
-    bench_inference,
-    bench_reduced_training
-);
+criterion_group!(benches, bench_training_sweep, bench_inference);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Reproduction driver: regenerates every table and figure of the paper
-//! and runs the fleet's invariant gates.
+//! Reproduction driver: regenerates every table and figure of the paper,
+//! asserts the claims each one supports, and runs the fleet's invariant
+//! gates.
 //!
 //! Usage:
 //! ```text
@@ -9,19 +10,19 @@
 //!
 //! Bare names select experiments from `toppriv_bench::experiments::ALL`
 //! (`reproduce fig2 tables`); with none, every experiment runs. Each
-//! writes its tables as CSV under `--out`. `audit`, `planner` and
-//! `scenarios` also check named invariants, and those checks are the
-//! process exit status: 0 when every one passed, 1 after printing each
-//! failed `name: detail` (2 is a usage error). `reproduce` asserts and
-//! tabulates; throughput and latency are `benchmark/`'s to measure.
+//! writes its tables as CSV under `--out` and checks named claims, and
+//! those checks are the process exit status: 0 when every one passed, 1
+//! after printing each failed `name: detail` (2 is a usage error).
+//! `reproduce` asserts and tabulates; throughput and latency are
+//! `benchmark/`'s to measure.
 
 use std::path::PathBuf;
 use std::time::Instant;
-use toppriv_bench::experiments::{self, Run, ALL};
+use toppriv_bench::experiments::{self, Experiment, ALL};
 use toppriv_bench::{verdict, ExperimentContext, Scale};
 
 struct Args {
-    exps: Vec<&'static (&'static str, Run)>,
+    exps: Vec<&'static (&'static str, Experiment)>,
     scale: Scale,
     out: PathBuf,
     cache: bool,
@@ -58,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "reproduce [EXPERIMENT ...] — regenerate the paper's tables and figures\n\
                      Bare names select experiments from {:?} (default: all).\n\
-                     audit, planner and scenarios check invariants: exit status 1 if any failed.\n\
+                     Every experiment checks its claims: exit status 1 if any failed.\n\
                      --scale quick|standard (default standard)\n\
                      --out   output directory (default results/)\n\
                      --no-cache  retrain LDA models instead of loading cached ones\n\
@@ -116,14 +117,8 @@ fn main() {
     let mut reports = Vec::new();
     for (exp, run) in &args.exps {
         let t = Instant::now();
-        let tables = match run {
-            Run::Tables(f) => f(&ctx),
-            Run::Gate(f) => {
-                let (tables, checked) = f(&ctx);
-                reports.extend(checked);
-                tables
-            }
-        };
+        let (tables, checked) = run(&ctx);
+        reports.extend(checked);
         experiments::emit(&tables, &args.out, args.quiet);
         println!(
             "[reproduce] {exp}: {} table(s) in {:.1}s",

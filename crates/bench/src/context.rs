@@ -160,7 +160,7 @@ mod tests {
         let ctx = ExperimentContext::build(Scale::quick(), None);
         assert_eq!(ctx.models.len(), 3);
         assert_eq!(ctx.default_model().num_topics(), 20);
-        assert_eq!(ctx.queries.len(), 24);
+        assert_eq!(ctx.queries.len(), 40);
         assert_eq!(ctx.sweep_queries().len(), 10);
         assert!(ctx.engine.index().num_docs() == ctx.corpus.num_docs());
         for (k, model) in &ctx.models {

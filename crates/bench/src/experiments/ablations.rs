@@ -1,61 +1,48 @@
 //! Ablation studies:
 //!
-//! - `abl1`: the Step 3(c) effectiveness check — what happens if every
-//!   candidate ghost is kept regardless of whether it lowers exposure.
 //! - `abl2`: semantic coherence — TopPriv's topic-coherent ghosts versus
 //!   TrackMeNot-style random ghosts, measuring both the exposure they
 //!   achieve and how easily a coherence attack singles out the genuine
-//!   query.
+//!   query. Asserts the attack does clearly worse against TopPriv.
 //! - `abl3`: ghost term selection — the paper's `Pr(w|tm)`-biased
 //!   sampling versus the specificity-matched extension, measuring the
 //!   privacy achieved, the server cost (postings touched per ghost
-//!   term), and the residual classifier tell.
+//!   term), and the residual classifier tell. Asserts matched ghosts'
+//!   postings per term sit closer to the genuine query's than biased
+//!   ghosts' do.
+//!
+//! Step 3(c), the effectiveness check, is asserted by a unit test in
+//! `toppriv-core`'s `ghost` module instead: on the trained models it
+//! almost never rejects a ghost, so switching it off changes nothing
+//! measurable here.
 
-use super::SweepCell;
+use super::{check_clearly_below, topic_classifier, Outcome};
 use crate::context::ExperimentContext;
 use crate::table::{f3, pct, ResultTable};
-use toppriv_adversary::{CoherenceAttack, NaiveBayes};
+use crate::verdict::{InvariantBlock, ScenarioReport};
+use toppriv_adversary::CoherenceAttack;
 use toppriv_baselines::{TrackMeNot, TrackMeNotConfig};
 use toppriv_core::{
-    semantic_coherence, BeliefEngine, GhostConfig, GhostGenerator, PrivacyMetrics,
-    PrivacyRequirement, TermSelection,
+    semantic_coherence, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement,
+    TermSelection,
 };
 
-/// Runs all three ablations on the default model.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
-    vec![
-        effectiveness_check_ablation(ctx),
-        coherence_ablation(ctx),
-        term_selection_ablation(ctx),
-    ]
+/// Runs both ablations on the default model.
+pub fn run(ctx: &ExperimentContext) -> Outcome {
+    let mut inv = InvariantBlock::default();
+    let tables = vec![
+        coherence_ablation(ctx, &mut inv),
+        term_selection_ablation(ctx, &mut inv),
+    ];
+    (tables, vec![ScenarioReport::close("ablations", inv)])
 }
 
 /// `abl3`: Biased (paper) vs SpecificityMatched ghost terms.
-fn term_selection_ablation(ctx: &ExperimentContext) -> ResultTable {
+fn term_selection_ablation(ctx: &ExperimentContext, inv: &mut InvariantBlock) -> ResultTable {
     let model = ctx.default_model();
     let requirement = PrivacyRequirement::paper_default();
     let queries = ctx.sweep_queries();
-    // The supervised adversary of experiment `classifier`.
-    let labeled: Vec<(&[u32], usize)> = ctx
-        .corpus
-        .docs
-        .iter()
-        .map(|d| {
-            let label = d
-                .mixture
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weight"))
-                .map(|&(t, _)| t)
-                .expect("non-empty mixture");
-            (d.tokens.as_slice(), label)
-        })
-        .collect();
-    let nb = NaiveBayes::train(
-        &labeled,
-        ctx.corpus.num_topics(),
-        ctx.corpus.vocab.len(),
-        1.0,
-    );
+    let nb = topic_classifier(ctx);
 
     let mut table = ResultTable::new(
         "abl3_term_selection",
@@ -72,6 +59,8 @@ fn term_selection_ablation(ctx: &ExperimentContext) -> ResultTable {
             "nb_chance".into(),
         ],
     );
+    // Mean postings per term: (genuine, ghost) for each selection.
+    let mut postings: Vec<(f64, f64)> = Vec::new();
     for (name, selection) in [
         ("biased_paper", TermSelection::Biased),
         ("specificity_matched", TermSelection::SpecificityMatched),
@@ -133,90 +122,36 @@ fn term_selection_ablation(ctx: &ExperimentContext) -> ResultTable {
                 }
             }
         }
+        let genuine = genuine_postings as f64 / genuine_terms.max(1) as f64;
+        let ghost = ghost_postings as f64 / ghost_terms.max(1) as f64;
+        postings.push((genuine, ghost));
         table.push_row(vec![
             name.into(),
             pct(exposure / scored.max(1) as f64),
             f3(satisfied as f64 / scored.max(1) as f64),
             f3(cycle_len as f64 / queries.len().max(1) as f64),
-            f3(ghost_postings as f64 / ghost_terms.max(1) as f64),
-            f3(genuine_postings as f64 / genuine_terms.max(1) as f64),
+            f3(ghost),
+            f3(genuine),
             f3(nb_hits as f64 / contested.max(1) as f64),
             f3(nb_chance / contested.max(1) as f64),
         ]);
     }
-    table
-}
-
-/// `abl1`: with vs without the Step 3(c) effectiveness check, at the
-/// paper-default and a tighter ε2 (where rejections actually occur).
-fn effectiveness_check_ablation(ctx: &ExperimentContext) -> ResultTable {
-    let model = ctx.default_model();
-    let queries = ctx.sweep_queries();
-
-    let run = |eps2: f64, with_check: bool| -> (SweepCell, f64) {
-        let requirement = PrivacyRequirement::new(0.05, eps2).expect("valid");
-        let mut generator = GhostGenerator::new(
-            BeliefEngine::new(model.clone()),
-            requirement,
-            GhostConfig::default(),
-        );
-        if !with_check {
-            generator = generator.without_effectiveness_check();
-        }
-        let mut rejected = 0usize;
-        let metrics: Vec<(PrivacyMetrics, bool)> = queries
-            .iter()
-            .map(|q| {
-                let r = generator.generate(&q.tokens);
-                rejected += r.ineffective_topics.len();
-                (r.metrics, r.satisfied)
-            })
-            .collect();
-        (
-            SweepCell::aggregate(&metrics),
-            rejected as f64 / queries.len().max(1) as f64,
-        )
+    let [(genuine, biased), (_, matched)] = postings[..] else {
+        unreachable!("two selections")
     };
-
-    let mut table = ResultTable::new(
-        "abl1_effectiveness_check",
-        "Step 3(c) ablation on the default model (eps1=5%)",
-        vec![
-            "variant".into(),
-            "eps2_pct".into(),
-            "exposure_pct".into(),
-            "mask_pct".into(),
-            "cycle_len".into(),
-            "rejected_ghosts".into(),
-            "gen_secs".into(),
-            "satisfied".into(),
-        ],
+    inv.check(
+        "matched_ghosts_priced_like_genuine",
+        format!(
+            "postings per term: matched ghosts {matched:.1}, biased ghosts {biased:.1}, \
+             genuine {genuine:.1}"
+        ),
+        (matched - genuine).abs() < (biased - genuine).abs(),
     );
-    for eps2 in [0.01, 0.005] {
-        for with_check in [true, false] {
-            let (cell, rejected) = run(eps2, with_check);
-            table.push_row(vec![
-                if with_check {
-                    "with_check"
-                } else {
-                    "without_check"
-                }
-                .into(),
-                pct(eps2),
-                pct(cell.exposure),
-                pct(cell.mask),
-                f3(cell.cycle_len),
-                f3(rejected),
-                format!("{:.4}", cell.gen_secs),
-                f3(cell.satisfied),
-            ]);
-        }
-    }
     table
 }
 
 /// `abl2`: TopPriv coherent ghosts vs TrackMeNot random ghosts.
-fn coherence_ablation(ctx: &ExperimentContext) -> ResultTable {
+fn coherence_ablation(ctx: &ExperimentContext, inv: &mut InvariantBlock) -> ResultTable {
     let model = ctx.default_model();
     let requirement = PrivacyRequirement::paper_default();
     let queries = ctx.sweep_queries();
@@ -307,19 +242,27 @@ fn coherence_ablation(ctx: &ExperimentContext) -> ResultTable {
             "chance_acc".into(),
         ],
     );
+    let tp_acc = tp_attack_hits as f64 / tp_cycles.max(1) as f64;
+    let tmn_acc = tmn_attack_hits as f64 / tmn_cycles.max(1) as f64;
     table.push_row(vec![
         "TopPriv".into(),
         pct(tp_exposure / scored.max(1) as f64),
         format!("{:.6}", tp_ghost_coherence / tp_ghost_count.max(1) as f64),
-        f3(tp_attack_hits as f64 / tp_cycles.max(1) as f64),
+        f3(tp_acc),
         f3(1.0 / mean_cycle_len.max(1.0)),
     ]);
     table.push_row(vec![
         "TrackMeNot".into(),
         pct(tmn_exposure / tmn_scored.max(1) as f64),
         format!("{:.6}", tmn_ghost_coherence / tmn_ghost_count.max(1) as f64),
-        f3(tmn_attack_hits as f64 / tmn_cycles.max(1) as f64),
+        f3(tmn_acc),
         f3(1.0 / (num_ghosts + 1) as f64),
     ]);
+    check_clearly_below(
+        inv,
+        "coherence_attack_weaker_on_toppriv",
+        (tp_acc, tp_cycles),
+        (tmn_acc, tmn_cycles),
+    );
     table
 }

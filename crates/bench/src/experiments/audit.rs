@@ -23,6 +23,7 @@
 //! Output: one result table and the invariant block `reproduce` gates
 //! its exit status on.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scenarios::{fleet_manager, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::table::{f3, ResultTable};
@@ -82,7 +83,7 @@ fn timed_drain(scheduler: &CycleScheduler, plans: Vec<Vec<PlannedQuery>>) -> (us
 }
 
 /// Runs the audit-plane experiment.
-pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     // Two identical fleets; only the audit plane differs.
     let manager_off = Arc::new(
         SessionManager::with_tier(sharded_tier(ctx, SHARDS), ctx.default_model().clone())

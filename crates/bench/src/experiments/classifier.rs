@@ -12,10 +12,16 @@
 //!   topic (intention recovery);
 //! - how often the most confidently classified query of a cycle is the
 //!   genuine one (genuine identification).
+//!
+//! Asserts that TopPriv's cycles leave the classifier clearly (by more
+//! than 3 standard errors) worse off than TrackMeNot's, on both recovery
+//! and identification. Identification stays above chance for both.
 
+use super::{check_clearly_below, topic_classifier, Outcome};
 use crate::context::ExperimentContext;
 use crate::table::{f3, ResultTable};
-use toppriv_adversary::{run_classifier_attack, NaiveBayes};
+use crate::verdict::{InvariantBlock, ScenarioReport};
+use toppriv_adversary::run_classifier_attack;
 use toppriv_baselines::{TrackMeNot, TrackMeNotConfig};
 use toppriv_core::{
     BeliefEngine, CycleQuery, CycleResult, GhostConfig, GhostGenerator, PrivacyMetrics,
@@ -48,29 +54,8 @@ fn as_cycle(queries: Vec<Vec<u32>>, genuine_index: usize) -> CycleResult {
 }
 
 /// Runs the supervised-classifier attack experiment.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
-    // Train the adversary on the ground-truth labels: each document's
-    // dominant mixture topic.
-    let labeled: Vec<(&[u32], usize)> = ctx
-        .corpus
-        .docs
-        .iter()
-        .map(|d| {
-            let label = d
-                .mixture
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weight"))
-                .map(|&(t, _)| t)
-                .expect("non-empty mixture");
-            (d.tokens.as_slice(), label)
-        })
-        .collect();
-    let nb = NaiveBayes::train(
-        &labeled,
-        ctx.corpus.num_topics(),
-        ctx.corpus.vocab.len(),
-        1.0,
-    );
+pub fn run(ctx: &ExperimentContext) -> Outcome {
+    let nb = topic_classifier(ctx);
 
     let queries = &ctx.queries[..ctx.scale.adversary_queries.min(ctx.queries.len())];
     let truths: Vec<usize> = queries.iter().map(|q| q.target_topics[0]).collect();
@@ -110,8 +95,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             "cycles".into(),
         ],
     );
-    for (scheme, cycles) in [("toppriv", &toppriv_cycles), ("trackmenot", &tmn_cycles)] {
-        let r = run_classifier_attack(&nb, cycles, &truths);
+    let reports = [&toppriv_cycles, &tmn_cycles].map(|c| run_classifier_attack(&nb, c, &truths));
+    for (scheme, r) in ["toppriv", "trackmenot"].into_iter().zip(&reports) {
         table.push_row(vec![
             scheme.into(),
             f3(r.unprotected_recovery),
@@ -122,5 +107,19 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             r.cycles.to_string(),
         ]);
     }
-    vec![table]
+    let [tp, tmn] = reports;
+    let mut inv = InvariantBlock::default();
+    check_clearly_below(
+        &mut inv,
+        "cycle_recovery_below_trackmenot",
+        (tp.cycle_recovery, tp.cycles),
+        (tmn.cycle_recovery, tmn.cycles),
+    );
+    check_clearly_below(
+        &mut inv,
+        "genuine_identification_below_trackmenot",
+        (tp.genuine_identification, tp.cycles),
+        (tmn.genuine_identification, tmn.cycles),
+    );
+    (vec![table], vec![ScenarioReport::close("classifier", inv)])
 }

@@ -3,18 +3,27 @@
 //! Panels (a)–(d) mirror Figure 2; panels (e) |U| and (f) the best rank
 //! attained by any relevant topic expose how deeply the intention is
 //! buried among irrelevant topics.
+//!
+//! Asserts, on every model: mean exposure is within ε at every ε, and υ
+//! does not grow as ε loosens. Not asserted: that every query is
+//! satisfied. At quick scale, ε = 1 % puts 10 of LDA020's 20 topics in
+//! one query's intention; its masking topics run out and it ends at
+//! 1.13 % exposure.
 
-use super::{eps_sweep, sweep_table};
+use super::{check_sweep, eps_sweep, sweep_table, Outcome};
 use crate::context::ExperimentContext;
-use crate::table::{f3, pct, ResultTable};
+use crate::table::{f3, pct};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_core::PrivacyRequirement;
 
 /// Runs the Figure 3 sweep and renders its six panels.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let sweep = eps_sweep(ctx, |eps| {
         PrivacyRequirement::new(eps, eps).expect("valid grid")
     });
-    vec![
+    let mut inv = InvariantBlock::default();
+    check_sweep(&mut inv, &sweep, |eps| eps);
+    let tables = vec![
         sweep_table(
             "fig3a_exposure",
             "Exposure max B(t|C) over t in U (%), eps1=eps2",
@@ -63,5 +72,6 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             |c| c.best_rank,
             f3,
         ),
-    ]
+    ];
+    (tables, vec![ScenarioReport::close("fig3", inv)])
 }

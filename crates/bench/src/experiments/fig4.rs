@@ -5,12 +5,18 @@
 //! For each (model, factor, query): `qe` is the PDX-embellished query and
 //! the exposure is `max_{t∈U(ε1)} B(t|qe)` where `U(ε1)` comes from the
 //! *unembellished* query's boosts.
+//!
+//! Asserts, on every model and at every ε1: PDX leaves the intention
+//! exposed above the paper's ε2 at every factor, and the exposure falls
+//! as the factor grows.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scale::Scale;
 use crate::table::{pct, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_baselines::{PdxConfig, PdxEmbellisher, Thesaurus, ThesaurusConfig};
-use toppriv_core::BeliefEngine;
+use toppriv_core::{BeliefEngine, PrivacyRequirement};
 
 /// Builds the thesaurus and per-term IDFs the PDX baseline needs.
 pub fn build_pdx_inputs(ctx: &ExperimentContext) -> (Thesaurus, Vec<f64>) {
@@ -29,7 +35,7 @@ type BoostPair = (Vec<f64>, Vec<f64>);
 type ModelFactorBoosts = (usize, Vec<(usize, Vec<BoostPair>)>);
 
 /// Runs the Figure 4 sweep: one table per expansion factor.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let (thesaurus, idfs) = build_pdx_inputs(ctx);
     let queries = ctx.sweep_queries();
 
@@ -76,9 +82,49 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             .collect()
     });
 
+    // Mean exposure per (factor, ε1, model): over the queries with a
+    // non-empty intention at that ε1.
+    let mean_exposure = |fi: usize, eps: f64, by_factor: &[(usize, Vec<BoostPair>)]| {
+        let mut total = 0.0;
+        let mut counted = 0usize;
+        for (solo, embellished) in &by_factor[fi].1 {
+            let intention: Vec<usize> = solo
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| b > eps)
+                .map(|(t, _)| t)
+                .collect();
+            if intention.is_empty() {
+                continue;
+            }
+            total += toppriv_core::exposure(embellished, &intention);
+            counted += 1;
+        }
+        if counted == 0 {
+            0.0
+        } else {
+            total / counted as f64
+        }
+    };
+    let factors = &ctx.scale.expansion_factors;
+    let grid: Vec<Vec<Vec<f64>>> = (0..factors.len())
+        .map(|fi| {
+            ctx.scale
+                .eps_grid
+                .iter()
+                .map(|&eps| {
+                    per_model
+                        .iter()
+                        .map(|(_, by_factor)| mean_exposure(fi, eps, by_factor))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+
     // Render one table per factor: rows = ε1 grid, columns = models.
     let mut tables = Vec::new();
-    for (fi, &factor) in ctx.scale.expansion_factors.iter().enumerate() {
+    for (&factor, rows) in factors.iter().zip(&grid) {
         let mut header = vec!["eps_pct".to_string()];
         header.extend(per_model.iter().map(|(k, _)| Scale::model_label(*k)));
         let mut table = ResultTable::new(
@@ -86,34 +132,56 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             format!("PDX exposure max B(t|qe) over t in U (%), {factor}x expansion"),
             header,
         );
-        for &eps in &ctx.scale.eps_grid {
-            let mut row = vec![pct(eps)];
-            for (_, by_factor) in &per_model {
-                let (_, pairs) = &by_factor[fi];
-                let mut total = 0.0;
-                let mut counted = 0usize;
-                for (solo, embellished) in pairs {
-                    let intention: Vec<usize> = solo
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &b)| b > eps)
-                        .map(|(t, _)| t)
-                        .collect();
-                    if intention.is_empty() {
-                        continue;
-                    }
-                    total += toppriv_core::exposure(embellished, &intention);
-                    counted += 1;
-                }
-                row.push(pct(if counted == 0 {
-                    0.0
-                } else {
-                    total / counted as f64
-                }));
-            }
-            table.push_row(row);
+        for (&eps, row) in ctx.scale.eps_grid.iter().zip(rows) {
+            let mut cells = vec![pct(eps)];
+            cells.extend(row.iter().map(|&e| pct(e)));
+            table.push_row(cells);
         }
         tables.push(table);
     }
-    tables
+
+    let eps2 = PrivacyRequirement::paper_default().eps2;
+    let lowest = grid
+        .iter()
+        .flatten()
+        .flatten()
+        .fold(f64::INFINITY, |a, &b| a.min(b));
+    let mut inv = InvariantBlock::default();
+    inv.check(
+        "pdx_exposure_above_eps2",
+        format!(
+            "lowest mean exposure {}% vs eps2 {}%",
+            pct(lowest),
+            pct(eps2)
+        ),
+        lowest > eps2,
+    );
+    let last = grid.len() - 1;
+    inv.check(
+        "pdx_exposure_falls_with_factor",
+        format!(
+            "{}x -> {}x at eps {}%: {}",
+            factors[0],
+            factors[last],
+            pct(ctx.scale.eps_grid[0]),
+            per_model
+                .iter()
+                .enumerate()
+                .map(|(m, (k, _))| format!(
+                    "{} {} -> {}",
+                    Scale::model_label(*k),
+                    pct(grid[0][0][m]),
+                    pct(grid[last][0][m])
+                ))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+        grid.windows(2).all(|w| {
+            w[0].iter()
+                .flatten()
+                .zip(w[1].iter().flatten())
+                .all(|(fewer, more)| more < fewer)
+        }),
+    );
+    (tables, vec![ScenarioReport::close("fig4", inv)])
 }

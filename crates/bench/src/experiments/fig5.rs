@@ -5,11 +5,16 @@
 //! single embellished query (expansion factor υ). The figure reports the
 //! ratio of the two exposures — below 1 means TopPriv hides the intention
 //! better.
+//!
+//! Asserts, on every model: every ratio is below 1, and it does not grow
+//! with υ.
 
 use super::fig4::build_pdx_inputs;
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scale::Scale;
 use crate::table::{f3, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_baselines::{PdxConfig, PdxEmbellisher};
 use toppriv_core::{exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement};
 
@@ -17,7 +22,7 @@ use toppriv_core::{exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyR
 pub const FIG5_EPS1: f64 = 0.05;
 
 /// Runs the Figure 5 comparison.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let (thesaurus, idfs) = build_pdx_inputs(ctx);
     let queries = ctx.sweep_queries();
     // A tiny ε2 so the fixed-υ run never stops early for satisfaction.
@@ -92,5 +97,29 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         }
         table.push_row(row);
     }
-    vec![table]
+
+    let mut inv = InvariantBlock::default();
+    let trend = per_model
+        .iter()
+        .map(|(k, ratios)| {
+            let r: Vec<String> = ratios.iter().map(|&(_, r)| f3(r)).collect();
+            format!("{}: {}", Scale::model_label(*k), r.join(" -> "))
+        })
+        .collect::<Vec<_>>()
+        .join("; ");
+    inv.check(
+        "toppriv_below_pdx",
+        trend.clone(),
+        per_model
+            .iter()
+            .all(|(_, ratios)| ratios.iter().all(|&(_, r)| r < 1.0)),
+    );
+    inv.check(
+        "ratio_non_increasing_in_cycle_len",
+        trend,
+        per_model
+            .iter()
+            .all(|(_, ratios)| ratios.windows(2).all(|w| w[1].1 <= w[0].1)),
+    );
+    (vec![table], vec![ScenarioReport::close("fig5", inv)])
 }

@@ -6,10 +6,15 @@
 //! the `Pr(w|t)` matrix whose size tracks the vocabulary — which, per
 //! Heaps' law, grows sublinearly. The sweep regenerates the corpus at
 //! several sizes with Heaps-scaled vocabularies and measures both.
+//!
+//! Asserts the figure's point: the model-to-raw-index size ratio falls at
+//! every step as the corpus grows.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scale::Scale;
 use crate::table::ResultTable;
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_baselines::SpaceComparison;
 use tsearch_corpus::{CorpusConfig, SyntheticCorpus};
 use tsearch_index::InvertedIndex;
@@ -32,7 +37,7 @@ pub fn scaled_config(base: &CorpusConfig, docs: usize) -> CorpusConfig {
 }
 
 /// Runs the Figure 6 sweep (points in parallel).
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let k = ctx.scale.default_k;
     // Training here is per-point; half the iterations are plenty for a
     // size measurement (size is independent of fit quality).
@@ -82,20 +87,32 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             "lda_over_raw_index".into(),
         ],
     );
-    for p in &points {
+    let ratios: Vec<f64> = points
+        .iter()
+        .map(|p| p.lda_client_bytes as f64 / p.index_raw_bytes.max(1) as f64)
+        .collect();
+    for (p, ratio) in points.iter().zip(&ratios) {
         table.push_row(vec![
             p.num_docs.to_string(),
             p.vocab_size.to_string(),
             format!("{:.1}", p.index_raw_bytes as f64 / 1024.0),
             format!("{:.1}", p.index_bytes as f64 / 1024.0),
             format!("{:.1}", p.lda_client_bytes as f64 / 1024.0),
-            format!(
-                "{:.3}",
-                p.lda_client_bytes as f64 / p.index_raw_bytes.max(1) as f64
-            ),
+            format!("{ratio:.3}"),
         ]);
     }
-    vec![table]
+
+    let mut inv = InvariantBlock::default();
+    inv.check(
+        "model_to_index_ratio_falls_with_docs",
+        ratios
+            .iter()
+            .map(|r| format!("{r:.3}"))
+            .collect::<Vec<_>>()
+            .join(" -> "),
+        ratios.windows(2).all(|w| w[1] < w[0]),
+    );
+    (vec![table], vec![ScenarioReport::close("fig6", inv)])
 }
 
 #[cfg(test)]

@@ -5,17 +5,24 @@
 //! the precision-recall characteristics intended by the search engine
 //! designer". We measure, per workload query:
 //!
-//! - result distortion: overlap@k and rank correlation between the true
-//!   query's results and the canonical query's results (TopPriv is exact
-//!   by construction: overlap 1.0);
+//! - result distortion: overlap@k between the true query's results and
+//!   what each scheme hands the user — the canonical query's results for
+//!   MC, the [`TrustedClient`]'s filtered cycle results for TopPriv;
 //! - topical exposure of the MC group (canonical + covers) under the same
 //!   LDA belief model, for comparison with TopPriv's cycles at equal
 //!   deniability-set size.
+//!
+//! Asserts the distortion claim both ways: MC's overlap is below 1, and
+//! TopPriv's measured overlap is exactly 1 on every query.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::table::{f3, pct, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_baselines::{LsiConfig, LsiModel, McConfig, McScheme};
-use toppriv_core::{exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement};
+use toppriv_core::{
+    exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement, TrustedClient,
+};
 use tsearch_search::Query;
 
 /// Result-list overlap@k between two hit lists.
@@ -44,16 +51,19 @@ pub fn build_scheme(ctx: &ExperimentContext) -> McScheme {
 }
 
 /// Runs the comparison.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     const K: usize = 10;
     let scheme = build_scheme(ctx);
     let model = ctx.default_model();
     let belief = BeliefEngine::new(model.clone());
     let requirement = PrivacyRequirement::paper_default();
-    let generator = GhostGenerator::new(
-        BeliefEngine::new(model.clone()),
-        requirement,
-        GhostConfig::default(),
+    let client = TrustedClient::new(
+        ctx.engine.clone(),
+        GhostGenerator::new(
+            BeliefEngine::new(model.clone()),
+            requirement,
+            GhostConfig::default(),
+        ),
     );
     let queries = ctx.sweep_queries();
 
@@ -61,6 +71,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
     let mut mc_exposure = 0.0;
     let mut mc_group = 0.0;
     let mut tp_overlap = 0.0;
+    let mut tp_exact = 0usize;
     let mut tp_exposure = 0.0;
     let mut tp_cycle = 0.0;
     let mut scored = 0usize;
@@ -82,7 +93,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             K,
         );
         mc_overlap += overlap_at_k(&true_hits, &canon_hits, K);
-        tp_overlap += 1.0; // TopPriv returns the true query's results
+        let private = client.search_tokens(&q.tokens, K);
+        let overlap = overlap_at_k(&true_hits, &private.hits, K);
+        tp_overlap += overlap;
+        tp_exact += usize::from(overlap == 1.0);
 
         // --- Topical exposure of the deniability set ----------------------
         let mut group_tokens: Vec<&[u32]> = vec![scheme.canonical_tokens(sub.canonical)];
@@ -94,9 +108,9 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         let group_boosts = belief.cycle_boost(&posteriors);
         mc_exposure += exposure(&group_boosts, &intention);
 
-        let result = generator.generate(&q.tokens);
-        tp_exposure += exposure(&result.cycle_boosts, &result.intention);
-        tp_cycle += result.cycle_len() as f64;
+        let cycle = &private.report;
+        tp_exposure += exposure(&cycle.cycle_boosts, &cycle.intention);
+        tp_cycle += cycle.cycle_len() as f64;
     }
     let n = scored.max(1) as f64;
 
@@ -125,5 +139,17 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         f3(tp_cycle / n),
         scored.to_string(),
     ]);
-    vec![table]
+
+    let mut inv = InvariantBlock::default();
+    inv.check(
+        "mc_distorts_results",
+        format!("MC overlap@{K} {:.3} over {scored} queries", mc_overlap / n),
+        scored > 0 && mc_overlap / n < 1.0,
+    );
+    inv.check(
+        "toppriv_results_exact",
+        format!("TopPriv overlap@{K} = 1 on {tp_exact} of {scored} queries"),
+        scored > 0 && tp_exact == scored,
+    );
+    (vec![table], vec![ScenarioReport::close("mc", inv)])
 }

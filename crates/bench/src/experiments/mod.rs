@@ -1,14 +1,15 @@
 //! Experiment implementations, one submodule per paper artefact group.
 //!
 //! Every experiment consumes the shared [`ExperimentContext`] and returns
-//! [`ResultTable`]s; the `reproduce` binary writes them as CSV under
-//! `results/` and renders them to stdout. Which experiments exist is
-//! decided in one place, [`ALL`]: `reproduce` selects from it by name and
-//! the smoke test walks it.
+//! an [`Outcome`]: its [`ResultTable`]s, which the `reproduce` binary
+//! writes as CSV under `results/` and renders to stdout, and the
+//! [`ScenarioReport`]s of the claims it asserts, whose checks are
+//! `reproduce`'s exit status. Which experiments exist is decided in one
+//! place, [`ALL`]: `reproduce` selects from it by name and the smoke test
+//! walks it.
 
 pub mod ablations;
 pub mod adversary;
-pub mod appendix;
 pub mod audit;
 pub mod classifier;
 pub mod fig2;
@@ -19,8 +20,6 @@ pub mod fig6;
 pub mod mc;
 pub mod pacing;
 pub mod planner;
-pub mod quality;
-pub mod reduced;
 pub mod scenarios;
 pub mod session;
 pub mod staleness;
@@ -29,45 +28,107 @@ pub mod tables;
 
 use crate::context::ExperimentContext;
 use crate::table::ResultTable;
-use crate::verdict::ScenarioReport;
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
+use toppriv_adversary::NaiveBayes;
 use toppriv_core::{BeliefEngine, GhostConfig, GhostGenerator, PrivacyMetrics, PrivacyRequirement};
 use tsearch_corpus::BenchmarkQuery;
 use tsearch_lda::LdaModel;
 
-/// How one experiment runs.
-pub enum Run {
-    /// Tables only.
-    Tables(fn(&ExperimentContext) -> Vec<ResultTable>),
-    /// Tables plus invariant reports: `reproduce` exits non-zero when a
-    /// check in one of them failed, and CI gates on that.
-    Gate(fn(&ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>)),
-}
+/// What one experiment returns: its tables, and the verdicts of the
+/// claims it asserts.
+pub type Outcome = (Vec<ResultTable>, Vec<ScenarioReport>);
+
+/// An experiment's entry point.
+pub type Experiment = fn(&ExperimentContext) -> Outcome;
 
 /// Every experiment, by the name `reproduce` selects it with, in the
 /// order a bare `reproduce` runs them.
-pub const ALL: &[(&str, Run)] = &[
-    ("stats", Run::Tables(stats::run)),
-    ("tables", Run::Tables(tables::run)),
-    ("fig2", Run::Tables(fig2::run)),
-    ("fig3", Run::Tables(fig3::run)),
-    ("fig4", Run::Tables(fig4::run)),
-    ("fig5", Run::Tables(fig5::run)),
-    ("fig6", Run::Tables(fig6::run)),
-    ("ablations", Run::Tables(ablations::run)),
-    ("adversary", Run::Tables(adversary::run)),
-    ("classifier", Run::Tables(classifier::run)),
-    ("mc", Run::Tables(mc::run)),
-    ("session", Run::Tables(session::run)),
-    ("reduced", Run::Tables(reduced::run)),
-    ("pacing", Run::Tables(pacing::run)),
-    ("quality", Run::Tables(quality::run)),
-    ("staleness", Run::Tables(staleness::run)),
-    ("scenarios", Run::Gate(scenarios::run)),
-    ("audit", Run::Gate(audit::run)),
-    ("planner", Run::Gate(planner::run)),
-    ("appendix", Run::Tables(appendix::run)),
+pub const ALL: &[(&str, Experiment)] = &[
+    ("stats", stats::run),
+    ("tables", tables::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("ablations", ablations::run),
+    ("adversary", adversary::run),
+    ("classifier", classifier::run),
+    ("mc", mc::run),
+    ("session", session::run),
+    ("pacing", pacing::run),
+    ("staleness", staleness::run),
+    ("scenarios", scenarios::run),
+    ("audit", audit::run),
+    ("planner", planner::run),
 ];
+
+/// Standard error of a rate `p` measured over `n` trials.
+fn std_err(p: f64, n: usize) -> f64 {
+    (p * (1.0 - p) / n.max(1) as f64).sqrt()
+}
+
+/// Checks that an attack's `success` rate over `trials` is within three
+/// standard errors of its `chance` rate.
+pub(crate) fn check_near_chance(
+    inv: &mut InvariantBlock,
+    name: &str,
+    success: f64,
+    chance: f64,
+    trials: usize,
+) {
+    let bound = chance + 3.0 * std_err(chance, trials);
+    inv.check(
+        name,
+        format!(
+            "success {success:.3} vs chance {chance:.3} + 3 SE = {bound:.3} over {trials} trials"
+        ),
+        success <= bound,
+    );
+}
+
+/// Checks that rate `a` (over `na` trials) is below rate `b` (over `nb`)
+/// by more than three standard errors of their difference.
+pub(crate) fn check_clearly_below(
+    inv: &mut InvariantBlock,
+    name: &str,
+    (a, na): (f64, usize),
+    (b, nb): (f64, usize),
+) {
+    let margin = 3.0 * std_err(a, na).hypot(std_err(b, nb));
+    inv.check(
+        name,
+        format!("{a:.3} ({na} trials) vs {b:.3} ({nb} trials), 3 SE = {margin:.3}"),
+        a + margin < b,
+    );
+}
+
+/// The supervised adversary the enterprise can always build: naive Bayes
+/// trained on its own documents, each labelled with its dominant
+/// ground-truth topic.
+pub(crate) fn topic_classifier(ctx: &ExperimentContext) -> NaiveBayes {
+    let labeled: Vec<(&[u32], usize)> = ctx
+        .corpus
+        .docs
+        .iter()
+        .map(|d| {
+            let label = d
+                .mixture
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weight"))
+                .map(|&(t, _)| t)
+                .expect("non-empty mixture");
+            (d.tokens.as_slice(), label)
+        })
+        .collect();
+    NaiveBayes::train(
+        &labeled,
+        ctx.corpus.num_topics(),
+        ctx.corpus.vocab.len(),
+        1.0,
+    )
+}
 
 /// Mean aggregation of per-query privacy metrics at one sweep point.
 #[derive(Debug, Clone, Copy, Default)]
@@ -199,6 +260,66 @@ pub fn sweep_table(
         }
     }
     table
+}
+
+/// Checks the shape Figures 2 and 3 share, on every model: at every grid
+/// point the mean exposure is within `eps2_of(eps)`, and υ does not grow
+/// as the grid loosens.
+pub(crate) fn check_sweep(
+    inv: &mut InvariantBlock,
+    sweep: &[(usize, Vec<(f64, SweepCell)>)],
+    eps2_of: impl Fn(f64) -> f64,
+) {
+    let label = crate::scale::Scale::model_label;
+    let pct = crate::table::pct;
+    let over: Vec<String> = sweep
+        .iter()
+        .flat_map(|(k, cells)| {
+            cells
+                .iter()
+                .filter(|(eps, c)| c.exposure > eps2_of(*eps))
+                .map(move |(eps, c)| {
+                    format!(
+                        "{} eps {}%: exposure {}%",
+                        label(*k),
+                        pct(*eps),
+                        pct(c.exposure)
+                    )
+                })
+        })
+        .collect();
+    inv.check(
+        "mean_exposure_within_eps2",
+        if over.is_empty() {
+            format!(
+                "{} model(s) x {} eps point(s)",
+                sweep.len(),
+                sweep[0].1.len()
+            )
+        } else {
+            over.join("; ")
+        },
+        over.is_empty(),
+    );
+    let trend: Vec<String> = sweep
+        .iter()
+        .map(|(k, cells)| {
+            let lens: Vec<String> = cells
+                .iter()
+                .map(|(_, c)| format!("{:.2}", c.cycle_len))
+                .collect();
+            format!("{}: {}", label(*k), lens.join(" -> "))
+        })
+        .collect();
+    inv.check(
+        "cycle_len_non_increasing_as_eps2_loosens",
+        trend.join("; "),
+        sweep.iter().all(|(_, cells)| {
+            cells
+                .windows(2)
+                .all(|w| w[1].1.cycle_len <= w[0].1.cycle_len)
+        }),
+    );
 }
 
 /// Writes and prints a batch of tables.

@@ -11,9 +11,15 @@
 //! identified; the paper's shuffled burst reduces identification to
 //! chance ≈ 1/υ but still segments perfectly; Poisson spreading destroys
 //! segmentation too, at the price of genuine-result latency.
+//!
+//! Asserts the first two: naive-first identification is at least 0.9, and
+//! every heuristic against the shuffled burst stays within chance + 3
+//! standard errors.
 
+use super::{check_near_chance, Outcome};
 use crate::context::ExperimentContext;
 use crate::table::{f3, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use toppriv_adversary::{run_timing_attack, TimingHeuristic};
@@ -43,7 +49,7 @@ fn strategies() -> Vec<(&'static str, PacingStrategy)> {
 }
 
 /// Runs the timing experiment on the default model.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let model = ctx.default_model();
     let generator = GhostGenerator::new(
         BeliefEngine::new(model.clone()),
@@ -86,6 +92,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ],
     );
 
+    let mut inv = InvariantBlock::default();
     for (name, strategy) in strategies() {
         let mut scheduler = PacingScheduler::new(PacingConfig {
             strategy,
@@ -117,6 +124,21 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
                 })
                 .expect("non-empty threshold grid");
             let (gap, report) = best;
+            match (name, heuristic) {
+                ("naive_immediate", TimingHeuristic::First) => inv.check(
+                    "naive_first_identified",
+                    format!("identification {:.3}", report.identification_rate),
+                    report.identification_rate >= 0.9,
+                ),
+                ("shuffled_burst", _) => check_near_chance(
+                    &mut inv,
+                    &format!("shuffled_burst_{heuristic:?}_near_chance"),
+                    report.identification_rate,
+                    report.chance_rate,
+                    report.num_cycles,
+                ),
+                _ => {}
+            }
             table.push_row(vec![
                 name.into(),
                 format!("{heuristic:?}"),
@@ -130,5 +152,5 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![table]
+    (vec![table], vec![ScenarioReport::close("pacing", inv)])
 }

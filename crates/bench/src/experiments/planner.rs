@@ -23,12 +23,13 @@
 //! Output: one result table and the invariant block `reproduce` gates
 //! its exit status on.
 
+use super::{topic_classifier, Outcome};
 use crate::context::ExperimentContext;
 use crate::scenarios::{masking_violation, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::table::{f3, ResultTable};
 use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
-use toppriv_adversary::{merge_shard_logs, run_classifier_attack, NaiveBayes};
+use toppriv_adversary::{merge_shard_logs, run_classifier_attack};
 use toppriv_core::{CycleResult, PrivacyRequirement};
 use toppriv_service::{AuditConfig, CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, WorkloadConfig};
@@ -165,7 +166,7 @@ fn run_fleet(
 }
 
 /// Runs the cross-session planner experiment.
-pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let mut runs: Vec<RunStats> = Vec::new();
     for &sessions in &SESSIONS {
         // A shared query pool about a quarter the fleet size: several
@@ -287,26 +288,7 @@ pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
     let tier = art.manager.tier();
     let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
     let merged = merge_shard_logs(&shard_logs);
-    let labeled: Vec<(&[u32], usize)> = ctx
-        .corpus
-        .docs
-        .iter()
-        .map(|d| {
-            let label = d
-                .mixture
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weight"))
-                .map(|&(t, _)| t)
-                .expect("non-empty mixture");
-            (d.tokens.as_slice(), label)
-        })
-        .collect();
-    let nb = NaiveBayes::train(
-        &labeled,
-        ctx.corpus.num_topics(),
-        ctx.corpus.vocab.len(),
-        1.0,
-    );
+    let nb = topic_classifier(ctx);
     let report = run_classifier_attack(&nb, &art.cycles, &art.truths);
     let eps1 = PrivacyRequirement::paper_default().eps1;
     inv.check(

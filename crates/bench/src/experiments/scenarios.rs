@@ -3,13 +3,13 @@
 //! order, summarizes the verdicts as a result table, and hands the
 //! reports back for `reproduce`'s exit status.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scenarios;
 use crate::table::ResultTable;
-use crate::verdict::ScenarioReport;
 
 /// Runs the scenario matrix.
-pub fn run(ctx: &ExperimentContext) -> (Vec<ResultTable>, Vec<ScenarioReport>) {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let reports = scenarios::run_all(ctx);
     let mut table = ResultTable::new(
         "scenarios",

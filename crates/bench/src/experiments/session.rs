@@ -10,9 +10,14 @@
 //!    isolation;
 //! 3. `session_aware` — our extension: each cycle certified against the
 //!    accumulated trace (`GhostGenerator::generate_with_history`).
+//!
+//! Asserts that the unprotected trace exposes the intention above ε2, and
+//! that both protected policies hold ε2 over the trace of every session.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::table::{f3, pct, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_core::{
     exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement, SessionTracker,
 };
@@ -21,7 +26,7 @@ use toppriv_core::{
 pub const SESSION_LEN: usize = 8;
 
 /// Runs the session experiment on the default model.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let model = ctx.default_model();
     let belief = BeliefEngine::new(model.clone());
     let requirement = PrivacyRequirement::paper_default();
@@ -31,11 +36,11 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         GhostConfig::default(),
     );
 
-    // Sessions: group workload queries by their first target topic and
-    // keep topics with enough queries.
-    let mut by_topic: std::collections::HashMap<usize, Vec<&tsearch_corpus::BenchmarkQuery>> =
-        std::collections::HashMap::new();
-    for q in &ctx.queries {
+    // Sessions: group the workload's single-topic queries by topic and
+    // keep the lowest topics with enough queries.
+    let mut by_topic: std::collections::BTreeMap<usize, Vec<&tsearch_corpus::BenchmarkQuery>> =
+        std::collections::BTreeMap::new();
+    for q in ctx.queries.iter().filter(|q| q.target_topics.len() == 1) {
         by_topic.entry(q.target_topics[0]).or_default().push(q);
     }
     let sessions: Vec<Vec<&tsearch_corpus::BenchmarkQuery>> = by_topic
@@ -61,6 +66,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ],
     );
 
+    let mut inv = InvariantBlock::default();
     for policy in ["unprotected", "per_cycle", "session_aware"] {
         let mut total_exposure = 0.0;
         let mut satisfied = 0usize;
@@ -103,6 +109,26 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             total_server += tracker.len();
         }
         let n = sessions.len().max(1) as f64;
+        let eps2 = pct(requirement.eps2);
+        if policy == "unprotected" {
+            inv.check(
+                "unprotected_trace_exposed",
+                format!(
+                    "mean trace exposure {}% vs eps2 {eps2}%",
+                    pct(total_exposure / n)
+                ),
+                total_exposure / n > requirement.eps2,
+            );
+        } else {
+            inv.check(
+                format!("{policy}_holds_eps2_on_every_session"),
+                format!(
+                    "{satisfied} of {} sessions within eps2 {eps2}%",
+                    sessions.len()
+                ),
+                !sessions.is_empty() && satisfied == sessions.len(),
+            );
+        }
         table.push_row(vec![
             policy.into(),
             pct(total_exposure / n),
@@ -112,5 +138,5 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             sessions.len().to_string(),
         ]);
     }
-    vec![table]
+    (vec![table], vec![ScenarioReport::close("session", inv)])
 }

@@ -16,9 +16,15 @@
 //!   cycle to υ = 4 even when its model reports no intention.
 //! - `retrained` — the client retrained on the evolved corpus (upper
 //!   bound, at full retraining cost).
+//!
+//! Asserts that `retrained` is satisfied more often than `stale` in both
+//! query classes, and that `stale` leaves new-topic queries exposed above
+//! ε2.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::table::{f3, pct, ResultTable};
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use toppriv_core::{exposure, BeliefEngine, GhostConfig, GhostGenerator, PrivacyRequirement};
 use tsearch_corpus::{generate_workload, EvolutionConfig, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
@@ -27,7 +33,7 @@ use tsearch_lda::{LdaConfig, LdaTrainer};
 pub const FORCED_UPSILON: usize = 4;
 
 /// Runs the staleness experiment at the default K.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let base_topics = ctx.corpus.num_topics();
     let old_vocab = ctx.corpus.vocab.len() as u32;
     let evolved = ctx.corpus.evolve(EvolutionConfig {
@@ -100,6 +106,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ],
     );
 
+    // (policy, class) -> (mean exposure, satisfied fraction), for the checks.
+    let mut verdicts: Vec<(&str, &str, f64, f64)> = Vec::new();
     for policy in ["stale", "stale_forced", "retrained"] {
         for (class, queries) in [("old_topics", &old_queries), ("new_topics", &new_queries)] {
             let mut seen_intention = 0.0f64;
@@ -156,6 +164,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             }
             let n = queries.len().max(1) as f64;
             let j = judged.max(1) as f64;
+            verdicts.push((policy, class, expo / j, satisfied as f64 / j));
             table.push_row(vec![
                 policy.into(),
                 class.into(),
@@ -168,5 +177,32 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![table]
+
+    let at = |policy: &str, class: &str| {
+        let &(_, _, exposure, satisfied) = verdicts
+            .iter()
+            .find(|v| v.0 == policy && v.1 == class)
+            .expect("every policy runs every class");
+        (exposure, satisfied)
+    };
+    let mut inv = InvariantBlock::default();
+    for class in ["old_topics", "new_topics"] {
+        let (stale, retrained) = (at("stale", class).1, at("retrained", class).1);
+        inv.check(
+            format!("retrained_beats_stale_on_{class}"),
+            format!("satisfied: retrained {retrained:.3} vs stale {stale:.3}"),
+            retrained > stale,
+        );
+    }
+    let stale_new = at("stale", "new_topics").0;
+    inv.check(
+        "stale_exposes_new_topics",
+        format!(
+            "stale new-topic exposure {}% vs eps2 {}%",
+            pct(stale_new),
+            pct(requirement.eps2)
+        ),
+        stale_new > requirement.eps2,
+    );
+    (vec![table], vec![ScenarioReport::close("staleness", inv)])
 }

@@ -1,14 +1,21 @@
 //! Collection statistics (experiment `stat1`): the corpus and index
 //! numbers the paper quotes in Sections II and V-A — mean/max inverted
 //! list lengths and the PIR padding blowup.
+//!
+//! Asserts the two facts the paper's argument rests on: the vocabulary
+//! grows sublinearly in the documents (Heaps' β ∈ (0, 1), which is why the
+//! client model grows slower than the index, Figure 6), and padding every
+//! inverted list to the longest one for PIR inflates the index.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::table::ResultTable;
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use tsearch_corpus::{fit_heaps, vocabulary_growth, CorpusStats};
 use tsearch_index::IndexStats;
 
 /// Computes and renders the statistics tables.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let corpus_stats = CorpusStats::compute(&ctx.corpus);
     let index_stats = IndexStats::compute(ctx.engine.index());
 
@@ -67,5 +74,20 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         index_table.push_row(vec![metric.to_string(), value]);
     }
 
-    vec![corpus_table, index_table]
+    let mut inv = InvariantBlock::default();
+    let beta = heaps.map(|(_, b)| b);
+    inv.check(
+        "heaps_beta_sublinear",
+        format!("beta {beta:?}"),
+        beta.is_some_and(|b| b > 0.0 && b < 1.0),
+    );
+    inv.check(
+        "pir_padding_inflates_index",
+        format!("blowup {:.1}x", index_stats.pir_blowup()),
+        index_stats.pir_blowup() > 1.0,
+    );
+    (
+        vec![corpus_table, index_table],
+        vec![ScenarioReport::close("stats", inv)],
+    )
 }

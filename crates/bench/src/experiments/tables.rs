@@ -7,10 +7,15 @@
 //! - Table IV: a deliberately tiny model (K=5 counterpart of the paper's
 //!   LDA005) whose topics are indistinct, quantified by mean pairwise
 //!   topic similarity.
+//!
+//! Asserts Table IV's point: LDA005's topics are more alike (higher mean
+//! pairwise cosine) than those of every model in the bank.
 
+use super::Outcome;
 use crate::context::ExperimentContext;
 use crate::scale::Scale;
 use crate::table::ResultTable;
+use crate::verdict::{InvariantBlock, ScenarioReport};
 use tsearch_lda::{
     best_matching_topic, mean_pairwise_topic_similarity, topic_report, LdaConfig, LdaTrainer,
 };
@@ -22,7 +27,7 @@ pub const TOP_WORDS: usize = 20;
 pub const SAMPLE_TOPICS: usize = 5;
 
 /// Runs all three table reproductions.
-pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
+pub fn run(ctx: &ExperimentContext) -> Outcome {
     let mut out = Vec::new();
     let model = ctx.default_model();
     let vocab = &ctx.corpus.vocab;
@@ -138,16 +143,24 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         "Mean pairwise topic similarity (higher = more indistinct)",
         vec!["model".into(), "mean_pairwise_cosine".into()],
     );
-    sim_table.push_row(vec![
-        "LDA005".into(),
-        format!("{:.4}", mean_pairwise_topic_similarity(&tiny)),
-    ]);
-    for (k, m) in &ctx.models {
-        sim_table.push_row(vec![
-            Scale::model_label(*k),
-            format!("{:.4}", mean_pairwise_topic_similarity(m)),
-        ]);
-    }
+    let tiny_sim = mean_pairwise_topic_similarity(&tiny);
+    sim_table.push_row(vec!["LDA005".into(), format!("{tiny_sim:.4}")]);
+    let bank_max = ctx
+        .models
+        .iter()
+        .map(|(k, m)| {
+            let sim = mean_pairwise_topic_similarity(m);
+            sim_table.push_row(vec![Scale::model_label(*k), format!("{sim:.4}")]);
+            sim
+        })
+        .fold(f64::NEG_INFINITY, f64::max);
     out.push(sim_table);
-    out
+
+    let mut inv = InvariantBlock::default();
+    inv.check(
+        "lda005_least_distinct",
+        format!("LDA005 {tiny_sim:.4} vs bank max {bank_max:.4}"),
+        tiny_sim > bank_max,
+    );
+    (out, vec![ScenarioReport::close("tables", inv)])
 }

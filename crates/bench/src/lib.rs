@@ -4,13 +4,15 @@
 //!
 //! - it **tabulates**: every table and figure of the paper's evaluation,
 //!   plus the extensions, as CSV ([`experiments::ALL`] is the index);
-//! - it **asserts**: the `audit` and `planner` experiments and the six
-//!   fleet [`scenarios`] check named invariants ([`verdict`]), and the
-//!   `reproduce` binary's exit status is their verdict.
+//! - it **asserts**: every experiment checks the claims its data support
+//!   — the paper's shapes, the extensions' findings, and the fleet
+//!   invariants of `audit`, `planner` and the six [`scenarios`] — as
+//!   named checks ([`verdict`]), and the `reproduce` binary's exit status
+//!   is their verdict.
 //!
 //! ```text
 //! cargo run --release --bin reproduce -- --scale standard
-//! cargo run --release --bin reproduce -- audit planner scenarios --scale quick
+//! cargo run --release --bin reproduce -- --scale quick --quiet
 //! ```
 //!
 //! Throughput and latency are read by `benchmark/` (socket to socket,

@@ -54,7 +54,7 @@ impl Scale {
                 ..CorpusConfig::default()
             },
             workload: WorkloadConfig {
-                num_queries: 24,
+                num_queries: 40,
                 ..WorkloadConfig::default()
             },
             topic_counts: vec![10, 20, 40],
@@ -65,7 +65,7 @@ impl Scale {
             cycle_lengths: vec![2, 4],
             fig6_doc_counts: vec![200, 400, 800],
             queries_per_setting: 10,
-            adversary_queries: 8,
+            adversary_queries: 40,
         }
     }
 

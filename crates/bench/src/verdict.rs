@@ -1,6 +1,6 @@
-//! Invariant verdicts: what the gating runs (`audit`, `planner`, the
-//! six fleet scenarios) hand back, and the one route that turns them
-//! into `reproduce`'s exit status.
+//! Invariant verdicts: what every experiment and fleet scenario hands
+//! back, and the one route that turns them into `reproduce`'s exit
+//! status.
 
 /// One named invariant a run asserted.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +44,7 @@ impl InvariantBlock {
     }
 }
 
-/// The outcome of one gating run: a fleet scenario, or the `audit` or
-/// `planner` experiment.
+/// The outcome of one gating run: an experiment or a fleet scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// The run's name (`churn`, `chaos`, `audit`, ...).

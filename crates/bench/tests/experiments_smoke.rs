@@ -1,9 +1,10 @@
-//! Smoke test for the reproduction harness: every table-only experiment
-//! in `experiments::ALL` runs at quick scale and produces well-formed
-//! tables (non-empty, rectangular, CSV-serializable).
+//! Smoke test for the reproduction harness: every experiment in
+//! `experiments::ALL` but the fleet rows runs at quick scale, produces
+//! well-formed tables (non-empty, rectangular, CSV-serializable), and
+//! passes every claim it checks.
 
-use toppriv_bench::experiments::{self, Run};
-use toppriv_bench::{ExperimentContext, ResultTable, Scale};
+use toppriv_bench::experiments;
+use toppriv_bench::{verdict, ExperimentContext, ResultTable, Scale};
 
 fn check(tables: &[ResultTable], exp: &str) {
     assert!(!tables.is_empty(), "{exp}: no tables");
@@ -32,11 +33,17 @@ fn check(tables: &[ResultTable], exp: &str) {
 fn every_experiment_runs_at_quick_scale() {
     let ctx = ExperimentContext::build(Scale::quick(), None);
     for (exp, run) in experiments::ALL {
-        // The gating rows run in CI through `reproduce`, whose exit
-        // status is their verdict; their timing checks
-        // (`degraded_drain_bounded`, `auditor_overhead_within_budget`)
-        // do not belong under a parallel debug `cargo test`.
-        let Run::Tables(f) = run else { continue };
-        check(&f(&ctx), exp);
+        // The fleet rows run in CI through `reproduce`, whose exit status
+        // is their verdict; their timing checks (`degraded_drain_bounded`,
+        // `auditor_overhead_within_budget`) do not belong under a
+        // parallel debug `cargo test`.
+        if ["scenarios", "audit", "planner"].contains(exp) {
+            continue;
+        }
+        let (tables, reports) = run(&ctx);
+        check(&tables, exp);
+        assert!(!reports.is_empty(), "{exp}: asserts nothing");
+        let (status, failed) = verdict::exit_status(&reports);
+        assert_eq!(status, 0, "{exp}:\n{failed}");
     }
 }

@@ -143,9 +143,6 @@ pub struct GhostGenerator {
     belief: BeliefEngine,
     requirement: PrivacyRequirement,
     config: GhostConfig,
-    /// When false, Step 3(c)'s effectiveness check is skipped (every
-    /// candidate ghost is kept). Exists for the ablation study only.
-    effectiveness_check: bool,
     /// Corpus-wide `Pr(w) = Σ_t Pr(w|t)·Pr(t)`, materialized only for
     /// [`TermSelection::SpecificityMatched`].
     word_prior: Option<Vec<f64>>,
@@ -160,7 +157,6 @@ impl GhostGenerator {
             belief,
             requirement,
             config,
-            effectiveness_check: true,
             word_prior,
         }
     }
@@ -185,12 +181,6 @@ impl GhostGenerator {
     fn specificity(&self, w: TermId) -> f64 {
         let pr = self.word_prior.as_ref().expect("prior materialized")[w as usize];
         -pr.max(f64::MIN_POSITIVE).ln()
-    }
-
-    /// Disables the Step 3(c) effectiveness check (ablation `abl1`).
-    pub fn without_effectiveness_check(mut self) -> Self {
-        self.effectiveness_check = false;
-        self
     }
 
     /// The belief engine in use.
@@ -331,7 +321,7 @@ impl GhostGenerator {
                 .map(|t| (posterior_sum[t] + ghost_posterior[t]) / members - prior[t])
                 .collect();
             let new_exposure = exposure(&new_boosts, &intention);
-            if self.effectiveness_check && !reuse_phase && new_exposure >= cycle_exposure {
+            if !reuse_phase && new_exposure >= cycle_exposure {
                 // Ghost increases (or fails to reduce) exposure: discard it
                 // and mark the topic ineffective.
                 ineffective.push(tm);
@@ -701,11 +691,42 @@ mod tests {
     }
 
     #[test]
-    fn ablation_without_check_keeps_all_ghosts() {
-        let model = trained_model();
-        let gen = generator(&model).without_effectiveness_check();
+    fn step_3c_rejects_a_ghost_that_carries_the_intention() {
+        // Topics 0 and 1 share the same four words; topic 2 owns four
+        // others. Topic 1 is the corpus's most common topic, so a query in
+        // those words boosts topic 0 alone: the intention is {0}, and
+        // topic 1 is a masking topic whose ghost can only be the query
+        // itself, which cannot lower the exposure.
+        let (k, v) = (3, 8);
+        let mut phi_wk = vec![0.0; v * k];
+        for w in 0..4 {
+            phi_wk[w * k] = 0.25;
+            phi_wk[w * k + 1] = 0.25;
+        }
+        for w in 4..8 {
+            phi_wk[w * k + 2] = 0.25;
+        }
+        let theta_dk: Vec<f64> = (0..10)
+            .flat_map(|d| match d {
+                0 => [0.9, 0.05, 0.05],
+                1..=6 => [0.02, 0.9, 0.08],
+                _ => [0.02, 0.08, 0.9],
+            })
+            .collect();
+        let model = std::sync::Arc::new(LdaModel::from_parts(k, v, 0.1, 0.1, phi_wk, theta_dk));
+        model.validate().unwrap();
+        let gen = GhostGenerator::new(
+            BeliefEngine::new(model),
+            PrivacyRequirement::new(0.10, 0.01).unwrap(),
+            GhostConfig::default(),
+        );
         let result = gen.generate(&[0, 1, 2, 3]);
-        assert!(result.ineffective_topics.is_empty());
+        assert_eq!(result.intention, vec![0]);
+        assert!(
+            result.ineffective_topics.contains(&1),
+            "the intention-carrying ghost is rejected: {result:?}"
+        );
+        assert!(!result.masking_topics.contains(&1));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod client;
 pub mod ghost;
 pub mod history;
 pub mod metrics;
-pub mod oblivious;
 pub mod pacing;
 pub mod privacy;
 
@@ -48,7 +47,6 @@ pub use metrics::{
     exposure, intention_ranks, mask_level, max_rank_of_intention, semantic_coherence,
     substitute_in_cycle_boosts, PrivacyMetrics,
 };
-pub use oblivious::{oblivious_fetch, CommutativeKey, ObliviousClient, ObliviousServer};
 pub use pacing::{
     merge_schedules, PacingConfig, PacingScheduler, PacingStrategy, ScheduledQuery,
     M_PACING_GAP_US, M_PACING_GENUINE_DELAY_US,

@@ -32,4 +32,4 @@ pub use evolve::EvolutionConfig;
 pub use generator::SyntheticCorpus;
 pub use spec::{CorpusConfig, GeneratedDoc, TopicGroundTruth};
 pub use stats::{fit_heaps, vocabulary_growth, CorpusStats};
-pub use workload::{generate_workload, relevance_judgments, BenchmarkQuery, WorkloadConfig};
+pub use workload::{generate_workload, BenchmarkQuery, WorkloadConfig};

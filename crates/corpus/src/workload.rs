@@ -120,24 +120,6 @@ pub fn generate_workload(corpus: &SyntheticCorpus, config: &WorkloadConfig) -> V
     queries
 }
 
-/// Ground-truth relevance: a document is relevant to a query if its combined
-/// mixture weight on the query's target topics is at least `threshold`.
-pub fn relevance_judgments(
-    corpus: &SyntheticCorpus,
-    query: &BenchmarkQuery,
-    threshold: f64,
-) -> HashSet<u32> {
-    corpus
-        .docs
-        .iter()
-        .filter(|d| {
-            let mass: f64 = query.target_topics.iter().map(|&t| d.topic_weight(t)).sum();
-            mass >= threshold
-        })
-        .map(|d| d.id)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +177,6 @@ mod tests {
             for tok in &q.tokens {
                 assert!(topic_terms.contains(tok), "term outside target topic");
             }
-        }
-    }
-
-    #[test]
-    fn relevance_judgments_respect_threshold() {
-        let corpus = tiny_corpus();
-        let queries = generate_workload(&corpus, &WorkloadConfig::default());
-        let q = &queries[0];
-        let strict = relevance_judgments(&corpus, q, 0.9);
-        let loose = relevance_judgments(&corpus, q, 0.1);
-        assert!(strict.len() <= loose.len());
-        for id in &strict {
-            assert!(loose.contains(id));
         }
     }
 }

@@ -32,23 +32,14 @@
 //! assert!((posterior.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 //! ```
 
-pub mod eval;
 pub mod infer;
 pub mod model;
-pub mod plsa;
-pub mod reduce;
 pub mod report;
 pub mod serialize;
 pub mod train;
 
-pub use eval::{
-    held_out_perplexity, model_topic_coherences, query_coherence, umass_coherence,
-    CoOccurrenceIndex,
-};
 pub use infer::{InferenceConfig, Inferencer};
 pub use model::{LdaModel, LdaSizeBreakdown};
-pub use plsa::{PlsaConfig, PlsaModel};
-pub use reduce::{sample_docs, ReducedModel, ReductionConfig, TermStats, VocabMap};
 pub use report::{
     all_topics, best_matching_topic, mean_pairwise_topic_similarity, topic_cosine, topic_report,
     TopicReport,

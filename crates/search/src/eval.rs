@@ -1,58 +1,6 @@
-//! Retrieval effectiveness metrics.
-//!
-//! Used to verify the headline usability property of TopPriv: because ghost
-//! queries are separate queries whose results are discarded, precision and
-//! recall of the genuine query are untouched (unlike the canonical-query
-//! substitution of Murugesan & Clifton, which the paper criticizes).
+//! Result-list comparison.
 
 use crate::topk::SearchHit;
-use std::collections::HashSet;
-
-/// Precision@k: fraction of the top-k results that are relevant.
-pub fn precision_at_k(hits: &[SearchHit], relevant: &HashSet<u32>, k: usize) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let considered = hits.iter().take(k).count();
-    if considered == 0 {
-        return 0.0;
-    }
-    let good = hits
-        .iter()
-        .take(k)
-        .filter(|h| relevant.contains(&h.doc_id))
-        .count();
-    good as f64 / considered as f64
-}
-
-/// Recall@k: fraction of relevant documents retrieved in the top k.
-pub fn recall_at_k(hits: &[SearchHit], relevant: &HashSet<u32>, k: usize) -> f64 {
-    if relevant.is_empty() {
-        return 0.0;
-    }
-    let good = hits
-        .iter()
-        .take(k)
-        .filter(|h| relevant.contains(&h.doc_id))
-        .count();
-    good as f64 / relevant.len() as f64
-}
-
-/// Average precision over the full ranked list.
-pub fn average_precision(hits: &[SearchHit], relevant: &HashSet<u32>) -> f64 {
-    if relevant.is_empty() {
-        return 0.0;
-    }
-    let mut good = 0usize;
-    let mut sum = 0.0;
-    for (i, h) in hits.iter().enumerate() {
-        if relevant.contains(&h.doc_id) {
-            good += 1;
-            sum += good as f64 / (i + 1) as f64;
-        }
-    }
-    sum / relevant.len() as f64
-}
 
 /// Whether two ranked lists are identical (ids and order). The TopPriv
 /// usability invariant is that filtered-cycle results equal solo-query
@@ -76,32 +24,6 @@ mod tests {
                 score: 1.0 - i as f64 * 0.1,
             })
             .collect()
-    }
-
-    #[test]
-    fn precision_and_recall() {
-        let h = hits(&[1, 2, 3, 4]);
-        let rel: HashSet<u32> = [1, 3, 9].into_iter().collect();
-        assert!((precision_at_k(&h, &rel, 2) - 0.5).abs() < 1e-12);
-        assert!((precision_at_k(&h, &rel, 4) - 0.5).abs() < 1e-12);
-        assert!((recall_at_k(&h, &rel, 4) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(precision_at_k(&h, &rel, 0), 0.0);
-    }
-
-    #[test]
-    fn average_precision_example() {
-        let h = hits(&[1, 5, 3]);
-        let rel: HashSet<u32> = [1, 3].into_iter().collect();
-        // AP = (1/1 + 2/3) / 2
-        assert!((average_precision(&h, &rel) - (1.0 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_relevance() {
-        let h = hits(&[1]);
-        let rel = HashSet::new();
-        assert_eq!(recall_at_k(&h, &rel, 1), 0.0);
-        assert_eq!(average_precision(&h, &rel), 0.0);
     }
 
     #[test]

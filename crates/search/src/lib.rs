@@ -2,9 +2,8 @@
 //!
 //! The similarity search engine substrate — the paper's *unmodified*
 //! enterprise server. Supports TF-IDF cosine (default) and BM25 scoring
-//! over the `tsearch-index` inverted index, exposes the server-side query
-//! log that the curious adversary analyzes, and provides retrieval metrics
-//! used to verify that TopPriv leaves result quality untouched.
+//! over the `tsearch-index` inverted index, and exposes the server-side
+//! query log that the curious adversary analyzes.
 //!
 //! ## Example
 //!
@@ -27,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod boolean;
 pub mod engine;
 pub mod eval;
 pub mod log;
@@ -36,9 +34,8 @@ pub mod score;
 pub mod sharded;
 pub mod topk;
 
-pub use boolean::{evaluate_boolean, gallop_intersect, BooleanQuery};
 pub use engine::{SearchEngine, M_EVAL_US};
-pub use eval::{average_precision, precision_at_k, recall_at_k, result_lists_identical};
+pub use eval::result_lists_identical;
 pub use log::{LoggedQuery, QueryLog};
 pub use query::Query;
 pub use score::ScoringModel;
