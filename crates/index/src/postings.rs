@@ -7,13 +7,19 @@
 //!
 //! Decoding is the inner loop of every evaluation, and nearly every pair
 //! is two single-byte varints (a gap under 128 to the previous document,
-//! a term frequency under 129). [`PostingsIter`] reads such a pair
+//! a term frequency under 129). [`PostingsIter::next`] reads such a pair
 //! straight off the slice and hands everything else — continuation
 //! bytes, truncation, overflow — to [`crate::varint::decode_u32`], the
 //! one decoder that understands them; a pair whose doc id or tf would
-//! leave `u32` ends the list like any other malformed tail. The shortcut sits inside `next()`
-//! so every reader gets it; [`PostingsList::from_raw_parts`] still walks
-//! untrusted bytes through that same `next()` before a list exists.
+//! leave `u32` ends the list like any other malformed tail. `next()` is
+//! the only general decoder: [`PostingsList::from_raw_parts`] walks
+//! untrusted bytes through it before a list exists.
+//!
+//! A reader that drives the whole list through `fold` or `for_each` (the
+//! engine's scoring loops) also gets a word-at-a-time path: one `u64` load
+//! yields four one-byte pairs when none of its eight bytes has the high
+//! bit set and the doc id cannot leave `u32` within them. Every other step
+//! is one `next()`, so the postings, and where they stop, are `next()`'s.
 
 use crate::varint::{decode_u32, encode_u32};
 use serde::{Deserialize, Serialize};
@@ -180,6 +186,46 @@ impl Iterator for PostingsIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining as usize, Some(self.remaining as usize))
     }
+
+    /// Takes four one-byte `(gap, tf − 1)` pairs per 8-byte load while at
+    /// least four postings remain and no doc id can leave `u32`; every
+    /// other posting is one call to [`PostingsIter::next`].
+    fn fold<B, F>(mut self, mut acc: B, mut f: F) -> B
+    where
+        F: FnMut(B, Posting) -> B,
+    {
+        /// The high bit of each byte: set on a varint continuation byte.
+        const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+        /// The most four one-byte pairs can advance the doc id: 4 × (127 + 1).
+        const MAX_WORD_ADVANCE: u32 = 512;
+        loop {
+            if let (4.., Some(prev), Some((word, rest))) = (
+                self.remaining,
+                self.prev,
+                self.cursor.split_first_chunk::<8>(),
+            ) {
+                let word = u64::from_le_bytes(*word);
+                if word & HIGH_BITS == 0 && prev <= u32::MAX - MAX_WORD_ADVANCE {
+                    let mut doc_id = prev;
+                    for pair in 0..4 {
+                        let gap = (word >> (16 * pair)) as u8;
+                        let tf_minus_one = (word >> (16 * pair + 8)) as u8;
+                        doc_id += u32::from(gap) + 1;
+                        let tf = u32::from(tf_minus_one) + 1;
+                        acc = f(acc, Posting { doc_id, tf });
+                    }
+                    self.prev = Some(doc_id);
+                    self.remaining -= 4;
+                    self.cursor = rest;
+                    continue;
+                }
+            }
+            match self.next() {
+                Some(posting) => acc = f(acc, posting),
+                None => return acc,
+            }
+        }
+    }
 }
 
 impl ExactSizeIterator for PostingsIter<'_> {}
@@ -229,6 +275,7 @@ impl PostingsBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<Posting> {
         vec![
@@ -330,6 +377,123 @@ mod tests {
             assert_eq!(it.len(), 0);
             assert_eq!(it.next(), None);
             assert!(PostingsList::from_raw_parts(good + 1, bytes).is_none());
+        }
+    }
+
+    /// A list of `len` postings over `bytes` as given: no validation, so
+    /// the bytes may say anything.
+    fn raw(len: u32, bytes: &[u8]) -> PostingsList {
+        PostingsList {
+            len,
+            bytes: bytes.to_vec(),
+        }
+    }
+
+    /// The postings after the first `skip`, one `next()` at a time, and
+    /// the same through `fold` after `skip` calls to `next()`.
+    fn stepped_and_folded(list: &PostingsList, skip: usize) -> (Vec<Posting>, Vec<Posting>) {
+        let stepped = list.iter().skip(skip).collect();
+        let mut it = list.iter();
+        for _ in 0..skip {
+            it.next();
+        }
+        let folded = it.fold(Vec::new(), |mut out, p| {
+            out.push(p);
+            out
+        });
+        (stepped, folded)
+    }
+
+    fn assert_fold_is_next(list: &PostingsList) {
+        for skip in 0..=5 {
+            let (stepped, folded) = stepped_and_folded(list, skip);
+            assert_eq!(folded, stepped, "skip {skip} of {list:?}");
+        }
+    }
+
+    /// `count` one-byte pairs: gaps and tfs − 1 cycling below 128.
+    fn one_byte_pairs(count: usize) -> Vec<u8> {
+        (0..count)
+            .flat_map(|i| [(i * 37 % 128) as u8, (i * 11 % 128) as u8])
+            .collect()
+    }
+
+    #[test]
+    fn fold_stops_where_next_does_at_every_length() {
+        let bytes = one_byte_pairs(9);
+        for len in 0..=9 {
+            let list = raw(len, &bytes);
+            assert_eq!(list.iter().count(), len as usize);
+            assert_fold_is_next(&list);
+        }
+        // Fewer bytes than `len` promises.
+        for cut in 0..bytes.len() {
+            assert_fold_is_next(&raw(9, &bytes[..cut]));
+        }
+    }
+
+    #[test]
+    fn fold_falls_back_on_a_high_bit_at_every_offset_of_a_word() {
+        let mut bytes = one_byte_pairs(12);
+        // The first posting is `next()`'s; the word starts after it.
+        for offset in 0..8 {
+            let mut patched = bytes.clone();
+            patched[2 + offset] |= 0x80;
+            for len in [4, 5, 6] {
+                assert_fold_is_next(&raw(len, &patched));
+            }
+        }
+        // A high bit in every byte, and a 5-byte varint past `u32`.
+        bytes.iter_mut().for_each(|b| *b |= 0x80);
+        assert_fold_is_next(&raw(6, &bytes));
+        assert_fold_is_next(&raw(6, &[0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0, 1, 1]));
+    }
+
+    #[test]
+    fn fold_takes_the_first_gap_as_the_doc_id() {
+        let list = raw(5, &[5, 2, 0, 0, 1, 0, 127, 127, 0, 3]);
+        let expected = [(5, 3), (6, 1), (8, 1), (136, 128), (137, 4)]
+            .map(|(doc_id, tf)| Posting { doc_id, tf });
+        assert_eq!(stepped_and_folded(&list, 0).1, expected);
+        assert_fold_is_next(&list);
+    }
+
+    #[test]
+    fn fold_near_u32_max_ends_where_next_does() {
+        for below_max in [0, 1, 2, 127, 128, 384, 510, 511, 512, 513, 640, 1024] {
+            let mut bytes = Vec::new();
+            encode_u32(&mut bytes, u32::MAX - below_max);
+            bytes.push(0);
+            for gap in [127u8, 0, 127, 127, 5, 127, 127, 127, 127, 0] {
+                bytes.extend([gap, 1]);
+            }
+            let list = raw(11, &bytes);
+            assert_fold_is_next(&list);
+            let last = list.iter().fold(None, |_, p| Some(p.doc_id));
+            assert!(last.is_some_and(|d| d >= u32::MAX - below_max));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fold_yields_exactly_what_next_does(
+            len in 0u32..40,
+            // Mostly one-byte values, so whole words qualify, with a
+            // continuation byte now and then.
+            bytes in collection::vec(
+                (0u8..8, any::<u8>()).prop_map(|(roll, b)| if roll == 0 { b } else { b & 0x7F }),
+                0..90,
+            ),
+            // Optionally start a few words below `u32::MAX`.
+            lift in prop_oneof![0u32..1, (u32::MAX - 2048)..=u32::MAX],
+        ) {
+            let mut head = Vec::new();
+            if lift > 0 {
+                encode_u32(&mut head, lift);
+                head.push(0);
+            }
+            let list = raw(len, &[head, bytes].concat());
+            assert_fold_is_next(&list);
         }
     }
 

@@ -22,6 +22,13 @@
 //! prices the `tf`s nearly every posting carries once, into a `TfTable`
 //! filled by [`ScoringModel::doc_weight`] itself; the loop reads the
 //! table and falls back to the call for anything the table lacks.
+//!
+//! Every posting loop of both engines (`accumulate_term` and the two
+//! cosine-norm passes) is driven by `for_each`, not `for`: that reaches
+//! [`tsearch_index::postings::PostingsIter`]'s `fold`, which decodes four
+//! one-byte postings per 8-byte load, so decode, pricing and the add are
+//! one loop. It yields `next()`'s postings in `next()`'s order, so no
+//! score changes a bit.
 
 use crate::log::QueryLog;
 use crate::query::Query;
@@ -313,9 +320,10 @@ pub(crate) fn accumulate_term(
         return;
     }
     let table = TfTable::new(model, qw, avg_len);
-    for posting in index.postings(term).iter() {
-        acc.add(posting.doc_id, table.price(index, posting));
-    }
+    index
+        .postings(term)
+        .iter()
+        .for_each(|posting| acc.add(posting.doc_id, table.price(index, posting)));
 }
 
 /// Term frequencies below this are priced from a [`TfTable`]; on the
@@ -380,10 +388,10 @@ fn compute_doc_norms(index: &InvertedIndex, model: ScoringModel) -> Vec<f64> {
     }
     let table = TfTable::new(model, 1.0, index.avg_doc_len());
     for term in 0..index.num_terms() as u32 {
-        for posting in index.postings(term).iter() {
+        index.postings(term).iter().for_each(|posting| {
             let w = table.price(index, posting);
             sums[posting.doc_id as usize] += w * w;
-        }
+        });
     }
     sums.iter().map(|s| s.sqrt()).collect()
 }
@@ -479,6 +487,75 @@ mod tests {
 
     fn bits(hits: &[SearchHit]) -> Vec<(u32, u64)> {
         hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn multi_byte_pairs_at_every_word_alignment_score_as_bruteforce_does() {
+        // Term t's every (5 + t)-th posting is a multi-byte pair, a gap
+        // ≥ 128 and a tf ≥ 129 in turn. The word-at-a-time decoder resumes
+        // right after one, so the next sits at pair t of a word: terms 0–3
+        // cover all four alignments. Term 4 is in every document, so none
+        // is empty.
+        const TERMS: usize = 4;
+        let mut tfs: Vec<[usize; TERMS + 1]> = Vec::new();
+        for t in 0..TERMS {
+            let period = 5 + t;
+            let mut doc = 0;
+            for i in 0..60 {
+                let (gap, tf) = match (i > 0 && i % period == 0, i / period % 2) {
+                    (true, 0) => (128 + t, 1 + i % 3),
+                    (true, _) => (i % 4, 129 + i),
+                    (false, _) => (i % 4, 1 + i % 3),
+                };
+                doc = if i == 0 { gap } else { doc + gap + 1 };
+                if tfs.len() <= doc {
+                    tfs.resize(doc + 1, [0; TERMS + 1]);
+                }
+                tfs[doc][t] = tf;
+            }
+        }
+        let docs: Vec<Vec<TermId>> = tfs
+            .iter()
+            .map(|row| {
+                let mut tokens = vec![TERMS as TermId];
+                for (t, &tf) in row[..TERMS].iter().enumerate() {
+                    tokens.extend(std::iter::repeat_n(t as TermId, tf));
+                }
+                tokens
+            })
+            .collect();
+        let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
+        let texts = vec![String::new(); docs.len()];
+        let mut vocab = Vocabulary::new();
+        for t in 0..=TERMS {
+            vocab.intern(&format!("term{t}"));
+        }
+        for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
+            let engine = SearchEngine::build(&refs, &texts, Analyzer::new(), vocab.clone(), model);
+            let index = engine.index();
+            assert!((0..TERMS as TermId).all(|t| index.max_tf(t) >= 129));
+            // The norms come from the folded loop; recompute each from
+            // `next()` (`term_freq`), summed in the same ascending term order.
+            if model.needs_cosine_norm() {
+                let table = TfTable::new(model, 1.0, index.avg_doc_len());
+                for (doc_id, norm) in (0..).zip(&engine.doc_norms) {
+                    let sum: f64 = (0..=TERMS as TermId)
+                        .map(|t| index.term_freq(t, doc_id))
+                        .filter(|&tf| tf > 0)
+                        .map(|tf| table.price(index, Posting { doc_id, tf }))
+                        .fold(0.0, |sum, w| sum + w * w);
+                    assert_eq!(norm.to_bits(), sum.sqrt().to_bits(), "doc {doc_id}");
+                }
+            }
+            for query in [&[0][..], &[1], &[2], &[3], &[0, 1, 2, 3], &[3, 1, 1, 4]] {
+                let q = Query::from_tokens(query);
+                assert_eq!(
+                    bits(&engine.evaluate(&q, docs.len())),
+                    bits(&engine.evaluate_bruteforce(&q, docs.len())),
+                    "model {model:?} query {query:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -339,10 +339,10 @@ fn compute_global_doc_norms(index: &ShardedIndex, model: ScoringModel) -> Vec<f6
     // the norms are bit-identical.
     for term in 0..index.num_terms() as TermId {
         let shard = index.owner(term);
-        for posting in shard.postings(term).iter() {
+        shard.postings(term).iter().for_each(|posting| {
             let w = table.price(shard, posting);
             sums[posting.doc_id as usize] += w * w;
-        }
+        });
     }
     sums.iter().map(|s| s.sqrt()).collect()
 }
