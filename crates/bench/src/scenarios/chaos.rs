@@ -13,11 +13,11 @@
 //!   incarnation) must roll back so cleanly that the tenant's trace
 //!   accounting is `to_bits`-identical to the never-formulated
 //!   snapshot, while the other tenants' cycles still deliver.
-//! - **Quarantine + degraded drain**: a one-shot 1 s stall on shard 0
-//!   outlives a 200 ms drain deadline. The watchdog bounds the degraded
-//!   drain (instead of hanging the full stall), the shard is
-//!   quarantined and sits out the next drain, and the re-admission
-//!   probe restores full service.
+//! - **Watchdog + degraded drain**: a one-shot 1 s stall holds a
+//!   one-worker drain past its 200 ms deadline. The watchdog bounds the
+//!   degraded drain (instead of hanging the full stall): the stalled
+//!   submission fails, its cycle rolls back, and the same scheduler's
+//!   next drain delivers every entry the cut left unresolved.
 
 use super::{finish, sharded_tier, ScenarioReport, FLEET_SEED, SHARDS, TOP_K, WORKERS};
 use crate::context::ExperimentContext;
@@ -26,8 +26,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toppriv_service::{
-    AuditConfig, CycleScheduler, DrainPolicy, FaultKind, FaultPlane, FaultSpec, PlannedQuery,
-    SessionManager, SessionMetrics, SubmitOutcome,
+    AuditConfig, CycleScheduler, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager,
+    SessionMetrics, SubmitOutcome,
 };
 
 /// Tenants per phase.
@@ -45,7 +45,7 @@ const RATES: [f64; 3] = [0.0, 0.01, 0.05];
 /// Watchdog deadline for the degraded-drain probe.
 const DEADLINE_MS: u64 = 200;
 
-/// Injected stall for the quarantine probe — must dwarf the deadline so
+/// Injected stall for the watchdog probe — must dwarf the deadline so
 /// a bounded drain proves the watchdog, not a lucky short stall.
 const STALL_MS: u64 = 1000;
 
@@ -311,33 +311,28 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             && survivors.len() == 3,
     );
 
-    // ── Quarantine: stall > deadline, sit out one drain, recover. ──
+    // ── Watchdog: stall > deadline, roll back, redeliver the rest. ──
     let stall_plane = Arc::new(
         FaultPlane::new(CHAOS_SEED).with_spec(
             FaultSpec::rate(FaultKind::ShardStall, 1.0)
-                .on_shard(0)
                 .stalling_ms(STALL_MS)
                 .limit(1),
         ),
     );
-    let quarantined = chaos_manager(ctx, Some(stall_plane));
-    super::open_tenants(&quarantined, 6);
+    let stalled = chaos_manager(ctx, Some(stall_plane));
+    super::open_tenants(&stalled, 6);
     let mut plans = Vec::new();
-    for (s, id) in quarantined.session_ids().iter().enumerate() {
+    for (s, id) in stalled.session_ids().iter().enumerate() {
         plans.push(
-            quarantined
+            stalled
                 .plan_cycle(id, &queries[(s + 5) % queries.len()].tokens, TOP_K)
                 .expect("session is open"),
         );
     }
-    let scheduler = CycleScheduler::for_manager(&quarantined, WORKERS).with_policy(DrainPolicy {
-        max_attempts: 2,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(5),
-        deadline: Duration::from_millis(DEADLINE_MS),
-        quarantine_threshold: 1,
-        quarantine_drains: 2,
-    });
+    // One worker, so the stalled submission holds the whole queue and
+    // only the watchdog can end the drain.
+    let scheduler =
+        CycleScheduler::for_manager(&stalled, 1).with_deadline(Duration::from_millis(DEADLINE_MS));
     let t0 = Instant::now();
     let err = scheduler
         .try_drain(CycleScheduler::merge(plans))
@@ -351,7 +346,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         .map(|f| (f.session.clone(), f.cycle_id))
         .collect();
     for (session, cycle_id) in &victims {
-        quarantined
+        stalled
             .rollback_cycle(session, *cycle_id)
             .expect("failed cycle is in the rollback window");
     }
@@ -360,30 +355,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         .into_iter()
         .filter(|p| !victims.contains(&(p.session.clone(), p.scheduled.cycle_id)))
         .collect();
-    let stalled_on_shard0 = err.failures.iter().all(|f| f.shard == 0) && !err.failures.is_empty();
-    // Second drain, while shard 0 sits in quarantine: a fresh round of
-    // cycles (plus whatever the degraded drain left unresolved) drains
-    // everywhere else, and every shard-0 entry is skipped back into
-    // `unresolved` — the degraded, still-serving fleet.
-    let mut round2 = vec![pending];
-    for (s, id) in quarantined.session_ids().iter().enumerate() {
-        round2.push(
-            quarantined
-                .plan_cycle(id, &queries[(s + 11) % queries.len()].tokens, TOP_K)
-                .expect("session is open"),
-        );
-    }
-    let skipped = match scheduler.try_drain(CycleScheduler::merge(round2)) {
-        Ok(_) => Vec::new(),
-        Err(e) => e.unresolved,
-    };
-    let in_quarantine = scheduler
-        .quarantined_shards()
-        .iter()
-        .any(|&(shard, _)| shard == 0);
-    // Third drain is the re-admission probe: the stall budget is spent,
-    // so shard 0 serves again.
-    let probe = scheduler.try_drain(skipped.clone());
+    let unresolved = pending.len();
+    let redelivered = scheduler.try_drain(pending);
     let recovery_ms = t_recover.elapsed().as_millis() as u64;
     inv.check(
         "degraded_drain_bounded",
@@ -393,19 +366,18 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
         ),
         degraded_ms < 2 * DEADLINE_MS,
     );
-    let probed_ok = matches!(&probe, Ok(outcomes) if !outcomes.is_empty());
+    let redelivered_all = matches!(&redelivered, Ok(outcomes) if outcomes.len() == unresolved);
     inv.check(
-        "quarantine_then_recovery",
+        "unresolved_entries_redeliver",
         format!(
-            "{} terminal failure(s) on shard 0 → quarantined (observed: {in_quarantine}), \
-             {} entries skipped one drain, probe redelivered {} in {recovery_ms} ms",
+            "{} terminal failure(s) rolled back, {unresolved} entries left unresolved; the \
+             next drain delivered {} in {recovery_ms} ms",
             err.failures.len(),
-            skipped.len(),
-            probe.as_ref().map(|o| o.len()).unwrap_or(0)
+            redelivered.as_ref().map(|o| o.len()).unwrap_or(0)
         ),
-        stalled_on_shard0 && in_quarantine && !skipped.is_empty() && probed_ok,
+        !err.failures.is_empty() && unresolved > 0 && redelivered_all,
     );
-    let codes: HashSet<String> = quarantined
+    let codes: HashSet<String> = stalled
         .auditor()
         .map(|a| a.tail(128).iter().map(|e| e.code.clone()).collect())
         .unwrap_or_default();
@@ -416,13 +388,11 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     inv.check(
         "fault_events_journaled",
         format!(
-            "quarantine fleet journaled {codes:?}; doomed fleet journaled \
+            "stalled fleet journaled {codes:?}; doomed fleet journaled \
              cycle_rolled_back: {}",
             doomed_codes.contains("cycle_rolled_back")
         ),
-        codes.contains("shard_quarantined")
-            && codes.contains("degraded_drain")
-            && doomed_codes.contains("cycle_rolled_back"),
+        codes.contains("degraded_drain") && doomed_codes.contains("cycle_rolled_back"),
     );
 
     // The 5% phase's manager carries the faulty fleet's audit verdict.
@@ -430,7 +400,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     for phase in &phases {
         phase.manager.tier().clear_query_logs();
     }
-    quarantined.tier().clear_query_logs();
+    stalled.tier().clear_query_logs();
     doomed.tier().clear_query_logs();
     report
 }

@@ -123,7 +123,7 @@ impl ShardedEngine {
         self.index.num_shards()
     }
 
-    /// The term router (shared with schedulers that plan shard sets).
+    /// The term router (which shard owns each term).
     pub fn router(&self) -> &ShardRouter {
         self.index.router()
     }

@@ -355,9 +355,9 @@ impl PrivacyAuditor {
         );
     }
 
-    /// Journals one scheduler-plane event (`shard_quarantined`,
-    /// `degraded_drain`, ...) through the same exactly-once-free emit
-    /// path as the invariant events. Scheduler-internal.
+    /// Journals one scheduler-plane event (`degraded_drain`) through the
+    /// same exactly-once-free emit path as the invariant events.
+    /// Scheduler-internal.
     pub(crate) fn note(
         &self,
         severity: AuditSeverity,

@@ -1,10 +1,9 @@
 //! The fleet fault plane: seeded, deterministic fault injection.
 //!
 //! One API for every injected fault: a set of [`FaultSpec`]s, each
-//! naming a [`FaultKind`], a firing rate, and optional scoping (one
-//! failure domain — a submission's primary shard — a fire budget, a
-//! stall duration, a submission predicate). The
-//! plane is threaded through the scheduler (worker panics, shard
+//! naming a [`FaultKind`], a firing rate, and optional scoping (a fire
+//! budget, a stall duration, a submission predicate). The plane is
+//! threaded through the scheduler (worker panics, shard
 //! stalls) and the auditor and session spill paths (store write/read
 //! errors) — the same object, consulted at every layer, so one seed
 //! reproduces one fleet-wide fault schedule.
@@ -103,9 +102,6 @@ pub struct FaultSpec {
     /// Per-decision firing probability in `[0, 1]` (deterministic: the
     /// seeded key hash is compared against this rate).
     pub rate: f64,
-    /// Restrict to submissions whose primary shard is this one
-    /// (`None` = any / not shard-scoped).
-    pub shard: Option<usize>,
     /// Stop firing after this many fires (0 = unlimited).
     pub max_fires: u64,
     /// [`FaultKind::ShardStall`] duration in milliseconds.
@@ -120,7 +116,6 @@ impl std::fmt::Debug for FaultSpec {
         f.debug_struct("FaultSpec")
             .field("kind", &self.kind)
             .field("rate", &self.rate)
-            .field("shard", &self.shard)
             .field("max_fires", &self.max_fires)
             .field("stall_ms", &self.stall_ms)
             .field("predicate", &self.predicate.is_some())
@@ -134,7 +129,6 @@ impl FaultSpec {
         FaultSpec {
             kind,
             rate: rate.clamp(0.0, 1.0),
-            shard: None,
             max_fires: 0,
             stall_ms: 0,
             predicate: None,
@@ -157,13 +151,6 @@ impl FaultSpec {
             predicate: Some(predicate),
             ..Self::rate(kind, 1.0)
         }
-    }
-
-    /// Scopes the spec to one failure domain: submissions whose primary
-    /// shard is `shard`.
-    pub fn on_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
     }
 
     /// Caps total fires.
@@ -303,7 +290,6 @@ impl FaultPlane {
     fn decide(
         &self,
         kind: FaultKind,
-        shard: Option<usize>,
         key: u64,
         attempt: u32,
         plan: Option<&PlannedQuery>,
@@ -311,11 +297,6 @@ impl FaultPlane {
         for state in &self.specs {
             if state.spec.kind != kind {
                 continue;
-            }
-            if let (Some(want), Some(is)) = (state.spec.shard, shard) {
-                if want != is {
-                    continue;
-                }
             }
             state.checked.fetch_add(1, Ordering::Relaxed);
             let fires = match (&state.spec.predicate, plan) {
@@ -333,39 +314,21 @@ impl FaultPlane {
     /// Whether `kind` fires for a bare decision key (the store layer,
     /// which has no submission in hand).
     pub fn fires_key(&self, kind: FaultKind, key: u64, attempt: u32) -> bool {
-        self.decide(kind, None, key, attempt, None).is_some()
+        self.decide(kind, key, attempt, None).is_some()
     }
 
-    /// Whether `kind` fires for one planned submission on `shard` at
-    /// retry `attempt`.
-    pub fn fires_submission(
-        &self,
-        kind: FaultKind,
-        shard: usize,
-        plan: &PlannedQuery,
-        attempt: u32,
-    ) -> bool {
-        self.decide(
-            kind,
-            Some(shard),
-            Self::submission_key(plan),
-            attempt,
-            Some(plan),
-        )
-        .is_some()
+    /// Whether `kind` fires for one planned submission at retry
+    /// `attempt`.
+    pub fn fires_submission(&self, kind: FaultKind, plan: &PlannedQuery, attempt: u32) -> bool {
+        self.decide(kind, Self::submission_key(plan), attempt, Some(plan))
+            .is_some()
     }
 
     /// The stall duration to inject for one submission, when a
     /// [`FaultKind::ShardStall`] spec fires for it.
-    pub fn stall_for(
-        &self,
-        shard: usize,
-        plan: &PlannedQuery,
-        attempt: u32,
-    ) -> Option<std::time::Duration> {
+    pub fn stall_for(&self, plan: &PlannedQuery, attempt: u32) -> Option<std::time::Duration> {
         self.decide(
             FaultKind::ShardStall,
-            Some(shard),
             Self::submission_key(plan),
             attempt,
             Some(plan),
@@ -439,7 +402,6 @@ mod tests {
                 cycle_id,
             },
             k: 10,
-            shards: vec![0],
             subscribers: Vec::new(),
         }
     }
@@ -496,19 +458,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_scope_filters() {
+    fn one_shot_stall_carries_its_duration() {
         let plane = FaultPlane::new(3).with_spec(
             FaultSpec::rate(FaultKind::ShardStall, 1.0)
-                .on_shard(2)
-                .stalling_ms(50),
+                .stalling_ms(50)
+                .limit(1),
         );
         let p = plan("s", 0, vec![1, 2]);
-        assert!(plane.stall_for(2, &p, 0).is_some());
-        assert!(plane.stall_for(1, &p, 0).is_none());
+        assert!(!plane.fires_submission(FaultKind::WorkerPanic, &p, 0));
         assert_eq!(
-            plane.stall_for(2, &p, 1).unwrap(),
-            std::time::Duration::from_millis(50)
+            plane.stall_for(&p, 0),
+            Some(std::time::Duration::from_millis(50))
         );
+        assert!(plane.stall_for(&p, 1).is_none(), "the budget is spent");
     }
 
     #[test]
@@ -520,8 +482,8 @@ mod tests {
         let bad = plan("poisoned", 0, vec![1]);
         let good = plan("healthy", 0, vec![1]);
         for attempt in 0..3 {
-            assert!(plane.fires_submission(FaultKind::WorkerPanic, 0, &bad, attempt));
-            assert!(!plane.fires_submission(FaultKind::WorkerPanic, 0, &good, attempt));
+            assert!(plane.fires_submission(FaultKind::WorkerPanic, &bad, attempt));
+            assert!(!plane.fires_submission(FaultKind::WorkerPanic, &good, attempt));
         }
     }
 

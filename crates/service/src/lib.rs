@@ -80,8 +80,8 @@ pub use persist::{
 pub use planner::GhostPlanner;
 pub use protocol::{Op, Request, Response};
 pub use scheduler::{
-    CycleScheduler, DrainError, DrainPolicy, PlannedQuery, ResilientReport, ShardFailure,
-    SubmissionTag, SubmitOutcome,
+    CycleScheduler, DrainError, PlannedQuery, ResilientReport, SubmissionFailure, SubmissionTag,
+    SubmitOutcome,
 };
 pub use server::{handle, serve_lines, serve_listener, serve_tcp};
 pub use session::{

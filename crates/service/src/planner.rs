@@ -566,7 +566,8 @@ mod tests {
                 );
             }
         }
-        let base_outcomes = CycleScheduler::for_manager(&baseline, 4).run(plans);
+        let base_outcomes =
+            CycleScheduler::for_manager(&baseline, 4).drain(CycleScheduler::merge(plans));
         // Planned: same workload through the planner.
         let planner = GhostPlanner::new(planned.clone());
         for s in 0..SESSIONS {
@@ -580,8 +581,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let plan_outcomes =
-            CycleScheduler::for_manager(&planned, 4).run(vec![planner.take_queue()]);
+        let plan_outcomes = CycleScheduler::for_manager(&planned, 4).drain(planner.take_queue());
         // Same fleet seed → same genuine members → identical hits per
         // (session, cycle): sharing decoys must not change what any
         // tenant's genuine queries return.
@@ -641,7 +641,7 @@ mod tests {
             }
         }
         assert!(!recover_lock(&planner.state).topic_weight.is_empty());
-        let outcomes = CycleScheduler::for_manager(&manager, 4).run(vec![planner.take_queue()]);
+        let outcomes = CycleScheduler::for_manager(&manager, 4).drain(planner.take_queue());
         assert!(!outcomes.is_empty());
         // Per-tenant accounting saw every member of every cycle.
         let snapshot = manager.metrics();

@@ -8,27 +8,22 @@
 //! ordering semantics — and drains it with **one shared cursor claimed
 //! by every worker**: a worker takes the next entry, evaluates the whole
 //! query through the tier (a sharded tier scatters and gathers inside
-//! `ShardedEngine`), and moves on. Shards are not a scheduling unit:
-//! nearly every multi-term query touches shard 0, so queues keyed by
-//! shard would collapse into one queue served by one worker.
-//!
-//! A submission's *primary shard* (the lowest id of the shard set
-//! [`crate::SessionManager::plan_cycle`] tags it with) survives as a
-//! **label**: the failure domain that quarantine and
-//! [`crate::FaultSpec::on_shard`] key on, and the `shard=` label of
-//! [`M_SHARD_SUBMITS`] / [`M_SERVICE_US`] / [`M_SHARD_RETRIES`].
+//! `ShardedEngine`), and moves on. Shards are neither a scheduling unit
+//! nor a failure domain above the tier: nearly every multi-term query
+//! touches every shard, so a submission carries no shard at all, and
+//! per-shard work is the engine's own `engine_shard_eval_us{shard}`.
 //!
 //! A scheduler is built from the manager whose cycles it drains
 //! ([`CycleScheduler::for_manager`]) and shares that manager's tier,
 //! cache, metrics, auditor, fault plane and session table.
 //!
-//! A drain is four steps, each its own function: **claim** (deadline
-//! watchdog and quarantine gate), **resolve with retry**, **fan-out**
-//! (one outcome and one audit fact per subscribing tenant), and — after
-//! the workers join — **settle**: every delivered member is counted
-//! against its cycle in the owning session, and a cycle whose members
-//! were all delivered leaves the rollback window. That is the only way a
-//! planned cycle is sealed, on every drain path.
+//! A drain is four steps, each its own function: **claim** (the deadline
+//! watchdog), **resolve with retry** (bounded exponential backoff),
+//! **fan-out** (one outcome and one audit fact per subscribing tenant),
+//! and — after the workers join — **settle**: every delivered member is
+//! counted against its cycle in the owning session, and a cycle whose
+//! members were all delivered leaves the rollback window. That is the
+//! only way a planned cycle is sealed, on every drain path.
 //!
 //! Draining consumes the queue in time order but does not sleep between
 //! submissions: simulated time orders the trace the engine sees, while
@@ -46,65 +41,32 @@ use crate::session::{self, RolledBackCycle, SessionManager, SessionTable};
 use crate::tier::SearchTier;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toppriv_core::ScheduledQuery;
-use toppriv_obs::{recover_lock, AuditSeverity, Counter, HistogramHandle, Span};
+use toppriv_obs::{AuditSeverity, Counter, HistogramHandle, Span};
 use tsearch_search::SearchHit;
 
 /// Metric name: queue wait (claim time − drain start, µs).
 pub const M_QUEUE_WAIT_US: &str = "scheduler_queue_wait_us";
-/// Metric name: service time (resolution latency, µs), labelled by the
-/// submission's primary shard.
+/// Metric name: service time (resolution latency, µs).
 pub const M_SERVICE_US: &str = "scheduler_service_us";
-/// Metric name: drained submission counter, labelled by primary shard.
+/// Metric name: drained submission counter. The series carries no
+/// `shard` label; the Rust name stays because `benchmark/src/fleet.rs`
+/// imports it.
 pub const M_SHARD_SUBMITS: &str = "scheduler_submits_total";
-/// Metric name: submission retry counter, labelled by primary shard.
-pub const M_SHARD_RETRIES: &str = "scheduler_retries_total";
+/// Metric name: submission retry counter.
+pub const M_RETRIES: &str = "scheduler_retries_total";
 
-/// Retry, watchdog, and quarantine knobs for a drain.
-///
-/// The defaults keep pre-fault-plane behaviour intact for healthy
-/// queues: retries only trigger after a panic, the 30 s deadline is far
-/// beyond any test drain, and quarantine needs repeated same-shard
-/// failures in one drain.
-#[derive(Debug, Clone)]
-pub struct DrainPolicy {
-    /// Attempts per submission (first try included) before the failure
-    /// is terminal.
-    pub max_attempts: u32,
-    /// First retry backoff; doubles per attempt (bounded exponential).
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Per-drain deadline: workers stop claiming once it passes, and an
-    /// injected stall that outlives it panics into the retry path — a
-    /// hung shard can no longer block [`CycleScheduler::try_drain`]
-    /// forever. Unclaimed entries come back in
-    /// [`DrainError::unresolved`].
-    pub deadline: Duration,
-    /// Terminal failures on one primary shard (the failure domain)
-    /// within a single drain at (or past) which that shard's entries
-    /// are quarantined for the next drains.
-    pub quarantine_threshold: usize,
-    /// How many subsequent drains a quarantined shard sits out before
-    /// its re-admission probe (the first drain at or past the expiry
-    /// epoch readmits the shard; failing again re-quarantines it).
-    pub quarantine_drains: u64,
-}
-
-impl Default for DrainPolicy {
-    fn default() -> Self {
-        DrainPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
-            deadline: Duration::from_secs(30),
-            quarantine_threshold: 3,
-            quarantine_drains: 2,
-        }
-    }
-}
+/// Attempts per submission (first try included) before its failure is
+/// terminal.
+const MAX_ATTEMPTS: u32 = 3;
+/// First retry backoff; doubles per attempt up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Retry backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
+/// Default per-drain deadline: far beyond any healthy drain.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One subscribing tenant of a (possibly shared) planned submission.
 ///
@@ -124,7 +86,7 @@ pub struct SubmissionTag {
     pub is_genuine: bool,
 }
 
-/// One scheduled submission, tagged with its tenant and shard set.
+/// One scheduled submission, tagged with its tenant.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     /// Owning session id.
@@ -133,10 +95,6 @@ pub struct PlannedQuery {
     pub scheduled: ScheduledQuery,
     /// Results to fetch.
     pub k: usize,
-    /// Sorted shard set the submission's terms route to (`[0]` on a
-    /// single-engine tier). The lowest id is the submission's primary
-    /// shard: its failure domain and metric label, not a queue.
-    pub shards: Vec<usize>,
     /// All subscribing tenants when the planner coalesced this entry
     /// (owner included). Empty for the common unshared case — the owner
     /// fields above are the single implicit subscriber.
@@ -144,12 +102,6 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    /// The failure domain (and `shard=` metric label) of this
-    /// submission: the lowest shard its terms route to.
-    pub fn primary_shard(&self) -> usize {
-        self.shards.first().copied().unwrap_or(0)
-    }
-
     /// The subscriber list this entry resolves for: the explicit
     /// `subscribers` when the planner shared it, else the implicit
     /// owner-only tag.
@@ -192,9 +144,7 @@ pub struct SubmitOutcome {
 /// One worker failure surfaced by [`CycleScheduler::try_drain`] —
 /// terminal, i.e. the submission exhausted its retry budget.
 #[derive(Debug, Clone)]
-pub struct ShardFailure {
-    /// Primary shard of the submission whose resolution panicked.
-    pub shard: usize,
+pub struct SubmissionFailure {
     /// Session owning the submission that triggered the panic.
     pub session: String,
     /// The owning session's cycle id (what a rollback reverses).
@@ -214,15 +164,14 @@ pub struct ShardFailure {
 #[derive(Debug)]
 pub struct DrainError {
     /// Per-submission terminal failures, in queue order.
-    pub failures: Vec<ShardFailure>,
+    pub failures: Vec<SubmissionFailure>,
     /// The failed entries themselves, in queue order (each produced
     /// exactly one entry in `failures`). Re-draining them
     /// verbatim replays the same deterministic fault decisions — these
     /// are rollback candidates, not retry candidates.
     pub failed: Vec<PlannedQuery>,
-    /// Entries never attempted: skipped because their primary shard is
-    /// quarantined, or unclaimed when the drain deadline cut the drain
-    /// short. Safe to re-queue into a later drain verbatim.
+    /// Entries never attempted: unclaimed when the drain deadline cut
+    /// the drain short. Safe to re-queue into a later drain verbatim.
     pub unresolved: Vec<PlannedQuery>,
     /// Outcomes of the submissions that completed.
     pub completed: Vec<SubmitOutcome>,
@@ -250,8 +199,8 @@ impl std::fmt::Display for DrainError {
         if let Some(first) = self.failures.first() {
             write!(
                 f,
-                " (first: shard {} session '{}': {})",
-                first.shard, first.session, first.message
+                " (first: session '{}': {})",
+                first.session, first.message
             )?;
         }
         Ok(())
@@ -281,19 +230,9 @@ pub struct ResilientReport {
     pub rounds: usize,
 }
 
-/// The instruments carrying one primary-shard label, fetched once at
-/// construction so workers publish with plain atomic ops.
-struct ShardLabel {
-    service_us: HistogramHandle,
-    submits: Counter,
-    retries: Counter,
-}
-
 /// What every worker of one drain shares.
 struct DrainRun<'a> {
     queue: &'a [PlannedQuery],
-    /// Failure domains sitting this drain out.
-    quarantined: HashSet<usize>,
     /// Next unclaimed position in the merged, time-ordered queue.
     cursor: AtomicUsize,
     started: Instant,
@@ -302,7 +241,7 @@ struct DrainRun<'a> {
 /// What became of one claimed entry, keyed by its queue position: its
 /// fanned-out outcomes, or its terminal failure. Workers collect these
 /// locally and hand them back when they join.
-type Claimed = (usize, Result<Vec<SubmitOutcome>, ShardFailure>);
+type Claimed = (usize, Result<Vec<SubmitOutcome>, SubmissionFailure>);
 
 /// Merges per-session plans and drains them on one shared worker queue.
 pub struct CycleScheduler {
@@ -314,15 +253,13 @@ pub struct CycleScheduler {
     /// shard stalls are drawn from its seeded schedule per (submission,
     /// attempt), so retries flip fresh coins and rate faults heal.
     fault: Option<Arc<FaultPlane>>,
-    /// Retry / watchdog / quarantine knobs.
-    policy: DrainPolicy,
-    /// Quarantined failure domains: primary shard → first drain epoch
-    /// that readmits it. Quarantine spans *across* drains, never within
-    /// one — a domain's failures in one drain surface in that drain's
-    /// [`DrainError`] and only then gate the next drains.
-    quarantine: Mutex<HashMap<usize, u64>>,
-    /// Monotone drain counter (the quarantine epoch clock).
-    drain_epoch: AtomicU64,
+    /// Per-drain deadline: workers stop claiming once it passes, and an
+    /// injected stall that outlives it panics into the retry path — a
+    /// hung submission cannot block [`CycleScheduler::try_drain`]
+    /// forever. Unclaimed entries come back in [`DrainError::unresolved`].
+    deadline: Duration,
+    /// Monotone drain counter, numbering `degraded_drain` events.
+    drains: AtomicU64,
     /// The privacy auditor, when the audit plane is attached: every
     /// drained submission is audited via
     /// [`crate::PrivacyAuditor::on_outcome`].
@@ -331,8 +268,9 @@ pub struct CycleScheduler {
     /// [`CycleScheduler::for_manager`]: where delivered members settle.
     sessions: Option<SessionTable>,
     queue_wait_us: HistogramHandle,
-    /// One entry per shard of the tier, indexed by primary shard.
-    labels: Vec<ShardLabel>,
+    service_us: HistogramHandle,
+    submits: Counter,
+    retries: Counter,
 }
 
 impl CycleScheduler {
@@ -345,28 +283,18 @@ impl CycleScheduler {
         workers: usize,
     ) -> Self {
         let registry = metrics.registry();
-        let labels = (0..tier.num_shards())
-            .map(|s| {
-                let shard = s.to_string();
-                let label = [("shard", shard.as_str())];
-                ShardLabel {
-                    service_us: registry.histogram(M_SERVICE_US, &label),
-                    submits: registry.counter(M_SHARD_SUBMITS, &label),
-                    retries: registry.counter(M_SHARD_RETRIES, &label),
-                }
-            })
-            .collect();
         CycleScheduler {
             queue_wait_us: registry.histogram(M_QUEUE_WAIT_US, &[]),
-            labels,
+            service_us: registry.histogram(M_SERVICE_US, &[]),
+            submits: registry.counter(M_SHARD_SUBMITS, &[]),
+            retries: registry.counter(M_RETRIES, &[]),
             tier,
             cache,
             metrics,
             workers: workers.max(1),
             fault: None,
-            policy: DrainPolicy::default(),
-            quarantine: Mutex::new(HashMap::new()),
-            drain_epoch: AtomicU64::new(0),
+            deadline: DEFAULT_DEADLINE,
+            drains: AtomicU64::new(0),
             auditor: None,
             sessions: None,
         }
@@ -381,26 +309,10 @@ impl CycleScheduler {
         self
     }
 
-    /// Overrides the default [`DrainPolicy`].
-    pub fn with_policy(mut self, policy: DrainPolicy) -> Self {
-        self.policy = policy;
+    /// Overrides the per-drain deadline (30 s by default).
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = deadline;
         self
-    }
-
-    /// The scheduler's drain policy.
-    pub fn policy(&self) -> &DrainPolicy {
-        &self.policy
-    }
-
-    /// Currently quarantined shards (sorted), with the drain epoch that
-    /// readmits each.
-    pub fn quarantined_shards(&self) -> Vec<(usize, u64)> {
-        let mut out: Vec<(usize, u64)> = recover_lock(&self.quarantine)
-            .iter()
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
@@ -445,7 +357,7 @@ impl CycleScheduler {
     /// all delivered is sealed against rollback.
     ///
     /// A worker panic aborts the whole drain **loudly**: this wrapper
-    /// panics with the shard/session of the first failure. Scenario
+    /// panics with the session of the first failure. Scenario
     /// harnesses that need to keep running use
     /// [`CycleScheduler::try_drain`], which returns the failure as a
     /// structured [`DrainError`] instead.
@@ -461,10 +373,10 @@ impl CycleScheduler {
     /// exponential backoff (each attempt flips a fresh deterministic
     /// fault coin, so transient rate faults heal), the rest of the queue
     /// keeps draining under the per-drain deadline watchdog, and the
-    /// error carries every terminal failure (shard, session, panic
-    /// message) plus the outcomes that did complete and the entries that
-    /// were never attempted. Completed outcomes are settled either way:
-    /// a cycle with a failed or unresolved member stays rollbackable.
+    /// error carries every terminal failure (session, panic message)
+    /// plus the outcomes that did complete and the entries that were
+    /// never attempted. Completed outcomes are settled either way: a
+    /// cycle with a failed or unresolved member stays rollbackable.
     pub fn try_drain(&self, queue: Vec<PlannedQuery>) -> Result<Vec<SubmitOutcome>, DrainError> {
         // Shared (planner-coalesced) entries resolve once but produce one
         // outcome per subscribing tenant; a drain succeeds when every
@@ -472,10 +384,9 @@ impl CycleScheduler {
         let expected: usize = queue.iter().map(|p| p.fanout()).sum();
         self.metrics.set_queue_depth(queue.len());
         let drain_span = toppriv_obs::tracer().span("drain");
-        let epoch = self.drain_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let number = self.drains.fetch_add(1, Ordering::Relaxed) + 1;
         let run = DrainRun {
             queue: &queue,
-            quarantined: self.admit(epoch),
             cursor: AtomicUsize::new(0),
             started: Instant::now(),
         };
@@ -505,25 +416,32 @@ impl CycleScheduler {
                 }
             }
         }
-        // Every position below the cursor was resolved, failed, or
-        // passed over by the quarantine gate; the rest went unclaimed
-        // when the deadline watchdog cut the drain short.
-        let cursor = run.cursor.into_inner();
-        let quarantined = run.quarantined;
-        let mut failed = Vec::with_capacity(failures.len());
-        let mut unresolved = Vec::new();
-        let mut skipped = 0usize;
-        for (at, plan) in queue.into_iter().enumerate() {
-            let sits_out = quarantined.contains(&self.failure_domain(&plan));
-            if failed_at.contains(&at) {
-                failed.push(plan);
-            } else if sits_out || at >= cursor {
-                skipped += usize::from(sits_out);
-                unresolved.push(plan);
+        // Every position below the cursor was resolved or failed; the
+        // rest went unclaimed when the deadline watchdog cut the drain
+        // short.
+        let cursor = run.cursor.into_inner().min(queue.len());
+        let mut queue = queue;
+        let unresolved = queue.split_off(cursor);
+        let failed: Vec<PlannedQuery> = queue
+            .into_iter()
+            .enumerate()
+            .filter_map(|(at, plan)| failed_at.contains(&at).then_some(plan))
+            .collect();
+        self.settle(&completed);
+        if !unresolved.is_empty() {
+            if let Some(auditor) = &self.auditor {
+                auditor.note(
+                    AuditSeverity::Warning,
+                    "degraded_drain",
+                    "fleet",
+                    number as usize,
+                    format!(
+                        "drain {number} degraded: the deadline passed with {} entries unclaimed",
+                        unresolved.len()
+                    ),
+                );
             }
         }
-        self.settle(&completed);
-        self.close_epoch(epoch, &failures, unresolved.len(), skipped);
         if failures.is_empty() && unresolved.is_empty() && completed.len() == expected {
             Ok(completed)
         } else {
@@ -537,38 +455,16 @@ impl CycleScheduler {
         }
     }
 
-    /// The failure domain of a submission: its primary shard, clamped
-    /// to the tier (plans made against a wider tier still land on a
-    /// label this scheduler carries).
-    fn failure_domain(&self, plan: &PlannedQuery) -> usize {
-        plan.primary_shard().min(self.labels.len() - 1)
-    }
-
-    /// Opens drain `epoch`'s quarantine gate: expired entries are
-    /// readmitted (their first drain back is the re-admission probe);
-    /// the domains still sitting out are returned.
-    fn admit(&self, epoch: u64) -> HashSet<usize> {
-        let mut map = recover_lock(&self.quarantine);
-        map.retain(|_, &mut until| epoch < until);
-        map.keys().copied().collect()
-    }
-
     /// **Claim**: the next queue position this worker should resolve.
     /// `None` once the queue is exhausted or the drain deadline passed
     /// (the cooperative watchdog: the unclaimed remainder comes back as
-    /// `unresolved` instead of blocking forever). Entries of a
-    /// quarantined failure domain are passed over.
+    /// `unresolved` instead of blocking forever).
     fn claim(&self, run: &DrainRun) -> Option<usize> {
-        loop {
-            if run.started.elapsed() > self.policy.deadline {
-                return None;
-            }
-            let at = run.cursor.fetch_add(1, Ordering::Relaxed);
-            let plan = run.queue.get(at)?;
-            if !run.quarantined.contains(&self.failure_domain(plan)) {
-                return Some(at);
-            }
+        if run.started.elapsed() > self.deadline {
+            return None;
         }
+        let at = run.cursor.fetch_add(1, Ordering::Relaxed);
+        (at < run.queue.len()).then_some(at)
     }
 
     /// One worker's loop: claim, resolve, fan out, until the claim gate
@@ -582,7 +478,6 @@ impl CycleScheduler {
             self.metrics
                 .set_queue_depth(run.queue.len().saturating_sub(at + 1));
             let plan = &run.queue[at];
-            let label = &self.labels[self.failure_domain(plan)];
             let tags = plan.subscriber_tags();
             let t0 = Instant::now();
             let resolved = self.resolve_with_retry(run, plan, &tags);
@@ -592,10 +487,9 @@ impl CycleScheduler {
                     // The service-time histogram keeps this worker's
                     // span id as the bucket's trace exemplar, so a p99
                     // outlier links straight to its `drain_worker` span.
-                    label
-                        .service_us
+                    self.service_us
                         .record_with_exemplar(t0.elapsed().as_micros() as u64, span.id());
-                    label.submits.inc();
+                    self.submits.inc();
                     self.fan_out(plan, &tags, &hits, cache_hit)
                 }),
             ));
@@ -607,18 +501,17 @@ impl CycleScheduler {
     /// under `catch_unwind`, so one poisoned submission cannot take the
     /// worker's collected outcomes with it. A panic is retried with
     /// bounded exponential backoff (a fresh fault coin per attempt);
-    /// a terminal one comes back as the entry's [`ShardFailure`].
+    /// a terminal one comes back as the entry's [`SubmissionFailure`].
     fn resolve_with_retry(
         &self,
         run: &DrainRun,
         plan: &PlannedQuery,
         tags: &[SubmissionTag],
-    ) -> Result<(Vec<SearchHit>, bool), ShardFailure> {
-        let shard = self.failure_domain(plan);
+    ) -> Result<(Vec<SearchHit>, bool), SubmissionFailure> {
         let mut attempt = 0u32;
         loop {
             let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.inject_faults(run, shard, plan, attempt);
+                self.inject_faults(run, plan, attempt);
                 SessionManager::resolve(
                     &self.tier,
                     self.cache.as_deref(),
@@ -633,35 +526,33 @@ impl CycleScheduler {
                 Err(payload) => payload,
             };
             attempt += 1;
-            if attempt >= self.policy.max_attempts || run.started.elapsed() > self.policy.deadline {
+            if attempt >= MAX_ATTEMPTS || run.started.elapsed() > self.deadline {
                 let message = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                return Err(ShardFailure {
-                    shard,
+                return Err(SubmissionFailure {
                     session: plan.session.clone(),
                     cycle_id: plan.scheduled.cycle_id,
                     attempts: attempt,
                     message,
                 });
             }
-            self.labels[shard].retries.inc();
-            let backoff = self
-                .policy
-                .backoff_base
-                .saturating_mul(1u32 << (attempt - 1).min(16))
-                .min(self.policy.backoff_cap);
-            std::thread::sleep(backoff);
+            self.retries.inc();
+            std::thread::sleep(
+                BACKOFF_BASE
+                    .saturating_mul(1 << (attempt - 1))
+                    .min(BACKOFF_CAP),
+            );
         }
     }
 
     /// Panics when the attached fault plane schedules a stall that
     /// outlives the drain deadline, or a worker panic, for this attempt.
-    fn inject_faults(&self, run: &DrainRun, shard: usize, plan: &PlannedQuery, attempt: u32) {
+    fn inject_faults(&self, run: &DrainRun, plan: &PlannedQuery, attempt: u32) {
         let Some(plane) = &self.fault else { return };
-        if let Some(stall) = plane.stall_for(shard, plan, attempt) {
+        if let Some(stall) = plane.stall_for(plan, attempt) {
             // An injected stall sleeps in small slices so the deadline
             // can preempt it: a stall that outlives the drain deadline
             // panics into the failure path instead of hanging the worker.
@@ -671,14 +562,14 @@ impl CycleScheduler {
                 std::thread::sleep(slice);
                 left -= slice;
                 assert!(
-                    run.started.elapsed() <= self.policy.deadline,
+                    run.started.elapsed() <= self.deadline,
                     "injected shard stall exceeded the drain deadline (session '{}')",
                     plan.session
                 );
             }
         }
         assert!(
-            !plane.fires_submission(FaultKind::WorkerPanic, shard, plan, attempt),
+            !plane.fires_submission(FaultKind::WorkerPanic, plan, attempt),
             "injected worker_panic fault (session '{}')",
             plan.session
         );
@@ -727,63 +618,9 @@ impl CycleScheduler {
         }
     }
 
-    /// Quarantine bookkeeping, strictly *after* the drain so a failure
-    /// domain's failures never change this drain's own outcome — they
-    /// gate the next drains (and are probed back in epoch-style).
-    fn close_epoch(
-        &self,
-        epoch: u64,
-        failures: &[ShardFailure],
-        unresolved: usize,
-        skipped: usize,
-    ) {
-        let mut per_shard: HashMap<usize, usize> = HashMap::new();
-        for f in failures {
-            *per_shard.entry(f.shard).or_insert(0) += 1;
-        }
-        for (shard, count) in per_shard {
-            if count < self.policy.quarantine_threshold {
-                continue;
-            }
-            let until = epoch + self.policy.quarantine_drains;
-            recover_lock(&self.quarantine).insert(shard, until);
-            if let Some(auditor) = &self.auditor {
-                auditor.note(
-                    AuditSeverity::Warning,
-                    "shard_quarantined",
-                    "fleet",
-                    shard,
-                    format!(
-                        "shard {shard} quarantined after {count} terminal failures in \
-                         drain {epoch}; re-admission probe at drain {until}"
-                    ),
-                );
-            }
-        }
-        if unresolved > 0 {
-            if let Some(auditor) = &self.auditor {
-                auditor.note(
-                    AuditSeverity::Warning,
-                    "degraded_drain",
-                    "fleet",
-                    epoch as usize,
-                    format!(
-                        "drain {epoch} degraded: {unresolved} entries unresolved \
-                         ({skipped} quarantine-skipped), the rest of the queue kept draining"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Convenience: merge then drain.
-    pub fn run(&self, plans: Vec<Vec<PlannedQuery>>) -> Vec<SubmitOutcome> {
-        self.drain(Self::merge(plans))
-    }
-
     /// Self-healing drain: [`CycleScheduler::try_drain`] in rounds, with
-    /// **cycle-atomic degradation**. Unresolved entries (quarantined
-    /// shards, deadline cuts) are re-queued into the next round; cycles
+    /// **cycle-atomic degradation**. Unresolved entries (cut off by the
+    /// deadline) are re-queued into the next round; cycles
     /// with a terminally failed submission are rolled back through
     /// `manager` — trace debits reversed bit-exactly, pending audit
     /// facts released, their already-resolved outcomes discarded (kept
@@ -800,8 +637,8 @@ impl CycleScheduler {
         manager: &SessionManager,
         queue: Vec<PlannedQuery>,
     ) -> ResilientReport {
-        /// Round cap: with one replan per cycle and monotone quarantine
-        /// expiry this converges long before, but a bound keeps a
+        /// Round cap: with one replan per cycle this converges long
+        /// before, but a bound keeps a
         /// pathological fault schedule from looping the drain forever.
         const MAX_ROUNDS: usize = 6;
         let mut outcomes: Vec<SubmitOutcome> = Vec::new();
@@ -932,7 +769,6 @@ mod tests {
                     cycle_id: 0,
                 },
                 k: 10,
-                shards: vec![0],
                 subscribers: Vec::new(),
             })
             .collect()
@@ -1028,30 +864,45 @@ mod tests {
         (corpus, SearchTier::Sharded(Arc::new(engine)))
     }
 
-    fn run_over<'a>(queue: &'a [PlannedQuery], quarantined: &[usize]) -> DrainRun<'a> {
+    /// An LDA model over the tiny corpus.
+    fn tiny_model(corpus: &tsearch_corpus::SyntheticCorpus) -> Arc<tsearch_lda::LdaModel> {
+        Arc::new(tsearch_lda::LdaTrainer::train(
+            &corpus.token_docs(),
+            corpus.vocab.len(),
+            tsearch_lda::LdaConfig {
+                iterations: 15,
+                ..tsearch_lda::LdaConfig::with_topics(8)
+            },
+        ))
+    }
+
+    fn tiny_queries(
+        corpus: &tsearch_corpus::SyntheticCorpus,
+        n: usize,
+    ) -> Vec<tsearch_corpus::BenchmarkQuery> {
+        tsearch_corpus::generate_workload(
+            corpus,
+            &tsearch_corpus::WorkloadConfig {
+                num_queries: n,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn run_over(queue: &[PlannedQuery]) -> DrainRun<'_> {
         DrainRun {
             queue,
-            quarantined: quarantined.iter().copied().collect(),
             cursor: AtomicUsize::new(0),
             started: Instant::now(),
         }
-    }
-
-    /// Entries whose primary shards are `primaries`, in queue order.
-    fn queue_on(primaries: &[usize]) -> Vec<PlannedQuery> {
-        let mut queue = plan("a", &vec![0.0; primaries.len()]);
-        for (p, &shard) in queue.iter_mut().zip(primaries) {
-            p.shards = vec![shard, shard + 1];
-        }
-        queue
     }
 
     #[test]
     fn claim_hands_out_the_queue_in_order_then_closes() {
         let (_, tier) = tiny_tier(4);
         let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 2);
-        let queue = queue_on(&[0, 1, 0]);
-        let run = run_over(&queue, &[]);
+        let queue = plan("a", &[0.0; 3]);
+        let run = run_over(&queue);
         assert_eq!(scheduler.claim(&run), Some(0));
         assert_eq!(scheduler.claim(&run), Some(1));
         assert_eq!(scheduler.claim(&run), Some(2));
@@ -1060,33 +911,12 @@ mod tests {
     }
 
     #[test]
-    fn claim_passes_over_quarantined_failure_domains() {
-        let (_, tier) = tiny_tier(4);
-        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 2);
-        // The gate keys on the primary (lowest) shard only: the last
-        // entry also touches shard 2 but its domain is shard 1.
-        let queue = queue_on(&[2, 1, 2, 0, 1]);
-        let run = run_over(&queue, &[2]);
-        assert_eq!(scheduler.claim(&run), Some(1));
-        assert_eq!(scheduler.claim(&run), Some(3));
-        assert_eq!(scheduler.claim(&run), Some(4));
-        assert_eq!(scheduler.claim(&run), None);
-        // A primary shard beyond the tier clamps onto its last label.
-        let wide = queue_on(&[9]);
-        assert_eq!(scheduler.failure_domain(&wide[0]), 3);
-        assert_eq!(scheduler.claim(&run_over(&wide, &[3])), None);
-    }
-
-    #[test]
     fn claim_closes_at_the_deadline_and_leaves_the_rest_unclaimed() {
         let (_, tier) = tiny_tier(2);
         let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 1)
-            .with_policy(DrainPolicy {
-                deadline: Duration::from_millis(1),
-                ..DrainPolicy::default()
-            });
-        let queue = queue_on(&[0, 1, 0]);
-        let mut run = run_over(&queue, &[]);
+            .with_deadline(Duration::from_millis(1));
+        let queue = plan("a", &[0.0; 3]);
+        let mut run = run_over(&queue);
         assert_eq!(scheduler.claim(&run), Some(0));
         run.started = Instant::now() - Duration::from_millis(50);
         assert_eq!(scheduler.claim(&run), None);
@@ -1094,51 +924,48 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_gate_readmits_at_the_expiry_epoch() {
-        let (_, tier) = tiny_tier(4);
-        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 1)
-            .with_policy(DrainPolicy {
-                quarantine_threshold: 2,
-                quarantine_drains: 2,
-                ..DrainPolicy::default()
-            });
-        let failure = |shard| ShardFailure {
-            shard,
-            session: "a".into(),
-            cycle_id: 0,
-            attempts: 3,
-            message: "boom".into(),
-        };
-        // Drain 1: two failures on shard 1 reach the threshold, one on
-        // shard 3 does not.
-        scheduler.close_epoch(1, &[failure(1), failure(3), failure(1)], 0, 0);
-        assert_eq!(scheduler.quarantined_shards(), vec![(1, 3)]);
-        assert_eq!(scheduler.admit(2), HashSet::from([1]), "sits drain 2 out");
-        assert!(scheduler.admit(3).is_empty(), "drain 3 is the probe");
-        assert!(scheduler.quarantined_shards().is_empty());
+    fn terminal_failures_do_not_pause_the_next_drain() {
+        let (corpus, tier) = tiny_tier(4);
+        let plane = crate::fault::FaultPlane::new(0).with_spec(crate::fault::FaultSpec::predicate(
+            FaultKind::WorkerPanic,
+            Arc::new(|p: &PlannedQuery| p.session == "doomed"),
+        ));
+        let manager =
+            SessionManager::with_tier(tier, tiny_model(&corpus)).with_fault_plane(Arc::new(plane));
+        let tenants = ["doomed", "a", "b", "c"];
+        for tenant in tenants {
+            manager.open_session(tenant).unwrap();
+        }
+        let queries = tiny_queries(&corpus, tenants.len());
+        let scheduler = CycleScheduler::for_manager(&manager, 2);
+        let doomed = manager.plan_cycle("doomed", &queries[0].tokens, 5).unwrap();
+        let err = scheduler
+            .try_drain(doomed)
+            .expect_err("every attempt of the doomed cycle panics");
+        assert!(err.failures.len() >= 3, "{} failures", err.failures.len());
+        assert_eq!(err.failed.len(), err.failures.len());
+        assert!(err.unresolved.is_empty());
+        // The same scheduler's next drain serves the other tenants in
+        // full: a terminal failure holds nothing back.
+        let plans = tenants[1..]
+            .iter()
+            .zip(&queries[1..])
+            .map(|(tenant, q)| manager.plan_cycle(tenant, &q.tokens, 5).unwrap())
+            .collect();
+        let queue = CycleScheduler::merge(plans);
+        let expected = queue.len();
+        let outcomes = scheduler
+            .try_drain(queue)
+            .expect("no entry is held back after a failed drain");
+        assert_eq!(outcomes.len(), expected);
     }
 
     #[test]
     fn settle_seals_fully_delivered_cycles_only() {
         let (corpus, tier) = tiny_tier(2);
-        let model = tsearch_lda::LdaTrainer::train(
-            &corpus.token_docs(),
-            corpus.vocab.len(),
-            tsearch_lda::LdaConfig {
-                iterations: 15,
-                ..tsearch_lda::LdaConfig::with_topics(8)
-            },
-        );
-        let manager = SessionManager::with_tier(tier, Arc::new(model));
+        let manager = SessionManager::with_tier(tier, tiny_model(&corpus));
         manager.open_session("a").unwrap();
-        let query = tsearch_corpus::generate_workload(
-            &corpus,
-            &tsearch_corpus::WorkloadConfig {
-                num_queries: 1,
-                ..Default::default()
-            },
-        )
-        .remove(0);
+        let query = tiny_queries(&corpus, 1).remove(0);
         let tokens = &query.tokens;
         let first = manager.plan_cycle("a", tokens, 5).unwrap();
         let second = manager.plan_cycle("a", tokens, 5).unwrap();
@@ -1180,14 +1007,5 @@ mod tests {
         manager
             .rollback_cycle("a", third[0].scheduled.cycle_id)
             .expect("one member outstanding");
-    }
-
-    #[test]
-    fn primary_shard_is_the_lowest() {
-        let mut p = plan("a", &[0.0]).remove(0);
-        p.shards = vec![2, 5];
-        assert_eq!(p.primary_shard(), 2);
-        p.shards.clear();
-        assert_eq!(p.primary_shard(), 0);
     }
 }

@@ -17,9 +17,8 @@
 //! cycle synchronously (through the shared [`ResultCache`]) and is born
 //! settled, while [`SessionManager::plan_cycle`] —
 //! [`SessionManager::formulate_cycle`] then
-//! [`SessionManager::commit_cycle`] — emits a paced schedule, each
-//! planned submission tagged with the shard set its terms route to, for
-//! the global cycle scheduler to drain on its shared worker queue. A
+//! [`SessionManager::commit_cycle`] — emits a paced schedule for the
+//! global cycle scheduler to drain on its shared worker queue. A
 //! planned cycle stays rollbackable until a drain has delivered every
 //! one of its members; delivery is the only thing that seals it. Both
 //! paths formulate through one locked step, resolve a member through one
@@ -1167,7 +1166,6 @@ impl SessionManager {
         fc: FormulatedCycle,
     ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
         let id = fc.session.as_str();
-        let tier = self.tier();
         let mut session = Self::lock_open(id, session)?;
         self.refresh_session(&mut session);
         let (report, posteriors) = if session.model_epoch != fc.model_epoch {
@@ -1209,7 +1207,6 @@ impl SessionManager {
             .into_iter()
             .map(|scheduled| PlannedQuery {
                 session: id.to_string(),
-                shards: tier.shard_set(&scheduled.tokens),
                 scheduled,
                 k: fc.k,
                 subscribers: Vec::new(),

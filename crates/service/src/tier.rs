@@ -4,9 +4,9 @@
 //! the cycle scheduler's workers, the server's log-capacity plumbing)
 //! goes through [`SearchTier`], so the same service stack runs unchanged
 //! over a single [`SearchEngine`] or a term-sharded [`ShardedEngine`].
-//! The tier is also where submissions learn their *shard set* — the
-//! sorted list of shards a query's terms route to — whose lowest id the
-//! [`crate::CycleScheduler`] uses as the submission's failure domain.
+//! Shards stay below this boundary: a sharded tier scatters each query
+//! to the shards its terms route to and gathers inside the engine, so
+//! nothing above the tier plans, labels or isolates by shard.
 
 use std::sync::Arc;
 use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
@@ -29,21 +29,6 @@ impl SearchTier {
         match self {
             SearchTier::Single(_) => 1,
             SearchTier::Sharded(e) => e.num_shards(),
-        }
-    }
-
-    /// The sorted shard set a token query touches (always `[0]` for a
-    /// single engine with a non-empty query).
-    pub fn shard_set(&self, tokens: &[TermId]) -> Vec<usize> {
-        match self {
-            SearchTier::Single(_) => {
-                if tokens.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![0]
-                }
-            }
-            SearchTier::Sharded(e) => e.shard_set(tokens),
         }
     }
 

