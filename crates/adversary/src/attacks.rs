@@ -17,9 +17,10 @@ use tsearch_text::TermId;
 
 /// Attack 1: "discount a ghost query if its intention is exposed" —
 /// operationalized as picking the query whose term combination looks most
-/// (or least) plausible. Since TopPriv ghosts are semantically coherent by
-/// construction, coherence gives the adversary no reliable signal; against
-/// TrackMeNot-style random ghosts it works very well.
+/// (or least) plausible. Against TrackMeNot-style random ghosts it works
+/// very well. TopPriv's ghosts are drawn from topic terms, yet coherence
+/// is still a signal against them: at standard scale this attack picks
+/// the genuine query 0.472 of the time against 0.148 chance (36 cycles).
 #[derive(Debug, Clone)]
 pub struct CoherenceAttack {
     model: Arc<LdaModel>,

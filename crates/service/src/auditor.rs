@@ -6,23 +6,18 @@
 //! runtime check that runs alongside serving, the privacy-system
 //! analogue of continuous SLO monitoring:
 //!
-//! - **register** — [`crate::SessionManager::commit_cycle`] registers
-//!   every committed cycle's privacy facts (exposure, mask level, ε2,
-//!   trace exposure) as a pending fact while the session lock is held,
-//!   and credits the tenant: the per-tenant gauges
+//! - **audit** — a cycle's privacy facts (exposure, mask level, ε2,
+//!   trace exposure) are fixed when it is committed, so the session
+//!   manager's one commit step, wire search and planned cycle alike,
+//!   calls [`PrivacyAuditor::audit_cycle`] once per cycle while the
+//!   session lock is held. It credits the tenant — the per-tenant gauges
 //!   (`tenant_worst_exposure`, `tenant_trace_exposure`,
 //!   `tenant_budget_headroom = ε2 − trace_exposure`) plus the budget
 //!   **burn-rate** estimate (`tenant_burn_cycles`: cycles until ε2
-//!   exhaustion at the current trace-exposure slope);
-//! - **audit** — the [`crate::CycleScheduler`] drain workers call
-//!   [`PrivacyAuditor::on_outcome`] for every drained submission; the
-//!   first call for a pending fact evaluates its fleet invariant, and a
-//!   breach (or a near-breach, when headroom drops under a quarter of
-//!   ε2) is journaled as an [`AuditEvent`] **exactly once** per cycle, no
-//!   matter how many workers race on its submissions. The synchronous
-//!   search path has no drain to wait for: [`PrivacyAuditor::observe_cycle`]
-//!   credits the tenant and runs the same evaluation in place, and never
-//!   holds a pending fact;
+//!   exhaustion at the current trace-exposure slope) — and evaluates the
+//!   cycle's fleet invariant in place: a breach (or a near-breach, when
+//!   headroom drops under a quarter of ε2) is journaled as an
+//!   [`AuditEvent`] then and there, once, before any member is resolved;
 //! - **spill** — once per drain the journal is optionally spilled to a
 //!   CRC-sealed `tsearch-store` container (the PR-7 persist codec, kind
 //!   [`tsearch_store::kind::AUDIT_JOURNAL`]) so audits survive restarts;
@@ -32,10 +27,10 @@
 //!   serves `AuditTail`.
 //!
 //! Chaos tests and the `audit` bench experiment rig a breach by calling
-//! [`PrivacyAuditor::register_cycle`] again for an already-planned cycle
+//! [`PrivacyAuditor::audit_cycle`] again for an already-planned cycle
 //! with hand-made [`PrivacyMetrics`] (a mask schedule that cannot cover
-//! the exposure): re-registration overwrites the pending fact, so an ε2
-//! breach is provably surfaced within one drain without building a
+//! the exposure): the breach is journaled at the call, and the drain
+//! that delivers the cycle audits nothing again — without building a
 //! deliberately broken ghost generator.
 
 use crate::fault::{FaultKind, FaultPlane};
@@ -141,47 +136,19 @@ impl TenantAudit {
     }
 }
 
-/// Privacy facts of one committed cycle.
-#[derive(Debug, Clone)]
-struct CycleFact {
-    exposure: f64,
-    mask_level: f64,
-    eps2: f64,
-    trace_exposure: f64,
-    /// Set by the first drain worker that evaluates a pending fact, so
-    /// the breach / near-breach event is emitted exactly once per cycle.
-    audited: bool,
-}
-
-impl CycleFact {
-    fn new(metrics: &PrivacyMetrics, eps2: f64, trace_exposure: f64) -> Self {
-        CycleFact {
-            exposure: metrics.exposure,
-            mask_level: metrics.mask_level,
-            eps2,
-            trace_exposure,
-            audited: false,
-        }
-    }
-}
-
 /// Burn-slope EMA smoothing factor.
 const BURN_EMA_ALPHA: f64 = 0.3;
 
 /// The continuous privacy auditor (see the module docs for the
-/// register → audit → spill → read-out lifecycle).
+/// audit → spill → read-out lifecycle).
 pub struct PrivacyAuditor {
     registry: Arc<MetricsRegistry>,
     config: AuditConfig,
     log: AuditLog,
     /// session → accumulated accounting.
     tenants: Mutex<HashMap<String, TenantAudit>>,
-    /// session → cycle id → registered facts awaiting audit. The outer
-    /// key is the session so the drain hot path looks up by `&str`
-    /// without allocating a composite key.
-    pending: Mutex<HashMap<String, HashMap<usize, CycleFact>>>,
     cycles_audited: AtomicU64,
-    /// [`M_AUDIT_CYCLES`], fetched once: it is bumped on every audited
+    /// [`M_AUDIT_CYCLES`], fetched once: it is bumped on every committed
     /// cycle, one per wire `Search`.
     audit_cycles: Counter,
     cycles_at_last_spill: AtomicU64,
@@ -199,7 +166,6 @@ impl PrivacyAuditor {
             config,
             log: AuditLog::new(JOURNAL_CAPACITY),
             tenants: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
             cycles_audited: AtomicU64::new(0),
             cycles_at_last_spill: AtomicU64::new(0),
             fault: Mutex::new(None),
@@ -229,33 +195,13 @@ impl PrivacyAuditor {
         self.cycles_audited.load(Ordering::Relaxed)
     }
 
-    /// Registers one committed cycle's privacy facts and credits the
-    /// tenant. Called by the session manager at commit time (while it
-    /// still holds the ground truth); the facts wait in the pending set
-    /// until a drain worker audits them. Registering a cycle id again
-    /// overwrites its pending fact.
-    pub fn register_cycle(
-        &self,
-        session: &str,
-        cycle_id: usize,
-        metrics: &PrivacyMetrics,
-        eps2: f64,
-        trace_exposure: f64,
-        worst_exposure: f64,
-    ) {
-        recover_lock(&self.pending)
-            .entry(session.to_string())
-            .or_default()
-            .insert(cycle_id, CycleFact::new(metrics, eps2, trace_exposure));
-        self.credit(session, eps2, trace_exposure, worst_exposure);
-    }
-
-    /// Credits **and immediately audits** one cycle — the synchronous
-    /// search path resolves its cycle inline, so there is no later drain
-    /// to call [`PrivacyAuditor::on_outcome`]. Nothing is registered:
-    /// the fact is evaluated in place, and `cycle_id` only labels the
-    /// events it journals.
-    pub fn observe_cycle(
+    /// Credits the tenant with one committed cycle and evaluates the
+    /// cycle's fleet invariant `min(exposure − mask_level, exposure − ε2)
+    /// ≤ 0` in place: counts the cycle audited and journals a breach
+    /// (bumping the tenant's breaches) or a near-breach event, labelled
+    /// with `cycle_id`. Called by the session manager's commit step,
+    /// once per cycle; every call is one evaluation.
+    pub fn audit_cycle(
         &self,
         session: &str,
         cycle_id: usize,
@@ -265,11 +211,42 @@ impl PrivacyAuditor {
         worst_exposure: f64,
     ) {
         self.credit(session, eps2, trace_exposure, worst_exposure);
-        self.audit(
-            session,
-            cycle_id,
-            &CycleFact::new(metrics, eps2, trace_exposure),
-        );
+        self.cycles_audited.fetch_add(1, Ordering::Relaxed);
+        self.audit_cycles.inc();
+        let exposure = metrics.exposure;
+        let violation = (exposure - metrics.mask_level).min(exposure - eps2);
+        debug_assert!(violation.is_finite());
+        if violation > TOLERANCE {
+            if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
+                t.breaches += 1;
+            }
+            self.emit(
+                AuditSeverity::Breach,
+                "eps2_breach",
+                session,
+                cycle_id as u64,
+                format!(
+                    "fleet invariant violated by {violation:.3e}: exposure {exposure:.4} above \
+                     both mask level {:.4} and ε2 {eps2:.4}",
+                    metrics.mask_level
+                ),
+            );
+            return;
+        }
+        let headroom = eps2 - trace_exposure;
+        if headroom < NEAR_BREACH_FRACTION * eps2 {
+            self.emit(
+                AuditSeverity::Warning,
+                "low_headroom",
+                session,
+                cycle_id as u64,
+                format!(
+                    "budget headroom {headroom:.3e} below {:.0}% of ε2 {eps2:.4} \
+                     (trace exposure {trace_exposure:.4})",
+                    NEAR_BREACH_FRACTION * 100.0,
+                ),
+            );
+        }
     }
 
     /// Counts one cycle against the tenant's accounting and refreshes its
@@ -307,14 +284,12 @@ impl PrivacyAuditor {
         tenant.gauge_burn.set(tenant.burn_cycles());
     }
 
-    /// Releases a rolled-back cycle's pending fact and rebinds the
-    /// tenant's accounting to the post-rollback session metrics. The
-    /// fact is removed outright — **not** reset — so its exactly-once
-    /// audit flag survives the rollback: a breach already journaled for
-    /// the cycle stays journaled exactly once, and a replanned
-    /// incarnation registers a *new* fact under a *new* cycle id. The
-    /// release itself is journaled as an `Info` `cycle_rolled_back`
-    /// event.
+    /// Rebinds the tenant's accounting to the post-rollback session
+    /// metrics after a cycle was rolled back. The verdict passed on the
+    /// cycle at commit stands: a breach already journaled for it stays
+    /// journaled once, and a replanned incarnation is audited afresh
+    /// under a *new* cycle id. The release itself is journaled as an
+    /// `Info` `cycle_rolled_back` event.
     pub fn release_cycle(
         &self,
         session: &str,
@@ -322,26 +297,14 @@ impl PrivacyAuditor {
         trace_exposure: f64,
         worst_exposure: f64,
     ) {
-        {
-            let mut pending = recover_lock(&self.pending);
-            if let Some(by_cycle) = pending.get_mut(session) {
-                by_cycle.remove(&cycle_id);
-                if by_cycle.is_empty() {
-                    pending.remove(session);
-                }
-            }
-        }
-        {
-            let mut tenants = recover_lock(&self.tenants);
-            if let Some(t) = tenants.get_mut(session) {
-                t.cycles = t.cycles.saturating_sub(1);
-                t.trace_exposure = trace_exposure;
-                t.worst_exposure = worst_exposure;
-                t.gauge_worst.set(to_micro(t.worst_exposure));
-                t.gauge_trace.set(to_micro(t.trace_exposure));
-                t.gauge_headroom.set(to_micro(t.headroom()));
-                t.gauge_burn.set(t.burn_cycles());
-            }
+        if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
+            t.cycles = t.cycles.saturating_sub(1);
+            t.trace_exposure = trace_exposure;
+            t.worst_exposure = worst_exposure;
+            t.gauge_worst.set(to_micro(t.worst_exposure));
+            t.gauge_trace.set(to_micro(t.trace_exposure));
+            t.gauge_headroom.set(to_micro(t.headroom()));
+            t.gauge_burn.set(t.burn_cycles());
         }
         self.emit(
             AuditSeverity::Info,
@@ -356,7 +319,7 @@ impl PrivacyAuditor {
     }
 
     /// Journals one scheduler-plane event (`degraded_drain`) through the
-    /// same exactly-once-free emit path as the invariant events.
+    /// same emit path as the invariant events.
     /// Scheduler-internal.
     pub(crate) fn note(
         &self,
@@ -369,81 +332,9 @@ impl PrivacyAuditor {
         self.emit(severity, code, tenant, cycle as u64, detail);
     }
 
-    /// Audits one drained submission: the **first** submission of a
-    /// registered cycle to arrive has the cycle's fact evaluated (see
-    /// `audit`); later ones, and a submission with no registered fact
-    /// (already pruned, or planned before the auditor was attached), are
-    /// a cheap no-op.
-    pub fn on_outcome(&self, session: &str, cycle_id: usize) {
-        let fact = {
-            let mut pending = recover_lock(&self.pending);
-            let Some(fact) = pending.get_mut(session).and_then(|m| m.get_mut(&cycle_id)) else {
-                return;
-            };
-            if fact.audited {
-                return;
-            }
-            fact.audited = true;
-            fact.clone()
-        };
-        self.audit(session, cycle_id, &fact);
-    }
-
-    /// The one evaluation of the fleet invariant `min(exposure −
-    /// mask_level, exposure − ε2) ≤ 0` for one cycle: counts the cycle
-    /// audited and journals a breach (bumping the tenant's breaches) or a
-    /// near-breach event.
-    fn audit(&self, session: &str, cycle_id: usize, fact: &CycleFact) {
-        self.cycles_audited.fetch_add(1, Ordering::Relaxed);
-        self.audit_cycles.inc();
-        let violation = (fact.exposure - fact.mask_level).min(fact.exposure - fact.eps2);
-        debug_assert!(violation.is_finite());
-        if violation > TOLERANCE {
-            if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
-                t.breaches += 1;
-            }
-            self.emit(
-                AuditSeverity::Breach,
-                "eps2_breach",
-                session,
-                cycle_id as u64,
-                format!(
-                    "fleet invariant violated by {violation:.3e}: exposure {:.4} above both \
-                     mask level {:.4} and ε2 {:.4}",
-                    fact.exposure, fact.mask_level, fact.eps2
-                ),
-            );
-            return;
-        }
-        let headroom = fact.eps2 - fact.trace_exposure;
-        if headroom < NEAR_BREACH_FRACTION * fact.eps2 {
-            self.emit(
-                AuditSeverity::Warning,
-                "low_headroom",
-                session,
-                cycle_id as u64,
-                format!(
-                    "budget headroom {headroom:.3e} below {:.0}% of ε2 {:.4} \
-                     (trace exposure {:.4})",
-                    NEAR_BREACH_FRACTION * 100.0,
-                    fact.eps2,
-                    fact.trace_exposure
-                ),
-            );
-        }
-    }
-
-    /// Drain epilogue: prunes audited facts (called once per drain by
-    /// the scheduler, so the pending set stays bounded by in-flight
-    /// cycles) and performs a periodic journal spill when due.
+    /// Drain epilogue (called once per drain by the scheduler): performs
+    /// a periodic journal spill when due.
     pub fn finish_drain(&self) {
-        {
-            let mut pending = recover_lock(&self.pending);
-            for by_cycle in pending.values_mut() {
-                by_cycle.retain(|_, fact| !fact.audited);
-            }
-            pending.retain(|_, by_cycle| !by_cycle.is_empty());
-        }
         let audited = self.cycles_audited();
         if self.config.spill_every_cycles == 0 || self.config.spill_path.is_none() {
             return;
@@ -516,7 +407,6 @@ impl PrivacyAuditor {
     /// by one tenant's worth per id ever seen. A tenant that opens the
     /// same id again starts fresh gauges.
     pub fn forget_session(&self, session: &str) {
-        recover_lock(&self.pending).remove(session);
         if recover_lock(&self.tenants).remove(session).is_some() {
             let labels = [("tenant", session)];
             for name in [
@@ -600,10 +490,8 @@ mod tests {
     #[test]
     fn masked_cycle_audits_clean() {
         let a = auditor();
-        a.register_cycle("t", 0, &metrics(0.02, 0.05), 0.01, 0.001, 0.02);
-        a.on_outcome("t", 0);
-        a.on_outcome("t", 0);
-        assert_eq!(a.cycles_audited(), 1, "first evaluator only");
+        a.audit_cycle("t", 0, &metrics(0.02, 0.05), 0.01, 0.001, 0.02);
+        assert_eq!(a.cycles_audited(), 1);
         assert_eq!(a.log().breaches(), 0);
         assert!(a.health().healthy);
         assert!((a.health().worst_headroom - 0.009).abs() < 1e-12);
@@ -612,10 +500,7 @@ mod tests {
     #[test]
     fn breach_emits_exactly_one_event() {
         let a = auditor();
-        a.register_cycle("t", 3, &metrics(0.5, 0.0), 0.01, 0.5, 0.5);
-        for _ in 0..8 {
-            a.on_outcome("t", 3);
-        }
+        a.audit_cycle("t", 3, &metrics(0.5, 0.0), 0.01, 0.5, 0.5);
         assert_eq!(a.log().breaches(), 1);
         let h = a.health();
         assert!(!h.healthy);
@@ -625,14 +510,14 @@ mod tests {
             1,
             "counter matches journal"
         );
+        assert_eq!(a.tail(1)[0].cycle, 3, "labelled with its cycle id");
     }
 
     #[test]
     fn negligible_exposure_is_not_a_breach() {
         // Satisfied cycle: exposure above the decoys but under ε2.
         let a = auditor();
-        a.register_cycle("t", 0, &metrics(0.005, 0.001), 0.01, 0.002, 0.005);
-        a.on_outcome("t", 0);
+        a.audit_cycle("t", 0, &metrics(0.005, 0.001), 0.01, 0.002, 0.005);
         assert_eq!(a.log().breaches(), 0);
     }
 
@@ -640,9 +525,7 @@ mod tests {
     fn low_headroom_warns_once() {
         let a = auditor();
         // headroom 0.01 − 0.009 = 0.001 < 0.25 × 0.01.
-        a.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.009, 0.002);
-        a.on_outcome("t", 0);
-        a.on_outcome("t", 0);
+        a.audit_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.009, 0.002);
         assert_eq!(a.log().warnings(), 1);
         assert_eq!(a.log().breaches(), 0);
         assert!(a.health().healthy, "warnings do not degrade health");
@@ -651,16 +534,19 @@ mod tests {
     #[test]
     fn rigged_cycle_breaches_within_one_audit() {
         let a = auditor();
-        a.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
-        a.register_cycle("t", 0, &metrics(0.5, 0.0), 0.01, 0.5, 0.5);
-        a.on_outcome("t", 0);
-        assert_eq!(a.log().breaches(), 1);
+        a.audit_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
+        assert_eq!(a.log().breaches(), 0);
+        a.audit_cycle("t", 0, &metrics(0.5, 0.0), 0.01, 0.5, 0.5);
+        assert_eq!(a.log().breaches(), 1, "journaled at the call");
+        a.finish_drain();
+        assert_eq!(a.log().breaches(), 1, "a drain audits nothing again");
+        assert_eq!(a.cycles_audited(), 2, "each call is one evaluation");
     }
 
     #[test]
     fn gauges_publish_micro_units() {
         let a = auditor();
-        a.register_cycle("alice", 0, &metrics(0.004, 0.05), 0.01, 0.0025, 0.004);
+        a.audit_cycle("alice", 0, &metrics(0.004, 0.05), 0.01, 0.0025, 0.004);
         let g = a.registry.gauge(M_TENANT_HEADROOM, &[("tenant", "alice")]);
         assert_eq!(g.get(), to_micro(0.01 - 0.0025));
         assert_eq!(
@@ -678,7 +564,7 @@ mod tests {
         );
         assert_eq!(a.health().tenants, 0);
         // The same id again starts from fresh series, not the old readings.
-        a.register_cycle("alice", 0, &metrics(0.001, 0.05), 0.01, 0.0005, 0.001);
+        a.audit_cycle("alice", 0, &metrics(0.001, 0.05), 0.01, 0.0005, 0.001);
         assert_eq!(a.registry.len(), series);
         assert_eq!(
             a.registry
@@ -693,9 +579,9 @@ mod tests {
     fn burn_rate_estimates_cycles_to_exhaustion() {
         let a = auditor();
         // Trace exposure climbs 0.001 per cycle toward ε2 = 0.01.
-        a.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
-        a.register_cycle("t", 1, &metrics(0.002, 0.05), 0.01, 0.002, 0.002);
-        a.register_cycle("t", 2, &metrics(0.002, 0.05), 0.01, 0.003, 0.002);
+        a.audit_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
+        a.audit_cycle("t", 1, &metrics(0.002, 0.05), 0.01, 0.002, 0.002);
+        a.audit_cycle("t", 2, &metrics(0.002, 0.05), 0.01, 0.003, 0.002);
         let h = a.health();
         assert!(
             h.burn_cycles_min > 0,
@@ -704,20 +590,9 @@ mod tests {
         );
         // Flat trace exposure decays the slope toward no-burn.
         let b = auditor();
-        b.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
-        b.register_cycle("t", 1, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
+        b.audit_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
+        b.audit_cycle("t", 1, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
         let hb = b.health();
         assert!(hb.burn_cycles_min == -1 || hb.burn_cycles_min > h.burn_cycles_min);
-    }
-
-    #[test]
-    fn finish_drain_prunes_audited_facts() {
-        let a = auditor();
-        a.register_cycle("t", 0, &metrics(0.002, 0.05), 0.01, 0.001, 0.002);
-        a.on_outcome("t", 0);
-        a.finish_drain();
-        a.on_outcome("t", 0); // pruned: no-op, not a re-audit
-        assert_eq!(a.cycles_audited(), 1);
-        assert!(recover_lock(&a.pending).is_empty());
     }
 }

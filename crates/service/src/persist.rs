@@ -2,10 +2,9 @@
 //!
 //! A fleet that never restarts still loses machines. [`SessionState`]
 //! is the complete per-tenant client state — privacy requirement, ghost
-//! and pacing configuration, the [`toppriv_core::SessionTracker`]
-//! posterior history, the running Equation-2 trace sums, and every
-//! aggregate counter — in a **bit-exact binary codec**: all `f64`s are
-//! spilled as raw little-endian IEEE-754 bytes, so restored exposure
+//! and pacing configuration, the running Equation-2 trace sums, and
+//! every aggregate counter — in a **bit-exact binary codec**: all `f64`s
+//! are spilled as raw little-endian IEEE-754 bytes, so restored exposure
 //! accounting is `==`-identical to the pre-crash accounting, not merely
 //! close after a decimal round-trip.
 //!
@@ -32,8 +31,9 @@ use toppriv_obs::{AuditEvent, AuditSeverity};
 use tsearch_search::LoggedQuery;
 use tsearch_store::{kind, seal, unseal_kind, StoreError};
 
-/// Codec version stamped into every spill.
-pub const SESSION_STATE_VERSION: u32 = 1;
+/// Codec version stamped into every spill. Version 1 also carried a
+/// posterior history and a history-aware flag; it is refused.
+pub const SESSION_STATE_VERSION: u32 = 2;
 
 /// Magic bytes opening a [`SessionState`] payload (inside the sealed
 /// container).
@@ -44,15 +44,12 @@ pub const SESSION_STATE_MAGIC: [u8; 4] = *b"TPSS";
 pub struct SessionState {
     /// Session id (the manager's key).
     pub id: String,
-    /// The tenant's configuration (requirement, ghost, pacing, flags).
+    /// The tenant's configuration (requirement, ghost, pacing, result
+    /// depth, think time).
     pub config: SessionConfig,
     /// Model epoch the session last generated against (informational;
     /// restore rebinds to the restoring manager's current model).
     pub model_epoch: u64,
-    /// Tracker posterior history (empty unless `history_aware`).
-    pub posteriors: Vec<Vec<f64>>,
-    /// Tracker ground-truth genuine indices.
-    pub genuine: Vec<usize>,
     /// Session-local simulated clock.
     pub clock_secs: f64,
     /// Union of certified intention topics.
@@ -255,16 +252,10 @@ pub fn encode_session_state(state: &SessionState) -> Vec<u8> {
     w.f64(p.burst_gap_secs);
     w.f64(p.jitter);
     w.u64(p.seed);
-    w.u8(u8::from(state.config.history_aware));
     w.u64(state.config.top_k as u64);
     w.f64(state.config.think_time_secs);
     // Trace state.
     w.u64(state.model_epoch);
-    w.u32(state.posteriors.len() as u32);
-    for row in &state.posteriors {
-        w.f64s(row);
-    }
-    w.u64s(state.genuine.iter().map(|&g| g as u64));
     w.f64(state.clock_secs);
     w.u64s(state.intention_union.iter().map(|&t| t as u64));
     w.f64s(&state.posterior_sum);
@@ -324,37 +315,16 @@ pub fn decode_session_state(payload: &[u8]) -> Result<SessionState, PersistError
         jitter: r.f64()?,
         seed: r.u64()?,
     };
-    let history_aware = match r.u8()? {
-        0 => false,
-        1 => true,
-        t => {
-            return Err(PersistError::Malformed(format!(
-                "bad history_aware flag {t}"
-            )))
-        }
-    };
     let top_k = r.u64()? as usize;
     let think_time_secs = r.f64()?;
     let config = SessionConfig {
         requirement,
         ghost,
         pacing,
-        history_aware,
         top_k,
         think_time_secs,
     };
     let model_epoch = r.u64()?;
-    let rows = r.u32()? as usize;
-    let mut posteriors = Vec::with_capacity(rows.min(1 << 16));
-    for _ in 0..rows {
-        posteriors.push(r.f64s()?);
-    }
-    let genuine: Vec<usize> = r.u64s()?.into_iter().map(|g| g as usize).collect();
-    if genuine.iter().any(|&g| g >= posteriors.len()) {
-        return Err(PersistError::Malformed(
-            "genuine index beyond posterior history".into(),
-        ));
-    }
     let clock_secs = r.f64()?;
     let intention_union: Vec<usize> = r.u64s()?.into_iter().map(|t| t as usize).collect();
     let posterior_sum = r.f64s()?;
@@ -364,8 +334,6 @@ pub fn decode_session_state(payload: &[u8]) -> Result<SessionState, PersistError
         id,
         config,
         model_epoch,
-        posteriors,
-        genuine,
         clock_secs,
         intention_union,
         posterior_sum,
@@ -555,14 +523,11 @@ mod tests {
         SessionState {
             id: "tenant-7".into(),
             config: SessionConfig {
-                history_aware: true,
                 top_k: 7,
                 think_time_secs: 12.5,
                 ..SessionConfig::default()
             },
             model_epoch: 3,
-            posteriors: vec![vec![0.25, 0.75], vec![0.5, 0.5]],
-            genuine: vec![1],
             clock_secs: 99.75,
             intention_union: vec![0, 5],
             posterior_sum: vec![0.75, 1.25],
@@ -583,8 +548,6 @@ mod tests {
         let state = sample();
         let back = decode_session_state(&encode_session_state(&state)).unwrap();
         assert_eq!(back.id, state.id);
-        assert_eq!(back.posteriors, state.posteriors);
-        assert_eq!(back.genuine, state.genuine);
         assert_eq!(back.posterior_sum, state.posterior_sum);
         assert_eq!(
             back.sum_exposure.to_bits(),
@@ -593,7 +556,6 @@ mod tests {
         );
         assert_eq!(back.next_cycle_id, state.next_cycle_id);
         assert_eq!(back.config.top_k, state.config.top_k);
-        assert!(back.config.history_aware);
     }
 
     #[test]
@@ -673,10 +635,13 @@ mod tests {
     }
 
     #[test]
-    fn genuine_index_out_of_range_is_rejected() {
-        let mut state = sample();
-        state.genuine = vec![9];
-        let err = decode_session_state(&encode_session_state(&state)).unwrap_err();
-        assert!(matches!(err, PersistError::Malformed(_)));
+    fn a_version_1_state_is_refused() {
+        let mut payload = encode_session_state(&sample());
+        payload[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = decode_session_state(&payload).unwrap_err();
+        assert_eq!(
+            err,
+            PersistError::Malformed("unsupported session state version 1".into())
+        );
     }
 }

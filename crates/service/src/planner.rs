@@ -115,7 +115,7 @@ impl GhostPlanner {
 
     /// Plans one cycle through the cross-session pipeline: formulate →
     /// rewrite ghost members against other tenants' queued submissions →
-    /// commit (trace accounting, pacing, audit registration) → coalesce
+    /// commit (trace accounting, pacing, audit) → coalesce
     /// identical submissions into shared queue entries. Returns the
     /// cycle's ground-truth report (post-rewrite); the planned
     /// submissions accumulate in the planner queue until
@@ -316,7 +316,7 @@ impl GhostPlanner {
                     &fc.report.cycle_boosts,
                     &fc.posteriors[i],
                     &offer.posterior,
-                    fc.boost_support,
+                    fc.report.cycle_len(),
                 );
                 let mut m = PrivacyMetrics::from_boosts(&new_boosts, &fc.report.intention);
                 m.cycle_len = fc.report.metrics.cycle_len;
@@ -424,9 +424,7 @@ mod tests {
     fn formulated_posteriors_are_those_of_the_submitted_members() {
         // One layer above `GhostGenerator`: what a session hands the
         // planner, the journal and the auditor is what the certificate was
-        // computed from — on the per-cycle path and on the history-aware
-        // one, where the certificate covers history ∪ cycle.
-        use crate::session::SessionConfig;
+        // computed from.
         use toppriv_core::BeliefEngine;
         let stack = stack();
         let manager = manager(&stack);
@@ -439,50 +437,29 @@ mod tests {
             },
         );
         manager.open_session("per-cycle").unwrap();
-        let history_aware = SessionConfig {
-            history_aware: true,
-            ..SessionConfig::default()
-        };
-        manager.open_session_with("trace", history_aware).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let mut history: Vec<Vec<f64>> = Vec::new();
+        let mut members = 0;
         for q in &queries {
-            for session in ["per-cycle", "trace"] {
-                let fc = manager.formulate_cycle(session, &q.tokens, 10).unwrap();
-                assert_eq!(fc.posteriors.len(), fc.report.cycle_len());
-                for (member, posterior) in fc.report.cycle.iter().zip(&fc.posteriors) {
-                    assert_eq!(bits(posterior), bits(&belief.posterior(&member.tokens)));
-                }
-                let over_history = session == "trace" && !history.is_empty();
-                let certified = if over_history {
-                    let mut all = history.clone();
-                    all.extend(fc.posteriors.iter().cloned());
-                    assert_eq!(fc.boost_support, all.len());
-                    let boosts = belief.cycle_boost(&all);
-                    assert_eq!(bits(&fc.report.cycle_boosts), bits(&boosts));
-                    boosts
-                } else {
-                    // Certified alone, summed in generation order: the
-                    // shuffle reorders the sum, nothing else.
-                    assert_eq!(fc.boost_support, fc.report.cycle_len());
-                    let boosts = belief.cycle_boost(&fc.posteriors);
-                    for (reported, recomputed) in fc.report.cycle_boosts.iter().zip(&boosts) {
-                        assert!((reported - recomputed).abs() < 1e-12);
-                    }
-                    fc.report.cycle_boosts.clone()
-                };
-                assert_eq!(
-                    fc.report.satisfied,
-                    fc.requirement
-                        .is_satisfied(&certified, &fc.report.intention)
-                );
-                if session == "trace" {
-                    history.extend(fc.posteriors.iter().cloned());
-                }
-                manager.commit_cycle(fc).unwrap();
+            let fc = manager.formulate_cycle("per-cycle", &q.tokens, 10).unwrap();
+            assert_eq!(fc.posteriors.len(), fc.report.cycle_len());
+            for (member, posterior) in fc.report.cycle.iter().zip(&fc.posteriors) {
+                assert_eq!(bits(posterior), bits(&belief.posterior(&member.tokens)));
             }
+            // Certified alone, summed in generation order: the shuffle
+            // reorders the sum, nothing else.
+            let boosts = belief.cycle_boost(&fc.posteriors);
+            for (reported, recomputed) in fc.report.cycle_boosts.iter().zip(&boosts) {
+                assert!((reported - recomputed).abs() < 1e-12);
+            }
+            assert_eq!(
+                fc.report.satisfied,
+                fc.requirement
+                    .is_satisfied(&fc.report.cycle_boosts, &fc.report.intention)
+            );
+            members += fc.report.cycle_len();
+            manager.commit_cycle(fc).unwrap();
         }
-        assert!(history.len() > queries.len(), "cycles carried ghosts");
+        assert!(members > queries.len(), "cycles carried ghosts");
     }
 
     #[test]

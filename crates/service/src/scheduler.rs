@@ -19,7 +19,7 @@
 //!
 //! A drain is four steps, each its own function: **claim** (the deadline
 //! watchdog), **resolve with retry** (bounded exponential backoff),
-//! **fan-out** (one outcome and one audit fact per subscribing tenant),
+//! **fan-out** (one outcome per subscribing tenant),
 //! and — after the workers join — **settle**: every delivered member is
 //! counted against its cycle in the owning session, and a cycle whose
 //! members were all delivered leaves the rollback window. That is the
@@ -73,7 +73,7 @@ const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 /// The cross-session planner coalesces identical submissions from
 /// several tenants into one queue entry; each subscriber keeps its own
 /// ground-truth cycle id and genuine flag, so the drain can fan the
-/// single resolution out into per-tenant outcomes and audit facts.
+/// single resolution out into per-tenant outcomes.
 /// Tags exist only inside the trusted service boundary — the engine
 /// sees one untagged submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,9 +260,9 @@ pub struct CycleScheduler {
     deadline: Duration,
     /// Monotone drain counter, numbering `degraded_drain` events.
     drains: AtomicU64,
-    /// The privacy auditor, when the audit plane is attached: every
-    /// drained submission is audited via
-    /// [`crate::PrivacyAuditor::on_outcome`].
+    /// The privacy auditor, when the audit plane is attached: it spills
+    /// its journal after each drain and journals degraded drains. Cycles
+    /// were audited when they were committed, not here.
     auditor: Option<Arc<crate::auditor::PrivacyAuditor>>,
     /// The owning manager's session table, when built by
     /// [`CycleScheduler::for_manager`]: where delivered members settle.
@@ -318,9 +318,8 @@ impl CycleScheduler {
     /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
     /// metrics registry, auditor, and fault plane — and its session
     /// table, so every drain settles the cycles it delivers. With the
-    /// manager's auditor, drain workers audit every drained submission
-    /// against its registered cycle facts, and each drain ends with the
-    /// auditor's epilogue (fact pruning, periodic journal spill).
+    /// manager's auditor, each drain ends with the auditor's epilogue
+    /// (periodic journal spill).
     pub fn for_manager(manager: &SessionManager, workers: usize) -> Self {
         let mut scheduler = Self::new(
             manager.tier(),
@@ -575,8 +574,8 @@ impl CycleScheduler {
         );
     }
 
-    /// **Fan-out**: one resolution becomes one outcome — and one audit
-    /// fact — per subscribing tenant. Subscribers beyond the first were
+    /// **Fan-out**: one resolution becomes one outcome per subscribing
+    /// tenant. Subscribers beyond the first were
     /// served from the shared resolution, which is a cache hit from
     /// their point of view. Ghost results are discarded inside the
     /// trusted boundary; only genuine hits leave the scheduler.
@@ -589,22 +588,17 @@ impl CycleScheduler {
     ) -> Vec<SubmitOutcome> {
         tags.iter()
             .enumerate()
-            .map(|(j, tag)| {
-                if let Some(auditor) = &self.auditor {
-                    auditor.on_outcome(&tag.session, tag.cycle_id);
-                }
-                SubmitOutcome {
-                    session: tag.session.clone(),
-                    cycle_id: tag.cycle_id,
-                    time_secs: plan.scheduled.time_secs,
-                    is_genuine: tag.is_genuine,
-                    cache_hit: cache_hit || j > 0,
-                    hits: if tag.is_genuine {
-                        hits.to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                }
+            .map(|(j, tag)| SubmitOutcome {
+                session: tag.session.clone(),
+                cycle_id: tag.cycle_id,
+                time_secs: plan.scheduled.time_secs,
+                is_genuine: tag.is_genuine,
+                cache_hit: cache_hit || j > 0,
+                hits: if tag.is_genuine {
+                    hits.to_vec()
+                } else {
+                    Vec::new()
+                },
             })
             .collect()
     }
@@ -622,8 +616,8 @@ impl CycleScheduler {
     /// **cycle-atomic degradation**. Unresolved entries (cut off by the
     /// deadline) are re-queued into the next round; cycles
     /// with a terminally failed submission are rolled back through
-    /// `manager` — trace debits reversed bit-exactly, pending audit
-    /// facts released, their already-resolved outcomes discarded (kept
+    /// `manager` — trace debits reversed bit-exactly, the tenant's audit
+    /// accounting re-credited, their already-resolved outcomes discarded (kept
     /// in [`ResilientReport::discarded`] for engine-side accounting) —
     /// and replanned once as fresh cycles. A replanned cycle that fails
     /// again is rolled back for good. Fully delivered cycles were

@@ -8,22 +8,21 @@
 //!
 //! - a [`GhostGenerator`] (over the shared belief model) that formulates
 //!   and certifies cycles;
-//! - a [`SessionTracker`] recording the whole trace for Equation-2
-//!   session-level accounting;
+//! - running trace sums for Equation-2 session-level accounting;
 //! - a [`PacingScheduler`] with a per-session seed and clock, producing
 //!   the submission schedule the [`crate::CycleScheduler`] merges.
 //!
-//! Two submission paths exist: [`SessionManager::search`] resolves a
-//! cycle synchronously (through the shared [`ResultCache`]) and is born
-//! settled, while [`SessionManager::plan_cycle`] —
+//! Every cycle takes one route: formulate, commit, resolve, settle.
+//! [`SessionManager::search`] runs all four inline (each member through
+//! the shared [`ResultCache`]), while [`SessionManager::plan_cycle`] —
 //! [`SessionManager::formulate_cycle`] then
-//! [`SessionManager::commit_cycle`] — emits a paced schedule for the
-//! global cycle scheduler to drain on its shared worker queue. A
-//! planned cycle stays rollbackable until a drain has delivered every
-//! one of its members; delivery is the only thing that seals it. Both
-//! paths formulate through one locked step, resolve a member through one
-//! function (the synchronous path is a one-subscriber resolution), and
-//! reach one evaluation of the fleet invariant in the auditor.
+//! [`SessionManager::commit_cycle`] — stops after the commit and hands
+//! the paced schedule to the global cycle scheduler, whose drains
+//! resolve and settle it. The commit is one locked step on both paths:
+//! it draws the pacer's cycle id, journals the cycle with every member
+//! outstanding, and has the auditor judge it. A cycle stays rollbackable
+//! until every one of its members was delivered; delivery is the only
+//! thing that seals it.
 //!
 //! ## The fleet secret ghost seed
 //!
@@ -68,7 +67,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 use toppriv_core::{
     BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PacingConfig, PacingScheduler,
-    PrivacyRequirement, SessionTracker,
+    PrivacyRequirement, ScheduledQuery,
 };
 use toppriv_obs::{recover_lock, recover_read, recover_write, Span};
 use tsearch_lda::LdaModel;
@@ -84,9 +83,6 @@ pub struct SessionConfig {
     pub ghost: GhostConfig,
     /// Pacing parameters (seed is re-derived per session).
     pub pacing: PacingConfig,
-    /// When true, cycles are certified against the whole recorded trace
-    /// (`generate_with_history`), not just per cycle.
-    pub history_aware: bool,
     /// Results fetched per query.
     pub top_k: usize,
     /// Simulated seconds between a session's consecutive cycles when
@@ -100,7 +96,6 @@ impl Default for SessionConfig {
             requirement: PrivacyRequirement::paper_default(),
             ghost: GhostConfig::default(),
             pacing: PacingConfig::default(),
-            history_aware: false,
             top_k: 10,
             think_time_secs: 30.0,
         }
@@ -134,7 +129,7 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Outcome of one synchronous private search.
+/// Outcome of one private search resolved inline.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The genuine query's hits (ghost results are discarded).
@@ -161,12 +156,6 @@ pub struct FormulatedCycle {
     /// Per-member posteriors aligned with `report.cycle`.
     pub(crate) posteriors: Vec<Vec<f64>>,
     pub(crate) requirement: PrivacyRequirement,
-    /// How many posteriors the reported `cycle_boosts` average over: the
-    /// cycle length in per-cycle mode, but history length + cycle length
-    /// in history-aware mode (the generator certifies trace boosts).
-    /// Planner substitutions must divide by this support, not the cycle
-    /// length, for the O(K) boost update to stay exact.
-    pub(crate) boost_support: usize,
     pub(crate) k: usize,
     pub(crate) model_epoch: u64,
 }
@@ -208,11 +197,6 @@ pub struct RolledBackCycle {
 /// assert).
 #[derive(Debug, Clone, Default)]
 struct TraceAccounting {
-    /// Full per-query posterior history. Only populated when
-    /// `history_aware` — it is what `generate_with_history` certifies
-    /// against; in the default per-cycle mode the running sum below is
-    /// enough and the session stays O(1) in memory per search.
-    tracker: SessionTracker,
     /// Union of every certified intention (for trace exposure).
     intention_union: BTreeSet<usize>,
     /// Running sum of every submitted query's posterior (genuine and
@@ -235,19 +219,10 @@ impl TraceAccounting {
     /// Folds one cycle's debits in — the single accounting primitive
     /// both the live fold and rollback replay go through, so the float
     /// operation sequence is identical on every path.
-    fn fold(
-        &mut self,
-        result: &CycleResult,
-        posteriors: &[Vec<f64>],
-        history_aware: bool,
-        num_topics: usize,
-    ) {
+    fn fold(&mut self, result: &CycleResult, posteriors: &[Vec<f64>], num_topics: usize) {
         debug_assert_eq!(result.cycle_len(), posteriors.len());
         if self.posterior_sum.is_empty() {
             self.posterior_sum = vec![0.0; num_topics];
-        }
-        if history_aware {
-            self.tracker.record_cycle_posteriors(result, posteriors);
         }
         for posterior in posteriors {
             for (acc, p) in self.posterior_sum.iter_mut().zip(posterior) {
@@ -271,7 +246,6 @@ impl TraceAccounting {
     /// Drops the Equation-2 trace state (topic ids changed meaning after
     /// a K-changing model swap) while the work aggregates keep counting.
     fn reset_trace(&mut self) {
-        self.tracker = SessionTracker::new();
         self.intention_union.clear();
         self.posterior_sum.clear();
         self.posterior_count = 0;
@@ -283,27 +257,23 @@ impl TraceAccounting {
 /// replan it.
 #[derive(Debug, Clone)]
 struct CycleRecord {
-    /// The pacer cycle id its planned submissions carry (`None` for the
-    /// synchronous search path, which resolves inline, can never be
-    /// half-delivered, and is journaled only while a paced cycle
-    /// committed before it is still pending).
-    cycle_id: Option<usize>,
+    /// The pacer cycle id its submissions carry.
+    cycle_id: usize,
     /// The genuine user tokens, for replanning after a rollback.
     user_tokens: Vec<TermId>,
     report: CycleResult,
     posteriors: Vec<Vec<f64>>,
     k: usize,
-    /// Members a drain has not delivered yet. The cycle is rollbackable
-    /// while this is non-zero and compacts into `base` once it is zero
-    /// (the synchronous path resolves inline and is born at zero).
+    /// Members not delivered yet. The cycle is rollbackable while this
+    /// is non-zero and compacts into `base` once it is zero.
     undelivered: usize,
 }
 
 /// In-flight journal cap: past this many journaled cycles the oldest is
-/// force-settled. Every drain settles what it delivers, so this only
-/// bounds plans that are never drained (or never fully delivered and
-/// never rolled back): those cycles stop being rollbackable instead of
-/// leaking memory.
+/// force-settled. Every drain and every inline search settles what it
+/// delivers, so this only bounds cycles that are never fully delivered
+/// (a plan never drained, a search whose resolution panicked) and never
+/// rolled back: those stop being rollbackable instead of leaking memory.
 const MAX_INFLIGHT_CYCLES: usize = 256;
 
 /// One tenant's state. All fields live behind the manager's per-session
@@ -410,12 +380,8 @@ impl Session {
             .count();
         let num_topics = self.generator.belief().num_topics();
         for record in self.inflight.drain(..delivered_prefix) {
-            self.base.fold(
-                &record.report,
-                &record.posteriors,
-                self.config.history_aware,
-                num_topics,
-            );
+            self.base
+                .fold(&record.report, &record.posteriors, num_topics);
         }
     }
 
@@ -440,19 +406,9 @@ impl Session {
     ///
     /// This is the one place that asks the manager's [`CycleMemo`], when
     /// there is one: a cycle another request already formulated under the
-    /// same [`CycleKey`] is handed back as it was certified. A
-    /// history-aware session never asks — its cycles depend on its own
-    /// trace, which no key holds.
+    /// same [`CycleKey`] is handed back as it was certified.
     fn generate(&self, tokens: &[TermId], memo: Option<&CycleMemo>) -> GeneratedCycle {
         let generate = || self.generator.generate_with_posteriors(tokens);
-        if self.config.history_aware {
-            let history = self.acc.tracker.posteriors();
-            return if history.is_empty() {
-                generate()
-            } else {
-                self.generator.generate_with_history(tokens, history)
-            };
-        }
         match memo {
             Some(memo) => {
                 let requirement = self.config.requirement;
@@ -469,49 +425,27 @@ impl Session {
     /// members **as submitted**, so a shared submission debits this
     /// session's trace exactly as an owned decoy would.
     ///
-    /// `cycle_id` ties the record to its paced submissions so a drain
-    /// can [`Session::deliver`] them and a drain failure can
-    /// [`Session::rollback`] the cycle; `undelivered` is how many paced
-    /// members a drain still owes (zero for the synchronous path, which
-    /// can never be half-delivered and skips the rollback window).
+    /// `cycle_id` ties the record to its submissions: every member
+    /// starts outstanding, [`Session::deliver`] counts them off, and
+    /// until the last one is delivered [`Session::rollback`] can reverse
+    /// the cycle.
     fn account(
         &mut self,
         result: &CycleResult,
         posteriors: Vec<Vec<f64>>,
-        cycle_id: Option<usize>,
+        cycle_id: usize,
         user_tokens: &[TermId],
         k: usize,
-        undelivered: usize,
     ) {
         let num_topics = self.generator.belief().num_topics();
-        let history_aware = self.config.history_aware;
-        self.acc
-            .fold(result, &posteriors, history_aware, num_topics);
-        if undelivered == 0 && self.inflight.is_empty() {
-            // Born settled with nothing pending ahead of it: a journal
-            // record would compact straight back out, so fold into `base`
-            // too and copy nothing. Behind a pending cycle it must be
-            // journaled, or `acc == base ⊕ inflight` in commitment order
-            // would no longer hold.
-            self.base
-                .fold(result, &posteriors, history_aware, num_topics);
-            // With nothing in flight the two accountings are the same
-            // fold sequence; a journal change that let them drift would
-            // show here first.
-            debug_assert_eq!(
-                (self.acc.cycles, self.acc.posterior_count),
-                (self.base.cycles, self.base.posterior_count),
-                "acc == base while the journal is empty"
-            );
-            return;
-        }
+        self.acc.fold(result, &posteriors, num_topics);
         self.inflight.push(CycleRecord {
             cycle_id,
             user_tokens: user_tokens.to_vec(),
             report: result.clone(),
             posteriors,
             k,
-            undelivered,
+            undelivered: result.cycle_len(),
         });
         if self.inflight.len() > MAX_INFLIGHT_CYCLES {
             self.inflight[0].undelivered = 0;
@@ -525,11 +459,7 @@ impl Session {
     /// every cycle committed before it is fully delivered too). Unknown
     /// or already settled cycles are ignored.
     fn deliver(&mut self, cycle_id: usize, members: usize) {
-        if let Some(record) = self
-            .inflight
-            .iter_mut()
-            .find(|r| r.cycle_id == Some(cycle_id))
-        {
+        if let Some(record) = self.inflight.iter_mut().find(|r| r.cycle_id == cycle_id) {
             record.undelivered = record.undelivered.saturating_sub(members);
         }
     }
@@ -544,17 +474,12 @@ impl Session {
         let pos = self
             .inflight
             .iter()
-            .position(|r| r.cycle_id == Some(cycle_id) && r.undelivered > 0)?;
+            .position(|r| r.cycle_id == cycle_id && r.undelivered > 0)?;
         let record = self.inflight.remove(pos);
         let num_topics = self.generator.belief().num_topics();
         let mut acc = self.base.clone();
         for r in &self.inflight {
-            acc.fold(
-                &r.report,
-                &r.posteriors,
-                self.config.history_aware,
-                num_topics,
-            );
+            acc.fold(&r.report, &r.posteriors, num_topics);
         }
         self.acc = acc;
         Some(record)
@@ -734,11 +659,12 @@ impl SessionManager {
         self
     }
 
-    /// Attaches the online privacy-audit plane: every formulated cycle
-    /// registers its privacy facts with a [`crate::PrivacyAuditor`]
-    /// publishing into this manager's metrics registry, every drain (via
-    /// a [`crate::CycleScheduler::for_manager`] scheduler) audits them,
-    /// and `Health` / `AuditTail` read out the verdict. Attach **after**
+    /// Attaches the online privacy-audit plane: every committed cycle is
+    /// judged once by a [`crate::PrivacyAuditor`] publishing into this
+    /// manager's metrics registry, every drain (via a
+    /// [`crate::CycleScheduler::for_manager`] scheduler) ends with its
+    /// journal spill, and `Health` / `AuditTail` read out the verdict.
+    /// Attach **after**
     /// [`SessionManager::with_metrics_registry`] so the auditor's gauges
     /// land on the final registry.
     pub fn with_auditor(mut self, config: crate::auditor::AuditConfig) -> Self {
@@ -869,9 +795,7 @@ impl SessionManager {
 
     /// Opens a session with an explicit configuration.
     pub fn open_session_with(&self, id: &str, config: SessionConfig) -> Result<(), ServiceError> {
-        if id.is_empty() {
-            return Err(ServiceError::BadRequest("empty session id".into()));
-        }
+        check_session_id(id)?;
         let mut sessions = recover_write(&self.sessions);
         if sessions.contains_key(id) {
             return Err(ServiceError::DuplicateSession(id.to_string()));
@@ -914,10 +838,10 @@ impl SessionManager {
             .ok_or_else(|| ServiceError::UnknownSession(id.to_string()))
     }
 
-    /// Locks a looked-up session for a path that debits it or registers
-    /// it with the audit plane. Between the lookup and this lock
+    /// Locks a looked-up session for a path that debits it or has the
+    /// audit plane judge it. Between the lookup and this lock
     /// [`SessionManager::close_session`] can have removed the session and
-    /// had the auditor forget the tenant; a cycle registered after that
+    /// had the auditor forget the tenant; a cycle audited after that
     /// would bring the tenant's entry and gauges back with no close left
     /// to retire them, so the late request is answered as one that
     /// arrived after the close.
@@ -946,8 +870,8 @@ impl SessionManager {
     /// subscribe to it — and records one submit per subscriber, each
     /// given by its genuine flag. Subscribers beyond the first are served
     /// from the shared resolution, which is a cache hit from their point
-    /// of view (see [`ResultCache::get_or_compute_shared`]); a
-    /// synchronous search's member is a one-subscriber entry. Returns the
+    /// of view (see [`ResultCache::get_or_compute_shared`]); a wire
+    /// search's member is a one-subscriber entry. Returns the
     /// first subscriber's `(hits, cache_hit)`.
     pub(crate) fn resolve(
         tier: &SearchTier,
@@ -1001,7 +925,12 @@ impl SessionManager {
         self.search_in(id, &session, tokens, k)
     }
 
-    /// [`SessionManager::search_tokens`] from the session lookup on.
+    /// [`SessionManager::search_tokens`] from the session lookup on: the
+    /// one cycle route run inline. The cycle is formulated and committed
+    /// like a planned one, each scheduled member is resolved in schedule
+    /// order under the session lock, and the delivered cycle settles. A
+    /// panic while resolving leaves the cycle journaled with members
+    /// outstanding, rollbackable like a paced cycle with a failed member.
     fn search_in(
         &self,
         id: &str,
@@ -1010,33 +939,19 @@ impl SessionManager {
         k: usize,
     ) -> Result<SearchOutcome, ServiceError> {
         let (span, mut session, fc) = self.formulate_in(id, session, tokens, k, "search")?;
-        let report = fc.report;
-        session.account(&report, fc.posteriors, None, tokens, 0, 0);
-        if let Some(auditor) = &self.auditor {
-            // The synchronous path has no drain to audit it later: audit
-            // the cycle right here, under the session lock. The session's
-            // own cycle counter only labels the events.
-            let m = session.metrics(id);
-            auditor.observe_cycle(
-                id,
-                (session.acc.cycles - 1) as usize,
-                &report.metrics,
-                session.config.requirement.eps2,
-                m.trace_exposure,
-                m.worst_exposure,
-            );
-        }
+        let k = fc.k;
+        let (report, schedule) = self.commit_locked(&mut session, fc);
         let tier = self.tier();
         let mut genuine_hits = Vec::new();
         let mut cache_hits = 0usize;
         let resolve_span = span.child("resolve");
-        for query in &report.cycle {
+        for query in &schedule {
             let (hits, was_hit) = Self::resolve(
                 &tier,
                 self.cache.as_ref().map(|plane| &*plane.results),
                 &self.metrics,
                 &query.tokens,
-                fc.k,
+                k,
                 std::iter::once(query.is_genuine),
             );
             if was_hit {
@@ -1048,6 +963,10 @@ impl SessionManager {
             // Ghost results are dropped on the floor (Figure 1, step 4).
         }
         drop(resolve_span);
+        if let Some(first) = schedule.first() {
+            session.deliver(first.cycle_id, schedule.len());
+            session.compact();
+        }
         Ok(SearchOutcome {
             hits: genuine_hits,
             report,
@@ -1082,33 +1001,22 @@ impl SessionManager {
             let _formulate = span.child("formulate");
             session.generate(tokens, self.memo())
         };
-        // Mirror `Session::generate`'s branch: history-aware cycles carry
-        // trace boosts averaged over history ∪ cycle, so that is the
-        // support planner substitutions must divide by.
-        let boost_support = if session.config.history_aware && !session.acc.tracker.is_empty() {
-            session.acc.tracker.posteriors().len() + report.cycle_len()
-        } else {
-            report.cycle_len()
-        };
         let fc = FormulatedCycle {
             session: id.to_string(),
             user_tokens: tokens.to_vec(),
             report,
             posteriors,
             requirement: session.config.requirement,
-            boost_support,
             k,
             model_epoch: session.model_epoch,
         };
         Ok((span, session, fc))
     }
 
-    /// Plans one paced cycle: formulates it, schedules it on the session's
-    /// simulated clock, and returns the per-submission plan for the
-    /// [`crate::CycleScheduler`] — each submission tagged with the shard
-    /// set its terms route to (the lowest is its failure-domain label).
-    /// The session clock advances by its configured think time. The
-    /// cycle stays rollbackable until a drain delivered all of it.
+    /// Plans one paced cycle: formulates and commits it (see
+    /// [`SessionManager::commit_cycle`]) and returns the per-submission
+    /// plan for the [`crate::CycleScheduler`] to drain. The cycle stays
+    /// rollbackable until a drain delivered all of it.
     pub fn plan_cycle(
         &self,
         id: &str,
@@ -1144,8 +1052,8 @@ impl SessionManager {
     /// **final** members are accounted into the session's trace — a
     /// shared submission debits this subscriber's running posterior sums
     /// exactly as an owned decoy would — the cycle is paced onto the
-    /// session clock, its privacy facts are registered with the audit
-    /// plane, and the per-submission plan is returned.
+    /// session clock, the audit plane judges it, and the per-submission
+    /// plan is returned.
     ///
     /// If the shared model was swapped between formulation and commit,
     /// the held posteriors (and any cross-tenant substitutions) are
@@ -1165,9 +1073,34 @@ impl SessionManager {
         session: &Mutex<Session>,
         fc: FormulatedCycle,
     ) -> Result<(CycleResult, Vec<PlannedQuery>), ServiceError> {
-        let id = fc.session.as_str();
-        let mut session = Self::lock_open(id, session)?;
+        let mut session = Self::lock_open(&fc.session, session)?;
         self.refresh_session(&mut session);
+        let (id, k) = (fc.session.clone(), fc.k);
+        let (report, schedule) = self.commit_locked(&mut session, fc);
+        let plan = schedule
+            .into_iter()
+            .map(|scheduled| PlannedQuery {
+                session: id.clone(),
+                scheduled,
+                k,
+                subscribers: Vec::new(),
+            })
+            .collect();
+        Ok((report, plan))
+    }
+
+    /// The commit step of every cycle, on a session locked and bound to
+    /// the current model: regenerates a cycle formulated under an older
+    /// model, paces it onto the session clock (drawing its cycle id),
+    /// journals its debits with every member outstanding, and has the
+    /// auditor judge it — the one place a cycle is audited. Returns the
+    /// committed cycle and its schedule.
+    fn commit_locked(
+        &self,
+        session: &mut Session,
+        fc: FormulatedCycle,
+    ) -> (CycleResult, Vec<ScheduledQuery>) {
+        let id = fc.session.as_str();
         let (report, posteriors) = if session.model_epoch != fc.model_epoch {
             session.generate(&fc.user_tokens, self.memo())
         } else {
@@ -1175,26 +1108,12 @@ impl SessionManager {
         };
         let start = session.clock_secs;
         session.clock_secs += session.config.think_time_secs;
-        // Schedule first so the pacer's cycle id is known when the
-        // cycle's accounting record is journaled — that id is the handle
-        // drains deliver against and
-        // [`SessionManager::rollback_cycle`] reverses the debits by.
+        let cycle_id = session.pacer.next_cycle_id();
         let schedule = session.pacer.schedule(&report, start);
-        let cycle_id = schedule.first().map(|s| s.cycle_id);
-        session.account(
-            &report,
-            posteriors,
-            cycle_id,
-            &fc.user_tokens,
-            fc.k,
-            schedule.len(),
-        );
-        if let (Some(auditor), Some(cycle_id)) = (&self.auditor, cycle_id) {
-            // Register the cycle's privacy facts while the ground truth
-            // is in hand; the scheduler's drain workers audit them via
-            // `PrivacyAuditor::on_outcome`.
+        session.account(&report, posteriors, cycle_id, &fc.user_tokens, fc.k);
+        if let Some(auditor) = &self.auditor {
             let m = session.metrics(id);
-            auditor.register_cycle(
+            auditor.audit_cycle(
                 id,
                 cycle_id,
                 &report.metrics,
@@ -1203,16 +1122,7 @@ impl SessionManager {
                 m.worst_exposure,
             );
         }
-        let plan = schedule
-            .into_iter()
-            .map(|scheduled| PlannedQuery {
-                session: id.to_string(),
-                scheduled,
-                k: fc.k,
-                subscribers: Vec::new(),
-            })
-            .collect();
-        Ok((report, plan))
+        (report, schedule)
     }
 
     /// **Cycle atomicity**: reverses a planned cycle whose submissions
@@ -1220,8 +1130,8 @@ impl SessionManager {
     /// The session's trace accounting is recomputed *without* the cycle
     /// — bit-exactly equal to a session that never formulated it (base
     /// accumulator plus a re-fold of the surviving in-flight journal,
-    /// never float subtraction) — the audit plane's pending fact for the
-    /// cycle is released (its exactly-once breach flag is preserved),
+    /// never float subtraction) — the audit plane re-credits the tenant
+    /// and journals the rollback (the verdict passed at commit stands),
     /// and the original user tokens come back so the caller can replan
     /// the search as a fresh cycle. Rolling back an unknown or fully
     /// delivered cycle fails with `BadRequest`: delivered work is never
@@ -1259,14 +1169,13 @@ impl SessionManager {
         let s = recover_lock(&session);
         // The *live* accounting spills: a restore treats everything
         // spilled as delivered (the rollback window does not survive a
-        // crash — in-flight cycles at spill time are either audited by a
-        // later drain or lost with the process, never half-restored).
+        // crash — in-flight cycles at spill time were audited at commit
+        // and are either delivered later or lost with the process, never
+        // half-restored).
         Ok(crate::persist::SessionState {
             id: id.to_string(),
             config: s.config.clone(),
             model_epoch: s.model_epoch,
-            posteriors: s.acc.tracker.posteriors().to_vec(),
-            genuine: s.acc.tracker.genuine().to_vec(),
             clock_secs: s.clock_secs,
             intention_union: s.acc.intention_union.iter().copied().collect(),
             posterior_sum: s.acc.posterior_sum.clone(),
@@ -1288,19 +1197,12 @@ impl SessionManager {
     /// spill (all sums and counters carry over raw), and stays
     /// bit-identical *going forward* only when the restoring manager
     /// holds the same fleet seed and an identical model — the crash
-    /// recovery contract. Fails on a duplicate id or a state whose
-    /// tracker parts are inconsistent.
+    /// recovery contract. Fails on a duplicate or malformed id.
     pub fn restore_session(
         &self,
         state: &crate::persist::SessionState,
     ) -> Result<(), ServiceError> {
-        if state.id.is_empty() {
-            return Err(ServiceError::BadRequest("empty session id".into()));
-        }
-        let tracker = SessionTracker::from_parts(state.posteriors.clone(), state.genuine.clone())
-            .ok_or_else(|| {
-            ServiceError::BadRequest("corrupt session state: genuine index beyond history".into())
-        })?;
+        check_session_id(&state.id)?;
         let mut sessions = recover_write(&self.sessions);
         if sessions.contains_key(&state.id) {
             return Err(ServiceError::DuplicateSession(state.id.clone()));
@@ -1318,7 +1220,6 @@ impl SessionManager {
         // Everything restored is settled state: base == acc, journal
         // empty (see the export-side note).
         session.base = TraceAccounting {
-            tracker,
             intention_union: state.intention_union.iter().copied().collect(),
             posterior_sum: state.posterior_sum.clone(),
             posterior_count: state.posterior_count,
@@ -1412,6 +1313,25 @@ impl SessionManager {
             sessions,
         }
     }
+}
+
+/// Longest session id accepted, in bytes. An id is a client's choice
+/// and becomes a map key, four gauge labels and audit-event text, so it
+/// is bounded like any other input.
+pub const MAX_SESSION_ID_BYTES: usize = 128;
+
+/// Refuses an empty or over-long session id.
+fn check_session_id(id: &str) -> Result<(), ServiceError> {
+    if id.is_empty() {
+        return Err(ServiceError::BadRequest("empty session id".into()));
+    }
+    if id.len() > MAX_SESSION_ID_BYTES {
+        return Err(ServiceError::BadRequest(format!(
+            "session id of {} bytes exceeds {MAX_SESSION_ID_BYTES}",
+            id.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Stable per-session seed from the id.
@@ -1589,10 +1509,7 @@ mod tests {
                 identity(&a.report, &a.posteriors),
                 identity(&b.report, &b.posteriors)
             );
-            assert_eq!(
-                (a.boost_support, a.k, a.model_epoch),
-                (b.boost_support, b.k, b.model_epoch)
-            );
+            assert_eq!((a.k, a.model_epoch), (b.k, b.model_epoch));
             let a = plain.search_tokens(id, tokens, 10).unwrap();
             let b = cached.search_tokens(id, tokens, 10).unwrap();
             assert_eq!(hit_bits(&a.hits), hit_bits(&b.hits));
@@ -1662,17 +1579,6 @@ mod tests {
         reordered.reverse();
         assert_ne!(&reordered, q);
         formulated(&manager, "b", &reordered);
-        assert_eq!(memo_counts(&manager), (1, misses + 1));
-
-        // A history-aware session's cycles depend on its own trace: it
-        // neither reads nor feeds the memo, before its first cycle or after.
-        let history_aware = SessionConfig {
-            history_aware: true,
-            ..SessionConfig::default()
-        };
-        manager.open_session_with("trace", history_aware).unwrap();
-        manager.search_tokens("trace", q, 10).unwrap();
-        manager.search_tokens("trace", q, 10).unwrap();
         assert_eq!(memo_counts(&manager), (1, misses + 1));
 
         // A swapped model is another epoch, even when it is the same model.

@@ -1,12 +1,12 @@
-//! Integration tests: the privacy auditor under a concurrent drain.
+//! Integration tests: the privacy auditor around a concurrent drain.
 //!
-//! A rigged ε2 breach must surface as **exactly one** journal event no
-//! matter how many drain workers race on the cycle's submissions, the
-//! per-tenant gauges must reflect the manager's exposure accounting in
-//! micro-units, and a later drain must not re-emit the breach. The
-//! synchronous search path audits in place, so it can neither erase a
-//! pending paced fact nor debit or audit a session differently from the
-//! paced path.
+//! Every cycle is audited once, when it is committed: a rigged ε2 breach
+//! surfaces as **exactly one** journal event at the rig, and no drain
+//! worker racing on the cycle's submissions re-emits it. The per-tenant
+//! gauges reflect the manager's exposure accounting in micro-units. A
+//! wire search commits like a planned cycle, so it draws a cycle id from
+//! the same pacer and debits and audits a session exactly as the paced
+//! path does.
 
 use std::sync::Arc;
 use toppriv_service::auditor::{
@@ -15,9 +15,12 @@ use toppriv_service::auditor::{
 };
 use toppriv_service::obs::AuditEvent;
 use toppriv_service::{
-    AuditConfig, CycleScheduler, PlannedQuery, PrivacyAuditor, SessionManager, SessionMetrics,
+    AuditConfig, CycleScheduler, PlannedQuery, PrivacyAuditor, SessionConfig, SessionManager,
+    SessionMetrics,
 };
-use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
+use tsearch_corpus::{
+    generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
+};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
 use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
@@ -33,7 +36,7 @@ struct Stack {
 }
 
 /// A small sharded stack: the rigged cycle's submissions spread across
-/// shards, so several drain workers genuinely race on its audit.
+/// shards and several drain workers, none of which may audit it again.
 fn stack() -> Stack {
     let corpus = SyntheticCorpus::generate(CorpusConfig {
         num_docs: 300,
@@ -109,8 +112,8 @@ fn plan_wave(
     plans
 }
 
-/// Rigs a registered cycle's fact with an unmasked exposure far above
-/// both its decoys and ε2: the drain that audits it must surface a breach.
+/// Audits a committed cycle again with an unmasked exposure far above
+/// both its decoys and ε2: the breach is journaled at the call.
 fn rig_breach(auditor: &PrivacyAuditor, session: &str, cycle_id: usize) {
     let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
     let unmasked = toppriv_core::PrivacyMetrics {
@@ -118,7 +121,7 @@ fn rig_breach(auditor: &PrivacyAuditor, session: &str, cycle_id: usize) {
         mask_level: 0.0,
         ..Default::default()
     };
-    auditor.register_cycle(session, cycle_id, &unmasked, eps2, 0.5, 0.5);
+    auditor.audit_cycle(session, cycle_id, &unmasked, eps2, 0.5, 0.5);
 }
 
 fn breaches(auditor: &PrivacyAuditor) -> Vec<AuditEvent> {
@@ -135,15 +138,22 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
 
     let plans = plan_wave(&manager, &stack, 2, 0);
     let expected: usize = plans.iter().map(|p| p.len()).sum();
-    // Rig one planned cycle: the very next drain must surface the breach.
+    assert_eq!(
+        auditor.cycles_audited(),
+        (SESSIONS * 2) as u64,
+        "each planned cycle audited once, at commit"
+    );
+    // Rig one planned cycle: the breach is journaled at the call.
     let rigged = plans[0][0].clone();
     rig_breach(&auditor, &rigged.session, rigged.scheduled.cycle_id);
+    assert_eq!(auditor.log().breaches(), 1, "journaled at the rig");
 
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let outcomes = scheduler.drain(CycleScheduler::merge(plans));
     assert_eq!(outcomes.len(), expected, "every submission drained");
 
-    // Exactly one breach in the journal, attributed to the rigged cycle.
+    // Still one breach in the journal, attributed to the rigged cycle:
+    // the drain workers audit nothing.
     assert_eq!(auditor.log().breaches(), 1, "exactly-once breach emission");
     let breaches = breaches(&auditor);
     assert_eq!(breaches.len(), 1);
@@ -164,8 +174,8 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     );
     assert_eq!(
         auditor.cycles_audited(),
-        (SESSIONS * 2) as u64,
-        "each planned cycle audited once (the rig overwrites, not adds)"
+        (SESSIONS * 2 + 1) as u64,
+        "each commit once, plus the rig's own evaluation"
     );
 
     let health = auditor.health();
@@ -173,7 +183,7 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     assert_eq!(health.breaches, 1);
     assert_eq!(health.tenants, SESSIONS);
 
-    // A later clean drain must not re-emit the pruned rigged cycle.
+    // A later clean wave must not re-emit the rigged cycle.
     let more = plan_wave(&manager, &stack, 1, 5);
     let expected: usize = more.iter().map(|p| p.len()).sum();
     let outcomes = scheduler.drain(CycleScheduler::merge(more));
@@ -205,8 +215,9 @@ fn a_search_after_a_rollback_leaves_a_pending_paced_fact_alone() {
     let b_id = b[0].scheduled.cycle_id;
     assert_eq!((a[0].scheduled.cycle_id, b_id), (0, 1));
     rig_breach(&auditor, id, b_id);
-    // Rolling A back takes the session's cycle count from 2 to 1, so the
-    // next synchronous cycle is the session's second again — B's id.
+    // Rolling A back takes the session's cycle count from 2 to 1. A
+    // search labelled by that count would be the session's second cycle
+    // again — B's id; it draws the pacer's next id instead.
     manager.rollback_cycle(id, a[0].scheduled.cycle_id).unwrap();
     manager.search_tokens(id, &queries[2].tokens, 10).unwrap();
     assert_eq!(manager.session_metrics(id).unwrap().cycles, 2);
@@ -219,6 +230,66 @@ fn a_search_after_a_rollback_leaves_a_pending_paced_fact_alone() {
         (id, b_id as u64)
     );
     assert!(!auditor.health().healthy);
+}
+
+#[test]
+fn cycle_ids_are_unique_per_session_across_routes() {
+    let stack = stack();
+    let manager = SessionManager::new_sharded(stack.engine.clone(), stack.model.clone())
+        .with_fleet_seed(7)
+        .with_auditor(AuditConfig::default());
+    let auditor = manager.auditor().expect("auditor attached").clone();
+    // Thresholds so small that every cycle's trace exposure eats more than
+    // three quarters of ε2: each audit journals one event (a breach or a
+    // low-headroom warning), so the journal names every audited cycle.
+    let config = SessionConfig {
+        requirement: toppriv_core::PrivacyRequirement::new(1e-6, 1e-6).unwrap(),
+        ..SessionConfig::default()
+    };
+    manager.open_session_with("t", config).unwrap();
+    let queries = generate_workload(
+        &stack.corpus,
+        &WorkloadConfig {
+            num_queries: 12,
+            ..WorkloadConfig::default()
+        },
+    );
+    let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
+    // Interleave both routes: a search between plans, and plans pending
+    // while searches commit.
+    let interleave = |queries: &[BenchmarkQuery]| {
+        let mut plans = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            if i % 2 == 0 {
+                plans.push(manager.plan_cycle("t", &q.tokens, 10).unwrap());
+            } else {
+                manager.search_tokens("t", &q.tokens, 10).unwrap();
+            }
+        }
+        scheduler.drain(CycleScheduler::merge(plans));
+    };
+    interleave(&queries[..6]);
+    let state = manager.export_session("t").unwrap();
+    // Searches draw pacer ids and advance the session clock like plans.
+    assert_eq!(state.next_cycle_id, 6);
+    assert_eq!(state.clock_secs, 6.0 * state.config.think_time_secs);
+    manager.close_session("t").unwrap();
+    manager.restore_session(&state).unwrap();
+    interleave(&queries[6..]);
+
+    let ids: Vec<u64> = auditor
+        .log()
+        .events()
+        .iter()
+        .filter(|e| e.tenant == "t")
+        .map(|e| e.cycle)
+        .collect();
+    assert_eq!(auditor.cycles_audited(), queries.len() as u64);
+    assert_eq!(ids.len(), queries.len(), "one event per cycle: {ids:?}");
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "cycle ids strictly increase, none repeats: {ids:?}"
+    );
 }
 
 /// Every field of one session's metrics, floats as bit patterns.

@@ -1,5 +1,5 @@
 //! Property tests for the session spill codec: for every session state —
-//! arbitrary posterior histories, exposure aggregates, configs — the
+//! arbitrary trace sums, exposure aggregates, configs — the
 //! spill round-trips **bitwise** (every `f64` compared by bit pattern,
 //! not tolerance), both at the raw codec layer and through the sealed
 //! CRC32 store container, and any single corrupted byte in a sealed
@@ -39,14 +39,14 @@ fn config_strategy() -> impl Strategy<Value = SessionConfig> {
             any::<u64>(),
         ),
         (pacing_strategy(), any::<f64>(), any::<f64>(), any::<u64>()),
-        (any::<bool>(), 0usize..1000, any::<f64>()),
+        (0usize..1000, any::<f64>()),
     )
         .prop_map(
             |(
                 (eps1, eps2),
                 (min_len_mult, max_len_mult, max_cycle_len, term_pool, biased, ghost_seed),
                 (strategy, burst_gap_secs, jitter, pacing_seed),
-                (history_aware, top_k, think_time_secs),
+                (top_k, think_time_secs),
             )| SessionConfig {
                 requirement: PrivacyRequirement { eps1, eps2 },
                 ghost: GhostConfig {
@@ -67,7 +67,6 @@ fn config_strategy() -> impl Strategy<Value = SessionConfig> {
                     jitter,
                     seed: pacing_seed,
                 },
-                history_aware,
                 top_k,
                 think_time_secs,
             },
@@ -77,8 +76,6 @@ fn config_strategy() -> impl Strategy<Value = SessionConfig> {
 fn state_strategy() -> impl Strategy<Value = SessionState> {
     (
         config_strategy(),
-        proptest::collection::vec(proptest::collection::vec(any::<f64>(), 0..6), 0..5),
-        proptest::collection::vec(any::<u64>(), 0..8),
         (
             any::<f64>(),
             proptest::collection::vec(0u64..64, 0..6),
@@ -96,8 +93,6 @@ fn state_strategy() -> impl Strategy<Value = SessionState> {
         .prop_map(
             |(
                 config,
-                posteriors,
-                raw_genuine,
                 (clock_secs, union_raw, posterior_sum, posterior_count, next_cycle_id),
                 (
                     (cycles, queries_emitted, satisfied),
@@ -105,37 +100,22 @@ fn state_strategy() -> impl Strategy<Value = SessionState> {
                     model_epoch,
                     id_nonce,
                 ),
-            )| {
-                // Genuine indices must reference recorded posteriors (the
-                // decoder validates this), so they are drawn modulo the
-                // history length.
-                let genuine: Vec<usize> = if posteriors.is_empty() {
-                    Vec::new()
-                } else {
-                    raw_genuine
-                        .iter()
-                        .map(|&g| g as usize % posteriors.len())
-                        .collect()
-                };
-                SessionState {
-                    id: format!("tenant-{id_nonce:x}"),
-                    config,
-                    model_epoch,
-                    posteriors,
-                    genuine,
-                    clock_secs,
-                    intention_union: union_raw.iter().map(|&t| t as usize).collect(),
-                    posterior_sum,
-                    posterior_count,
-                    next_cycle_id,
-                    cycles,
-                    queries_emitted,
-                    sum_cycle_len,
-                    sum_exposure,
-                    worst_exposure,
-                    sum_mask,
-                    satisfied,
-                }
+            )| SessionState {
+                id: format!("tenant-{id_nonce:x}"),
+                config,
+                model_epoch,
+                clock_secs,
+                intention_union: union_raw.iter().map(|&t| t as usize).collect(),
+                posterior_sum,
+                posterior_count,
+                next_cycle_id,
+                cycles,
+                queries_emitted,
+                sum_cycle_len,
+                sum_exposure,
+                worst_exposure,
+                sum_mask,
+                satisfied,
             },
         )
 }
@@ -175,16 +155,9 @@ fn bit_identical(a: &SessionState, b: &SessionState) -> bool {
         )
         && f(a.config.pacing.jitter, b.config.pacing.jitter)
         && a.config.pacing.seed == b.config.pacing.seed
-        && a.config.history_aware == b.config.history_aware
         && a.config.top_k == b.config.top_k
         && f(a.config.think_time_secs, b.config.think_time_secs)
         && a.model_epoch == b.model_epoch
-        && a.posteriors.len() == b.posteriors.len()
-        && a.posteriors
-            .iter()
-            .zip(&b.posteriors)
-            .all(|(x, y)| fs(x, y))
-        && a.genuine == b.genuine
         && f(a.clock_secs, b.clock_secs)
         && a.intention_union == b.intention_union
         && fs(&a.posterior_sum, &b.posterior_sum)

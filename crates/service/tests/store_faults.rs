@@ -211,8 +211,7 @@ fn failed_journal_spill_leaves_no_gap() {
     // Cycle 0 breaches (journaled pre-failure), then the periodic spill
     // fails on the injected ENOSPC — surfaced as a spill_failed warning,
     // nothing on disk, ring journal intact.
-    auditor.register_cycle("t", 0, &breach, 0.01, 0.5, 0.5);
-    auditor.on_outcome("t", 0);
+    auditor.audit_cycle("t", 0, &breach, 0.01, 0.5, 0.5);
     auditor.finish_drain();
     assert!(!path.exists(), "failed spill must not leave a container");
     let codes: Vec<String> = auditor.tail(16).iter().map(|e| e.code.clone()).collect();
@@ -225,8 +224,7 @@ fn failed_journal_spill_leaves_no_gap() {
         mask_level: 0.05,
         ..breach
     };
-    auditor.register_cycle("t", 1, &clean, 0.01, 0.001, 0.002);
-    auditor.on_outcome("t", 1);
+    auditor.audit_cycle("t", 1, &clean, 0.01, 0.001, 0.002);
     auditor.finish_drain();
     assert!(path.exists(), "next periodic spill must succeed");
     let events = unseal_audit_journal(&std::fs::read(&path).unwrap()).unwrap();

@@ -1,14 +1,17 @@
 //! The wire rules of `serve_lines` / `serve_listener`: one write per
 //! response, no Nagle/delayed-ACK stall between back-to-back requests,
-//! pipelined requests answered in order, a capped request line, and a
-//! TCP connection paced by a token bucket.
+//! pipelined requests answered in order, a capped request line, a
+//! bounded session id, and a TCP connection paced by a token bucket.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toppriv_service::server::{CONNECTION_BURST, CONNECTION_REQUEST_INTERVAL};
-use toppriv_service::{serve_lines, serve_listener, Op, Request, Response, SessionManager};
+use toppriv_service::session::MAX_SESSION_ID_BYTES;
+use toppriv_service::{
+    handle, serve_lines, serve_listener, Op, Request, Response, ServiceError, SessionManager,
+};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_search::{ScoringModel, SearchEngine};
@@ -360,4 +363,45 @@ fn an_over_long_line_gets_a_typed_error_and_the_connection_is_closed() {
         read_response(&mut reader),
         Some(Response::Opened { .. })
     ));
+}
+
+#[test]
+fn an_over_long_session_id_gets_a_typed_error_and_opens_nothing() {
+    let (manager, _) = stack();
+    let open = |session: String| {
+        handle(
+            &manager,
+            Request {
+                op: Op::Open {
+                    session,
+                    eps1: None,
+                    eps2: None,
+                },
+            },
+        )
+    };
+    let before = manager.session_count();
+    match open("x".repeat(MAX_SESSION_ID_BYTES + 1)) {
+        Response::Error { message } => assert_eq!(
+            message,
+            format!(
+                "bad request: session id of {} bytes exceeds {MAX_SESSION_ID_BYTES}",
+                MAX_SESSION_ID_BYTES + 1
+            )
+        ),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(manager.session_count(), before);
+
+    // The longest id accepted opens; a spill renamed past the bound is
+    // refused on restore, the same way.
+    let longest = "x".repeat(MAX_SESSION_ID_BYTES);
+    assert!(matches!(open(longest.clone()), Response::Opened { .. }));
+    let mut state = manager.export_session(&longest).expect("open session");
+    state.id.push('x');
+    assert!(matches!(
+        manager.restore_session(&state),
+        Err(ServiceError::BadRequest(_))
+    ));
+    assert_eq!(manager.session_count(), before + 1);
 }
