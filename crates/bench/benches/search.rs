@@ -4,14 +4,16 @@
 //! `search_ghost_shaped` is a cycle member as the benchmark stack's
 //! traffic sees one: ghosts are drawn from topic top-words, the
 //! highest-df terms, so a member reads an order of magnitude more
-//! postings than `search_topk`'s user-shaped queries.
+//! postings than `search_topk`'s user-shaped queries. It runs on the
+//! single engine and on the 4-shard tier `wire_open` and `fleet_drain`
+//! serve.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use toppriv_bench::Scale;
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
-use tsearch_search::{Query, ScoringModel, SearchEngine};
+use tsearch_search::{Query, ScoringModel, SearchEngine, ShardedEngine};
 use tsearch_text::{Analyzer, TermId};
 
 fn engine(model: ScoringModel) -> (SearchEngine, Vec<Vec<u32>>) {
@@ -56,6 +58,9 @@ fn bench_query_latency(c: &mut Criterion) {
 const GHOST_TERMS: usize = 14;
 const GHOST_POOL: usize = 40;
 
+/// Shards of the tier `wire_open` and `fleet_drain` serve.
+const GHOST_SHARDS: usize = 4;
+
 fn bench_ghost_shaped(c: &mut Criterion) {
     // The benchmark stack's corpus shape.
     let corpus = SyntheticCorpus::generate(CorpusConfig {
@@ -73,6 +78,14 @@ fn bench_ghost_shaped(c: &mut Criterion) {
     ] {
         let engine =
             SearchEngine::build(&docs, &texts, Analyzer::new(), corpus.vocab.clone(), model);
+        let sharded = ShardedEngine::build(
+            &docs,
+            &texts,
+            Analyzer::new(),
+            corpus.vocab.clone(),
+            model,
+            GHOST_SHARDS,
+        );
         let index = engine.index();
         let mut by_df: Vec<TermId> = (0..index.num_terms() as TermId).collect();
         by_df.sort_by_key(|&t| std::cmp::Reverse(index.doc_freq(t)));
@@ -104,6 +117,15 @@ fn bench_ghost_shaped(c: &mut Criterion) {
                 let q = &queries[i % queries.len()];
                 i += 1;
                 black_box(engine.evaluate(q, 10))
+            })
+        });
+        let sharded_name = format!("{name}/{GHOST_SHARDS}-shards");
+        group.bench_with_input(BenchmarkId::from_parameter(sharded_name), &(), |b, _| {
+            let mut i = 0usize;
+            b.iter(|| {
+                let q = &queries[i % queries.len()];
+                i += 1;
+                black_box(sharded.evaluate(q, 10))
             })
         });
     }

@@ -143,44 +143,16 @@ pub struct GhostGenerator {
     belief: BeliefEngine,
     requirement: PrivacyRequirement,
     config: GhostConfig,
-    /// Corpus-wide `Pr(w) = Σ_t Pr(w|t)·Pr(t)`, materialized only for
-    /// [`TermSelection::SpecificityMatched`].
-    word_prior: Option<Vec<f64>>,
 }
 
 impl GhostGenerator {
     /// Creates a generator.
     pub fn new(belief: BeliefEngine, requirement: PrivacyRequirement, config: GhostConfig) -> Self {
-        let word_prior = (config.term_selection == TermSelection::SpecificityMatched)
-            .then(|| Self::compute_word_prior(&belief));
         Self {
             belief,
             requirement,
             config,
-            word_prior,
         }
-    }
-
-    /// `Pr(w)` for every word under the model's corpus prior.
-    fn compute_word_prior(belief: &BeliefEngine) -> Vec<f64> {
-        let model = belief.model();
-        let prior = model.prior();
-        (0..model.vocab_size() as TermId)
-            .map(|w| {
-                model
-                    .word_topics(w)
-                    .iter()
-                    .zip(prior)
-                    .map(|(&phi, &p)| phi * p)
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Word specificity `−ln Pr(w)`; higher = rarer.
-    fn specificity(&self, w: TermId) -> f64 {
-        let pr = self.word_prior.as_ref().expect("prior materialized")[w as usize];
-        -pr.max(f64::MIN_POSITIVE).ln()
     }
 
     /// The belief engine in use.
@@ -234,12 +206,11 @@ impl GhostGenerator {
         let intention = self.requirement.user_intention(&solo_boosts);
         // SpecificityMatched: ghosts should be as rare/common as the
         // genuine query's own words.
-        let target_spec = self.word_prior.as_ref().and_then(|_| {
-            if user_tokens.is_empty() {
-                return None;
-            }
-            let sum: f64 = user_tokens.iter().map(|&w| self.specificity(w)).sum();
-            Some(sum / user_tokens.len() as f64)
+        let matched = self.config.term_selection == TermSelection::SpecificityMatched;
+        let target_spec = (matched && !user_tokens.is_empty()).then(|| {
+            let specificity = self.belief.model().word_specificity();
+            let sum: f64 = user_tokens.iter().map(|&w| specificity[w as usize]).sum();
+            sum / user_tokens.len() as f64
         });
 
         // Step 2: initialization. `posterior_sum` is Equation (2)'s
@@ -403,9 +374,10 @@ impl GhostGenerator {
                 // Weights stay Pr(w|tm) so the ghost remains coherent.
                 let wide = self.config.term_pool * 4;
                 let mut candidates = model.top_words(tm, wide);
+                let specificity = model.word_specificity();
                 candidates.sort_by(|a, b| {
-                    let da = (self.specificity(a.0) - target).abs();
-                    let db = (self.specificity(b.0) - target).abs();
+                    let da = (specificity[a.0 as usize] - target).abs();
+                    let db = (specificity[b.0 as usize] - target).abs();
                     da.partial_cmp(&db).expect("finite specificity")
                 });
                 candidates.truncate(self.config.term_pool);
@@ -806,7 +778,7 @@ mod tests {
         // than others; a rare-term query should pull ghost terms toward
         // the rare end relative to the paper's Biased strategy.
         let model = trained_model();
-        let word_prior = GhostGenerator::compute_word_prior(&BeliefEngine::new(model.clone()));
+        let word_prior = word_prior(&model);
         let mk = |selection: TermSelection| {
             GhostGenerator::new(
                 BeliefEngine::new(model.clone()),
@@ -859,13 +831,86 @@ mod tests {
         );
     }
 
+    /// `Pr(w)` for every word, as each `SpecificityMatched` generator
+    /// used to compute it for itself.
+    fn word_prior(model: &LdaModel) -> Vec<f64> {
+        (0..model.vocab_size() as TermId)
+            .map(|w| {
+                model
+                    .word_topics(w)
+                    .iter()
+                    .zip(model.prior())
+                    .map(|(&phi, &p)| phi * p)
+                    .sum()
+            })
+            .collect()
+    }
+
     #[test]
-    fn biased_default_has_no_prior_table() {
+    fn the_model_specificity_table_draws_the_per_generator_cycles() {
         let model = trained_model();
-        let generator = generator(&model);
-        assert!(
-            generator.word_prior.is_none(),
-            "lazy: only materialized when needed"
-        );
+        let prior = word_prior(&model);
+        for (w, &specificity) in model.word_specificity().iter().enumerate() {
+            let old = -prior[w].max(f64::MIN_POSITIVE).ln();
+            assert_eq!(specificity.to_bits(), old.to_bits(), "word {w}");
+        }
+        // Cycles drawn when every generator built its own table:
+        // (term pool, query, cycle tokens).
+        type Drawn = (usize, &'static [TermId], &'static [&'static [TermId]]);
+        let expected: [Drawn; 10] = [
+            (
+                4,
+                &[0, 1, 2, 3],
+                &[
+                    &[8, 9, 10, 11],
+                    &[24, 25, 26, 27],
+                    &[0, 1, 2, 3],
+                    &[16, 17, 18, 19],
+                ],
+            ),
+            (4, &[8, 9], &[&[0, 1, 2, 3], &[8, 9], &[24, 25, 27]]),
+            (
+                4,
+                &[16, 17, 30],
+                &[&[24, 25, 26, 27], &[16, 17, 30], &[8, 9, 10, 11]],
+            ),
+            (4, &[5, 13, 21, 29], &[&[5, 13, 21, 29]]),
+            (4, &[31], &[&[16, 19], &[8], &[31]]),
+            (
+                12,
+                &[0, 1, 2, 3],
+                &[
+                    &[9, 10, 11, 13, 14, 15],
+                    &[17, 18, 20, 21, 23],
+                    &[24, 26, 27, 31],
+                    &[0, 1, 2, 3],
+                ],
+            ),
+            (12, &[8, 9], &[&[8, 9], &[24, 27, 28, 29], &[0, 1, 6, 7]]),
+            (
+                12,
+                &[16, 17, 30],
+                &[&[24, 26, 28, 29, 30, 31], &[16, 17, 30]],
+            ),
+            (12, &[5, 13, 21, 29], &[&[5, 13, 21, 29]]),
+            (12, &[31], &[&[17, 22], &[9], &[31]]),
+        ];
+        for (term_pool, query, cycle) in expected {
+            let generator = GhostGenerator::new(
+                BeliefEngine::new(model.clone()),
+                PrivacyRequirement::new(0.10, 0.05).unwrap(),
+                GhostConfig {
+                    term_selection: TermSelection::SpecificityMatched,
+                    term_pool,
+                    ..GhostConfig::default()
+                },
+            );
+            let got = generator.generate(query);
+            assert_eq!(
+                got.cycle_tokens(),
+                cycle,
+                "pool {term_pool} query {query:?}"
+            );
+        }
     }
 }

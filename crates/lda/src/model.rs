@@ -11,7 +11,9 @@
 //! on first use, and shared by everyone holding the `Arc<LdaModel>`. The
 //! rankings are derived state: [`crate::serialize`] never writes them (it
 //! rebuilds a model through [`LdaModel::from_parts`]), and a hot-swapped
-//! model is a new value whose rankings start empty.
+//! model is a new value whose rankings start empty. The per-word
+//! specificity table [`LdaModel::word_specificity`] is derived state of
+//! the same kind: built once, on first use, for the whole model.
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -40,6 +42,9 @@ pub struct LdaModel {
     /// the first [`LdaModel::top_words`] of that topic. Ids only: the
     /// probabilities are read back from `phi_wk`.
     rankings: Vec<OnceLock<Box<[TermId]>>>,
+    /// Per word, `−ln Pr(w)` — filled on the first
+    /// [`LdaModel::word_specificity`].
+    specificity: OnceLock<Box<[f64]>>,
 }
 
 impl LdaModel {
@@ -75,6 +80,7 @@ impl LdaModel {
             theta_dk,
             prior,
             rankings: vec![OnceLock::new(); num_topics],
+            specificity: OnceLock::new(),
         }
     }
 
@@ -162,6 +168,23 @@ impl LdaModel {
                 .collect();
             pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite phi"));
             pairs.into_iter().map(|(w, _)| w).collect()
+        })
+    }
+
+    /// Every word's specificity `−ln Pr(w)` (higher = rarer), where
+    /// `Pr(w) = Σ_t Pr(w|t)·Pr(t)` is its probability under the corpus
+    /// prior; a word of probability 0 reads `−ln` of the smallest positive
+    /// `f64`. Computed on the first call.
+    pub fn word_specificity(&self) -> &[f64] {
+        self.specificity.get_or_init(|| {
+            (0..self.vocab_size as TermId)
+                .map(|w| {
+                    let pr: f64 = (self.word_topics(w).iter().zip(&self.prior))
+                        .map(|(&phi, &p)| phi * p)
+                        .sum();
+                    -pr.max(f64::MIN_POSITIVE).ln()
+                })
+                .collect()
         })
     }
 

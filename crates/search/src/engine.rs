@@ -6,16 +6,19 @@
 //! processes for after-the-fact analysis.
 //!
 //! Scoring is term-at-a-time into one dense `Accumulator`: a score
-//! slot per document id, a seen-marker, and the list of documents
-//! touched. It lives in a thread-local scratch that is sized on first
-//! use and cleared by walking the touched list, so a submission costs
-//! neither an allocation nor a hash per posting. The result is the same,
-//! bit for bit, as summing into a fresh map: terms are visited in the
-//! same ascending order, every document's first contribution is added to
-//! `0.0`, and a document is ranked because it *had a posting*, not
+//! slot and a one-byte membership mark per document id, which every
+//! posting sets with a plain store and no branch. It lives in a
+//! thread-local scratch sized to the corpus, so a submission costs
+//! neither an allocation nor a hash per posting. The rank step walks the
+//! marks in doc-id order and clears each slot as it reads it. The result is the
+//! same, bit for bit, as summing into a fresh map: terms are visited in
+//! the same ascending order, every document's first contribution is added
+//! to `0.0`, and a document is ranked because it *had a posting*, not
 //! because its score is non-zero. [`TopK`]'s order is total (score, then
-//! doc id), so the order in which documents are offered to it — here,
-//! first-touch order — cannot change a ranking.
+//! doc id), so the order documents are offered in cannot change a
+//! ranking. Under cosine the rank step also drops, with no division, a
+//! document whose sum cannot beat the `k`-th score kept so far (see
+//! `Accumulator::rank`).
 //!
 //! A posting's contribution depends on its document's length only under
 //! BM25. Under TF-IDF it is a function of `tf` alone, so each query term
@@ -223,15 +226,26 @@ impl SearchEngine {
 }
 
 /// Dense score accumulators for one submission: `scores[d]` is document
-/// `d`'s running (unnormalized) sum, `seen[d]` whether any posting has
-/// touched it, `touched` the seen documents in first-touch order.
-/// Unseen slots always hold `0.0` / `false`, so [`Accumulator::reset`]
-/// only has to walk `touched`.
+/// `d`'s running (unnormalized) sum, and `marks[d]` is 1 once a posting
+/// has touched it. A slot whose mark is 0 holds `0.0`. A mark is a byte,
+/// not a bit, so that marking is a plain store: a bit's read-modify-write
+/// would chain every posting in one 64-document word through store
+/// forwarding. `marks` is padded to whole 8-byte chunks.
 #[derive(Default)]
 pub(crate) struct Accumulator {
     scores: Vec<f64>,
-    seen: Vec<bool>,
-    touched: Vec<u32>,
+    marks: Vec<u8>,
+}
+
+/// The documents chunk `index` of `marks` holds, ascending: its 8 marks
+/// read as one word, so an untouched chunk costs one load.
+fn marked(index: usize, chunk: &[u8]) -> impl Iterator<Item = usize> {
+    let mut word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(index * 8 + bit / 8)
+    })
 }
 
 impl Accumulator {
@@ -240,40 +254,54 @@ impl Accumulator {
     #[inline]
     pub(crate) fn add(&mut self, doc_id: u32, contribution: f64) {
         let d = doc_id as usize;
-        if !self.seen[d] {
-            self.seen[d] = true;
-            self.touched.push(doc_id);
-        }
         self.scores[d] += contribution;
+        self.marks[d] = 1;
     }
 
-    /// The touched documents and their unnormalized sums.
+    /// The touched documents and their unnormalized sums, by doc id.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.touched.iter().map(|&d| (d, self.scores[d as usize]))
+        (self.marks.chunks_exact(8).enumerate())
+            .flat_map(|(i, chunk)| marked(i, chunk))
+            .map(|d| (d as u32, self.scores[d]))
+    }
+
+    /// Hands each touched document and its sum to `f`, by doc id, and
+    /// clears it.
+    fn drain(&mut self, mut f: impl FnMut(u32, f64)) {
+        for (i, chunk) in self.marks.chunks_exact_mut(8).enumerate() {
+            for d in marked(i, chunk) {
+                f(d as u32, std::mem::take(&mut self.scores[d]));
+            }
+            chunk.fill(0);
+        }
     }
 
     /// Cosine-normalizes (when the model asks for it) and ranks the best
-    /// `k` touched documents — the one rank step of both engines.
-    pub(crate) fn rank(&self, model: ScoringModel, doc_norms: &[f64], k: usize) -> Vec<SearchHit> {
-        let mut topk = TopK::new(k.min(self.touched.len()));
-        for (doc_id, mut score) in self.iter() {
-            if model.needs_cosine_norm() {
-                let norm = doc_norms[doc_id as usize];
-                if norm > 0.0 {
-                    score /= norm;
+    /// `k` touched documents — the one rank step of both engines — and
+    /// leaves the accumulator empty. Once `k` hits are kept and the worst
+    /// of them scores `w > 0`, a document whose sum is below
+    /// `w·(1 − 1e-12)` times its norm is dropped undivided: its normalized
+    /// score rounds to at most that bound, and [`TopK`] would reject it,
+    /// as a later doc id needs a strictly higher score (ARCHITECTURE.md
+    /// gives the argument).
+    pub(crate) fn rank(&mut self, model: ScoringModel, norms: &[f64], k: usize) -> Vec<SearchHit> {
+        let cosine = model.needs_cosine_norm();
+        let mut topk = TopK::new(k);
+        let mut bound = f64::NEG_INFINITY;
+        self.drain(|doc_id, mut score| {
+            let norm = if cosine { norms[doc_id as usize] } else { 0.0 };
+            if norm > 0.0 {
+                if score < bound * norm {
+                    return;
                 }
+                score /= norm;
             }
             topk.push(SearchHit { doc_id, score });
-        }
+            if let Some(worst) = topk.worst().filter(|&w| w > 0.0) {
+                bound = worst * (1.0 - 1e-12);
+            }
+        });
         topk.into_sorted()
-    }
-
-    fn reset(&mut self) {
-        for &d in &self.touched {
-            self.scores[d as usize] = 0.0;
-            self.seen[d as usize] = false;
-        }
-        self.touched.clear();
     }
 }
 
@@ -282,18 +310,16 @@ thread_local! {
     static SCRATCH: RefCell<Accumulator> = RefCell::default();
 }
 
-/// Runs `f` with this thread's accumulator, empty and with room for
+/// Runs `f` with this thread's accumulator, empty and sized for exactly
 /// `num_docs` documents, and clears it afterwards. The accumulator is
 /// taken out of its slot for the call: if `f` panics it is dropped, not
 /// left dirty, and the next evaluation starts from a fresh one.
 pub(crate) fn with_accumulator<R>(num_docs: usize, f: impl FnOnce(&mut Accumulator) -> R) -> R {
     let mut acc = SCRATCH.with(RefCell::take);
-    if acc.scores.len() < num_docs {
-        acc.scores.resize(num_docs, 0.0);
-        acc.seen.resize(num_docs, false);
-    }
+    acc.scores.resize(num_docs, 0.0);
+    acc.marks.resize(num_docs.div_ceil(8) * 8, 0);
     let result = f(&mut acc);
-    acc.reset();
+    acc.drain(|_, _| {});
     SCRATCH.with(|slot| slot.replace(acc));
     result
 }
@@ -609,6 +635,69 @@ mod tests {
         assert_eq!(bits(&hits), vec![(0, 0.25f64.to_bits()), (2, 0)]);
         // The scratch was cleared: nothing of that evaluation is left.
         assert!(with_accumulator(4, |acc| acc.iter().next().is_none()));
+    }
+
+    /// `rank` without the bound: divide every touched document's sum by
+    /// its norm and offer it to [`TopK`].
+    fn offer_every_document(
+        acc: &Accumulator,
+        model: ScoringModel,
+        doc_norms: &[f64],
+        k: usize,
+    ) -> Vec<SearchHit> {
+        let mut topk = TopK::new(k);
+        for (doc_id, mut score) in acc.iter() {
+            let norm = doc_norms[doc_id as usize];
+            if model.needs_cosine_norm() && norm > 0.0 {
+                score /= norm;
+            }
+            topk.push(SearchHit { doc_id, score });
+        }
+        topk.into_sorted()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bounded_rank_equals_offering_every_document(
+            docs in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..16), 1..40),
+            copies in proptest::collection::vec(0usize..40, 0..20),
+            query in proptest::collection::vec(0u32..10, 1..6),
+        ) {
+            // Appended copies of earlier documents score exactly as their
+            // originals do, so ties at the k-th place fall back to doc id.
+            let mut docs = docs;
+            for &i in &copies {
+                docs.push(docs[i % docs.len()].clone());
+            }
+            let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
+            let index = InvertedIndex::build(&refs, 10);
+            let query = Query::from_tokens(&query);
+            for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
+                let doc_norms = compute_doc_norms(&index, model);
+                let touched = with_accumulator(index.num_docs(), |acc| {
+                    for (term, qtf) in query.terms() {
+                        accumulate_term(&index, model, index.avg_doc_len(), term, qtf, acc);
+                    }
+                    acc.iter().count()
+                });
+                for k in [0, 1, 10, touched, usize::MAX] {
+                    let (expected, ranked) = with_accumulator(index.num_docs(), |acc| {
+                        for (term, qtf) in query.terms() {
+                            accumulate_term(&index, model, index.avg_doc_len(), term, qtf, acc);
+                        }
+                        let expected = offer_every_document(acc, model, &doc_norms, k);
+                        (expected, acc.rank(model, &doc_norms, k))
+                    });
+                    proptest::prop_assert_eq!(
+                        bits(&ranked),
+                        bits(&expected),
+                        "model {:?} k {}",
+                        model,
+                        k
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,12 @@ impl TopK {
         }
     }
 
+    /// The worst kept score once `k` hits are kept, `None` before.
+    pub(crate) fn worst(&self) -> Option<f64> {
+        let full = self.heap.len() == self.k;
+        self.heap.peek().filter(|_| full).map(|worst| worst.0.score)
+    }
+
     /// Current number of kept hits.
     pub fn len(&self) -> usize {
         self.heap.len()
