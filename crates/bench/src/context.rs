@@ -4,11 +4,25 @@
 use crate::scale::Scale;
 use std::path::Path;
 use std::sync::Arc;
+use toppriv_service::{AuditConfig, SearchTier, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, SyntheticCorpus};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
+use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
 use tsearch_store::{kind, ArtifactStore};
 use tsearch_text::Analyzer;
+
+/// The fleet secret of every fleet the `audit` and `planner` rows build,
+/// so their ghost workloads repeat run to run.
+pub const FLEET_SEED: u64 = 0x5CE7A210;
+
+/// Shards of a fleet's search tier.
+pub const FLEET_SHARDS: usize = 4;
+
+/// Scheduler workers per fleet drain.
+pub const FLEET_WORKERS: usize = 4;
+
+/// Results fetched per fleet query.
+pub const TOP_K: usize = 10;
 
 /// Everything the experiments share.
 pub struct ExperimentContext {
@@ -64,6 +78,30 @@ impl ExperimentContext {
     /// The default ("LDA200"-equivalent) model.
     pub fn default_model(&self) -> &Arc<LdaModel> {
         self.model(self.scale.default_k)
+    }
+
+    /// A fleet manager on a term-sharded tier of its own over the
+    /// context's corpus (the context's engine keeps its query log to the
+    /// experiments that read it), with a result cache, [`FLEET_SEED`],
+    /// and the audit plane when `audited`.
+    pub fn fleet_manager(&self, audited: bool) -> Arc<SessionManager> {
+        let docs = self.corpus.token_docs();
+        let texts: Vec<String> = self.corpus.docs.iter().map(|d| d.text.clone()).collect();
+        let tier = SearchTier::Sharded(Arc::new(ShardedEngine::build(
+            &docs,
+            &texts,
+            Analyzer::new(),
+            self.corpus.vocab.clone(),
+            self.engine.model(),
+            FLEET_SHARDS,
+        )));
+        let manager = SessionManager::with_tier(tier, self.default_model().clone())
+            .with_cache(4096)
+            .with_fleet_seed(FLEET_SEED);
+        Arc::new(match audited {
+            true => manager.with_auditor(AuditConfig::default()),
+            false => manager,
+        })
     }
 
     /// The queries used for sweep points (first `queries_per_setting`).

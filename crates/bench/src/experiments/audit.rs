@@ -24,11 +24,9 @@
 //! its exit status on.
 
 use super::Outcome;
-use crate::context::ExperimentContext;
-use crate::scenarios::{fleet_manager, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
+use crate::context::{ExperimentContext, FLEET_WORKERS, TOP_K};
 use crate::table::{f3, ResultTable};
 use crate::verdict::{InvariantBlock, ScenarioReport};
-use std::sync::Arc;
 use std::time::Instant;
 use toppriv_adversary::{OnlineEstimatorConfig, OnlineLogEstimator};
 use toppriv_service::auditor::{M_TENANT_HEADROOM, M_TENANT_TRACE_EXPOSURE};
@@ -96,12 +94,8 @@ fn timed_wave(
 /// Runs the audit-plane experiment.
 pub fn run(ctx: &ExperimentContext) -> Outcome {
     // Two identical fleets; only the audit plane differs.
-    let manager_off = Arc::new(
-        SessionManager::with_tier(sharded_tier(ctx, SHARDS), ctx.default_model().clone())
-            .with_cache(4096)
-            .with_fleet_seed(FLEET_SEED),
-    );
-    let manager_on = fleet_manager(ctx, sharded_tier(ctx, SHARDS));
+    let manager_off = ctx.fleet_manager(false);
+    let manager_on = ctx.fleet_manager(true);
     let auditor = manager_on
         .auditor()
         .expect("fleet manager attaches auditor");
@@ -110,8 +104,8 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
             m.open_session(&format!("audit-{s}")).expect("fresh id");
         }
     }
-    let scheduler_off = CycleScheduler::for_manager(&manager_off, WORKERS);
-    let scheduler_on = CycleScheduler::for_manager(&manager_on, WORKERS);
+    let scheduler_off = CycleScheduler::for_manager(&manager_off, FLEET_WORKERS);
+    let scheduler_on = CycleScheduler::for_manager(&manager_on, FLEET_WORKERS);
 
     // Planning is timed, and a topic's word ranking is sorted by the
     // first cycle that masks with it, in whichever fleet that is: sort
@@ -315,9 +309,6 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
         ),
         roundtrip.is_ok_and(|events| events == auditor.log().events()),
     );
-
-    manager_off.tier().clear_query_logs();
-    manager_on.tier().clear_query_logs();
 
     let mut table = ResultTable::new(
         "ext8_audit_plane",

@@ -20,7 +20,6 @@ pub mod fig6;
 pub mod mc;
 pub mod pacing;
 pub mod planner;
-pub mod scenarios;
 pub mod session;
 pub mod staleness;
 pub mod stats;
@@ -59,7 +58,6 @@ pub const ALL: &[(&str, Experiment)] = &[
     ("session", session::run),
     ("pacing", pacing::run),
     ("staleness", staleness::run),
-    ("scenarios", scenarios::run),
     ("audit", audit::run),
     ("planner", planner::run),
 ];

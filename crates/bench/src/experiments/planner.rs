@@ -27,14 +27,13 @@
 //! its exit status on.
 
 use super::{std_err, topic_classifier, Outcome};
-use crate::context::ExperimentContext;
-use crate::scenarios::{masking_violation, sharded_tier, FLEET_SEED, SHARDS, TOP_K, WORKERS};
+use crate::context::{ExperimentContext, FLEET_SEED, FLEET_WORKERS, TOP_K};
 use crate::table::{f3, ResultTable};
 use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
 use toppriv_adversary::{merge_shard_logs, run_classifier_attack};
 use toppriv_core::{CycleResult, PrivacyRequirement};
-use toppriv_service::{AuditConfig, CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
+use toppriv_service::{CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, WorkloadConfig};
 
 /// Fleet sizes swept (sessions sharing one tier).
@@ -92,12 +91,7 @@ fn run_fleet(
     planner_on: bool,
     workload: &Workload,
 ) -> (RunStats, Artifacts) {
-    let manager = Arc::new(
-        SessionManager::with_tier(sharded_tier(ctx, SHARDS), ctx.default_model().clone())
-            .with_cache(4096)
-            .with_fleet_seed(FLEET_SEED)
-            .with_auditor(AuditConfig::default()),
-    );
+    let manager = ctx.fleet_manager(true);
     for s in 0..sessions {
         manager
             .open_session(&format!("plan-{s}"))
@@ -125,7 +119,9 @@ fn run_fleet(
                     report
                 }
             };
-            worst_violation = worst_violation.max(masking_violation(&report.metrics, eps2));
+            let m = &report.metrics;
+            worst_violation =
+                worst_violation.max((m.exposure - m.mask_level).min(m.exposure - eps2));
             cycles.push(report);
             truths.push(q.target_topics[0]);
         }
@@ -135,7 +131,7 @@ fn run_fleet(
         None => CycleScheduler::merge(plans),
     };
     let expected: usize = queue.iter().map(|p| p.fanout()).sum();
-    let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
+    let scheduler = CycleScheduler::for_manager(&manager, FLEET_WORKERS);
     let outcomes = scheduler.drain(queue);
     assert_eq!(outcomes.len(), expected, "every subscriber outcome drains");
 

@@ -6,9 +6,10 @@
 //!   plus the extensions, as CSV ([`experiments::ALL`] is the index);
 //! - it **asserts**: every experiment checks the claims its data support
 //!   — the paper's shapes, the extensions' findings, and the fleet
-//!   invariants of `audit`, `planner` and the six [`scenarios`] — as
-//!   named checks ([`verdict`]), and the `reproduce` binary's exit status
-//!   is their verdict.
+//!   invariants of `audit` and `planner` — as named checks ([`verdict`]),
+//!   and the `reproduce` binary's exit status is their verdict. The
+//!   fleet's step-by-step guarantees are checked by the seeded simulation
+//!   in `tests/fleet_sim.rs`.
 //!
 //! ```text
 //! cargo run --release --bin reproduce -- --scale standard
@@ -23,7 +24,6 @@
 pub mod context;
 pub mod experiments;
 pub mod scale;
-pub mod scenarios;
 pub mod table;
 pub mod verdict;
 

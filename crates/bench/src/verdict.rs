@@ -1,11 +1,10 @@
-//! Invariant verdicts: what every experiment and fleet scenario hands
-//! back, and the one route that turns them into `reproduce`'s exit
-//! status.
+//! Invariant verdicts: what every experiment hands back, and the one
+//! route that turns them into `reproduce`'s exit status.
 
 /// One named invariant a run asserted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantCheck {
-    /// Short invariant name (`exposure_le_mask`, `accounting_bit_identical`, ...).
+    /// Short invariant name (`exposure_le_mask`, `planner_cuts_cost`, ...).
     pub name: String,
     /// Human-readable evidence: what was compared and what was observed.
     pub detail: String,
@@ -44,10 +43,10 @@ impl InvariantBlock {
     }
 }
 
-/// The outcome of one gating run: an experiment or a fleet scenario.
+/// The outcome of one gating run of an experiment.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
-    /// The run's name (`churn`, `chaos`, `audit`, ...).
+    /// The run's name (`fig3`, `audit`, `planner`, ...).
     pub name: String,
     /// Every invariant the run checked.
     pub invariants: InvariantBlock,

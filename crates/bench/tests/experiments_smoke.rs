@@ -34,10 +34,10 @@ fn every_experiment_runs_at_quick_scale() {
     let ctx = ExperimentContext::build(Scale::quick(), None);
     for (exp, run) in experiments::ALL {
         // The fleet rows run in CI through `reproduce`, whose exit status
-        // is their verdict; their timing checks (`degraded_drain_bounded`,
-        // `auditor_overhead_within_budget`) do not belong under a
+        // is their verdict; their timing check
+        // (`auditor_overhead_within_budget`) does not belong under a
         // parallel debug `cargo test`.
-        if ["scenarios", "audit", "planner"].contains(exp) {
+        if ["audit", "planner"].contains(exp) {
             continue;
         }
         let (tables, reports) = run(&ctx);

@@ -180,7 +180,7 @@ impl AuditLog {
 }
 
 /// The aggregated audit-plane verdict: what a `Health` protocol op, a
-/// `--audit-interval` tick, or a scenario's closing invariant reads.
+/// `--audit-interval` tick, or a test's per-step comparison reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// `true` iff no breach has ever been journaled.

@@ -1,10 +1,10 @@
 //! The online privacy auditor: continuous per-tenant (ε1, ε2) monitoring.
 //!
-//! PR 7 proved the paper's Definition-4 fleet invariant —
-//! `min(exposure − mask_level, exposure − ε2) ≤ 0` — inside the offline
-//! scenario harness. [`PrivacyAuditor`] turns that into a permanent
-//! runtime check that runs alongside serving, the privacy-system
-//! analogue of continuous SLO monitoring:
+//! The paper's Definition-4 fleet invariant is
+//! `min(exposure − mask_level, exposure − ε2) ≤ 0` for every cycle.
+//! [`PrivacyAuditor`] makes that a permanent runtime check that runs
+//! alongside serving, the privacy-system analogue of continuous SLO
+//! monitoring:
 //!
 //! - **audit** — a cycle's privacy facts (exposure, mask level, ε2,
 //!   trace exposure) are fixed when it is committed, so the session
@@ -22,8 +22,8 @@
 //!   CRC-sealed `tsearch-store` container (the PR-7 persist codec, kind
 //!   [`tsearch_store::kind::AUDIT_JOURNAL`]) so audits survive restarts;
 //! - **read out** — [`PrivacyAuditor::health`] aggregates the verdict a
-//!   `Health` protocol op, a `toppriv-serve --audit-interval` tick, or a
-//!   scenario's closing invariant consumes; [`PrivacyAuditor::tail`]
+//!   `Health` protocol op, a `toppriv-serve --audit-interval` tick, or the
+//!   fleet simulation's per-step comparison consumes; [`PrivacyAuditor::tail`]
 //!   serves `AuditTail`.
 //!
 //! Chaos tests and the `audit` bench experiment rig a breach by calling
@@ -65,8 +65,8 @@ const JOURNAL_CAPACITY: usize = 1024;
 /// Near-breach threshold as a fraction of ε2: a `low_headroom` warning
 /// is journaled when `0 ≤ headroom < fraction × ε2`.
 const NEAR_BREACH_FRACTION: f64 = 0.25;
-/// Float tolerance on the fleet-invariant evaluation (matches the
-/// scenario harness).
+/// Float tolerance on the fleet-invariant evaluation (the fleet
+/// simulation's reference model uses the same).
 const TOLERANCE: f64 = 1e-9;
 
 /// Fixed-point scale for float-valued gauges: the registry's [`toppriv_obs::Gauge`]

@@ -355,6 +355,14 @@ impl ResultCache {
         }
     }
 
+    /// Drops every entry (the tier the results were ranked on is being
+    /// replaced); the capacity and the counters stay.
+    pub(crate) fn clear(&self) {
+        for shard in &self.shards {
+            recover_lock(shard).clear();
+        }
+    }
+
     /// Cache-through read: returns `(hits, was_cache_hit)`, computing and
     /// inserting on miss. The shard lock is *not* held while `compute`
     /// runs, so concurrent misses on the same key may both evaluate (last

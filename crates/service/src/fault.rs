@@ -369,7 +369,7 @@ impl FaultPlane {
             .sum()
     }
 
-    /// One-line fire report across the taxonomy (for scenario notes).
+    /// One-line fire report across the taxonomy (for the demo's summary).
     pub fn report(&self) -> String {
         let mut parts = Vec::new();
         for kind in ALL_FAULT_KINDS {

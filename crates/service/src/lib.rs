@@ -74,8 +74,8 @@ pub use cache::{CacheKey, ResultCache};
 pub use fault::{FaultKind, FaultPlane, FaultSpec, SubmissionPredicate, ALL_FAULT_KINDS};
 pub use metrics::{GlobalMetrics, MetricsSnapshot, ServiceMetrics, SessionMetrics};
 pub use persist::{
-    seal_audit_journal, seal_query_log, seal_session_state, unseal_audit_journal, unseal_query_log,
-    unseal_session_state, PersistError, SessionState,
+    seal_audit_journal, seal_session_state, unseal_audit_journal, unseal_session_state,
+    PersistError, SessionState,
 };
 pub use planner::GhostPlanner;
 pub use protocol::{Op, Request, Response};

@@ -23,12 +23,11 @@
 //! counter so restored sessions keep globally unique cycle ids).
 //! Bit-identical restored *accounting* therefore requires restoring
 //! under the same fleet seed and an identical model — exactly the crash
-//! recovery contract, and what the recovery scenario asserts.
+//! recovery contract, and what the fleet simulation's spill step asserts.
 
 use crate::session::SessionConfig;
 use toppriv_core::{GhostConfig, PacingConfig, PacingStrategy, PrivacyRequirement, TermSelection};
 use toppriv_obs::{AuditEvent, AuditSeverity};
-use tsearch_search::LoggedQuery;
 use tsearch_store::{kind, seal, unseal_kind, StoreError};
 
 /// Codec version stamped into every spill. Version 1 also carried a
@@ -351,53 +350,6 @@ pub fn decode_session_state(payload: &[u8]) -> Result<SessionState, PersistError
         return Err(PersistError::Malformed("trailing bytes".into()));
     }
     Ok(state)
-}
-
-/// Seals one shard's query-log snapshot into a CRC-checked container
-/// (kind [`kind::QUERY_LOG`]) for post-crash replay.
-pub fn seal_query_log(entries: &[LoggedQuery]) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
-    w.u32(entries.len() as u32);
-    for e in entries {
-        w.u64(e.ordinal);
-        w.bytes(e.text.as_bytes());
-        w.u32(e.tokens.len() as u32);
-        for &t in &e.tokens {
-            w.u32(t);
-        }
-    }
-    seal(kind::QUERY_LOG, &w.0)
-}
-
-/// Unseals one shard's query-log container (inverse of
-/// [`seal_query_log`]), verifying its CRC32 and kind tag first.
-pub fn unseal_query_log(container: &[u8]) -> Result<Vec<LoggedQuery>, PersistError> {
-    let payload = unseal_kind(container, kind::QUERY_LOG)?;
-    let mut r = Reader {
-        buf: payload,
-        at: 0,
-    };
-    let n = r.len()?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ordinal = r.u64()?;
-        let text = String::from_utf8(r.bytes()?.to_vec())
-            .map_err(|_| PersistError::Malformed("query text is not UTF-8".into()))?;
-        let count = r.u32()? as usize;
-        if count.saturating_mul(4) > payload.len().saturating_sub(r.at) {
-            return Err(PersistError::Malformed("length beyond payload".into()));
-        }
-        let tokens = (0..count).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
-        entries.push(LoggedQuery {
-            ordinal,
-            text,
-            tokens,
-        });
-    }
-    if r.at != payload.len() {
-        return Err(PersistError::Malformed("trailing bytes".into()));
-    }
-    Ok(entries)
 }
 
 /// Codec version stamped into every audit-journal spill.

@@ -84,7 +84,9 @@ pub struct HitDto {
     pub score: f64,
 }
 
-/// Privacy accounting of one answered search.
+/// Privacy accounting of one answered search. It says nothing about the
+/// result cache: which members hit it would tell a tenant what other
+/// tenants searched.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchReportDto {
     /// Cycle length υ (genuine + ghosts).
@@ -97,8 +99,6 @@ pub struct SearchReportDto {
     pub satisfied: bool,
     /// Protected intention topics.
     pub intention: Vec<usize>,
-    /// Cycle members served from the result cache.
-    pub cache_hits: usize,
 }
 
 /// A server response line.

@@ -356,10 +356,10 @@ impl CycleScheduler {
     /// all delivered is sealed against rollback.
     ///
     /// A worker panic aborts the whole drain **loudly**: this wrapper
-    /// panics with the session of the first failure. Scenario
-    /// harnesses that need to keep running use
-    /// [`CycleScheduler::try_drain`], which returns the failure as a
-    /// structured [`DrainError`] instead.
+    /// panics with the session of the first failure. A caller that must
+    /// survive failures drains with [`CycleScheduler::drain_resilient`],
+    /// which retries, rolls back and replans, or with
+    /// [`CycleScheduler::try_drain`] to get the structured [`DrainError`].
     pub fn drain(&self, queue: Vec<PlannedQuery>) -> Vec<SubmitOutcome> {
         match self.try_drain(queue) {
             Ok(outcomes) => outcomes,

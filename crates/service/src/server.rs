@@ -78,7 +78,6 @@ pub fn handle(manager: &SessionManager, request: Request) -> Response {
                         mask_level: outcome.report.metrics.mask_level,
                         satisfied: outcome.report.satisfied,
                         intention: outcome.report.intention.clone(),
-                        cache_hits: outcome.cache_hits,
                     },
                 },
                 Err(e) => error(e),

@@ -761,11 +761,16 @@ impl SessionManager {
 
     /// Swaps the search tier without closing sessions (zero-downtime
     /// index rebuild, e.g. after corpus evolution). Sessions keep their
-    /// privacy accounting; schedulers constructed before the swap keep
-    /// draining against the tier they were built with, so build a fresh
+    /// privacy accounting; the result cache is emptied, since its
+    /// rankings came from the old index. Schedulers constructed before the
+    /// swap keep draining against the tier they were built with (and may
+    /// cache what they resolve), so drain them first and build a fresh
     /// [`crate::CycleScheduler::for_manager`] after swapping.
     pub fn swap_tier(&self, tier: SearchTier) {
         *recover_write(&self.tier) = tier;
+        if let Some(plane) = &self.cache {
+            plane.results.clear();
+        }
     }
 
     /// The result cache, if one is attached.

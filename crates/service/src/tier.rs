@@ -65,14 +65,6 @@ impl SearchTier {
         }
     }
 
-    /// Clears the adversary query log(s).
-    pub fn clear_query_logs(&self) {
-        match self {
-            SearchTier::Single(e) => e.clear_query_log(),
-            SearchTier::Sharded(e) => e.clear_query_logs(),
-        }
-    }
-
     /// The sharded engine, if this tier is sharded.
     pub fn as_sharded(&self) -> Option<&Arc<ShardedEngine>> {
         match self {

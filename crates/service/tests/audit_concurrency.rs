@@ -5,8 +5,8 @@
 //! worker racing on the cycle's submissions re-emits it. The per-tenant
 //! gauges reflect the manager's exposure accounting in micro-units. A
 //! wire search commits like a planned cycle, so it draws a cycle id from
-//! the same pacer and debits and audits a session exactly as the paced
-//! path does.
+//! the same pacer. (That both routes debit and audit a session alike is
+//! checked, step by step, by the fleet simulation in `crates/bench`.)
 
 use std::sync::Arc;
 use toppriv_service::auditor::{
@@ -16,7 +16,6 @@ use toppriv_service::auditor::{
 use toppriv_service::obs::AuditEvent;
 use toppriv_service::{
     AuditConfig, CycleScheduler, PlannedQuery, PrivacyAuditor, SessionConfig, SessionManager,
-    SessionMetrics,
 };
 use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
@@ -290,60 +289,6 @@ fn cycle_ids_are_unique_per_session_across_routes() {
         ids.windows(2).all(|w| w[0] < w[1]),
         "cycle ids strictly increase, none repeats: {ids:?}"
     );
-}
-
-/// Every field of one session's metrics, floats as bit patterns.
-fn metric_bits(m: &SessionMetrics) -> (String, u64, u64, Vec<u64>) {
-    let floats = [
-        m.mean_cycle_len,
-        m.mean_exposure,
-        m.worst_exposure,
-        m.mean_mask_level,
-        m.satisfied_rate,
-        m.trace_exposure,
-    ];
-    (
-        m.session.clone(),
-        m.cycles,
-        m.queries_emitted,
-        floats.iter().map(|x| x.to_bits()).collect(),
-    )
-}
-
-#[test]
-fn the_synchronous_and_paced_paths_debit_a_session_alike() {
-    let stack = stack();
-    let manager = || {
-        let manager = SessionManager::new_sharded(stack.engine.clone(), stack.model.clone())
-            .with_fleet_seed(7)
-            .with_auditor(AuditConfig::default());
-        manager.open_session("t").unwrap();
-        manager
-    };
-    let (searched, paced) = (manager(), manager());
-    let scheduler = CycleScheduler::for_manager(&paced, WORKERS);
-    let queries = generate_workload(
-        &stack.corpus,
-        &WorkloadConfig {
-            num_queries: 60,
-            ..WorkloadConfig::default()
-        },
-    );
-    assert!(queries.len() >= 50);
-    for q in &queries {
-        searched.search_tokens("t", &q.tokens, 10).unwrap();
-        let fc = paced.formulate_cycle("t", &q.tokens, 10).unwrap();
-        let (_, plan) = paced.commit_cycle(fc).unwrap();
-        scheduler.drain(plan);
-        assert_eq!(
-            metric_bits(&searched.session_metrics("t").unwrap()),
-            metric_bits(&paced.session_metrics("t").unwrap())
-        );
-    }
-    let (searched, paced) = (searched.auditor().unwrap(), paced.auditor().unwrap());
-    assert_eq!(searched.cycles_audited(), queries.len() as u64);
-    assert_eq!(searched.cycles_audited(), paced.cycles_audited());
-    assert_eq!(searched.log().events(), paced.log().events());
 }
 
 #[test]

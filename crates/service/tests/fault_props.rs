@@ -166,9 +166,18 @@ proptest! {
                 faulty_plans.push(plan);
             }
         }
-        let baseline = genuine_hits(
-            &CycleScheduler::for_manager(&clean, 2).drain(CycleScheduler::merge(clean_plans)),
-        );
+        let clean_queue = CycleScheduler::merge(clean_plans);
+        let clean_scheduler = CycleScheduler::for_manager(&clean, 2);
+        let drained = clean_scheduler.drain(clean_queue.clone());
+        let baseline = genuine_hits(&drained);
+        // On a fault-free queue the resilient drain is one round that rolls
+        // nothing back and returns what `drain` returns.
+        let again = clean_scheduler.drain_resilient(&clean, clean_queue);
+        prop_assert!(again.rounds == 1 && again.rolled_back.is_empty());
+        let key = |o: &SubmitOutcome| (o.session.clone(), o.cycle_id, o.time_secs.to_bits());
+        let keys = |outcomes: &[SubmitOutcome]| outcomes.iter().map(key).collect::<Vec<_>>();
+        prop_assert_eq!(keys(&again.outcomes), keys(&drained));
+        prop_assert_eq!(genuine_hits(&again.outcomes), baseline.clone());
 
         let scheduler = CycleScheduler::for_manager(&faulty, 2);
         let report = scheduler.drain_resilient(&faulty, CycleScheduler::merge(faulty_plans));

@@ -8,11 +8,7 @@
 use proptest::prelude::*;
 use toppriv_core::{GhostConfig, PacingConfig, PacingStrategy, PrivacyRequirement, TermSelection};
 use toppriv_service::persist::{decode_session_state, encode_session_state};
-use toppriv_service::{
-    seal_query_log, seal_session_state, unseal_query_log, unseal_session_state, SessionConfig,
-    SessionState,
-};
-use tsearch_search::LoggedQuery;
+use toppriv_service::{seal_session_state, unseal_session_state, SessionConfig, SessionState};
 
 fn pacing_strategy() -> impl Strategy<Value = PacingStrategy> {
     prop_oneof![
@@ -194,27 +190,5 @@ proptest! {
         let at = pos as usize % bad.len();
         bad[at] ^= flip;
         prop_assert!(unseal_session_state(&bad).is_err());
-    }
-
-    #[test]
-    fn query_log_roundtrips(entries in proptest::collection::vec(
-        (any::<u64>(), proptest::collection::vec(any::<u32>(), 0..8)),
-        0..12,
-    )) {
-        let log: Vec<LoggedQuery> = entries
-            .into_iter()
-            .map(|(ordinal, tokens)| LoggedQuery {
-                ordinal,
-                text: format!("q{ordinal:x}"),
-                tokens,
-            })
-            .collect();
-        let back = unseal_query_log(&seal_query_log(&log)).expect("sealed log unseals");
-        prop_assert_eq!(log.len(), back.len());
-        for (a, b) in log.iter().zip(&back) {
-            prop_assert_eq!(a.ordinal, b.ordinal);
-            prop_assert_eq!(&a.text, &b.text);
-            prop_assert_eq!(&a.tokens, &b.tokens);
-        }
     }
 }

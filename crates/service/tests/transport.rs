@@ -1,8 +1,10 @@
 //! The wire rules of `serve_lines` / `serve_listener`: one write per
 //! response, no Nagle/delayed-ACK stall between back-to-back requests,
 //! pipelined requests answered in order, a capped request line, a
-//! bounded session id, and a TCP connection paced by a token bucket.
+//! bounded session id, a TCP connection paced by a token bucket, and a
+//! `Search` report that carries the privacy accounting and nothing else.
 
+use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -219,6 +221,48 @@ fn a_k_beyond_the_corpus_returns_every_match_and_the_server_lives() {
         read_response(&mut reader),
         Some(Response::Opened { .. })
     ));
+}
+
+#[test]
+fn a_search_report_carries_the_privacy_accounting_and_nothing_else() {
+    let (manager, queries) = stack();
+    let open = Op::Open {
+        session: "r".into(),
+        eps1: None,
+        eps2: None,
+    };
+    assert!(matches!(
+        handle(&manager, Request { op: open }),
+        Response::Opened { .. }
+    ));
+    let op = Op::Search {
+        session: "r".into(),
+        query: queries[0].clone(),
+        k: None,
+    };
+    let json = serde_json::to_string(&handle(&manager, Request { op })).expect("encodes");
+    let Ok(Value::Map(response)) = serde_json::value_from_str(&json) else {
+        panic!("{json}");
+    };
+    let [(tag, Value::Map(results))] = &response[..] else {
+        panic!("{json}");
+    };
+    let report = results.iter().find(|(key, _)| key == "report");
+    let Some((_, Value::Map(report))) = report else {
+        panic!("{json}");
+    };
+    let keys: Vec<&str> = report.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(tag, "Results");
+    assert_eq!(
+        keys,
+        [
+            "cycle_len",
+            "exposure",
+            "mask_level",
+            "satisfied",
+            "intention"
+        ]
+    );
 }
 
 #[test]

@@ -150,8 +150,8 @@ fn parse_args() -> Result<Args, String> {
                      --topics N         LDA topic count (default 24)\n\
                      --lda-iterations N Gibbs iterations (default 40)\n\
                      --fault-rate R     inject deterministic worker panics and short shard\n\
-                     \u{20}                  stalls at rate R in [0, 1]; the demo drains through\n\
-                     \u{20}                  the self-healing path and reports rollbacks (default 0)\n\
+                     \u{20}                  stalls at rate R in [0, 1]; the demo's self-healing\n\
+                     \u{20}                  drain reports the rollbacks they cause (default 0)\n\
                      --fault-seed N     fault-plane seed: the whole injected schedule is a\n\
                      \u{20}                  pure function of this (default 3298844397)\n\
                      --metrics-interval SECS\n\
@@ -391,23 +391,20 @@ fn run_demo(args: &Args) {
         Some(planner) => planner.take_queue(),
         None => CycleScheduler::merge(plans),
     };
-    // Under injected faults the demo takes the self-healing path:
-    // retries, replans, and cycle rollbacks instead of lost work.
-    let outcomes = if manager.fault_plane().is_some() {
-        let report = scheduler.drain_resilient(&manager, queue);
-        eprintln!(
-            "[toppriv-serve] resilient drain: {} round(s), {} cycle(s) rolled back, {} replanned",
-            report.rounds,
-            report.rolled_back.len(),
-            report.replanned.len(),
-        );
-        if let Some(plane) = manager.fault_plane() {
-            eprintln!("[toppriv-serve]   fault plane: {}", plane.report());
-        }
-        report.outcomes
-    } else {
-        scheduler.drain(queue)
-    };
+    // The self-healing drain: on a fault-free queue it is one round with
+    // nothing rolled back; under injected faults it retries, replans and
+    // rolls cycles back instead of losing work.
+    let report = scheduler.drain_resilient(&manager, queue);
+    eprintln!(
+        "[toppriv-serve] resilient drain: {} round(s), {} cycle(s) rolled back, {} replanned",
+        report.rounds,
+        report.rolled_back.len(),
+        report.replanned.len(),
+    );
+    if let Some(plane) = manager.fault_plane() {
+        eprintln!("[toppriv-serve]   fault plane: {}", plane.report());
+    }
+    let outcomes = report.outcomes;
     let wall = t0.elapsed().as_secs_f64();
 
     if let Some((stop, handle)) = emitter {

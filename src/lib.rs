@@ -76,7 +76,7 @@ pub fn build_demo_stack(
 /// load drivers, where an unbounded log (≈ 290 B an entry) is RSS that
 /// grows with how fast the caller submits. The examples that read
 /// `query_log()` submit far fewer queries than the tail holds;
-/// experiments and scenarios build their own engines.
+/// experiments and tests build their own engines.
 ///
 /// Training is journaled as an `lda_train` span of the global tracer
 /// ([`obs::tracer`]).
