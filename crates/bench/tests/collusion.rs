@@ -24,7 +24,7 @@ fn storm(sim: &mut Sim, through_planner: bool) {
         for (s, &t) in open.iter().enumerate() {
             sim.step(Step::Plan(t, wave * 7 + s * 3, through_planner));
         }
-        sim.step(Step::Drain);
+        sim.step(Step::Drain(2));
         for &t in &open[..open.len() / 2] {
             sim.step(Step::Close(t));
         }

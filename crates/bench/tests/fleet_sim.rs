@@ -1,10 +1,11 @@
 //! The fleet simulation, seeded: one `u64` seed draws a run of steps —
 //! opens and closes, wire searches, plain and planner plans, resilient
-//! drains under injected faults, rollbacks, spill and restore, model
-//! swaps, one corpus evolution, flash crowds, closes under load and one
-//! watchdog stall — each checked against the reference model (see
-//! `sim/mod.rs`). A failing seed prints its step log and fails at the
-//! same step when its test runs again.
+//! drains by 1, 2 or 4 workers under injected faults, rollbacks, spill
+//! and restore, model swaps, one corpus evolution, plain and planner
+//! flash crowds, closes under load, hostile lines and one watchdog stall
+//! — each checked against the reference model (see `sim/mod.rs`). A
+//! failing seed prints its step log and fails at the same step when its
+//! test runs again.
 
 mod sim;
 
@@ -34,18 +35,19 @@ fn steps(seed: u64, len: usize) -> Vec<Step> {
             _ if i == 2 * len / 3 => Step::Evolve,
             (_, 0..=5) => Step::Open(t),
             (_, 6..=8) => Step::Close(t),
-            (_, 9..=30) => Step::Search(t, q),
+            (_, 9..=28) => Step::Search(t, q),
+            (_, 29..=30) => Step::Hostile(t, q),
             (_, 31..=50) => Step::Plan(t, q, false),
             (_, 51..=62) => Step::Plan(t, q, true),
-            (_, 63..=72) => Step::Drain,
+            (_, 63..=72) => Step::Drain([1, 2, 4][q % 3]),
             (_, 73..=80) => Step::Rollback(t, q),
             (_, 81..=84) => Step::SpillRestore(t),
             (_, 85..=92) => Step::Swap([Swap::Reload, Swap::SameK, Swap::NewK][q % 3]),
-            (_, 93..=96) => Step::Crowd(q),
+            (_, 93..=96) => Step::Crowd(q, q % 2 == 1),
             _ => Step::CloseUnderLoad(t, q),
         });
     }
-    steps.push(Step::Drain);
+    steps.push(Step::Drain(1));
     steps
 }
 
@@ -60,8 +62,9 @@ fn run(seed: u64, len: usize) -> Sim {
 #[test]
 fn one_seed_runs_every_step_kind_against_the_model() {
     let sim = run(0x51D_0001, 160);
-    let kinds = "open close search plan plan_planner drain rollback spill_restore swap_reload \
-                 swap_same_k swap_new_k evolve crowd close_under_load stall";
+    let kinds = "open open_duplicate close close_unknown search search_unknown plan plan_planner \
+                 drain1 drain2 drain4 rollback rollback_refused spill_restore swap_reload \
+                 swap_same_k swap_new_k evolve crowd crowd_planner close_under_load stall hostile";
     let ran = |kind: &&str| sim.ran.contains(kind);
     let missing: Vec<_> = kinds.split_whitespace().filter(|k| !ran(k)).collect();
     assert!(missing.is_empty(), "step kinds that never ran: {missing:?}");

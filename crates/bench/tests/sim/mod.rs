@@ -1,35 +1,56 @@
 //! The deterministic fleet simulation. A [`Sim`] drives tenants through
-//! the real stack — a 4-shard tier, result cache, audit plane, ghost
-//! planner and seeded fault plane — one [`Step`] at a time. After each
-//! step it compares the stack with the sequential [`model::Model`]: every
-//! tenant's `SessionMetrics` by `to_bits`, the audit plane's cycles,
-//! tenants and journal, and each genuine ranking (doc ids in order)
-//! against the exhaustive single-engine oracle.
+//! the real stack — a 4-shard tier, result cache and cycle memo, audit
+//! plane, ghost planner and seeded fault plane — one [`Step`] at a time.
+//! Every tenant request and every operator read is an NDJSON line served
+//! by `server::serve_lines`, and each response line must equal one
+//! rendered from the sequential [`model::Model`], with rankings from the
+//! exhaustive single-engine oracle. After each step the simulation also
+//! compares every tenant's `SessionMetrics` by `to_bits`, the audit
+//! plane's cycles, tenants, journal and tenant gauges, and the shared
+//! planes: resident cache entries and the hit and miss counts of the
+//! result cache and the cycle memo.
 
 pub mod model;
 
-use model::Model;
-use std::collections::BTreeSet;
+use model::{allows, CacheKey, Model};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use toppriv_core::{BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PrivacyRequirement};
-use toppriv_service::{handle, AuditConfig, CycleScheduler, FaultKind, FaultPlane, FaultSpec};
+use toppriv_service::auditor::{to_micro, M_TENANT_HEADROOM as HEADROOM};
+use toppriv_service::auditor::{
+    M_TENANT_TRACE_EXPOSURE as TRACE, M_TENANT_WORST_EXPOSURE as WORST,
+};
+use toppriv_service::cache::{M_CACHE_EVICTIONS, M_CYCLE_MEMO_EVICTIONS};
+use toppriv_service::cache::{M_CACHE_SHARD_HITS as HITS, M_CACHE_SHARD_MISSES as MISSES};
+use toppriv_service::cache::{M_CYCLE_MEMO_HITS as MEMO_HITS, M_CYCLE_MEMO_MISSES as MEMO_MISSES};
+use toppriv_service::obs::{parse_ndjson_line, MetricValue};
+use toppriv_service::protocol::{HitDto, SearchReportDto};
+use toppriv_service::session::MAX_SESSION_ID_BYTES;
+use toppriv_service::{serve_lines, AuditConfig, CycleScheduler, FaultKind, FaultPlane, FaultSpec};
 use toppriv_service::{GhostPlanner, Op, PlannedQuery, Request, Response, SearchTier};
-use toppriv_service::{SessionManager, SessionMetrics};
+use toppriv_service::{ServiceError, SessionConfig, SessionManager, SessionMetrics, SubmitOutcome};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, CorpusConfig, EvolutionConfig};
 use tsearch_corpus::{SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
 use tsearch_search::{Query, ScoringModel::TfIdfCosine, SearchEngine, ShardedEngine};
 use tsearch_text::{Analyzer, TermId};
 
+/// Workers of every drain but a `Drain` step's, which draws its own.
 const WORKERS: usize = 2;
 const TOP_K: usize = 10;
 /// The watchdog probe's stall outlasts its deadline five times over, so
 /// whether the drain is cut does not depend on timing.
 const DEADLINE: Duration = Duration::from_millis(200);
 const STALL_MS: u64 = 1000;
+/// Above the distinct keys of any run, so nothing is evicted and
+/// residency is a set, not an LRU order.
+const CACHE_CAPACITY: usize = 1 << 16;
+/// How far a score may stray from the oracle's, relatively: the last ulp
+/// of a sum taken shard by shard.
+const SCORE_TOLERANCE: f64 = 1e-12;
 
 /// One step. Tenant `n` is session `t{n}`; a query index is taken modulo
 /// the current corpus's query pool.
@@ -37,24 +58,28 @@ const STALL_MS: u64 = 1000;
 pub enum Step {
     Open(usize),
     Close(usize),
-    /// A wire `Search` through `server::handle`.
+    /// A wire `Search`.
     Search(usize, usize),
     /// A paced cycle, through the ghost planner when `true`.
     Plan(usize, usize, bool),
-    /// `drain_resilient` of every planned submission under the fault plane.
-    Drain,
+    /// `drain_resilient` of every planned submission by this many
+    /// workers, under the fault plane.
+    Drain(usize),
     /// Rolls back one of the tenant's cycles, picked by the index.
     Rollback(usize, usize),
     SpillRestore(usize),
     Swap(Swap),
     /// Evolves the corpus and swaps in its tier and a model trained on it.
     Evolve,
-    /// Every open tenant plans the same query, then a drain.
-    Crowd(usize),
+    /// Every open tenant plans the same query, through the planner when
+    /// `true`, then a drain.
+    Crowd(usize, bool),
     /// Threads search a tenant while it closes.
     CloseUnderLoad(usize, usize),
     /// A one-worker drain held past its deadline by an injected stall.
     Stall,
+    /// Malformed lines, then searches with a `k` beyond any corpus.
+    Hostile(usize, usize),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -125,8 +150,18 @@ pub fn stack() -> &'static Stack {
             let (docs, vocab) = (c.token_docs(), c.vocab.clone());
             SearchEngine::build(&docs, &texts(c), Analyzer::new(), vocab, TfIdfCosine)
         };
+        let pools = [&corpus, &evolved].map(|c| generate_workload(c, &workload));
+        // A query's tokens are its text as the server analyzes it, in
+        // order: the memo keys a wire search and a plan of it alike.
+        for (pool, c) in pools.iter().zip([&corpus, &evolved]) {
+            let analyzed = |q: &BenchmarkQuery| Analyzer::new().analyze_frozen(&q.text, &c.vocab);
+            assert!(
+                pool.iter().all(|q| analyzed(q) == q.tokens),
+                "tokens are the text"
+            );
+        }
         Stack {
-            pools: [&corpus, &evolved].map(|c| generate_workload(c, &workload)),
+            pools,
             oracles: [engine(&corpus), engine(&evolved)],
             corpus,
             evolved,
@@ -143,17 +178,69 @@ fn bits(m: &SessionMetrics) -> (&str, u64, u64, Vec<u64>) {
     (&m.session, m.cycles, m.queries_emitted, floats)
 }
 
-fn unknown(response: &Response) -> bool {
-    matches!(response, Response::Error { message } if message.contains("unknown session"))
+/// `op` as a client sends it: one JSON line.
+fn line(op: Op) -> Vec<u8> {
+    let mut line = serde_json::to_vec(&Request { op }).expect("request encodes");
+    line.push(b'\n');
+    line
 }
 
-fn search(session: String, query: String) -> Request {
-    let op = Op::Search {
+/// What `serve_lines` answers to `input`.
+fn serve(manager: &SessionManager, input: &[u8]) -> String {
+    let mut out = Vec::new();
+    serve_lines(manager, input, &mut out).expect("in-memory streams");
+    String::from_utf8(out).expect("a UTF-8 response")
+}
+
+/// `response` as the server frames it.
+fn render(response: &Response) -> String {
+    serde_json::to_string(response).expect("response encodes") + "\n"
+}
+
+fn parse(line: &str) -> Response {
+    serde_json::from_str(line).unwrap_or_else(|e| panic!("{line}: {e}"))
+}
+
+fn error(e: ServiceError) -> String {
+    let message = e.to_string();
+    render(&Response::Error { message })
+}
+
+fn unknown(id: &str) -> String {
+    error(ServiceError::UnknownSession(id.into()))
+}
+
+fn search(session: &str, query: &str, k: Option<usize>) -> Op {
+    let (session, query) = (session.into(), query.into());
+    Op::Search { session, query, k }
+}
+
+fn open(session: String) -> Op {
+    let (eps1, eps2) = (None, None);
+    Op::Open {
         session,
-        query,
-        k: None,
-    };
-    Request { op }
+        eps1,
+        eps2,
+    }
+}
+
+fn close(session: String) -> Op {
+    Op::Close { session }
+}
+
+fn key(tokens: &[TermId], k: usize) -> CacheKey {
+    let mut tokens = tokens.to_vec();
+    tokens.sort_unstable();
+    (tokens, k)
+}
+
+/// What tells a drained submission apart: session, cycle, genuineness
+/// and due time.
+type Identity = (String, usize, bool, u64);
+
+fn identity(o: &SubmitOutcome) -> Identity {
+    let due = o.time_secs.to_bits();
+    (o.session.clone(), o.cycle_id, o.is_genuine, due)
 }
 
 /// Drops every queued submission of one cycle.
@@ -174,13 +261,16 @@ pub struct Sim {
     seed: u64,
     pub manager: Arc<SessionManager>,
     planner: GhostPlanner,
-    scheduler: CycleScheduler,
     pub model: Model,
     queries: Vec<BenchmarkQuery>,
     /// Planned submissions not drained yet (the planner queues its own).
     pending: Vec<PlannedQuery>,
     evolved: bool,
+    /// A model swap runs beside the drain.
+    racing: bool,
     journal_seq: u64,
+    /// Result-cache and cycle-memo hits and misses read so far.
+    counters: [u64; 4],
     /// Cycles committed on a paced route with their query's topic, the
     /// metrics of every close, the per-tenant outcomes delivered, and the
     /// step kinds that ran.
@@ -200,7 +290,7 @@ impl Sim {
             .with_spec(FaultSpec::rate(FaultKind::WorkerPanic, fault_rate))
             .with_spec(FaultSpec::rate(FaultKind::ShardStall, fault_rate).stalling_ms(1));
         let manager = SessionManager::with_tier(sharded(&stack.corpus), stack.models[0].clone())
-            .with_cache(4096)
+            .with_cache(CACHE_CAPACITY)
             .with_fleet_seed(seed)
             .with_auditor(AuditConfig::default())
             .with_fault_plane(Arc::new(plane));
@@ -209,13 +299,14 @@ impl Sim {
             stack,
             seed,
             planner: GhostPlanner::new(manager.clone()),
-            scheduler: CycleScheduler::for_manager(&manager, WORKERS),
             model: Model::new(stack.models[0].clone()),
             manager,
             queries,
             pending: Vec::new(),
             evolved: false,
+            racing: false,
             journal_seq: 0,
+            counters: [0; 4],
             planned: Vec::new(),
             closed: Vec::new(),
             drained: 0,
@@ -246,23 +337,29 @@ impl Sim {
     /// Applies `step`; names its kind unless it was skipped.
     fn apply(&mut self, step: Step) -> Option<&'static str> {
         match step {
-            Step::Open(t) => self.open(t).then_some("open"),
+            Step::Open(t) => Some(["open_duplicate", "open"][usize::from(self.open(t))]),
             Step::Close(t) => Some(self.close(t)),
-            Step::Search(t, q) => Some(self.search(t, q)),
+            Step::Search(t, q) => Some(self.search(t, q, None)),
             Step::Plan(t, q, false) => self.plan(t, q, false).map(|()| "plan"),
             Step::Plan(t, q, true) => self.plan(t, q, true).map(|()| "plan_planner"),
-            Step::Drain => self.drain(),
+            Step::Drain(workers) => self.drain(workers),
             Step::Rollback(t, pick) => Some(self.rollback(t, pick)),
             Step::SpillRestore(t) => self.spill_restore(t),
             Step::Swap(swap) => Some(self.swap(swap)),
             Step::Evolve => self.evolve(),
-            Step::Crowd(q) => Some(self.crowd(q)),
+            Step::Crowd(q, planner) => Some(self.crowd(q, planner)),
             Step::CloseUnderLoad(t, q) => Some(self.close_under_load(t, q)),
             Step::Stall => self.stall(),
+            Step::Hostile(t, q) => Some(self.hostile(t, q)),
         }
     }
 
-    /// The stack against the model, after every step.
+    fn ask(&self, op: Op) -> String {
+        serve(&self.manager, &line(op))
+    }
+
+    /// The stack against the model, after every step; the audit plane and
+    /// the registry are read over the protocol.
     fn compare(&mut self) {
         let ids = self.model.open_ids();
         assert_eq!(self.manager.session_ids(), ids, "open sessions");
@@ -270,19 +367,66 @@ impl Sim {
             let got = self.manager.session_metrics(id).expect("open");
             assert_eq!(bits(&got), bits(&self.model.metrics(id).expect("open")));
         }
-        let auditor = self.manager.auditor().expect("audit plane");
-        let health = auditor.health();
+        let epoch = self.manager.model_epoch();
+        assert_eq!(epoch, self.model.epoch(), "model epoch");
         let (audited, tenants) = self.model.audit();
+        let Response::Health(health) = parse(&self.ask(Op::Health)) else {
+            panic!("a Health line");
+        };
         let got = (health.cycles_audited, health.tenants, health.healthy);
-        assert_eq!(got, (audited, tenants, true), "audit plane");
-        let (tail, seq) = (auditor.tail(1024), self.journal_seq);
-        let mut got = Vec::new();
-        for e in tail.into_iter().filter(|e| e.seq >= seq) {
+        assert_eq!(got, (audited, tenants.len(), true), "audit plane");
+        // One event more than the model expects: an extra one shows.
+        let want = self.model.take_events();
+        let limit = Some(want.len() + 1);
+        let Response::AuditTail { events } = parse(&self.ask(Op::AuditTail { limit })) else {
+            panic!("an AuditTail line");
+        };
+        let (mut got, seq) = (Vec::new(), self.journal_seq);
+        for e in events.into_iter().filter(|e| e.seq >= seq) {
             self.journal_seq = e.seq + 1;
             got.push((e.code, e.tenant, e.cycle));
         }
         got.sort();
-        assert_eq!(got, self.model.take_events(), "journal events");
+        assert_eq!(got, want, "journal events");
+
+        let Response::MetricsNdjson { lines } = parse(&self.ask(Op::MetricsNdjson)) else {
+            panic!("a MetricsNdjson line");
+        };
+        let (mut counters, mut gauges) = (BTreeMap::new(), BTreeMap::new());
+        // Histograms cost the most to parse, and none is read below.
+        let counted = |line: &&String| !line.contains(r#"{"Histogram":"#);
+        let metric = |line: &String| parse_ndjson_line(line).expect("a metric line");
+        for m in lines.iter().filter(counted).map(metric) {
+            match (m.value, &m.labels[..]) {
+                (MetricValue::Counter(n), _) => *counters.entry(m.name).or_insert(0) += n,
+                (MetricValue::Gauge(g), [l]) if [HEADROOM, TRACE, WORST].contains(&&*m.name) => {
+                    gauges.insert((l.value.clone(), m.name), g);
+                }
+                _ => {}
+            }
+        }
+        let (eps2, mut want) = (PrivacyRequirement::paper_default().eps2, BTreeMap::new());
+        for id in tenants {
+            let m = self.model.metrics(&id).expect("open");
+            let (trace, worst) = (m.trace_exposure, m.worst_exposure);
+            for (name, v) in [(HEADROOM, eps2 - trace), (TRACE, trace), (WORST, worst)] {
+                want.insert((id.clone(), name.to_string()), to_micro(v));
+            }
+        }
+        assert_eq!(gauges, want, "tenant gauges");
+        let read = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let evictions = [M_CACHE_EVICTIONS, M_CYCLE_MEMO_EVICTIONS].map(read);
+        assert_eq!(evictions, [0, 0], "result-cache and memo evictions");
+        let now = [HITS, MISSES, MEMO_HITS, MEMO_MISSES].map(read);
+        let delta = |i: usize| now[i] - self.counters[i];
+        for (plane, want) in self.model.take_lookups().iter().enumerate() {
+            let (hits, misses) = (delta(2 * plane), delta(2 * plane + 1));
+            let what = format!("{}, {want:?}", ["result cache", "cycle memo"][plane]);
+            assert!(allows(want, hits, misses), "{what}: {hits}/{misses}");
+        }
+        self.counters = now;
+        let resident = self.manager.cache().expect("cache").len();
+        assert_eq!(resident, self.model.resident(), "resident cache entries");
     }
 
     /// The open tenants, in session-id order.
@@ -296,12 +440,19 @@ impl Sim {
         pool[q % pool.len()].clone()
     }
 
-    /// Checks `got` against the oracle's ranking of the genuine member.
-    fn ranking(&self, genuine: &[TermId], got: Vec<u32>) {
-        let oracle = &self.stack.oracles[usize::from(self.evolved)];
-        let want = oracle.evaluate_bruteforce(&Query::from_tokens(genuine), TOP_K);
-        let want: Vec<u32> = want.iter().map(|h| h.doc_id).collect();
-        assert_eq!(got, want, "ranking of {genuine:?}");
+    /// The oracle's top `k` for `genuine`, each score replaced by `got`'s
+    /// at the same rank when the doc ids agree and the scores lie within
+    /// [`SCORE_TOLERANCE`].
+    fn oracle(&self, genuine: &[TermId], k: usize, got: &[(u32, f64)]) -> Vec<(u32, f64)> {
+        let e = usize::from(self.evolved);
+        let k = k.min([&self.stack.corpus, &self.stack.evolved][e].docs.len());
+        let want = self.stack.oracles[e].evaluate_bruteforce(&Query::from_tokens(genuine), k);
+        let close = |a: f64, b: f64| (a - b).abs() <= SCORE_TOLERANCE * b.abs();
+        let hit = |(at, h): (usize, &tsearch_search::SearchHit)| match got.get(at) {
+            Some(&(doc, score)) if doc == h.doc_id && close(score, h.score) => (doc, score),
+            _ => (h.doc_id, h.score),
+        };
+        want.iter().enumerate().map(hit).collect()
     }
 
     /// The cycle a tenant's own generator formulates for `tokens`: bound
@@ -314,21 +465,26 @@ impl Sim {
         GhostGenerator::new(belief, requirement, ghost).generate(tokens)
     }
 
-    /// Opens `t`; `false` when it was open already.
+    /// Opens `t` over the protocol; `false` when it was open already.
     fn open(&mut self, t: usize) -> bool {
         let id = format!("t{t}");
-        let fresh = self.model.open(&id);
-        assert_eq!(self.manager.open_session(&id).is_ok(), fresh, "open {id}");
+        let (session, fresh) = (id.clone(), self.model.open(&id));
+        let duplicate = error(ServiceError::DuplicateSession(id.clone()));
+        let want = fresh.then(|| render(&Response::Opened { session }));
+        assert_eq!(self.ask(open(id)), want.unwrap_or(duplicate), "open");
         fresh
     }
 
     fn close(&mut self, t: usize) -> &'static str {
         let id = format!("t{t}");
         self.withdraw(&id);
-        let want = self.model.close(&id);
-        let got = self.manager.close_session(&id).ok();
-        assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits));
-        self.closed.extend(got);
+        let got = self.ask(close(id.clone()));
+        let Some(metrics) = self.model.close(&id) else {
+            assert_eq!(got, unknown(&id), "close");
+            return "close_unknown";
+        };
+        assert_eq!(got, render(&Response::Closed(metrics.clone())), "close");
+        self.closed.push(metrics);
         "close"
     }
 
@@ -342,29 +498,42 @@ impl Sim {
         }
     }
 
-    fn search(&mut self, t: usize, q: usize) -> &'static str {
+    /// A wire `Search` of query `q` by tenant `t` at depth `k`.
+    fn search(&mut self, t: usize, q: usize, k: Option<usize>) -> &'static str {
         let (id, query) = (format!("t{t}"), self.query(q));
-        let got = handle(&self.manager, search(id.clone(), query.text));
+        let got = self.ask(search(&id, &query.text, k));
         if !self.model.is_open(&id) {
-            assert!(unknown(&got), "search of closed {id}: {got:?}");
-            return "search";
+            assert_eq!(got, unknown(&id), "search of closed {id}");
+            return "search_unknown";
         }
         let reference = self.reference(&id, &query.tokens);
-        self.answered(&id, &query.tokens, &reference, got);
+        self.answered(&id, &query.tokens, &reference, k.unwrap_or(TOP_K), &got);
         "search"
     }
 
-    /// Checks a wire answer against the tenant's reference cycle, then
-    /// commits that cycle as delivered.
-    fn answered(&mut self, id: &str, user: &[TermId], c: &CycleResult, got: Response) {
-        let Response::Results { hits, report: r } = got else {
-            panic!("search of {id}: {got:?}");
+    /// Checks a wire answer against the line the model renders for the
+    /// tenant's reference cycle `c` at depth `k`, then has the model
+    /// formulate, resolve and commit that cycle as delivered.
+    fn answered(&mut self, id: &str, user: &[TermId], c: &CycleResult, k: usize, got: &str) {
+        let hits = match parse(got) {
+            Response::Results { hits, .. } => hits.iter().map(|h| (h.doc_id, h.score)).collect(),
+            _ => Vec::new(),
         };
-        let (m, len) = (&c.metrics, c.cycle_len());
-        assert_eq!([r.exposure, r.mask_level], [m.exposure, m.mask_level]);
-        assert_eq!((r.cycle_len, r.satisfied), (len, c.satisfied));
-        assert_eq!(r.intention, c.intention);
-        self.ranking(&c.genuine().tokens, hits.iter().map(|h| h.doc_id).collect());
+        let dto = |(doc_id, score)| HitDto { doc_id, score };
+        let hits = self.oracle(&c.genuine().tokens, k, &hits);
+        let hits = hits.into_iter().map(dto).collect();
+        let report = SearchReportDto {
+            cycle_len: c.cycle_len(),
+            exposure: c.metrics.exposure,
+            mask_level: c.metrics.mask_level,
+            satisfied: c.satisfied,
+            intention: c.intention.clone(),
+        };
+        let want = render(&Response::Results { hits, report });
+        assert_eq!(got, want, "{id}'s answer");
+        self.model.formulate(user, false);
+        let members: Vec<_> = c.cycle.iter().map(|m| (key(&m.tokens, k), 1)).collect();
+        self.model.resolve(&members, false);
         let cycle_id = self.model.commit(id, c, user);
         self.model.deliver(id, cycle_id, c.cycle_len());
     }
@@ -376,6 +545,7 @@ impl Sim {
         if !self.model.is_open(&id) {
             return None;
         }
+        self.model.formulate(tokens, false);
         if through_planner {
             // Its cycle ids are checked against the planner's queue at the drain.
             let report = self.planner.plan_cycle(&id, tokens, TOP_K).expect("open");
@@ -400,42 +570,62 @@ impl Sim {
         CycleScheduler::merge(vec![queue])
     }
 
-    /// `drain_resilient` of every planned submission; its rollbacks,
-    /// replans and deliveries then go to the model.
-    fn drain(&mut self) -> Option<&'static str> {
+    /// `drain_resilient` of every planned submission by `workers`
+    /// workers; its rollbacks, replans, deliveries and cache lookups then
+    /// go to the model.
+    fn drain(&mut self, workers: usize) -> Option<&'static str> {
         let queue = self.queue();
         if queue.is_empty() {
             return None;
         }
         // Every entry is a member of each cycle its tags name.
-        let mut open = BTreeSet::new();
+        let (mut open, mut entries) = (BTreeSet::new(), HashMap::new());
         for p in &queue {
-            for tag in p.subscriber_tags() {
+            let tags = p.subscriber_tags();
+            for tag in &tags {
                 let cycle = self.model.cycle(&tag.session, tag.cycle_id);
                 let members = cycle.map_or(&[][..], |c| &c.report.cycle);
                 let entry = (&p.scheduled.tokens, tag.is_genuine);
                 let member = members.iter().any(|m| (&m.tokens, m.is_genuine) == entry);
                 assert!(member, "{tag:?} has no member {:?}", p.scheduled);
                 if cycle.is_some_and(|c| c.outstanding > 0) {
-                    open.insert((tag.session, tag.cycle_id));
+                    open.insert((tag.session.clone(), tag.cycle_id));
                 }
             }
+            let (t, due) = (&tags[0], p.scheduled.time_secs.to_bits());
+            let entry = (key(&p.scheduled.tokens, p.k), p.fanout() as u64);
+            entries.insert((t.session.clone(), t.cycle_id, t.is_genuine, due), entry);
         }
         let plane = self.manager.fault_plane().expect("fault plane").clone();
         let fired = || plane.fired(FaultKind::WorkerPanic) + plane.fired(FaultKind::ShardStall);
         let before = fired();
-        let report = self.scheduler.drain_resilient(&self.manager, queue);
+        let scheduler = CycleScheduler::for_manager(&self.manager, workers);
+        let report = scheduler.drain_resilient(&self.manager, queue);
+        let mut replans = Vec::new();
         for rb in &report.rolled_back {
             let (id, old) = (&rb.session, rb.cycle_id);
             assert_eq!(self.model.rollback(id, old).as_ref(), Some(&rb.user_tokens));
-            let replans = report.replanned.iter();
-            if let Some((_, _, new)) = replans.clone().find(|(s, o, _)| s == id && *o == old) {
+            let replans_of = report.replanned.iter();
+            if let Some((_, _, new)) = replans_of.clone().find(|(s, o, _)| s == id && *o == old) {
+                self.model.formulate(&rb.user_tokens, self.racing);
                 let reference = self.reference(id, &rb.user_tokens);
                 let cycle_id = self.model.commit(id, &reference, &rb.user_tokens);
                 assert_eq!(cycle_id, *new, "{id} replanned {old}");
                 open.insert((id.clone(), *new));
+                replans.push((id.clone(), *new, reference));
             }
         }
+        // The result cache now holds every entry some outcome came from.
+        let done = report.outcomes.iter().chain(&report.discarded);
+        let done: Vec<Identity> = done.map(identity).collect();
+        let mut keys: Vec<_> = done.iter().filter_map(|o| entries.remove(o)).collect();
+        for (id, new, cycle) in &replans {
+            let n = done.iter().filter(|o| (&o.0, o.1) == (id, *new)).count();
+            assert!(n % cycle.cycle_len() == 0, "{id}'s replan {new} in part");
+            let members = cycle.cycle.iter().map(|m| (key(&m.tokens, TOP_K), 1));
+            keys.extend(members.take(n));
+        }
+        self.model.resolve(&keys, workers > 1);
         for o in &report.outcomes {
             self.model.deliver(&o.session, o.cycle_id, 1);
         }
@@ -446,13 +636,14 @@ impl Sim {
         }
         for o in report.outcomes.iter().filter(|o| o.is_genuine) {
             let cycle = self.model.cycle(&o.session, o.cycle_id).expect("delivered");
-            let got = o.hits.iter().map(|h| h.doc_id).collect();
-            self.ranking(&cycle.report.genuine().tokens, got);
+            let got: Vec<_> = o.hits.iter().map(|h| (h.doc_id, h.score)).collect();
+            let want = self.oracle(&cycle.report.genuine().tokens, TOP_K, &got);
+            assert_eq!(got, want, "ranking of {}'s cycle {}", o.session, o.cycle_id);
         }
         let clean = report.rounds == 1 && report.rolled_back.is_empty();
         assert!(clean || fired() > before, "a fault-free drain: {report:?}");
         self.drained += report.outcomes.len();
-        Some("drain")
+        Some(["drain1", "drain2", "drain4"][workers.min(4) / 2])
     }
 
     fn rollback(&mut self, t: usize, pick: usize) -> &'static str {
@@ -481,6 +672,12 @@ impl Sim {
         if !self.model.is_open(&id) || self.model.unbound(&id) || outstanding {
             return None;
         }
+        // Every commit drew a pacer id and advanced the session clock.
+        let state = self.manager.export_session(&id).expect("open");
+        let next = self.model.next_id(&id);
+        let clock = next as f64 * SessionConfig::default().think_time_secs;
+        let pacer = (state.next_cycle_id, state.clock_secs);
+        assert_eq!(pacer, (next as u64, clock), "{id}'s pacer");
         let spill = format!("fleet_sim_{}_{:x}_{id}", std::process::id(), self.seed);
         let path = std::env::temp_dir().join(spill);
         self.manager.spill_session(&id, &path).expect("spill");
@@ -502,16 +699,20 @@ impl Sim {
         };
         if let Swap::NewK = swap {
             // A K change settles every cycle: drain the queue first.
-            self.drain();
+            self.drain(WORKERS);
         }
         self.model.swap(model.clone());
         let manager = self.manager.clone();
         // A reload is swapped in while the queue drains, losing nothing.
         std::thread::scope(|s| {
-            s.spawn(move || manager.swap_model(model));
+            let swapped = s.spawn(move || manager.swap_model(model));
             if let Swap::Reload = swap {
-                self.drain();
+                self.racing = true;
+                self.drain(WORKERS);
+                self.racing = false;
             }
+            let epoch = swapped.join().expect("swap");
+            assert_eq!(epoch, self.model.epoch(), "the swap's epoch");
         });
         ran
     }
@@ -522,28 +723,38 @@ impl Sim {
         if self.evolved {
             return None;
         }
-        self.drain();
+        self.drain(WORKERS);
         let fresh = self.stack.models[3].clone();
         self.manager.swap_tier(sharded(&self.stack.evolved));
         self.manager.swap_model(fresh.clone());
+        self.model.swap_tier();
         self.model.swap(fresh);
-        self.scheduler = CycleScheduler::for_manager(&self.manager, WORKERS);
         self.evolved = true;
         Some("evolve")
     }
 
-    /// Every open tenant plans query `q`: identical cycles, whose members
-    /// the result cache absorbs — at most one miss per member per worker.
-    fn crowd(&mut self, q: usize) -> &'static str {
+    /// Every open tenant plans query `q`, through the ghost planner when
+    /// `through_planner`, whose queue must then share an entry; then a
+    /// drain delivers every queued cycle, each in full, and a delivered
+    /// cycle, coalesced or not, no longer rolls back.
+    fn crowd(&mut self, q: usize, through_planner: bool) -> &'static str {
         let tenants = self.open_tenants();
-        let hits = self.manager.metrics().global.cache_hits;
         for &t in &tenants {
-            self.plan(t, q, false);
+            self.plan(t, q, through_planner);
         }
-        self.drain();
-        let hits = self.manager.metrics().global.cache_hits - hits;
-        assert!(tenants.len() <= WORKERS || hits > 0, "a crowd hit no cache");
-        "crowd"
+        self.pending.extend(self.planner.take_queue());
+        let shared = tenants.len() < 2 || self.pending.iter().any(|p| p.fanout() > 1);
+        assert!(shared || !through_planner, "a planner crowd shared nothing");
+        let tags = self.pending.iter().flat_map(|p| p.subscriber_tags());
+        let cycles: BTreeSet<_> = tags.map(|t| (t.session, t.cycle_id)).collect();
+        self.drain(WORKERS);
+        for (id, cycle_id) in cycles {
+            let cycle = self.model.cycle(&id, cycle_id);
+            let sealed = cycle.is_some_and(|c| c.outstanding == 0);
+            let refused = self.manager.rollback_cycle(&id, cycle_id).is_err();
+            assert!(refused || !sealed, "{id}'s sealed cycle {cycle_id}");
+        }
+        ["crowd", "crowd_planner"][usize::from(through_planner)]
     }
 
     /// Eight threads search tenant `t` over the wire while it closes:
@@ -555,12 +766,13 @@ impl Sim {
         let reference = self.reference(&id, &query.tokens);
         self.withdraw(&id);
         let (manager, answered) = (&*self.manager, AtomicUsize::new(0));
-        let ask = || handle(manager, search(id.clone(), query.text.clone()));
+        let (ask, refused) = (line(search(&id, &query.text, None)), unknown(&id));
         let searcher = || {
             let mut answers = Vec::new();
             // Searches run until the close refuses them (the cap keeps a
             // stalled close inside the audit journal's ring).
-            while let Some(r) = (answers.len() < 100).then(ask).filter(|r| !unknown(r)) {
+            let next = || serve(manager, &ask);
+            while let Some(r) = (answers.len() < 100).then(next).filter(|r| *r != refused) {
                 answers.push(r);
                 answered.fetch_add(1, SeqCst);
             }
@@ -571,14 +783,15 @@ impl Sim {
             while answered.load(SeqCst) < 2 && !threads.iter().all(|t| t.is_finished()) {
                 std::thread::yield_now();
             }
-            let closed = manager.close_session(&id).expect("open");
+            let closed = serve(manager, &line(close(id.clone())));
             (closed, threads.map(|t| t.join().expect("searcher")))
         });
+        // The session lock serializes the answered searches.
         for got in answers.into_iter().flatten() {
-            self.answered(&id, &query.tokens, &reference, got);
+            self.answered(&id, &query.tokens, &reference, TOP_K, &got);
         }
         let want = self.model.close(&id).expect("open");
-        assert_eq!(bits(&closed), bits(&want), "closed under load");
+        assert_eq!(closed, render(&Response::Closed(want)), "closed under load");
         "close_under_load"
     }
 
@@ -609,7 +822,36 @@ impl Sim {
             assert_eq!(got.map(|rb| rb.user_tokens), want, "stalled {id}");
             unplan(&mut self.pending, id, cycle_id);
         }
-        self.drain();
+        self.drain(WORKERS);
         Some("stall")
+    }
+
+    /// Hostile lines from tenant `t`: a non-UTF-8 line, unparseable JSON,
+    /// a `k` of the wrong type, an over-long session id and an over-long
+    /// line each get a typed error and change nothing; then searches with
+    /// a `k` beyond any corpus are answered at `k = num_docs`.
+    fn hostile(&mut self, t: usize, q: usize) -> &'static str {
+        let (id, text) = (format!("t{t}"), self.query(q).text);
+        self.open(t);
+        let k =
+            |k| format!(r#"{{"op":{{"Search":{{"session":"{id}","query":"{text}","k":{k}}}}}}}"#);
+        let json = [r#"{"op":"#.into(), k("-1"), k("1.5"), k(r#""ten""#)].map(String::into_bytes);
+        for mut input in json.into_iter().chain([b"\xff\xfe{}".to_vec()]) {
+            input.push(b'\n');
+            let got = serve(&self.manager, &input);
+            let typed = got.starts_with(r#"{"Error":{"message":"unparseable request: "#);
+            assert!(typed, "{got}");
+        }
+        let long = "x".repeat(MAX_SESSION_ID_BYTES + 1);
+        let n = long.len();
+        let bytes = format!("session id of {n} bytes exceeds {MAX_SESSION_ID_BYTES}");
+        assert_eq!(self.ask(open(long)), error(ServiceError::BadRequest(bytes)));
+        let message = "request line exceeds 65536 bytes".into();
+        let over = serve(&self.manager, &[b'x'; 64 * 1024 + 1]);
+        assert_eq!(over, render(&Response::Error { message }));
+        for k in [1_000_000_000_000, usize::MAX] {
+            self.search(t, q, Some(k));
+        }
+        "hostile"
     }
 }

@@ -6,7 +6,9 @@
 //! submitted; pacer ids increasing across every route; which cycles may
 //! roll back; each cycle audited once, at commit; the audit plane's
 //! tenants and journal. It re-certifies every cycle and checks the fleet
-//! invariant `min(exposure − mask_level, exposure − ε2) ≤ 0`.
+//! invariant `min(exposure − mask_level, exposure − ε2) ≤ 0`. It also
+//! predicts the shared planes: which result-cache keys are resident and
+//! which cycles the memo holds, so how many lookups of a step hit.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -20,6 +22,20 @@ const TOLERANCE: f64 = 1e-9;
 
 /// A journal event: `(code, tenant, cycle)`.
 pub type Event = (String, String, u64);
+
+/// A result-cache key: a member's sorted tokens and the `k` it is asked at.
+pub type CacheKey = (Vec<TermId>, usize);
+
+/// The lookups a step made of one shared store, as the model allows
+/// them: the least and the most lookups, then the least and the most
+/// of them that missed.
+pub type Lookups = [u64; 4];
+
+/// Whether counter deltas of `hits` and `misses` are what `want` allows.
+pub fn allows(want: &Lookups, hits: u64, misses: u64) -> bool {
+    let [least, most, least_missed, most_missed] = *want;
+    (least..=most).contains(&(hits + misses)) && (least_missed..=most_missed).contains(&misses)
+}
 
 /// One committed cycle.
 pub struct Cycle {
@@ -53,6 +69,13 @@ pub struct Model {
     /// `(tenant, incarnation, cycle)` of every audited cycle.
     audited: BTreeSet<(String, usize, usize)>,
     events: Vec<Event>,
+    /// Resident result-cache keys.
+    results: BTreeSet<CacheKey>,
+    /// Memoized cycles by `(epoch, tokens as analyzed)`; `false` for one
+    /// a formulation racing a swap may or may not have left.
+    memo: BTreeMap<(u64, Vec<TermId>), bool>,
+    /// Lookups since the last `take_lookups`: result cache, cycle memo.
+    lookups: [Lookups; 2],
 }
 
 impl Model {
@@ -63,6 +86,9 @@ impl Model {
             opens: 0,
             audited: BTreeSet::new(),
             events: Vec::new(),
+            results: BTreeSet::new(),
+            memo: BTreeMap::new(),
+            lookups: [[0; 4]; 2],
         }
     }
 
@@ -97,9 +123,59 @@ impl Model {
         self.tenants.keys().cloned().collect()
     }
 
-    /// A model swap: each tenant rebinds on its next formulation.
+    /// A model swap: each tenant rebinds on its next formulation, and no
+    /// memoized cycle is asked for again.
     pub fn swap(&mut self, model: Arc<LdaModel>) {
         self.current = (model, self.current.1 + 1);
+        self.memo.clear();
+    }
+
+    pub fn epoch(&self) -> u64 {
+        self.current.1
+    }
+
+    /// A tier swap: every cached ranking came from the old index.
+    pub fn swap_tier(&mut self) {
+        self.results.clear();
+    }
+
+    /// Result-cache entries resident.
+    pub fn resident(&self) -> usize {
+        self.results.len()
+    }
+
+    /// A formulation of `tokens` under the current model asks the memo
+    /// once, or, `racing` a swap, once or twice (a cycle formulated under
+    /// the old model is formulated again at its commit).
+    pub fn formulate(&mut self, tokens: &[TermId], racing: bool) {
+        let known = self.memo.insert((self.current.1, tokens.to_vec()), !racing);
+        let (least, most) = (known.is_none(), known != Some(true));
+        let lookups = [1, 1, u64::from(least), u64::from(most)];
+        self.count(1, if racing { [1, 2, 0, 2] } else { lookups });
+    }
+
+    /// Resolutions of queue entries, each its key and subscriber count;
+    /// each entry counts a hit per subscriber beyond the first. Entries
+    /// that race on a new key under `concurrent` workers may each miss.
+    pub fn resolve(&mut self, entries: &[(CacheKey, u64)], concurrent: bool) {
+        let before = self.results.len() as u64;
+        let total = entries.iter().map(|e| e.1).sum();
+        let new = entries.iter().filter(|e| !self.results.contains(&e.0));
+        let new = new.count() as u64;
+        self.results.extend(entries.iter().map(|e| e.0.clone()));
+        let least = self.results.len() as u64 - before;
+        let most = if concurrent { new } else { least };
+        self.count(0, [total, total, least, most]);
+    }
+
+    fn count(&mut self, plane: usize, lookups: Lookups) {
+        let sum = self.lookups[plane].iter_mut().zip(lookups);
+        sum.for_each(|(sum, n)| *sum += n);
+    }
+
+    /// The lookups predicted since the last call: result cache, memo.
+    pub fn take_lookups(&mut self) -> [Lookups; 2] {
+        std::mem::take(&mut self.lookups)
     }
 
     /// `id` has not rebound to the current model yet.
@@ -129,11 +205,8 @@ impl Model {
         let b = BeliefEngine::new(self.bind(id));
         let t = self.tenants.get_mut(id).expect("bound above");
         let prior = b.prior();
-        let posteriors: Vec<Vec<f64>> = report
-            .cycle
-            .iter()
-            .map(|q| b.posterior(&q.tokens))
-            .collect();
+        let members = report.cycle.iter();
+        let posteriors: Vec<Vec<f64>> = members.map(|q| b.posterior(&q.tokens)).collect();
         let n = posteriors.len() as f64;
         let boosts: Vec<f64> = (0..prior.len())
             .map(|k| posteriors.iter().map(|p| p[k]).sum::<f64>() / n - prior[k])
@@ -205,6 +278,11 @@ impl Model {
         t.audited = false;
     }
 
+    /// The pacer id `id`'s next commit draws: one per commit, every route.
+    pub fn next_id(&self, id: &str) -> usize {
+        self.tenants[id].next_id
+    }
+
     pub fn cycles(&self, id: &str) -> &[Cycle] {
         self.tenants.get(id).map_or(&[], |t| &t.cycles)
     }
@@ -226,8 +304,9 @@ impl Model {
     }
 
     /// Cycles audited, and the tenants the audit plane holds.
-    pub fn audit(&self) -> (u64, usize) {
-        let tenants = self.tenants.values().filter(|t| t.audited).count();
+    pub fn audit(&self) -> (u64, Vec<String>) {
+        let tenants = self.tenants.iter().filter(|(_, t)| t.audited);
+        let tenants = tenants.map(|(id, _)| id.clone()).collect();
         (self.audited.len() as u64, tenants)
     }
 

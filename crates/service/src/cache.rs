@@ -49,7 +49,7 @@
 //! analyzed — held and compared exactly. The value is what the generator
 //! returned, handed back verbatim; per-session accounting still runs on
 //! every request, so the certificates and Equation-2 sums are what they
-//! would be without it. History-aware sessions never use it, and a model
+//! would be without it. Every session formulates through it, and a model
 //! swap empties it. Both stores sit on one LRU implementation, `Shard`.
 //!
 //! Timing note: a memo hit answers faster than a formulation, but only

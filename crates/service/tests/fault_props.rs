@@ -18,6 +18,9 @@
 //! while fault rates, fleet seeds, tenant counts, and workloads stay
 //! fully sampled per case.
 
+mod common;
+
+use common::{genuine_hits, metric_bits, stack, Stack};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -25,95 +28,10 @@ use toppriv_service::{
     CycleScheduler, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager, SessionMetrics,
     SubmitOutcome,
 };
-use tsearch_corpus::{
-    generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
-};
-use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
-use tsearch_text::Analyzer;
-
-struct Stack {
-    engine: Arc<SearchEngine>,
-    model: Arc<LdaModel>,
-    queries: Vec<BenchmarkQuery>,
-}
-
-fn build_stack(seed: u64, num_topics: usize, num_docs: usize) -> Stack {
-    let corpus = SyntheticCorpus::generate(CorpusConfig {
-        num_docs,
-        num_topics,
-        terms_per_topic: 40,
-        seed,
-        ..CorpusConfig::default()
-    });
-    let docs = corpus.token_docs();
-    let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
-        &docs,
-        &texts,
-        Analyzer::new(),
-        corpus.vocab.clone(),
-        ScoringModel::TfIdfCosine,
-    ));
-    let model = Arc::new(LdaTrainer::train(
-        &docs,
-        corpus.vocab.len(),
-        LdaConfig {
-            iterations: 12,
-            ..LdaConfig::with_topics(num_topics)
-        },
-    ));
-    let queries = generate_workload(
-        &corpus,
-        &WorkloadConfig {
-            num_queries: 12,
-            seed: seed ^ 0x9E37,
-            ..WorkloadConfig::default()
-        },
-    );
-    Stack {
-        engine,
-        model,
-        queries,
-    }
-}
-
 /// Pool of random stacks, built once each.
 fn stacks() -> &'static [Stack; 2] {
     static STACKS: OnceLock<[Stack; 2]> = OnceLock::new();
-    STACKS.get_or_init(|| [build_stack(17, 4, 160), build_stack(0xFA11, 6, 200)])
-}
-
-/// Genuine hits per (session, cycle), score compared bitwise.
-fn genuine_hits(outcomes: &[SubmitOutcome]) -> HashMap<(String, usize), Vec<(u32, u64)>> {
-    let mut map = HashMap::new();
-    for o in outcomes {
-        if o.is_genuine {
-            let prev = map.insert(
-                (o.session.clone(), o.cycle_id),
-                o.hits
-                    .iter()
-                    .map(|h| (h.doc_id, h.score.to_bits()))
-                    .collect::<Vec<_>>(),
-            );
-            assert!(prev.is_none(), "one genuine outcome per cycle");
-        }
-    }
-    map
-}
-
-/// Bitwise equality of two metrics snapshots (u64s by value, f64s by
-/// bit pattern — NaN-safe and drift-intolerant).
-fn metrics_bit_identical(a: &SessionMetrics, b: &SessionMetrics) -> bool {
-    a.session == b.session
-        && a.cycles == b.cycles
-        && a.queries_emitted == b.queries_emitted
-        && a.mean_cycle_len.to_bits() == b.mean_cycle_len.to_bits()
-        && a.mean_exposure.to_bits() == b.mean_exposure.to_bits()
-        && a.worst_exposure.to_bits() == b.worst_exposure.to_bits()
-        && a.mean_mask_level.to_bits() == b.mean_mask_level.to_bits()
-        && a.satisfied_rate.to_bits() == b.satisfied_rate.to_bits()
-        && a.trace_exposure.to_bits() == b.trace_exposure.to_bits()
+    STACKS.get_or_init(|| [stack(17, 4, 160), stack(0xFA11, 6, 200)])
 }
 
 proptest! {
@@ -300,11 +218,7 @@ proptest! {
             let rb = manager.rollback_cycle("t0", ids[i]).unwrap();
             prop_assert_eq!(rb.cycle_id, ids[i]);
             let now = manager.session_metrics("t0").unwrap();
-            prop_assert!(
-                metrics_bit_identical(&pre[i], &now),
-                "rollback of cycle {} left accounting residue",
-                ids[i]
-            );
+            prop_assert_eq!(metric_bits(&pre[i]), metric_bits(&now), "cycle {}", ids[i]);
             // Double rollback of the same cycle is rejected.
             prop_assert!(manager.rollback_cycle("t0", ids[i]).is_err());
         }

@@ -10,91 +10,22 @@
 //! (distinct seeds, sizes, and topic counts) while fleet seeds, tenant
 //! counts, and query assignment stay fully sampled per case.
 
+mod common;
+
+use common::{genuine_hits, stack, Stack};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use toppriv_service::{CycleScheduler, GhostPlanner, SessionManager, SubmitOutcome};
-use tsearch_corpus::{
-    generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
-};
-use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
-use tsearch_text::Analyzer;
-
-struct Stack {
-    engine: Arc<SearchEngine>,
-    model: Arc<LdaModel>,
-    queries: Vec<BenchmarkQuery>,
-}
-
-fn build_stack(seed: u64, num_topics: usize, num_docs: usize) -> Stack {
-    let corpus = SyntheticCorpus::generate(CorpusConfig {
-        num_docs,
-        num_topics,
-        terms_per_topic: 40,
-        seed,
-        ..CorpusConfig::default()
-    });
-    let docs = corpus.token_docs();
-    let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
-        &docs,
-        &texts,
-        Analyzer::new(),
-        corpus.vocab.clone(),
-        ScoringModel::TfIdfCosine,
-    ));
-    let model = Arc::new(LdaTrainer::train(
-        &docs,
-        corpus.vocab.len(),
-        LdaConfig {
-            iterations: 12,
-            ..LdaConfig::with_topics(num_topics)
-        },
-    ));
-    let queries = generate_workload(
-        &corpus,
-        &WorkloadConfig {
-            num_queries: 12,
-            seed: seed ^ 0x9E37,
-            ..WorkloadConfig::default()
-        },
-    );
-    Stack {
-        engine,
-        model,
-        queries,
-    }
-}
-
+use toppriv_service::{CycleScheduler, GhostPlanner, SessionManager};
 /// Pool of random stacks, built once each.
 fn stacks() -> &'static [Stack; 3] {
     static STACKS: OnceLock<[Stack; 3]> = OnceLock::new();
     STACKS.get_or_init(|| {
         [
-            build_stack(11, 4, 160),
-            build_stack(5003, 6, 200),
-            build_stack(0xBEEF, 8, 240),
+            stack(11, 4, 160),
+            stack(5003, 6, 200),
+            stack(0xBEEF, 8, 240),
         ]
     })
-}
-
-/// Genuine hits per (session, cycle), score compared bitwise.
-fn genuine_hits(outcomes: &[SubmitOutcome]) -> HashMap<(String, usize), Vec<(u32, u64)>> {
-    let mut map = HashMap::new();
-    for o in outcomes {
-        if o.is_genuine {
-            let prev = map.insert(
-                (o.session.clone(), o.cycle_id),
-                o.hits
-                    .iter()
-                    .map(|h| (h.doc_id, h.score.to_bits()))
-                    .collect::<Vec<_>>(),
-            );
-            assert!(prev.is_none(), "one genuine outcome per cycle");
-        }
-    }
-    map
 }
 
 proptest! {

@@ -6,81 +6,26 @@
 //! next spill seals every event including those from before the
 //! failure.
 
+mod common;
+
+use common::{metric_bits, Stack};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use toppriv_service::auditor::{AuditConfig, PrivacyAuditor};
 use toppriv_service::{
     unseal_audit_journal, FaultKind, FaultPlane, FaultSpec, ServiceError, SessionManager,
-    SessionMetrics,
 };
-use tsearch_corpus::{
-    generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
-};
-use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
-use tsearch_text::Analyzer;
 
-struct Stack {
-    engine: Arc<SearchEngine>,
-    model: Arc<LdaModel>,
-    queries: Vec<BenchmarkQuery>,
-}
-
+/// Built once: the tests share it.
 fn stack() -> &'static Stack {
     static STACK: OnceLock<Stack> = OnceLock::new();
-    STACK.get_or_init(|| {
-        let corpus = SyntheticCorpus::generate(CorpusConfig {
-            num_docs: 140,
-            num_topics: 4,
-            terms_per_topic: 40,
-            seed: 0x57F4,
-            ..CorpusConfig::default()
-        });
-        let docs = corpus.token_docs();
-        let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-        let engine = Arc::new(SearchEngine::build(
-            &docs,
-            &texts,
-            Analyzer::new(),
-            corpus.vocab.clone(),
-            ScoringModel::TfIdfCosine,
-        ));
-        let model = Arc::new(LdaTrainer::train(
-            &docs,
-            corpus.vocab.len(),
-            LdaConfig {
-                iterations: 10,
-                ..LdaConfig::with_topics(4)
-            },
-        ));
-        let queries = generate_workload(
-            &corpus,
-            &WorkloadConfig {
-                num_queries: 6,
-                seed: 0x57F4 ^ 0x9E37,
-                ..WorkloadConfig::default()
-            },
-        );
-        Stack {
-            engine,
-            model,
-            queries,
-        }
-    })
+    STACK.get_or_init(|| common::stack(0x57F4, 4, 140))
 }
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("toppriv_store_faults_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
-}
-
-fn bit_identical(a: &SessionMetrics, b: &SessionMetrics) -> bool {
-    a.cycles == b.cycles
-        && a.queries_emitted == b.queries_emitted
-        && a.mean_exposure.to_bits() == b.mean_exposure.to_bits()
-        && a.worst_exposure.to_bits() == b.worst_exposure.to_bits()
-        && a.trace_exposure.to_bits() == b.trace_exposure.to_bits()
 }
 
 #[test]
@@ -114,7 +59,11 @@ fn injected_enospc_fails_spill_but_next_succeeds() {
     let id = restored.load_session(&path).unwrap();
     assert_eq!(id, "alice");
     let m = restored.session_metrics("alice").unwrap();
-    assert!(bit_identical(&at_spill, &m), "restore must be bit-exact");
+    assert_eq!(
+        metric_bits(&at_spill),
+        metric_bits(&m),
+        "restore must be bit-exact"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

@@ -4,6 +4,8 @@
 //! bounded session id, a TCP connection paced by a token bucket, and a
 //! `Search` report that carries the privacy accounting and nothing else.
 
+mod common;
+
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -14,45 +16,18 @@ use toppriv_service::session::MAX_SESSION_ID_BYTES;
 use toppriv_service::{
     handle, serve_lines, serve_listener, Op, Request, Response, ServiceError, SessionManager,
 };
-use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
-use tsearch_lda::{LdaConfig, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
-use tsearch_text::Analyzer;
 
-/// A small stack and the texts of a few queries its vocabulary knows.
+/// Documents in the test stack.
+const NUM_DOCS: usize = 200;
+
+/// A cached manager and the texts of a few queries its vocabulary knows.
 fn stack() -> (Arc<SessionManager>, Vec<String>) {
-    let corpus = SyntheticCorpus::generate(CorpusConfig {
-        num_docs: 200,
-        num_topics: 8,
-        terms_per_topic: 50,
-        ..CorpusConfig::default()
-    });
-    let docs = corpus.token_docs();
-    let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
-        &docs,
-        &texts,
-        Analyzer::new(),
-        corpus.vocab.clone(),
-        ScoringModel::TfIdfCosine,
-    ));
-    let model = Arc::new(LdaTrainer::train(
-        &docs,
-        corpus.vocab.len(),
-        LdaConfig {
-            iterations: 20,
-            ..LdaConfig::with_topics(12)
-        },
-    ));
-    let queries = generate_workload(
-        &corpus,
-        &WorkloadConfig {
-            num_queries: 8,
-            ..WorkloadConfig::default()
-        },
-    );
-    let manager = Arc::new(SessionManager::new(engine, model).with_cache(2048));
-    (manager, queries.into_iter().map(|q| q.text).collect())
+    let stack = common::stack(0x7C9, 8, NUM_DOCS);
+    let manager = SessionManager::new(stack.engine, stack.model).with_cache(2048);
+    (
+        Arc::new(manager),
+        stack.queries.into_iter().map(|q| q.text).collect(),
+    )
 }
 
 fn line(op: Op) -> String {
@@ -182,7 +157,6 @@ fn back_to_back_searches_do_not_wait_for_a_delayed_ack() {
 
 #[test]
 fn a_k_beyond_the_corpus_returns_every_match_and_the_server_lives() {
-    const NUM_DOCS: usize = 200;
     let (manager, queries) = stack();
     let addr = serve(manager);
     let mut stream = connect(addr);
