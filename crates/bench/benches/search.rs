@@ -6,12 +6,16 @@
 //! highest-df terms, so a member reads an order of magnitude more
 //! postings than `search_topk`'s user-shaped queries. It runs on the
 //! single engine and on the 4-shard tier `wire_open` and `fleet_drain`
-//! serve.
+//! serve. `search_drain_shaped` ranks one drain shaped like a
+//! `fleet_drain` plain round — 64 tenants planning two cycles each over
+//! 64 distinct queries — entry by entry and as one term-ordered batch.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use toppriv_bench::Scale;
+use toppriv_service::{CycleScheduler, SearchTier, SessionManager};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_search::{Query, ScoringModel, SearchEngine, ShardedEngine};
 use tsearch_text::{Analyzer, TermId};
@@ -132,6 +136,114 @@ fn bench_ghost_shaped(c: &mut Criterion) {
     group.finish();
 }
 
+/// Tenants of the drain-shaped row, and the cycles each plans.
+const DRAIN_TENANTS: usize = 64;
+const DRAIN_CYCLES: usize = 2;
+
+fn bench_drain_shaped(c: &mut Criterion) {
+    let corpus = SyntheticCorpus::generate(CorpusConfig {
+        num_docs: 4000,
+        num_topics: 20,
+        terms_per_topic: 80,
+        ..CorpusConfig::default()
+    });
+    let docs = corpus.token_docs();
+    let texts = vec![String::new(); docs.len()];
+    let model = Arc::new(tsearch_lda::LdaTrainer::train(
+        &docs,
+        corpus.vocab.len(),
+        tsearch_lda::LdaConfig {
+            iterations: 20,
+            ..tsearch_lda::LdaConfig::with_topics(40)
+        },
+    ));
+    let sharded = Arc::new(ShardedEngine::build(
+        &docs,
+        &texts,
+        Analyzer::new(),
+        corpus.vocab.clone(),
+        ScoringModel::TfIdfCosine,
+        GHOST_SHARDS,
+    ));
+    let manager = SessionManager::with_tier(SearchTier::Sharded(sharded.clone()), model);
+    let distinct = DRAIN_TENANTS * DRAIN_CYCLES / 2;
+    let queries = generate_workload(
+        &corpus,
+        &WorkloadConfig {
+            num_queries: distinct,
+            ..WorkloadConfig::default()
+        },
+    );
+    let mut plans = Vec::new();
+    for s in 0..DRAIN_TENANTS {
+        let id = format!("tenant-{s:03}");
+        manager.open_session(&id).expect("fresh session");
+        for q in 0..DRAIN_CYCLES {
+            let query = &queries[(s * DRAIN_CYCLES + q * 7) % distinct];
+            plans.push(manager.plan_cycle(&id, &query.tokens, 10).expect("open"));
+        }
+    }
+    let queue = CycleScheduler::merge(plans);
+    let entries: Vec<Query> = queue
+        .iter()
+        .map(|p| Query::from_tokens(&p.scheduled.tokens))
+        .collect();
+    let keys: Vec<(&Query, usize)> = entries.iter().map(|q| (q, 10)).collect();
+    let df = |t: TermId| sharded.index().doc_freq(t);
+    let every: usize = entries
+        .iter()
+        .flat_map(|q| q.terms())
+        .map(|(t, _)| df(t))
+        .sum();
+    let mut unique: Vec<&Query> = entries.iter().collect();
+    unique.sort_by(|a, b| a.pairs().cmp(b.pairs()));
+    unique.dedup();
+    let once: usize = unique
+        .iter()
+        .flat_map(|q| q.terms())
+        .map(|(t, _)| df(t))
+        .sum();
+    // A term-ordered walk reads each distinct key's terms past the prefix
+    // it shares with the key before it.
+    let walked: usize = (0..unique.len())
+        .map(|j| {
+            let (key, prev) = (
+                unique[j].pairs(),
+                j.checked_sub(1).map(|p| unique[p].pairs()),
+            );
+            let shared = prev.map_or(0, |p| p.iter().zip(key).take_while(|(a, b)| a == b).count());
+            key[shared..].iter().map(|&(t, _)| df(t)).sum::<usize>()
+        })
+        .sum();
+    let mut terms: Vec<TermId> = entries.iter().flat_map(|q| q.term_ids()).collect();
+    terms.sort_unstable();
+    terms.dedup();
+    println!(
+        "search_drain_shaped: {} entries, {} distinct; postings {every} read per entry, \
+         {once} reading each distinct entry once, {} in one term-ordered walk, {} reading \
+         each of its {} distinct terms once",
+        entries.len(),
+        unique.len(),
+        walked,
+        terms.iter().map(|&t| df(t)).sum::<usize>(),
+        terms.len()
+    );
+    let mut group = c.benchmark_group("search_drain_shaped");
+    group.sample_size(20);
+    group.throughput(criterion::Throughput::Elements(entries.len() as u64));
+    group.bench_with_input(BenchmarkId::from_parameter("per-entry"), &(), |b, _| {
+        b.iter(|| {
+            for q in &entries {
+                black_box(sharded.evaluate(q, 10));
+            }
+        })
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("batched"), &(), |b, _| {
+        b.iter(|| black_box(sharded.evaluate_batch(&keys)))
+    });
+    group.finish();
+}
+
 fn bench_cycle_overhead(c: &mut Criterion) {
     // Server-side cost of a full cycle (1 genuine + n ghosts) vs one query.
     let (engine, queries) = engine(ScoringModel::TfIdfCosine);
@@ -198,6 +310,7 @@ criterion_group!(
     benches,
     bench_query_latency,
     bench_ghost_shaped,
+    bench_drain_shaped,
     bench_cycle_overhead,
     bench_concurrent_throughput
 );

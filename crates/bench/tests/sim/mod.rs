@@ -48,9 +48,6 @@ const STALL_MS: u64 = 1000;
 /// Above the distinct keys of any run, so nothing is evicted and
 /// residency is a set, not an LRU order.
 const CACHE_CAPACITY: usize = 1 << 16;
-/// How far a score may stray from the oracle's, relatively: the last ulp
-/// of a sum taken shard by shard.
-const SCORE_TOLERANCE: f64 = 1e-12;
 
 /// One step. Tenant `n` is session `t{n}`; a query index is taken modulo
 /// the current corpus's query pool.
@@ -226,12 +223,6 @@ fn open(session: String) -> Op {
 
 fn close(session: String) -> Op {
     Op::Close { session }
-}
-
-fn key(tokens: &[TermId], k: usize) -> CacheKey {
-    let mut tokens = tokens.to_vec();
-    tokens.sort_unstable();
-    (tokens, k)
 }
 
 /// What tells a drained submission apart: session, cycle, genuineness
@@ -440,19 +431,27 @@ impl Sim {
         pool[q % pool.len()].clone()
     }
 
-    /// The oracle's top `k` for `genuine`, each score replaced by `got`'s
-    /// at the same rank when the doc ids agree and the scores lie within
-    /// [`SCORE_TOLERANCE`].
-    fn oracle(&self, genuine: &[TermId], k: usize, got: &[(u32, f64)]) -> Vec<(u32, f64)> {
+    /// Documents in the corpus the tier serves.
+    fn num_docs(&self) -> usize {
+        [&self.stack.corpus, &self.stack.evolved][usize::from(self.evolved)]
+            .docs
+            .len()
+    }
+
+    /// The result-cache key of a member asked at depth `k`.
+    fn key(&self, tokens: &[TermId], k: usize) -> CacheKey {
+        let mut tokens = tokens.to_vec();
+        tokens.sort_unstable();
+        (tokens, k.min(self.num_docs()))
+    }
+
+    /// The exhaustive single engine's top `k` for `genuine`: every tier
+    /// must serve exactly these documents and score bits.
+    fn oracle(&self, genuine: &[TermId], k: usize) -> Vec<(u32, f64)> {
         let e = usize::from(self.evolved);
-        let k = k.min([&self.stack.corpus, &self.stack.evolved][e].docs.len());
+        let k = k.min(self.num_docs());
         let want = self.stack.oracles[e].evaluate_bruteforce(&Query::from_tokens(genuine), k);
-        let close = |a: f64, b: f64| (a - b).abs() <= SCORE_TOLERANCE * b.abs();
-        let hit = |(at, h): (usize, &tsearch_search::SearchHit)| match got.get(at) {
-            Some(&(doc, score)) if doc == h.doc_id && close(score, h.score) => (doc, score),
-            _ => (h.doc_id, h.score),
-        };
-        want.iter().enumerate().map(hit).collect()
+        want.iter().map(|h| (h.doc_id, h.score)).collect()
     }
 
     /// The cycle a tenant's own generator formulates for `tokens`: bound
@@ -515,12 +514,8 @@ impl Sim {
     /// tenant's reference cycle `c` at depth `k`, then has the model
     /// formulate, resolve and commit that cycle as delivered.
     fn answered(&mut self, id: &str, user: &[TermId], c: &CycleResult, k: usize, got: &str) {
-        let hits = match parse(got) {
-            Response::Results { hits, .. } => hits.iter().map(|h| (h.doc_id, h.score)).collect(),
-            _ => Vec::new(),
-        };
         let dto = |(doc_id, score)| HitDto { doc_id, score };
-        let hits = self.oracle(&c.genuine().tokens, k, &hits);
+        let hits = self.oracle(&c.genuine().tokens, k);
         let hits = hits.into_iter().map(dto).collect();
         let report = SearchReportDto {
             cycle_len: c.cycle_len(),
@@ -532,8 +527,12 @@ impl Sim {
         let want = render(&Response::Results { hits, report });
         assert_eq!(got, want, "{id}'s answer");
         self.model.formulate(user, false);
-        let members: Vec<_> = c.cycle.iter().map(|m| (key(&m.tokens, k), 1)).collect();
-        self.model.resolve(&members, false);
+        let members: Vec<_> = c
+            .cycle
+            .iter()
+            .map(|m| (self.key(&m.tokens, k), 1))
+            .collect();
+        self.model.resolve(&members);
         let cycle_id = self.model.commit(id, c, user);
         self.model.deliver(id, cycle_id, c.cycle_len());
     }
@@ -593,7 +592,7 @@ impl Sim {
                 }
             }
             let (t, due) = (&tags[0], p.scheduled.time_secs.to_bits());
-            let entry = (key(&p.scheduled.tokens, p.k), p.fanout() as u64);
+            let entry = (self.key(&p.scheduled.tokens, p.k), p.fanout() as u64);
             entries.insert((t.session.clone(), t.cycle_id, t.is_genuine, due), entry);
         }
         let plane = self.manager.fault_plane().expect("fault plane").clone();
@@ -622,10 +621,10 @@ impl Sim {
         for (id, new, cycle) in &replans {
             let n = done.iter().filter(|o| (&o.0, o.1) == (id, *new)).count();
             assert!(n % cycle.cycle_len() == 0, "{id}'s replan {new} in part");
-            let members = cycle.cycle.iter().map(|m| (key(&m.tokens, TOP_K), 1));
+            let members = cycle.cycle.iter().map(|m| (self.key(&m.tokens, TOP_K), 1));
             keys.extend(members.take(n));
         }
-        self.model.resolve(&keys, workers > 1);
+        self.model.resolve(&keys);
         for o in &report.outcomes {
             self.model.deliver(&o.session, o.cycle_id, 1);
         }
@@ -637,7 +636,7 @@ impl Sim {
         for o in report.outcomes.iter().filter(|o| o.is_genuine) {
             let cycle = self.model.cycle(&o.session, o.cycle_id).expect("delivered");
             let got: Vec<_> = o.hits.iter().map(|h| (h.doc_id, h.score)).collect();
-            let want = self.oracle(&cycle.report.genuine().tokens, TOP_K, &got);
+            let want = self.oracle(&cycle.report.genuine().tokens, TOP_K);
             assert_eq!(got, want, "ranking of {}'s cycle {}", o.session, o.cycle_id);
         }
         let clean = report.rounds == 1 && report.rolled_back.is_empty();
@@ -828,8 +827,9 @@ impl Sim {
 
     /// Hostile lines from tenant `t`: a non-UTF-8 line, unparseable JSON,
     /// a `k` of the wrong type, an over-long session id and an over-long
-    /// line each get a typed error and change nothing; then searches with
-    /// a `k` beyond any corpus are answered at `k = num_docs`.
+    /// line each get a typed error and change nothing; then searches at
+    /// `k = num_docs` and beyond any corpus are answered at `k = num_docs`
+    /// and share one cache key per member.
     fn hostile(&mut self, t: usize, q: usize) -> &'static str {
         let (id, text) = (format!("t{t}"), self.query(q).text);
         self.open(t);
@@ -849,9 +849,14 @@ impl Sim {
         let message = "request line exceeds 65536 bytes".into();
         let over = serve(&self.manager, &[b'x'; 64 * 1024 + 1]);
         assert_eq!(over, render(&Response::Error { message }));
-        for k in [1_000_000_000_000, usize::MAX] {
+        // One ranking, one cache entry per member, however far past the
+        // corpus `k` goes: the later searches add no key.
+        let mut resident = Vec::new();
+        for k in [self.num_docs(), 1_000_000_000_000, usize::MAX] {
             self.search(t, q, Some(k));
+            resident.push(self.model.resident());
         }
+        assert!(resident.windows(2).all(|w| w[0] == w[1]), "{resident:?}");
         "hostile"
     }
 }

@@ -23,7 +23,8 @@ const TOLERANCE: f64 = 1e-9;
 /// A journal event: `(code, tenant, cycle)`.
 pub type Event = (String, String, u64);
 
-/// A result-cache key: a member's sorted tokens and the `k` it is asked at.
+/// A result-cache key: a member's sorted tokens and `min(k, num_docs)`
+/// for the `k` it is asked at.
 pub type CacheKey = (Vec<TermId>, usize);
 
 /// The lookups a step made of one shared store, as the model allows
@@ -154,18 +155,16 @@ impl Model {
         self.count(1, if racing { [1, 2, 0, 2] } else { lookups });
     }
 
-    /// Resolutions of queue entries, each its key and subscriber count;
-    /// each entry counts a hit per subscriber beyond the first. Entries
-    /// that race on a new key under `concurrent` workers may each miss.
-    pub fn resolve(&mut self, entries: &[(CacheKey, u64)], concurrent: bool) {
+    /// Resolutions of queue entries, each its key and subscriber count,
+    /// by any number of workers: each new key misses once, and every other
+    /// lookup — a subscriber beyond the first included — hits. (A drain
+    /// resolves equal keys on one worker, in queue order.)
+    pub fn resolve(&mut self, entries: &[(CacheKey, u64)]) {
         let before = self.results.len() as u64;
         let total = entries.iter().map(|e| e.1).sum();
-        let new = entries.iter().filter(|e| !self.results.contains(&e.0));
-        let new = new.count() as u64;
         self.results.extend(entries.iter().map(|e| e.0.clone()));
-        let least = self.results.len() as u64 - before;
-        let most = if concurrent { new } else { least };
-        self.count(0, [total, total, least, most]);
+        let new = self.results.len() as u64 - before;
+        self.count(0, [total, total, new, new]);
     }
 
     fn count(&mut self, plane: usize, lookups: Lookups) {

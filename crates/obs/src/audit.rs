@@ -147,12 +147,18 @@ impl AuditLog {
         out
     }
 
-    /// The most recent `limit` events, oldest first.
+    /// The most recent `limit` events, oldest first. Walks the ring back
+    /// from the newest slot and clones only the events it returns.
     pub fn tail(&self, limit: usize) -> Vec<AuditEvent> {
-        let mut events = self.events();
-        let skip = events.len().saturating_sub(limit);
-        events.drain(..skip);
-        events
+        let len = self.slots.len();
+        let newest = self.head.load(Ordering::Relaxed);
+        let mut out: Vec<AuditEvent> = (1..=len)
+            .map(|back| &self.slots[(newest % len + len - back) % len])
+            .filter_map(|slot| recover_lock(slot).clone())
+            .take(limit)
+            .collect();
+        out.sort_by_key(|e| e.seq);
+        out
     }
 
     /// Total events journaled since creation (including overwritten).
@@ -260,6 +266,19 @@ mod tests {
         log.clear();
         assert!(log.events().is_empty());
         assert_eq!(log.breaches(), 10, "clear must not forget breaches");
+    }
+
+    #[test]
+    fn tail_is_the_last_events_across_wrap_around() {
+        let log = AuditLog::new(5);
+        for i in 0..13u64 {
+            log.push(AuditSeverity::Info, "journal_spill", "t", i, "x");
+            let events = log.events();
+            for n in 0..=7 {
+                let last = &events[events.len().saturating_sub(n)..];
+                assert_eq!(log.tail(n), last, "{} pushed, tail({n})", i + 1);
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,19 @@
 //! one-byte postings per 8-byte load, so decode, pricing and the add are
 //! one loop. It yields `next()`'s postings in `next()`'s order, so no
 //! score changes a bit.
+//!
+//! Both engines rank through one walker, `Scorer::rank_batch`, and a
+//! single query is a batch of one. The walk sorts a batch's distinct
+//! `(terms, min(k, num_docs))` keys in ascending term order, so a key
+//! that shares its first terms with the one before it resumes from the
+//! partial sums that prefix left: a prefix is accumulated once, the sums
+//! are copied where the keys branch, and each key is ranked at its leaf.
+//! Every document's sum still takes its terms in ascending order, each
+//! added to the sum the same terms left, so a batched ranking is the
+//! per-query ranking bit for bit. At most [`MAX_SAVED_ACCUMULATORS`]
+//! copies are alive at once; a branch past that is recomputed from a
+//! shallower copy when a later key needs it, so no batch, however
+//! hostile, grows the walk's memory.
 
 use crate::log::QueryLog;
 use crate::query::Query;
@@ -39,15 +52,21 @@ use crate::score::ScoringModel;
 use crate::topk::{SearchHit, TopK};
 use std::cell::RefCell;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use toppriv_obs::{recover_lock, HistogramHandle};
 use tsearch_index::{DocumentStore, InvertedIndex, Posting};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 pub use crate::log::LoggedQuery;
 
-/// Metric name: single-engine accumulation latency per query (µs).
+/// Metric name: single-engine accumulation latency (µs): one sample per
+/// ranked key of a batch, the terms its walk added past the prefix it
+/// resumed from.
 pub const M_EVAL_US: &str = "engine_eval_us";
+
+/// The most partial-sum copies one walk keeps alive besides the
+/// accumulator it adds into.
+pub const MAX_SAVED_ACCUMULATORS: usize = 8;
 
 /// The search engine: index + document store + scorer + query log.
 pub struct SearchEngine {
@@ -121,25 +140,39 @@ impl SearchEngine {
     /// submitted; the entry's canonical text is rendered from them when
     /// [`SearchEngine::query_log`] is read.
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
-        recover_lock(&self.log).push_tokens(tokens.iter().copied());
+        self.log_tokens(&[tokens]);
         self.evaluate(&Query::from_tokens(tokens), k)
+    }
+
+    /// Logs each pre-analyzed submission, in order, under consecutive
+    /// ordinals, as [`SearchEngine::search_tokens`] logs one. A caller
+    /// that ranks through [`SearchEngine::evaluate_batch`] logs what it
+    /// ranked here.
+    pub fn log_tokens(&self, submissions: &[&[TermId]]) {
+        let mut log = recover_lock(&self.log);
+        for tokens in submissions {
+            log.push_tokens(tokens.iter().copied());
+        }
     }
 
     /// Scores a query without logging it — used by evaluation code that
     /// must not contaminate the adversary-visible trace.
     pub fn evaluate(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        with_accumulator(self.index.num_docs(), |acc| {
-            let t0 = Instant::now();
-            let avg_len = self.index.avg_doc_len();
-            for (term, qtf) in query.terms() {
-                accumulate_term(&self.index, self.model, avg_len, term, qtf, acc);
-            }
-            self.eval_us.record(t0.elapsed().as_micros() as u64);
-            let t1 = Instant::now();
-            let hits = acc.rank(self.model, &self.doc_norms, k);
-            self.gather_us.record(t1.elapsed().as_micros() as u64);
-            hits
-        })
+        self.evaluate_batch(&[(query, k)]).remove(0)
+    }
+
+    /// [`SearchEngine::evaluate`] of each `(query, k)`, in one walk.
+    pub fn evaluate_batch(&self, batch: &[(&Query, usize)]) -> Vec<Vec<SearchHit>> {
+        let scorer = Scorer {
+            owner: |_| (0, &self.index),
+            model: self.model,
+            avg_len: self.index.avg_doc_len(),
+            num_docs: self.index.num_docs(),
+            norms: &self.doc_norms,
+            eval_us: std::slice::from_ref(&self.eval_us),
+            gather_us: &self.gather_us,
+        };
+        scorer.rank_batch(batch)
     }
 
     /// Brute-force scoring of every document (reference implementation for
@@ -258,6 +291,12 @@ impl Accumulator {
         self.marks[d] = 1;
     }
 
+    /// Makes this accumulator a copy of `other`, reusing its buffers.
+    fn copy_from(&mut self, other: &Accumulator) {
+        self.scores.clone_from(&other.scores);
+        self.marks.clone_from(&other.marks);
+    }
+
     /// The touched documents and their unnormalized sums, by doc id.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         (self.marks.chunks_exact(8).enumerate())
@@ -324,10 +363,184 @@ pub(crate) fn with_accumulator<R>(num_docs: usize, f: impl FnOnce(&mut Accumulat
     result
 }
 
+/// A batch's distinct `(terms, min(k, num_docs))` keys in ascending term
+/// order, the prefix each shares with the key before it, and the key each
+/// input query maps to.
+struct Walk<'q> {
+    keys: Vec<(&'q [(TermId, u32)], usize)>,
+    /// `shared[j]`: how many first terms key `j` shares with key `j − 1`
+    /// (0 for the first).
+    shared: Vec<usize>,
+    /// `of[i]`: the key of input query `i`.
+    of: Vec<usize>,
+}
+
+impl<'q> Walk<'q> {
+    fn new(queries: impl ExactSizeIterator<Item = (&'q [(TermId, u32)], usize)>) -> Self {
+        let mut inputs: Vec<_> = queries.enumerate().collect();
+        inputs.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        let mut walk = Walk {
+            keys: Vec::with_capacity(inputs.len()),
+            shared: Vec::with_capacity(inputs.len()),
+            of: vec![0; inputs.len()],
+        };
+        for (i, key) in inputs {
+            if walk.keys.last() != Some(&key) {
+                let prev = walk.keys.last().map_or(&[][..], |p| p.0);
+                let shared = prev.iter().zip(key.0).take_while(|(a, b)| a == b);
+                walk.shared.push(shared.count());
+                walk.keys.push(key);
+            }
+            walk.of[i] = walk.keys.len() - 1;
+        }
+        walk
+    }
+
+    /// `next[j]`: the first key after `j` that shares fewer terms with its
+    /// predecessor than `j` does (`keys.len()` if none). Following it from
+    /// `j + 1` lists, deepest first, every prefix of key `j` that a later
+    /// key resumes from.
+    fn next_shallower(&self) -> Vec<usize> {
+        let n = self.keys.len();
+        let mut next = vec![n; n];
+        let mut deeper: Vec<usize> = Vec::new();
+        for j in (0..n).rev() {
+            while deeper
+                .last()
+                .is_some_and(|&m| self.shared[m] >= self.shared[j])
+            {
+                deeper.pop();
+            }
+            next[j] = deeper.last().copied().unwrap_or(n);
+            deeper.push(j);
+        }
+        next
+    }
+}
+
+/// What one engine's walk reads, and where it reports its time: `owner`
+/// maps a term to its shard and that shard's index (one shard for the
+/// single engine).
+pub(crate) struct Scorer<'a, O> {
+    pub(crate) owner: O,
+    pub(crate) model: ScoringModel,
+    pub(crate) avg_len: f64,
+    pub(crate) num_docs: usize,
+    pub(crate) norms: &'a [f64],
+    /// Accumulation time per shard: one sample per ranked key and shard
+    /// its walk step touched.
+    pub(crate) eval_us: &'a [HistogramHandle],
+    /// Rank time: one sample per ranked key.
+    pub(crate) gather_us: &'a HistogramHandle,
+}
+
+impl<'a, O: Fn(TermId) -> (usize, &'a InvertedIndex)> Scorer<'a, O> {
+    /// The hits of each `(query, k)`, in order: the one trie walk both
+    /// engines rank through (see the module docs).
+    pub(crate) fn rank_batch(&self, batch: &[(&Query, usize)]) -> Vec<Vec<SearchHit>> {
+        let keys = batch
+            .iter()
+            .map(|&(q, k)| (q.pairs(), k.min(self.num_docs)));
+        let walk = Walk::new(keys);
+        let mut ranked = with_accumulator(self.num_docs, |work| self.walk(&walk, work));
+        let mut last_use = vec![0; ranked.len()];
+        for (i, &j) in walk.of.iter().enumerate() {
+            last_use[j] = i;
+        }
+        let hits = walk
+            .of
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| match last_use[j] == i {
+                true => std::mem::take(&mut ranked[j]),
+                false => ranked[j].clone(),
+            });
+        hits.collect()
+    }
+
+    /// Ranks every key of `walk` in order, resuming each from the deepest
+    /// saved copy of a prefix it shares and saving the prefixes later keys
+    /// resume from, while fewer than [`MAX_SAVED_ACCUMULATORS`] are saved.
+    /// `work` is empty before and after.
+    fn walk(&self, walk: &Walk<'_>, work: &mut Accumulator) -> Vec<Vec<SearchHit>> {
+        let next = walk.next_shallower();
+        // Saved prefixes of the last key walked, by ascending depth.
+        let mut saved: Vec<(usize, Accumulator)> = Vec::new();
+        let mut spare: Vec<Accumulator> = Vec::new();
+        let mut spent: Vec<Option<Duration>> = vec![None; self.eval_us.len()];
+        let mut resumed_from = Vec::new();
+        let mut ranked = Vec::with_capacity(walk.keys.len());
+        for (j, &(terms, k)) in walk.keys.iter().enumerate() {
+            while saved.last().is_some_and(|s| s.0 > walk.shared[j]) {
+                spare.extend(saved.pop().map(|s| s.1));
+            }
+            let base = saved.last().map_or(0, |s| s.0);
+            // The depths later keys resume from, none below `base`.
+            resumed_from.clear();
+            let mut m = j + 1;
+            while m < walk.keys.len() && walk.shared[m] >= base {
+                resumed_from.push(walk.shared[m]);
+                m = next[m];
+            }
+            resumed_from.reverse();
+            match saved.last() {
+                Some(s) if resumed_from.first() == Some(&base) => work.copy_from(&s.1),
+                Some(_) => {
+                    let (_, mut acc) = saved.pop().expect("matched above");
+                    std::mem::swap(work, &mut acc);
+                    spare.push(acc);
+                }
+                None => {}
+            }
+            let mut depth = base;
+            for &d in resumed_from.iter().filter(|&&d| d > base) {
+                self.accumulate(&terms[depth..d], work, &mut spent);
+                depth = d;
+                if saved.len() < MAX_SAVED_ACCUMULATORS {
+                    let mut copy = spare.pop().unwrap_or_default();
+                    copy.copy_from(work);
+                    saved.push((d, copy));
+                }
+            }
+            self.accumulate(&terms[depth..], work, &mut spent);
+            for (shard, spent) in spent.iter_mut().enumerate() {
+                if let Some(t) = spent.take() {
+                    self.eval_us[shard].record(t.as_micros() as u64);
+                }
+            }
+            let t0 = Instant::now();
+            ranked.push(work.rank(self.model, self.norms, k));
+            self.gather_us.record(t0.elapsed().as_micros() as u64);
+        }
+        ranked
+    }
+
+    /// Adds `terms` into `work` in order, each through its owning shard,
+    /// timing each into `spent[shard]`.
+    fn accumulate(
+        &self,
+        terms: &[(TermId, u32)],
+        work: &mut Accumulator,
+        spent: &mut [Option<Duration>],
+    ) {
+        if terms.is_empty() {
+            return;
+        }
+        let mut t0 = Instant::now();
+        for &(term, qtf) in terms {
+            let (shard, index) = (self.owner)(term);
+            accumulate_term(index, self.model, self.avg_len, term, qtf, work);
+            let now = Instant::now();
+            *spent[shard].get_or_insert_default() += now - t0;
+            t0 = now;
+        }
+    }
+}
+
 /// Accumulates one query term's (unnormalized) score contributions from
 /// `index` into `acc`. This is the inner loop of accumulator evaluation,
-/// shared by [`SearchEngine::evaluate`] and the sharded engine's
-/// per-shard scatter step — the two MUST score identically (the
+/// shared by the batch walk of both engines and the sharded engine's
+/// per-shard scatter step — they MUST score identically (the
 /// shard-equivalence contract), so there is exactly one copy.
 pub(crate) fn accumulate_term(
     index: &InvertedIndex,

@@ -34,7 +34,7 @@ pub mod score;
 pub mod sharded;
 pub mod topk;
 
-pub use engine::{SearchEngine, M_EVAL_US};
+pub use engine::{SearchEngine, MAX_SAVED_ACCUMULATORS, M_EVAL_US};
 pub use eval::result_lists_identical;
 pub use log::{LoggedQuery, QueryLog};
 pub use query::Query;

@@ -52,6 +52,12 @@ impl Query {
         self.terms.iter().copied()
     }
 
+    /// The `(term, query_tf)` pairs as one term-sorted slice: the key a
+    /// batch walk orders and shares prefixes by.
+    pub fn pairs(&self) -> &[(TermId, u32)] {
+        &self.terms
+    }
+
     /// The distinct term ids.
     pub fn term_ids(&self) -> Vec<TermId> {
         self.terms.iter().map(|&(t, _)| t).collect()

@@ -17,9 +17,14 @@
 //!   keeps one global cosine-norm table, so document-side weights are
 //!   global too.
 //!
-//! A document's score is a sum of independent per-term contributions;
-//! sharding merely partitions that sum by term, and the gather step adds
-//! the partials back together.
+//! A document's score is a sum of independent per-term contributions.
+//! The engine adds them in ascending term order — each term's postings
+//! read from the shard that owns it — through the same batch walk as the
+//! single engine, so a shared prefix has the same bits on every tier and
+//! the sharded scores are the single engine's bit for bit.
+//! [`ShardedEngine::shard_partials`] and [`ShardedEngine::merge_partials`]
+//! still show the scatter/gather split, which sums shard by shard and so
+//! may land an ulp away.
 //!
 //! The adversary view is sharded as well: each shard keeps its **own**
 //! bounded, independently locked query log and records only the
@@ -29,7 +34,7 @@
 //! `toppriv_adversary::merge_shard_logs` can reconstruct the global
 //! trace for after-the-fact analysis.
 
-use crate::engine::{accumulate_term, with_accumulator, Accumulator, TfTable};
+use crate::engine::{accumulate_term, with_accumulator, Accumulator, Scorer, TfTable};
 use crate::log::{LoggedQuery, QueryLog};
 use crate::query::Query;
 use crate::score::ScoringModel;
@@ -42,8 +47,10 @@ use toppriv_obs::{recover_lock, HistogramHandle};
 use tsearch_index::{DocumentStore, ShardRouter, ShardedIndex};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
-/// Metric name: per-shard scatter latency — one shard's accumulation
-/// for one query (µs), labeled `shard=`.
+/// Metric name: per-shard accumulation latency (µs), labeled `shard=`:
+/// one sample per ranked key of a batch and shard, the time that shard's
+/// terms took in the key's walk step (the terms it added past the prefix
+/// it resumed from).
 pub const M_SHARD_EVAL_US: &str = "engine_shard_eval_us";
 /// Metric name: gather latency — merging partials and ranking top-k
 /// (µs). Also recorded by the single engine's rank phase, so the stage
@@ -136,22 +143,35 @@ impl ShardedEngine {
     /// Executes a text query, returning the best `k` documents. Each
     /// touched shard records the sub-query routed to it.
     pub fn search(&self, text: &str, k: usize) -> Vec<SearchHit> {
-        self.submit(&Query::parse(text, &self.analyzer, &self.vocab), k)
+        let query = Query::parse(text, &self.analyzer, &self.vocab);
+        self.log(self.next_ordinal.fetch_add(1, Ordering::Relaxed), &query);
+        self.evaluate(&query, k)
     }
 
     /// Executes a pre-analyzed token query (each shard logs the slice of
     /// terms it owns; the slice's canonical text is rendered when the
     /// shard's log is read).
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
-        self.submit(&Query::from_tokens(tokens), k)
+        let query = Query::from_tokens(tokens);
+        self.log(self.next_ordinal.fetch_add(1, Ordering::Relaxed), &query);
+        self.evaluate(&query, k)
     }
 
-    /// One submission: routed once, and the same shard slices go to the
-    /// shard logs — under a single global ordinal — and to the scatter.
-    fn submit(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        let routed = self.route(query);
-        let ordinal = self.next_ordinal.fetch_add(1, Ordering::Relaxed);
-        for slice in shard_slices(&routed) {
+    /// Logs each pre-analyzed submission, in order, under consecutive
+    /// global ordinals, as [`ShardedEngine::search_tokens`] logs one. A
+    /// caller that ranks through [`ShardedEngine::evaluate_batch`] logs
+    /// what it ranked here.
+    pub fn log_tokens(&self, submissions: &[&[TermId]]) {
+        let first = (self.next_ordinal).fetch_add(submissions.len() as u64, Ordering::Relaxed);
+        for (ordinal, tokens) in (first..).zip(submissions) {
+            self.log(ordinal, &Query::from_tokens(tokens));
+        }
+    }
+
+    /// Logs one submission: each shard it touches records its slice under
+    /// the one global `ordinal`.
+    fn log(&self, ordinal: u64, query: &Query) {
+        for slice in shard_slices(&self.route(query)) {
             recover_lock(&self.logs[slice[0].shard]).push_tokens_at(
                 ordinal,
                 slice
@@ -159,18 +179,36 @@ impl ShardedEngine {
                     .flat_map(|r| std::iter::repeat_n(r.term, r.qtf as usize)),
             );
         }
-        self.evaluate_routed(&routed, k)
     }
 
     /// Scores a query without logging it, returning exactly the ranked
     /// list [`SearchEngine::evaluate`](crate::SearchEngine::evaluate)
-    /// would produce over the unsharded index.
+    /// would produce over the unsharded index, bit for bit.
     pub fn evaluate(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        self.evaluate_routed(&self.route(query), k)
+        self.evaluate_batch(&[(query, k)]).remove(0)
+    }
+
+    /// [`ShardedEngine::evaluate`] of each `(query, k)`, in one walk that
+    /// reads each term from the shard owning it.
+    pub fn evaluate_batch(&self, batch: &[(&Query, usize)]) -> Vec<Vec<SearchHit>> {
+        let router = self.index.router();
+        let scorer = Scorer {
+            owner: |term| {
+                let shard = router.shard_of(term);
+                (shard, self.index.shard(shard))
+            },
+            model: self.model,
+            avg_len: self.index.avg_doc_len(),
+            num_docs: self.index.num_docs(),
+            norms: &self.doc_norms,
+            eval_us: &self.shard_eval_us,
+            gather_us: &self.gather_us,
+        };
+        scorer.rank_batch(batch)
     }
 
     /// The query's terms with their owning shards, ordered by shard and,
-    /// within a shard, by term — the order the scatter visits them in.
+    /// within a shard, by term — the slices the shard logs record.
     fn route(&self, query: &Query) -> Vec<RoutedTerm> {
         let router = self.index.router();
         let mut routed: Vec<RoutedTerm> = query
@@ -184,21 +222,6 @@ impl ShardedEngine {
         // Stable: `terms()` is term-ascending and stays so within a shard.
         routed.sort_by_key(|r| r.shard);
         routed
-    }
-
-    fn evaluate_routed(&self, routed: &[RoutedTerm], k: usize) -> Vec<SearchHit> {
-        with_accumulator(self.index.num_docs(), |acc| {
-            for slice in shard_slices(routed) {
-                let shard_id = slice[0].shard;
-                let t0 = Instant::now();
-                self.accumulate_shard(shard_id, slice.iter().map(|r| (r.term, r.qtf)), acc);
-                self.shard_eval_us[shard_id].record(t0.elapsed().as_micros() as u64);
-            }
-            let t0 = Instant::now();
-            let hits = acc.rank(self.model, &self.doc_norms, k);
-            self.gather_us.record(t0.elapsed().as_micros() as u64);
-            hits
-        })
     }
 
     /// Scatter step: the partial (unnormalized) score contributions of
@@ -257,9 +280,13 @@ impl ShardedEngine {
     }
 
     /// Snapshot of one shard's query log (each entry's text rendered
-    /// from its token slice).
+    /// from its token slice), in ordinal order: an ordinal is drawn before
+    /// its slices are pushed, so two submitters can reach one shard's log
+    /// out of ordinal order.
     pub fn query_log(&self, shard_id: usize) -> Vec<LoggedQuery> {
-        recover_lock(&self.logs[shard_id]).snapshot_with(|t| self.vocab.term(t))
+        let mut entries = recover_lock(&self.logs[shard_id]).snapshot_with(|t| self.vocab.term(t));
+        entries.sort_by_key(|e| e.ordinal);
+        entries
     }
 
     /// Snapshots of every shard's log, in shard-id order — the input to
@@ -383,7 +410,7 @@ mod tests {
     #[test]
     fn matches_single_engine_exactly() {
         for model in [ScoringModel::TfIdfCosine, ScoringModel::bm25_default()] {
-            for shards in [1usize, 2, 3, 4, 8] {
+            for shards in 1usize..=8 {
                 let (single, sharded) = engines(model, shards);
                 for text in [
                     "apache",
@@ -392,18 +419,12 @@ mod tests {
                     "army software market helicopter",
                     "nonexistent gibberish",
                 ] {
-                    let a = single.search(text, 10);
-                    let b = sharded.search(text, 10);
-                    assert_eq!(a.len(), b.len(), "{model:?} {shards} shards: {text}");
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.doc_id, y.doc_id, "{model:?} {shards} shards: {text}");
-                        assert!(
-                            (x.score - y.score).abs() < 1e-12,
-                            "{model:?} {shards} shards: {text}: {} vs {}",
-                            x.score,
-                            y.score
-                        );
-                    }
+                    let bits = |hits: Vec<SearchHit>| -> Vec<(u32, u64)> {
+                        hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+                    };
+                    let a = bits(single.search(text, 10));
+                    let b = bits(sharded.search(text, 10));
+                    assert_eq!(a, b, "{model:?} {shards} shards: {text}");
                 }
             }
         }

@@ -6,7 +6,9 @@
 //! invisible in the results.
 
 use proptest::prelude::*;
-use tsearch_search::{Query, ScoringModel, SearchEngine, ShardedEngine};
+use tsearch_search::{
+    Query, ScoringModel, SearchEngine, SearchHit, ShardedEngine, MAX_SAVED_ACCUMULATORS,
+};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 /// Strategy: one document of up to 24 random tokens, about half of them
@@ -62,7 +64,81 @@ fn build_engines(
     (single, sharded)
 }
 
+fn bits(hits: &[SearchHit]) -> Vec<(u32, u64)> {
+    hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+}
+
+/// The batch every case of `batch_equals_per_query` evaluates: the random
+/// queries, then one of each shape the walk treats apart — a duplicate, a
+/// query that is a prefix of another, the empty query, a repeated term —
+/// and a nest of prefixes deeper than the live-accumulator bound: the
+/// chain `0 1 … L−1` and, for each `e`, `0 … e−1` then `L`, which sorts
+/// after the chain and resumes from its depth-`e` prefix.
+fn forced_batch(queries: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let mut batch = queries.to_vec();
+    let first = Query::from_tokens(&queries[0]);
+    let half = &first.pairs()[..first.num_terms() / 2];
+    let prefix = half
+        .iter()
+        .flat_map(|&(t, qtf)| std::iter::repeat_n(t, qtf as usize));
+    batch.push(queries[0].clone());
+    batch.push(prefix.collect());
+    batch.push(Vec::new());
+    batch.push(vec![queries[0][0]; 3]);
+    let depth = MAX_SAVED_ACCUMULATORS as u32 + 3;
+    batch.push((0..depth).collect());
+    for e in 1..depth {
+        batch.push((0..e).chain([depth]).collect());
+    }
+    batch
+}
+
 proptest! {
+    /// Batched evaluation is per-query evaluation, bit for bit, on one
+    /// engine and on 1–8 shards, under both scoring models, at every `k`
+    /// the walk treats apart (0, 1, 10, the corpus size, `usize::MAX`).
+    #[test]
+    fn batch_equals_per_query(
+        (docs, queries, shards, bm25) in (12usize..40).prop_flat_map(|vocab_size| {
+            (
+                proptest::collection::vec(doc_strategy(vocab_size as u32), 1..30),
+                proptest::collection::vec(
+                    proptest::collection::vec(0u32..vocab_size as u32, 1..8),
+                    1..6,
+                ),
+                1usize..9,
+                any::<bool>(),
+            )
+        })
+    ) {
+        let batch = forced_batch(&queries);
+        let vocab_size = 1 + docs.iter().chain(&batch).flatten().copied().max().unwrap_or(0);
+        let model = if bm25 {
+            ScoringModel::bm25_default()
+        } else {
+            ScoringModel::TfIdfCosine
+        };
+        let (single, sharded) = build_engines(&docs, vocab_size as usize, model, shards);
+        let ks = [0, 1, 10, docs.len(), usize::MAX];
+        let queries: Vec<Query> = batch.iter().map(|t| Query::from_tokens(t)).collect();
+        // Every query at every k, plus each at one k again in another
+        // position (a duplicate key).
+        let mut keys: Vec<(&Query, usize)> = Vec::new();
+        for &k in &ks {
+            keys.extend(queries.iter().map(|q| (q, k)));
+        }
+        keys.extend(queries.iter().enumerate().map(|(i, q)| (q, ks[i % ks.len()])));
+        let on_single = single.evaluate_batch(&keys);
+        let on_shards = sharded.evaluate_batch(&keys);
+        for (i, &(query, k)) in keys.iter().enumerate() {
+            let alone = bits(&single.evaluate(query, k));
+            prop_assert_eq!(&bits(&single.evaluate_bruteforce(query, k)), &alone);
+            prop_assert_eq!(&bits(&on_single[i]), &alone, "single, key {}", i);
+            prop_assert_eq!(&bits(&sharded.evaluate(query, k)), &alone);
+            prop_assert_eq!(&bits(&on_shards[i]), &alone, "{} shards, key {}", shards, i);
+        }
+    }
+
     #[test]
     fn sharded_topk_equals_single_topk(
         (docs, queries, shards, bm25, k) in case_strategy()
@@ -96,14 +172,9 @@ proptest! {
                 prop_assert_eq!(e.doc_id, r.doc_id);
                 prop_assert_eq!(e.score.to_bits(), r.score.to_bits());
             }
-            prop_assert_eq!(expected.len(), actual.len());
-            for (e, a) in expected.iter().zip(actual) {
-                prop_assert_eq!(e.doc_id, a.doc_id);
-                prop_assert!(
-                    (e.score - a.score).abs() < 1e-9,
-                    "doc {}: {} vs {}", e.doc_id, e.score, a.score
-                );
-            }
+            // Both tiers add a document's terms in ascending term order,
+            // so the sharded scores are the single engine's to the bit.
+            prop_assert_eq!(bits(expected), bits(actual));
             // The shard logs must jointly cover exactly the query's terms.
             sharded.clear_query_logs();
             sharded.search_tokens(tokens, k);

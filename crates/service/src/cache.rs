@@ -10,8 +10,10 @@
 //! this cache absorbs the duplicates before they reach the engine.
 //!
 //! Keys are normalized term multisets (sorted token ids) plus the result
-//! count `k` — the engine treats queries as bags of words, so token order
-//! never matters. Entries live in [`DEFAULT_SHARDS`] independently locked
+//! count — the engine treats queries as bags of words, so token order
+//! never matters. The service keys on `min(k, num_docs)`, the most hits
+//! any `k` can return, so one query asked at any `k` beyond the corpus
+//! holds one entry and a tenant cannot push others out by varying `k`. Entries live in [`DEFAULT_SHARDS`] independently locked
 //! shards selected by key hash; each shard is a classic intrusive-list
 //! LRU, so a get refreshes recency in O(1) and eviction removes the
 //! least-recently-used entry of that shard; eviction is the only way an
@@ -325,10 +327,13 @@ impl ResultCache {
 
     /// Looks up a normalized query, refreshing its recency.
     pub fn get(&self, tokens: &[TermId], k: usize) -> Option<Vec<SearchHit>> {
+        self.get_key(&CacheKey::new(tokens, k))
+    }
+
+    pub(crate) fn get_key(&self, key: &CacheKey) -> Option<Vec<SearchHit>> {
         let t0 = Instant::now();
-        let key = CacheKey::new(tokens, k);
-        let (s, shard) = self.shard(&key);
-        let found = recover_lock(shard).get(&key);
+        let (s, shard) = self.shard(key);
+        let found = recover_lock(shard).get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -345,7 +350,10 @@ impl ResultCache {
 
     /// Inserts (or refreshes) a result list.
     pub fn insert(&self, tokens: &[TermId], k: usize, hits: Vec<SearchHit>) {
-        let key = CacheKey::new(tokens, k);
+        self.insert_key(CacheKey::new(tokens, k), hits);
+    }
+
+    pub(crate) fn insert_key(&self, key: CacheKey, hits: Vec<SearchHit>) {
         let (s, shard) = self.shard(&key);
         let evicted = recover_lock(shard).insert(key, hits);
         if evicted {
@@ -382,34 +390,20 @@ impl ResultCache {
         (hits, false)
     }
 
-    /// Fan-out-aware [`ResultCache::get_or_compute`] for submissions
-    /// shared by `subscribers` tenants (the planner's coalesced entries).
-    ///
-    /// Hit-rate accounting is **per subscribing tenant**, not per
-    /// physical lookup: from each tenant's point of view its submission
-    /// was served without touching the engine, so beyond the first
-    /// subscriber (who pays the real lookup, hit or miss) every further
-    /// subscriber counts as one cache hit — globally and on the entry's
-    /// cache shard. Per-submission counting here would silently
-    /// understate the hit rate under coalescing. Returns the first
-    /// subscriber's `(hits, was_cache_hit)`.
-    pub fn get_or_compute_shared(
-        &self,
-        tokens: &[TermId],
-        k: usize,
-        subscribers: usize,
-        compute: impl FnOnce() -> Vec<SearchHit>,
-    ) -> (Vec<SearchHit>, bool) {
-        let (hits, was_hit) = self.get_or_compute(tokens, k, compute);
-        let extra = subscribers.saturating_sub(1) as u64;
-        if extra > 0 {
-            self.hits.fetch_add(extra, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                let key = CacheKey::new(tokens, k);
-                obs.hits[key.shard_of(self.shards.len())].add(extra);
-            }
+    /// Counts `n` hits on `key` that no lookup made: tenants served
+    /// from a resolution another lookup paid for — a planner-coalesced
+    /// entry's subscribers beyond the first, or a later duplicate of an
+    /// entry resolved in the same batch. From each tenant's point of view
+    /// its submission was served without touching the engine, so it
+    /// counts as a hit, globally and on the key's cache shard.
+    pub(crate) fn add_hits(&self, key: &CacheKey, n: u64) {
+        if n == 0 {
+            return;
         }
-        (hits, was_hit)
+        self.hits.fetch_add(n, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.hits[key.shard_of(self.shards.len())].add(n);
+        }
     }
 
     /// Entries currently cached.
@@ -666,12 +660,14 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let cache = ResultCache::with_shards(8, 1).with_registry(registry.clone());
         // Miss shared by 3 tenants: 1 physical miss + 2 per-tenant hits.
-        let (_, was_hit) = cache.get_or_compute_shared(&[1, 2], 10, 3, || vec![hit(1)]);
+        let (_, was_hit) = cache.get_or_compute(&[1, 2], 10, || vec![hit(1)]);
+        cache.add_hits(&CacheKey::new(&[1, 2], 10), 2);
         assert!(!was_hit);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         // Hit shared by 4 tenants: all 4 count as hits.
-        let (_, was_hit) = cache.get_or_compute_shared(&[2, 1], 10, 4, || unreachable!());
+        let (_, was_hit) = cache.get_or_compute(&[2, 1], 10, || unreachable!());
+        cache.add_hits(&CacheKey::new(&[2, 1], 10), 3);
         assert!(was_hit);
         assert_eq!(cache.hits(), 6);
         assert_eq!(cache.misses(), 1);
@@ -679,10 +675,9 @@ mod tests {
         // The per-shard obs counters agree with the global atomics.
         assert_eq!(registry.counter_total(M_CACHE_SHARD_HITS), 6);
         assert_eq!(registry.counter_total(M_CACHE_SHARD_MISSES), 1);
-        // A single subscriber degenerates to plain get_or_compute.
-        let (_, was_hit) = cache.get_or_compute_shared(&[1, 2], 10, 1, || unreachable!());
-        assert!(was_hit);
-        assert_eq!(cache.hits(), 7);
+        // No extra subscriber adds nothing.
+        cache.add_hits(&CacheKey::new(&[1, 2], 10), 0);
+        assert_eq!(cache.hits(), 6);
     }
 
     #[test]

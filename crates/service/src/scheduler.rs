@@ -5,51 +5,70 @@
 //! submit the union of all tenants' schedules. [`CycleScheduler`] merges
 //! the per-session plans into one time-ordered queue — the service-level
 //! counterpart of [`toppriv_core::merge_schedules`], keeping its exact
-//! ordering semantics — and drains it with **one shared cursor claimed
-//! by every worker**: a worker takes the next entry, evaluates the whole
-//! query through the tier (a sharded tier scatters and gathers inside
-//! `ShardedEngine`), and moves on. Shards are neither a scheduling unit
-//! nor a failure domain above the tier: nearly every multi-term query
-//! touches every shard, so a submission carries no shard at all, and
-//! per-shard work is the engine's own `engine_shard_eval_us{shard}`.
+//! ordering semantics — and drains it in **groups**: the entries whose
+//! lowest term is the same. Entries that share a prefix of terms share
+//! a group, and the entries of a group that reach the engine are ranked
+//! in one term-ordered walk (`SearchEngine::evaluate_batch`), which reads
+//! a shared prefix once. Workers claim groups from one shared cursor,
+//! largest (most entries) first, so the groups claimed last are small.
+//! Shards are neither a scheduling unit nor a failure domain above the
+//! tier; per-shard work is the engine's own `engine_shard_eval_us{shard}`.
+//!
+//! Grouping changes what the engine reads, not what an entry is: each
+//! entry is claimed (under the deadline), drawn for faults, retried,
+//! looked up, logged, counted and fanned out on its own, with the
+//! accounting one worker draining the queue in order would give. Keys
+//! never cross groups, so a cache lookup cannot race another worker's
+//! insert: with a cache, a later duplicate is a hit and never reaches the
+//! engine; without one, every entry reaches it. The engine's log is
+//! written when the workers have joined: every entry that reached the
+//! engine, in queue order, under consecutive ordinals. So the log reads
+//! as one worker draining the queue in order would leave it, and its
+//! ordinals count exactly the submissions the engine received — a cache
+//! hit, a failed entry or one the deadline cut takes none.
 //!
 //! A scheduler is built from the manager whose cycles it drains
 //! ([`CycleScheduler::for_manager`]) and shares that manager's tier,
 //! cache, metrics, auditor, fault plane and session table.
 //!
 //! A drain is four steps, each its own function: **claim** (the deadline
-//! watchdog), **resolve with retry** (bounded exponential backoff),
-//! **fan-out** (one outcome per subscribing tenant),
-//! and — after the workers join — **settle**: every delivered member is
-//! counted against its cycle in the owning session, and a cycle whose
-//! members were all delivered leaves the rollback window. That is the
-//! only way a planned cycle is sealed, on every drain path.
+//! watchdog), **resolve with retry** (a group's entries as one batch; an
+//! entry whose first attempt fails is retried alone, with bounded
+//! exponential backoff), **fan-out** (one outcome per subscribing
+//! tenant), and — after the workers join — **settle**: every delivered
+//! member is counted against its cycle in the owning session, and a
+//! cycle whose members were all delivered leaves the rollback window.
+//! That is the only way a planned cycle is sealed, on every drain path.
 //!
-//! Draining consumes the queue in time order but does not sleep between
-//! submissions: simulated time orders the trace the engine sees, while
-//! wall-clock throughput is bounded only by the worker pool. Queue depth
-//! and per-submit latency are reported to [`ServiceMetrics`]; each drain
-//! additionally records **queue wait** (drain start → claim) into
-//! [`M_QUEUE_WAIT_US`] and **service time** (resolution) into
-//! [`M_SERVICE_US`], and journals a `drain` span with one `drain_worker`
-//! child per worker into the global tracer.
+//! Draining consumes the queue without sleeping between submissions:
+//! simulated time orders the trace the engine sees, while wall-clock
+//! throughput is bounded only by the worker pool. Queue depth and
+//! per-submit latency are reported to [`ServiceMetrics`]; each drain
+//! additionally records **queue wait** (drain start → an entry's claim)
+//! into [`M_QUEUE_WAIT_US`] and **service time** (one group's
+//! resolution) into [`M_SERVICE_US`], and journals a `drain` span with
+//! one `drain_worker` child per worker into the global tracer.
 
 use crate::cache::ResultCache;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::ServiceMetrics;
-use crate::session::{self, RolledBackCycle, SessionManager, SessionTable};
+use crate::session::{self, Resolving, RolledBackCycle, SessionManager, SessionTable};
 use crate::tier::SearchTier;
-use std::collections::{HashMap, HashSet};
+use std::any::Any;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toppriv_core::ScheduledQuery;
 use toppriv_obs::{AuditSeverity, Counter, HistogramHandle, Span};
 use tsearch_search::SearchHit;
+use tsearch_text::TermId;
 
 /// Metric name: queue wait (claim time − drain start, µs).
 pub const M_QUEUE_WAIT_US: &str = "scheduler_queue_wait_us";
-/// Metric name: service time (resolution latency, µs).
+/// Metric name: service time (µs): one sample per claimed group, its
+/// entries' resolution, retries and fan-out.
 pub const M_SERVICE_US: &str = "scheduler_service_us";
 /// Metric name: drained submission counter. The series carries no
 /// `shard` label; the Rust name stays because `benchmark/src/fleet.rs`
@@ -233,8 +252,12 @@ pub struct ResilientReport {
 /// What every worker of one drain shares.
 struct DrainRun<'a> {
     queue: &'a [PlannedQuery],
-    /// Next unclaimed position in the merged, time-ordered queue.
+    /// Queue positions by group, largest group first, each in queue order.
+    groups: Vec<Vec<usize>>,
+    /// Next unclaimed group.
     cursor: AtomicUsize,
+    /// Entries claimed so far.
+    taken: AtomicUsize,
     started: Instant,
 }
 
@@ -386,11 +409,13 @@ impl CycleScheduler {
         let number = self.drains.fetch_add(1, Ordering::Relaxed) + 1;
         let run = DrainRun {
             queue: &queue,
+            groups: groups(&queue),
             cursor: AtomicUsize::new(0),
+            taken: AtomicUsize::new(0),
             started: Instant::now(),
         };
         let mut claimed: Vec<Claimed> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..self.workers.min(queue.len()))
+            let workers: Vec<_> = (0..self.workers.min(run.groups.len()))
                 .map(|_| scope.spawn(|| self.work(&run, &drain_span)))
                 .collect();
             workers
@@ -402,30 +427,36 @@ impl CycleScheduler {
         if let Some(auditor) = &self.auditor {
             auditor.finish_drain();
         }
+        // Per queue position: `Some(true)` failed, `Some(false)` completed,
+        // `None` never claimed (the deadline watchdog cut the drain short).
+        let mut failed_at: Vec<Option<bool>> = vec![None; queue.len()];
         claimed.sort_by_key(|&(at, _)| at);
         let mut completed = Vec::new();
         let mut failures = Vec::new();
-        let mut failed_at = HashSet::new();
+        // What reached the engine, in queue order: each resolved entry
+        // whose first subscriber's outcome is not a cache hit.
+        let mut reached: Vec<&[TermId]> = Vec::new();
         for (at, resolved) in claimed {
+            failed_at[at] = Some(resolved.is_err());
             match resolved {
-                Ok(outcomes) => completed.extend(outcomes),
-                Err(failure) => {
-                    failed_at.insert(at);
-                    failures.push(failure);
+                Ok(outcomes) => {
+                    if outcomes.first().is_some_and(|o| !o.cache_hit) {
+                        reached.push(&queue[at].scheduled.tokens);
+                    }
+                    completed.extend(outcomes);
                 }
+                Err(failure) => failures.push(failure),
             }
         }
-        // Every position below the cursor was resolved or failed; the
-        // rest went unclaimed when the deadline watchdog cut the drain
-        // short.
-        let cursor = run.cursor.into_inner().min(queue.len());
-        let mut queue = queue;
-        let unresolved = queue.split_off(cursor);
-        let failed: Vec<PlannedQuery> = queue
-            .into_iter()
-            .enumerate()
-            .filter_map(|(at, plan)| failed_at.contains(&at).then_some(plan))
-            .collect();
+        self.tier.log_tokens(&reached);
+        let (mut failed, mut unresolved) = (Vec::new(), Vec::new());
+        for (plan, status) in queue.into_iter().zip(failed_at) {
+            match status {
+                Some(true) => failed.push(plan),
+                Some(false) => {}
+                None => unresolved.push(plan),
+            }
+        }
         self.settle(&completed);
         if !unresolved.is_empty() {
             if let Some(auditor) = &self.auditor {
@@ -454,88 +485,122 @@ impl CycleScheduler {
         }
     }
 
-    /// **Claim**: the next queue position this worker should resolve.
-    /// `None` once the queue is exhausted or the drain deadline passed
-    /// (the cooperative watchdog: the unclaimed remainder comes back as
+    /// **Claim**: the next group this worker should resolve. `None` once
+    /// every group is claimed or the drain deadline passed (the
+    /// cooperative watchdog: the unclaimed remainder comes back as
     /// `unresolved` instead of blocking forever).
     fn claim(&self, run: &DrainRun) -> Option<usize> {
         if run.started.elapsed() > self.deadline {
             return None;
         }
-        let at = run.cursor.fetch_add(1, Ordering::Relaxed);
-        (at < run.queue.len()).then_some(at)
+        let group = run.cursor.fetch_add(1, Ordering::Relaxed);
+        (group < run.groups.len()).then_some(group)
     }
 
-    /// One worker's loop: claim, resolve, fan out, until the claim gate
+    /// One worker's loop: claim a group, resolve it, until the claim gate
     /// closes.
     fn work(&self, run: &DrainRun, drain_span: &Span<'_>) -> Vec<Claimed> {
         let span = drain_span.child("drain_worker");
         let mut claimed = Vec::new();
-        while let Some(at) = self.claim(run) {
-            self.queue_wait_us
-                .record(run.started.elapsed().as_micros() as u64);
-            self.metrics
-                .set_queue_depth(run.queue.len().saturating_sub(at + 1));
-            let plan = &run.queue[at];
-            let tags = plan.subscriber_tags();
+        while let Some(group) = self.claim(run) {
             let t0 = Instant::now();
-            let resolved = self.resolve_with_retry(run, plan, &tags);
-            claimed.push((
-                at,
-                resolved.map(|(hits, cache_hit)| {
-                    // The service-time histogram keeps this worker's
-                    // span id as the bucket's trace exemplar, so a p99
-                    // outlier links straight to its `drain_worker` span.
-                    self.service_us
-                        .record_with_exemplar(t0.elapsed().as_micros() as u64, span.id());
-                    self.submits.inc();
-                    self.fan_out(plan, &tags, &hits, cache_hit)
-                }),
-            ));
+            self.resolve_group(run, &run.groups[group], &mut claimed);
+            // The service-time histogram keeps this worker's span id as
+            // the bucket's trace exemplar, so a p99 outlier links straight
+            // to its `drain_worker` span.
+            self.service_us
+                .record_with_exemplar(t0.elapsed().as_micros() as u64, span.id());
         }
         claimed
     }
 
-    /// **Resolve with retry**: one claimed entry through the cache/tier
-    /// under `catch_unwind`, so one poisoned submission cannot take the
-    /// worker's collected outcomes with it. A panic is retried with
-    /// bounded exponential backoff (a fresh fault coin per attempt);
-    /// a terminal one comes back as the entry's [`SubmissionFailure`].
-    fn resolve_with_retry(
+    /// **Resolve with retry** for one group. Each entry is claimed in
+    /// queue order while the deadline allows (the rest stay unclaimed)
+    /// and drawn for its first attempt's faults under `catch_unwind`. The
+    /// entries that pass resolve as one batch; an entry whose first
+    /// attempt panicked — or every entry, if the batch itself panicked —
+    /// is retried alone with bounded exponential backoff (a fresh fault
+    /// coin per attempt), and a terminal failure comes back as the entry's
+    /// [`SubmissionFailure`].
+    fn resolve_group(&self, run: &DrainRun, group: &[usize], claimed: &mut Vec<Claimed>) {
+        let mut batch = Vec::with_capacity(group.len());
+        let mut retry = Vec::new();
+        for &at in group {
+            if run.started.elapsed() > self.deadline {
+                break;
+            }
+            self.queue_wait_us
+                .record(run.started.elapsed().as_micros() as u64);
+            let taken = run.taken.fetch_add(1, Ordering::Relaxed) + 1;
+            self.metrics
+                .set_queue_depth(run.queue.len().saturating_sub(taken));
+            let plan = &run.queue[at];
+            match catch_unwind(AssertUnwindSafe(|| self.inject_faults(run, plan, 0))) {
+                Ok(()) => batch.push(at),
+                Err(payload) => retry.push((at, payload)),
+            }
+        }
+        match catch_unwind(AssertUnwindSafe(|| self.resolve(run, &batch))) {
+            Ok(resolved) => {
+                for (&at, (hits, cache_hit)) in batch.iter().zip(resolved) {
+                    claimed.push((at, Ok(self.fan_out(&run.queue[at], &hits, cache_hit))));
+                }
+            }
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
+                retry.extend(batch.iter().map(|&at| (at, Box::new(message.clone()) as _)));
+                retry.sort_by_key(|r| r.0);
+            }
+        }
+        for (at, payload) in retry {
+            let resolved = self.retry(run, at, payload);
+            let plan = &run.queue[at];
+            claimed.push((
+                at,
+                resolved.map(|(hits, hit)| self.fan_out(plan, &hits, hit)),
+            ));
+        }
+    }
+
+    /// Resolves the entries at `positions` as one batch through the
+    /// cache/tier.
+    fn resolve(&self, run: &DrainRun, positions: &[usize]) -> Vec<(Vec<SearchHit>, bool)> {
+        let entries: Vec<Resolving<'_>> = (positions.iter())
+            .map(|&at| {
+                let plan = &run.queue[at];
+                Resolving {
+                    tokens: &plan.scheduled.tokens,
+                    k: plan.k,
+                    genuine: plan
+                        .subscriber_tags()
+                        .iter()
+                        .map(|t| t.is_genuine)
+                        .collect(),
+                }
+            })
+            .collect();
+        let cache = self.cache.as_deref();
+        SessionManager::resolve(&self.tier, cache, &self.metrics, &entries)
+    }
+
+    /// Retries the entry at `at`, whose first attempt panicked with
+    /// `payload`, alone: up to [`MAX_ATTEMPTS`] attempts in all, each
+    /// after a backoff and a fresh fault draw, while the deadline allows.
+    fn retry(
         &self,
         run: &DrainRun,
-        plan: &PlannedQuery,
-        tags: &[SubmissionTag],
+        at: usize,
+        mut payload: Box<dyn Any + Send>,
     ) -> Result<(Vec<SearchHit>, bool), SubmissionFailure> {
-        let mut attempt = 0u32;
+        let plan = &run.queue[at];
+        let mut attempt = 1u32;
         loop {
-            let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.inject_faults(run, plan, attempt);
-                SessionManager::resolve(
-                    &self.tier,
-                    self.cache.as_deref(),
-                    &self.metrics,
-                    &plan.scheduled.tokens,
-                    plan.k,
-                    tags.iter().map(|tag| tag.is_genuine),
-                )
-            }));
-            let payload = match once {
-                Ok(resolved) => return Ok(resolved),
-                Err(payload) => payload,
-            };
-            attempt += 1;
             if attempt >= MAX_ATTEMPTS || run.started.elapsed() > self.deadline {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
                 return Err(SubmissionFailure {
                     session: plan.session.clone(),
                     cycle_id: plan.scheduled.cycle_id,
                     attempts: attempt,
-                    message,
+                    message: panic_message(payload.as_ref()),
                 });
             }
             self.retries.inc();
@@ -544,6 +609,15 @@ impl CycleScheduler {
                     .saturating_mul(1 << (attempt - 1))
                     .min(BACKOFF_CAP),
             );
+            let once = catch_unwind(AssertUnwindSafe(|| {
+                self.inject_faults(run, plan, attempt);
+                self.resolve(run, &[at]).remove(0)
+            }));
+            match once {
+                Ok(resolved) => return Ok(resolved),
+                Err(p) => payload = p,
+            }
+            attempt += 1;
         }
     }
 
@@ -582,14 +656,14 @@ impl CycleScheduler {
     fn fan_out(
         &self,
         plan: &PlannedQuery,
-        tags: &[SubmissionTag],
         hits: &[SearchHit],
         cache_hit: bool,
     ) -> Vec<SubmitOutcome> {
-        tags.iter()
+        self.submits.inc();
+        (plan.subscriber_tags().into_iter())
             .enumerate()
             .map(|(j, tag)| SubmitOutcome {
-                session: tag.session.clone(),
+                session: tag.session,
                 cycle_id: tag.cycle_id,
                 time_secs: plan.scheduled.time_secs,
                 is_genuine: tag.is_genuine,
@@ -734,6 +808,27 @@ impl CycleScheduler {
     }
 }
 
+/// The panic payload's message, when it was a string (the common case).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
+/// The queue's groups, largest first: positions whose lowest term is
+/// the same, each in queue order (the entries with no term are one
+/// group). Equal keys share their lowest term, so they never part.
+fn groups(queue: &[PlannedQuery]) -> Vec<Vec<usize>> {
+    let mut by_term: BTreeMap<Option<TermId>, Vec<usize>> = BTreeMap::new();
+    for (at, plan) in queue.iter().enumerate() {
+        let lowest = plan.scheduled.tokens.iter().min().copied();
+        by_term.entry(lowest).or_default().push(at);
+    }
+    let mut groups: Vec<Vec<usize>> = by_term.into_values().collect();
+    groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
+    groups
+}
+
 /// Delivered members per session and cycle id — what the settle step
 /// counts against each cycle's outstanding members.
 fn delivered_members(completed: &[SubmitOutcome]) -> HashMap<&str, HashMap<usize, usize>> {
@@ -749,6 +844,7 @@ fn delivered_members(completed: &[SubmitOutcome]) -> HashMap<&str, HashMap<usize
 mod tests {
     use super::*;
     use toppriv_core::merge_schedules;
+    use tsearch_search::Query;
 
     fn plan(session: &str, times: &[f64]) -> Vec<PlannedQuery> {
         times
@@ -883,10 +979,13 @@ mod tests {
         )
     }
 
+    /// A run over `queue` with one group per entry, in queue order.
     fn run_over(queue: &[PlannedQuery]) -> DrainRun<'_> {
         DrainRun {
             queue,
+            groups: (0..queue.len()).map(|at| vec![at]).collect(),
             cursor: AtomicUsize::new(0),
+            taken: AtomicUsize::new(0),
             started: Instant::now(),
         }
     }
@@ -952,6 +1051,117 @@ mod tests {
             .try_drain(queue)
             .expect("no entry is held back after a failed drain");
         assert_eq!(outcomes.len(), expected);
+        // The failed entries never reached the engine and took no ordinal:
+        // the log counts exactly the second drain's entries.
+        let tier = manager.tier();
+        let engine = tier.as_sharded().expect("sharded");
+        let ordinals: std::collections::BTreeSet<u64> = (engine.shard_logs().into_iter().flatten())
+            .map(|e| e.ordinal)
+            .collect();
+        assert_eq!(ordinals, (0..expected as u64).collect());
+    }
+
+    /// Drains, by two workers, a queue with duplicate bags (in another
+    /// token order too), a query that is a prefix of another, a repeated
+    /// term and `k`s past the corpus, then reads the shard logs back by
+    /// ordinal: each engine-bound entry once, as the slices each shard
+    /// owns, in queue order under contiguous ordinals — every entry
+    /// without a cache, only each key's first occurrence with one. A log
+    /// bounded to two entries per shard keeps each shard's newest two.
+    #[test]
+    fn a_drain_logs_each_engine_bound_entry_once_in_queue_order() {
+        let submissions: [(&[u32], usize); 9] = [
+            (&[5, 9], 10),
+            (&[5, 9, 14], 10),
+            (&[9, 5], 10),
+            (&[20], 10),
+            (&[5, 9, 14], 10),
+            (&[9, 9, 20], 10),
+            (&[20], 10),
+            (&[20], usize::MAX),
+            (&[20], 1_000_000_000_000),
+        ];
+        let queue: Vec<PlannedQuery> = (submissions.iter().enumerate())
+            .map(|(i, &(tokens, k))| PlannedQuery {
+                session: "a".into(),
+                scheduled: ScheduledQuery {
+                    time_secs: i as f64,
+                    tokens: tokens.to_vec(),
+                    is_genuine: true,
+                    cycle_id: i,
+                },
+                k,
+                subscribers: Vec::new(),
+            })
+            .collect();
+        for (cached, engine_bound) in [
+            (false, &[0, 1, 2, 3, 4, 5, 6, 7, 8][..]),
+            (true, &[0, 1, 3, 5, 7]),
+        ] {
+            let drained = |capacity: Option<usize>| {
+                let (_, tier) = tiny_tier(4);
+                if let Some(capacity) = capacity {
+                    tier.set_query_log_capacity(capacity);
+                }
+                let engine = tier.as_sharded().expect("sharded").clone();
+                let metrics = Arc::new(ServiceMetrics::new());
+                let cache = cached.then(|| Arc::new(ResultCache::new(64)));
+                let scheduler = CycleScheduler::new(tier, cache, metrics.clone(), 2);
+                (scheduler.drain(queue.clone()), engine, metrics)
+            };
+            let (outcomes, engine, metrics) = drained(None);
+            let snapshot = metrics.snapshot();
+            assert_eq!(
+                snapshot.engine_submits,
+                queue.len() as u64,
+                "one submission per entry"
+            );
+            let misses = engine_bound.len() as u64;
+            assert_eq!(
+                (snapshot.cache_misses, snapshot.cache_hits),
+                (misses, 9 - misses)
+            );
+            for o in &outcomes {
+                let (tokens, k) = submissions[o.cycle_id];
+                let want = engine.evaluate(&Query::from_tokens(tokens), k);
+                let bits = |h: &[SearchHit]| -> Vec<(u32, u64)> {
+                    h.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&o.hits), bits(&want), "entry {}", o.cycle_id);
+            }
+            // Per ordinal, each shard's slice.
+            let mut logged: BTreeMap<u64, BTreeMap<usize, Vec<u32>>> = BTreeMap::new();
+            for (shard, entries) in engine.shard_logs().into_iter().enumerate() {
+                for e in entries {
+                    logged.entry(e.ordinal).or_default().insert(shard, e.tokens);
+                }
+            }
+            let want: Vec<BTreeMap<usize, Vec<u32>>> = (engine_bound.iter())
+                .map(|&at| {
+                    let mut slices: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+                    let mut tokens = submissions[at].0.to_vec();
+                    tokens.sort_unstable();
+                    for t in tokens {
+                        slices
+                            .entry(engine.router().shard_of(t))
+                            .or_default()
+                            .push(t);
+                    }
+                    slices
+                })
+                .collect();
+            let ordinals: Vec<u64> = logged.keys().copied().collect();
+            assert_eq!(ordinals, (0..want.len() as u64).collect::<Vec<_>>());
+            assert_eq!(
+                logged.into_values().collect::<Vec<_>>(),
+                want,
+                "cache {cached}"
+            );
+            let (_, bounded, _) = drained(Some(2));
+            for (all, kept) in engine.shard_logs().iter().zip(bounded.shard_logs()) {
+                assert_eq!(kept, all[all.len().saturating_sub(2)..], "cache {cached}");
+            }
+        }
     }
 
     #[test]

@@ -55,11 +55,12 @@
 //! generator holds — which is what lets the cycle memo (see
 //! [`crate::cache`]) key stored cycles by epoch; a swap empties the memo.
 
-use crate::cache::{CycleKey, CycleMemo, GeneratedCycle, ResultCache};
+use crate::cache::{CacheKey, CycleKey, CycleMemo, GeneratedCycle, ResultCache};
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics, SessionMetrics};
 use crate::scheduler::PlannedQuery;
 use crate::tier::SearchTier;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +72,7 @@ use toppriv_core::{
 };
 use toppriv_obs::{recover_lock, recover_read, recover_write, Span};
 use tsearch_lda::LdaModel;
-use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
+use tsearch_search::{Query, SearchEngine, SearchHit, ShardedEngine};
 use tsearch_text::TermId;
 
 /// Per-session configuration.
@@ -607,6 +608,15 @@ pub struct SessionManager {
     sessions: SessionTable,
 }
 
+/// One entry [`SessionManager::resolve`] serves: a queue entry or a wire
+/// search's cycle member.
+pub(crate) struct Resolving<'a> {
+    pub(crate) tokens: &'a [TermId],
+    pub(crate) k: usize,
+    /// Each subscriber's genuine flag, the owner's first.
+    pub(crate) genuine: Vec<bool>,
+}
+
 impl SessionManager {
     /// A manager over a shared single engine and model, no result cache,
     /// and a randomly drawn fleet secret ghost seed.
@@ -870,44 +880,99 @@ impl SessionManager {
         }
     }
 
-    /// Resolves one queue entry through the cache (when attached) or the
-    /// search tier — one engine submission, however many tenants
-    /// subscribe to it — and records one submit per subscriber, each
-    /// given by its genuine flag. Subscribers beyond the first are served
-    /// from the shared resolution, which is a cache hit from their point
-    /// of view (see [`ResultCache::get_or_compute_shared`]); a wire
-    /// search's member is a one-subscriber entry. Returns the
-    /// first subscriber's `(hits, cache_hit)`.
+    /// Resolves a batch of entries — a drain group's queue entries, a
+    /// retried entry alone, or a wire search's cycle members — with the
+    /// accounting one worker resolving them one by one in order would
+    /// give. With a cache, each entry's first occurrence in the batch
+    /// looks its key up; a later duplicate is served from it, counted a
+    /// hit, and never reaches the engine. Without one, every entry reaches
+    /// the engine and counts a miss. The entries that reach the engine are
+    /// ranked in one term-ordered walk, so only the kernel's work is
+    /// shared. Each entry is one engine submission however many tenants
+    /// subscribe to it; subscribers beyond the first count a hit. Keys,
+    /// here and in the walk, hold `min(k, num_docs)`. Returns each entry's
+    /// `(hits, cache_hit)` for its first subscriber.
+    ///
+    /// Nothing is logged here: an entry whose `cache_hit` is false reached
+    /// the engine, and the caller logs those ([`SearchTier::log_tokens`])
+    /// in the order its trace reads, so the log's ordinals count exactly
+    /// the submissions the engine received.
     pub(crate) fn resolve(
         tier: &SearchTier,
         cache: Option<&ResultCache>,
         metrics: &ServiceMetrics,
-        tokens: &[TermId],
-        k: usize,
-        genuine: impl ExactSizeIterator<Item = bool>,
-    ) -> (Vec<SearchHit>, bool) {
+        entries: &[Resolving<'_>],
+    ) -> Vec<(Vec<SearchHit>, bool)> {
         let t0 = Instant::now();
-        let (hits, cache_hit) = match cache {
-            Some(cache) => cache
-                .get_or_compute_shared(tokens, k, genuine.len(), || tier.search_tokens(tokens, k)),
-            None => (tier.search_tokens(tokens, k), false),
-        };
-        metrics.record_engine_submission();
-        let latency_us = t0.elapsed().as_micros() as u64;
-        for (j, is_genuine) in genuine.enumerate() {
-            let (lat, hit) = if j == 0 {
-                (latency_us, cache_hit)
-            } else {
-                (0, true)
-            };
-            metrics.record_submit(lat, hit, is_genuine);
+        let num_docs = tier.num_docs();
+        let key = |e: &Resolving<'_>| CacheKey::new(e.tokens, e.k.min(num_docs));
+        let mut resolved: Vec<Option<(Vec<SearchHit>, bool)>> = vec![None; entries.len()];
+        // For a later duplicate, the entry whose resolution it shares.
+        let mut first_of: Vec<Option<usize>> = vec![None; entries.len()];
+        let mut engine_bound = Vec::new();
+        match cache {
+            Some(cache) => {
+                let mut seen: HashMap<CacheKey, usize> = HashMap::new();
+                for (i, e) in entries.iter().enumerate() {
+                    match seen.entry(key(e)) {
+                        Entry::Occupied(j) => first_of[i] = Some(*j.get()),
+                        Entry::Vacant(slot) => {
+                            match cache.get_key(slot.key()) {
+                                Some(hits) => resolved[i] = Some((hits, true)),
+                                None => engine_bound.push(i),
+                            }
+                            slot.insert(i);
+                        }
+                    }
+                }
+            }
+            None => engine_bound.extend(0..entries.len()),
         }
-        (hits, cache_hit)
+        let queries: Vec<Query> = (engine_bound.iter())
+            .map(|&i| Query::from_tokens(entries[i].tokens))
+            .collect();
+        let batch: Vec<(&Query, usize)> = (queries.iter().zip(&engine_bound))
+            .map(|(q, &i)| (q, entries[i].k))
+            .collect();
+        for (&i, hits) in engine_bound.iter().zip(tier.evaluate_batch(&batch)) {
+            if let Some(cache) = cache {
+                cache.insert_key(key(&entries[i]), hits.clone());
+            }
+            resolved[i] = Some((hits, false));
+        }
+        for (i, &j) in first_of.iter().enumerate() {
+            if let Some(j) = j {
+                let hits = resolved[j].as_ref().expect("an earlier entry").0.clone();
+                resolved[i] = Some((hits, true));
+            }
+        }
+        // The batch's time, shared evenly by its entries.
+        let latency_us = (t0.elapsed() / entries.len().max(1) as u32).as_micros() as u64;
+        let resolved: Vec<_> = resolved.into_iter().map(|r| r.expect("resolved")).collect();
+        for (i, (e, &(_, cache_hit))) in entries.iter().zip(&resolved).enumerate() {
+            if let Some(cache) = cache {
+                // Hits no lookup counted: the subscribers beyond the
+                // first, and a duplicate's first.
+                let shared = e.genuine.len().saturating_sub(1) + usize::from(first_of[i].is_some());
+                cache.add_hits(&key(e), shared as u64);
+            }
+            metrics.record_engine_submission();
+            for (j, &is_genuine) in e.genuine.iter().enumerate() {
+                let (lat, hit) = if j == 0 {
+                    (latency_us, cache_hit)
+                } else {
+                    (0, true)
+                };
+                metrics.record_submit(lat, hit, is_genuine);
+            }
+        }
+        resolved
     }
 
-    /// Synchronous private search: formulates the cycle, resolves every
-    /// member in (shuffled) cycle order, discards ghost results, and
-    /// returns the genuine hits plus the privacy report.
+    /// Synchronous private search: formulates the cycle, resolves its
+    /// members as one batch, logged in (shuffled) cycle order, discards
+    /// ghost results, and returns the genuine hits plus the privacy
+    /// report.
     ///
     /// `k == 0` is a sentinel meaning "the session's configured `top_k`".
     pub fn search(&self, id: &str, text: &str, k: usize) -> Result<SearchOutcome, ServiceError> {
@@ -932,8 +997,9 @@ impl SessionManager {
 
     /// [`SessionManager::search_tokens`] from the session lookup on: the
     /// one cycle route run inline. The cycle is formulated and committed
-    /// like a planned one, each scheduled member is resolved in schedule
-    /// order under the session lock, and the delivered cycle settles. A
+    /// like a planned one, its scheduled members are resolved as one
+    /// batch under the session lock (logged in schedule order), and the
+    /// delivered cycle settles. A
     /// panic while resolving leaves the cycle journaled with members
     /// outstanding, rollbackable like a paced cycle with a failed member.
     fn search_in(
@@ -947,27 +1013,27 @@ impl SessionManager {
         let k = fc.k;
         let (report, schedule) = self.commit_locked(&mut session, fc);
         let tier = self.tier();
-        let mut genuine_hits = Vec::new();
-        let mut cache_hits = 0usize;
         let resolve_span = span.child("resolve");
-        for query in &schedule {
-            let (hits, was_hit) = Self::resolve(
-                &tier,
-                self.cache.as_ref().map(|plane| &*plane.results),
-                &self.metrics,
-                &query.tokens,
+        let members: Vec<Resolving<'_>> = (schedule.iter())
+            .map(|query| Resolving {
+                tokens: &query.tokens,
                 k,
-                std::iter::once(query.is_genuine),
-            );
-            if was_hit {
-                cache_hits += 1;
-            }
-            if query.is_genuine {
-                genuine_hits = hits;
-            }
-            // Ghost results are dropped on the floor (Figure 1, step 4).
-        }
+                genuine: vec![query.is_genuine],
+            })
+            .collect();
+        let cache = self.cache.as_ref().map(|plane| &*plane.results);
+        let resolved = Self::resolve(&tier, cache, &self.metrics, &members);
+        let reached: Vec<&[TermId]> = (members.iter().zip(&resolved))
+            .filter(|(_, r)| !r.1)
+            .map(|(m, _)| m.tokens)
+            .collect();
+        tier.log_tokens(&reached);
         drop(resolve_span);
+        let cache_hits = resolved.iter().filter(|r| r.1).count();
+        // Ghost results are dropped on the floor (Figure 1, step 4).
+        let genuine_hits = (schedule.iter().zip(resolved))
+            .find_map(|(query, (hits, _))| query.is_genuine.then_some(hits))
+            .unwrap_or_default();
         if let Some(first) = schedule.first() {
             session.deliver(first.cycle_id, schedule.len());
             session.compact();

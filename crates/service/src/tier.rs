@@ -4,12 +4,12 @@
 //! the cycle scheduler's workers, the server's log-capacity plumbing)
 //! goes through [`SearchTier`], so the same service stack runs unchanged
 //! over a single [`SearchEngine`] or a term-sharded [`ShardedEngine`].
-//! Shards stay below this boundary: a sharded tier scatters each query
-//! to the shards its terms route to and gathers inside the engine, so
-//! nothing above the tier plans, labels or isolates by shard.
+//! Shards stay below this boundary: a sharded tier reads each term from
+//! the shard that owns it inside the engine, so nothing above the tier
+//! plans, labels or isolates by shard.
 
 use std::sync::Arc;
-use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
+use tsearch_search::{Query, SearchEngine, SearchHit, ShardedEngine};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 /// A handle to the search tier: a single engine or a sharded one.
@@ -37,6 +37,33 @@ impl SearchTier {
         match self {
             SearchTier::Single(e) => e.search_tokens(tokens, k),
             SearchTier::Sharded(e) => e.search_tokens(tokens, k),
+        }
+    }
+
+    /// Logs each submission, in order, under consecutive ordinals, as
+    /// [`SearchTier::search_tokens`] logs one.
+    pub fn log_tokens(&self, submissions: &[&[TermId]]) {
+        match self {
+            SearchTier::Single(e) => e.log_tokens(submissions),
+            SearchTier::Sharded(e) => e.log_tokens(submissions),
+        }
+    }
+
+    /// Ranks each `(query, k)` in one term-ordered walk without logging
+    /// it (see `SearchEngine::evaluate_batch`): the caller logs what it
+    /// ranked through [`SearchTier::log_tokens`].
+    pub fn evaluate_batch(&self, batch: &[(&Query, usize)]) -> Vec<Vec<SearchHit>> {
+        match self {
+            SearchTier::Single(e) => e.evaluate_batch(batch),
+            SearchTier::Sharded(e) => e.evaluate_batch(batch),
+        }
+    }
+
+    /// Documents in the corpus: the most hits any `k` returns.
+    pub fn num_docs(&self) -> usize {
+        match self {
+            SearchTier::Single(e) => e.index().num_docs(),
+            SearchTier::Sharded(e) => e.index().num_docs(),
         }
     }
 

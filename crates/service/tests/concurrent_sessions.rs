@@ -148,7 +148,7 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
         assert_eq!(a.hits.len(), b.hits.len(), "query {s}");
         for (x, y) in a.hits.iter().zip(&b.hits) {
             assert_eq!(x.doc_id, y.doc_id);
-            assert!((x.score - y.score).abs() < 1e-9);
+            assert_eq!(x.score.to_bits(), y.score.to_bits(), "query {s}");
         }
     }
     // Paced path: plans drain on the shared queue.
