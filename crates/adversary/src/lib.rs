@@ -13,7 +13,6 @@ pub mod attacks;
 pub mod classifier;
 pub mod eval;
 pub mod logview;
-pub mod online;
 pub mod timing;
 
 pub use attacks::{CoherenceAttack, ExposureRankAttack, ProbingAttack, TermEliminationAttack};
@@ -23,7 +22,6 @@ pub use eval::{
     run_term_elimination_attack, AttackReport,
 };
 pub use logview::{merge_shard_logs, LogAnalysis, LogAnalyzer, LogAnalyzerConfig, WindowAnalysis};
-pub use online::{DriftSample, OnlineEstimatorConfig, OnlineLogEstimator};
 pub use timing::{
     guess_genuine, run_timing_attack, segment_by_gap, TimingAttackReport, TimingHeuristic,
 };

@@ -16,9 +16,8 @@
 //! checks the ε2 breach is journaled once, at the call, and not again
 //! by the drain that delivers the cycle. Alongside,
 //! the invariant block checks the p99 service-latency exemplar links to
-//! a real `drain_worker` span, the per-tenant gauges are live, the
-//! online adversary estimator publishes its drift gauges, and the audit
-//! journal survives a seal/unseal round trip.
+//! a real `drain_worker` span, the per-tenant gauges are live, and the
+//! audit journal survives a seal/unseal round trip.
 //!
 //! Output: one result table and the invariant block `reproduce` gates
 //! its exit status on.
@@ -28,7 +27,6 @@ use crate::context::{ExperimentContext, FLEET_WORKERS, TOP_K};
 use crate::table::{f3, ResultTable};
 use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::time::Instant;
-use toppriv_adversary::{OnlineEstimatorConfig, OnlineLogEstimator};
 use toppriv_service::auditor::{M_TENANT_HEADROOM, M_TENANT_TRACE_EXPOSURE};
 use toppriv_service::{CycleScheduler, PlannedQuery, SessionManager};
 
@@ -274,27 +272,6 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
             "audit-0: trace_exposure {trace_gauge} µ-units, budget_headroom {headroom_gauge} µ-units"
         ),
         trace_gauge > 0 && headroom_gauge != 0,
-    );
-
-    // --- Online adversary estimator publishes drift gauges. ------------
-    let estimator = OnlineLogEstimator::new(
-        ctx.default_model().clone(),
-        OnlineEstimatorConfig::default(),
-    );
-    let shard_logs = manager_on
-        .tier()
-        .as_sharded()
-        .expect("audit tier is sharded")
-        .shard_logs();
-    let s1 = estimator.sample(&shard_logs, &registry);
-    let s2 = estimator.sample(&shard_logs, &registry);
-    inv.check(
-        "adversary_drift_published",
-        format!(
-            "window {} queries, top boost {:.3e}, repeat-window drift {:.3e}",
-            s1.window_len, s1.top_boost, s2.drift
-        ),
-        s1.window_len > 0 && s2.drift == 0.0,
     );
 
     // --- Journal survives the CRC-sealed spill codec. ------------------

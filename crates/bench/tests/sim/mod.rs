@@ -15,8 +15,8 @@ pub mod model;
 use model::{allows, CacheKey, Model};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use toppriv_core::{BeliefEngine, CycleResult, GhostConfig, GhostGenerator, PrivacyRequirement};
 use toppriv_service::auditor::{to_micro, M_TENANT_HEADROOM as HEADROOM};
@@ -30,7 +30,8 @@ use toppriv_service::obs::{parse_ndjson_line, MetricValue};
 use toppriv_service::protocol::{HitDto, SearchReportDto};
 use toppriv_service::session::MAX_SESSION_ID_BYTES;
 use toppriv_service::{serve_lines, AuditConfig, CycleScheduler, FaultKind, FaultPlane, FaultSpec};
-use toppriv_service::{GhostPlanner, Op, PlannedQuery, Request, Response, SearchTier};
+use toppriv_service::{GhostPlanner, Op, PlannedQuery, Request, ResilientReport, Response};
+use toppriv_service::{SearchTier, SubmissionPredicate};
 use toppriv_service::{ServiceError, SessionConfig, SessionManager, SessionMetrics, SubmitOutcome};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, CorpusConfig, EvolutionConfig};
 use tsearch_corpus::{SyntheticCorpus, WorkloadConfig};
@@ -234,6 +235,10 @@ fn identity(o: &SubmitOutcome) -> Identity {
     (o.session.clone(), o.cycle_id, o.is_genuine, due)
 }
 
+/// Each entry a drain went on to resolve, by the identity of its first
+/// subscriber's outcome: its tokens, `k` and fan-out.
+type Resolving = HashMap<Identity, (Vec<TermId>, usize, u64)>;
+
 /// Drops every queued submission of one cycle.
 fn unplan(queue: &mut Vec<PlannedQuery>, id: &str, cycle_id: usize) {
     let other = |session: &str, cycle: usize| session != id || cycle != cycle_id;
@@ -260,6 +265,10 @@ pub struct Sim {
     /// A model swap runs beside the drain.
     racing: bool,
     journal_seq: u64,
+    /// Arms the fault plane's one long stall, for the next entry drawn.
+    stall: Arc<AtomicBool>,
+    /// Filled by the fault plane as drains pass entries to resolution.
+    resolving: Arc<Mutex<Resolving>>,
     /// Result-cache and cycle-memo hits and misses read so far.
     counters: [u64; 4],
     /// Cycles committed on a paced route with their query's topic, the
@@ -277,9 +286,30 @@ impl Sim {
     /// panics and shard stalls injected at `fault_rate`.
     pub fn new(seed: u64, queries: Vec<BenchmarkQuery>, fault_rate: f64) -> Self {
         let stack = stack();
+        let stall = Arc::new(AtomicBool::new(false));
+        let resolving: Arc<Mutex<Resolving>> = Arc::default();
+        let armed = stall.clone();
+        let stalls: SubmissionPredicate = Arc::new(move |_| armed.swap(false, SeqCst));
+        // Consulted only for an entry no worker panic was drawn for, and
+        // never firing, this spec sees exactly the entries that resolve.
+        let seen = Arc::clone(&resolving);
+        let observe: SubmissionPredicate = Arc::new(move |p: &PlannedQuery| {
+            let (tag, s) = (&p.subscriber_tags()[0], &p.scheduled);
+            let id = (
+                tag.session.clone(),
+                tag.cycle_id,
+                tag.is_genuine,
+                s.time_secs.to_bits(),
+            );
+            let entry = (s.tokens.clone(), p.k, p.fanout() as u64);
+            seen.lock().expect("observer").insert(id, entry);
+            false
+        });
         let plane = FaultPlane::new(seed)
+            .with_spec(FaultSpec::predicate(FaultKind::ShardStall, stalls).stalling_ms(STALL_MS))
+            .with_spec(FaultSpec::rate(FaultKind::ShardStall, fault_rate).stalling_ms(1))
             .with_spec(FaultSpec::rate(FaultKind::WorkerPanic, fault_rate))
-            .with_spec(FaultSpec::rate(FaultKind::ShardStall, fault_rate).stalling_ms(1));
+            .with_spec(FaultSpec::predicate(FaultKind::WorkerPanic, observe));
         let manager = SessionManager::with_tier(sharded(&stack.corpus), stack.models[0].clone())
             .with_cache(CACHE_CAPACITY)
             .with_fleet_seed(seed)
@@ -297,6 +327,8 @@ impl Sim {
             evolved: false,
             racing: false,
             journal_seq: 0,
+            stall,
+            resolving,
             counters: [0; 4],
             planned: Vec::new(),
             closed: Vec::new(),
@@ -570,18 +602,25 @@ impl Sim {
     }
 
     /// `drain_resilient` of every planned submission by `workers`
-    /// workers; its rollbacks, replans, deliveries and cache lookups then
-    /// go to the model.
+    /// workers.
     fn drain(&mut self, workers: usize) -> Option<&'static str> {
+        let scheduler = CycleScheduler::for_manager(&self.manager, workers);
+        self.drain_on(&scheduler)?;
+        Some(["drain1", "drain2", "drain4"][workers.min(4) / 2])
+    }
+
+    /// `drain_resilient` of every planned submission on `scheduler`; its
+    /// rollbacks, replans, deliveries and cache lookups then go to the
+    /// model. `None` when nothing was queued.
+    fn drain_on(&mut self, scheduler: &CycleScheduler) -> Option<ResilientReport> {
         let queue = self.queue();
         if queue.is_empty() {
             return None;
         }
         // Every entry is a member of each cycle its tags name.
-        let (mut open, mut entries) = (BTreeSet::new(), HashMap::new());
+        let mut open = BTreeSet::new();
         for p in &queue {
-            let tags = p.subscriber_tags();
-            for tag in &tags {
+            for tag in &p.subscriber_tags() {
                 let cycle = self.model.cycle(&tag.session, tag.cycle_id);
                 let members = cycle.map_or(&[][..], |c| &c.report.cycle);
                 let entry = (&p.scheduled.tokens, tag.is_genuine);
@@ -591,16 +630,13 @@ impl Sim {
                     open.insert((tag.session.clone(), tag.cycle_id));
                 }
             }
-            let (t, due) = (&tags[0], p.scheduled.time_secs.to_bits());
-            let entry = (self.key(&p.scheduled.tokens, p.k), p.fanout() as u64);
-            entries.insert((t.session.clone(), t.cycle_id, t.is_genuine, due), entry);
         }
         let plane = self.manager.fault_plane().expect("fault plane").clone();
         let fired = || plane.fired(FaultKind::WorkerPanic) + plane.fired(FaultKind::ShardStall);
         let before = fired();
-        let scheduler = CycleScheduler::for_manager(&self.manager, workers);
-        let report = scheduler.drain_resilient(&self.manager, queue);
-        let mut replans = Vec::new();
+        let report = scheduler.drain_resilient(queue);
+        // Rollbacks and replans, in the order the drain made them: a
+        // replan may fail and be rolled back in a later round.
         for rb in &report.rolled_back {
             let (id, old) = (&rb.session, rb.cycle_id);
             assert_eq!(self.model.rollback(id, old).as_ref(), Some(&rb.user_tokens));
@@ -611,19 +647,14 @@ impl Sim {
                 let cycle_id = self.model.commit(id, &reference, &rb.user_tokens);
                 assert_eq!(cycle_id, *new, "{id} replanned {old}");
                 open.insert((id.clone(), *new));
-                replans.push((id.clone(), *new, reference));
             }
         }
         // The result cache now holds every entry some outcome came from.
+        let mut resolving = std::mem::take(&mut *self.resolving.lock().expect("observer"));
         let done = report.outcomes.iter().chain(&report.discarded);
-        let done: Vec<Identity> = done.map(identity).collect();
-        let mut keys: Vec<_> = done.iter().filter_map(|o| entries.remove(o)).collect();
-        for (id, new, cycle) in &replans {
-            let n = done.iter().filter(|o| (&o.0, o.1) == (id, *new)).count();
-            assert!(n % cycle.cycle_len() == 0, "{id}'s replan {new} in part");
-            let members = cycle.cycle.iter().map(|m| (self.key(&m.tokens, TOP_K), 1));
-            keys.extend(members.take(n));
-        }
+        let keys: Vec<_> = (done.filter_map(|o| resolving.remove(&identity(o))))
+            .map(|(tokens, k, fanout)| (self.key(&tokens, k), fanout))
+            .collect();
         self.model.resolve(&keys);
         for o in &report.outcomes {
             self.model.deliver(&o.session, o.cycle_id, 1);
@@ -642,7 +673,7 @@ impl Sim {
         let clean = report.rounds == 1 && report.rolled_back.is_empty();
         assert!(clean || fired() > before, "a fault-free drain: {report:?}");
         self.drained += report.outcomes.len();
-        Some(["drain1", "drain2", "drain4"][workers.min(4) / 2])
+        Some(report)
     }
 
     fn rollback(&mut self, t: usize, pick: usize) -> &'static str {
@@ -794,34 +825,27 @@ impl Sim {
         "close_under_load"
     }
 
-    /// A one-worker drain whose first submission stalls five deadlines:
-    /// the watchdog cuts the drain at the deadline, the stalled cycle rolls
-    /// back, and the next drain delivers the rest.
+    /// A one-worker drain whose first claimed entry stalls five
+    /// deadlines: the watchdog cuts the round at the deadline, the stalled
+    /// cycle rolls back and is replanned, and the next round delivers the
+    /// rest.
     fn stall(&mut self) -> Option<&'static str> {
-        let queue = self.queue();
-        if queue.len() < 2 {
-            self.pending = queue;
+        self.pending = self.queue();
+        if self.pending.len() < 2 {
             return None;
         }
-        let spec = FaultSpec::rate(FaultKind::ShardStall, 1.0).stalling_ms(STALL_MS);
-        let plane = Arc::new(FaultPlane::new(self.seed).with_spec(spec.limit(1)));
-        let scheduler = CycleScheduler::for_manager(&self.manager, 1).with_fault_plane(plane);
-        let (entries, t0) = (queue.len(), Instant::now());
-        let drained = scheduler.with_deadline(DEADLINE).try_drain(queue);
-        let (took, err) = (t0.elapsed(), drained.expect_err("stalled"));
+        self.stall.store(true, SeqCst);
+        let scheduler = CycleScheduler::for_manager(&self.manager, 1).with_deadline(DEADLINE);
+        let t0 = Instant::now();
+        let report = self.drain_on(&scheduler).expect("queued");
+        let took = t0.elapsed();
+        assert!(!self.stall.load(SeqCst), "no entry stalled");
         assert!(took < 2 * DEADLINE, "the watchdog took {took:?}");
-        let cut = (err.failed.len(), err.completed.len(), err.unresolved.len());
-        assert_eq!(cut, (1, 0, entries - 1), "failed, completed, unresolved");
+        assert!(
+            report.rounds > 1 && !report.rolled_back.is_empty(),
+            "{report:?}"
+        );
         self.model.note("degraded_drain", "fleet", 1);
-        self.pending = err.unresolved;
-        for tag in err.failed[0].subscriber_tags() {
-            let (id, cycle_id) = (&tag.session, tag.cycle_id);
-            let want = self.model.rollback(id, cycle_id);
-            let got = self.manager.rollback_cycle(id, cycle_id).ok();
-            assert_eq!(got.map(|rb| rb.user_tokens), want, "stalled {id}");
-            unplan(&mut self.pending, id, cycle_id);
-        }
-        self.drain(WORKERS);
         Some("stall")
     }
 

@@ -27,12 +27,11 @@
 //! may land an ulp away.
 //!
 //! The adversary view is sharded as well: each shard keeps its **own**
-//! bounded, independently locked query log and records only the
-//! sub-query routed to it, with ordinals drawn from one atomic counter.
-//! There is no engine-wide log mutex — the contention point the
-//! single-engine hot path serializes on — and
-//! `toppriv_adversary::merge_shard_logs` can reconstruct the global
-//! trace for after-the-fact analysis.
+//! bounded query log and records only the sub-query routed to it, with
+//! ordinals drawn from one atomic counter. The service writes a drain's
+//! log in one pass after its workers join, and a wire search's after it
+//! resolves; `toppriv_adversary::merge_shard_logs` reconstructs the
+//! global trace for after-the-fact analysis.
 
 use crate::engine::{accumulate_term, with_accumulator, Accumulator, Scorer, TfTable};
 use crate::log::{LoggedQuery, QueryLog};

@@ -11,29 +11,28 @@
 //! ## Determinism
 //!
 //! Whether a fault fires is a pure function of `(plane seed, fault
-//! kind, decision key, attempt)` — **never** of wall clock, thread
-//! scheduling, or iteration order. The decision key for a submission is
-//! a content hash (session, cycle id, simulated time, tokens), so the
-//! same planned queue under the same seed yields the same faults no
-//! matter how drain workers interleave; the attempt number is mixed in
-//! so a retry of the same submission re-flips an **independent**
-//! deterministic coin — which is what lets bounded retry heal
-//! rate-based faults. (A [`FaultSpec::max_fires`] budget is the one
-//! concession to global state: the budget counter is atomic, so under
-//! concurrency *which* eligible decision consumes the last token can
-//! vary, while the total never exceeds the budget.)
+//! kind, decision key)` — **never** of wall clock, thread scheduling, or
+//! iteration order. The decision key for a submission is a content hash
+//! (session, cycle id, simulated time, tokens), so the same planned
+//! queue under the same seed yields the same faults no matter how drain
+//! workers interleave. A drain entry is decided once: the drain rolls a
+//! cycle with a failed entry back and replans it, and the replan's
+//! entries carry a fresh cycle id and due time, hence fresh keys and
+//! **independent** coins — which is what lets a rate fault heal. (A
+//! [`FaultSpec::max_fires`] budget is the one concession to global
+//! state: the budget counter is atomic, so under concurrency *which*
+//! eligible decision consumes the last token can vary, while the total
+//! never exceeds the budget.)
 //!
 //! ```
 //! use toppriv_service::fault::{FaultKind, FaultPlane, FaultSpec};
 //!
 //! let plane = FaultPlane::new(7).with_spec(FaultSpec::rate(FaultKind::WorkerPanic, 0.5));
-//! // Deterministic: the same key always decides the same way...
+//! // Deterministic: the same key always decides the same way.
 //! assert_eq!(
-//!     plane.fires_key(FaultKind::WorkerPanic, 42, 0),
-//!     plane.fires_key(FaultKind::WorkerPanic, 42, 0),
+//!     plane.fires_key(FaultKind::WorkerPanic, 42),
+//!     plane.fires_key(FaultKind::WorkerPanic, 42),
 //! );
-//! // ...and a retry (attempt 1) flips an independent coin.
-//! let _ = plane.fires_key(FaultKind::WorkerPanic, 42, 1);
 //! ```
 
 use crate::scheduler::PlannedQuery;
@@ -91,7 +90,7 @@ pub const ALL_FAULT_KINDS: [FaultKind; 4] = [
 ];
 
 /// Submission predicate: a submission it selects fires the spec
-/// unconditionally, on every attempt.
+/// unconditionally.
 pub type SubmissionPredicate = Arc<dyn Fn(&PlannedQuery) -> bool + Send + Sync>;
 
 /// One scheduled fault: what fires, how often, and where.
@@ -246,21 +245,16 @@ impl FaultPlane {
         h
     }
 
-    /// Whether `spec` fires for `(key, attempt)` — the pure coin flip,
-    /// before budget accounting.
-    fn coin(&self, spec: &FaultSpec, key: u64, attempt: u32) -> bool {
+    /// Whether `spec` fires for `key` — the pure coin flip, before budget
+    /// accounting.
+    fn coin(&self, spec: &FaultSpec, key: u64) -> bool {
         if spec.rate <= 0.0 {
             return false;
         }
         if spec.rate >= 1.0 {
             return true;
         }
-        let mixed = splitmix64(
-            self.seed
-                ^ spec.kind.salt()
-                ^ key
-                ^ (u64::from(attempt) + 1).wrapping_mul(0xA24B_AED4_963E_E407),
-        );
+        let mixed = splitmix64(self.seed ^ spec.kind.salt() ^ key);
         // Compare the uniform 64-bit draw against the rate threshold.
         (mixed as f64) < spec.rate * (u64::MAX as f64)
     }
@@ -287,13 +281,7 @@ impl FaultPlane {
         }
     }
 
-    fn decide(
-        &self,
-        kind: FaultKind,
-        key: u64,
-        attempt: u32,
-        plan: Option<&PlannedQuery>,
-    ) -> Option<&FaultSpec> {
+    fn decide(&self, kind: FaultKind, key: u64, plan: Option<&PlannedQuery>) -> Option<&FaultSpec> {
         for state in &self.specs {
             if state.spec.kind != kind {
                 continue;
@@ -302,7 +290,7 @@ impl FaultPlane {
             let fires = match (&state.spec.predicate, plan) {
                 (Some(predicate), Some(plan)) => predicate(plan),
                 (Some(_), None) => false,
-                (None, _) => self.coin(&state.spec, key, attempt),
+                (None, _) => self.coin(&state.spec, key),
             };
             if fires && Self::take_token(state) {
                 return Some(&state.spec);
@@ -313,24 +301,22 @@ impl FaultPlane {
 
     /// Whether `kind` fires for a bare decision key (the store layer,
     /// which has no submission in hand).
-    pub fn fires_key(&self, kind: FaultKind, key: u64, attempt: u32) -> bool {
-        self.decide(kind, key, attempt, None).is_some()
+    pub fn fires_key(&self, kind: FaultKind, key: u64) -> bool {
+        self.decide(kind, key, None).is_some()
     }
 
-    /// Whether `kind` fires for one planned submission at retry
-    /// `attempt`.
-    pub fn fires_submission(&self, kind: FaultKind, plan: &PlannedQuery, attempt: u32) -> bool {
-        self.decide(kind, Self::submission_key(plan), attempt, Some(plan))
+    /// Whether `kind` fires for one planned submission.
+    pub fn fires_submission(&self, kind: FaultKind, plan: &PlannedQuery) -> bool {
+        self.decide(kind, Self::submission_key(plan), Some(plan))
             .is_some()
     }
 
     /// The stall duration to inject for one submission, when a
     /// [`FaultKind::ShardStall`] spec fires for it.
-    pub fn stall_for(&self, plan: &PlannedQuery, attempt: u32) -> Option<std::time::Duration> {
+    pub fn stall_for(&self, plan: &PlannedQuery) -> Option<std::time::Duration> {
         self.decide(
             FaultKind::ShardStall,
             Self::submission_key(plan),
-            attempt,
             Some(plan),
         )
         .map(|spec| std::time::Duration::from_millis(spec.stall_ms))
@@ -341,7 +327,7 @@ impl FaultPlane {
     /// for `key` (e.g. the journal sequence number or a path hash).
     pub fn io_error(&self, kind: FaultKind, key: u64) -> Option<std::io::Error> {
         debug_assert!(matches!(kind, FaultKind::StoreWrite | FaultKind::StoreRead));
-        if self.fires_key(kind, key, 0) {
+        if self.fires_key(kind, key) {
             Some(std::io::Error::other(format!(
                 "injected {} fault (no space left on device)",
                 kind.name()
@@ -414,12 +400,11 @@ mod tests {
         let mut diverged = false;
         for key in 0..256u64 {
             assert_eq!(
-                a.fires_key(FaultKind::WorkerPanic, key, 0),
-                b.fires_key(FaultKind::WorkerPanic, key, 0),
+                a.fires_key(FaultKind::WorkerPanic, key),
+                b.fires_key(FaultKind::WorkerPanic, key),
                 "same seed, same key, same verdict"
             );
-            if a.fires_key(FaultKind::WorkerPanic, key, 0)
-                != c.fires_key(FaultKind::WorkerPanic, key, 0)
+            if a.fires_key(FaultKind::WorkerPanic, key) != c.fires_key(FaultKind::WorkerPanic, key)
             {
                 diverged = true;
             }
@@ -431,7 +416,7 @@ mod tests {
     fn rate_is_roughly_honored() {
         let plane = FaultPlane::new(99).with_spec(FaultSpec::rate(FaultKind::WorkerPanic, 0.05));
         let fired = (0..10_000u64)
-            .filter(|&k| plane.fires_key(FaultKind::WorkerPanic, k, 0))
+            .filter(|&k| plane.fires_key(FaultKind::WorkerPanic, k))
             .count();
         assert!(
             (300..=700).contains(&fired),
@@ -440,13 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn attempts_flip_independent_coins() {
+    fn replans_flip_independent_coins() {
         let plane = FaultPlane::new(7).with_spec(FaultSpec::rate(FaultKind::WorkerPanic, 0.5));
-        let healed = (0..256u64).filter(|&k| {
-            plane.fires_key(FaultKind::WorkerPanic, k, 0)
-                && !plane.fires_key(FaultKind::WorkerPanic, k, 1)
+        // A replan of a cycle is the same tokens under the next cycle id.
+        let healed = (0..256u32).filter(|&t| {
+            plane.fires_submission(FaultKind::WorkerPanic, &plan("s", 0, vec![t]))
+                && !plane.fires_submission(FaultKind::WorkerPanic, &plan("s", 1, vec![t]))
         });
-        assert!(healed.count() > 0, "a retry must be able to heal");
+        assert!(healed.count() > 0, "a replan must be able to heal");
     }
 
     #[test]
@@ -465,12 +451,12 @@ mod tests {
                 .limit(1),
         );
         let p = plan("s", 0, vec![1, 2]);
-        assert!(!plane.fires_submission(FaultKind::WorkerPanic, &p, 0));
+        assert!(!plane.fires_submission(FaultKind::WorkerPanic, &p));
         assert_eq!(
-            plane.stall_for(&p, 0),
+            plane.stall_for(&p),
             Some(std::time::Duration::from_millis(50))
         );
-        assert!(plane.stall_for(&p, 1).is_none(), "the budget is spent");
+        assert!(plane.stall_for(&p).is_none(), "the budget is spent");
     }
 
     #[test]
@@ -481,9 +467,9 @@ mod tests {
         ));
         let bad = plan("poisoned", 0, vec![1]);
         let good = plan("healthy", 0, vec![1]);
-        for attempt in 0..3 {
-            assert!(plane.fires_submission(FaultKind::WorkerPanic, &bad, attempt));
-            assert!(!plane.fires_submission(FaultKind::WorkerPanic, &good, attempt));
+        for _ in 0..3 {
+            assert!(plane.fires_submission(FaultKind::WorkerPanic, &bad));
+            assert!(!plane.fires_submission(FaultKind::WorkerPanic, &good));
         }
     }
 

@@ -32,8 +32,8 @@
 //!
 //! [`ServiceMetrics`] tracks cache hit rate, queue depth, p50/p99
 //! submit latency, and per-session privacy metrics
-//! (exposure, mask level, satisfied rate, trace exposure). Since PR 6
-//! all of it lives in a `toppriv_obs::MetricsRegistry` — lock-free
+//! (exposure, mask level, satisfied rate, trace exposure). All of it
+//! lives in a `toppriv_obs::MetricsRegistry` — lock-free
 //! counters/gauges plus log-linear HDR histograms — and the request
 //! lifecycle is traced (`plan_cycle`/`search` spans, scheduler `drain`
 //! with per-worker children). The `toppriv-serve` binary exposes
@@ -79,10 +79,7 @@ pub use persist::{
 };
 pub use planner::GhostPlanner;
 pub use protocol::{Op, Request, Response};
-pub use scheduler::{
-    CycleScheduler, DrainError, PlannedQuery, ResilientReport, SubmissionFailure, SubmissionTag,
-    SubmitOutcome,
-};
+pub use scheduler::{CycleScheduler, PlannedQuery, ResilientReport, SubmissionTag, SubmitOutcome};
 pub use server::{handle, serve_lines, serve_listener, serve_tcp};
 pub use session::{
     FormulatedCycle, RolledBackCycle, SearchOutcome, ServiceError, SessionConfig, SessionManager,

@@ -3,17 +3,16 @@
 //! [`ServiceMetrics`] is the shared front door every subsystem reports
 //! into: the cache (hit/miss), the cycle scheduler (queue depth, submit
 //! latency), and the session manager (per-session privacy counters).
-//! Since PR 6 the storage behind it is a [`toppriv_obs::MetricsRegistry`]
-//! — named counters/gauges/histograms over lock-free atomics — so the
+//! The storage behind it is a [`toppriv_obs::MetricsRegistry`] — named
+//! counters/gauges/histograms over lock-free atomics — so the
 //! hot paths never take a lock that a panicked worker could poison, and
 //! the same registry feeds the NDJSON/Prometheus exposition in
 //! `toppriv-serve`.
 //!
 //! Submit latency lives in a log-linear HDR-style histogram
-//! ([`toppriv_obs::Histogram`]): bounded memory like the old
-//! Algorithm-R reservoir, but deterministic, mergeable, and within
-//! [`toppriv_obs::RELATIVE_ERROR`] on every percentile instead of
-//! sampling error.
+//! ([`toppriv_obs::Histogram`]): bounded memory, deterministic,
+//! mergeable, and within [`toppriv_obs::RELATIVE_ERROR`] on every
+//! percentile.
 //!
 //! Each `ServiceMetrics::new()` gets a private registry so managers in
 //! tests and experiments stay isolated; `toppriv-serve` constructs one

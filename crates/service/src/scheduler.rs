@@ -15,47 +15,53 @@
 //! tier; per-shard work is the engine's own `engine_shard_eval_us{shard}`.
 //!
 //! Grouping changes what the engine reads, not what an entry is: each
-//! entry is claimed (under the deadline), drawn for faults, retried,
-//! looked up, logged, counted and fanned out on its own, with the
-//! accounting one worker draining the queue in order would give. Keys
-//! never cross groups, so a cache lookup cannot race another worker's
-//! insert: with a cache, a later duplicate is a hit and never reaches the
-//! engine; without one, every entry reaches it. The engine's log is
-//! written when the workers have joined: every entry that reached the
-//! engine, in queue order, under consecutive ordinals. So the log reads
-//! as one worker draining the queue in order would leave it, and its
-//! ordinals count exactly the submissions the engine received — a cache
-//! hit, a failed entry or one the deadline cut takes none.
+//! entry is claimed (under the deadline), drawn for faults, looked up,
+//! logged, counted and fanned out on its own, with the accounting one
+//! worker draining the queue in order would give. Keys never cross
+//! groups, so a cache lookup cannot race another worker's insert: with a
+//! cache, a later duplicate is a hit and never reaches the engine;
+//! without one, every entry reaches it. The engine's log is written when
+//! the workers have joined: every entry that reached the engine, in queue
+//! order, under consecutive ordinals. So the log reads as one worker
+//! draining the queue in order would leave it, and its ordinals count
+//! exactly the submissions the engine received — a cache hit, a failed
+//! entry or one the deadline cut takes none.
 //!
-//! A scheduler is built from the manager whose cycles it drains
-//! ([`CycleScheduler::for_manager`]) and shares that manager's tier,
-//! cache, metrics, auditor, fault plane and session table.
+//! A scheduler keeps the manager whose cycles it drains
+//! ([`CycleScheduler::for_manager`]). Each round of a drain reads the
+//! manager's tier when it starts, so a drain after
+//! [`SessionManager::swap_tier`] ranks on the new tier, and it settles,
+//! rolls back and replans through the manager.
 //!
-//! A drain is four steps, each its own function: **claim** (the deadline
-//! watchdog), **resolve with retry** (a group's entries as one batch; an
-//! entry whose first attempt fails is retried alone, with bounded
-//! exponential backoff), **fan-out** (one outcome per subscribing
-//! tenant), and — after the workers join — **settle**: every delivered
-//! member is counted against its cycle in the owning session, and a
-//! cycle whose members were all delivered leaves the rollback window.
-//! That is the only way a planned cycle is sealed, on every drain path.
+//! A drain runs in **rounds**, and the cycle is its one unit of
+//! recovery. A round is four steps, each its own function: **claim** (the
+//! deadline watchdog), **resolve** (a group's entries as one batch),
+//! **fan-out** (one outcome per subscribing tenant), and — after the
+//! workers join — **settle**: every delivered member is counted against
+//! its cycle in the owning session, and a cycle whose members were all
+//! delivered leaves the rollback window. That is the only way a planned
+//! cycle is sealed. An entry the fault plane fails, or every entry of a
+//! group whose batch panicked, fails without a retry: the engine is pure,
+//! so the same input would fail again. A cycle with a failed entry is
+//! rolled back and replanned as a fresh cycle into the next round,
+//! beside the entries the deadline left unclaimed; what is still pending
+//! after the last round is rolled back for good. The outcomes of a
+//! rolled-back cycle never leave the scheduler as delivered work.
 //!
 //! Draining consumes the queue without sleeping between submissions:
 //! simulated time orders the trace the engine sees, while wall-clock
 //! throughput is bounded only by the worker pool. Queue depth and
-//! per-submit latency are reported to [`ServiceMetrics`]; each drain
-//! additionally records **queue wait** (drain start → an entry's claim)
-//! into [`M_QUEUE_WAIT_US`] and **service time** (one group's
-//! resolution) into [`M_SERVICE_US`], and journals a `drain` span with
-//! one `drain_worker` child per worker into the global tracer.
+//! per-submit latency are reported to the manager's
+//! [`crate::ServiceMetrics`]; each round additionally records **queue
+//! wait** (round start → an entry's claim) into [`M_QUEUE_WAIT_US`] and
+//! **service time** (one group's resolution) into [`M_SERVICE_US`], and
+//! journals a `drain` span with one `drain_worker` child per worker into
+//! the global tracer.
 
-use crate::cache::ResultCache;
-use crate::fault::{FaultKind, FaultPlane};
-use crate::metrics::ServiceMetrics;
-use crate::session::{self, Resolving, RolledBackCycle, SessionManager, SessionTable};
+use crate::fault::FaultKind;
+use crate::session::{Resolving, RolledBackCycle, SessionManager};
 use crate::tier::SearchTier;
-use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,27 +71,21 @@ use toppriv_obs::{AuditSeverity, Counter, HistogramHandle, Span};
 use tsearch_search::SearchHit;
 use tsearch_text::TermId;
 
-/// Metric name: queue wait (claim time − drain start, µs).
+/// Metric name: queue wait (claim time − round start, µs).
 pub const M_QUEUE_WAIT_US: &str = "scheduler_queue_wait_us";
 /// Metric name: service time (µs): one sample per claimed group, its
-/// entries' resolution, retries and fan-out.
+/// entries' resolution and fan-out.
 pub const M_SERVICE_US: &str = "scheduler_service_us";
 /// Metric name: drained submission counter. The series carries no
 /// `shard` label; the Rust name stays because `benchmark/src/fleet.rs`
 /// imports it.
 pub const M_SHARD_SUBMITS: &str = "scheduler_submits_total";
-/// Metric name: submission retry counter.
-pub const M_RETRIES: &str = "scheduler_retries_total";
 
-/// Attempts per submission (first try included) before its failure is
-/// terminal.
-const MAX_ATTEMPTS: u32 = 3;
-/// First retry backoff; doubles per attempt up to [`BACKOFF_CAP`].
-const BACKOFF_BASE: Duration = Duration::from_millis(1);
-/// Retry backoff ceiling.
-const BACKOFF_CAP: Duration = Duration::from_millis(50);
-/// Default per-drain deadline: far beyond any healthy drain.
+/// Default per-round deadline: far beyond any healthy drain.
 const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+/// Rounds per drain: a bound keeps a fault that fails every replan of a
+/// cycle from looping the drain forever.
+const MAX_ROUNDS: usize = 6;
 
 /// One subscribing tenant of a (possibly shared) planned submission.
 ///
@@ -160,98 +160,36 @@ pub struct SubmitOutcome {
     pub hits: Vec<SearchHit>,
 }
 
-/// One worker failure surfaced by [`CycleScheduler::try_drain`] —
-/// terminal, i.e. the submission exhausted its retry budget.
-#[derive(Debug, Clone)]
-pub struct SubmissionFailure {
-    /// Session owning the submission that triggered the panic.
-    pub session: String,
-    /// The owning session's cycle id (what a rollback reverses).
-    pub cycle_id: usize,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// The panic payload, when it was a string (the common case).
-    pub message: String,
-}
-
-/// A drain that lost submissions to worker panics. The submissions that
-/// did complete are preserved in `completed` (sorted like a successful
-/// drain), so callers can still account for the partial trace; the
-/// submissions that did **not** come back as plans the caller can retry
-/// or roll back (see [`CycleScheduler::drain_resilient`]) — nothing is
-/// silently dropped.
-#[derive(Debug)]
-pub struct DrainError {
-    /// Per-submission terminal failures, in queue order.
-    pub failures: Vec<SubmissionFailure>,
-    /// The failed entries themselves, in queue order (each produced
-    /// exactly one entry in `failures`). Re-draining them
-    /// verbatim replays the same deterministic fault decisions — these
-    /// are rollback candidates, not retry candidates.
-    pub failed: Vec<PlannedQuery>,
-    /// Entries never attempted: unclaimed when the drain deadline cut
-    /// the drain short. Safe to re-queue into a later drain verbatim.
-    pub unresolved: Vec<PlannedQuery>,
-    /// Outcomes of the submissions that completed.
-    pub completed: Vec<SubmitOutcome>,
-    /// Per-tenant outcomes the drain was asked to produce — the sum of
-    /// every queue entry's subscriber fan-out (equal to the queue length
-    /// when nothing was coalesced).
-    pub expected: usize,
-}
-
-impl std::fmt::Display for DrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "drain lost {} of {} submissions to worker panics",
-            self.failures.len(),
-            self.expected
-        )?;
-        if !self.unresolved.is_empty() {
-            write!(
-                f,
-                " ({} unresolved entries re-queued)",
-                self.unresolved.len()
-            )?;
-        }
-        if let Some(first) = self.failures.first() {
-            write!(
-                f,
-                " (first: session '{}': {})",
-                first.session, first.message
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for DrainError {}
-
 /// What [`CycleScheduler::drain_resilient`] produces: the delivered
-/// outcomes plus a full ledger of everything the self-healing path did.
+/// outcomes plus a full ledger of what the drain rolled back and
+/// replanned.
 #[derive(Debug)]
 pub struct ResilientReport {
-    /// Outcomes of every *fully delivered* cycle, sorted by simulated
-    /// time like a plain drain.
+    /// Outcomes of every *fully delivered* cycle: in queue order when
+    /// the drain took one round (a merged queue is in time order), sorted
+    /// by simulated time when it took more.
     pub outcomes: Vec<SubmitOutcome>,
     /// Outcomes that resolved against the engine but belong to cycles
     /// later rolled back — discarded from `outcomes` (cycle atomicity)
     /// but kept here so engine-side accounting identities (`merged +
     /// cache_hits == drained`) remain checkable.
     pub discarded: Vec<SubmitOutcome>,
-    /// Every cycle whose trace debits were reversed.
+    /// Every cycle whose trace debits were reversed, in the order the
+    /// drain rolled them back.
     pub rolled_back: Vec<RolledBackCycle>,
     /// `(session, old cycle id, new cycle id)` for every rolled-back
-    /// cycle that was replanned as a fresh cycle.
+    /// cycle that was replanned as a fresh cycle, in the order of
+    /// `rolled_back`.
     pub replanned: Vec<(String, usize, usize)>,
     /// Drain rounds it took (1 for a fault-free queue).
     pub rounds: usize,
 }
 
-/// What every worker of one drain shares.
+/// What every worker of one round shares.
 struct DrainRun<'a> {
     queue: &'a [PlannedQuery],
+    /// The manager's tier when the round started.
+    tier: SearchTier,
     /// Queue positions by group, largest group first, each in queue order.
     groups: Vec<Vec<usize>>,
     /// Next unclaimed group.
@@ -262,100 +200,60 @@ struct DrainRun<'a> {
 }
 
 /// What became of one claimed entry, keyed by its queue position: its
-/// fanned-out outcomes, or its terminal failure. Workers collect these
+/// fanned-out outcomes, or `None` when it failed. Workers collect these
 /// locally and hand them back when they join.
-type Claimed = (usize, Result<Vec<SubmitOutcome>, SubmissionFailure>);
+type Claimed = (usize, Option<Vec<SubmitOutcome>>);
+
+/// What one round left: the outcomes it produced (settled), the entries
+/// that failed, and the entries the deadline left unclaimed — each in
+/// queue order.
+struct Round {
+    completed: Vec<SubmitOutcome>,
+    failed: Vec<PlannedQuery>,
+    unclaimed: Vec<PlannedQuery>,
+}
 
 /// Merges per-session plans and drains them on one shared worker queue.
 pub struct CycleScheduler {
-    tier: SearchTier,
-    cache: Option<Arc<ResultCache>>,
-    metrics: Arc<ServiceMetrics>,
+    /// The manager whose cycles this scheduler drains: its tier, cache,
+    /// metrics, auditor, fault plane and sessions.
+    manager: Arc<SessionManager>,
     workers: usize,
-    /// The deterministic fault plane, when attached: worker panics and
-    /// shard stalls are drawn from its seeded schedule per (submission,
-    /// attempt), so retries flip fresh coins and rate faults heal.
-    fault: Option<Arc<FaultPlane>>,
-    /// Per-drain deadline: workers stop claiming once it passes, and an
-    /// injected stall that outlives it panics into the retry path — a
-    /// hung submission cannot block [`CycleScheduler::try_drain`]
-    /// forever. Unclaimed entries come back in [`DrainError::unresolved`].
+    /// Per-round deadline: workers stop claiming once it passes, and an
+    /// injected stall that outlives it panics into the failure path — a
+    /// hung submission cannot block a drain forever. Unclaimed entries
+    /// go to the next round.
     deadline: Duration,
-    /// Monotone drain counter, numbering `degraded_drain` events.
+    /// Monotone round counter, numbering `degraded_drain` events.
     drains: AtomicU64,
-    /// The privacy auditor, when the audit plane is attached: it spills
-    /// its journal after each drain and journals degraded drains. Cycles
-    /// were audited when they were committed, not here.
-    auditor: Option<Arc<crate::auditor::PrivacyAuditor>>,
-    /// The owning manager's session table, when built by
-    /// [`CycleScheduler::for_manager`]: where delivered members settle.
-    sessions: Option<SessionTable>,
     queue_wait_us: HistogramHandle,
     service_us: HistogramHandle,
     submits: Counter,
-    retries: Counter,
 }
 
 impl CycleScheduler {
-    /// A scheduler over explicit parts. `workers` is the pool size: all
-    /// of them claim from the one merged queue.
-    fn new(
-        tier: SearchTier,
-        cache: Option<Arc<ResultCache>>,
-        metrics: Arc<ServiceMetrics>,
-        workers: usize,
-    ) -> Self {
-        let registry = metrics.registry();
+    /// A scheduler of `workers` threads (all claiming from the one merged
+    /// queue) over `manager`'s tier, cache, metrics registry, auditor and
+    /// fault plane. Every drain settles the cycles it delivers in the
+    /// manager's sessions; with the manager's auditor, each round ends
+    /// with the auditor's epilogue (periodic journal spill).
+    pub fn for_manager(manager: &Arc<SessionManager>, workers: usize) -> Self {
+        let registry = manager.metrics_registry().registry();
         CycleScheduler {
             queue_wait_us: registry.histogram(M_QUEUE_WAIT_US, &[]),
             service_us: registry.histogram(M_SERVICE_US, &[]),
             submits: registry.counter(M_SHARD_SUBMITS, &[]),
-            retries: registry.counter(M_RETRIES, &[]),
-            tier,
-            cache,
-            metrics,
+            manager: manager.clone(),
             workers: workers.max(1),
-            fault: None,
             deadline: DEFAULT_DEADLINE,
             drains: AtomicU64::new(0),
-            auditor: None,
-            sessions: None,
         }
     }
 
-    /// Attaches a deterministic [`FaultPlane`]: its `WorkerPanic` and
-    /// `ShardStall` specs drive this scheduler's workers.
-    /// [`CycleScheduler::for_manager`] inherits the manager's plane
-    /// automatically.
-    pub fn with_fault_plane(mut self, plane: Arc<FaultPlane>) -> Self {
-        self.fault = Some(plane);
-        self
-    }
-
-    /// Overrides the per-drain deadline (30 s by default).
+    /// Overrides the per-round deadline (30 s by default).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
         self
-    }
-
-    /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
-    /// metrics registry, auditor, and fault plane — and its session
-    /// table, so every drain settles the cycles it delivers. With the
-    /// manager's auditor, each drain ends with the auditor's epilogue
-    /// (periodic journal spill).
-    pub fn for_manager(manager: &SessionManager, workers: usize) -> Self {
-        let mut scheduler = Self::new(
-            manager.tier(),
-            manager.cache().cloned(),
-            manager.metrics_registry().clone(),
-            workers,
-        );
-        scheduler.sessions = Some(manager.session_table());
-        scheduler.auditor = manager.auditor().cloned();
-        if let Some(plane) = manager.fault_plane() {
-            scheduler = scheduler.with_fault_plane(plane.clone());
-        }
-        scheduler
     }
 
     /// Merges per-session plans into one globally time-ordered queue —
@@ -372,43 +270,107 @@ impl CycleScheduler {
         all
     }
 
-    /// Drains a merged queue: every worker claims the next entry from
-    /// the one shared cursor and resolves it through the shared
-    /// cache/tier. Returns outcomes sorted by simulated time (ties
-    /// broken by merged-queue position); every cycle whose members were
-    /// all delivered is sealed against rollback.
-    ///
-    /// A worker panic aborts the whole drain **loudly**: this wrapper
-    /// panics with the session of the first failure. A caller that must
-    /// survive failures drains with [`CycleScheduler::drain_resilient`],
-    /// which retries, rolls back and replans, or with
-    /// [`CycleScheduler::try_drain`] to get the structured [`DrainError`].
+    /// Drains a merged queue and returns the outcomes of every delivered
+    /// cycle: [`CycleScheduler::drain_resilient`]'s `outcomes`. A
+    /// fault-free queue drains in one round, its outcomes in queue order.
     pub fn drain(&self, queue: Vec<PlannedQuery>) -> Vec<SubmitOutcome> {
-        match self.try_drain(queue) {
-            Ok(outcomes) => outcomes,
-            Err(e) => panic!("{e}"),
+        self.drain_resilient(queue).outcomes
+    }
+
+    /// Drains a merged queue in rounds, with **cycle-atomic
+    /// degradation**. A cycle with a failed entry is rolled back through
+    /// the manager — trace debits reversed bit-exactly, the tenant's
+    /// audit accounting re-credited, its already-resolved outcomes
+    /// discarded (kept in [`ResilientReport::discarded`] for engine-side
+    /// accounting) — and replanned as a fresh cycle, whose entries the
+    /// next round drains beside those the deadline left unclaimed. In the
+    /// last round a failed cycle is rolled back for good, and so is every
+    /// cycle with an entry still pending after it. Fully delivered cycles
+    /// were already sealed by the round that delivered their last member.
+    pub fn drain_resilient(&self, queue: Vec<PlannedQuery>) -> ResilientReport {
+        let mut outcomes: Vec<SubmitOutcome> = Vec::new();
+        let (mut rolled_back, mut replanned) = (Vec::new(), Vec::new());
+        let mut victims: HashSet<(String, usize)> = HashSet::new();
+        let (mut pending, mut rounds) = (queue, 0);
+        loop {
+            rounds += 1;
+            let round = self.round(pending);
+            // The first round's outcomes move as they are: a fault-free
+            // drain does no work per outcome past its round.
+            if outcomes.is_empty() {
+                outcomes = round.completed;
+            } else {
+                outcomes.extend(round.completed);
+            }
+            // The cycles with a failed entry, each once, in queue order.
+            let mut failed: Vec<(String, usize)> = Vec::new();
+            for tag in round.failed.iter().flat_map(PlannedQuery::subscriber_tags) {
+                let cycle = (tag.session, tag.cycle_id);
+                if victims.insert(cycle.clone()) {
+                    failed.push(cycle);
+                }
+            }
+            pending = round.unclaimed;
+            release(&mut pending, &victims);
+            for (session, cycle_id) in failed {
+                // Unknown (closed, or rolled back since it was planned):
+                // nothing to reverse.
+                let Ok(rb) = self.manager.rollback_cycle(&session, cycle_id) else {
+                    continue;
+                };
+                if rounds < MAX_ROUNDS {
+                    if let Ok(plan) = self.manager.plan_cycle(&session, &rb.user_tokens, rb.k) {
+                        replanned.push((session, cycle_id, plan[0].scheduled.cycle_id));
+                        pending.extend(plan);
+                    }
+                }
+                rolled_back.push(rb);
+            }
+            if pending.is_empty() || rounds == MAX_ROUNDS {
+                break;
+            }
+            pending = Self::merge(vec![pending]);
+        }
+        // Rounds exhausted: a cycle with an entry still pending cannot be
+        // delivered by this drain, so it is not left half-debited.
+        for tag in pending.iter().flat_map(PlannedQuery::subscriber_tags) {
+            let cycle = (tag.session, tag.cycle_id);
+            if victims.insert(cycle.clone()) {
+                if let Ok(rb) = self.manager.rollback_cycle(&cycle.0, cycle.1) {
+                    rolled_back.push(rb);
+                }
+            }
+        }
+        // Cycle atomicity: outcomes of rolled-back cycles never leave the
+        // scheduler as delivered work.
+        let mut discarded = Vec::new();
+        if !victims.is_empty() {
+            (discarded, outcomes) = (outcomes.into_iter())
+                .partition(|o| victims.contains(&(o.session.clone(), o.cycle_id)));
+        }
+        if rounds > 1 {
+            outcomes.sort_by(|a, b| a.time_secs.partial_cmp(&b.time_secs).expect("finite time"));
+        }
+        ResilientReport {
+            outcomes,
+            discarded,
+            rolled_back,
+            replanned,
+            rounds,
         }
     }
 
-    /// [`CycleScheduler::drain`] with structured failure reporting:
-    /// worker panics are caught per submission and retried with bounded
-    /// exponential backoff (each attempt flips a fresh deterministic
-    /// fault coin, so transient rate faults heal), the rest of the queue
-    /// keeps draining under the per-drain deadline watchdog, and the
-    /// error carries every terminal failure (session, panic message)
-    /// plus the outcomes that did complete and the entries that were
-    /// never attempted. Completed outcomes are settled either way: a
-    /// cycle with a failed or unresolved member stays rollbackable.
-    pub fn try_drain(&self, queue: Vec<PlannedQuery>) -> Result<Vec<SubmitOutcome>, DrainError> {
-        // Shared (planner-coalesced) entries resolve once but produce one
-        // outcome per subscribing tenant; a drain succeeds when every
-        // expected per-tenant outcome materialized.
-        let expected: usize = queue.iter().map(|p| p.fanout()).sum();
-        self.metrics.set_queue_depth(queue.len());
+    /// One round over `queue`: workers claim and resolve its groups until
+    /// the queue or the deadline runs out; then the round logs what
+    /// reached the engine and settles what it delivered.
+    fn round(&self, queue: Vec<PlannedQuery>) -> Round {
+        let metrics = self.manager.metrics_registry();
+        metrics.set_queue_depth(queue.len());
         let drain_span = toppriv_obs::tracer().span("drain");
         let number = self.drains.fetch_add(1, Ordering::Relaxed) + 1;
         let run = DrainRun {
             queue: &queue,
+            tier: self.manager.tier(),
             groups: groups(&queue),
             cursor: AtomicUsize::new(0),
             taken: AtomicUsize::new(0),
@@ -423,43 +385,39 @@ impl CycleScheduler {
                 .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        self.metrics.set_queue_depth(0);
-        if let Some(auditor) = &self.auditor {
+        metrics.set_queue_depth(0);
+        if let Some(auditor) = self.manager.auditor() {
             auditor.finish_drain();
         }
         // Per queue position: `Some(true)` failed, `Some(false)` completed,
-        // `None` never claimed (the deadline watchdog cut the drain short).
+        // `None` never claimed (the deadline watchdog cut the round short).
         let mut failed_at: Vec<Option<bool>> = vec![None; queue.len()];
         claimed.sort_by_key(|&(at, _)| at);
         let mut completed = Vec::new();
-        let mut failures = Vec::new();
         // What reached the engine, in queue order: each resolved entry
         // whose first subscriber's outcome is not a cache hit.
         let mut reached: Vec<&[TermId]> = Vec::new();
         for (at, resolved) in claimed {
-            failed_at[at] = Some(resolved.is_err());
-            match resolved {
-                Ok(outcomes) => {
-                    if outcomes.first().is_some_and(|o| !o.cache_hit) {
-                        reached.push(&queue[at].scheduled.tokens);
-                    }
-                    completed.extend(outcomes);
+            failed_at[at] = Some(resolved.is_none());
+            if let Some(outcomes) = resolved {
+                if outcomes.first().is_some_and(|o| !o.cache_hit) {
+                    reached.push(&queue[at].scheduled.tokens);
                 }
-                Err(failure) => failures.push(failure),
+                completed.extend(outcomes);
             }
         }
-        self.tier.log_tokens(&reached);
-        let (mut failed, mut unresolved) = (Vec::new(), Vec::new());
+        run.tier.log_tokens(&reached);
+        self.manager.settle(&completed);
+        let (mut failed, mut unclaimed) = (Vec::new(), Vec::new());
         for (plan, status) in queue.into_iter().zip(failed_at) {
             match status {
                 Some(true) => failed.push(plan),
                 Some(false) => {}
-                None => unresolved.push(plan),
+                None => unclaimed.push(plan),
             }
         }
-        self.settle(&completed);
-        if !unresolved.is_empty() {
-            if let Some(auditor) = &self.auditor {
+        if !unclaimed.is_empty() {
+            if let Some(auditor) = self.manager.auditor() {
                 auditor.note(
                     AuditSeverity::Warning,
                     "degraded_drain",
@@ -467,28 +425,22 @@ impl CycleScheduler {
                     number as usize,
                     format!(
                         "drain {number} degraded: the deadline passed with {} entries unclaimed",
-                        unresolved.len()
+                        unclaimed.len()
                     ),
                 );
             }
         }
-        if failures.is_empty() && unresolved.is_empty() && completed.len() == expected {
-            Ok(completed)
-        } else {
-            Err(DrainError {
-                failures,
-                failed,
-                unresolved,
-                completed,
-                expected,
-            })
+        Round {
+            completed,
+            failed,
+            unclaimed,
         }
     }
 
     /// **Claim**: the next group this worker should resolve. `None` once
-    /// every group is claimed or the drain deadline passed (the
-    /// cooperative watchdog: the unclaimed remainder comes back as
-    /// `unresolved` instead of blocking forever).
+    /// every group is claimed or the round's deadline passed (the
+    /// cooperative watchdog: the unclaimed remainder goes to the next
+    /// round instead of blocking forever).
     fn claim(&self, run: &DrainRun) -> Option<usize> {
         if run.started.elapsed() > self.deadline {
             return None;
@@ -514,17 +466,13 @@ impl CycleScheduler {
         claimed
     }
 
-    /// **Resolve with retry** for one group. Each entry is claimed in
-    /// queue order while the deadline allows (the rest stay unclaimed)
-    /// and drawn for its first attempt's faults under `catch_unwind`. The
-    /// entries that pass resolve as one batch; an entry whose first
-    /// attempt panicked — or every entry, if the batch itself panicked —
-    /// is retried alone with bounded exponential backoff (a fresh fault
-    /// coin per attempt), and a terminal failure comes back as the entry's
-    /// [`SubmissionFailure`].
+    /// **Resolve** one group. Each entry is claimed in queue order while
+    /// the deadline allows (the rest stay unclaimed) and drawn for faults
+    /// under `catch_unwind`; an entry whose draw panicked fails. The
+    /// entries that pass resolve as one batch, and if the batch itself
+    /// panics, each of them fails.
     fn resolve_group(&self, run: &DrainRun, group: &[usize], claimed: &mut Vec<Claimed>) {
         let mut batch = Vec::with_capacity(group.len());
-        let mut retry = Vec::new();
         for &at in group {
             if run.started.elapsed() > self.deadline {
                 break;
@@ -532,38 +480,27 @@ impl CycleScheduler {
             self.queue_wait_us
                 .record(run.started.elapsed().as_micros() as u64);
             let taken = run.taken.fetch_add(1, Ordering::Relaxed) + 1;
-            self.metrics
+            (self.manager.metrics_registry())
                 .set_queue_depth(run.queue.len().saturating_sub(taken));
             let plan = &run.queue[at];
-            match catch_unwind(AssertUnwindSafe(|| self.inject_faults(run, plan, 0))) {
+            match catch_unwind(AssertUnwindSafe(|| self.inject_faults(run, plan))) {
                 Ok(()) => batch.push(at),
-                Err(payload) => retry.push((at, payload)),
+                Err(_) => claimed.push((at, None)),
             }
         }
         match catch_unwind(AssertUnwindSafe(|| self.resolve(run, &batch))) {
             Ok(resolved) => {
                 for (&at, (hits, cache_hit)) in batch.iter().zip(resolved) {
-                    claimed.push((at, Ok(self.fan_out(&run.queue[at], &hits, cache_hit))));
+                    let outcomes = self.fan_out(&run.queue[at], &hits, cache_hit);
+                    claimed.push((at, Some(outcomes)));
                 }
             }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                retry.extend(batch.iter().map(|&at| (at, Box::new(message.clone()) as _)));
-                retry.sort_by_key(|r| r.0);
-            }
-        }
-        for (at, payload) in retry {
-            let resolved = self.retry(run, at, payload);
-            let plan = &run.queue[at];
-            claimed.push((
-                at,
-                resolved.map(|(hits, hit)| self.fan_out(plan, &hits, hit)),
-            ));
+            Err(_) => claimed.extend(batch.iter().map(|&at| (at, None))),
         }
     }
 
     /// Resolves the entries at `positions` as one batch through the
-    /// cache/tier.
+    /// manager's cache and the round's tier.
     fn resolve(&self, run: &DrainRun, positions: &[usize]) -> Vec<(Vec<SearchHit>, bool)> {
         let entries: Vec<Resolving<'_>> = (positions.iter())
             .map(|&at| {
@@ -579,56 +516,19 @@ impl CycleScheduler {
                 }
             })
             .collect();
-        let cache = self.cache.as_deref();
-        SessionManager::resolve(&self.tier, cache, &self.metrics, &entries)
+        self.manager.resolve(&run.tier, &entries)
     }
 
-    /// Retries the entry at `at`, whose first attempt panicked with
-    /// `payload`, alone: up to [`MAX_ATTEMPTS`] attempts in all, each
-    /// after a backoff and a fresh fault draw, while the deadline allows.
-    fn retry(
-        &self,
-        run: &DrainRun,
-        at: usize,
-        mut payload: Box<dyn Any + Send>,
-    ) -> Result<(Vec<SearchHit>, bool), SubmissionFailure> {
-        let plan = &run.queue[at];
-        let mut attempt = 1u32;
-        loop {
-            if attempt >= MAX_ATTEMPTS || run.started.elapsed() > self.deadline {
-                return Err(SubmissionFailure {
-                    session: plan.session.clone(),
-                    cycle_id: plan.scheduled.cycle_id,
-                    attempts: attempt,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
-            self.retries.inc();
-            std::thread::sleep(
-                BACKOFF_BASE
-                    .saturating_mul(1 << (attempt - 1))
-                    .min(BACKOFF_CAP),
-            );
-            let once = catch_unwind(AssertUnwindSafe(|| {
-                self.inject_faults(run, plan, attempt);
-                self.resolve(run, &[at]).remove(0)
-            }));
-            match once {
-                Ok(resolved) => return Ok(resolved),
-                Err(p) => payload = p,
-            }
-            attempt += 1;
-        }
-    }
-
-    /// Panics when the attached fault plane schedules a stall that
-    /// outlives the drain deadline, or a worker panic, for this attempt.
-    fn inject_faults(&self, run: &DrainRun, plan: &PlannedQuery, attempt: u32) {
-        let Some(plane) = &self.fault else { return };
-        if let Some(stall) = plane.stall_for(plan, attempt) {
+    /// Panics when the manager's fault plane schedules a stall that
+    /// outlives the round's deadline, or a worker panic, for this entry.
+    fn inject_faults(&self, run: &DrainRun, plan: &PlannedQuery) {
+        let Some(plane) = self.manager.fault_plane() else {
+            return;
+        };
+        if let Some(stall) = plane.stall_for(plan) {
             // An injected stall sleeps in small slices so the deadline
-            // can preempt it: a stall that outlives the drain deadline
-            // panics into the failure path instead of hanging the worker.
+            // can preempt it: a stall that outlives the deadline panics
+            // into the failure path instead of hanging the worker.
             let mut left = stall;
             while !left.is_zero() {
                 let slice = left.min(Duration::from_millis(1));
@@ -642,7 +542,7 @@ impl CycleScheduler {
             }
         }
         assert!(
-            !plane.fires_submission(FaultKind::WorkerPanic, plan, attempt),
+            !plane.fires_submission(FaultKind::WorkerPanic, plan),
             "injected worker_panic fault (session '{}')",
             plan.session
         );
@@ -676,143 +576,20 @@ impl CycleScheduler {
             })
             .collect()
     }
-
-    /// **Settle**: counts every delivered member against its cycle in
-    /// the owning session; a cycle with none left outstanding leaves the
-    /// rollback window. Runs once per drain, after the workers joined.
-    fn settle(&self, completed: &[SubmitOutcome]) {
-        if let Some(sessions) = &self.sessions {
-            session::settle_delivered(sessions, &delivered_members(completed));
-        }
-    }
-
-    /// Self-healing drain: [`CycleScheduler::try_drain`] in rounds, with
-    /// **cycle-atomic degradation**. Unresolved entries (cut off by the
-    /// deadline) are re-queued into the next round; cycles
-    /// with a terminally failed submission are rolled back through
-    /// `manager` — trace debits reversed bit-exactly, the tenant's audit
-    /// accounting re-credited, their already-resolved outcomes discarded (kept
-    /// in [`ResilientReport::discarded`] for engine-side accounting) —
-    /// and replanned once as fresh cycles. A replanned cycle that fails
-    /// again is rolled back for good. Fully delivered cycles were
-    /// already sealed by the round that delivered their last member
-    /// (every [`CycleScheduler::try_drain`] settles what it delivers).
-    ///
-    /// `manager` must be the manager the queue was planned on (cycle
-    /// ids are resolved against its sessions).
-    pub fn drain_resilient(
-        &self,
-        manager: &SessionManager,
-        queue: Vec<PlannedQuery>,
-    ) -> ResilientReport {
-        /// Round cap: with one replan per cycle this converges long
-        /// before, but a bound keeps a
-        /// pathological fault schedule from looping the drain forever.
-        const MAX_ROUNDS: usize = 6;
-        let mut outcomes: Vec<SubmitOutcome> = Vec::new();
-        let mut rolled_back: Vec<RolledBackCycle> = Vec::new();
-        let mut replanned: Vec<(String, usize, usize)> = Vec::new();
-        let mut victims: HashSet<(String, usize)> = HashSet::new();
-        // Cycles that already got their one replan: a second failure is
-        // terminal.
-        let mut no_replan: HashSet<(String, usize)> = HashSet::new();
-        let mut pending = queue;
-        let mut rounds = 0usize;
-        while !pending.is_empty() && rounds < MAX_ROUNDS {
-            rounds += 1;
-            let err = match self.try_drain(std::mem::take(&mut pending)) {
-                Ok(mut done) => {
-                    outcomes.append(&mut done);
-                    break;
-                }
-                Err(err) => err,
-            };
-            outcomes.extend(err.completed);
-            let mut round_victims: HashSet<(String, usize)> = HashSet::new();
-            for plan in &err.failed {
-                for tag in plan.subscriber_tags() {
-                    round_victims.insert((tag.session, tag.cycle_id));
-                }
-            }
-            // Release victim fan-out tags from the unresolved remainder:
-            // an entry subscribed only by rolled-back cycles is dropped
-            // outright, a shared entry keeps serving its survivors.
-            let mut next: Vec<PlannedQuery> = Vec::with_capacity(err.unresolved.len());
-            for mut plan in err.unresolved {
-                if plan.subscribers.is_empty() {
-                    let key = (plan.session.clone(), plan.scheduled.cycle_id);
-                    if round_victims.contains(&key) {
-                        continue;
-                    }
-                } else {
-                    plan.subscribers
-                        .retain(|t| !round_victims.contains(&(t.session.clone(), t.cycle_id)));
-                    if plan.subscribers.is_empty() {
-                        continue;
-                    }
-                }
-                next.push(plan);
-            }
-            for (session, cycle_id) in round_victims {
-                if !victims.insert((session.clone(), cycle_id)) {
-                    continue;
-                }
-                let Ok(rb) = manager.rollback_cycle(&session, cycle_id) else {
-                    // Unknown (e.g. rolled back via another scheduler):
-                    // nothing to reverse.
-                    continue;
-                };
-                if !no_replan.contains(&(session.clone(), cycle_id)) {
-                    if let Ok(plan) = manager.plan_cycle(&session, &rb.user_tokens, rb.k) {
-                        if let Some(new_id) = plan.first().map(|p| p.scheduled.cycle_id) {
-                            no_replan.insert((session.clone(), new_id));
-                            replanned.push((session.clone(), cycle_id, new_id));
-                        }
-                        next.extend(plan);
-                    }
-                }
-                rolled_back.push(rb);
-            }
-            pending = next;
-        }
-        // Rounds exhausted with work still pending: those cycles cannot
-        // be delivered this drain — roll them back rather than leave
-        // them half-debited.
-        for plan in pending {
-            for (session, cycle_id) in plan
-                .subscriber_tags()
-                .into_iter()
-                .map(|t| (t.session, t.cycle_id))
-            {
-                if victims.insert((session.clone(), cycle_id)) {
-                    if let Ok(rb) = manager.rollback_cycle(&session, cycle_id) {
-                        rolled_back.push(rb);
-                    }
-                }
-            }
-        }
-        // Cycle atomicity: outcomes of rolled-back cycles never leave
-        // the scheduler as delivered work.
-        let (delivered, discarded): (Vec<_>, Vec<_>) = outcomes
-            .into_iter()
-            .partition(|o| !victims.contains(&(o.session.clone(), o.cycle_id)));
-        let mut outcomes = delivered;
-        outcomes.sort_by(|a, b| a.time_secs.partial_cmp(&b.time_secs).expect("finite time"));
-        ResilientReport {
-            outcomes,
-            discarded,
-            rolled_back,
-            replanned,
-            rounds: rounds.max(1),
-        }
-    }
 }
 
-/// The panic payload's message, when it was a string (the common case).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
+/// Releases rolled-back cycles' subscriptions from queued entries: an
+/// entry subscribed only by `victims` is dropped, a shared entry keeps
+/// serving its other subscribers.
+fn release(queue: &mut Vec<PlannedQuery>, victims: &HashSet<(String, usize)>) {
+    let live = |session: &str, cycle_id: usize| !victims.contains(&(session.into(), cycle_id));
+    queue.retain_mut(|plan| {
+        if plan.subscribers.is_empty() {
+            return live(&plan.session, plan.scheduled.cycle_id);
+        }
+        plan.subscribers.retain(|t| live(&t.session, t.cycle_id));
+        !plan.subscribers.is_empty()
+    });
 }
 
 /// The queue's groups, largest first: positions whose lowest term is
@@ -829,20 +606,10 @@ fn groups(queue: &[PlannedQuery]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Delivered members per session and cycle id — what the settle step
-/// counts against each cycle's outstanding members.
-fn delivered_members(completed: &[SubmitOutcome]) -> HashMap<&str, HashMap<usize, usize>> {
-    let mut delivered: HashMap<&str, HashMap<usize, usize>> = HashMap::new();
-    for o in completed {
-        let cycles = delivered.entry(&o.session).or_default();
-        *cycles.entry(o.cycle_id).or_insert(0) += 1;
-    }
-    delivered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlane;
     use toppriv_core::merge_schedules;
     use tsearch_search::Query;
 
@@ -979,10 +746,21 @@ mod tests {
         )
     }
 
+    /// A manager over the tiny corpus's sharded tier, with `plane`.
+    fn tiny_manager(shards: usize, plane: Option<FaultPlane>) -> Arc<SessionManager> {
+        let (corpus, tier) = tiny_tier(shards);
+        let manager = SessionManager::with_tier(tier, tiny_model(&corpus));
+        Arc::new(match plane {
+            Some(plane) => manager.with_fault_plane(Arc::new(plane)),
+            None => manager,
+        })
+    }
+
     /// A run over `queue` with one group per entry, in queue order.
-    fn run_over(queue: &[PlannedQuery]) -> DrainRun<'_> {
+    fn run_over<'a>(queue: &'a [PlannedQuery], tier: SearchTier) -> DrainRun<'a> {
         DrainRun {
             queue,
+            tier,
             groups: (0..queue.len()).map(|at| vec![at]).collect(),
             cursor: AtomicUsize::new(0),
             taken: AtomicUsize::new(0),
@@ -992,10 +770,10 @@ mod tests {
 
     #[test]
     fn claim_hands_out_the_queue_in_order_then_closes() {
-        let (_, tier) = tiny_tier(4);
-        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 2);
+        let manager = tiny_manager(4, None);
+        let scheduler = CycleScheduler::for_manager(&manager, 2);
         let queue = plan("a", &[0.0; 3]);
-        let run = run_over(&queue);
+        let run = run_over(&queue, manager.tier());
         assert_eq!(scheduler.claim(&run), Some(0));
         assert_eq!(scheduler.claim(&run), Some(1));
         assert_eq!(scheduler.claim(&run), Some(2));
@@ -1005,60 +783,63 @@ mod tests {
 
     #[test]
     fn claim_closes_at_the_deadline_and_leaves_the_rest_unclaimed() {
-        let (_, tier) = tiny_tier(2);
-        let scheduler = CycleScheduler::new(tier, None, Arc::new(ServiceMetrics::new()), 1)
-            .with_deadline(Duration::from_millis(1));
+        let manager = tiny_manager(2, None);
+        let scheduler =
+            CycleScheduler::for_manager(&manager, 1).with_deadline(Duration::from_millis(1));
         let queue = plan("a", &[0.0; 3]);
-        let mut run = run_over(&queue);
+        let mut run = run_over(&queue, manager.tier());
         assert_eq!(scheduler.claim(&run), Some(0));
         run.started = Instant::now() - Duration::from_millis(50);
         assert_eq!(scheduler.claim(&run), None);
         assert_eq!(run.cursor.into_inner(), 1, "nothing past the deadline");
     }
 
+    /// A tenant whose every entry fails holds nothing back: its cycle
+    /// fails in every round while the other tenants in the same queue are
+    /// delivered in full, and so is the same scheduler's next drain; the
+    /// failed entries never reached the engine and took no ordinal.
     #[test]
     fn terminal_failures_do_not_pause_the_next_drain() {
-        let (corpus, tier) = tiny_tier(4);
-        let plane = crate::fault::FaultPlane::new(0).with_spec(crate::fault::FaultSpec::predicate(
+        let plane = FaultPlane::new(0).with_spec(crate::fault::FaultSpec::predicate(
             FaultKind::WorkerPanic,
             Arc::new(|p: &PlannedQuery| p.session == "doomed"),
         ));
-        let manager =
-            SessionManager::with_tier(tier, tiny_model(&corpus)).with_fault_plane(Arc::new(plane));
+        let manager = tiny_manager(4, Some(plane));
         let tenants = ["doomed", "a", "b", "c"];
         for tenant in tenants {
             manager.open_session(tenant).unwrap();
         }
-        let queries = tiny_queries(&corpus, tenants.len());
+        let queries = tiny_queries(&tiny_tier(4).0, tenants.len());
         let scheduler = CycleScheduler::for_manager(&manager, 2);
-        let doomed = manager.plan_cycle("doomed", &queries[0].tokens, 5).unwrap();
-        let err = scheduler
-            .try_drain(doomed)
-            .expect_err("every attempt of the doomed cycle panics");
-        assert!(err.failures.len() >= 3, "{} failures", err.failures.len());
-        assert_eq!(err.failed.len(), err.failures.len());
-        assert!(err.unresolved.is_empty());
-        // The same scheduler's next drain serves the other tenants in
-        // full: a terminal failure holds nothing back.
-        let plans = tenants[1..]
-            .iter()
-            .zip(&queries[1..])
-            .map(|(tenant, q)| manager.plan_cycle(tenant, &q.tokens, 5).unwrap())
-            .collect();
-        let queue = CycleScheduler::merge(plans);
+        let plan_all = |tenants: &[&str]| {
+            let plans = (tenants.iter().zip(&queries))
+                .map(|(tenant, q)| manager.plan_cycle(tenant, &q.tokens, 5).unwrap())
+                .collect();
+            CycleScheduler::merge(plans)
+        };
+        let queue = plan_all(&tenants);
+        let doomed = queue.iter().filter(|p| p.session == "doomed").count();
+        let report = scheduler.drain_resilient(queue.clone());
+        assert_eq!(report.rounds, MAX_ROUNDS);
+        assert_eq!(report.outcomes.len(), queue.len() - doomed);
+        assert!(report.outcomes.iter().all(|o| o.session != "doomed"));
+        assert!(
+            report.discarded.is_empty(),
+            "a doomed entry resolves nothing"
+        );
+        let delivered = report.outcomes.len();
+        let queue = plan_all(&tenants[1..]);
         let expected = queue.len();
-        let outcomes = scheduler
-            .try_drain(queue)
-            .expect("no entry is held back after a failed drain");
-        assert_eq!(outcomes.len(), expected);
-        // The failed entries never reached the engine and took no ordinal:
-        // the log counts exactly the second drain's entries.
+        let report = scheduler.drain_resilient(queue);
+        assert_eq!((report.rounds, report.outcomes.len()), (1, expected));
+        // The log counts exactly the delivered entries of both drains.
+        let delivered = (delivered + expected) as u64;
         let tier = manager.tier();
         let engine = tier.as_sharded().expect("sharded");
         let ordinals: std::collections::BTreeSet<u64> = (engine.shard_logs().into_iter().flatten())
             .map(|e| e.ordinal)
             .collect();
-        assert_eq!(ordinals, (0..expected as u64).collect());
+        assert_eq!(ordinals, (0..delivered).collect());
     }
 
     /// Drains, by two workers, a queue with duplicate bags (in another
@@ -1094,6 +875,8 @@ mod tests {
                 subscribers: Vec::new(),
             })
             .collect();
+        let (corpus, _) = tiny_tier(4);
+        let model = tiny_model(&corpus);
         for (cached, engine_bound) in [
             (false, &[0, 1, 2, 3, 4, 5, 6, 7, 8][..]),
             (true, &[0, 1, 3, 5, 7]),
@@ -1104,13 +887,15 @@ mod tests {
                     tier.set_query_log_capacity(capacity);
                 }
                 let engine = tier.as_sharded().expect("sharded").clone();
-                let metrics = Arc::new(ServiceMetrics::new());
-                let cache = cached.then(|| Arc::new(ResultCache::new(64)));
-                let scheduler = CycleScheduler::new(tier, cache, metrics.clone(), 2);
-                (scheduler.drain(queue.clone()), engine, metrics)
+                let manager = SessionManager::with_tier(tier, model.clone());
+                let manager = Arc::new(match cached {
+                    true => manager.with_cache(64),
+                    false => manager,
+                });
+                let outcomes = CycleScheduler::for_manager(&manager, 2).drain(queue.clone());
+                (outcomes, engine, manager.metrics_registry().snapshot())
             };
-            let (outcomes, engine, metrics) = drained(None);
-            let snapshot = metrics.snapshot();
+            let (outcomes, engine, snapshot) = drained(None);
             assert_eq!(
                 snapshot.engine_submits,
                 queue.len() as u64,
@@ -1184,15 +969,7 @@ mod tests {
         };
         // All of the second cycle, all but one member of the first.
         let delivered: Vec<SubmitOutcome> = first[1..].iter().chain(&second).map(outcome).collect();
-        let counts = delivered_members(&delivered);
-        assert_eq!(counts["a"][&first[0].scheduled.cycle_id], first.len() - 1);
-        assert_eq!(counts["a"][&second[0].scheduled.cycle_id], second.len());
-
-        // A scheduler without a session table settles nothing.
-        CycleScheduler::new(manager.tier(), None, manager.metrics_registry().clone(), 1)
-            .settle(&delivered);
-        let scheduler = CycleScheduler::for_manager(&manager, 1);
-        scheduler.settle(&delivered);
+        manager.settle(&delivered);
         assert!(
             manager
                 .rollback_cycle("a", second[0].scheduled.cycle_id)
@@ -1200,14 +977,14 @@ mod tests {
             "fully delivered: sealed"
         );
         // Settling the last member seals the first cycle too.
-        scheduler.settle(&[outcome(&first[0])]);
+        manager.settle(&[outcome(&first[0])]);
         assert!(manager
             .rollback_cycle("a", first[0].scheduled.cycle_id)
             .is_err());
         // A cycle with a member outstanding still rolls back.
         let third = manager.plan_cycle("a", tokens, 5).unwrap();
         let partial: Vec<SubmitOutcome> = third[1..].iter().map(outcome).collect();
-        scheduler.settle(&partial);
+        manager.settle(&partial);
         manager
             .rollback_cycle("a", third[0].scheduled.cycle_id)
             .expect("one member outstanding");

@@ -58,7 +58,7 @@
 use crate::cache::{CacheKey, CycleKey, CycleMemo, GeneratedCycle, ResultCache};
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics, SessionMetrics};
-use crate::scheduler::PlannedQuery;
+use crate::scheduler::{PlannedQuery, SubmitOutcome};
 use crate::tier::SearchTier;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -520,30 +520,6 @@ impl Session {
     }
 }
 
-/// The session table: shared between the manager and the schedulers
-/// built by [`crate::CycleScheduler::for_manager`], which settle the
-/// cycles their drains deliver.
-pub(crate) type SessionTable = Arc<RwLock<HashMap<String, Arc<Mutex<Session>>>>>;
-
-/// Counts delivered members (`session → cycle id → how many`) against
-/// their cycles: the one place a planned cycle leaves the rollback
-/// window. A session closed since planning is skipped.
-pub(crate) fn settle_delivered(
-    sessions: &SessionTable,
-    delivered: &HashMap<&str, HashMap<usize, usize>>,
-) {
-    for (&id, cycles) in delivered {
-        let Some(session) = recover_read(sessions).get(id).cloned() else {
-            continue;
-        };
-        let mut session = recover_lock(&session);
-        for (&cycle_id, &members) in cycles {
-            session.deliver(cycle_id, members);
-        }
-        session.compact();
-    }
-}
-
 /// What [`SessionManager::with_cache`] attaches. The two stores are one
 /// plane: a stored cycle spares the formulation of a query whose members
 /// the result cache already spares the engine.
@@ -605,7 +581,7 @@ pub struct SessionManager {
     defaults: SessionConfig,
     /// Service-wide secret mixed into every session's ghost seed.
     fleet_seed: u64,
-    sessions: SessionTable,
+    sessions: RwLock<HashMap<String, Arc<Mutex<Session>>>>,
 }
 
 /// One entry [`SessionManager::resolve`] serves: a queue entry or a wire
@@ -642,7 +618,7 @@ impl SessionManager {
             fault: None,
             defaults: SessionConfig::default(),
             fleet_seed: random_fleet_seed(),
-            sessions: SessionTable::default(),
+            sessions: RwLock::default(),
         }
     }
 
@@ -772,10 +748,9 @@ impl SessionManager {
     /// Swaps the search tier without closing sessions (zero-downtime
     /// index rebuild, e.g. after corpus evolution). Sessions keep their
     /// privacy accounting; the result cache is emptied, since its
-    /// rankings came from the old index. Schedulers constructed before the
-    /// swap keep draining against the tier they were built with (and may
-    /// cache what they resolve), so drain them first and build a fresh
-    /// [`crate::CycleScheduler::for_manager`] after swapping.
+    /// rankings came from the old index. Every later search, and every
+    /// drain round a [`crate::CycleScheduler`] starts afterwards, ranks on
+    /// the new tier.
     pub fn swap_tier(&self, tier: SearchTier) {
         *recover_write(&self.tier) = tier;
         if let Some(plane) = &self.cache {
@@ -796,11 +771,6 @@ impl SessionManager {
     /// The shared metrics registry.
     pub fn metrics_registry(&self) -> &Arc<ServiceMetrics> {
         &self.metrics
-    }
-
-    /// A handle to the session table (for the scheduler's settle step).
-    pub(crate) fn session_table(&self) -> SessionTable {
-        self.sessions.clone()
     }
 
     /// Opens a session with the manager's default configuration.
@@ -880,12 +850,12 @@ impl SessionManager {
         }
     }
 
-    /// Resolves a batch of entries — a drain group's queue entries, a
-    /// retried entry alone, or a wire search's cycle members — with the
-    /// accounting one worker resolving them one by one in order would
-    /// give. With a cache, each entry's first occurrence in the batch
-    /// looks its key up; a later duplicate is served from it, counted a
-    /// hit, and never reaches the engine. Without one, every entry reaches
+    /// Resolves a batch of entries — a drain group's queue entries or a
+    /// wire search's cycle members — on `tier` with the accounting one
+    /// worker resolving them one by one in order would give. With a
+    /// cache, each entry's first occurrence in the batch looks its key up;
+    /// a later duplicate is served from it, counted a hit, and never
+    /// reaches the engine. Without one, every entry reaches
     /// the engine and counts a miss. The entries that reach the engine are
     /// ranked in one term-ordered walk, so only the kernel's work is
     /// shared. Each entry is one engine submission however many tenants
@@ -894,16 +864,16 @@ impl SessionManager {
     /// `(hits, cache_hit)` for its first subscriber.
     ///
     /// Nothing is logged here: an entry whose `cache_hit` is false reached
-    /// the engine, and the caller logs those ([`SearchTier::log_tokens`])
-    /// in the order its trace reads, so the log's ordinals count exactly
-    /// the submissions the engine received.
+    /// `tier`, and the caller logs those ([`SearchTier::log_tokens`]) in
+    /// the order its trace reads, so the log's ordinals count exactly the
+    /// submissions the engine received.
     pub(crate) fn resolve(
+        &self,
         tier: &SearchTier,
-        cache: Option<&ResultCache>,
-        metrics: &ServiceMetrics,
         entries: &[Resolving<'_>],
     ) -> Vec<(Vec<SearchHit>, bool)> {
         let t0 = Instant::now();
+        let (cache, metrics) = (self.cache(), &self.metrics);
         let num_docs = tier.num_docs();
         let key = |e: &Resolving<'_>| CacheKey::new(e.tokens, e.k.min(num_docs));
         let mut resolved: Vec<Option<(Vec<SearchHit>, bool)>> = vec![None; entries.len()];
@@ -1021,8 +991,7 @@ impl SessionManager {
                 genuine: vec![query.is_genuine],
             })
             .collect();
-        let cache = self.cache.as_ref().map(|plane| &*plane.results);
-        let resolved = Self::resolve(&tier, cache, &self.metrics, &members);
+        let resolved = self.resolve(&tier, &members);
         let reached: Vec<&[TermId]> = (members.iter().zip(&resolved))
             .filter(|(_, r)| !r.1)
             .map(|(m, _)| m.tokens)
@@ -1197,7 +1166,8 @@ impl SessionManager {
     }
 
     /// **Cycle atomicity**: reverses a planned cycle whose submissions
-    /// could not all be delivered within the scheduler's retry budget.
+    /// could not all be delivered (a drain entry failed, or the drain's
+    /// deadline left it unclaimed).
     /// The session's trace accounting is recomputed *without* the cycle
     /// — bit-exactly equal to a session that never formulated it (base
     /// accumulator plus a re-fold of the surviving in-flight journal,
@@ -1229,6 +1199,30 @@ impl SessionManager {
             user_tokens: record.user_tokens,
             k: record.k,
         })
+    }
+
+    /// Counts delivered outcomes against their cycles: the one place a
+    /// planned cycle leaves the rollback window, once none of its members
+    /// is outstanding. A session closed since planning is skipped.
+    pub(crate) fn settle(&self, delivered: &[SubmitOutcome]) {
+        let mut members: HashMap<&str, HashMap<usize, usize>> = HashMap::new();
+        for o in delivered {
+            *members
+                .entry(&o.session)
+                .or_default()
+                .entry(o.cycle_id)
+                .or_default() += 1;
+        }
+        for (id, cycles) in members {
+            let Ok(session) = self.session(id) else {
+                continue;
+            };
+            let mut session = recover_lock(&session);
+            for (cycle_id, members) in cycles {
+                session.deliver(cycle_id, members);
+            }
+            session.compact();
+        }
     }
 
     /// Spills one session's complete state (see

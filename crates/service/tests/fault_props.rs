@@ -5,13 +5,14 @@
 //!   has genuine rankings bit-identical to a fault-free run of the same
 //!   workload — faults may delay or kill cycles, never corrupt them.
 //! - **Cycle atomicity**: nothing is silently lost — every planned
-//!   cycle is either fully delivered or rolled back — and the coverage
-//!   identity `engine submissions + cache hits == resolved outcomes`
-//!   holds under retries and replans.
+//!   cycle, and every replan of one, is either fully delivered or rolled
+//!   back — and the coverage identity `engine submissions + cache hits ==
+//!   resolved outcomes` holds under failures and replans.
 //! - **Bit-exact rollback**: rolling a cycle back leaves the session's
 //!   trace accounting `to_bits`-identical to the snapshot taken before
 //!   the cycle was formulated (the never-formulated state) — also when a
-//!   drain had already delivered part of the cycle.
+//!   drain had already delivered part of the cycle, or rolled it back
+//!   for good itself.
 //!
 //! Corpus + LDA builds are the expensive part, so the sampled corpus
 //! dimension selects from a small pool of lazily-built random stacks
@@ -23,6 +24,7 @@ mod common;
 use common::{genuine_hits, metric_bits, stack, Stack};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock};
 use toppriv_service::{
     CycleScheduler, FaultKind, FaultPlane, FaultSpec, PlannedQuery, SessionManager, SessionMetrics,
@@ -53,6 +55,7 @@ proptest! {
         let clean = SessionManager::new(stack.engine.clone(), stack.model.clone())
             .with_cache(2048)
             .with_fleet_seed(fleet_seed);
+        let clean = Arc::new(clean);
         // Same fleet under a random fault schedule: worker panics at
         // `panic_rate` plus short shard stalls at `stall_rate`.
         let plane = Arc::new(
@@ -64,6 +67,7 @@ proptest! {
             .with_cache(2048)
             .with_fleet_seed(fleet_seed)
             .with_fault_plane(plane);
+        let faulty = Arc::new(faulty);
         for m in [&clean, &faulty] {
             for s in 0..tenants {
                 m.open_session(&format!("t{s}")).unwrap();
@@ -85,24 +89,25 @@ proptest! {
             }
         }
         let clean_queue = CycleScheduler::merge(clean_plans);
-        let clean_scheduler = CycleScheduler::for_manager(&clean, 2);
-        let drained = clean_scheduler.drain(clean_queue.clone());
-        let baseline = genuine_hits(&drained);
-        // On a fault-free queue the resilient drain is one round that rolls
-        // nothing back and returns what `drain` returns.
-        let again = clean_scheduler.drain_resilient(&clean, clean_queue);
-        prop_assert!(again.rounds == 1 && again.rolled_back.is_empty());
+        // A fault-free queue drains in one round that rolls nothing back,
+        // with one outcome per entry, in queue order.
+        let clean_report = CycleScheduler::for_manager(&clean, 2).drain_resilient(clean_queue.clone());
+        prop_assert!(clean_report.rounds == 1 && clean_report.rolled_back.is_empty());
+        prop_assert!(clean_report.discarded.is_empty());
         let key = |o: &SubmitOutcome| (o.session.clone(), o.cycle_id, o.time_secs.to_bits());
-        let keys = |outcomes: &[SubmitOutcome]| outcomes.iter().map(key).collect::<Vec<_>>();
-        prop_assert_eq!(keys(&again.outcomes), keys(&drained));
-        prop_assert_eq!(genuine_hits(&again.outcomes), baseline.clone());
+        let queued = clean_queue.iter().map(|p| {
+            (p.session.clone(), p.scheduled.cycle_id, p.scheduled.time_secs.to_bits())
+        });
+        let drained: Vec<_> = clean_report.outcomes.iter().map(key).collect();
+        prop_assert_eq!(drained, queued.collect::<Vec<_>>());
+        let baseline = genuine_hits(&clean_report.outcomes);
 
         let scheduler = CycleScheduler::for_manager(&faulty, 2);
-        let report = scheduler.drain_resilient(&faulty, CycleScheduler::merge(faulty_plans));
+        let report = scheduler.drain_resilient(CycleScheduler::merge(faulty_plans));
 
         // (a) Every delivered genuine ranking is bit-identical to the
-        // fault-free run — replanned cycles translate back to the
-        // original cycle they replaced.
+        // fault-free run — a replanned cycle, replanned again as often as
+        // it failed, translates back to the original cycle it replaced.
         let new_to_old: HashMap<(String, usize), usize> = report
             .replanned
             .iter()
@@ -111,10 +116,10 @@ proptest! {
         let delivered = genuine_hits(&report.outcomes);
         prop_assert!(!baseline.is_empty());
         for ((session, cycle_id), hits) in &delivered {
-            let orig = new_to_old
-                .get(&(session.clone(), *cycle_id))
-                .copied()
-                .unwrap_or(*cycle_id);
+            let mut orig = *cycle_id;
+            while let Some(&old) = new_to_old.get(&(session.clone(), orig)) {
+                orig = old;
+            }
             let expect = baseline
                 .get(&(session.clone(), orig))
                 .expect("delivered cycle must exist in the fault-free run");
@@ -133,9 +138,10 @@ proptest! {
             .iter()
             .map(|r| (r.session.clone(), r.cycle_id))
             .collect();
-        for key in &planned {
+        let replans = report.replanned.iter().map(|(s, _, new)| (s.clone(), *new));
+        for key in planned.iter().cloned().chain(replans) {
             prop_assert!(
-                delivered_keys.contains(key) || rolled.contains(key),
+                delivered_keys.contains(&key) || rolled.contains(&key),
                 "cycle {:?} neither delivered nor rolled back",
                 key
             );
@@ -143,9 +149,9 @@ proptest! {
         // A cycle is never both.
         prop_assert!(delivered_keys.is_disjoint(&rolled));
 
-        // (c) Coverage identity under retries: every resolved per-tenant
+        // (c) Coverage identity under failures: every resolved per-tenant
         // outcome (delivered or discarded) was served by exactly one
-        // engine submission or cache hit — failed attempts never count.
+        // engine submission or cache hit — failed entries never count.
         let g = faulty.metrics().global;
         prop_assert_eq!(
             g.submitted,
@@ -157,9 +163,11 @@ proptest! {
     /// Bit-exact rollback: unwinding planned cycles newest-first steps
     /// the session's accounting back through the exact snapshots taken
     /// before each plan — including refolds over a non-empty in-flight
-    /// journal, and for cycles a drain delivered only in part (some
-    /// members never drained, or one member terminally failed) — and a
-    /// fully delivered cycle refuses to unwind.
+    /// journal, for cycles a drain delivered only in part (some members
+    /// never drained), and for cycles whose genuine member failed in
+    /// every round, which the drain rolled back for good itself after
+    /// replanning and rolling back each replan — and a fully delivered
+    /// cycle refuses to unwind.
     #[test]
     fn rollback_restores_never_formulated_accounting(
         stack_idx in 0usize..2,
@@ -167,14 +175,23 @@ proptest! {
         n in 2usize..=5,
         query_salt in 0usize..64,
         deliver_salt in 0usize..2,
-        // What happens to each cycle before its rollback: 0 = never
-        // drained, 1 = all but its last member drained, 2 = drained with
-        // its genuine member failing every attempt.
+        // What happens to each cycle: 0 = never drained, 1 = all but its
+        // last member drained, then rolled back; 2 = drained, at its turn
+        // to roll back, with its genuine member failing in every round.
         partial_modes in collection::vec(0usize..3, 5..6),
     ) {
         let stack = &stacks()[stack_idx];
+        // While `doomed` is set, every genuine member fails.
+        let doomed = Arc::new(AtomicBool::new(false));
+        let armed = doomed.clone();
+        let plane = FaultPlane::new(0).with_spec(FaultSpec::predicate(
+            FaultKind::WorkerPanic,
+            Arc::new(move |p: &PlannedQuery| p.scheduled.is_genuine && armed.load(SeqCst)),
+        ));
         let manager = SessionManager::new(stack.engine.clone(), stack.model.clone())
-            .with_fleet_seed(fleet_seed);
+            .with_fleet_seed(fleet_seed)
+            .with_fault_plane(Arc::new(plane));
+        let manager = Arc::new(manager);
         manager.open_session("t0").unwrap();
         let mut pre: Vec<SessionMetrics> = Vec::new();
         let mut plans = Vec::new();
@@ -184,17 +201,12 @@ proptest! {
             plans.push(manager.plan_cycle("t0", &q.tokens, 10).unwrap());
         }
         let ids: Vec<usize> = plans.iter().map(|p| p[0].scheduled.cycle_id).collect();
-        let clean = CycleScheduler::for_manager(&manager, 2);
-        let genuine_fails = CycleScheduler::for_manager(&manager, 2)
-            .with_fault_plane(Arc::new(FaultPlane::new(0).with_spec(FaultSpec::predicate(
-                FaultKind::WorkerPanic,
-                Arc::new(|p: &PlannedQuery| p.scheduled.is_genuine),
-            ))));
+        let scheduler = CycleScheduler::for_manager(&manager, 2);
         let deliver_first = deliver_salt == 1;
         let delivered = if deliver_first {
             // Draining the oldest cycle in full seals it: it must
             // survive the unwind below, and rolling it back must fail.
-            let drained = clean.drain(plans[0].clone());
+            let drained = scheduler.drain(plans[0].clone());
             prop_assert_eq!(drained.len(), plans[0].len());
             1
         } else {
@@ -205,18 +217,24 @@ proptest! {
             match partial_modes[i] {
                 1 if plan.len() > 1 => {
                     let some = plan[..plan.len() - 1].to_vec();
-                    prop_assert_eq!(clean.drain(some).len(), plan.len() - 1);
-                }
-                2 => {
-                    let err = genuine_fails.try_drain(plan).expect_err("genuine member fails");
-                    prop_assert_eq!(err.failures.len(), 1);
+                    prop_assert_eq!(scheduler.drain(some).len(), plan.len() - 1);
                 }
                 _ => {}
             }
         }
         for i in (delivered..n).rev() {
-            let rb = manager.rollback_cycle("t0", ids[i]).unwrap();
-            prop_assert_eq!(rb.cycle_id, ids[i]);
+            if partial_modes[i] == 2 {
+                // The drain itself rolls the cycle back, and each replan.
+                doomed.store(true, SeqCst);
+                let report = scheduler.drain_resilient(plans[i].clone());
+                doomed.store(false, SeqCst);
+                prop_assert!(report.outcomes.is_empty());
+                prop_assert_eq!(report.rolled_back[0].cycle_id, ids[i]);
+                prop_assert_eq!(report.rolled_back.len(), report.replanned.len() + 1);
+            } else {
+                let rb = manager.rollback_cycle("t0", ids[i]).unwrap();
+                prop_assert_eq!(rb.cycle_id, ids[i]);
+            }
             let now = manager.session_metrics("t0").unwrap();
             prop_assert_eq!(metric_bits(&pre[i]), metric_bits(&now), "cycle {}", ids[i]);
             // Double rollback of the same cycle is rejected.

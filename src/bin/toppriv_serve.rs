@@ -392,9 +392,9 @@ fn run_demo(args: &Args) {
         None => CycleScheduler::merge(plans),
     };
     // The self-healing drain: on a fault-free queue it is one round with
-    // nothing rolled back; under injected faults it retries, replans and
-    // rolls cycles back instead of losing work.
-    let report = scheduler.drain_resilient(&manager, queue);
+    // nothing rolled back; under injected faults it rolls back and
+    // replans the cycles of failed entries instead of losing work.
+    let report = scheduler.drain_resilient(queue);
     eprintln!(
         "[toppriv-serve] resilient drain: {} round(s), {} cycle(s) rolled back, {} replanned",
         report.rounds,
