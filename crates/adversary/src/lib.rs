@@ -21,7 +21,7 @@ pub use eval::{
     jaccard, run_coherence_attack, run_exposure_attack, run_probing_attack,
     run_term_elimination_attack, AttackReport,
 };
-pub use logview::{merge_shard_logs, LogAnalysis, LogAnalyzer, LogAnalyzerConfig, WindowAnalysis};
+pub use logview::{LogAnalysis, LogAnalyzer, LogAnalyzerConfig, WindowAnalysis};
 pub use timing::{
     guess_genuine, run_timing_attack, segment_by_gap, TimingAttackReport, TimingHeuristic,
 };

@@ -7,16 +7,9 @@
 //! cumulative boost crosses a suspicion threshold, and detects bursts of
 //! same-topic activity.
 //!
-//! When the engine is term-sharded, the adversary's view is sharded too:
-//! each shard logs only the sub-query routed to it, stamped with a
-//! *global* ordinal. A colluding adversary who can read every shard's
-//! log reassembles the full trace with [`merge_shard_logs`] and analyzes
-//! it exactly as before: the analysis operates on token posteriors, and
-//! the reassembled *token* trace is identical to the single engine's.
-//! (The raw-text channel is strictly narrower on the sharded tier —
-//! shards receive terms, not strings, so out-of-vocabulary words are
-//! visible only at the router — which makes the sharded adversary no
-//! stronger than the one the privacy guarantee is certified against.)
+//! A term-sharded engine is the same adversary: it keeps one log and
+//! records each submission whole, so its trace is the single engine's
+//! entry for entry and the analysis runs on it unchanged.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -67,44 +60,6 @@ pub struct LogAnalysis {
     /// Topics flagged in at least `min_windows` windows, with their
     /// window counts — the adversary's shortlist of suspected interests.
     pub persistent_topics: Vec<(usize, usize)>,
-}
-
-/// Reassembles a global query trace from per-shard logs (the output of
-/// `ShardedEngine::shard_logs`). Entries sharing an ordinal are the
-/// per-shard slices of one client submission: their tokens are unioned
-/// (sorted — the engine treats queries as bags of words) and their text
-/// fragments joined in shard order. Entries a shard has already trimmed
-/// under its capacity bound are simply missing from that submission's
-/// reconstruction, exactly as a real colluding adversary would see.
-pub fn merge_shard_logs(shard_logs: &[Vec<LoggedQuery>]) -> Vec<LoggedQuery> {
-    use std::collections::BTreeMap;
-    let mut merged: BTreeMap<u64, LoggedQuery> = BTreeMap::new();
-    for entries in shard_logs {
-        for entry in entries {
-            match merged.entry(entry.ordinal) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(entry.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let q = o.get_mut();
-                    q.tokens.extend(entry.tokens.iter().copied());
-                    if !entry.text.is_empty() {
-                        if !q.text.is_empty() {
-                            q.text.push(' ');
-                        }
-                        q.text.push_str(&entry.text);
-                    }
-                }
-            }
-        }
-    }
-    merged
-        .into_values()
-        .map(|mut q| {
-            q.tokens.sort_unstable();
-            q
-        })
-        .collect()
 }
 
 /// The analyzer: an LDA-equipped adversary over the query log.
@@ -265,99 +220,6 @@ mod tests {
                 !persistent.contains(&t) || persistent.len() > 1,
                 "the genuine topic must not be the sole persistent flag: {persistent:?}"
             );
-        }
-    }
-
-    #[test]
-    fn merge_shard_logs_reassembles_the_trace() {
-        // Two shards, two submissions: ordinal 0 split across both
-        // shards, ordinal 1 entirely on shard 1.
-        let shard0 = vec![log_entry(0, vec![4, 0])];
-        let shard1 = vec![
-            LoggedQuery {
-                ordinal: 0,
-                text: "beta".into(),
-                tokens: vec![2],
-            },
-            log_entry(1, vec![5, 3]),
-        ];
-        let merged = merge_shard_logs(&[shard0, shard1]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].ordinal, 0);
-        assert_eq!(merged[0].tokens, vec![0, 2, 4], "union, sorted");
-        assert_eq!(merged[0].text, "beta");
-        assert_eq!(merged[1].tokens, vec![3, 5]);
-        assert!(merge_shard_logs(&[]).is_empty());
-    }
-
-    #[test]
-    fn sharded_adversary_sees_the_same_trace_as_single() {
-        use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
-        use tsearch_text::{Analyzer, Vocabulary};
-
-        let mut vocab = Vocabulary::new();
-        let words: Vec<String> = (0..32).map(|i| format!("term{i:02}x")).collect();
-        for w in &words {
-            vocab.intern(w);
-        }
-        let mut docs: Vec<Vec<TermId>> = Vec::new();
-        let mut texts: Vec<String> = Vec::new();
-        for d in 0..60u32 {
-            let base = (d % 4) * 8;
-            let tokens: Vec<TermId> = (0..24).map(|i| base + (i % 8)).collect();
-            texts.push(
-                tokens
-                    .iter()
-                    .map(|&t| words[t as usize].as_str())
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            );
-            docs.push(tokens);
-        }
-        for d in &docs {
-            vocab.observe_document(d);
-        }
-        let refs: Vec<&[TermId]> = docs.iter().map(|d| d.as_slice()).collect();
-        let single = SearchEngine::build(
-            &refs,
-            &texts,
-            Analyzer::new(),
-            vocab.clone(),
-            ScoringModel::TfIdfCosine,
-        );
-        let sharded = ShardedEngine::build(
-            &refs,
-            &texts,
-            Analyzer::new(),
-            vocab,
-            ScoringModel::TfIdfCosine,
-            4,
-        );
-        // The same submission stream hits both engines.
-        let stream: Vec<Vec<TermId>> =
-            vec![vec![0, 1, 2], vec![8, 9], vec![0, 9, 16, 25], vec![24]];
-        for q in &stream {
-            single.search_tokens(q, 5);
-            sharded.search_tokens(q, 5);
-        }
-        let merged = merge_shard_logs(&sharded.shard_logs());
-        let reference = single.query_log();
-        assert_eq!(merged.len(), reference.len());
-        for (m, r) in merged.iter().zip(&reference) {
-            assert_eq!(m.ordinal, r.ordinal);
-            let mut expected = r.tokens.clone();
-            expected.sort_unstable();
-            assert_eq!(m.tokens, expected, "ordinal {}", m.ordinal);
-        }
-        // And the analyzer reaches the same conclusions over both views
-        // (posteriors are bag-of-words, so token order is irrelevant).
-        let model = trained_model();
-        let analyzer = LogAnalyzer::new(model, LogAnalyzerConfig::default());
-        let a = analyzer.analyze(&merged, 1);
-        let b = analyzer.analyze(&reference, 1);
-        assert_eq!(a.persistent_topics, b.persistent_topics);
-        for (x, y) in a.trace_boosts.iter().zip(&b.trace_boosts) {
-            assert!((x - y).abs() < 1e-12);
         }
     }
 

@@ -31,7 +31,7 @@ use crate::context::{ExperimentContext, FLEET_SEED, FLEET_WORKERS, TOP_K};
 use crate::table::{f3, ResultTable};
 use crate::verdict::{InvariantBlock, ScenarioReport};
 use std::sync::Arc;
-use toppriv_adversary::{merge_shard_logs, run_classifier_attack};
+use toppriv_adversary::run_classifier_attack;
 use toppriv_core::{CycleResult, PrivacyRequirement};
 use toppriv_service::{CycleScheduler, GhostPlanner, PlannedQuery, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, WorkloadConfig};
@@ -279,9 +279,7 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
     };
     let (privacy, art) = run_fleet(ctx, PRIVACY_SESSIONS, true, &privacy_workload);
     let (_, unshared) = run_fleet(ctx, PRIVACY_SESSIONS, false, &privacy_workload);
-    let tier = art.manager.tier();
-    let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
-    let merged = merge_shard_logs(&shard_logs);
+    let logged = art.manager.tier().query_log();
     let nb = topic_classifier(ctx);
     let report = run_classifier_attack(&nb, &art.cycles, &art.truths);
     let off = run_classifier_attack(&nb, &unshared.cycles, &unshared.truths);
@@ -291,19 +289,19 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
         "sharing_adds_no_genuine_identification",
         format!(
             "{} sessions x {PRIVACY_CYCLES} cycles over {} generated queries ({} coalesced, \
-             {} reused), {} merged submissions: genuine id {on_id:.3} planner on vs \
+             {} reused), {} logged submissions: genuine id {on_id:.3} planner on vs \
              {off_id:.3} off + 3 SE {margin:.3} (chance {:.3}), cycle recovery {:.3} vs \
              unprotected {:.3}",
             privacy.sessions,
             wide.len(),
             privacy.coalesced,
             privacy.reused,
-            merged.len(),
+            logged.len(),
             report.genuine_chance,
             report.cycle_recovery,
             report.unprotected_recovery
         ),
-        !merged.is_empty()
+        !logged.is_empty()
             && privacy.coalesced > 0
             && privacy.worst_violation <= 1e-9
             && privacy.audit_healthy

@@ -2,8 +2,8 @@
 //! through the fleet simulation's steps, each checked against the
 //! reference model: once with every cycle planned plainly, once through
 //! the ghost planner (ghost reuse and coalesced shared submissions). Then
-//! every shard of the term-sharded tier colludes: they merge their query
-//! logs and attack the cycles with a naive-Bayes classifier trained on the
+//! the term-sharded tier, the curious server, reads its query log and
+//! attacks the cycles with a naive-Bayes classifier trained on the
 //! ground-truth document taxonomy. With or without sharing, the attack
 //! stays within the paper's `(ε1, ε2)` story.
 
@@ -11,7 +11,7 @@
 mod sim;
 
 use sim::{stack, Sim, Step};
-use toppriv_adversary::{merge_shard_logs, run_classifier_attack, NaiveBayes};
+use toppriv_adversary::{run_classifier_attack, NaiveBayes};
 use toppriv_core::{CycleResult, PrivacyRequirement};
 use tsearch_corpus::{generate_workload, GeneratedDoc, WorkloadConfig};
 
@@ -31,7 +31,7 @@ fn storm(sim: &mut Sim, through_planner: bool) {
     }
 }
 
-/// The storm's privacy facts, then the colluding shards' attack on it.
+/// The storm's privacy facts, then the engine's attack on it.
 fn shards_collude_within_epsilon_bounds(sim: &Sim) {
     let eps = PrivacyRequirement::paper_default();
     let joined = sim.closed.len() + sim.open_tenants().len();
@@ -49,13 +49,12 @@ fn shards_collude_within_epsilon_bounds(sim: &Sim) {
         let consistent = m.mean_exposure <= m.mean_mask_level + 1e-9;
         assert!(m.cycles > 0 && consistent, "{m:?}");
     }
-    // The colluding shards reassemble the whole trace: what the cache
-    // served never reached them, everything else did.
-    let tier = sim.manager.tier();
-    let merged = merge_shard_logs(&tier.as_sharded().expect("sharded").shard_logs());
+    // The engine's log holds the whole trace: what the cache served never
+    // reached it, everything else did.
+    let logged = sim.manager.tier().query_log();
     let cache_hits = sim.manager.metrics().global.cache_hits as usize;
-    assert!(!merged.is_empty(), "colluding shards saw the trace");
-    assert_eq!(merged.len() + cache_hits, sim.drained);
+    assert!(!logged.is_empty(), "the engine saw the trace");
+    assert_eq!(logged.len() + cache_hits, sim.drained);
 
     // The strongest classifier the enterprise can field: trained on the
     // ground-truth dominant topic of every document it hosts.
@@ -92,7 +91,7 @@ fn colluding_shards_stay_within_epsilon_bounds_at_scale() {
 fn planner_sharing_preserves_per_session_privacy_at_scale() {
     // A modest pool shared by many tenants: overlap for the planner to
     // exploit, and the hard case for privacy (most cross-tenant
-    // correlation in the merged logs).
+    // correlation in the engine's log).
     let workload = WorkloadConfig {
         num_queries: 24,
         ..Default::default()

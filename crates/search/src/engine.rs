@@ -46,7 +46,7 @@
 //! shallower copy when a later key needs it, so no batch, however
 //! hostile, grows the walk's memory.
 
-use crate::log::QueryLog;
+use crate::log::{LoggedQuery, QueryLog};
 use crate::query::Query;
 use crate::score::ScoringModel;
 use crate::topk::{SearchHit, TopK};
@@ -56,8 +56,6 @@ use std::time::{Duration, Instant};
 use toppriv_obs::{recover_lock, HistogramHandle};
 use tsearch_index::{DocumentStore, InvertedIndex, Posting};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
-
-pub use crate::log::LoggedQuery;
 
 /// Metric name: single-engine accumulation latency (µs): one sample per
 /// ranked key of a batch, the terms its walk added past the prefix it
@@ -127,13 +125,9 @@ impl SearchEngine {
     /// Executes a text query, returning the best `k` documents. The query
     /// is recorded in the server-side log.
     pub fn search(&self, text: &str, k: usize) -> Vec<SearchHit> {
-        let query = Query::parse(text, &self.analyzer, &self.vocab);
-        let tokens = query
-            .terms()
-            .flat_map(|(t, tf)| std::iter::repeat_n(t, tf as usize))
-            .collect();
-        recover_lock(&self.log).push(text.to_string(), tokens);
-        self.evaluate(&query, k)
+        let tokens = self.analyzer.analyze_frozen(text, &self.vocab);
+        recover_lock(&self.log).push(Some(text), tokens.iter().copied());
+        self.evaluate(&Query::from_tokens(&tokens), k)
     }
 
     /// Executes a pre-analyzed token query. The log keeps the tokens as
@@ -151,7 +145,7 @@ impl SearchEngine {
     pub fn log_tokens(&self, submissions: &[&[TermId]]) {
         let mut log = recover_lock(&self.log);
         for tokens in submissions {
-            log.push_tokens(tokens.iter().copied());
+            log.push(None, tokens.iter().copied());
         }
     }
 
@@ -212,11 +206,7 @@ impl SearchEngine {
     /// submission order, which is the order of its text; its `tokens` are
     /// the sorted bag the engine evaluated, as every entry's are.
     pub fn query_log(&self) -> Vec<LoggedQuery> {
-        let mut entries = recover_lock(&self.log).snapshot_with(|t| self.vocab.term(t));
-        for entry in &mut entries {
-            entry.tokens.sort_unstable();
-        }
-        entries
+        recover_lock(&self.log).snapshot_with(|t| self.vocab.term(t))
     }
 
     /// Clears the query log (between experiments). Ordinals restart.

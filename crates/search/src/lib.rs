@@ -36,7 +36,7 @@ pub mod topk;
 
 pub use engine::{SearchEngine, MAX_SAVED_ACCUMULATORS, M_EVAL_US};
 pub use eval::result_lists_identical;
-pub use log::{LoggedQuery, QueryLog};
+pub use log::LoggedQuery;
 pub use query::Query;
 pub use score::ScoringModel;
 pub use sharded::{ShardedEngine, M_GATHER_US, M_SHARD_EVAL_US};

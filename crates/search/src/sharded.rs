@@ -26,12 +26,11 @@
 //! still show the scatter/gather split, which sums shard by shard and so
 //! may land an ulp away.
 //!
-//! The adversary view is sharded as well: each shard keeps its **own**
-//! bounded query log and records only the sub-query routed to it, with
-//! ordinals drawn from one atomic counter. The service writes a drain's
-//! log in one pass after its workers join, and a wire search's after it
-//! resolves; `toppriv_adversary::merge_shard_logs` reconstructs the
-//! global trace for after-the-fact analysis.
+//! The adversary view is not sharded: the engine is the curious server,
+//! and it keeps the single engine's one bounded query log, logging each
+//! submission whole. For the same submissions `query_log()` equals
+//! [`SearchEngine::query_log`](crate::SearchEngine::query_log) field for
+//! field (the log-equality property in `tests/sharded_props.rs`).
 
 use crate::engine::{accumulate_term, with_accumulator, Accumulator, Scorer, TfTable};
 use crate::log::{LoggedQuery, QueryLog};
@@ -39,11 +38,10 @@ use crate::query::Query;
 use crate::score::ScoringModel;
 use crate::topk::SearchHit;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use toppriv_obs::{recover_lock, HistogramHandle};
-use tsearch_index::{DocumentStore, ShardRouter, ShardedIndex};
+use tsearch_index::{DocumentStore, ShardedIndex};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 /// Metric name: per-shard accumulation latency (µs), labeled `shard=`:
@@ -57,7 +55,7 @@ pub const M_SHARD_EVAL_US: &str = "engine_shard_eval_us";
 pub const M_GATHER_US: &str = "engine_gather_us";
 
 /// A search engine whose postings are term-sharded across N independent
-/// slices, each with its own query log.
+/// slices, behind one query log.
 pub struct ShardedEngine {
     index: ShardedIndex,
     store: DocumentStore,
@@ -66,10 +64,7 @@ pub struct ShardedEngine {
     model: ScoringModel,
     /// Global per-document cosine norms (over the full term space).
     doc_norms: Vec<f64>,
-    /// Global arrival counter feeding every shard log.
-    next_ordinal: AtomicU64,
-    /// One independently locked log per shard.
-    logs: Vec<Mutex<QueryLog>>,
+    log: Mutex<QueryLog>,
     /// Per-shard scatter-latency histograms (global registry handles,
     /// prefetched so the query path never touches the registry lock).
     shard_eval_us: Vec<HistogramHandle>,
@@ -87,9 +82,6 @@ impl ShardedEngine {
         model: ScoringModel,
     ) -> Self {
         let doc_norms = compute_global_doc_norms(&index, model);
-        let logs = (0..index.num_shards())
-            .map(|_| Mutex::new(QueryLog::new()))
-            .collect();
         let registry = toppriv_obs::global();
         let shard_eval_us = (0..index.num_shards())
             .map(|s| registry.histogram(M_SHARD_EVAL_US, &[("shard", &s.to_string())]))
@@ -102,8 +94,7 @@ impl ShardedEngine {
             vocab,
             model,
             doc_norms,
-            next_ordinal: AtomicU64::new(0),
-            logs,
+            log: Mutex::new(QueryLog::new()),
             shard_eval_us,
             gather_us,
         }
@@ -129,54 +120,36 @@ impl ShardedEngine {
         self.index.num_shards()
     }
 
-    /// The term router (which shard owns each term).
-    pub fn router(&self) -> &ShardRouter {
-        self.index.router()
-    }
-
     /// The sorted shard set a token query touches.
     pub fn shard_set(&self, tokens: &[TermId]) -> Vec<usize> {
         self.index.shard_set(tokens.iter().copied())
     }
 
-    /// Executes a text query, returning the best `k` documents. Each
-    /// touched shard records the sub-query routed to it.
+    /// Executes a text query, returning the best `k` documents. The query
+    /// is recorded in the server-side log with its raw text, as
+    /// [`SearchEngine::search`](crate::SearchEngine::search) records it.
     pub fn search(&self, text: &str, k: usize) -> Vec<SearchHit> {
-        let query = Query::parse(text, &self.analyzer, &self.vocab);
-        self.log(self.next_ordinal.fetch_add(1, Ordering::Relaxed), &query);
-        self.evaluate(&query, k)
+        let tokens = self.analyzer.analyze_frozen(text, &self.vocab);
+        recover_lock(&self.log).push(Some(text), tokens.iter().copied());
+        self.evaluate(&Query::from_tokens(&tokens), k)
     }
 
-    /// Executes a pre-analyzed token query (each shard logs the slice of
-    /// terms it owns; the slice's canonical text is rendered when the
-    /// shard's log is read).
+    /// Executes a pre-analyzed token query. The log keeps the tokens as
+    /// submitted; the entry's canonical text is rendered from them when
+    /// [`ShardedEngine::query_log`] is read.
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
-        let query = Query::from_tokens(tokens);
-        self.log(self.next_ordinal.fetch_add(1, Ordering::Relaxed), &query);
-        self.evaluate(&query, k)
+        self.log_tokens(&[tokens]);
+        self.evaluate(&Query::from_tokens(tokens), k)
     }
 
     /// Logs each pre-analyzed submission, in order, under consecutive
-    /// global ordinals, as [`ShardedEngine::search_tokens`] logs one. A
-    /// caller that ranks through [`ShardedEngine::evaluate_batch`] logs
-    /// what it ranked here.
+    /// ordinals, as [`ShardedEngine::search_tokens`] logs one. A caller
+    /// that ranks through [`ShardedEngine::evaluate_batch`] logs what it
+    /// ranked here.
     pub fn log_tokens(&self, submissions: &[&[TermId]]) {
-        let first = (self.next_ordinal).fetch_add(submissions.len() as u64, Ordering::Relaxed);
-        for (ordinal, tokens) in (first..).zip(submissions) {
-            self.log(ordinal, &Query::from_tokens(tokens));
-        }
-    }
-
-    /// Logs one submission: each shard it touches records its slice under
-    /// the one global `ordinal`.
-    fn log(&self, ordinal: u64, query: &Query) {
-        for slice in shard_slices(&self.route(query)) {
-            recover_lock(&self.logs[slice[0].shard]).push_tokens_at(
-                ordinal,
-                slice
-                    .iter()
-                    .flat_map(|r| std::iter::repeat_n(r.term, r.qtf as usize)),
-            );
+        let mut log = recover_lock(&self.log);
+        for tokens in submissions {
+            log.push(None, tokens.iter().copied());
         }
     }
 
@@ -204,23 +177,6 @@ impl ShardedEngine {
             gather_us: &self.gather_us,
         };
         scorer.rank_batch(batch)
-    }
-
-    /// The query's terms with their owning shards, ordered by shard and,
-    /// within a shard, by term — the slices the shard logs record.
-    fn route(&self, query: &Query) -> Vec<RoutedTerm> {
-        let router = self.index.router();
-        let mut routed: Vec<RoutedTerm> = query
-            .terms()
-            .map(|(term, qtf)| RoutedTerm {
-                shard: router.shard_of(term),
-                term,
-                qtf,
-            })
-            .collect();
-        // Stable: `terms()` is term-ascending and stays so within a shard.
-        routed.sort_by_key(|r| r.shard);
-        routed
     }
 
     /// Scatter step: the partial (unnormalized) score contributions of
@@ -278,36 +234,22 @@ impl ShardedEngine {
         }
     }
 
-    /// Snapshot of one shard's query log (each entry's text rendered
-    /// from its token slice), in ordinal order: an ordinal is drawn before
-    /// its slices are pushed, so two submitters can reach one shard's log
-    /// out of ordinal order.
-    pub fn query_log(&self, shard_id: usize) -> Vec<LoggedQuery> {
-        let mut entries = recover_lock(&self.logs[shard_id]).snapshot_with(|t| self.vocab.term(t));
-        entries.sort_by_key(|e| e.ordinal);
-        entries
+    /// Snapshot of the server-side query log — the adversary's view, as
+    /// [`SearchEngine::query_log`](crate::SearchEngine::query_log) reads
+    /// it.
+    pub fn query_log(&self) -> Vec<LoggedQuery> {
+        recover_lock(&self.log).snapshot_with(|t| self.vocab.term(t))
     }
 
-    /// Snapshots of every shard's log, in shard-id order — the input to
-    /// `toppriv_adversary::merge_shard_logs`.
-    pub fn shard_logs(&self) -> Vec<Vec<LoggedQuery>> {
-        (0..self.num_shards()).map(|s| self.query_log(s)).collect()
+    /// Clears the query log. Ordinals restart.
+    pub fn clear_query_log(&self) {
+        recover_lock(&self.log).clear();
     }
 
-    /// Clears every shard log and restarts the global ordinal counter.
-    pub fn clear_query_logs(&self) {
-        for log in &self.logs {
-            recover_lock(log).clear();
-        }
-        self.next_ordinal.store(0, Ordering::Relaxed);
-    }
-
-    /// Bounds **each** shard log to `capacity` entries (total retention
-    /// is `capacity × num_shards` across the engine).
+    /// Bounds the query log to the most recent `capacity` entries;
+    /// ordinals keep counting across dropped entries.
     pub fn set_query_log_capacity(&self, capacity: usize) {
-        for log in &self.logs {
-            recover_lock(log).set_capacity(capacity);
-        }
+        recover_lock(&self.log).set_capacity(capacity);
     }
 
     /// Fetches a result document's text.
@@ -334,21 +276,6 @@ impl ShardedEngine {
     pub fn model(&self) -> ScoringModel {
         self.model
     }
-}
-
-/// One term of a routed query.
-#[derive(Debug, Clone, Copy)]
-struct RoutedTerm {
-    /// The shard owning the term's postings.
-    shard: usize,
-    term: TermId,
-    /// Query-side term frequency.
-    qtf: u32,
-}
-
-/// The per-shard slices of a routed query, in ascending shard order.
-fn shard_slices(routed: &[RoutedTerm]) -> impl Iterator<Item = &[RoutedTerm]> {
-    routed.chunk_by(|a, b| a.shard == b.shard)
 }
 
 /// Global cosine norms over a sharded index: shards partition the term
@@ -448,86 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_logs_partition_the_query() {
-        let (_, sharded) = engines(ScoringModel::TfIdfCosine, 4);
-        sharded.search("apache market helicopter", 5);
-        sharded.search("shares investors", 5);
-        let logs = sharded.shard_logs();
-        // Union of all shard entries per ordinal reassembles the queries.
-        let mut by_ordinal: std::collections::BTreeMap<u64, Vec<TermId>> = Default::default();
-        for entries in &logs {
-            for e in entries {
-                by_ordinal.entry(e.ordinal).or_default().extend(&e.tokens);
-            }
-        }
-        assert_eq!(by_ordinal.len(), 2, "two submissions, two ordinals");
-        let first = &by_ordinal[&0];
-        assert_eq!(first.len(), 3, "three terms logged across shards");
-        // Each shard saw only terms it owns.
-        for (s, entries) in logs.iter().enumerate() {
-            for e in entries {
-                for &t in &e.tokens {
-                    assert_eq!(sharded.router().shard_of(t), s);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_entries_carry_the_canonical_text_of_their_slice() {
-        let (_, sharded) = engines(ScoringModel::TfIdfCosine, 4);
-        sharded.search_tokens(&[5, 0, 5, 9, 2], 5);
-        sharded.search_tokens(&[], 5);
-        sharded.search("Apache  helicopters!", 5);
-        let logs = sharded.shard_logs();
-        let mut slices = 0;
-        for entries in &logs {
-            for e in entries {
-                let words: Vec<&str> = e.tokens.iter().map(|&t| sharded.vocab().term(t)).collect();
-                assert_eq!(e.text, words.join(" "));
-                assert!(e.tokens.windows(2).all(|w| w[0] <= w[1]));
-                assert!(!e.tokens.is_empty(), "an untouched shard logs nothing");
-                slices += 1;
-            }
-        }
-        assert!(slices >= 2);
-        // A shard never sees raw text: the third submission is logged as
-        // the one vocabulary term it analyzed to, under ordinal 2 (the
-        // empty second submission drew ordinal 1 and touched no shard).
-        let last: Vec<&LoggedQuery> = logs.iter().flatten().filter(|e| e.ordinal == 2).collect();
-        assert_eq!(last.len(), 1);
-        assert_eq!(last[0].text, "apache");
-        assert!(logs.iter().flatten().all(|e| e.ordinal != 1));
-        let mut first: Vec<TermId> = logs
-            .iter()
-            .flatten()
-            .filter(|e| e.ordinal == 0)
-            .flat_map(|e| e.tokens.iter().copied())
-            .collect();
-        first.sort_unstable();
-        assert_eq!(first, vec![0, 2, 5, 5, 9]);
-    }
-
-    #[test]
-    fn log_capacity_bounds_each_shard() {
-        let (_, sharded) = engines(ScoringModel::TfIdfCosine, 2);
-        sharded.set_query_log_capacity(3);
-        for _ in 0..10 {
-            sharded.search("apache", 1);
-        }
-        for entries in sharded.shard_logs() {
-            assert!(entries.len() <= 3);
-        }
-        sharded.clear_query_logs();
-        assert!(sharded.shard_logs().iter().all(|l| l.is_empty()));
-    }
-
-    #[test]
     fn evaluate_does_not_log() {
         let (_, sharded) = engines(ScoringModel::TfIdfCosine, 2);
         let q = Query::from_tokens(&[0]);
         sharded.evaluate(&q, 5);
-        assert!(sharded.shard_logs().iter().all(|l| l.is_empty()));
+        assert!(sharded.query_log().is_empty());
     }
 
     #[test]

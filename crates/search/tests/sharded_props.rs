@@ -1,9 +1,10 @@
-//! Shard-equivalence property: for ANY corpus, query, scoring model, and
-//! shard count 1–8, [`ShardedEngine`] returns the same ranked top-k as
-//! the single [`SearchEngine`] over the same documents. This is the
+//! Shard-equivalence properties: for ANY corpus, query, scoring model,
+//! and shard count 1–8, [`ShardedEngine`] returns the same ranked top-k
+//! as the single [`SearchEngine`] over the same documents, and for the
+//! same submissions it logs the same adversary trace. This is the
 //! contract the whole sharded search tier rests on — the service layer
 //! may split a tenant fleet across shards only because sharding is
-//! invisible in the results.
+//! invisible in the results and in what the curious server records.
 
 use proptest::prelude::*;
 use tsearch_search::{
@@ -156,15 +157,14 @@ proptest! {
             ScoringModel::TfIdfCosine
         };
         let (single, sharded) = build_engines(&docs, vocab_size, model, shards);
-        let queries: Vec<(&Vec<u32>, Query)> =
-            queries.iter().map(|t| (t, Query::from_tokens(t))).collect();
+        let queries: Vec<Query> = queries.iter().map(|t| Query::from_tokens(t)).collect();
         // Every query runs on this one thread before anything is
         // compared, so each evaluation after the first starts from the
         // scratch its predecessor used: a slot left dirty shows up as a
         // wrong score or a stray document below.
-        let actual: Vec<_> = queries.iter().map(|(_, q)| sharded.evaluate(q, k)).collect();
-        let expected: Vec<_> = queries.iter().map(|(_, q)| single.evaluate(q, k)).collect();
-        for (((tokens, query), expected), actual) in queries.iter().zip(&expected).zip(&actual) {
+        let actual: Vec<_> = queries.iter().map(|q| sharded.evaluate(q, k)).collect();
+        let expected: Vec<_> = queries.iter().map(|q| single.evaluate(q, k)).collect();
+        for ((query, expected), actual) in queries.iter().zip(&expected).zip(&actual) {
             // The brute-force ranking never touches the scratch.
             let reference = single.evaluate_bruteforce(query, k);
             prop_assert_eq!(expected.len(), reference.len());
@@ -175,19 +175,97 @@ proptest! {
             // Both tiers add a document's terms in ascending term order,
             // so the sharded scores are the single engine's to the bit.
             prop_assert_eq!(bits(expected), bits(actual));
-            // The shard logs must jointly cover exactly the query's terms.
-            sharded.clear_query_logs();
-            sharded.search_tokens(tokens, k);
-            let mut logged: Vec<u32> = sharded
-                .shard_logs()
-                .iter()
-                .flatten()
-                .flat_map(|e| e.tokens.iter().copied())
-                .collect();
-            logged.sort_unstable();
-            let mut sent = (*tokens).clone();
-            sent.sort_unstable();
-            prop_assert_eq!(logged, sent);
         }
     }
+
+    /// Both engines log each submission whole into one ring: whatever mix
+    /// of token searches, raw-text searches, batched logs, capacity
+    /// bounds and clears reaches them, their `query_log()` snapshots are
+    /// equal field for field, at 1–8 shards.
+    #[test]
+    fn sharded_log_equals_single_log(
+        (vocab_size, docs, steps, shards) in (12usize..40).prop_flat_map(|vocab_size| {
+            (
+                Just(vocab_size),
+                proptest::collection::vec(doc_strategy(vocab_size as u32), 1..20),
+                proptest::collection::vec(log_step(vocab_size as u32), 1..24),
+                1usize..9,
+            )
+        })
+    ) {
+        let (single, sharded) = build_engines(&docs, vocab_size, ScoringModel::TfIdfCosine, shards);
+        for step in &steps {
+            match step {
+                LogStep::SearchTokens(tokens) => {
+                    single.search_tokens(tokens, 5);
+                    sharded.search_tokens(tokens, 5);
+                }
+                LogStep::SearchText(text) => {
+                    single.search(text, 5);
+                    sharded.search(text, 5);
+                }
+                LogStep::LogTokens(batch) => {
+                    let batch: Vec<&[u32]> = batch.iter().map(|t| t.as_slice()).collect();
+                    single.log_tokens(&batch);
+                    sharded.log_tokens(&batch);
+                }
+                LogStep::Capacity(capacity) => {
+                    single.set_query_log_capacity(*capacity);
+                    sharded.set_query_log_capacity(*capacity);
+                }
+                LogStep::Clear => {
+                    single.clear_query_log();
+                    sharded.clear_query_log();
+                }
+            }
+            prop_assert_eq!(sharded.query_log(), single.query_log(), "{} shards", shards);
+        }
+    }
+}
+
+/// One step of [`sharded_log_equals_single_log`].
+#[derive(Debug, Clone)]
+enum LogStep {
+    SearchTokens(Vec<u32>),
+    SearchText(String),
+    LogTokens(Vec<Vec<u32>>),
+    Capacity(usize),
+    Clear,
+}
+
+/// Strategy: a log step over a vocabulary of `vocab_size` words. Raw text
+/// mixes vocabulary words (in any case, with punctuation) with words the
+/// vocabulary lacks; a batch repeats its first submission and holds one
+/// submission of a single repeated term.
+fn log_step(vocab_size: u32) -> impl Strategy<Value = LogStep> {
+    let tokens = move || proptest::collection::vec(0u32..vocab_size, 0..7);
+    let text = move || {
+        let word = prop_oneof![
+            (0u32..vocab_size).prop_map(|t| format!("w{t:03}")),
+            (0u32..vocab_size).prop_map(|t| format!("W{t:03}!")),
+            Just("zzqx".to_string()),
+            Just("the".to_string()),
+            Just("naïve, café".to_string()),
+        ];
+        proptest::collection::vec(word, 0..6).prop_map(|w| LogStep::SearchText(w.join(" ")))
+    };
+    let batch = move || {
+        (proptest::collection::vec(tokens(), 1..5), 0u32..vocab_size).prop_map(
+            |(mut batch, term)| {
+                batch.push(batch[0].clone());
+                batch.push(vec![term; 3]);
+                LogStep::LogTokens(batch)
+            },
+        )
+    };
+    prop_oneof![
+        tokens().prop_map(LogStep::SearchTokens),
+        tokens().prop_map(LogStep::SearchTokens),
+        text(),
+        text(),
+        batch(),
+        batch(),
+        prop_oneof![Just(0usize), 1usize..8, Just(usize::MAX)].prop_map(LogStep::Capacity),
+        Just(LogStep::Clear),
+    ]
 }

@@ -13,11 +13,12 @@
 //!
 //! - **shared models** ([`SessionManager`]): the ~140 MB LDA model and
 //!   the search tier exist once, behind `Arc`s; per-tenant state is just
-//!   a `GhostGenerator`, a `SessionTracker`, and a `PacingScheduler`;
+//!   a `GhostGenerator`, a private `TraceAccounting` (the session's
+//!   Equation-2 trace exposure), and a `PacingScheduler`;
 //! - **a term-sharded search tier** ([`SearchTier`]): the same service
 //!   stack runs over one `SearchEngine` or a `ShardedEngine` whose
-//!   postings are split across N term-hash shards, each with its own
-//!   bounded query log — no engine-wide mutex on the submission path;
+//!   postings are split across N term-hash shards; either keeps one
+//!   bounded query log, the curious server's view;
 //! - **a global cycle scheduler** ([`CycleScheduler`]): per-session
 //!   pacing schedules are merged into one time-ordered queue that a
 //!   `std::thread` worker pool drains from one shared cursor; every

@@ -41,9 +41,9 @@
 //! bags, which the engine could never tell apart anyway (the shared
 //! result cache already served duplicates from one computation; the
 //! planner merely avoids enqueueing them twice), so the engine-side
-//! adversary's view of the merged shard logs only ever *shrinks*.
-//! The `planner` bench experiment replays the naive-Bayes collusion
-//! attack on merged shard logs with sharing enabled to confirm this.
+//! adversary's query log only ever *shrinks*. The `planner` bench
+//! experiment replays the naive-Bayes attack with sharing enabled to
+//! confirm this.
 
 use crate::cache::CacheKey;
 use crate::scheduler::{PlannedQuery, SubmissionTag};

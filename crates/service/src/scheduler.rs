@@ -611,7 +611,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlane;
     use toppriv_core::merge_schedules;
-    use tsearch_search::Query;
+    use tsearch_search::{LoggedQuery, Query};
 
     fn plan(session: &str, times: &[f64]) -> Vec<PlannedQuery> {
         times
@@ -834,21 +834,19 @@ mod tests {
         assert_eq!((report.rounds, report.outcomes.len()), (1, expected));
         // The log counts exactly the delivered entries of both drains.
         let delivered = (delivered + expected) as u64;
-        let tier = manager.tier();
-        let engine = tier.as_sharded().expect("sharded");
-        let ordinals: std::collections::BTreeSet<u64> = (engine.shard_logs().into_iter().flatten())
+        let ordinals: Vec<u64> = (manager.tier().query_log().iter())
             .map(|e| e.ordinal)
             .collect();
-        assert_eq!(ordinals, (0..delivered).collect());
+        assert_eq!(ordinals, (0..delivered).collect::<Vec<_>>());
     }
 
     /// Drains, by two workers, a queue with duplicate bags (in another
     /// token order too), a query that is a prefix of another, a repeated
-    /// term and `k`s past the corpus, then reads the shard logs back by
-    /// ordinal: each engine-bound entry once, as the slices each shard
-    /// owns, in queue order under contiguous ordinals — every entry
-    /// without a cache, only each key's first occurrence with one. A log
-    /// bounded to two entries per shard keeps each shard's newest two.
+    /// term and `k`s past the corpus, then reads the engine's log back:
+    /// each engine-bound entry once, whole, in queue order under
+    /// contiguous ordinals — every entry without a cache, only each key's
+    /// first occurrence with one. A log bounded to two entries keeps the
+    /// newest two.
     #[test]
     fn a_drain_logs_each_engine_bound_entry_once_in_queue_order() {
         let submissions: [(&[u32], usize); 9] = [
@@ -886,16 +884,15 @@ mod tests {
                 if let Some(capacity) = capacity {
                     tier.set_query_log_capacity(capacity);
                 }
-                let engine = tier.as_sharded().expect("sharded").clone();
-                let manager = SessionManager::with_tier(tier, model.clone());
+                let manager = SessionManager::with_tier(tier.clone(), model.clone());
                 let manager = Arc::new(match cached {
                     true => manager.with_cache(64),
                     false => manager,
                 });
                 let outcomes = CycleScheduler::for_manager(&manager, 2).drain(queue.clone());
-                (outcomes, engine, manager.metrics_registry().snapshot())
+                (outcomes, tier, manager.metrics_registry().snapshot())
             };
-            let (outcomes, engine, snapshot) = drained(None);
+            let (outcomes, tier, snapshot) = drained(None);
             assert_eq!(
                 snapshot.engine_submits,
                 queue.len() as u64,
@@ -906,46 +903,32 @@ mod tests {
                 (snapshot.cache_misses, snapshot.cache_hits),
                 (misses, 9 - misses)
             );
+            let bits = |h: &[SearchHit]| -> Vec<(u32, u64)> {
+                h.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+            };
             for o in &outcomes {
                 let (tokens, k) = submissions[o.cycle_id];
-                let want = engine.evaluate(&Query::from_tokens(tokens), k);
-                let bits = |h: &[SearchHit]| -> Vec<(u32, u64)> {
-                    h.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
-                };
-                assert_eq!(bits(&o.hits), bits(&want), "entry {}", o.cycle_id);
+                let want = tier.evaluate_batch(&[(&Query::from_tokens(tokens), k)]);
+                assert_eq!(bits(&o.hits), bits(&want[0]), "entry {}", o.cycle_id);
             }
-            // Per ordinal, each shard's slice.
-            let mut logged: BTreeMap<u64, BTreeMap<usize, Vec<u32>>> = BTreeMap::new();
-            for (shard, entries) in engine.shard_logs().into_iter().enumerate() {
-                for e in entries {
-                    logged.entry(e.ordinal).or_default().insert(shard, e.tokens);
-                }
-            }
-            let want: Vec<BTreeMap<usize, Vec<u32>>> = (engine_bound.iter())
-                .map(|&at| {
-                    let mut slices: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-                    let mut tokens = submissions[at].0.to_vec();
-                    tokens.sort_unstable();
-                    for t in tokens {
-                        slices
-                            .entry(engine.router().shard_of(t))
-                            .or_default()
-                            .push(t);
+            let want: Vec<LoggedQuery> = (0..)
+                .zip(engine_bound)
+                .map(|(ordinal, &at)| {
+                    let tokens = submissions[at].0;
+                    let words: Vec<&str> = tokens.iter().map(|&t| tier.vocab().term(t)).collect();
+                    let mut bag = tokens.to_vec();
+                    bag.sort_unstable();
+                    LoggedQuery {
+                        ordinal,
+                        text: words.join(" "),
+                        tokens: bag,
                     }
-                    slices
                 })
                 .collect();
-            let ordinals: Vec<u64> = logged.keys().copied().collect();
-            assert_eq!(ordinals, (0..want.len() as u64).collect::<Vec<_>>());
-            assert_eq!(
-                logged.into_values().collect::<Vec<_>>(),
-                want,
-                "cache {cached}"
-            );
+            assert_eq!(tier.query_log(), want, "cache {cached}");
             let (_, bounded, _) = drained(Some(2));
-            for (all, kept) in engine.shard_logs().iter().zip(bounded.shard_logs()) {
-                assert_eq!(kept, all[all.len().saturating_sub(2)..], "cache {cached}");
-            }
+            let kept = &want[want.len() - 2..];
+            assert_eq!(bounded.query_log(), kept, "cache {cached}");
         }
     }
 

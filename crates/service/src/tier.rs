@@ -9,7 +9,7 @@
 //! plans, labels or isolates by shard.
 
 use std::sync::Arc;
-use tsearch_search::{Query, SearchEngine, SearchHit, ShardedEngine};
+use tsearch_search::{LoggedQuery, Query, SearchEngine, SearchHit, ShardedEngine};
 use tsearch_text::{Analyzer, TermId, Vocabulary};
 
 /// A handle to the search tier: a single engine or a sharded one.
@@ -32,7 +32,7 @@ impl SearchTier {
         }
     }
 
-    /// Executes a token query (logged by the engine / touched shards).
+    /// Executes a token query (logged by the engine).
     pub fn search_tokens(&self, tokens: &[TermId], k: usize) -> Vec<SearchHit> {
         match self {
             SearchTier::Single(e) => e.search_tokens(tokens, k),
@@ -83,8 +83,8 @@ impl SearchTier {
         }
     }
 
-    /// Bounds the adversary query log: the single engine's one log, or
-    /// **each** shard's log, to `capacity` entries.
+    /// Bounds the engine's adversary query log to its most recent
+    /// `capacity` entries (either variant keeps one log).
     pub fn set_query_log_capacity(&self, capacity: usize) {
         match self {
             SearchTier::Single(e) => e.set_query_log_capacity(capacity),
@@ -92,11 +92,12 @@ impl SearchTier {
         }
     }
 
-    /// The sharded engine, if this tier is sharded.
-    pub fn as_sharded(&self) -> Option<&Arc<ShardedEngine>> {
+    /// Snapshot of the engine's adversary query log (see
+    /// `SearchEngine::query_log`): each engine-bound submission once.
+    pub fn query_log(&self) -> Vec<LoggedQuery> {
         match self {
-            SearchTier::Single(_) => None,
-            SearchTier::Sharded(e) => Some(e),
+            SearchTier::Single(e) => e.query_log(),
+            SearchTier::Sharded(e) => e.query_log(),
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   when no mode flag is given).
 //!
 //! All modes accept `--shards N` to term-shard the search tier: postings
-//! split across N shards, each with its own adversary log.
+//! split across N shards behind the engine's one adversary log.
 //! The demo additionally accepts `--planner` to route cycles through the
 //! cross-session ghost planner (decoy reuse + coalesced shared
 //! submissions) and prints the resulting fleet cost ratio.
@@ -453,14 +453,7 @@ fn run_demo(args: &Args) {
         snapshot.global.max_queue_depth,
     );
     let tier = manager.tier();
-    if let Some(engine) = tier.as_sharded() {
-        let log_sizes: Vec<usize> = engine.shard_logs().iter().map(|l| l.len()).collect();
-        println!(
-            "    {} shards behind one drain queue; per-shard adversary log entries: {:?}",
-            engine.num_shards(),
-            log_sizes,
-        );
-    }
+    println!("    adversary log: {} entries", tier.query_log().len());
     println!("\n    per-session privacy (first 12 shown):");
     println!(
         "    {:<12} {:>7} {:>8} {:>10} {:>10} {:>10} {:>10}",

@@ -44,8 +44,8 @@ use tsearch_index::{DocumentStore, InvertedIndex};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_text::Analyzer;
 
-/// Entries of the adversary query log (of each shard's, when sharded) the
-/// demo stack's engines keep.
+/// Entries of the adversary query log the demo stack's engine keeps (one
+/// log whether the tier is single or sharded).
 pub const DEMO_QUERY_LOG_TAIL: usize = 4_096;
 
 /// Builds the demo stack: a synthetic corpus, a search engine hosting it,
@@ -71,8 +71,8 @@ pub fn build_demo_stack(
 /// `shards > 1`, else a [`SearchTier::Single`] (the two are
 /// result-identical; sharding only changes how the service scales).
 ///
-/// The engines keep only the last [`DEMO_QUERY_LOG_TAIL`] entries of
-/// their adversary query log: the stack backs long-running servers and
+/// The engine keeps only the last [`DEMO_QUERY_LOG_TAIL`] entries of
+/// its adversary query log: the stack backs long-running servers and
 /// load drivers, where an unbounded log (≈ 290 B an entry) is RSS that
 /// grows with how fast the caller submits. The examples that read
 /// `query_log()` submit far fewer queries than the tail holds;
