@@ -59,7 +59,6 @@ struct RunStats {
     engine_submits: u64,
     genuine: u64,
     ratio: f64,
-    ratio_gauge_micro: i64,
     reused: u64,
     coalesced: u64,
     drained: usize,
@@ -143,10 +142,6 @@ fn run_fleet(
         engine_submits: global.engine_submits,
         genuine: global.genuine_served,
         ratio: metrics.fleet_cost_ratio(),
-        ratio_gauge_micro: metrics
-            .registry()
-            .gauge(toppriv_service::metrics::M_FLEET_COST_RATIO, &[])
-            .get(),
         reused: global.planner_reuse,
         coalesced: global.planner_coalesced,
         drained: outcomes.len(),
@@ -213,14 +208,6 @@ pub fn run(ctx: &ExperimentContext) -> Outcome {
         SESSIONS
             .iter()
             .all(|&s| at(s, true).engine_submits < at(s, false).engine_submits),
-    );
-    inv.check(
-        "ratio_gauge_live_in_micro_units",
-        format!(
-            "fleet_cost_ratio gauge {} µ-units vs computed {:.4}",
-            on64.ratio_gauge_micro, on64.ratio
-        ),
-        (on64.ratio_gauge_micro as f64 - on64.ratio * 1e6).abs() < 1.0,
     );
     inv.check(
         "sharing_actually_happened",

@@ -24,8 +24,8 @@ use toppriv_service::auditor::{
     M_TENANT_TRACE_EXPOSURE as TRACE, M_TENANT_WORST_EXPOSURE as WORST,
 };
 use toppriv_service::cache::{M_CACHE_EVICTIONS, M_CYCLE_MEMO_EVICTIONS};
-use toppriv_service::cache::{M_CACHE_SHARD_HITS as HITS, M_CACHE_SHARD_MISSES as MISSES};
 use toppriv_service::cache::{M_CYCLE_MEMO_HITS as MEMO_HITS, M_CYCLE_MEMO_MISSES as MEMO_MISSES};
+use toppriv_service::metrics::{M_CACHE_HITS as HITS, M_CACHE_MISSES as MISSES};
 use toppriv_service::obs::{parse_ndjson_line, MetricValue};
 use toppriv_service::protocol::{HitDto, SearchReportDto};
 use toppriv_service::session::MAX_SESSION_ID_BYTES;
@@ -635,18 +635,24 @@ impl Sim {
         let fired = || plane.fired(FaultKind::WorkerPanic) + plane.fired(FaultKind::ShardStall);
         let before = fired();
         let report = scheduler.drain_resilient(queue);
-        // Rollbacks and replans, in the order the drain made them: a
-        // replan may fail and be rolled back in a later round.
-        for rb in &report.rolled_back {
-            let (id, old) = (&rb.session, rb.cycle_id);
-            assert_eq!(self.model.rollback(id, old).as_ref(), Some(&rb.user_tokens));
-            let replans_of = report.replanned.iter();
-            if let Some((_, _, new)) = replans_of.clone().find(|(s, o, _)| s == id && *o == old) {
-                self.model.formulate(&rb.user_tokens, self.racing);
-                let reference = self.reference(id, &rb.user_tokens);
-                let cycle_id = self.model.commit(id, &reference, &rb.user_tokens);
-                assert_eq!(cycle_id, *new, "{id} replanned {old}");
-                open.insert((id.clone(), *new));
+        // A swap racing the drain landed before one of its replans or
+        // after the last, and each replan ran under the model bound then.
+        // Each landing is a candidate; the one that gives every tenant the
+        // service's metrics bit for bit is kept.
+        let base = self.model.clone();
+        let landings = if self.racing {
+            report.replanned.len()
+        } else {
+            0
+        };
+        for landing in 0..=landings {
+            self.model = base.clone();
+            self.replay(&report, landing, &mut open);
+            let ids = self.model.open_ids();
+            let metrics = |id: &String| self.manager.session_metrics(id).expect("open");
+            let model = |id: &String| self.model.metrics(id).expect("open");
+            if ids.iter().all(|id| bits(&metrics(id)) == bits(&model(id))) {
+                break;
             }
         }
         // The result cache now holds every entry some outcome came from.
@@ -674,6 +680,34 @@ impl Sim {
         assert!(clean || fired() > before, "a fault-free drain: {report:?}");
         self.drained += report.outcomes.len();
         Some(report)
+    }
+
+    /// Has the model make `report`'s rollbacks and replans in the order
+    /// the drain made them (a replan may fail and be rolled back in a
+    /// later round); a racing swap lands before replan `landing`.
+    fn replay(
+        &mut self,
+        report: &ResilientReport,
+        landing: usize,
+        open: &mut BTreeSet<(String, usize)>,
+    ) {
+        let mut replans = 0;
+        for rb in &report.rolled_back {
+            let (id, old) = (&rb.session, rb.cycle_id);
+            assert_eq!(self.model.rollback(id, old).as_ref(), Some(&rb.user_tokens));
+            let replans_of = report.replanned.iter();
+            if let Some((_, _, new)) = replans_of.clone().find(|(s, o, _)| s == id && *o == old) {
+                if replans == landing {
+                    self.model.land();
+                }
+                replans += 1;
+                self.model.formulate(&rb.user_tokens, self.racing);
+                let reference = self.reference(id, &rb.user_tokens);
+                let cycle_id = self.model.commit(id, &reference, &rb.user_tokens);
+                assert_eq!(cycle_id, *new, "{id} replanned {old}");
+                open.insert((id.clone(), *new));
+            }
+        }
     }
 
     fn rollback(&mut self, t: usize, pick: usize) -> &'static str {
@@ -731,12 +765,13 @@ impl Sim {
             // A K change settles every cycle: drain the queue first.
             self.drain(WORKERS);
         }
-        self.model.swap(model.clone());
+        let racing = matches!(swap, Swap::Reload);
+        self.model.swap(model.clone(), racing);
         let manager = self.manager.clone();
         // A reload is swapped in while the queue drains, losing nothing.
         std::thread::scope(|s| {
             let swapped = s.spawn(move || manager.swap_model(model));
-            if let Swap::Reload = swap {
+            if racing {
                 self.racing = true;
                 self.drain(WORKERS);
                 self.racing = false;
@@ -744,6 +779,7 @@ impl Sim {
             let epoch = swapped.join().expect("swap");
             assert_eq!(epoch, self.model.epoch(), "the swap's epoch");
         });
+        self.model.land();
         ran
     }
 
@@ -758,7 +794,7 @@ impl Sim {
         self.manager.swap_tier(sharded(&self.stack.evolved));
         self.manager.swap_model(fresh.clone());
         self.model.swap_tier();
-        self.model.swap(fresh);
+        self.model.swap(fresh, false);
         self.evolved = true;
         Some("evolve")
     }

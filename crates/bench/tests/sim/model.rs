@@ -39,6 +39,7 @@ pub fn allows(want: &Lookups, hits: u64, misses: u64) -> bool {
 }
 
 /// One committed cycle.
+#[derive(Clone)]
 pub struct Cycle {
     pub id: usize,
     pub report: CycleResult,
@@ -51,6 +52,7 @@ pub struct Cycle {
 }
 
 /// A tenant, opened with the paper's `(ε1, ε2)`.
+#[derive(Clone)]
 struct Tenant {
     /// Which opening of the tenant id this is: a reopened id is new.
     incarnation: usize,
@@ -63,9 +65,13 @@ struct Tenant {
 }
 
 /// The reference model of one fleet.
+#[derive(Clone)]
 pub struct Model {
     tenants: BTreeMap<String, Tenant>,
     current: (Arc<LdaModel>, u64),
+    /// The model a swap racing a drain replaces, while it has not landed:
+    /// a tenant formulating meanwhile binds to it.
+    replaced: Option<(Arc<LdaModel>, u64)>,
     opens: usize,
     /// `(tenant, incarnation, cycle)` of every audited cycle.
     audited: BTreeSet<(String, usize, usize)>,
@@ -84,6 +90,7 @@ impl Model {
         Model {
             tenants: BTreeMap::new(),
             current: (model, 0),
+            replaced: None,
             opens: 0,
             audited: BTreeSet::new(),
             events: Vec::new(),
@@ -125,10 +132,18 @@ impl Model {
     }
 
     /// A model swap: each tenant rebinds on its next formulation, and no
-    /// memoized cycle is asked for again.
-    pub fn swap(&mut self, model: Arc<LdaModel>) {
-        self.current = (model, self.current.1 + 1);
+    /// memoized cycle is asked for again. A swap `racing` a drain has not
+    /// landed until [`Model::land`].
+    pub fn swap(&mut self, model: Arc<LdaModel>, racing: bool) {
+        let epoch = self.current.1 + 1;
+        let replaced = std::mem::replace(&mut self.current, (model, epoch));
+        self.replaced = racing.then_some(replaced);
         self.memo.clear();
+    }
+
+    /// The racing swap lands: tenants bind to the new model from here on.
+    pub fn land(&mut self) {
+        self.replaced = None;
     }
 
     pub fn epoch(&self) -> u64 {
@@ -182,11 +197,12 @@ impl Model {
         self.tenants[id].bound.1 != self.current.1
     }
 
-    /// Rebinds `id` to the current model, as its next formulation does,
-    /// and returns the model. A K change settles every cycle and restarts
-    /// the trace: topic ids changed meaning.
+    /// Rebinds `id` to the current model (the replaced one while a racing
+    /// swap has not landed), as its next formulation does, and returns
+    /// the model. A K change settles every cycle and restarts the trace:
+    /// topic ids changed meaning.
     pub fn bind(&mut self, id: &str) -> Arc<LdaModel> {
-        let current = self.current.clone();
+        let current = self.replaced.as_ref().unwrap_or(&self.current).clone();
         let t = self.tenants.get_mut(id).expect("bind an open tenant");
         if t.bound.1 != current.1 && t.bound.0.num_topics() != current.0.num_topics() {
             for c in &mut t.cycles {

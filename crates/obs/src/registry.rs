@@ -273,21 +273,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Zeroes every metric in place. Existing handles stay valid and
-    /// keep pointing at the (now zeroed) storage.
-    pub fn reset(&self) {
-        let map = crate::recover_read(&self.metrics);
-        for metric in map.values() {
-            match metric {
-                Metric::Counter(c) => {
-                    c.0.store(0, Ordering::Relaxed);
-                }
-                Metric::Gauge(g) => g.set(0),
-                Metric::Histogram(h) => h.clear(),
-            }
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         crate::recover_read(&self.metrics).len()
@@ -348,20 +333,6 @@ mod tests {
         assert_eq!(merged.min(), 10);
         assert_eq!(merged.max(), 20);
         assert!(reg.merged_histogram("missing").is_none());
-    }
-
-    #[test]
-    fn reset_keeps_handles_valid() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("z_total", &[]);
-        let h = reg.histogram("z_us", &[]);
-        c.add(7);
-        h.record(7);
-        reg.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        assert_eq!(reg.counter_total("z_total"), 1);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   exhaustion at the current trace-exposure slope) — and evaluates the
 //!   cycle's fleet invariant in place: a breach (or a near-breach, when
 //!   headroom drops under a quarter of ε2) is journaled as an
-//!   [`AuditEvent`] then and there, once, before any member is resolved;
+//!   [`AuditEvent`] then and there, once, before any member is resolved.
+//!   Each fact is held once: the count of cycles audited is the
+//!   `audit_cycles_total` counter, and a tenant's worst exposure is the
+//!   session's own running maximum, handed in and published as it is;
 //! - **spill** — once per drain the journal is optionally spilled to a
 //!   CRC-sealed `tsearch-store` container (the PR-7 persist codec, kind
 //!   [`tsearch_store::kind::AUDIT_JOURNAL`]) so audits survive restarts;
@@ -101,16 +104,15 @@ impl Default for AuditConfig {
     }
 }
 
-/// Per-tenant accounting the auditor maintains across cycles.
+/// Per-tenant accounting the auditor maintains across cycles: what the
+/// headroom and burn estimates need.
 #[derive(Debug)]
 struct TenantAudit {
     eps2: f64,
     cycles: u64,
-    worst_exposure: f64,
     trace_exposure: f64,
     /// EMA of the per-cycle trace-exposure delta (the burn slope).
     burn_slope: f64,
-    breaches: u64,
     gauge_worst: toppriv_obs::Gauge,
     gauge_trace: toppriv_obs::Gauge,
     gauge_headroom: toppriv_obs::Gauge,
@@ -147,9 +149,8 @@ pub struct PrivacyAuditor {
     log: AuditLog,
     /// session → accumulated accounting.
     tenants: Mutex<HashMap<String, TenantAudit>>,
-    cycles_audited: AtomicU64,
     /// [`M_AUDIT_CYCLES`], fetched once: it is bumped on every committed
-    /// cycle, one per wire `Search`.
+    /// cycle, one per wire `Search`, and is the one count of them.
     audit_cycles: Counter,
     cycles_at_last_spill: AtomicU64,
     /// The deterministic fault plane, when attached: journal spills
@@ -166,7 +167,6 @@ impl PrivacyAuditor {
             config,
             log: AuditLog::new(JOURNAL_CAPACITY),
             tenants: Mutex::new(HashMap::new()),
-            cycles_audited: AtomicU64::new(0),
             cycles_at_last_spill: AtomicU64::new(0),
             fault: Mutex::new(None),
         }
@@ -192,15 +192,16 @@ impl PrivacyAuditor {
 
     /// Cycles whose fleet invariant has been evaluated.
     pub fn cycles_audited(&self) -> u64 {
-        self.cycles_audited.load(Ordering::Relaxed)
+        self.audit_cycles.get()
     }
 
     /// Credits the tenant with one committed cycle and evaluates the
     /// cycle's fleet invariant `min(exposure − mask_level, exposure − ε2)
-    /// ≤ 0` in place: counts the cycle audited and journals a breach
-    /// (bumping the tenant's breaches) or a near-breach event, labelled
-    /// with `cycle_id`. Called by the session manager's commit step,
-    /// once per cycle; every call is one evaluation.
+    /// ≤ 0` in place: counts the cycle audited and journals a breach or a
+    /// near-breach event, labelled with `cycle_id`. `worst_exposure` is
+    /// the session's running maximum, published as it is. Called by the
+    /// session manager's commit step, once per cycle; every call is one
+    /// evaluation.
     pub fn audit_cycle(
         &self,
         session: &str,
@@ -211,15 +212,11 @@ impl PrivacyAuditor {
         worst_exposure: f64,
     ) {
         self.credit(session, eps2, trace_exposure, worst_exposure);
-        self.cycles_audited.fetch_add(1, Ordering::Relaxed);
         self.audit_cycles.inc();
         let exposure = metrics.exposure;
         let violation = (exposure - metrics.mask_level).min(exposure - eps2);
         debug_assert!(violation.is_finite());
         if violation > TOLERANCE {
-            if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
-                t.breaches += 1;
-            }
             self.emit(
                 AuditSeverity::Breach,
                 "eps2_breach",
@@ -258,10 +255,8 @@ impl PrivacyAuditor {
             TenantAudit {
                 eps2,
                 cycles: 0,
-                worst_exposure: 0.0,
                 trace_exposure: 0.0,
                 burn_slope: 0.0,
-                breaches: 0,
                 gauge_worst: self.registry.gauge(M_TENANT_WORST_EXPOSURE, &labels),
                 gauge_trace: self.registry.gauge(M_TENANT_TRACE_EXPOSURE, &labels),
                 gauge_headroom: self.registry.gauge(M_TENANT_HEADROOM, &labels),
@@ -277,8 +272,7 @@ impl PrivacyAuditor {
             BURN_EMA_ALPHA * delta + (1.0 - BURN_EMA_ALPHA) * tenant.burn_slope
         };
         tenant.trace_exposure = trace_exposure;
-        tenant.worst_exposure = worst_exposure.max(tenant.worst_exposure);
-        tenant.gauge_worst.set(to_micro(tenant.worst_exposure));
+        tenant.gauge_worst.set(to_micro(worst_exposure));
         tenant.gauge_trace.set(to_micro(tenant.trace_exposure));
         tenant.gauge_headroom.set(to_micro(tenant.headroom()));
         tenant.gauge_burn.set(tenant.burn_cycles());
@@ -300,8 +294,7 @@ impl PrivacyAuditor {
         if let Some(t) = recover_lock(&self.tenants).get_mut(session) {
             t.cycles = t.cycles.saturating_sub(1);
             t.trace_exposure = trace_exposure;
-            t.worst_exposure = worst_exposure;
-            t.gauge_worst.set(to_micro(t.worst_exposure));
+            t.gauge_worst.set(to_micro(worst_exposure));
             t.gauge_trace.set(to_micro(t.trace_exposure));
             t.gauge_headroom.set(to_micro(t.headroom()));
             t.gauge_burn.set(t.burn_cycles());

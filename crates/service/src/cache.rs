@@ -19,6 +19,13 @@
 //! least-recently-used entry of that shard; eviction is the only way an
 //! entry leaves.
 //!
+//! The cache counts one thing of its own, its evictions (one unlabelled
+//! `cache_evictions_total`), and times its lookups. Whether a lookup
+//! served a tenant is decided by `SessionManager::resolve` and counted
+//! there once, per subscriber, in [`crate::ServiceMetrics`]'s
+//! `service_cache_{hits,misses}_total`: a subscriber served from another
+//! lookup's resolution is a hit no lookup of this cache made.
+//!
 //! Privacy note: the cache sits *inside* the trusted service boundary,
 //! and per-session privacy accounting covers every cycle member whether
 //! or not it hit cache, so the `(ε1, ε2)` certificates themselves are
@@ -62,7 +69,6 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use toppriv_core::{CycleResult, GhostConfig, PrivacyRequirement};
@@ -70,11 +76,7 @@ use toppriv_obs::{recover_lock, Counter, HistogramHandle, MetricsRegistry};
 use tsearch_search::SearchHit;
 use tsearch_text::TermId;
 
-/// Metric name: per-cache-shard lookup hits.
-pub const M_CACHE_SHARD_HITS: &str = "cache_hits_total";
-/// Metric name: per-cache-shard lookup misses.
-pub const M_CACHE_SHARD_MISSES: &str = "cache_misses_total";
-/// Metric name: per-cache-shard LRU evictions.
+/// Metric name: result-cache LRU evictions.
 pub const M_CACHE_EVICTIONS: &str = "cache_evictions_total";
 /// Metric name: cache lookup latency histogram (µs).
 pub const M_CACHE_LOOKUP_US: &str = "cache_lookup_us";
@@ -86,29 +88,10 @@ pub const M_CYCLE_MEMO_MISSES: &str = "cycle_memo_misses_total";
 pub const M_CYCLE_MEMO_EVICTIONS: &str = "cycle_memo_evictions_total";
 
 /// Registry handles the cache publishes into when bound via
-/// [`ResultCache::with_registry`]: per-shard hit/miss/eviction counters
-/// plus one lookup-latency histogram.
+/// [`ResultCache::with_registry`].
 struct CacheObs {
-    hits: Vec<Counter>,
-    misses: Vec<Counter>,
-    evictions: Vec<Counter>,
+    evictions: Counter,
     lookup_us: HistogramHandle,
-}
-
-impl CacheObs {
-    fn new(registry: &MetricsRegistry, shards: usize) -> Self {
-        let per_shard = |name: &str| -> Vec<Counter> {
-            (0..shards)
-                .map(|s| registry.counter(name, &[("shard", &s.to_string())]))
-                .collect()
-        };
-        CacheObs {
-            hits: per_shard(M_CACHE_SHARD_HITS),
-            misses: per_shard(M_CACHE_SHARD_MISSES),
-            evictions: per_shard(M_CACHE_EVICTIONS),
-            lookup_us: registry.histogram(M_CACHE_LOOKUP_US, &[]),
-        }
-    }
 }
 
 /// Normalized cache key: sorted tokens + requested depth.
@@ -270,13 +253,9 @@ type ResultShard = Shard<CacheKey, Vec<SearchHit>>;
 /// assert_eq!(cache.get(&[1, 3], 10).unwrap()[0].doc_id, 7);
 /// // A different result depth is a different key.
 /// assert!(cache.get(&[1, 3], 5).is_none());
-/// let (cached, was_hit) = cache.get_or_compute(&[1, 3], 10, || unreachable!());
-/// assert!(was_hit && cached[0].doc_id == 7);
 /// ```
 pub struct ResultCache {
     shards: Vec<Mutex<ResultShard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     capacity: usize,
     obs: Option<CacheObs>,
 }
@@ -299,19 +278,19 @@ impl ResultCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             capacity,
             obs: None,
         }
     }
 
-    /// Binds the cache to a metrics registry: per-shard
-    /// [`M_CACHE_SHARD_HITS`] / [`M_CACHE_SHARD_MISSES`] /
-    /// [`M_CACHE_EVICTIONS`] counters and the [`M_CACHE_LOOKUP_US`]
-    /// latency histogram publish there on every lookup.
+    /// Binds the cache to a metrics registry: the [`M_CACHE_EVICTIONS`]
+    /// counter and the [`M_CACHE_LOOKUP_US`] latency histogram publish
+    /// there.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.obs = Some(CacheObs::new(&registry, self.shards.len()));
+        self.obs = Some(CacheObs {
+            evictions: registry.counter(M_CACHE_EVICTIONS, &[]),
+            lookup_us: registry.histogram(M_CACHE_LOOKUP_US, &[]),
+        });
         self
     }
 
@@ -320,9 +299,8 @@ impl ResultCache {
         self.capacity
     }
 
-    fn shard(&self, key: &CacheKey) -> (usize, &Mutex<ResultShard>) {
-        let s = key.shard_of(self.shards.len());
-        (s, &self.shards[s])
+    fn shard(&self, key: &CacheKey) -> &Mutex<ResultShard> {
+        &self.shards[key.shard_of(self.shards.len())]
     }
 
     /// Looks up a normalized query, refreshing its recency.
@@ -332,18 +310,9 @@ impl ResultCache {
 
     pub(crate) fn get_key(&self, key: &CacheKey) -> Option<Vec<SearchHit>> {
         let t0 = Instant::now();
-        let (s, shard) = self.shard(key);
-        let found = recover_lock(shard).get(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let found = recover_lock(self.shard(key)).get(key);
         if let Some(obs) = &self.obs {
             obs.lookup_us.record(t0.elapsed().as_micros() as u64);
-            match &found {
-                Some(_) => obs.hits[s].inc(),
-                None => obs.misses[s].inc(),
-            }
         }
         found
     }
@@ -354,55 +323,19 @@ impl ResultCache {
     }
 
     pub(crate) fn insert_key(&self, key: CacheKey, hits: Vec<SearchHit>) {
-        let (s, shard) = self.shard(&key);
-        let evicted = recover_lock(shard).insert(key, hits);
+        let evicted = recover_lock(self.shard(&key)).insert(key, hits);
         if evicted {
             if let Some(obs) = &self.obs {
-                obs.evictions[s].inc();
+                obs.evictions.inc();
             }
         }
     }
 
     /// Drops every entry (the tier the results were ranked on is being
-    /// replaced); the capacity and the counters stay.
+    /// replaced); the capacity stays.
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
             recover_lock(shard).clear();
-        }
-    }
-
-    /// Cache-through read: returns `(hits, was_cache_hit)`, computing and
-    /// inserting on miss. The shard lock is *not* held while `compute`
-    /// runs, so concurrent misses on the same key may both evaluate (last
-    /// write wins) — the engine is read-only, so that is merely duplicated
-    /// work, never inconsistency.
-    pub fn get_or_compute(
-        &self,
-        tokens: &[TermId],
-        k: usize,
-        compute: impl FnOnce() -> Vec<SearchHit>,
-    ) -> (Vec<SearchHit>, bool) {
-        if let Some(hits) = self.get(tokens, k) {
-            return (hits, true);
-        }
-        let hits = compute();
-        self.insert(tokens, k, hits.clone());
-        (hits, false)
-    }
-
-    /// Counts `n` hits on `key` that no lookup made: tenants served
-    /// from a resolution another lookup paid for — a planner-coalesced
-    /// entry's subscribers beyond the first, or a later duplicate of an
-    /// entry resolved in the same batch. From each tenant's point of view
-    /// its submission was served without touching the engine, so it
-    /// counts as a hit, globally and on the key's cache shard.
-    pub(crate) fn add_hits(&self, key: &CacheKey, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.hits.fetch_add(n, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.hits[key.shard_of(self.shards.len())].add(n);
         }
     }
 
@@ -414,27 +347,6 @@ impl ResultCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lookups served from cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that missed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, 0 when never used.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
     }
 }
 
@@ -584,8 +496,6 @@ mod tests {
         assert!(cache.get(&[1, 2, 3], 5).is_none());
         // Duplicates are a different bag.
         assert!(cache.get(&[1, 1, 2, 3], 10).is_none());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]
@@ -644,43 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_counts_hits() {
-        let cache = ResultCache::new(8);
-        let (r1, was_hit) = cache.get_or_compute(&[5, 6], 10, || vec![hit(42)]);
-        assert!(!was_hit);
-        assert_eq!(r1[0].doc_id, 42);
-        let (r2, was_hit) = cache.get_or_compute(&[6, 5], 10, || unreachable!("cached"));
-        assert!(was_hit);
-        assert_eq!(r2[0].doc_id, 42);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_hits_count_once_per_subscriber() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let cache = ResultCache::with_shards(8, 1).with_registry(registry.clone());
-        // Miss shared by 3 tenants: 1 physical miss + 2 per-tenant hits.
-        let (_, was_hit) = cache.get_or_compute(&[1, 2], 10, || vec![hit(1)]);
-        cache.add_hits(&CacheKey::new(&[1, 2], 10), 2);
-        assert!(!was_hit);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        // Hit shared by 4 tenants: all 4 count as hits.
-        let (_, was_hit) = cache.get_or_compute(&[2, 1], 10, || unreachable!());
-        cache.add_hits(&CacheKey::new(&[2, 1], 10), 3);
-        assert!(was_hit);
-        assert_eq!(cache.hits(), 6);
-        assert_eq!(cache.misses(), 1);
-        assert!((cache.hit_rate() - 6.0 / 7.0).abs() < 1e-12);
-        // The per-shard obs counters agree with the global atomics.
-        assert_eq!(registry.counter_total(M_CACHE_SHARD_HITS), 6);
-        assert_eq!(registry.counter_total(M_CACHE_SHARD_MISSES), 1);
-        // No extra subscriber adds nothing.
-        cache.add_hits(&CacheKey::new(&[1, 2], 10), 0);
-        assert_eq!(cache.hits(), 6);
-    }
-
-    #[test]
     fn concurrent_access_is_consistent() {
         let cache = std::sync::Arc::new(ResultCache::new(64));
         std::thread::scope(|s| {
@@ -692,29 +565,28 @@ mod tests {
                         // must be order-independent too.
                         let q = [i % 32, t % 4];
                         let (lo, hi) = (q[0].min(q[1]), q[0].max(q[1]));
-                        let (hits, _) = cache.get_or_compute(&q, 10, || vec![hit(lo * 100 + hi)]);
-                        assert_eq!(hits[0].doc_id, lo * 100 + hi);
+                        match cache.get(&q, 10) {
+                            Some(hits) => assert_eq!(hits[0].doc_id, lo * 100 + hi),
+                            None => cache.insert(&q, 10, vec![hit(lo * 100 + hi)]),
+                        }
                     }
                 });
             }
         });
-        assert!(cache.hits() > 0);
         assert!(cache.len() <= 64);
     }
 
     #[test]
-    fn registry_binding_publishes_per_shard_counts() {
+    fn registry_binding_publishes_evictions_and_lookup_latency() {
         let registry = Arc::new(MetricsRegistry::new());
-        // Single shard so hit/miss/eviction attribution is deterministic.
+        // Single shard so which insert evicts is deterministic.
         let cache = ResultCache::with_shards(2, 1).with_registry(registry.clone());
         cache.insert(&[1], 10, vec![hit(1)]);
         cache.insert(&[2], 10, vec![hit(2)]);
         cache.insert(&[3], 10, vec![hit(3)]); // evicts [1]
         assert!(cache.get(&[2], 10).is_some());
         assert!(cache.get(&[1], 10).is_none());
-        assert_eq!(registry.counter_total(M_CACHE_SHARD_HITS), 1);
-        assert_eq!(registry.counter_total(M_CACHE_SHARD_MISSES), 1);
-        assert_eq!(registry.counter_total(M_CACHE_EVICTIONS), 1);
+        assert_eq!(registry.counter_values(M_CACHE_EVICTIONS), [(vec![], 1)]);
         let lookups = registry.merged_histogram(M_CACHE_LOOKUP_US).unwrap();
         assert_eq!(lookups.count(), 2);
     }

@@ -1,8 +1,15 @@
 //! Service-wide observability.
 //!
 //! [`ServiceMetrics`] is the shared front door every subsystem reports
-//! into: the cache (hit/miss), the cycle scheduler (queue depth, submit
-//! latency), and the session manager (per-session privacy counters).
+//! into: the session manager's resolutions (a hit or a miss per
+//! subscriber, one latency sample per entry), the cycle scheduler (queue
+//! depth) and the ghost planner (reuse, coalescing). Each fact is counted
+//! once, where it is decided: `SessionManager::resolve` decides every hit
+//! and miss, and the result cache keeps no tally of its own. A figure
+//! derived from counters — members resolved, ghosts processed, the fleet
+//! cost ratio — is computed from them by [`ServiceMetrics::snapshot`] when
+//! it is read, and never stored as a series of its own.
+//!
 //! The storage behind it is a [`toppriv_obs::MetricsRegistry`] — named
 //! counters/gauges/histograms over lock-free atomics — so the
 //! hot paths never take a lock that a panicked worker could poison, and
@@ -23,30 +30,24 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use toppriv_obs::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
-/// Metric name: total cycle members resolved.
-pub const M_SUBMITTED: &str = "service_submits_total";
 /// Metric name: resolutions served from the result cache.
 pub const M_CACHE_HITS: &str = "service_cache_hits_total";
 /// Metric name: resolutions that reached the engine.
 pub const M_CACHE_MISSES: &str = "service_cache_misses_total";
 /// Metric name: genuine queries served.
 pub const M_GENUINE: &str = "service_genuine_total";
-/// Metric name: ghost queries processed.
-pub const M_GHOSTS: &str = "service_ghosts_total";
 /// Metric name: scheduler queue depth (entries of the current drain not
 /// yet claimed).
 pub const M_QUEUE_DEPTH: &str = "scheduler_queue_depth";
 /// Metric name: high-water mark of the queue depth.
 pub const M_QUEUE_DEPTH_MAX: &str = "scheduler_queue_depth_max";
-/// Metric name: submit resolution latency histogram (µs).
+/// Metric name: resolution latency histogram (µs), one sample per
+/// resolved entry.
 pub const M_SUBMIT_US: &str = "service_submit_us";
 /// Metric name: unique engine-side submissions — one per queue entry
 /// resolved against the cache/tier, regardless of how many tenants
 /// subscribe to it.
 pub const M_ENGINE_SUBMITS: &str = "service_engine_submits_total";
-/// Metric name: live fleet cost ratio gauge — engine submissions per
-/// genuine query, in micro-units (`ratio × 1e6`, gauges being integral).
-pub const M_FLEET_COST_RATIO: &str = "fleet_cost_ratio";
 /// Metric name: ghost members the planner replaced with another tenant's
 /// already-planned submission (donor reuse).
 pub const M_PLANNER_REUSE: &str = "planner_reuse_total";
@@ -54,24 +55,18 @@ pub const M_PLANNER_REUSE: &str = "planner_reuse_total";
 /// queue entry instead of being enqueued (engine submissions avoided).
 pub const M_PLANNER_COALESCED: &str = "planner_coalesced_total";
 
-/// Fixed-point scale of the [`M_FLEET_COST_RATIO`] gauge.
-pub const RATIO_MICRO: f64 = 1e6;
-
 /// Shared counters and the submit-latency histogram, backed by a
 /// metrics registry.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     registry: Arc<MetricsRegistry>,
-    submitted: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
     genuine_served: Counter,
-    ghosts_processed: Counter,
     queue_depth: Gauge,
     max_queue_depth: Gauge,
     submit_us: HistogramHandle,
     engine_submits: Counter,
-    fleet_cost_ratio: Gauge,
     planner_reuse: Counter,
     planner_coalesced: Counter,
 }
@@ -94,16 +89,13 @@ impl ServiceMetrics {
     /// the engine-layer instrumentation for exposition.
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         ServiceMetrics {
-            submitted: registry.counter(M_SUBMITTED, &[]),
             cache_hits: registry.counter(M_CACHE_HITS, &[]),
             cache_misses: registry.counter(M_CACHE_MISSES, &[]),
             genuine_served: registry.counter(M_GENUINE, &[]),
-            ghosts_processed: registry.counter(M_GHOSTS, &[]),
             queue_depth: registry.gauge(M_QUEUE_DEPTH, &[]),
             max_queue_depth: registry.gauge(M_QUEUE_DEPTH_MAX, &[]),
             submit_us: registry.histogram(M_SUBMIT_US, &[]),
             engine_submits: registry.counter(M_ENGINE_SUBMITS, &[]),
-            fleet_cost_ratio: registry.gauge(M_FLEET_COST_RATIO, &[]),
             planner_reuse: registry.counter(M_PLANNER_REUSE, &[]),
             planner_coalesced: registry.counter(M_PLANNER_COALESCED, &[]),
             registry,
@@ -115,30 +107,26 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// Records one resolved cycle member. Entirely lock-free.
-    pub fn record_submit(&self, latency_us: u64, cache_hit: bool, is_genuine: bool) {
-        self.submitted.inc();
-        if cache_hit {
-            self.cache_hits.inc();
-        } else {
-            self.cache_misses.inc();
-        }
-        if is_genuine {
-            self.genuine_served.inc();
-            self.refresh_fleet_cost_ratio();
-        } else {
-            self.ghosts_processed.inc();
-        }
-        self.submit_us.record(latency_us);
-    }
-
-    /// Records one **unique** engine-side submission: a queue entry
-    /// resolved against the cache/tier, counted once no matter how many
-    /// tenants subscribe to its results. The live fleet cost ratio is
-    /// this counter over genuine queries served.
-    pub fn record_engine_submission(&self) {
+    /// Records one resolved entry as `SessionManager::resolve` decided
+    /// it: one **unique** engine-side submission, counted once no matter
+    /// how many tenants subscribe to its results; one latency sample; and
+    /// one hit or miss per subscriber, `genuine` holding whether each is
+    /// its tenant's genuine query. The first subscriber counts
+    /// `cache_hit`; each one beyond it is served from that resolution and
+    /// counts a hit. Entirely lock-free.
+    pub fn record_resolved(&self, latency_us: u64, cache_hit: bool, genuine: &[bool]) {
         self.engine_submits.inc();
-        self.refresh_fleet_cost_ratio();
+        self.submit_us.record(latency_us);
+        if let Some((_, shared)) = genuine.split_first() {
+            if cache_hit {
+                self.cache_hits.inc();
+            } else {
+                self.cache_misses.inc();
+            }
+            self.cache_hits.add(shared.len() as u64);
+        }
+        let genuine = genuine.iter().filter(|&&g| g).count();
+        self.genuine_served.add(genuine as u64);
     }
 
     /// Counts one planner donor-reuse substitution.
@@ -160,12 +148,6 @@ impl ServiceMetrics {
         } else {
             self.engine_submits.get() as f64 / genuine as f64
         }
-    }
-
-    /// Republishes the [`M_FLEET_COST_RATIO`] gauge in micro-units.
-    fn refresh_fleet_cost_ratio(&self) {
-        self.fleet_cost_ratio
-            .set((self.fleet_cost_ratio() * RATIO_MICRO) as i64);
     }
 
     /// Sets the instantaneous queue depth (and bumps the high-water mark).
@@ -190,16 +172,21 @@ impl ServiceMetrics {
         }
     }
 
-    /// Snapshot of every global counter plus latency percentiles
-    /// (computed over the submit-latency histogram).
+    /// Snapshot of every global counter, the figures derived from them,
+    /// and latency percentiles (computed over the resolution-latency
+    /// histogram).
     pub fn snapshot(&self) -> GlobalMetrics {
+        let submitted = self.cache_hits.get() + self.cache_misses.get();
+        let genuine_served = self.genuine_served.get();
         GlobalMetrics {
-            submitted: self.submitted.get(),
+            submitted,
             cache_hits: self.cache_hits.get(),
             cache_misses: self.cache_misses.get(),
             cache_hit_rate: self.cache_hit_rate(),
-            genuine_served: self.genuine_served.get(),
-            ghosts_processed: self.ghosts_processed.get(),
+            genuine_served,
+            // Read apart from the counters it sums, so a concurrent
+            // resolution may show in one and not yet the other.
+            ghosts_processed: submitted.saturating_sub(genuine_served),
             queue_depth: self.queue_depth(),
             max_queue_depth: self.max_queue_depth.get().max(0) as usize,
             p50_submit_us: self.submit_us.percentile(0.50),
@@ -215,7 +202,7 @@ impl ServiceMetrics {
 /// Serializable snapshot of the global counters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalMetrics {
-    /// Total cycle members resolved (cache + engine).
+    /// Total cycle members resolved: `cache_hits + cache_misses`.
     pub submitted: u64,
     /// Lookups served from cache.
     pub cache_hits: u64,
@@ -225,19 +212,20 @@ pub struct GlobalMetrics {
     pub cache_hit_rate: f64,
     /// Genuine queries answered.
     pub genuine_served: u64,
-    /// Ghost queries processed.
+    /// Ghost queries processed: `submitted − genuine_served`.
     pub ghosts_processed: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
     /// Highest queue depth observed.
     pub max_queue_depth: usize,
-    /// Median submit latency (µs).
+    /// Median resolution latency per entry (µs).
     pub p50_submit_us: u64,
-    /// 99th-percentile submit latency (µs).
+    /// 99th-percentile resolution latency per entry (µs).
     pub p99_submit_us: u64,
     /// Unique engine-side submissions (one per resolved queue entry).
     pub engine_submits: u64,
-    /// Engine submissions per genuine query (υ_eff; 0 before traffic).
+    /// Engine submissions per genuine query (υ_eff; 0 before traffic):
+    /// `engine_submits / genuine_served`.
     pub fleet_cost_ratio: f64,
     /// Planner donor-reuse substitutions.
     pub planner_reuse: u64,
@@ -285,7 +273,7 @@ mod tests {
     fn percentiles_and_rates() {
         let m = ServiceMetrics::new();
         for us in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-            m.record_submit(us, us <= 30, us == 10);
+            m.record_resolved(us, us <= 30, &[us == 10]);
         }
         let snap = m.snapshot();
         assert_eq!(snap.submitted, 10);
@@ -319,7 +307,7 @@ mod tests {
         let m = ServiceMetrics::new();
         let n = 32_768u64;
         for i in 0..n {
-            m.record_submit(i, false, false);
+            m.record_resolved(i, false, &[false]);
         }
         let snap = m.snapshot();
         assert_eq!(snap.submitted, n);
@@ -345,42 +333,46 @@ mod tests {
         let m = ServiceMetrics::new();
         assert_eq!(m.fleet_cost_ratio(), 0.0);
         // One genuine query whose cycle resolved 7 unique queue entries.
-        for _ in 0..7 {
-            m.record_engine_submission();
-        }
-        m.record_submit(10, false, true);
+        m.record_resolved(10, false, &[true]);
         for _ in 0..6 {
-            m.record_submit(10, false, false);
+            m.record_resolved(10, false, &[false]);
         }
         let snap = m.snapshot();
         assert_eq!(snap.engine_submits, 7);
         assert!((snap.fleet_cost_ratio - 7.0).abs() < 1e-12);
-        // The live gauge carries the same value in micro-units.
-        assert_eq!(
-            m.registry().gauge(M_FLEET_COST_RATIO, &[]).get(),
-            (7.0 * RATIO_MICRO) as i64
-        );
-        // Coalescing: the next genuine query shares entries, so only 2
-        // fresh engine submissions land; the ratio drops to 9/2.
-        m.record_engine_submission();
-        m.record_engine_submission();
-        m.record_submit(10, true, true);
+        // Coalescing: the next genuine query subscribes to 2 fresh
+        // entries beside another tenant's ghosts, so 9 submissions serve
+        // 2 genuine queries. A subscriber beyond the first is a hit.
+        m.record_resolved(10, false, &[false, true]);
+        m.record_resolved(10, true, &[false, false]);
         assert!((m.fleet_cost_ratio() - 4.5).abs() < 1e-12);
         m.record_planner_reuse();
         m.record_planner_coalesced();
         m.record_planner_coalesced();
         let snap = m.snapshot();
+        let tally = (snap.cache_misses, snap.cache_hits, snap.submitted);
+        assert_eq!(tally, (8, 3, 11));
+        assert_eq!((snap.genuine_served, snap.ghosts_processed), (2, 9));
         assert_eq!(snap.planner_reuse, 1);
         assert_eq!(snap.planner_coalesced, 2);
+        // One latency sample per entry, not per subscriber.
+        let samples = m
+            .registry()
+            .merged_histogram(M_SUBMIT_US)
+            .expect("recorded");
+        assert_eq!(samples.count(), 9);
     }
 
     #[test]
     fn registry_exposes_service_metrics() {
         let m = ServiceMetrics::new();
-        m.record_submit(42, true, true);
-        assert_eq!(m.registry().counter_total(M_SUBMITTED), 1);
+        m.record_resolved(42, true, &[true]);
+        assert_eq!(m.registry().counter_total(M_CACHE_HITS), 1);
         let text = toppriv_obs::render_prometheus(m.registry());
-        assert!(text.contains("service_submits_total 1"));
+        assert!(text.contains("service_cache_hits_total 1"));
         assert!(text.contains("service_submit_us_count 1"));
+        // Derived figures are computed when read, not published.
+        assert!(!text.contains("service_submits_total"));
+        assert!(!text.contains("fleet_cost_ratio"));
     }
 }

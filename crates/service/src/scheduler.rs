@@ -77,8 +77,9 @@ pub const M_QUEUE_WAIT_US: &str = "scheduler_queue_wait_us";
 /// entries' resolution and fan-out.
 pub const M_SERVICE_US: &str = "scheduler_service_us";
 /// Metric name: drained submission counter. The series carries no
-/// `shard` label; the Rust name stays because `benchmark/src/fleet.rs`
-/// imports it.
+/// `shard` label, and it counts what `service_engine_submits_total`
+/// counts for a drain: a pinned mirror, kept (and its Rust name with it)
+/// because `benchmark/src/fleet.rs` imports it and CI asserts it.
 pub const M_SHARD_SUBMITS: &str = "scheduler_submits_total";
 
 /// Default per-round deadline: far beyond any healthy drain.

@@ -625,9 +625,10 @@ impl SessionManager {
     /// Attaches a sharded LRU result cache of `capacity` entries and,
     /// beside it, a memo of `capacity / 8` whole cycles, so a query the
     /// fleet has already protected is neither evaluated nor formulated
-    /// again. Both publish their hit/miss/eviction counters (and the
-    /// result cache its lookup latency) into this manager's metrics
-    /// registry.
+    /// again. Both publish their eviction counters (the memo also its
+    /// hits and misses, the result cache its lookup latency) into this
+    /// manager's metrics registry. The result cache's hits and misses
+    /// are counted once, per subscriber, by [`ServiceMetrics`].
     pub fn with_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(CachePlane::new(capacity, self.metrics.registry()));
         self
@@ -859,9 +860,11 @@ impl SessionManager {
     /// the engine and counts a miss. The entries that reach the engine are
     /// ranked in one term-ordered walk, so only the kernel's work is
     /// shared. Each entry is one engine submission however many tenants
-    /// subscribe to it; subscribers beyond the first count a hit. Keys,
-    /// here and in the walk, hold `min(k, num_docs)`. Returns each entry's
-    /// `(hits, cache_hit)` for its first subscriber.
+    /// subscribe to it; subscribers beyond the first count a hit. This is
+    /// where every hit and miss is decided, and [`ServiceMetrics`] counts
+    /// each once ([`ServiceMetrics::record_resolved`]). Keys, here and in
+    /// the walk, hold `min(k, num_docs)`; each entry's is built once.
+    /// Returns each entry's `(hits, cache_hit)` for its first subscriber.
     ///
     /// Nothing is logged here: an entry whose `cache_hit` is false reached
     /// `tier`, and the caller logs those ([`SearchTier::log_tokens`]) in
@@ -873,21 +876,26 @@ impl SessionManager {
         entries: &[Resolving<'_>],
     ) -> Vec<(Vec<SearchHit>, bool)> {
         let t0 = Instant::now();
-        let (cache, metrics) = (self.cache(), &self.metrics);
-        let num_docs = tier.num_docs();
-        let key = |e: &Resolving<'_>| CacheKey::new(e.tokens, e.k.min(num_docs));
+        let cache = self.cache();
         let mut resolved: Vec<Option<(Vec<SearchHit>, bool)>> = vec![None; entries.len()];
         // For a later duplicate, the entry whose resolution it shares.
         let mut first_of: Vec<Option<usize>> = vec![None; entries.len()];
         let mut engine_bound = Vec::new();
+        let num_docs = tier.num_docs();
+        let keys: Vec<CacheKey> = match cache {
+            Some(_) => (entries.iter())
+                .map(|e| CacheKey::new(e.tokens, e.k.min(num_docs)))
+                .collect(),
+            None => Vec::new(),
+        };
         match cache {
             Some(cache) => {
-                let mut seen: HashMap<CacheKey, usize> = HashMap::new();
-                for (i, e) in entries.iter().enumerate() {
-                    match seen.entry(key(e)) {
+                let mut seen: HashMap<&CacheKey, usize> = HashMap::new();
+                for (i, key) in keys.iter().enumerate() {
+                    match seen.entry(key) {
                         Entry::Occupied(j) => first_of[i] = Some(*j.get()),
                         Entry::Vacant(slot) => {
-                            match cache.get_key(slot.key()) {
+                            match cache.get_key(key) {
                                 Some(hits) => resolved[i] = Some((hits, true)),
                                 None => engine_bound.push(i),
                             }
@@ -905,9 +913,6 @@ impl SessionManager {
             .map(|(q, &i)| (q, entries[i].k))
             .collect();
         for (&i, hits) in engine_bound.iter().zip(tier.evaluate_batch(&batch)) {
-            if let Some(cache) = cache {
-                cache.insert_key(key(&entries[i]), hits.clone());
-            }
             resolved[i] = Some((hits, false));
         }
         for (i, &j) in first_of.iter().enumerate() {
@@ -916,25 +921,19 @@ impl SessionManager {
                 resolved[i] = Some((hits, true));
             }
         }
+        let resolved: Vec<_> = resolved.into_iter().map(|r| r.expect("resolved")).collect();
+        if let Some(cache) = cache {
+            for (key, (hits, cache_hit)) in keys.into_iter().zip(&resolved) {
+                if !cache_hit {
+                    cache.insert_key(key, hits.clone());
+                }
+            }
+        }
         // The batch's time, shared evenly by its entries.
         let latency_us = (t0.elapsed() / entries.len().max(1) as u32).as_micros() as u64;
-        let resolved: Vec<_> = resolved.into_iter().map(|r| r.expect("resolved")).collect();
-        for (i, (e, &(_, cache_hit))) in entries.iter().zip(&resolved).enumerate() {
-            if let Some(cache) = cache {
-                // Hits no lookup counted: the subscribers beyond the
-                // first, and a duplicate's first.
-                let shared = e.genuine.len().saturating_sub(1) + usize::from(first_of[i].is_some());
-                cache.add_hits(&key(e), shared as u64);
-            }
-            metrics.record_engine_submission();
-            for (j, &is_genuine) in e.genuine.iter().enumerate() {
-                let (lat, hit) = if j == 0 {
-                    (latency_us, cache_hit)
-                } else {
-                    (0, true)
-                };
-                metrics.record_submit(lat, hit, is_genuine);
-            }
+        for (e, &(_, cache_hit)) in entries.iter().zip(&resolved) {
+            self.metrics
+                .record_resolved(latency_us, cache_hit, &e.genuine);
         }
         resolved
     }

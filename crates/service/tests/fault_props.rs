@@ -154,10 +154,9 @@ proptest! {
         // engine submission or cache hit — failed entries never count.
         let g = faulty.metrics().global;
         prop_assert_eq!(
-            g.submitted,
+            g.cache_hits + g.cache_misses,
             (report.outcomes.len() + report.discarded.len()) as u64
         );
-        prop_assert_eq!(g.cache_hits + g.cache_misses, g.submitted);
     }
 
     /// Bit-exact rollback: unwinding planned cycles newest-first steps
